@@ -1,9 +1,11 @@
 package repro
 
-// The benchmark harness: one benchmark per paper table and figure (the
-// cost of regenerating that artifact from an analyzed corpus), the
-// end-to-end stages (generate -> filter -> analyze), and the ablations
-// called out in DESIGN.md §10.
+// Micro-benchmarks for working on one piece at a time: one benchmark per
+// paper table and figure (the cost of regenerating that artifact from an
+// analyzed corpus), the end-to-end stages (generate -> filter ->
+// analyze), the ablations called out in DESIGN.md §10, and the pairs the
+// CI gates compare (trace overhead, doc-cache speedup). The recorded
+// performance ledger is bench/ (`bash bench/run.sh`, BENCHMARK.json).
 //
 // Run everything with:
 //
@@ -682,8 +684,8 @@ func BenchmarkRangeQuery(b *testing.B) {
 // BenchmarkCheckpointRoundTrip measures the state codec on a full
 // analyzed engine: encode + decode of every metric module's state (the
 // per-shard work of a serve.Store checkpoint/restore cycle, before
-// gzip). SetBytes is the encoded state size, so ns/op converts to
-// codec MB/s in BENCH_core.json.
+// gzip). SetBytes is the encoded state size, so the run reports codec
+// MB/s.
 func BenchmarkCheckpointRoundTrip(b *testing.B) {
 	f := fixture(b)
 	state := f.analyzer.MarshalState()

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"syriafilter/internal/categorydb"
 	"syriafilter/internal/logfmt"
@@ -198,12 +199,34 @@ func AllMetrics() []string {
 // requested tables and figures need.
 //
 // Like the Analyzer, an Engine is not safe for concurrent use; run one
-// per pipeline worker and Merge.
+// per pipeline worker and Merge. The one exception is reading: once its
+// single writer has stopped (a published serve.Snapshot), any number of
+// goroutines may call the result functions at once.
 type Engine struct {
 	opt     Options
 	cx      recordCtx
 	modules []Metric
 	byName  map[string]Metric
+
+	// version counts state mutations: Observe, Merge and UnmarshalState
+	// bump it. It is a plain field because only the engine's single
+	// writer touches it; readers of a frozen engine only compare it.
+	version uint64
+	disc    discoveryMemo
+}
+
+// discoveryMemo is the §5.4 result DiscoverFilters last computed, with
+// the engine version and the effective minCount it was computed for; a
+// differing version or minCount makes it stale. The effective minCount
+// is never 0, so the zero memo matches no call. mu is the only part of
+// an Engine reached by concurrent readers: it serialises them so that
+// one computes and the rest reuse.
+type discoveryMemo struct {
+	mu       sync.Mutex
+	version  uint64
+	minCount uint64
+	d        Discovery
+	runs     int // computations performed; read by tests only
 }
 
 // NewEngine builds an engine with the named modules, in registry order
@@ -253,6 +276,7 @@ func (e *Engine) Metric(name string) Metric { return e.byName[name] }
 
 // Observe folds one record into every registered module.
 func (e *Engine) Observe(rec *logfmt.Record) {
+	e.version++
 	e.cx.reset(rec, e.opt.SampleOneIn)
 	for _, m := range e.modules {
 		m.Observe(rec)
@@ -265,6 +289,7 @@ func (e *Engine) Merge(b *Engine) {
 	if len(e.modules) != len(b.modules) {
 		panic(fmt.Sprintf("core: merging engines with different module sets: %v vs %v", e.Metrics(), b.Metrics()))
 	}
+	e.version++
 	for i, m := range e.modules {
 		o := b.modules[i]
 		if m.Name() != o.Name() {

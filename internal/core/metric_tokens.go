@@ -128,9 +128,10 @@ func (m *tokensMetric) DecodeState(r *statecodec.Reader) {
 }
 
 // censored returns the store in its canonical form — sorted by
-// (Domain, URL, Host) and truncated to the cap — which is the view every
-// consumer reads. Between compactions the raw slice may briefly hold up
-// to 2x the cap; canonicalizing at the read boundary keeps the exposed
+// (Domain, URL, Host) and truncated to the cap — which is the set every
+// consumer reads (in this order, or unordered through censoredSet).
+// Between compactions the raw slice may briefly hold up to 2x the cap;
+// canonicalizing at the read boundary keeps the exposed
 // set (and its order) a pure function of the observed corpus. It works
 // on a copy: published snapshots are queried concurrently (serve's
 // immutability contract), so a read must never reorder shared state.
@@ -141,6 +142,17 @@ func (m *tokensMetric) censored() []censoredURL {
 	}
 	sortCensored(s)
 	return s
+}
+
+// censoredSet returns the same entries as censored but in unspecified
+// order, for consumers that read the store as a multiset (discovery).
+// Within the cap that is the raw slice itself — no copy, no sort — so
+// the result is read-only.
+func (m *tokensMetric) censoredSet() []censoredURL {
+	if max := m.opt.MaxStoredCensoredURLs; max > 0 && len(m.censoredURLs) > max {
+		return m.censored()
+	}
+	return m.censoredURLs
 }
 
 // keepSmallestCensored truncates the store to the max smallest entries

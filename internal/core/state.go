@@ -57,6 +57,7 @@ func (e *Engine) MarshalState() []byte {
 // subset engine); a registered module with no section is an error — the
 // module would silently serve empty results otherwise.
 func (e *Engine) UnmarshalState(b []byte) error {
+	e.version++ // a failed decode may still have replaced some modules
 	r := statecodec.NewReader(b)
 	if magic := r.Raw(len(engineStateMagic)); r.Err() != nil || string(magic) != engineStateMagic {
 		return fmt.Errorf("core: not an engine state stream (bad magic)")

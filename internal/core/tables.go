@@ -6,6 +6,7 @@ import (
 
 	"syriafilter/internal/categorydb"
 	"syriafilter/internal/geoip"
+	"syriafilter/internal/logfmt"
 	"syriafilter/internal/stats"
 	"syriafilter/internal/urlx"
 )
@@ -176,12 +177,51 @@ type Discovery struct {
 // Keyword candidates must additionally hit at least three distinct
 // registered domains: keyword rules are cross-domain by nature, while a
 // token seen on one domain only is better explained by a URL rule.
+//
+// The engine remembers its last result: while no Observe, Merge or
+// UnmarshalState has happened since, a repeated call (same minCount)
+// returns the remembered Discovery instead of recomputing it, and
+// concurrent callers of one frozen engine — the readers of a published
+// serve.Snapshot — wait on a single computation. The returned slices are
+// therefore shared between callers and must be treated as read-only.
 func (e *Engine) DiscoverFilters(minCount uint64) Discovery {
 	dm := e.mDomains("DiscoverFilters")
 	tm := e.mTokens("DiscoverFilters")
 	if minCount == 0 {
 		minCount = 3
 	}
+	m := &e.disc
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.version != e.version || m.minCount != minCount {
+		m.d = discoverFilters(dm, tm, minCount)
+		m.version, m.minCount = e.version, minCount
+		m.runs++
+	}
+	return m.d
+}
+
+// maxKeywords caps the keyword phase: a corpus whose residue keeps
+// yielding candidates stops after this many rounds.
+const maxKeywords = 64
+
+// residueURL is one stored censored URL that phase 0 left unexplained.
+type residueURL struct {
+	lower string // strings.ToLower(URL): what a keyword is matched against
+	host  string
+	dom   int32   // index of the registered domain
+	toks  []int32 // distinct candidate ids of the URL's tokens
+}
+
+// keywordCandidate is one distinct residue token with its live tallies.
+type keywordCandidate struct {
+	tok      string
+	count    uint64 // residue URLs still carrying the token
+	spread   int    // distinct registered domains among those URLs
+	eligible bool   // never seen in an allowed URL
+}
+
+func discoverFilters(dm *domainsMetric, tm *tokensMetric, minCount uint64) Discovery {
 	const minSpread = 3
 	var d Discovery
 
@@ -202,68 +242,101 @@ func (e *Engine) DiscoverFilters(minCount uint64) Discovery {
 	// the paper's removal step and prevents keyword collateral (e.g. all
 	// announces to tracker-proxy.furk.net) from masquerading as
 	// domain-blocking.
-	type residueEntry struct {
-		url    string
-		domain string
-		host   string
-		tokens []string
+	//
+	// The tallies a round needs — per token, how many residue URLs carry
+	// it and across how many registered domains — are built once and
+	// then maintained: removing a URL subtracts it from each of its
+	// tokens. Every quantity is a function of the residue as a multiset,
+	// so the stored URLs are read in whatever order they are held.
+	stored := tm.censoredSet()
+	residue := make([]residueURL, 0, len(stored))
+	var cands []keywordCandidate
+	candID := map[string]int32{}
+	var domains []string
+	domID := map[string]int32{}
+	// refs counts the residue URLs per (candidate, registered domain).
+	refs := map[uint64]int32{}
+	pair := func(tok, dom int32) uint64 { return uint64(tok)<<32 | uint64(dom) }
+	// arena holds every URL's distinct candidate ids back to back; first
+	// marks where the URL being tokenized (on domain dom) starts.
+	var arena []int32
+	var first int
+	var dom int32
+	tally := func(tok string) {
+		id, ok := candID[tok]
+		if !ok {
+			id = int32(len(cands))
+			candID[tok] = id
+			cands = append(cands, keywordCandidate{tok: tok, eligible: tm.allowed.counter.Count(tok) == 0})
+		}
+		for _, seen := range arena[first:] {
+			if seen == id {
+				return
+			}
+		}
+		arena = append(arena, id)
+		cands[id].count++
+		key := pair(id, dom)
+		if refs[key]++; refs[key] == 1 {
+			cands[id].spread++
+		}
 	}
-	var residue []residueEntry
-	for _, cu := range tm.censored() {
+	for i := range stored {
+		cu := &stored[i]
 		if blockedTLDs[urlx.TLD(cu.Host)] || urlx.IsIPv4(cu.Host) {
 			continue
 		}
-		residue = append(residue, residueEntry{
-			url:    strings.ToLower(cu.URL),
-			domain: cu.Domain,
-			host:   cu.Host,
-			tokens: TokenizeURL(cu.Host, pathOf(cu.URL, cu.Host), queryOf(cu.URL)),
+		var ok bool
+		if dom, ok = domID[cu.Domain]; !ok {
+			dom = int32(len(domains))
+			domID[cu.Domain] = dom
+			domains = append(domains, cu.Domain)
+		}
+		first = len(arena)
+		rec := logfmt.Record{Host: cu.Host, Path: pathOf(cu.URL, cu.Host), Query: queryOf(cu.URL)}
+		tokenizeRecord(&rec, tally)
+		residue = append(residue, residueURL{
+			lower: strings.ToLower(cu.URL),
+			host:  cu.Host,
+			dom:   dom,
+			toks:  arena[first:],
 		})
 	}
-	for rounds := 0; rounds < 64; rounds++ {
-		counts := stats.NewCounter()
-		domainsOf := map[string]map[string]struct{}{}
-		for _, re := range residue {
-			seen := map[string]bool{}
-			for _, tok := range re.tokens {
-				if seen[tok] {
-					continue
-				}
-				seen[tok] = true
-				counts.Add(tok)
-				set := domainsOf[tok]
-				if set == nil {
-					set = map[string]struct{}{}
-					domainsOf[tok] = set
-				}
-				set[re.domain] = struct{}{}
+	for len(d.Keywords) < maxKeywords {
+		var best *keywordCandidate
+		for i := range cands {
+			c := &cands[i]
+			if !c.eligible || c.count < minCount || c.spread < minSpread {
+				continue
+			}
+			if best == nil || c.count > best.count || (c.count == best.count && c.tok < best.tok) {
+				best = c
 			}
 		}
-		best := ""
-		var bestN uint64
-		counts.Each(func(tok string, n uint64) {
-			if n < minCount || tm.allowed.counter.Count(tok) != 0 {
-				return
-			}
-			if len(domainsOf[tok]) < minSpread {
-				return
-			}
-			if n > bestN || (n == bestN && tok < best) {
-				best, bestN = tok, n
-			}
-		})
-		if best == "" {
+		if best == nil {
 			break
 		}
 		d.Keywords = append(d.Keywords, Keyword{
-			Keyword:  best,
-			Censored: bestN,
-			Proxied:  tm.proxied.counter.Count(best),
+			Keyword:  best.tok,
+			Censored: best.count,
+			Proxied:  tm.proxied.counter.Count(best.tok),
 		})
+		// Removal is by substring of the lowered URL, not by token
+		// membership: a keyword also explains URLs it merely occurs in.
+		kw := best.tok
 		keep := residue[:0]
-		for _, re := range residue {
-			if !strings.Contains(re.url, best) {
-				keep = append(keep, re)
+		for i := range residue {
+			u := &residue[i]
+			if !strings.Contains(u.lower, kw) {
+				keep = append(keep, *u)
+				continue
+			}
+			for _, t := range u.toks {
+				cands[t].count--
+				key := pair(t, u.dom)
+				if refs[key]--; refs[key] == 0 {
+					cands[t].spread--
+				}
 			}
 		}
 		residue = keep
@@ -275,9 +348,9 @@ func (e *Engine) DiscoverFilters(minCount uint64) Discovery {
 	// residue so keyword-explained requests are not re-attributed.
 	domCounts := stats.NewCounter()
 	hostCounts := stats.NewCounter()
-	for _, re := range residue {
-		domCounts.Add(re.domain)
-		hostCounts.Add(re.host)
+	for i := range residue {
+		domCounts.Add(domains[residue[i].dom])
+		hostCounts.Add(residue[i].host)
 	}
 	suspected := make(map[string]bool)
 	domCounts.Each(func(dom string, n uint64) {

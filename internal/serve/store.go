@@ -93,7 +93,9 @@ type Config struct {
 
 // Snapshot is one immutable point-in-time view of the store. Its
 // analyzer is never written after publication, so any number of queries
-// may read it concurrently.
+// may read it concurrently — and because it never changes, the §5.4
+// discovery its engine remembers (core.Engine.DiscoverFilters) is
+// computed once per snapshot, however many docs and readers ask for it.
 type Snapshot struct {
 	An *core.Analyzer
 	// Seq increments with every rebuild (0 = the boot-time empty view).

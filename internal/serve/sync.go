@@ -51,12 +51,15 @@ type docTrack struct {
 	prevSeq uint64 // seq at which prev became current (0 = none)
 }
 
-// trackDoc advances id's tracked state to snap and returns it. The
-// render goes through the doc cache (same key the GET endpoints use),
-// so tracking an id also warms its cache entry. Serialized under the
-// tracker lock: seenSeq/curSeq advance monotonically even when
-// concurrent sync requests observe different snapshots.
-func (s *Server) trackDoc(ctx context.Context, snap *Snapshot, id string) (*docTrack, error) {
+// trackDoc advances id's tracked state to snap and returns a copy of
+// it, taken under the lock: another request may advance the track the
+// moment the lock drops, while the docs and bytes a copy points at are
+// never written again. The render goes through the doc cache (same key
+// the GET endpoints use), so tracking an id also warms its cache entry.
+// Serialized under the tracker lock: seenSeq/curSeq advance
+// monotonically even when concurrent sync requests observe different
+// snapshots.
+func (s *Server) trackDoc(ctx context.Context, snap *Snapshot, id string) (docTrack, error) {
 	t := &s.tracker
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -68,7 +71,7 @@ func (s *Server) trackDoc(ctx context.Context, snap *Snapshot, id string) (*docT
 	if dt.cur == nil || snap.Seq > dt.seenSeq {
 		e, err := s.cachedDoc(ctx, snap, id, "json", false)
 		if err != nil {
-			return nil, err
+			return docTrack{}, err
 		}
 		if dt.cur == nil || !bytes.Equal(e.body, dt.curJSON) {
 			dt.prev, dt.prevSeq = dt.cur, dt.curSeq
@@ -78,7 +81,7 @@ func (s *Server) trackDoc(ctx context.Context, snap *Snapshot, id string) (*docT
 			dt.seenSeq = snap.Seq
 		}
 	}
-	return dt, nil
+	return *dt, nil
 }
 
 // syncChange is one changed experiment in a /v1/sync response: either

@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-// loadResult is the BENCH_serve.json shape: achieved ingest throughput
+// loadResult is what the load smoke reports: achieved ingest throughput
 // and query latency percentiles, both read off the daemon's own
 // /metrics exposition (so the numbers are what an operator's scraper
 // would see, not harness-side stopwatch guesses).
@@ -38,14 +38,14 @@ type loadResult struct {
 	QueryCacheHitRatio float64 `json:"query_cache_hit_ratio"`
 	SyncWakeupP95S     float64 `json:"sync_wakeup_p95_s"`
 	// Provenance: which commit produced these numbers, and when — so a
-	// regression hunt can line BENCH_serve.json up with git history.
+	// saved -load.out file can be lined up with git history.
 	VCSRevision string `json:"vcs_revision"`
 	RecordedAt  string `json:"recorded_at"`
 }
 
 // benchRevision resolves the revision stamped into the result:
-// -load.revision wins (scripts/bench.sh passes it), otherwise git is
-// asked directly, with "unknown" as the no-git fallback.
+// -load.revision wins, otherwise git is asked directly, with "unknown"
+// as the no-git fallback.
 func benchRevision() string {
 	if *loadRevision != "" {
 		return *loadRevision
@@ -61,8 +61,9 @@ func benchRevision() string {
 // CSV batches to POST /v1/ingest pacing itself to -load.target-mb,
 // two query workers hammer table and figure endpoints concurrently,
 // and the result — achieved MB/s, latency percentiles from the
-// http_request_seconds histograms — is written to -load.out (the
-// scripts/bench.sh BENCH_serve.json producer) or logged.
+// http_request_seconds histograms — is written to -load.out or logged.
+// (The performance ledger is bench/, see bench/README.md; this test
+// only asserts that a loaded daemon stays correct and responsive.)
 func TestLoadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load smoke spawns a real daemon; skipped in -short")

@@ -1,8 +1,8 @@
 // Package e2e black-box tests the censord daemon: TestMain compiles
 // the real binary, TestChaos drives seeded random fault-injection
 // sequences against a batch-model oracle (see chaos_test.go), and
-// TestLoadSmoke runs a closed-loop ingest+query load probe recording
-// BENCH_serve.json (see load_test.go).
+// TestLoadSmoke runs a closed-loop ingest+query load probe (see
+// load_test.go).
 //
 // The package holds only external tests on purpose: everything it
 // observes — HTTP responses, exit codes, checkpoint directories,
