@@ -635,18 +635,10 @@ func BenchmarkAblationParseEncodingCSV(b *testing.B) {
 
 // --- Range queries: merge-on-query cost vs bucket count ---
 
-// BenchmarkRangeQuery measures what a timewin full-range query costs as
-// the bucket ring grows: one transient engine construction plus one
-// Merge per covered bucket. The corpus is fixed; only the partition
-// width (and therefore the bucket count) varies, so the sub-benchmarks
-// expose the merge cost curve that sizes cmd/censord's -bucket flag.
-func BenchmarkRangeQuery(b *testing.B) {
-	f := fixture(b)
-	opt := core.Options{
-		Categories: f.gen.CategoryDB(),
-		Consensus:  f.gen.Consensus(),
-		TitleDB:    bittorrent.NewTitleDB(),
-	}
+// benchPartition folds the fixture corpus into a partition whose width
+// spreads it over nb buckets.
+func benchPartition(b *testing.B, f *benchFixture, opt core.Options, nb int) *timewin.Partition {
+	b.Helper()
 	var lo, hi int64
 	for i := range f.records {
 		t := f.records[i].Time
@@ -657,23 +649,120 @@ func BenchmarkRangeQuery(b *testing.B) {
 			hi = t
 		}
 	}
-	for _, nb := range []int{8, 64, 256} {
-		width := (hi - lo + int64(nb)) / int64(nb) // ceil: corpus spans <= nb buckets
-		p, err := timewin.New(timewin.Config{Options: opt, Bucket: time.Duration(width) * time.Second})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := range f.records {
-			p.Observe(&f.records[i])
-		}
-		b.Run(fmt.Sprintf("buckets=%d", p.Buckets()), func(b *testing.B) {
+	width := (hi - lo + int64(nb)) / int64(nb) // ceil: corpus spans <= nb buckets
+	p, err := timewin.New(timewin.Config{Options: opt, Bucket: time.Duration(width) * time.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range f.records {
+		p.Observe(&f.records[i])
+	}
+	return p
+}
+
+func benchOptions(f *benchFixture) core.Options {
+	return core.Options{
+		Categories: f.gen.CategoryDB(),
+		Consensus:  f.gen.Consensus(),
+		TitleDB:    bittorrent.NewTitleDB(),
+	}
+}
+
+// BenchmarkRangeQuery measures what a timewin full-range query costs:
+// one transient engine construction plus one merge per covered bucket.
+// The corpus is fixed. The buckets= sub-benchmarks vary only the
+// partition width (and therefore the bucket count) with every module
+// folded, the merge cost curve that sizes cmd/censord's -bucket flag;
+// the id= sub-benchmarks hold the ring at its widest and build the
+// destination from core.ModulesFor(id), which is what /v1/range/{id}
+// folds — id=all is the unprojected cost they are to be read against.
+func BenchmarkRangeQuery(b *testing.B) {
+	f := fixture(b)
+	opt := benchOptions(f)
+	rangeInto := func(p *timewin.Partition, mods []string) func(b *testing.B) {
+		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				dst, err := core.NewEngine(opt)
+				dst, err := core.NewEngine(opt, mods...)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if _, err := p.RangeInto(dst, timewin.Window{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	var p *timewin.Partition
+	for _, nb := range []int{8, 64, 256} {
+		p = benchPartition(b, f, opt, nb)
+		b.Run(fmt.Sprintf("buckets=%d", p.Buckets()), rangeInto(p, nil))
+	}
+	for _, id := range []string{"table1", "table4", "table8"} {
+		mods, err := core.ModulesFor(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("id="+id, rangeInto(p, mods))
+	}
+	b.Run("id=all", rangeInto(p, nil))
+}
+
+// BenchmarkRangeFingerprint measures the per-shard half of a range
+// response's cache key at the widest ring: hashing the (start, records)
+// pairs in place, against building the Meta (one formatted timestamp a
+// bucket) the key used to be derived from. /v1/range pays it twice a
+// request, before and after the merge.
+func BenchmarkRangeFingerprint(b *testing.B) {
+	f := fixture(b)
+	p := benchPartition(b, f, benchOptions(f), 256)
+	b.Run("fingerprint", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := p.Fingerprint(timewin.Window{}); !ok {
+				b.Fatal("all-time window not fingerprintable")
+			}
+		}
+	})
+	b.Run("meta", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if len(p.Meta().Buckets) == 0 {
+				b.Fatal("empty meta")
+			}
+		}
+	})
+}
+
+// BenchmarkSnapshotCut measures one snapshot rebuild of a loaded store
+// (hourly buckets, every module) against the shard count. The shards
+// fold their partitions concurrently, each into its own engine, and the
+// engines are then merged in shard order: shards=1 is the cost of the
+// fold alone (no second engine, no extra merge); more shards add merges
+// and, given CPUs, overlap the folds. Run it with -cpu 1,2 to see both.
+func BenchmarkSnapshotCut(b *testing.B) {
+	f := fixture(b)
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			st, err := serve.NewStore(serve.Config{Options: benchOptions(f), Shards: shards, Bucket: time.Hour, DisableObs: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			if _, err := st.Add(f.records); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := st.Refresh(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// An unchanged store skips the rebuild: move it by one record.
+				if _, err := st.Add(f.records[i%len(f.records) : i%len(f.records)+1]); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := st.Refresh(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -161,7 +161,8 @@ type moduleDef struct {
 }
 
 // moduleRegistry lists every metric module in canonical order. The order
-// fixes both Observe dispatch and Merge pairing.
+// fixes Observe dispatch and the order modules merge in; Merge pairs
+// modules by name.
 var moduleRegistry = []moduleDef{
 	{"datasets", func(e *Engine) Metric { return newDatasetsMetric(e) }},
 	{"domains", func(e *Engine) Metric { return newDomainsMetric(e) }},
@@ -289,10 +290,19 @@ func (e *Engine) Merge(b *Engine) {
 	if len(e.modules) != len(b.modules) {
 		panic(fmt.Sprintf("core: merging engines with different module sets: %v vs %v", e.Metrics(), b.Metrics()))
 	}
+	e.MergeProjected(b)
+}
+
+// MergeProjected folds into e the modules e carries, taken by name from
+// b, which may carry more: the cost is that of e's modules only, so a
+// reader that needs one module of a full engine builds e with that
+// module alone. A module of e that b lacks panics, as in Merge. Options
+// must be equivalent.
+func (e *Engine) MergeProjected(b *Engine) {
 	e.version++
-	for i, m := range e.modules {
-		o := b.modules[i]
-		if m.Name() != o.Name() {
+	for _, m := range e.modules {
+		o := b.byName[m.Name()]
+		if o == nil {
 			panic(fmt.Sprintf("core: merging engines with different module sets: %v vs %v", e.Metrics(), b.Metrics()))
 		}
 		m.Merge(o)

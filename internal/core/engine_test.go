@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"strings"
@@ -266,4 +267,63 @@ func TestModulesForUnion(t *testing.T) {
 			t.Fatalf("modules = %v, want %v (canonical order)", mods, want)
 		}
 	}
+}
+
+// A projected fold must read like a subset engine that saw the records
+// itself: for every module alone and every pair, folding a full source
+// (in two parts, as a range read folds several buckets) into an engine
+// built with only those modules encodes the same state bytes.
+func TestMergeProjectedMatchesSubsetEngine(t *testing.T) {
+	f := corpus(t)
+	opt := fixtureOptions(f)
+	recs := f.records[:20000]
+	half1, half2 := NewAnalyzer(opt), NewAnalyzer(opt)
+	for i := range recs {
+		if i < len(recs)/2 {
+			half1.Observe(&recs[i])
+		} else {
+			half2.Observe(&recs[i])
+		}
+	}
+
+	names := AllMetrics()
+	var subsets [][]string
+	for i, m := range names {
+		subsets = append(subsets, []string{m})
+		for _, n := range names[i+1:] {
+			subsets = append(subsets, []string{m, n})
+		}
+	}
+	for _, mods := range subsets {
+		want, err := NewEngine(opt, mods...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range recs {
+			want.Observe(&recs[i])
+		}
+		got, err := NewEngine(opt, mods...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.MergeProjected(half1.Engine)
+		got.MergeProjected(half2.Engine)
+		if !bytes.Equal(got.MarshalState(), want.MarshalState()) {
+			t.Errorf("%v: projected fold of a full engine differs from a subset engine over the same records", mods)
+		}
+	}
+}
+
+// Projection only narrows: a destination module the source lacks still
+// panics, naming both module sets.
+func TestMergeProjectedPanicsOnMissingSourceModule(t *testing.T) {
+	dst, _ := NewEngine(Options{}, "datasets", "domains")
+	src, _ := NewEngine(Options{}, "datasets")
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "different module sets") {
+			t.Errorf("MergeProjected from a narrower source: recovered %q, want the module-set panic", msg)
+		}
+	}()
+	dst.MergeProjected(src)
 }

@@ -10,6 +10,7 @@ package render
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -160,6 +161,18 @@ func Title(id string) string { return renderers[id].title }
 // ground-truth generator in its Context.
 func NeedsGenerator(id string) bool { return renderers[id].needsGen }
 
+// ErrUnknownID is what Render fails with (wrapped) for an id no renderer
+// is registered under; front ends test for it with errors.Is to answer
+// "no such experiment" apart from "cannot render it here".
+var ErrUnknownID = errors.New("render: unknown experiment id")
+
+// UnknownID is the ErrUnknownID error for id, listing the known ids.
+// Front ends that reject an id before calling Render answer with it, so
+// every path words the failure alike.
+func UnknownID(id string) error {
+	return fmt.Errorf("%w %q (known: %v)", ErrUnknownID, id, Order())
+}
+
 // Render builds the Doc for one experiment id. It returns an error for
 // unknown ids, for generator-requiring experiments rendered without one,
 // and when the analyzer was built without a module the experiment reads
@@ -168,7 +181,7 @@ func NeedsGenerator(id string) bool { return renderers[id].needsGen }
 func Render(id string, cx Context) (doc *Doc, err error) {
 	r, ok := renderers[id]
 	if !ok {
-		return nil, fmt.Errorf("render: unknown experiment id %q (known: %v)", id, Order())
+		return nil, UnknownID(id)
 	}
 	if r.needsGen && cx.Gen == nil {
 		return nil, fmt.Errorf("render: experiment %q needs the ground-truth generator, which this context does not have", id)

@@ -89,11 +89,10 @@ func (st *Store) Checkpoint(dir string) (CheckpointInfo, error) {
 // carries, or becomes its own background "checkpoint.write" trace when
 // ctx has none (the periodic -checkpoint-every loop).
 func (st *Store) CheckpointCtx(ctx context.Context, dir string) (CheckpointInfo, error) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if st.closed {
-		return CheckpointInfo{}, ErrClosed
+	if err := st.begin(); err != nil {
+		return CheckpointInfo{}, err
 	}
+	defer st.mu.RUnlock()
 	return st.checkpointSpan(dir, trace.FromContext(ctx))
 }
 
@@ -136,43 +135,30 @@ func (st *Store) checkpointSpan(dir string, parent *trace.Span) (info Checkpoint
 		return CheckpointInfo{}, err
 	}
 
-	// One op per shard, all enqueued before any is awaited, so the
-	// shards encode and write their files concurrently.
+	// The shards encode and write their files concurrently.
 	type result struct {
 		err     error
 		bytes   int64
 		records uint64
 	}
 	results := make([]result, len(st.shards))
-	dones := make([]chan struct{}, len(st.shards))
-	for i, sh := range st.shards {
-		i := i
-		path := filepath.Join(tmpDir, shardFileName(i))
-		dones[i] = make(chan struct{})
-		ssp := sp.Child("ckpt.shard")
-		ssp.SetAttrs(trace.Int("shard", int64(i)))
-		sh.msgs <- shardMsg{done: dones[i], span: ssp, op: func(p *timewin.Partition, observed *uint64) {
-			results[i].records = *observed
-			results[i].bytes, results[i].err = writeShardFile(path, i, len(st.shards), *observed, p)
-			ssp.Fail(results[i].err)
-		}}
-	}
+	st.fanOut(sp, "ckpt.shard", func(i int, ssp *trace.Span, p *timewin.Partition, observed *uint64) {
+		r := &results[i]
+		r.records = *observed
+		r.bytes, r.err = writeShardFile(filepath.Join(tmpDir, shardFileName(i)), i, len(st.shards), *observed, p)
+		ssp.Fail(r.err)
+	})
 	info = CheckpointInfo{
 		Generation:  gen,
 		CreatedUnix: time.Now().Unix(),
 		Shards:      len(st.shards),
 	}
-	for i := range dones {
-		<-dones[i]
-		if err := results[i].err; err != nil {
-			// Await the rest before tearing the directory down.
-			for j := i + 1; j < len(dones); j++ {
-				<-dones[j]
-			}
-			return fail(fmt.Errorf("serve: checkpoint shard %d: %w", i, err))
+	for i, r := range results {
+		if r.err != nil {
+			return fail(fmt.Errorf("serve: checkpoint shard %d: %w", i, r.err))
 		}
-		info.Bytes += results[i].bytes
-		info.Records += results[i].records
+		info.Bytes += r.bytes
+		info.Records += r.records
 	}
 
 	finalDir := filepath.Join(dir, gen)
@@ -508,7 +494,7 @@ func (st *Store) restoreGeneration(dir string, g genEntry, m *manifest) (info Ch
 	for j := range staged {
 		j := j
 		sh := j % len(st.shards)
-		err := st.shardOp(sh, func(p *timewin.Partition, observed *uint64) {
+		err := st.shardOp(sh, func(_ int, _ *trace.Span, p *timewin.Partition, observed *uint64) {
 			if err := p.Absorb(staged[j]); err != nil {
 				rerr = err
 				return
@@ -539,15 +525,12 @@ func (st *Store) restoreGeneration(dir string, g genEntry, m *manifest) (info Ch
 }
 
 // shardOp runs op on one shard's goroutine.
-func (st *Store) shardOp(i int, op func(p *timewin.Partition, observed *uint64)) error {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if st.closed {
-		return ErrClosed
+func (st *Store) shardOp(i int, op shardFn) error {
+	if err := st.begin(); err != nil {
+		return err
 	}
-	done := make(chan struct{})
-	st.shards[i].msgs <- shardMsg{op: op, done: done}
-	<-done
+	defer st.mu.RUnlock()
+	<-st.enqueue(i, nil, "", op)
 	return nil
 }
 

@@ -17,7 +17,7 @@ const DefaultDocCacheBytes int64 = 64 << 20
 
 // docKey identifies one cached response variant. gen is the snapshot
 // Seq for doc endpoints and the window-content fingerprint for range
-// endpoints (see Server.rangeFingerprint); both only change when the
+// endpoints (see Store.rangeFingerprint); both only change when the
 // underlying content can, which is what makes the cache
 // invalidation-free: stale keys are never wrong, merely unreachable,
 // and the LRU sweep reclaims them.

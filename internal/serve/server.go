@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -415,8 +414,10 @@ func (s *Server) gateServing(w http.ResponseWriter) bool {
 // the experiment Doc over it — for a window covering the whole corpus
 // the body is byte-identical to the all-time snapshot (and to
 // `censorlyzer -json`). With step it renders one Doc per step-sized
-// sub-window and returns a Series. Ranges that begin inside the
-// compacted retention tail answer 422 with the horizon.
+// sub-window and returns a Series. Either way the engines carry only
+// the modules core.ModulesFor names for the experiment, so the merge
+// costs what the doc reads, not what the daemon keeps. Ranges that
+// begin inside the compacted retention tail answer 422 with the horizon.
 //
 // Range responses cache under a window-content fingerprint instead of
 // the snapshot Seq (range queries read the live partitions, not the
@@ -429,7 +430,18 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.PathValue("id")
 	if render.Title(id) == "" {
-		writeError(w, http.StatusNotFound, "render: unknown experiment id %q (known: %v)", id, render.Order())
+		writeError(w, http.StatusNotFound, "%v", render.UnknownID(id))
+		return
+	}
+	// The merge folds only the modules the doc reads; a daemon built
+	// without one of them cannot render the doc at all, which is known
+	// before any shard is asked for anything.
+	mods, err := core.ModulesFor(id)
+	if err == nil {
+		mods, err = s.store.projection(mods)
+	}
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, "render: %s: %v", id, err)
 		return
 	}
 	q := r.URL.Query()
@@ -479,9 +491,9 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	var hdrs [][2]string
 	if step > 0 {
-		body = s.buildRangeSeries(w, r, id, win, step, format)
+		body = s.buildRangeSeries(w, r, id, mods, win, step, format)
 	} else {
-		body, hdrs = s.buildRangeDoc(w, r, id, win, format)
+		body, hdrs = s.buildRangeDoc(w, r, id, mods, win, format)
 	}
 	if body == nil {
 		return // the builder wrote the error response
@@ -533,8 +545,8 @@ func (s *Server) writeRangeBody(w http.ResponseWriter, etag string, hdrs [][2]st
 // buildRangeDoc runs the uncached single-doc range query and encodes
 // the response body; on failure it writes the error response itself
 // and returns a nil body.
-func (s *Server) buildRangeDoc(w http.ResponseWriter, r *http.Request, id string, win timewin.Window, format string) ([]byte, [][2]string) {
-	an, cov, err := s.store.RangeCtx(r.Context(), win)
+func (s *Server) buildRangeDoc(w http.ResponseWriter, r *http.Request, id string, mods []string, win timewin.Window, format string) ([]byte, [][2]string) {
+	an, cov, err := s.store.RangeCtx(r.Context(), win, mods...)
 	if err != nil {
 		s.writeRangeError(w, err)
 		return nil, nil
@@ -566,8 +578,8 @@ func (s *Server) buildRangeDoc(w http.ResponseWriter, r *http.Request, id string
 }
 
 // buildRangeSeries is buildRangeDoc for ?step= series responses.
-func (s *Server) buildRangeSeries(w http.ResponseWriter, r *http.Request, id string, win timewin.Window, step int64, format string) []byte {
-	wins, err := s.store.RangeSeriesCtx(r.Context(), win, step)
+func (s *Server) buildRangeSeries(w http.ResponseWriter, r *http.Request, id string, mods []string, win timewin.Window, step int64, format string) []byte {
+	wins, err := s.store.RangeSeriesCtx(r.Context(), win, step, mods...)
 	if err != nil {
 		s.writeRangeError(w, err)
 		return nil
@@ -602,54 +614,21 @@ func (s *Server) buildRangeSeries(w http.ResponseWriter, r *http.Request, id str
 	return body
 }
 
-// rangeFingerprint hashes the live content of a window — every bucket
-// intersecting it (start + record count, summed across shards) plus,
-// when the window reaches back to the compacted tail, the tail span
-// and count — into a cache generation. Per-bucket record counts only
-// grow and buckets only ever leave the ring for the tail (changing
-// both sides of the hash), so an equal fingerprint implies an
-// identical merged engine and therefore byte-identical rendered
-// output: the monotonicity argument that makes Seq a sound doc-cache
-// key, applied per bucket. ok=false means the window is not cacheable:
-// the store is closed, or the window starts inside the compacted tail
-// (the query itself will answer 422 with the horizon).
+// rangeFingerprint is Store.rangeFingerprint under the request's
+// "cache.lookup" span.
 func (s *Server) rangeFingerprint(ctx context.Context, win timewin.Window) (uint64, bool) {
 	sp := trace.FromContext(ctx).Child("cache.lookup")
 	defer sp.End()
-	meta, err := s.store.liveMeta()
-	if err != nil {
-		return 0, false
-	}
-	if win.From != 0 && meta.TailRecords > 0 && win.From < meta.TailToUnix {
-		return 0, false
-	}
-	h := fnv.New64a()
-	var b [8]byte
-	u := func(v uint64) { binary.LittleEndian.PutUint64(b[:], v); h.Write(b[:]) }
-	u(uint64(meta.BucketSeconds))
-	if win.From == 0 {
-		u(uint64(meta.TailFromUnix))
-		u(uint64(meta.TailToUnix))
-		u(meta.TailRecords)
-	}
-	for _, bk := range meta.Buckets {
-		end := bk.StartUnix + meta.BucketSeconds
-		if (win.From != 0 && end <= win.From) || (win.To != 0 && bk.StartUnix >= win.To) {
-			continue
-		}
-		u(uint64(bk.StartUnix))
-		u(bk.Records)
-	}
-	return h.Sum64(), true
+	return s.store.rangeFingerprint(win)
 }
 
 // writeRangeError maps range-query failures: retention violations are
-// 422 (the data exists only compacted), bad windows/steps are 400, a
-// closed store is 503.
+// 422 (the data exists only compacted), as is a module the store never
+// kept; bad windows/steps are 400, a closed store is 503.
 func (s *Server) writeRangeError(w http.ResponseWriter, err error) {
 	var re *timewin.RetentionError
 	switch {
-	case errors.As(err, &re):
+	case errors.As(err, &re), errors.Is(err, ErrNoModule):
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 	case errors.Is(err, ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
@@ -700,7 +679,7 @@ func (s *Server) serveDoc(w http.ResponseWriter, r *http.Request, id, wantKind s
 	e, err := s.cachedDoc(r.Context(), snap, id, format, gz)
 	if err != nil {
 		status := http.StatusUnprocessableEntity
-		if strings.Contains(err.Error(), "unknown experiment id") {
+		if errors.Is(err, render.ErrUnknownID) {
 			status = http.StatusNotFound
 		}
 		writeError(w, status, "%v", err)

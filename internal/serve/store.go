@@ -6,24 +6,36 @@
 // Architecture: N hash-partitioned shards, each a single goroutine that
 // owns one timewin.Partition — a ring of per-time-bucket core engines
 // plus a frozen all-time tail — and drains a channel of record batches,
-// so ingestion is lock-free and never blocks queries. Snapshots are
-// built copy-on-swap: a fresh engine is merged through every shard —
-// each merge runs on the shard's own goroutine, between its batches, so
-// engines are never touched concurrently — and the result is atomically
-// swapped into place. Queries always read a consistent point-in-time
-// engine and never take a lock. Range queries (Store.Range,
-// Store.RangeSeries) reuse the same shard-op machinery to merge only the
-// buckets a time window covers into a transient engine.
+// so ingestion is lock-free and never blocks queries. Everything else
+// that touches a partition is a control op the shard runs between its
+// batches, so engines are never touched concurrently. Two helpers hand
+// ops out: fanOut enqueues one on every shard and then awaits them all
+// (the shards work at once, each into its own slot, and the caller
+// combines the slots in shard order), shardOpsSpan walks the shards one
+// at a time (ops may share state).
+//
+// Snapshots are built copy-on-swap by fanOut: every shard merges its
+// partition into a fresh engine of its own, the per-shard engines are
+// merged in shard order, and the result is atomically swapped into
+// place. Queries always read a consistent point-in-time engine and never
+// take a lock. Checkpoints fan out the same way, one file per shard.
+// Range queries (Store.Range, Store.RangeSeries) merge only the buckets
+// a time window covers, and only the metric modules the caller names,
+// into transient engines: Range by fanOut, RangeSeries shard by shard
+// into one engine per sub-window.
 package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"log/slog"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -216,6 +228,7 @@ var ErrOverloaded = errors.New("serve: store overloaded (shard queue full past d
 // concurrency design.
 type Store struct {
 	cfg        Config
+	modules    []string // the metric modules every shard engine carries
 	bucketSecs int64
 	addTimeout time.Duration // 0 = never shed
 	keepGens   int
@@ -323,6 +336,7 @@ func NewStore(cfg Config) (*Store, error) {
 		st.Close()
 		return nil, err
 	}
+	st.modules = empty.Metrics()
 	st.snap.Store(&Snapshot{An: empty, Built: time.Now(), Timewin: timewin.Meta{
 		BucketSeconds: st.bucketSecs,
 		RetainBuckets: int(retainBuckets),
@@ -615,12 +629,14 @@ func (st *Store) ingestBlockSources(srcs []*pipeline.BlockSource, workers int, s
 // Current returns the latest published snapshot (never nil).
 func (st *Store) Current() *Snapshot { return st.snap.Load() }
 
-// Refresh builds a new snapshot now and swaps it in: a fresh engine is
-// merged through every shard, each merge running on that shard's
+// Refresh builds a new snapshot now and swaps it in: every shard merges
+// its partition into a fresh engine of its own, on the shard's
 // goroutine after the batches enqueued before the request — so the
-// snapshot is a consistent prefix of the ingest stream and no engine is
-// ever accessed concurrently. Ingestion keeps flowing on the other
-// shards while one shard merges.
+// snapshot is a consistent prefix of each shard's ingest stream and no
+// engine is ever accessed concurrently — and the per-shard engines are
+// then merged in shard order. The shards merge at the same time, so
+// ingestion pauses on all of them for the length of one shard's merge
+// instead of on each in turn.
 func (st *Store) Refresh() (*Snapshot, error) {
 	return st.RefreshCtx(context.Background())
 }
@@ -642,9 +658,7 @@ func (st *Store) Refresh() (*Snapshot, error) {
 func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 	st.refreshMu.Lock()
 	defer st.refreshMu.Unlock()
-	st.mu.RLock()
-	if st.closed {
-		st.mu.RUnlock()
+	if st.begin() != nil {
 		return st.Current(), nil
 	}
 	// Change detection: one cheap op round summing the shards' observed
@@ -656,20 +670,16 @@ func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 	// them.
 	if cur := st.Current(); cur.Seq > 0 {
 		var total uint64
-		for _, sh := range st.shards {
-			done := make(chan struct{})
-			sh.msgs <- shardMsg{op: func(_ *timewin.Partition, observed *uint64) {
-				total += *observed
-			}, done: done}
-			<-done
-		}
+		st.shardOpsSpan(nil, "", func(_ int, _ *trace.Span, _ *timewin.Partition, observed *uint64) {
+			total += *observed
+		})
 		if total == cur.Records {
 			st.mu.RUnlock()
 			st.obsm.snapshotSkips.Inc()
 			return cur, nil
 		}
 	}
-	fresh, err := core.NewAnalyzerFor(st.cfg.Options, st.cfg.Metrics...)
+	parts, err := st.shardEngines(st.cfg.Metrics)
 	if err != nil {
 		st.mu.RUnlock()
 		return nil, err
@@ -680,24 +690,27 @@ func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 		cut = st.tracer.Root("snapshot.cut")
 	}
 	t0 := time.Now()
+	metas := make([]timewin.Meta, len(parts))
+	counts := make([]uint64, len(parts))
+	st.fanOut(cut, "snapshot.shard", func(i int, _ *trace.Span, p *timewin.Partition, observed *uint64) {
+		p.AllInto(parts[i].Engine)
+		metas[i] = p.Meta()
+		counts[i] = *observed
+	})
+	st.mu.RUnlock()
 	var records uint64
 	var meta timewin.Meta
-	for i, sh := range st.shards {
-		done := make(chan struct{})
-		ssp := cut.Child("snapshot.shard")
-		ssp.SetAttrs(trace.Int("shard", int64(i)))
-		sh.msgs <- shardMsg{op: func(p *timewin.Partition, observed *uint64) {
-			p.AllInto(fresh.Engine)
-			timewin.MergeMeta(&meta, p.Meta())
-			records += *observed
-		}, done: done, span: ssp}
-		<-done
+	for i := range parts {
+		if i > 0 {
+			parts[0].Merge(parts[i])
+		}
+		timewin.MergeMeta(&meta, metas[i])
+		records += counts[i]
 	}
-	st.mu.RUnlock()
 	cut.SetAttrs(trace.Int("records", int64(records)))
 	cut.End()
 	snap := &Snapshot{
-		An:      fresh,
+		An:      parts[0],
 		Seq:     st.seq.Add(1),
 		Records: records,
 		Built:   time.Now(),
@@ -751,40 +764,99 @@ func (st *Store) Restoring() bool { return st.restoring.Load() }
 // partitions that range queries merge from are gone).
 var ErrClosed = errors.New("serve: store is closed")
 
-// shardOps runs op on every shard goroutine, one shard at a time (each
-// op observes that shard's state at its current stream position, like
-// Refresh). Returns ErrClosed on a closed store.
-func (st *Store) shardOps(op func(p *timewin.Partition, observed *uint64)) error {
-	return st.shardOpsSpan(nil, "", func(_ int, _ *trace.Span, p *timewin.Partition, observed *uint64) {
-		op(p, observed)
-	})
-}
+// ErrNoModule reports a read that names a metric module the store was
+// built without (Config.Metrics): the state does not exist, so the read
+// cannot be answered at any cost. The HTTP layer maps it to 422.
+var ErrNoModule = errors.New("serve: store was built without a needed metric module")
 
-// shardOpsSpan is shardOps under a parent span: when sp is non-nil each
-// shard's op gets a child span named name (attrs: shard index) that
-// covers queue wait plus execution, with a "dequeued" event at pickup —
-// the per-shard attribution a slow query trace needs. The op receives
-// its shard's child span (nil untraced) to attach result attrs.
-func (st *Store) shardOpsSpan(sp *trace.Span, name string, op func(shard int, sp *trace.Span, p *timewin.Partition, observed *uint64)) error {
+// begin opens a run of shard ops: it takes the read side of st.mu, which
+// keeps the shard channels open, and fails with ErrClosed on a closed
+// store. On success the caller releases with st.mu.RUnlock once its ops
+// have been awaited.
+func (st *Store) begin() error {
 	st.mu.RLock()
-	defer st.mu.RUnlock()
 	if st.closed {
+		st.mu.RUnlock()
 		return ErrClosed
 	}
-	for i, sh := range st.shards {
-		i := i
-		done := make(chan struct{})
-		var child *trace.Span
-		if sp != nil {
-			child = sp.Child(name)
-			child.SetAttrs(trace.Int("shard", int64(i)))
-		}
-		sh.msgs <- shardMsg{op: func(p *timewin.Partition, observed *uint64) {
-			op(i, child, p, observed)
-		}, done: done, span: child}
+	return nil
+}
+
+// shardFn is a control op as the shard-op helpers hand it out: with its
+// shard index and the child span (nil untraced) that covers its queue
+// wait plus execution, for result attrs.
+type shardFn func(shard int, sp *trace.Span, p *timewin.Partition, observed *uint64)
+
+// enqueue sends op to shard i and returns the channel closed once it
+// ran. Under a parent span the op gets a child span named name (attrs:
+// shard index) with a "dequeued" event at pickup — the per-shard
+// attribution a slow trace needs. The caller must be inside begin, or be
+// shutdown's final op.
+func (st *Store) enqueue(i int, sp *trace.Span, name string, op shardFn) <-chan struct{} {
+	done := make(chan struct{})
+	child := sp.Child(name)
+	child.SetAttrs(trace.Int("shard", int64(i)))
+	st.shards[i].msgs <- shardMsg{op: func(p *timewin.Partition, observed *uint64) {
+		op(i, child, p, observed)
+	}, done: done, span: child}
+	return done
+}
+
+// shardOpsSpan runs op on every shard goroutine, one shard at a time, so
+// ops may share state without synchronising. Each op observes its shard
+// at the stream position its message reached.
+func (st *Store) shardOpsSpan(sp *trace.Span, name string, op shardFn) {
+	for i := range st.shards {
+		<-st.enqueue(i, sp, name, op)
+	}
+}
+
+// fanOut enqueues op on every shard and only then awaits them all, so
+// the shards run their ops concurrently: the wall-clock cost is the
+// slowest shard's, not the sum. Ops must write only to per-shard slots
+// (index by the shard argument); the caller combines the slots in shard
+// order once fanOut returns, which keeps the result independent of how
+// the ops interleaved.
+func (st *Store) fanOut(sp *trace.Span, name string, op shardFn) {
+	dones := make([]<-chan struct{}, len(st.shards))
+	for i := range st.shards {
+		dones[i] = st.enqueue(i, sp, name, op)
+	}
+	for _, done := range dones {
 		<-done
 	}
-	return nil
+}
+
+// shardEngines builds one empty analyzer per shard over the given
+// modules (nil = every module): the per-shard destinations of a fanOut
+// fold, merged into the first in shard order afterwards. One shard means
+// one engine and no extra merge.
+func (st *Store) shardEngines(modules []string) ([]*core.Analyzer, error) {
+	parts := make([]*core.Analyzer, len(st.shards))
+	for i := range parts {
+		an, err := core.NewAnalyzerFor(st.cfg.Options, modules...)
+		if err != nil {
+			return nil, err
+		}
+		parts[i] = an
+	}
+	return parts, nil
+}
+
+// projection resolves the module set a range read folds: the named
+// modules, each of which the store must carry (ErrNoModule otherwise —
+// a projected fold of an absent module would panic on the shard
+// goroutine), or the store's own set when none are named.
+func (st *Store) projection(modules []string) ([]string, error) {
+	if len(modules) == 0 {
+		return st.cfg.Metrics, nil
+	}
+	for _, m := range modules {
+		if !slices.Contains(st.modules, m) {
+			return nil, fmt.Errorf("%w: %q (have %v)", ErrNoModule, m, st.modules)
+		}
+	}
+	return modules, nil
 }
 
 // Range merges every bucket the window covers — across all shards —
@@ -792,43 +864,57 @@ func (st *Store) shardOpsSpan(sp *trace.Span, name string, op func(shard int, sp
 // internal/timewin lifted to the sharded store. The zero window is the
 // exact all-time view (tail included); a window that begins inside the
 // compacted tail fails with *timewin.RetentionError.
-func (st *Store) Range(w timewin.Window) (*core.Analyzer, timewin.Coverage, error) {
-	return st.RangeCtx(context.Background(), w)
+//
+// modules projects the read: the analyzer carries, and the merge pays
+// for, only the named metric modules (derive them with core.ModulesFor
+// from the experiments to render). None means the store's whole set.
+func (st *Store) Range(w timewin.Window, modules ...string) (*core.Analyzer, timewin.Coverage, error) {
+	return st.RangeCtx(context.Background(), w, modules...)
 }
 
 // RangeCtx is Range inside a traced request: each shard's bucket merge
 // becomes a "range.shard" child span carrying the shard index and the
 // buckets/records it merged, so a slow range query's trace shows which
-// shard (and which stage — queue wait vs merge) ate the time.
-func (st *Store) RangeCtx(ctx context.Context, w timewin.Window) (*core.Analyzer, timewin.Coverage, error) {
-	fresh, err := core.NewAnalyzerFor(st.cfg.Options, st.cfg.Metrics...)
+// shard (and which stage — queue wait vs merge) ate the time. The
+// shards merge concurrently, each into its own engine; the per-shard
+// engines are then merged in shard order.
+func (st *Store) RangeCtx(ctx context.Context, w timewin.Window, modules ...string) (*core.Analyzer, timewin.Coverage, error) {
+	mods, err := st.projection(modules)
 	if err != nil {
 		return nil, timewin.Coverage{}, err
 	}
-	var cov timewin.Coverage
-	var rerr error
-	err = st.shardOpsSpan(trace.FromContext(ctx), "range.shard", func(shard int, ssp *trace.Span, p *timewin.Partition, _ *uint64) {
+	parts, err := st.shardEngines(mods)
+	if err != nil {
+		return nil, timewin.Coverage{}, err
+	}
+	if err := st.begin(); err != nil {
+		return nil, timewin.Coverage{}, err
+	}
+	covs := make([]timewin.Coverage, len(parts))
+	errs := make([]error, len(parts))
+	st.fanOut(trace.FromContext(ctx), "range.shard", func(i int, ssp *trace.Span, p *timewin.Partition, _ *uint64) {
 		if st.rangeStall != nil {
-			st.rangeStall(shard)
+			st.rangeStall(i)
 		}
-		c, err := p.RangeInto(fresh.Engine, w)
-		if err != nil {
-			ssp.Fail(err)
-			if rerr == nil {
-				rerr = err
-			}
+		covs[i], errs[i] = p.RangeInto(parts[i].Engine, w)
+		if errs[i] != nil {
+			ssp.Fail(errs[i])
 			return
 		}
-		ssp.SetAttrs(trace.Int("buckets", int64(c.Buckets)), trace.Int("records", int64(c.Records)))
-		cov.Extend(c)
+		ssp.SetAttrs(trace.Int("buckets", int64(covs[i].Buckets)), trace.Int("records", int64(covs[i].Records)))
 	})
-	if err == nil {
-		err = rerr
+	st.mu.RUnlock()
+	var cov timewin.Coverage
+	for i := range parts {
+		if errs[i] != nil {
+			return nil, cov, errs[i]
+		}
+		cov.Extend(covs[i])
+		if i > 0 {
+			parts[0].Merge(parts[i])
+		}
 	}
-	if err != nil {
-		return nil, cov, err
-	}
-	return fresh, cov, nil
+	return parts[0], cov, nil
 }
 
 // RangeWindow is one sub-window of a RangeSeries result.
@@ -850,22 +936,36 @@ const maxSeriesWindows = 1024
 // the live ring: an open From starts at the oldest bucket live in
 // *every* shard (the compacted tail cannot be split into sub-windows),
 // an open To ends after the newest. An explicit From inside the tail
-// fails with *timewin.RetentionError.
-func (st *Store) RangeSeries(w timewin.Window, step int64) ([]RangeWindow, error) {
-	return st.RangeSeriesCtx(context.Background(), w, step)
+// fails with *timewin.RetentionError. modules projects the read as in
+// Range.
+func (st *Store) RangeSeries(w timewin.Window, step int64, modules ...string) ([]RangeWindow, error) {
+	return st.RangeSeriesCtx(context.Background(), w, step, modules...)
 }
 
 // RangeSeriesCtx is RangeSeries inside a traced request; per-shard
-// merges span exactly like RangeCtx (one "range.shard" child per shard
-// covers all that shard's sub-window merges).
-func (st *Store) RangeSeriesCtx(ctx context.Context, w timewin.Window, step int64) ([]RangeWindow, error) {
+// merges span like RangeCtx (one "range.shard" child per shard covers
+// all that shard's sub-window merges). Unlike RangeCtx the shards are
+// walked one at a time into one shared set of per-window engines:
+// fanning out would need shards × windows transient engines, unbounded
+// at maxSeriesWindows.
+func (st *Store) RangeSeriesCtx(ctx context.Context, w timewin.Window, step int64, modules ...string) ([]RangeWindow, error) {
 	if step <= 0 || step%st.bucketSecs != 0 {
 		return nil, fmt.Errorf("serve: step must be a positive multiple of the bucket width (%ds)", st.bucketSecs)
 	}
-	meta, err := st.liveMeta()
+	mods, err := st.projection(modules)
 	if err != nil {
 		return nil, err
 	}
+	if err := st.begin(); err != nil {
+		return nil, err
+	}
+	defer st.mu.RUnlock()
+	// The bucket layout across shards (the snapshot's Timewin field is
+	// the same thing frozen at build time) bounds the open sides.
+	var meta timewin.Meta
+	st.shardOpsSpan(nil, "", func(_ int, _ *trace.Span, p *timewin.Partition, _ *uint64) {
+		timewin.MergeMeta(&meta, p.Meta())
+	})
 	if len(meta.Buckets) == 0 {
 		return nil, nil
 	}
@@ -902,14 +1002,14 @@ func (st *Store) RangeSeriesCtx(ctx context.Context, w timewin.Window, step int6
 		if e > to {
 			e = to
 		}
-		an, err := core.NewAnalyzerFor(st.cfg.Options, st.cfg.Metrics...)
+		an, err := core.NewAnalyzerFor(st.cfg.Options, mods...)
 		if err != nil {
 			return nil, err
 		}
 		wins = append(wins, RangeWindow{Window: timewin.Window{From: s, To: e}, An: an})
 	}
 	var rerr error
-	err = st.shardOpsSpan(trace.FromContext(ctx), "range.shard", func(shard int, ssp *trace.Span, p *timewin.Partition, _ *uint64) {
+	st.shardOpsSpan(trace.FromContext(ctx), "range.shard", func(shard int, ssp *trace.Span, p *timewin.Partition, _ *uint64) {
 		if st.rangeStall != nil {
 			st.rangeStall(shard)
 		}
@@ -929,23 +1029,41 @@ func (st *Store) RangeSeriesCtx(ctx context.Context, w timewin.Window, step int6
 		}
 		ssp.SetAttrs(trace.Int("buckets", buckets), trace.Int("records", records))
 	})
-	if err == nil {
-		err = rerr
-	}
-	if err != nil {
-		return nil, err
+	if rerr != nil {
+		return nil, rerr
 	}
 	return wins, nil
 }
 
-// liveMeta aggregates the current bucket layout across shards (the
-// snapshot's Timewin field is the same thing frozen at build time).
-func (st *Store) liveMeta() (timewin.Meta, error) {
-	var meta timewin.Meta
-	err := st.shardOps(func(p *timewin.Partition, _ *uint64) {
-		timewin.MergeMeta(&meta, p.Meta())
+// rangeFingerprint hashes the live content of a window into a cache
+// generation for range responses: each shard hashes what a range merge
+// over w would fold from it (timewin.Partition.Fingerprint, which also
+// carries the soundness argument) and the per-shard hashes are combined
+// in shard order. Shard membership is by record hash, so equal
+// per-shard content is equal merged content. ok=false means the window
+// is not cacheable: the store is closed, or the window begins inside
+// some shard's compacted tail (the query itself answers 422 with the
+// horizon).
+func (st *Store) rangeFingerprint(w timewin.Window) (uint64, bool) {
+	if st.begin() != nil {
+		return 0, false
+	}
+	fps := make([]uint64, len(st.shards))
+	oks := make([]bool, len(st.shards))
+	st.fanOut(nil, "", func(i int, _ *trace.Span, p *timewin.Partition, _ *uint64) {
+		fps[i], oks[i] = p.Fingerprint(w)
 	})
-	return meta, err
+	st.mu.RUnlock()
+	h := fnv.New64a()
+	var b [8]byte
+	for i, fp := range fps {
+		if !oks[i] {
+			return 0, false
+		}
+		binary.LittleEndian.PutUint64(b[:], fp)
+		h.Write(b[:])
+	}
+	return h.Sum64(), true
 }
 
 // Stats reports store counters.

@@ -151,7 +151,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		ids = strings.Split(v, ",")
 		for _, id := range ids {
 			if render.Title(id) == "" {
-				writeError(w, http.StatusNotFound, "render: unknown experiment id %q (known: %v)", id, render.Order())
+				writeError(w, http.StatusNotFound, "%v", render.UnknownID(id))
 				return
 			}
 		}

@@ -454,25 +454,79 @@ func (p *Partition) Meta() Meta {
 	return m
 }
 
-// AllInto merges the complete partition — tail first, then every live
-// bucket in time order — into dst, which must share the partition's
-// module set and Options. This is the all-time snapshot primitive: its
-// result is merge-equivalent to a batch run over the same records.
-func (p *Partition) AllInto(dst *core.Engine) {
-	if p.tail != nil {
-		dst.Merge(p.tail)
+// Fingerprint hashes what RangeInto(dst, w) would merge right now: the
+// tail's span and record count when w covers it, then the start and
+// record count of every live bucket w overlaps. ok is false when w
+// begins inside the tail, where RangeInto fails with *RetentionError.
+//
+// Equal fingerprints mean equal merged content. A bucket's record count
+// only grows, so an unchanged count is an unchanged bucket engine; a
+// bucket leaves the ring only for the tail, which drops its pair from
+// the hash and either adds the tail to it or turns ok false; and the
+// tail's own count grows with every bucket or late record it takes in.
+// Unlike Meta it formats no timestamps and allocates nothing, so a
+// reader can afford it before and after every query.
+func (p *Partition) Fingerprint(w Window) (fp uint64, ok bool) {
+	fp = fnvOffset
+	if p.tail != nil && p.tailRecords > 0 {
+		tailFrom := p.tailMin * p.bucketSecs
+		tailTo := (p.tailMax + 1) * p.bucketSecs
+		if w.Overlaps(tailFrom, tailTo) {
+			if !w.Covers(tailFrom, tailTo) {
+				return 0, false
+			}
+			// Three words against two per bucket: a hashed tail makes the
+			// word count odd, so it cannot read as bucket pairs.
+			fp = fnvMix(fnvMix(fnvMix(fp, uint64(tailFrom)), uint64(tailTo)), p.tailRecords)
+		}
 	}
 	for _, idx := range p.order {
-		dst.Merge(p.live[idx].eng)
+		from := idx * p.bucketSecs
+		if !w.Overlaps(from, from+p.bucketSecs) {
+			continue
+		}
+		fp = fnvMix(fnvMix(fp, uint64(from)), p.live[idx].records)
+	}
+	return fp, true
+}
+
+// fnvMix folds the eight bytes of v into an FNV-1a 64 state.
+func fnvMix(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (v & 0xff)) * fnvPrime
+		v >>= 8
+	}
+	return h
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// AllInto merges the complete partition — tail first, then every live
+// bucket in time order — into dst, which must share the partition's
+// Options and carry a subset of its modules: only dst's modules are
+// folded (core.Engine.MergeProjected). This is the all-time snapshot
+// primitive: its result is merge-equivalent to a batch run over the same
+// records.
+func (p *Partition) AllInto(dst *core.Engine) {
+	if p.tail != nil {
+		dst.MergeProjected(p.tail)
+	}
+	for _, idx := range p.order {
+		dst.MergeProjected(p.live[idx].eng)
 	}
 }
 
 // RangeInto merges every bucket overlapping w into dst and reports what
-// was covered. Buckets are atomic: any bucket the window touches is
-// merged whole, and the coverage reports the widened effective span. The
-// tail is merged only when the window fully covers its span; a window
-// that begins inside the tail returns *RetentionError before anything is
-// merged, so dst is untouched on error.
+// was covered. Like AllInto it folds only the modules dst carries, so a
+// query that reads one module pays for one. Buckets are atomic: any
+// bucket the window touches is merged whole, and the coverage reports
+// the widened effective span. The tail is merged only when the window
+// fully covers its span; a window that begins inside the tail returns
+// *RetentionError before anything is merged, so dst is untouched on
+// error.
 func (p *Partition) RangeInto(dst *core.Engine, w Window) (Coverage, error) {
 	var cov Coverage
 	var t0 time.Time
@@ -486,7 +540,7 @@ func (p *Partition) RangeInto(dst *core.Engine, w Window) (Coverage, error) {
 			if !w.Covers(tailFrom, tailTo) {
 				return cov, &RetentionError{HorizonUnix: tailTo}
 			}
-			dst.Merge(p.tail)
+			dst.MergeProjected(p.tail)
 			cov.Extend(Coverage{FromUnix: tailFrom, ToUnix: tailTo, Records: p.tailRecords, Tail: true})
 		}
 	}
@@ -497,7 +551,7 @@ func (p *Partition) RangeInto(dst *core.Engine, w Window) (Coverage, error) {
 			continue
 		}
 		b := p.live[idx]
-		dst.Merge(b.eng)
+		dst.MergeProjected(b.eng)
 		cov.Extend(Coverage{FromUnix: from, ToUnix: to, Buckets: 1, Records: b.records})
 	}
 	if (cov.Buckets > 0 || cov.Tail) && p.obs != nil && p.obs.OnRangeMerge != nil {

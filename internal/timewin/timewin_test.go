@@ -1,6 +1,7 @@
 package timewin
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -296,5 +297,124 @@ func TestWindowPredicate(t *testing.T) {
 	}
 	if !w.Overlaps(150, 250) || w.Overlaps(200, 300) || !w.Covers(100, 200) || w.Covers(99, 200) {
 		t.Error("Overlaps/Covers edge semantics broken")
+	}
+}
+
+// RangeInto and AllInto fold only the modules the destination carries:
+// a narrower destination reads like a partition that only ever kept
+// those modules.
+func TestRangeIntoProjectsOntoDestinationModules(t *testing.T) {
+	full := newPartition(t, time.Hour, 10*time.Hour)
+	narrow, err := New(Config{Metrics: []string{"datasets"}, Bucket: time.Hour, Retain: 10 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := spread(100)
+	for i := range recs {
+		full.Observe(&recs[i])
+		narrow.Observe(&recs[i])
+	}
+	horizon := full.Meta().Buckets[0].StartUnix
+	for _, w := range []Window{{}, {From: horizon, To: horizon + 3*3600}} {
+		got, _ := core.NewEngine(core.Options{}, "datasets")
+		want, _ := core.NewEngine(core.Options{}, "datasets")
+		gc, err := full.RangeInto(got, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wc, err := narrow.RangeInto(want, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gc != wc {
+			t.Errorf("%s: coverage %+v, want %+v (projection must not change what is covered)", w, gc, wc)
+		}
+		if !bytes.Equal(got.MarshalState(), want.MarshalState()) {
+			t.Errorf("%s: projected range differs from a datasets-only partition", w)
+		}
+	}
+	got, _ := core.NewEngine(core.Options{}, "datasets")
+	want, _ := core.NewEngine(core.Options{}, "datasets")
+	full.AllInto(got)
+	narrow.AllInto(want)
+	if !bytes.Equal(got.MarshalState(), want.MarshalState()) {
+		t.Error("projected AllInto differs from a datasets-only partition")
+	}
+}
+
+// Fingerprint moves exactly when what RangeInto would merge moves, and
+// refuses exactly the windows RangeInto refuses.
+func TestFingerprintTracksWindowContent(t *testing.T) {
+	p := newPartition(t, time.Hour, 10*time.Hour)
+	recs := spread(100) // 100 hourly buckets: the last 10 stay live
+	for i := range recs {
+		p.Observe(&recs[i])
+	}
+	m := p.Meta()
+	horizon := m.Buckets[0].StartUnix
+	win := Window{From: horizon + 3600, To: horizon + 4*3600}
+	state := func(w Window) []byte {
+		dst := newEngine(t)
+		if _, err := p.RangeInto(dst, w); err != nil {
+			t.Fatal(err)
+		}
+		return dst.MarshalState()
+	}
+	fp := func(w Window) uint64 {
+		v, ok := p.Fingerprint(w)
+		if !ok {
+			t.Fatalf("Fingerprint(%s) not ok on an answerable window", w)
+		}
+		return v
+	}
+	before, all, content := fp(win), fp(Window{}), state(win)
+
+	// A record in a live bucket outside the window: the window's content
+	// and fingerprint hold, the all-time fingerprint moves.
+	outside := mkRec(horizon+6*3600+5, "outside.example.com", false)
+	p.Observe(&outside)
+	if fp(win) != before || !bytes.Equal(state(win), content) {
+		t.Error("a record outside the window moved its fingerprint or content")
+	}
+	if fp(Window{}) == all {
+		t.Error("all-time fingerprint ignored a new record")
+	}
+
+	// A late record folding into the tail: same again.
+	all = fp(Window{})
+	late := mkRec(base+3600, "late.example.com", true)
+	p.Observe(&late)
+	if fp(win) != before {
+		t.Error("a record folded into the tail moved a window that excludes the tail")
+	}
+	if fp(Window{}) == all {
+		t.Error("all-time fingerprint ignored a record folded into the tail")
+	}
+
+	// A record inside the window moves both.
+	inside := mkRec(horizon+2*3600+5, "inside.example.com", true)
+	p.Observe(&inside)
+	if fp(win) == before || bytes.Equal(state(win), content) {
+		t.Error("a record inside the window left its fingerprint or content unchanged")
+	}
+
+	// Compaction: two newer buckets push the window's first bucket into
+	// the tail. RangeInto now refuses the window, and so must Fingerprint.
+	for h := int64(10); h < 12; h++ {
+		r := mkRec(horizon+h*3600, "newer.example.com", false)
+		p.Observe(&r)
+	}
+	_, rangeErr := p.RangeInto(newEngine(t), win)
+	_, ok := p.Fingerprint(win)
+	var re *RetentionError
+	if !errors.As(rangeErr, &re) || ok {
+		t.Errorf("after compaction: RangeInto err = %v, Fingerprint ok = %v; want RetentionError and !ok", rangeErr, ok)
+	}
+	// A window that covers the whole tail stays answerable and hashes it.
+	covering := Window{To: horizon + 4*3600}
+	before, content = fp(covering), state(covering)
+	p.Observe(&late)
+	if fp(covering) == before || bytes.Equal(state(covering), content) {
+		t.Error("a record folded into a covered tail left the fingerprint or content unchanged")
 	}
 }

@@ -4,9 +4,12 @@
 # spreads record timestamps across the paper's capture window, so
 # temporal queries are non-degenerate), boot the daemon on it, poll
 # /readyz until the boot ingest completes, and diff the JSON of one
-# table and one figure endpoint — plus /v1/range over the full window
-# and a bucket-aligned sub-window — against `censorlyzer -json` over
-# the same corpus — the two front ends must be byte-identical.
+# table and one figure endpoint — plus /v1/range over the full window,
+# a bucket-aligned sub-window (for a one-module, a two-module and a
+# discovery experiment: the range merge folds only the modules its doc
+# reads) and every window of a daily series — against `censorlyzer
+# -json` over the same corpus — the two front ends must be
+# byte-identical.
 #
 # Then the warm-restart path: SIGTERM the daemon (cutting a final
 # checkpoint after flushing acked ingest), restart it from -checkpoint
@@ -68,8 +71,10 @@ inputs=$(ls "$tmp"/logs/* | paste -sd, -)
 # Bucket-aligned sub-window: the -from/-to record predicate must agree
 # with the daemon's bucket merge over the same bounds.
 SUBFROM=2011-08-03 SUBTO=2011-08-05
-"$tmp/censorlyzer" -input "$inputs" -seed "$SEED" -requests "$REQUESTS" \
-  -exp table4 -json -from "$SUBFROM" -to "$SUBTO" > "$tmp/batch-table4-sub.json"
+for id in table1 table4 table8; do
+  "$tmp/censorlyzer" -input "$inputs" -seed "$SEED" -requests "$REQUESTS" \
+    -exp "$id" -json -from "$SUBFROM" -to "$SUBTO" > "$tmp/batch-$id-sub.json"
+done
 
 CKPT="$tmp/ckpt"
 "$tmp/censord" -addr "$ADDR" -input "$inputs" -seed "$SEED" -requests "$REQUESTS" \
@@ -93,11 +98,36 @@ diff "$tmp/batch-fig7.json" "$tmp/live-fig7.json"
 # step query returns one doc per day window.
 curl -sf "http://$ADDR/v1/range/table4" > "$tmp/range-table4.json"
 diff "$tmp/batch-table4.json" "$tmp/range-table4.json"
-curl -sf "http://$ADDR/v1/range/table4?from=$SUBFROM&to=$SUBTO" > "$tmp/range-table4-sub.json"
-diff "$tmp/batch-table4-sub.json" "$tmp/range-table4-sub.json"
+for id in table1 table4 table8; do
+  curl -sf "http://$ADDR/v1/range/$id?from=$SUBFROM&to=$SUBTO" > "$tmp/range-$id-sub.json"
+  diff "$tmp/batch-$id-sub.json" "$tmp/range-$id-sub.json" \
+    || { echo "smoke: /v1/range/$id over the sub-window differs from the -from/-to batch run" >&2; exit 1; }
+done
 curl -sf "http://$ADDR/v1/range/table1?step=24h" > "$tmp/series.json"
 grep -q '"step_seconds":86400' "$tmp/series.json" || { echo "smoke: bad series: $(head -c 200 "$tmp/series.json")" >&2; exit 1; }
-windows=$(grep -o '"from_unix"' "$tmp/series.json" | wc -l)
+# Every window's doc, cut out of the series byte for byte, must equal
+# the batch run over that window's bounds.
+mkdir -p "$tmp/series"
+python3 - "$tmp/series.json" "$tmp/series" <<'PY'
+import json, sys
+raw = open(sys.argv[1], encoding="utf-8").read()
+dec, pos, n = json.JSONDecoder(), 0, 0
+for w in json.loads(raw)["windows"]:
+    at = raw.index('"doc":', pos) + len('"doc":')
+    _, pos = dec.raw_decode(raw, at)
+    with open("%s/%d-%d-%d.json" % (sys.argv[2], n, w["from_unix"], w["to_unix"]), "w", encoding="utf-8") as f:
+        f.write(raw[at:pos] + "\n")
+    n += 1
+PY
+windows=0
+for f in "$tmp"/series/*.json; do
+  bounds=$(basename "$f" .json)
+  to=${bounds##*-}; from=${bounds%-*}; from=${from#*-}
+  "$tmp/censorlyzer" -input "$inputs" -seed "$SEED" -requests "$REQUESTS" \
+    -exp table1 -json -from "$from" -to "$to" | diff - "$f" \
+    || { echo "smoke: series window [$from, $to) differs from the -from/-to batch run" >&2; exit 1; }
+  windows=$((windows + 1))
+done
 [ "$windows" -ge 2 ] || { echo "smoke: series has $windows windows, want >= 2" >&2; exit 1; }
 curl -sf "http://$ADDR/v1/stats" | grep -q '"ingested_bytes":[1-9]' || { echo "smoke: /v1/stats missing ingested_bytes" >&2; exit 1; }
 
