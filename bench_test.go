@@ -1,11 +1,10 @@
 package repro
 
-// Micro-benchmarks for working on one piece at a time: one benchmark per
-// paper table and figure (the cost of regenerating that artifact from an
-// analyzed corpus), the end-to-end stages (generate -> filter ->
-// analyze), the ablations called out in DESIGN.md §10, and the pairs the
-// CI gates compare (trace overhead, doc-cache speedup). The recorded
-// performance ledger is bench/ (`bash bench/run.sh`, BENCHMARK.json).
+// Micro-benchmarks for working on one piece at a time: the ingest,
+// range-read, snapshot-cut and checkpoint paths the CI smoke keeps from
+// rotting, and the pairs the CI gates compare (trace overhead, doc-cache
+// speedup). The recorded performance ledger — end-to-end rows and one
+// probe per layer — is bench/ (`bash bench/run.sh`, BENCHMARK.json).
 //
 // Run everything with:
 //
@@ -14,26 +13,21 @@ package repro
 import (
 	"bytes"
 	"context"
-	"encoding/csv"
 	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"syriafilter/internal/bittorrent"
 	"syriafilter/internal/core"
-	"syriafilter/internal/geoip"
 	"syriafilter/internal/logfmt"
 	"syriafilter/internal/obs/trace"
 	"syriafilter/internal/pipeline"
 	"syriafilter/internal/proxysim"
 	"syriafilter/internal/serve"
-	"syriafilter/internal/stats"
-	"syriafilter/internal/strmatch"
 	"syriafilter/internal/synth"
 	"syriafilter/internal/timewin"
 )
@@ -82,36 +76,6 @@ func fixture(b *testing.B) *benchFixture {
 	return benchFix
 }
 
-func aug(day, hour int) int64 {
-	return time.Date(2011, 8, day, hour, 0, 0, 0, time.UTC).Unix()
-}
-
-// --- End-to-end stages ---
-
-func BenchmarkGenerateAndFilter(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		gen, err := synth.New(synth.Config{Seed: uint64(i + 1), TotalRequests: 50_000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cluster := proxysim.NewCluster(proxysim.Config{
-			Seed: uint64(i + 1), Engine: gen.Engine(), Consensus: gen.Consensus(),
-		})
-		var rec logfmt.Record
-		n := 0
-		for {
-			req, ok := gen.Next()
-			if !ok {
-				break
-			}
-			cluster.Process(&req, &rec)
-			n++
-		}
-		b.SetBytes(int64(n))
-	}
-}
-
 func BenchmarkAnalyzerObserve(b *testing.B) {
 	f := fixture(b)
 	an := core.NewAnalyzer(core.Options{
@@ -125,7 +89,7 @@ func BenchmarkAnalyzerObserve(b *testing.B) {
 	}
 }
 
-// --- End-to-end file ingestion: scanner layer vs block layer ---
+// --- End-to-end file ingestion ---
 
 var (
 	ingestFileOnce sync.Once
@@ -145,8 +109,7 @@ func TestMain(m *testing.M) {
 }
 
 // ingestBenchFile serializes the whole benchmark corpus into ONE large
-// log file — the worst case for the scanner layer, whose parsing runs on
-// a single goroutine per file.
+// log file: only block-level fan-out can spread it over the pool.
 func ingestBenchFile(b *testing.B) (string, int64) {
 	f := fixture(b)
 	ingestFileOnce.Do(func() {
@@ -186,10 +149,8 @@ func ingestBenchFile(b *testing.B) (string, int64) {
 
 // BenchmarkIngestEndToEnd measures the whole file -> full-engine path
 // (read, split, parse, observe, merge) on a single large input file, in
-// MB/s of file bytes. The scanner sub-benchmark decodes on one goroutine
-// feeding the worker pool; the blocks sub-benchmark ships raw
-// line-aligned blocks to the pool so the parse itself parallelizes —
-// the speedup scales with GOMAXPROCS.
+// MB/s of file bytes; blocks-sketch is the same path into the -sketch
+// engine.
 func BenchmarkIngestEndToEnd(b *testing.B) {
 	f := fixture(b)
 	path, size := ingestBenchFile(b)
@@ -198,19 +159,6 @@ func BenchmarkIngestEndToEnd(b *testing.B) {
 	observe := func(a *core.Analyzer, r *logfmt.Record) { a.Observe(r) }
 	merge := func(dst, src *core.Analyzer) { dst.Merge(src) }
 
-	b.Run("scanner", func(b *testing.B) {
-		b.SetBytes(size)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			an, err := pipeline.RunFiles([]string{path}, 0, newAcc, observe, merge)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if an.Dataset(core.DFull).Total == 0 {
-				b.Fatal("empty")
-			}
-		}
-	})
 	b.Run("blocks", func(b *testing.B) {
 		b.SetBytes(size)
 		b.ReportAllocs()
@@ -241,395 +189,11 @@ func BenchmarkIngestEndToEnd(b *testing.B) {
 	})
 }
 
-// --- Tables and figures: subset-engine benchmarks ---
-//
-// Each benchmark measures producing one paper artifact end to end on a
-// subset engine: ingest the 200k-record corpus into exactly the metric
-// modules that experiment reads, then compute its results. The
-// *FullEngine variants ingest into all modules, quantifying what the
-// subset selection saves.
-
 func benchOpts(f *benchFixture) core.Options {
 	return core.Options{
 		Categories: f.gen.CategoryDB(),
 		Consensus:  f.gen.Consensus(),
 		TitleDB:    bittorrent.NewTitleDB(),
-	}
-}
-
-func benchExperiment(b *testing.B, ids []string, full bool, result func(*core.Analyzer)) {
-	f := fixture(b)
-	var mods []string
-	if !full {
-		var err error
-		mods, err = core.ModulesFor(ids...)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	opts := benchOpts(f)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		an, err := core.NewAnalyzerFor(opts, mods...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := range f.records {
-			an.Observe(&f.records[j])
-		}
-		result(an)
-	}
-	b.SetBytes(int64(len(f.records)))
-}
-
-func BenchmarkTable1Datasets(b *testing.B) {
-	benchExperiment(b, []string{"table1"}, false, func(a *core.Analyzer) {
-		if got := a.Table1(); len(got) != 4 {
-			b.Fatal("bad table 1")
-		}
-	})
-}
-
-func BenchmarkTable3Traffic(b *testing.B) {
-	benchExperiment(b, []string{"table3"}, false, func(a *core.Analyzer) {
-		t3 := a.Table3()
-		if t3[core.DFull].Total == 0 {
-			b.Fatal("empty")
-		}
-	})
-}
-
-func BenchmarkTable4TopDomains(b *testing.B) {
-	benchExperiment(b, []string{"table4"}, false, func(a *core.Analyzer) {
-		al, ce := a.TopDomains(10)
-		if len(al) == 0 || len(ce) == 0 {
-			b.Fatal("empty")
-		}
-	})
-}
-
-func BenchmarkTable5PeakDomains(b *testing.B) {
-	benchExperiment(b, []string{"table5"}, false, func(a *core.Analyzer) {
-		if got := a.Table5(aug(3, 6), aug(3, 12), 2*3600, 10); len(got) != 3 {
-			b.Fatal("bad windows")
-		}
-	})
-}
-
-func BenchmarkTable6Similarity(b *testing.B) {
-	benchExperiment(b, []string{"table6"}, false, func(a *core.Analyzer) {
-		if m := a.ProxySimilarity(); len(m) != 7 {
-			b.Fatal("bad matrix")
-		}
-	})
-}
-
-func BenchmarkTable7Redirects(b *testing.B) {
-	benchExperiment(b, []string{"table7"}, false, func(a *core.Analyzer) {
-		a.RedirectHosts(5)
-	})
-}
-
-func BenchmarkTable8DomainDiscovery(b *testing.B) {
-	benchExperiment(b, []string{"table8"}, false, func(a *core.Analyzer) {
-		if d := a.DiscoverFilters(0); len(d.Domains) == 0 {
-			b.Fatal("no domains")
-		}
-	})
-}
-
-func BenchmarkTable9Categories(b *testing.B) {
-	benchExperiment(b, []string{"table9"}, false, func(a *core.Analyzer) {
-		if rows := a.Table9(a.DiscoverFilters(0)); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	})
-}
-
-func BenchmarkTable10Keywords(b *testing.B) {
-	benchExperiment(b, []string{"table10"}, false, func(a *core.Analyzer) {
-		if d := a.DiscoverFilters(0); len(d.Keywords) == 0 {
-			b.Fatal("no keywords")
-		}
-	})
-}
-
-func BenchmarkTable11Countries(b *testing.B) {
-	benchExperiment(b, []string{"table11"}, false, func(a *core.Analyzer) {
-		if rows := a.CountryRatios(); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	})
-}
-
-func BenchmarkTable12Subnets(b *testing.B) {
-	benchExperiment(b, []string{"table12"}, false, func(a *core.Analyzer) {
-		a.IsraeliSubnets()
-	})
-}
-
-// BenchmarkTable12SubnetsFullEngine is the acceptance baseline: the same
-// artifact computed on a full engine. The subset variant above must be at
-// least 2x faster.
-func BenchmarkTable12SubnetsFullEngine(b *testing.B) {
-	benchExperiment(b, nil, true, func(a *core.Analyzer) {
-		a.IsraeliSubnets()
-	})
-}
-
-func BenchmarkTable13OSN(b *testing.B) {
-	benchExperiment(b, []string{"table13"}, false, func(a *core.Analyzer) {
-		if rows := a.SocialNetworks(); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	})
-}
-
-func BenchmarkTable14FBPages(b *testing.B) {
-	benchExperiment(b, []string{"table14"}, false, func(a *core.Analyzer) {
-		a.FacebookPages()
-	})
-}
-
-func BenchmarkTable15Plugins(b *testing.B) {
-	benchExperiment(b, []string{"table15"}, false, func(a *core.Analyzer) {
-		a.SocialPlugins(10)
-	})
-}
-
-func BenchmarkFig1Ports(b *testing.B) {
-	benchExperiment(b, []string{"fig1"}, false, func(a *core.Analyzer) {
-		al, ce := a.PortDistribution()
-		if len(al) == 0 || len(ce) == 0 {
-			b.Fatal("empty")
-		}
-	})
-}
-
-func BenchmarkFig2PowerLaw(b *testing.B) {
-	benchExperiment(b, []string{"fig2"}, false, func(a *core.Analyzer) {
-		if s := a.DomainFreqDistribution(); len(s) != 3 {
-			b.Fatal("bad series")
-		}
-	})
-}
-
-func BenchmarkFig3Categories(b *testing.B) {
-	benchExperiment(b, []string{"fig3"}, false, func(a *core.Analyzer) {
-		if rows := a.CensoredCategories(false); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	})
-}
-
-func BenchmarkFig4Users(b *testing.B) {
-	benchExperiment(b, []string{"fig4"}, false, func(a *core.Analyzer) {
-		if rep := a.UserAnalysis(); rep.TotalUsers == 0 {
-			b.Fatal("no users")
-		}
-	})
-}
-
-func BenchmarkFig5TimeSeries(b *testing.B) {
-	benchExperiment(b, []string{"fig5"}, false, func(a *core.Analyzer) {
-		if s := a.TimeSeries(aug(1, 0), aug(7, 0)); len(s) == 0 {
-			b.Fatal("empty")
-		}
-	})
-}
-
-func BenchmarkFig6RCV(b *testing.B) {
-	benchExperiment(b, []string{"fig6"}, false, func(a *core.Analyzer) {
-		if pts := a.RCV(aug(3, 0), aug(4, 0)); len(pts) != 288 {
-			b.Fatal("bad points")
-		}
-	})
-}
-
-func BenchmarkFig7ProxyLoad(b *testing.B) {
-	benchExperiment(b, []string{"fig7"}, false, func(a *core.Analyzer) {
-		a.ProxyLoads()
-		a.ProxyShareSeries(aug(3, 0), aug(5, 0), true)
-	})
-}
-
-func BenchmarkFig8Tor(b *testing.B) {
-	benchExperiment(b, []string{"fig8"}, false, func(a *core.Analyzer) {
-		a.TorAnalysis()
-		a.TorHourly(aug(1, 0), aug(7, 0))
-	})
-}
-
-func BenchmarkFig9RFilter(b *testing.B) {
-	benchExperiment(b, []string{"fig9"}, false, func(a *core.Analyzer) {
-		a.RFilter(aug(1, 0), aug(7, 0))
-	})
-}
-
-func BenchmarkFig10Anonymizers(b *testing.B) {
-	benchExperiment(b, []string{"fig10"}, false, func(a *core.Analyzer) {
-		if rep := a.Anonymizers(); rep.Hosts == 0 {
-			b.Fatal("no hosts")
-		}
-	})
-}
-
-func BenchmarkHTTPS(b *testing.B) {
-	benchExperiment(b, []string{"https"}, false, func(a *core.Analyzer) {
-		if rep := a.HTTPSAnalysis(); rep.Total == 0 {
-			b.Fatal("no https")
-		}
-	})
-}
-
-func BenchmarkBitTorrent(b *testing.B) {
-	kws := []string{"proxy", "hotspotshield", "ultrareach", "israel", "ultrasurf"}
-	benchExperiment(b, []string{"bt"}, false, func(a *core.Analyzer) {
-		if rep := a.BitTorrent(kws); rep.Announces == 0 {
-			b.Fatal("no announces")
-		}
-	})
-}
-
-func BenchmarkGoogleCache(b *testing.B) {
-	benchExperiment(b, []string{"gcache"}, false, func(a *core.Analyzer) {
-		a.GoogleCache()
-	})
-}
-
-// --- Ablations (DESIGN.md §10) ---
-
-var ablationText = "www.facebook.com/plugins/like.php?href=http%3A%2F%2Fsite-042.example.com&layout=standard&app_id=123456"
-
-func BenchmarkAblationKeywordMatchAhoCorasick(b *testing.B) {
-	ac := strmatch.NewAhoCorasick([]string{"proxy", "hotspotshield", "ultrareach", "israel", "ultrasurf"})
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ac.Contains(ablationText)
-	}
-}
-
-func BenchmarkAblationKeywordMatchNaive(b *testing.B) {
-	pats := []string{"proxy", "hotspotshield", "ultrareach", "israel", "ultrasurf"}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		strmatch.ContainsNaive(pats, ablationText)
-	}
-}
-
-func BenchmarkAblationTopKSketch(b *testing.B) {
-	f := fixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tk := stats.NewTopK(256)
-		for j := range f.records {
-			tk.Add(f.records[j].Host)
-		}
-		if len(tk.Top(10)) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
-
-func BenchmarkAblationTopKExact(b *testing.B) {
-	f := fixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := stats.NewCounter()
-		for j := range f.records {
-			c.Add(f.records[j].Host)
-		}
-		if len(c.Top(10)) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
-
-func benchPipeline(b *testing.B, workers int) {
-	f := fixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc, err := pipeline.Run(pipeline.NewSliceScanner(f.records), workers,
-			func() *core.Analyzer {
-				return core.NewAnalyzer(core.Options{
-					Categories: f.gen.CategoryDB(),
-					Consensus:  f.gen.Consensus(),
-				})
-			},
-			func(a *core.Analyzer, r *logfmt.Record) { a.Observe(r) },
-			func(dst, src *core.Analyzer) { dst.Merge(src) },
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if acc.Dataset(core.DFull).Total == 0 {
-			b.Fatal("empty")
-		}
-	}
-	b.SetBytes(int64(len(f.records)))
-}
-
-func BenchmarkAblationPipelineSerial(b *testing.B)   { benchPipeline(b, 1) }
-func BenchmarkAblationPipelineParallel(b *testing.B) { benchPipeline(b, 0) }
-
-func BenchmarkAblationGeoIPBinary(b *testing.B) {
-	db := geoip.SyriaEra()
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		db.Lookup(0xd4960701) // 212.150.7.1
-	}
-}
-
-func BenchmarkAblationGeoIPLinear(b *testing.B) {
-	db := geoip.SyriaEra()
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		db.LookupLinear(0xd4960701)
-	}
-}
-
-func BenchmarkAblationParseFast(b *testing.B) {
-	f := fixture(b)
-	var sb strings.Builder
-	w := logfmt.NewWriter(&sb)
-	for i := 0; i < 1000; i++ {
-		_ = w.Write(&f.records[i])
-	}
-	_ = w.Flush()
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	var rec logfmt.Record
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := logfmt.ParseLine(lines[i%len(lines)], &rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationParseEncodingCSV(b *testing.B) {
-	f := fixture(b)
-	var sb strings.Builder
-	w := logfmt.NewWriter(&sb)
-	for i := 0; i < 1000; i++ {
-		_ = w.Write(&f.records[i])
-	}
-	_ = w.Flush()
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := csv.NewReader(strings.NewReader(lines[i%len(lines)]))
-		if _, err := r.Read(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -660,14 +224,6 @@ func benchPartition(b *testing.B, f *benchFixture, opt core.Options, nb int) *ti
 	return p
 }
 
-func benchOptions(f *benchFixture) core.Options {
-	return core.Options{
-		Categories: f.gen.CategoryDB(),
-		Consensus:  f.gen.Consensus(),
-		TitleDB:    bittorrent.NewTitleDB(),
-	}
-}
-
 // BenchmarkRangeQuery measures what a timewin full-range query costs:
 // one transient engine construction plus one merge per covered bucket.
 // The corpus is fixed. The buckets= sub-benchmarks vary only the
@@ -678,7 +234,7 @@ func benchOptions(f *benchFixture) core.Options {
 // folds — id=all is the unprojected cost they are to be read against.
 func BenchmarkRangeQuery(b *testing.B) {
 	f := fixture(b)
-	opt := benchOptions(f)
+	opt := benchOpts(f)
 	rangeInto := func(p *timewin.Partition, mods []string) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
@@ -715,7 +271,7 @@ func BenchmarkRangeQuery(b *testing.B) {
 // request, before and after the merge.
 func BenchmarkRangeFingerprint(b *testing.B) {
 	f := fixture(b)
-	p := benchPartition(b, f, benchOptions(f), 256)
+	p := benchPartition(b, f, benchOpts(f), 256)
 	b.Run("fingerprint", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -744,7 +300,7 @@ func BenchmarkSnapshotCut(b *testing.B) {
 	f := fixture(b)
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			st, err := serve.NewStore(serve.Config{Options: benchOptions(f), Shards: shards, Bucket: time.Hour, DisableObs: true})
+			st, err := serve.NewStore(serve.Config{Options: benchOpts(f), Shards: shards, Bucket: time.Hour, DisableObs: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -818,20 +374,11 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 // few percent of baseline MB/s.
 func BenchmarkObsOverhead(b *testing.B) {
 	f := fixture(b)
-	var buf bytes.Buffer
-	w := logfmt.NewWriter(&buf)
-	if err := w.WriteHeader(); err != nil {
+	path, _ := ingestBenchFile(b)
+	data, err := os.ReadFile(path)
+	if err != nil {
 		b.Fatal(err)
 	}
-	for i := range f.records {
-		if err := w.Write(&f.records[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
 	opts := benchOpts(f)
 
 	run := func(b *testing.B, disable bool) {
@@ -868,20 +415,11 @@ func BenchmarkObsOverhead(b *testing.B) {
 // always on in production, so this is the price of every byte ingested.
 func BenchmarkTraceOverhead(b *testing.B) {
 	f := fixture(b)
-	var buf bytes.Buffer
-	w := logfmt.NewWriter(&buf)
-	if err := w.WriteHeader(); err != nil {
+	path, _ := ingestBenchFile(b)
+	data, err := os.ReadFile(path)
+	if err != nil {
 		b.Fatal(err)
 	}
-	for i := range f.records {
-		if err := w.Write(&f.records[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
 	opts := benchOpts(f)
 
 	run := func(b *testing.B, tr *trace.Tracer) {

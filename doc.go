@@ -2,5 +2,5 @@
 // Wild: Analyzing Internet Filtering in Syria" (IMC 2014). The library
 // lives under internal/ (core is the analysis engine; the other packages
 // are the substrates), the executables under cmd/, and runnable examples
-// under examples/. See README.md, DESIGN.md and EXPERIMENTS.md.
+// under examples/. See README.md and DESIGN.md.
 package repro

@@ -19,8 +19,16 @@ import (
 	"syriafilter/internal/synth"
 )
 
+func analyzerOptions(gen *synth.Generator) core.Options {
+	return core.Options{
+		Categories: gen.CategoryDB(), Consensus: gen.Consensus(),
+		TitleDB: bittorrent.NewTitleDB(),
+	}
+}
+
 // buildCorpusFiles writes a small corpus split per proxy into dir and
-// returns the generator plus the in-memory analyzer reference.
+// returns the generator plus the in-memory analyzer reference: every
+// record observed directly as it was written, no parser in between.
 func buildCorpusFiles(t *testing.T, dir string, seed uint64, n int) (*synth.Generator, *core.Analyzer, []string) {
 	t.Helper()
 	gen, err := synth.New(synth.Config{Seed: seed, TotalRequests: n})
@@ -30,9 +38,7 @@ func buildCorpusFiles(t *testing.T, dir string, seed uint64, n int) (*synth.Gene
 	cluster := proxysim.NewCluster(proxysim.Config{
 		Seed: seed, Engine: gen.Engine(), Consensus: gen.Consensus(),
 	})
-	ref := core.NewAnalyzer(core.Options{
-		Categories: gen.CategoryDB(), Consensus: gen.Consensus(),
-	})
+	ref := core.NewAnalyzer(analyzerOptions(gen))
 
 	writers := map[int]*logfmt.Writer{}
 	var paths []string
@@ -72,30 +78,17 @@ func buildCorpusFiles(t *testing.T, dir string, seed uint64, n int) (*synth.Gene
 	return gen, ref, paths
 }
 
-func analyzeFiles(t *testing.T, gen *synth.Generator, paths []string, workers int) *core.Analyzer {
+func analyzeFiles(t *testing.T, gen *synth.Generator, paths []string, workers int) (*core.Analyzer, pipeline.BlockStats) {
 	t.Helper()
-	var scanners []pipeline.Scanner
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		scanners = append(scanners, logfmt.NewReader(f))
-	}
-	an, err := pipeline.Run(pipeline.NewMultiScanner(scanners...), workers,
-		func() *core.Analyzer {
-			return core.NewAnalyzer(core.Options{
-				Categories: gen.CategoryDB(), Consensus: gen.Consensus(),
-			})
-		},
+	an, stats, err := pipeline.RunFilesBlocks(paths, workers,
+		func() *core.Analyzer { return core.NewAnalyzer(analyzerOptions(gen)) },
 		func(a *core.Analyzer, r *logfmt.Record) { a.Observe(r) },
 		func(dst, src *core.Analyzer) { dst.Merge(src) },
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return an
+	return an, stats
 }
 
 // The corpus must survive a full disk round trip: serializing all records
@@ -104,7 +97,7 @@ func analyzeFiles(t *testing.T, gen *synth.Generator, paths []string, workers in
 func TestFileRoundTripMatchesInMemory(t *testing.T) {
 	dir := t.TempDir()
 	gen, ref, paths := buildCorpusFiles(t, dir, 77, 60000)
-	got := analyzeFiles(t, gen, paths, 4)
+	got, _ := analyzeFiles(t, gen, paths, 4)
 
 	if got.Dataset(core.DFull) != ref.Dataset(core.DFull) {
 		t.Errorf("Dfull differs:\n got %+v\nwant %+v",
@@ -155,7 +148,7 @@ func TestCorruptedCorpusIsTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := analyzeFiles(t, gen, paths, 2)
+	got, _ := analyzeFiles(t, gen, paths, 2)
 	gotTotal := got.Dataset(core.DFull).Total
 	refTotal := ref.Dataset(core.DFull).Total
 	if gotTotal == 0 || gotTotal >= refTotal {
@@ -166,40 +159,23 @@ func TestCorruptedCorpusIsTolerated(t *testing.T) {
 	}
 }
 
-// The acceptance criterion for the block ingestion layer: block-parallel
-// ingest (pipeline.RunFilesBlocks — raw byte blocks parsed on the worker
-// pool) must produce identical tables and figures to the scanner path
-// for every experiment id, on the same syngen corpus. Run under -race in
-// CI, this also proves the concurrent parse workers are race-free.
+// The acceptance criterion for the ingest path: block-parallel ingest of
+// the on-disk corpus (raw byte blocks parsed on the worker pool) must
+// produce identical tables and figures to observing the same records in
+// memory, for every experiment id. Run under -race in CI, this also
+// proves the concurrent parse workers are race-free.
 func TestBlockIngestMatchesScannerPath(t *testing.T) {
 	dir := t.TempDir()
-	gen, _, paths := buildCorpusFiles(t, dir, 91, 60000)
-	newAcc := func() *core.Analyzer {
-		return core.NewAnalyzer(core.Options{
-			Categories: gen.CategoryDB(), Consensus: gen.Consensus(),
-			TitleDB: bittorrent.NewTitleDB(),
-		})
-	}
-	observe := func(a *core.Analyzer, r *logfmt.Record) { a.Observe(r) }
-	merge := func(dst, src *core.Analyzer) { dst.Merge(src) }
-
-	scanner, err := pipeline.RunFiles(paths, 4, newAcc, observe, merge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, stats, err := pipeline.RunFilesBlocks(paths, 8, newAcc, observe, merge)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen, ref, paths := buildCorpusFiles(t, dir, 91, 60000)
+	blocks, stats := analyzeFiles(t, gen, paths, 8)
 	if stats.Malformed != 0 {
 		t.Fatalf("clean corpus reported %d malformed lines", stats.Malformed)
 	}
 	if stats.Records == 0 || stats.Lines <= stats.Records {
 		t.Fatalf("implausible stats: %+v", stats)
 	}
-
 	for _, id := range render.Order() {
-		want, err := render.Render(id, render.Context{An: scanner, Gen: gen})
+		want, err := render.Render(id, render.Context{An: ref, Gen: gen})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +186,7 @@ func TestBlockIngestMatchesScannerPath(t *testing.T) {
 		wb, _ := json.Marshal(want)
 		gb, _ := json.Marshal(got)
 		if string(wb) != string(gb) {
-			t.Errorf("%s: block path differs from scanner path\n got: %.300s\nwant: %.300s", id, gb, wb)
+			t.Errorf("%s: block ingest differs from in-memory Observe\n got: %.300s\nwant: %.300s", id, gb, wb)
 		}
 	}
 }

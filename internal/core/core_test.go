@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -59,6 +60,23 @@ func corpus(t testing.TB) *fixture {
 		t.Fatal("fixture failed to build")
 	}
 	return fix
+}
+
+// blockSource renders recs as CSV and wraps the bytes as a pipeline
+// source, so tests drive the one ingest path from in-memory records.
+func blockSource(t testing.TB, recs []logfmt.Record) *pipeline.BlockSource {
+	t.Helper()
+	var buf bytes.Buffer
+	w := logfmt.NewWriter(&buf)
+	for i := range recs {
+		if err := w.Write(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return &pipeline.BlockSource{R: logfmt.NewBlockReader(&buf)}
 }
 
 func aug(day, hour int) int64 {
@@ -876,7 +894,7 @@ func TestPipelineMergeEquivalence(t *testing.T) {
 			TitleDB:    bittorrent.NewTitleDB(),
 		})
 	}
-	merged, err := pipeline.Run(pipeline.NewSliceScanner(f.records), 4,
+	merged, _, err := pipeline.RunBlockSources([]*pipeline.BlockSource{blockSource(t, f.records)}, 4, nil,
 		newAcc,
 		func(a *Analyzer, r *logfmt.Record) { a.Observe(r) },
 		func(dst, src *Analyzer) { dst.Merge(src) },

@@ -134,11 +134,11 @@ func TestParallelPerFileIngestDeterministic(t *testing.T) {
 		TitleDB:    bittorrent.NewTitleDB(),
 	}
 	runWith := func(workers int) *Analyzer {
-		srcs := make([]pipeline.Scanner, 0, len(parts))
+		srcs := make([]*pipeline.BlockSource, 0, len(parts))
 		for _, part := range parts {
-			srcs = append(srcs, pipeline.NewSliceScanner(part))
+			srcs = append(srcs, blockSource(t, part))
 		}
-		an, err := pipeline.RunScanners(srcs, workers,
+		an, _, err := pipeline.RunBlockSources(srcs, workers, nil,
 			func() *Analyzer { return NewAnalyzer(opt) },
 			func(a *Analyzer, r *logfmt.Record) { a.Observe(r) },
 			func(dst, src *Analyzer) { dst.Merge(src) },

@@ -226,7 +226,7 @@ func FuzzStateRoundTrip(f *testing.F) {
 		// arbitrary input still drives Observe with whatever parses.
 		for _, line := range bytes.Split(data, []byte("\n")) {
 			var rec logfmt.Record
-			if err := logfmt.ParseLine(string(line), &rec); err == nil {
+			if err := logfmt.ParseBytes(line, &rec); err == nil {
 				an.Observe(&rec)
 			}
 		}

@@ -8,12 +8,11 @@ import (
 	"sync"
 )
 
-// This file is the block ingestion layer: instead of decoding a stream
-// line by line on one goroutine (Reader), a BlockReader slices the input
+// This file is the block ingestion layer: a BlockReader slices the input
 // into large line-aligned byte blocks that can be parsed concurrently by
-// a worker pool (see internal/pipeline's RunBlocks). The reader does no
-// parsing at all — just boundary snapping — so a single big file is no
-// longer limited by one decoding core.
+// a worker pool (see internal/pipeline's RunBlockSources). The reader
+// does no parsing at all — just boundary snapping — so a single big file
+// is not limited by one decoding core.
 
 // DefaultBlockSize is the target block size. Big enough that per-block
 // overhead (pool round-trips, worker handoff) amortizes over thousands
@@ -21,8 +20,8 @@ import (
 // the end of a file.
 const DefaultBlockSize = 256 * 1024
 
-// MaxLineLen bounds a single physical line, mirroring Reader's 1 MiB
-// scanner buffer cap. A longer line is a terminal ErrLineTooLong.
+// MaxLineLen bounds a single physical line. A longer line is a terminal
+// ErrLineTooLong.
 const MaxLineLen = 1 << 20
 
 // ErrLineTooLong is returned (wrapped, with a line number) by BlockReader
@@ -123,8 +122,8 @@ func (b *BlockReader) Next() (Block, bool) {
 				b.done = true
 				if rerr != io.EOF {
 					b.err = rerr
-					// Like Reader, do not hand out the trailing partial
-					// line of a stream that died mid-line.
+					// Do not hand out the trailing partial line of a
+					// stream that died mid-line.
 					if i := bytes.LastIndexByte(buf[:fill], '\n'); i >= 0 {
 						fill = i + 1
 					} else {
@@ -198,12 +197,12 @@ type BlockResult struct {
 // aliases blk.Data — the caller may Release the buffer the moment
 // ParseBlock returns while records retain their field strings.
 //
-// Semantics match Reader line for line: '#' comments and blank lines are
-// skipped (after trailing-\r stripping), malformed lines are counted and
-// skipped, and in strict mode the first malformed line aborts with a
-// "line N: ..." error using the block's absolute line numbering. The
-// Record passed to emit is reused between lines; emit must copy the
-// struct (retaining its field strings is fine) if it outlives the call.
+// '#' comments and blank lines are skipped (after trailing-\r
+// stripping), malformed lines are counted and skipped, and in strict mode
+// the first malformed line aborts with a "line N: ..." error using the
+// block's absolute line numbering. The Record passed to emit is reused
+// between lines; emit must copy the struct (retaining its field strings
+// is fine) if it outlives the call.
 func ParseBlock(blk Block, strict bool, emit func(*Record)) (BlockResult, error) {
 	p := parserPool.Get().(*Parser)
 	defer parserPool.Put(p)

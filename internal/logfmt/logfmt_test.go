@@ -323,23 +323,6 @@ func TestHeaderFieldCount(t *testing.T) {
 	}
 }
 
-func BenchmarkParseLine(b *testing.B) {
-	rec := sampleRecord()
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Write(&rec)
-	w.Flush()
-	line := strings.TrimSuffix(buf.String(), "\n")
-	var out Record
-	b.ReportAllocs()
-	b.SetBytes(int64(len(line)))
-	for i := 0; i < b.N; i++ {
-		if err := ParseLine(line, &out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkWrite(b *testing.B) {
 	rec := sampleRecord()
 	w := NewWriter(&discard{})

@@ -45,8 +45,15 @@ const (
 	internCacheSize = 1 << 16
 )
 
-// Errors of the quoted-field scanner. Messages match the string path in
-// parse.go byte for byte; FuzzParseBytesVsParseLine pins that.
+// Parse errors. ParseBytes wraps them with positional context.
+var (
+	ErrFieldCount = errors.New("logfmt: wrong field count")
+	ErrBadTime    = errors.New("logfmt: malformed date/time")
+	ErrBadNumber  = errors.New("logfmt: malformed numeric field")
+	ErrBadEnum    = errors.New("logfmt: unknown enum value")
+)
+
+// Errors of the quoted-field scanner.
 var (
 	errUnterminatedQuote = errors.New("logfmt: unterminated quoted field")
 	errGarbageAfterQuote = errors.New("logfmt: garbage after closing quote")
@@ -83,9 +90,9 @@ func NewParser() *Parser {
 var parserPool = sync.Pool{New: func() any { return NewParser() }}
 
 // ParseBytes decodes one CSV log line into rec, overwriting all fields,
-// using a pooled Parser. Semantics, validation order and error
-// classification are identical to ParseLine; the Record's string fields
-// never alias line, so the caller may reuse the byte slice immediately.
+// using a pooled Parser (see the method for the format). The Record's
+// string fields never alias line, so the caller may reuse the byte slice
+// immediately.
 // Bulk callers that parse many lines should hold their own Parser and
 // call its ParseBytes method to keep the interning table hot.
 func ParseBytes(line []byte, rec *Record) error {
@@ -96,10 +103,12 @@ func ParseBytes(line []byte, rec *Record) error {
 }
 
 // ParseBytes decodes one CSV log line into rec, overwriting all fields.
-// It is the byte-level equivalent of ParseLine: same field layout, same
-// validation order, same error classification (the differential fuzz
-// target pins this). The Record's string fields are interned or copied
-// into a per-record arena — never aliased to line.
+// Lines are the 26-field format produced by Writer. Quoted fields (RFC
+// 4180 style, used when a value contains a comma or quote) are supported
+// but take a slower unescaping path. The Record's string fields are
+// interned or copied into a per-record arena — never aliased to line.
+// Accept/reject and every decoded field are pinned against the test-only
+// string reference parser by a differential fuzz target.
 func (p *Parser) ParseBytes(line []byte, rec *Record) error {
 	fields := &p.fields
 	n, err := p.splitBytes(line, fields)
@@ -286,9 +295,9 @@ func undashB(b []byte) []byte {
 	return b
 }
 
-// splitBytes mirrors splitCSV: same field counts on every input
-// (including the early n+1 return past NumFields), same quoted-field
-// errors. Quote detection is one vectorized IndexByte over the whole
+// splitBytes splits line into dst, returning the number of fields (n+1
+// as soon as the line overflows NumFields; the caller reports the count
+// mismatch). Quote detection is one vectorized IndexByte over the whole
 // line (quotes are rare); the comma scan is SWAR — eight bytes per
 // load with an exact zero-byte detector — instead of a byte-at-a-time
 // loop or one IndexByte call per (mostly tiny) field.
@@ -338,10 +347,9 @@ func (p *Parser) splitBytes(line []byte, dst *[NumFields][]byte) (int, error) {
 	return n + 1, nil
 }
 
-// splitQuotedBytes is the slow path for lines containing quotes,
-// mirroring splitCSVQuoted. Unescaped field bytes are written into
-// p.qbuf (pre-grown to len(line), so appends never reallocate and
-// earlier field slices stay valid).
+// splitQuotedBytes is the slow path for lines containing quotes.
+// Unescaped field bytes are written into p.qbuf (pre-grown to len(line),
+// so appends never reallocate and earlier field slices stay valid).
 func (p *Parser) splitQuotedBytes(line []byte, dst *[NumFields][]byte) (int, error) {
 	if cap(p.qbuf) < len(line) {
 		p.qbuf = make([]byte, 0, len(line)+64)
@@ -397,12 +405,13 @@ func (p *Parser) splitQuotedBytes(line []byte, dst *[NumFields][]byte) (int, err
 	}
 }
 
-// dateTime is the byte-level parseDateTime with a one-entry date cache:
-// consecutive records almost always share a calendar date, so the
-// midnight epoch is computed once per distinct date and the clock is
-// added arithmetically. Validation and normalization (day overflow,
-// leap second) are identical to parseDateTime because the cache key is
-// the exact date bytes and misses fall back to time.Date.
+// dateTime parses "2011-08-03" + "14:05:59" into Unix seconds (UTC)
+// without time.Parse, behind a one-entry date cache: consecutive records
+// almost always share a calendar date, so the midnight epoch is computed
+// once per distinct date and the clock is added arithmetically. A cached
+// date validates and normalizes (day overflow, leap second) exactly like
+// a miss because the cache key is the exact date bytes and misses go
+// through time.Date.
 func (p *Parser) dateTime(date, clock []byte) (int64, error) {
 	if len(date) != 10 || date[4] != '-' || date[7] != '-' ||
 		len(clock) != 8 || clock[2] != ':' || clock[5] != ':' {
@@ -444,7 +453,7 @@ func atoiFixedB(b []byte) (int, bool) {
 	return n, true
 }
 
-// atou32b mirrors atou32: empty and "-" decode as 0.
+// atou32b decodes a decimal uint32; empty and "-" decode as 0.
 func atou32b(b []byte) (uint32, error) {
 	if len(b) == 0 || (len(b) == 1 && b[0] == '-') {
 		return 0, nil

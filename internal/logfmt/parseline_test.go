@@ -9,13 +9,11 @@ import (
 	"time"
 )
 
-// Parse errors. ParseLine wraps them with positional context.
-var (
-	ErrFieldCount = errors.New("logfmt: wrong field count")
-	ErrBadTime    = errors.New("logfmt: malformed date/time")
-	ErrBadNumber  = errors.New("logfmt: malformed numeric field")
-	ErrBadEnum    = errors.New("logfmt: unknown enum value")
-)
+// This file is the test-only reference parser: a string-based,
+// record-at-a-time ParseLine and Reader that share no helper with the
+// byte parser (parsebytes.go) or the block layer (block.go). They are
+// what FuzzParseBytesVsParseLine and FuzzBlockVsReader compare the
+// production path against, so they stay simple rather than fast.
 
 // ParseLine decodes one CSV log line into rec, overwriting all fields. The
 // Record's string fields alias substrings of line, so the caller must not

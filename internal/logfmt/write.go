@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Writer emits Records as CSV lines in the 26-field order ParseLine
+// Writer emits Records as CSV lines in the 26-field order ParseBytes
 // expects. It buffers internally; call Flush before closing the sink.
 type Writer struct {
 	w   *bufio.Writer
@@ -22,7 +22,7 @@ func NewWriter(w io.Writer) *Writer {
 }
 
 // Header returns the ELFF-style header comment naming all fields, written
-// by tools for self-describing corpora (the Reader skips '#' lines).
+// by tools for self-describing corpora (ParseBlock skips '#' lines).
 func Header() string {
 	return "#Fields: date time time-taken c-ip cs-username cs-auth-group sc-status " +
 		"s-action sc-bytes cs-bytes cs-method cs-uri-scheme cs-host cs-uri-port " +

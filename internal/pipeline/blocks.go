@@ -10,16 +10,6 @@ import (
 	"syriafilter/internal/logfmt"
 )
 
-// This file is the block ingestion layer. The Scanner layer (Run,
-// RunScanners) parses every line on the scanner goroutine, so a single
-// large file decodes on one core no matter how many workers exist. Here
-// the unit of work shipped to the pool is a raw line-aligned byte block
-// (logfmt.Block): reader goroutines only snap blocks to line boundaries,
-// and the workers split, parse and fold — so the parse itself spreads
-// across every core. Malformed-line counting, strict-mode line numbers
-// and gzip transparency match the Scanner layer; see DESIGN.md §4 for
-// when to prefer which.
-
 // BlockStats aggregates parse counters across every source and worker of
 // a block run.
 type BlockStats struct {
@@ -33,6 +23,13 @@ type BlockStats struct {
 	// Bytes is the number of raw log bytes consumed (post-decompression
 	// for gzip sources), which is what throughput reporting divides by.
 	Bytes uint64
+}
+
+func (s *BlockStats) add(o BlockStats) {
+	s.Lines += o.Lines
+	s.Records += o.Records
+	s.Malformed += o.Malformed
+	s.Bytes += o.Bytes
 }
 
 // BlockObs is an optional per-block observation hook for the block
@@ -55,13 +52,6 @@ type BlockObs struct {
 	OnRead func(bytes int, seconds float64)
 }
 
-func (o *BlockObs) observe(blk BlockStats, seconds float64) {
-	if o == nil || o.OnBlock == nil {
-		return
-	}
-	o.OnBlock(blk, seconds)
-}
-
 // next reads one block from src, reporting the read to OnRead.
 func (o *BlockObs) next(src *BlockSource) (logfmt.Block, bool) {
 	if o == nil || o.OnRead == nil {
@@ -82,7 +72,7 @@ type BlockSource struct {
 	// Path labels errors from this source ("" leaves them unwrapped).
 	Path string
 	// Strict aborts the run at this source's first malformed line, with
-	// the same "line N" numbering the Scanner layer reports.
+	// its 1-based physical line number in the stream ("line N: ...").
 	Strict bool
 }
 
@@ -92,33 +82,51 @@ type blockItem struct {
 	blk logfmt.Block
 }
 
-// RunBlocks drains a single block stream with n parse workers. Each
-// worker owns an accumulator from newAcc, parses whole blocks
-// (one block-sized string conversion, every record's fields aliasing it)
-// and folds records with observe; merge folds worker accumulators into
-// the first one, which is returned. n <= 0 uses GOMAXPROCS.
-//
-// The Record passed to observe is reused between lines: observe must copy
-// the struct if it keeps it (retaining field strings is fine). Results
-// are deterministic for commutative accumulators, exactly like
-// RunScanners — block boundaries and worker count never change what is
-// observed, only the order.
-func RunBlocks[A any](br *logfmt.BlockReader, n int, newAcc func() A, observe func(A, *logfmt.Record), merge func(dst, src A)) (A, BlockStats, error) {
-	return RunBlockSources([]*BlockSource{{R: br}}, n, newAcc, observe, merge)
+// parseBlock is the one per-block step both the serial loop and the pool
+// workers run: parse blk into emit, release its buffer, report to obs.
+// The error is a strict source's first malformed line, path-wrapped.
+func parseBlock(src *BlockSource, blk logfmt.Block, obs *BlockObs, emit func(*logfmt.Record)) (BlockStats, error) {
+	timed := obs != nil && obs.OnBlock != nil
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
+	}
+	res, err := logfmt.ParseBlock(blk, src.Strict, emit)
+	one := BlockStats{
+		Lines:     uint64(res.Lines),
+		Records:   uint64(res.Records),
+		Malformed: uint64(res.Malformed),
+		Bytes:     uint64(len(blk.Data)),
+	}
+	blk.Release()
+	if timed {
+		obs.OnBlock(one, time.Since(t0).Seconds())
+	}
+	return one, wrapPath(src.Path, err)
 }
 
 // RunBlockSources reads every source concurrently — one reader goroutine
 // per source, all feeding the same n-worker parse pool — and merges the
-// per-worker accumulators. The returned error is the first failing
-// source's, in srcs order; within one source, the earliest failing line
-// wins, so strict-mode errors match a serial scan of that source.
-func RunBlockSources[A any](srcs []*BlockSource, n int, newAcc func() A, observe func(A, *logfmt.Record), merge func(dst, src A)) (A, BlockStats, error) {
-	return RunBlockSourcesObs(srcs, n, nil, newAcc, observe, merge)
-}
-
-// RunBlockSourcesObs is RunBlockSources with a per-block observation
-// hook; see BlockObs. A nil obs behaves exactly like RunBlockSources.
-func RunBlockSourcesObs[A any](srcs []*BlockSource, n int, obs *BlockObs, newAcc func() A, observe func(A, *logfmt.Record), merge func(dst, src A)) (A, BlockStats, error) {
+// per-worker accumulators. Each worker owns an accumulator from newAcc,
+// parses whole blocks and folds records with observe; merge folds worker
+// accumulators into the first one, which is returned. n <= 0 uses
+// GOMAXPROCS. obs, when non-nil, sees every block read and parse (see
+// BlockObs).
+//
+// The Record passed to observe is reused between lines: observe must copy
+// the struct if it keeps it (retaining field strings is fine). Results
+// are deterministic for commutative accumulators — block boundaries,
+// source interleaving and worker count never change what is observed,
+// only the order. All of internal/core's are commutative, with one
+// caveat: the token vocabulary cap (Options.MaxTokenEntries) admits
+// entries in observation order, so determinism holds only while a corpus
+// stays under it — past it, pass one source (an io.MultiReader over the
+// files) and n=1, which folds strictly in stream order.
+//
+// The returned error is the first failing source's, in srcs order; within
+// one source, the earliest failing line wins, so strict-mode errors match
+// a serial scan of that source.
+func RunBlockSources[A any](srcs []*BlockSource, n int, obs *BlockObs, newAcc func() A, observe func(A, *logfmt.Record), merge func(dst, src A)) (A, BlockStats, error) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
@@ -126,39 +134,21 @@ func RunBlockSourcesObs[A any](srcs []*BlockSource, n int, obs *BlockObs, newAcc
 		return newAcc(), BlockStats{}, nil
 	}
 	if n == 1 && len(srcs) == 1 {
-		// Serial fast path, mirroring Run's: one source and one worker
-		// need no goroutines or channels at all.
+		// Serial fast path: one source and one worker need no goroutines
+		// or channels at all.
 		src := srcs[0]
 		acc := newAcc()
+		emit := func(rec *logfmt.Record) { observe(acc, rec) }
 		var stats BlockStats
 		for {
 			blk, ok := obs.next(src)
 			if !ok {
 				break
 			}
-			var t0 time.Time
-			if obs != nil {
-				t0 = time.Now()
-			}
-			res, err := logfmt.ParseBlock(blk, src.Strict, func(rec *logfmt.Record) {
-				observe(acc, rec)
-			})
-			one := BlockStats{
-				Lines:     uint64(res.Lines),
-				Records:   uint64(res.Records),
-				Malformed: uint64(res.Malformed),
-				Bytes:     uint64(len(blk.Data)),
-			}
-			blk.Release()
-			if obs != nil {
-				obs.observe(one, time.Since(t0).Seconds())
-			}
-			stats.Bytes += one.Bytes
-			stats.Lines += one.Lines
-			stats.Records += one.Records
-			stats.Malformed += one.Malformed
+			one, err := parseBlock(src, blk, obs, emit)
+			stats.add(one)
 			if err != nil {
-				return acc, stats, wrapPath(src.Path, err)
+				return acc, stats, err
 			}
 		}
 		return acc, stats, wrapPath(src.Path, src.R.Err())
@@ -198,59 +188,40 @@ func RunBlockSourcesObs[A any](srcs []*BlockSource, n int, obs *BlockObs, newAcc
 	}
 	fails := make([]parseFail, len(srcs))
 	var failMu sync.Mutex
-	var lines, records, malformed, nbytes atomic.Uint64
 
-	ws := &workerSet[A]{accs: make([]A, n)}
+	accs := make([]A, n)
+	workerStats := make([]BlockStats, n)
+	var workWG sync.WaitGroup
 	for w := 0; w < n; w++ {
-		ws.wg.Add(1)
+		workWG.Add(1)
 		go func(w int) {
-			defer ws.wg.Done()
+			defer workWG.Done()
 			acc := newAcc()
+			emit := func(rec *logfmt.Record) { observe(acc, rec) }
+			var stats BlockStats
 			for it := range items {
-				src := srcs[it.src]
-				var t0 time.Time
-				if obs != nil {
-					t0 = time.Now()
-				}
-				res, err := logfmt.ParseBlock(it.blk, src.Strict, func(rec *logfmt.Record) {
-					observe(acc, rec)
-				})
-				firstLine := it.blk.FirstLine
-				one := BlockStats{
-					Lines:     uint64(res.Lines),
-					Records:   uint64(res.Records),
-					Malformed: uint64(res.Malformed),
-					Bytes:     uint64(len(it.blk.Data)),
-				}
-				it.blk.Release()
-				if obs != nil {
-					obs.observe(one, time.Since(t0).Seconds())
-				}
-				nbytes.Add(one.Bytes)
-				lines.Add(one.Lines)
-				records.Add(one.Records)
-				malformed.Add(one.Malformed)
+				one, err := parseBlock(srcs[it.src], it.blk, obs, emit)
+				stats.add(one)
 				if err != nil {
 					failMu.Lock()
-					if fails[it.src].err == nil || firstLine < fails[it.src].firstLine {
-						fails[it.src] = parseFail{firstLine, wrapPath(src.Path, err)}
+					if fails[it.src].err == nil || it.blk.FirstLine < fails[it.src].firstLine {
+						fails[it.src] = parseFail{it.blk.FirstLine, err}
 					}
 					failMu.Unlock()
 					stop.Store(true)
 				}
 			}
-			ws.accs[w] = acc
+			accs[w], workerStats[w] = acc, stats
 		}(w)
 	}
 
 	readWG.Wait()
 	close(items)
-	out := drainWorkers(ws, merge)
-	stats := BlockStats{
-		Lines:     lines.Load(),
-		Records:   records.Load(),
-		Malformed: malformed.Load(),
-		Bytes:     nbytes.Load(),
+	workWG.Wait()
+	out, stats := accs[0], workerStats[0]
+	for w := 1; w < n; w++ {
+		merge(out, accs[w])
+		stats.add(workerStats[w])
 	}
 	for i := range srcs {
 		if fails[i].err != nil {
@@ -263,10 +234,10 @@ func RunBlockSourcesObs[A any](srcs []*BlockSource, n int, obs *BlockObs, newAcc
 	return out, stats, nil
 }
 
-// RunFilesBlocks opens each path (gzip-transparent, like OpenScanner) and
-// runs RunBlockSources with one block reader per file. This is the fast
-// bulk-scan entry point: both the per-file reads and all parsing run
-// concurrently.
+// RunFilesBlocks opens each path (gzip-transparent, see OpenReader) and
+// runs RunBlockSources with one block reader per file: both the per-file
+// reads and all parsing run concurrently. A missing, unreadable or
+// malformed-gzip file is an error, never a silently dropped source.
 func RunFilesBlocks[A any](paths []string, n int, newAcc func() A, observe func(A, *logfmt.Record), merge func(dst, src A)) (A, BlockStats, error) {
 	srcs, closer, err := OpenBlockFiles(paths)
 	if err != nil {
@@ -274,11 +245,11 @@ func RunFilesBlocks[A any](paths []string, n int, newAcc func() A, observe func(
 		return zero, BlockStats{}, err
 	}
 	defer closer.Close()
-	return RunBlockSources(srcs, n, newAcc, observe, merge)
+	return RunBlockSources(srcs, n, nil, newAcc, observe, merge)
 }
 
 // OpenBlockFile opens one log file as a block source, transparently
-// decompressing gzip content under the same rules as OpenScanner. Close
+// decompressing gzip content under OpenReader's rules. Close
 // the returned Closer when done.
 func OpenBlockFile(path string) (*BlockSource, io.Closer, error) {
 	r, closer, err := OpenReader(path)

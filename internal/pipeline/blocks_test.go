@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,36 +17,29 @@ func blockFilesRun(t *testing.T, paths []string, workers int) (*countAcc, BlockS
 	return RunFilesBlocks(paths, workers, newCountAcc, observeCount, mergeCount)
 }
 
-// The block layer must agree with the scanner layer on a multi-file
-// corpus, for every worker count.
+// A multi-file corpus folds to the in-memory reference over the records
+// written, for every worker count, and the stats account for every line
+// and byte on disk.
 func TestRunFilesBlocksMatchesScannerLayer(t *testing.T) {
 	dir := t.TempDir()
 	recs := makeRecords(20000)
 	var paths []string
+	var parts [][]logfmt.Record
 	for i := 0; i < 3; i++ {
 		path := filepath.Join(dir, "part-"+string(rune('a'+i))+".csv")
-		writeLogFile(t, path, recs[i*5000:(i+2)*5000], false)
+		part := recs[i*5000 : (i+2)*5000]
+		writeLogFile(t, path, part, false)
 		paths = append(paths, path)
+		parts = append(parts, part)
 	}
 
-	want, err := RunFiles(paths, 1, newCountAcc, observeCount, mergeCount)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := observeAll(parts...)
 	for _, workers := range []int{1, 2, 8} {
 		got, stats, err := blockFilesRun(t, paths, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.total != want.total || got.censored != want.censored {
-			t.Fatalf("workers=%d: totals %d/%d, want %d/%d",
-				workers, got.total, got.censored, want.total, want.censored)
-		}
-		for k, v := range want.hosts {
-			if got.hosts[k] != v {
-				t.Fatalf("workers=%d: host %s = %d, want %d", workers, k, got.hosts[k], v)
-			}
-		}
+		requireSameCounts(t, fmt.Sprintf("workers=%d", workers), got, want)
 		if stats.Records != want.total {
 			t.Fatalf("stats.Records = %d, want %d", stats.Records, want.total)
 		}
@@ -93,29 +87,12 @@ func TestBlockStatsBytesGzip(t *testing.T) {
 	}
 }
 
-// Gzip files (suffixed or magic-sniffed) are transparent to the block
-// layer, like OpenScanner.
+// A .gz file with garbage content among good files fails the whole run
+// loudly, naming the file, instead of scanning as empty.
 func TestRunFilesBlocksGzipTransparent(t *testing.T) {
 	dir := t.TempDir()
-	recs := makeRecords(3000)
 	plain := filepath.Join(dir, "plain.csv")
-	writeLogFile(t, plain, recs, false)
-	gz := filepath.Join(dir, "zipped.csv.gz")
-	writeLogFile(t, gz, recs, true)
-	renamed := filepath.Join(dir, "renamed.csv") // gzip content, no suffix
-	writeLogFile(t, renamed, recs, true)
-
-	for _, path := range []string{plain, gz, renamed} {
-		got, stats, err := blockFilesRun(t, []string{path}, 4)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if got.total != uint64(len(recs)) || stats.Records != uint64(len(recs)) {
-			t.Fatalf("%s: got %d/%d records, want %d", path, got.total, stats.Records, len(recs))
-		}
-	}
-
-	// A .gz file with garbage content must fail loudly, not scan empty.
+	writeLogFile(t, plain, makeRecords(3000), false)
 	bad := filepath.Join(dir, "bad.csv.gz")
 	if err := os.WriteFile(bad, []byte("not gzip at all"), 0o644); err != nil {
 		t.Fatal(err)
@@ -155,9 +132,9 @@ func TestRunFilesBlocksMalformedCounting(t *testing.T) {
 	}
 }
 
-// Strict mode reports the first malformed line of the failing source with
-// the same path-wrapped, line-numbered error the scanner layer produces —
-// regardless of worker count or which worker trips it.
+// Strict mode reports the first malformed line of the failing source,
+// path-wrapped and numbered by physical line in the file — regardless of
+// worker count or which worker trips it.
 func TestRunBlockSourcesStrictMatchesScannerError(t *testing.T) {
 	dir := t.TempDir()
 	recs := makeRecords(8000)
@@ -168,28 +145,12 @@ func TestRunBlockSourcesStrictMatchesScannerError(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.SplitAfter(string(rows), "\n")
-	lines[4000] = "broken,record\n"
-	lines[6000] = "also,broken\n" // a later error that must not win
+	lines[4000] = "broken,record\n" // physical line 4001: the header is line 1
+	lines[6000] = "also,broken\n"   // a later error that must not win
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	// Scanner-layer reference error.
-	sc, closer, err := OpenScanner(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.(*pathScanner).Scanner.(*logfmt.Reader).SetStrict(true)
-	for {
-		if _, ok := sc.Next(); !ok {
-			break
-		}
-	}
-	want := sc.Err()
-	closer.Close()
-	if want == nil {
-		t.Fatal("scanner accepted corrupt corpus")
-	}
+	want := "pipeline: " + path + ": line 4001: logfmt: wrong field count: got 2, want 26"
 
 	for _, workers := range []int{1, 4} {
 		src, closer, err := OpenBlockFile(path)
@@ -197,12 +158,12 @@ func TestRunBlockSourcesStrictMatchesScannerError(t *testing.T) {
 			t.Fatal(err)
 		}
 		src.Strict = true
-		_, _, gotErr := RunBlockSources([]*BlockSource{src}, workers, newCountAcc, observeCount, mergeCount)
+		_, _, gotErr := runSources([]*BlockSource{src}, workers)
 		closer.Close()
 		if gotErr == nil {
 			t.Fatalf("workers=%d: strict run accepted corrupt corpus", workers)
 		}
-		if gotErr.Error() != want.Error() {
+		if gotErr.Error() != want {
 			t.Fatalf("workers=%d:\n got %q\nwant %q", workers, gotErr, want)
 		}
 		if !errors.Is(gotErr, logfmt.ErrFieldCount) {
@@ -213,7 +174,7 @@ func TestRunBlockSourcesStrictMatchesScannerError(t *testing.T) {
 
 // An empty source list degenerates cleanly.
 func TestRunBlockSourcesEmpty(t *testing.T) {
-	acc, stats, err := RunBlockSources(nil, 4, newCountAcc, observeCount, mergeCount)
+	acc, stats, err := runSources(nil, 4)
 	if err != nil || acc.total != 0 || stats != (BlockStats{}) {
 		t.Fatalf("empty run: acc=%+v stats=%+v err=%v", acc, stats, err)
 	}

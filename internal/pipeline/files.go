@@ -7,8 +7,6 @@ import (
 	"io"
 	"os"
 	"strings"
-
-	"syriafilter/internal/logfmt"
 )
 
 // OpenReader opens path as a byte stream, transparently decompressing
@@ -16,8 +14,7 @@ import (
 // its first two bytes carry the gzip magic (real Blue Coat dumps ship
 // gzipped, often without the suffix after renaming). A ".gz" file
 // without a valid gzip header is an error, not a silent zero-record
-// source. Shared by the Scanner layer (OpenScanner) and the block layer
-// (OpenBlockFile), and reused by `censorlyzer -load-state`.
+// source. Used by OpenBlockFile and by `censorlyzer -load-state`.
 func OpenReader(path string) (io.Reader, io.Closer, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -35,30 +32,6 @@ func OpenReader(path string) (io.Reader, io.Closer, error) {
 		return zr, multiCloser{zr, f}, nil
 	}
 	return br, f, nil
-}
-
-// OpenScanner opens one log file as a record Scanner (gzip-transparent,
-// see OpenReader). Errors from the returned Scanner are wrapped with the
-// path.
-//
-// Close the returned Closer when done with the Scanner.
-func OpenScanner(path string) (Scanner, io.Closer, error) {
-	r, closer, err := OpenReader(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &pathScanner{Scanner: logfmt.NewReader(r), path: path}, closer, nil
-}
-
-// pathScanner adds path context to a file scanner's terminal error, so a
-// multi-file run reports which source failed.
-type pathScanner struct {
-	Scanner
-	path string
-}
-
-func (p *pathScanner) Err() error {
-	return wrapPath(p.path, p.Scanner.Err())
 }
 
 // wrapPath adds source context to a terminal error; nil errors and
@@ -80,32 +53,4 @@ func (m multiCloser) Close() error {
 		}
 	}
 	return first
-}
-
-// OpenFiles opens every path with OpenScanner. On any error it closes
-// what it already opened and returns the error.
-func OpenFiles(paths []string) ([]Scanner, io.Closer, error) {
-	srcs := make([]Scanner, 0, len(paths))
-	closers := make(multiCloser, 0, len(paths))
-	for _, path := range paths {
-		sc, closer, err := OpenScanner(path)
-		if err != nil {
-			closers.Close()
-			return nil, nil, err
-		}
-		srcs = append(srcs, sc)
-		closers = append(closers, closer)
-	}
-	return srcs, closers, nil
-}
-
-// NewFileMultiScanner chains the paths into one strict-order serial
-// scanner (gzip-transparent, like OpenScanner). Prefer RunFiles for
-// parallel ingestion; this is for single-goroutine ordered scans.
-func NewFileMultiScanner(paths ...string) (*MultiScanner, io.Closer, error) {
-	srcs, closer, err := OpenFiles(paths)
-	if err != nil {
-		return nil, nil, err
-	}
-	return NewMultiScanner(srcs...), closer, nil
 }

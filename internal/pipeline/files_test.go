@@ -58,23 +58,20 @@ func TestRunFilesGzipTransparent(t *testing.T) {
 	renamed := filepath.Join(dir, "renamed.csv")
 	writeLogFile(t, renamed, recs, true)
 
-	want, err := RunFiles([]string{plain}, 2, newCountAcc, observeCount, mergeCount)
+	want, _, err := blockFilesRun(t, []string{plain}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range []string{gzPath, renamed} {
-		got, err := RunFiles([]string{path}, 2, newCountAcc, observeCount, mergeCount)
+		got, _, err := blockFilesRun(t, []string{path}, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		if got.total != want.total || got.censored != want.censored || len(got.hosts) != len(want.hosts) {
-			t.Errorf("%s: gzip run (%d/%d) differs from plain run (%d/%d)",
-				path, got.total, got.censored, want.total, want.censored)
-		}
+		requireSameCounts(t, path, got, want)
 	}
 
 	// Mixed plain+gz multi-file run sums both.
-	both, err := RunFiles([]string{plain, gzPath}, 2, newCountAcc, observeCount, mergeCount)
+	both, _, err := blockFilesRun(t, []string{plain, gzPath}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +87,13 @@ func TestOpenScannerMalformedGzipHeader(t *testing.T) {
 	if err := os.WriteFile(path, []byte("this is not gzip\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenScanner(path); err == nil {
+	if _, _, err := OpenBlockFile(path); err == nil {
 		t.Fatal("malformed gzip header should fail at open")
 	} else if !strings.Contains(err.Error(), "broken.csv.gz") {
 		t.Errorf("error should name the file: %v", err)
 	}
-	if _, err := RunFiles([]string{path}, 2, newCountAcc, observeCount, mergeCount); err == nil {
-		t.Error("RunFiles over a malformed gzip should error")
+	if _, _, err := blockFilesRun(t, []string{path}, 2); err == nil {
+		t.Error("a run over a malformed gzip should error")
 	}
 }
 
@@ -114,7 +111,7 @@ func TestRunFilesTruncatedGzip(t *testing.T) {
 	if err := os.WriteFile(trunc, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunFiles([]string{trunc}, 2, newCountAcc, observeCount, mergeCount)
+	_, _, err = blockFilesRun(t, []string{trunc}, 2)
 	if err == nil {
 		t.Fatal("truncated gzip should error")
 	}
@@ -123,9 +120,9 @@ func TestRunFilesTruncatedGzip(t *testing.T) {
 	}
 }
 
-// An unreadable file errors out of OpenFiles and closes what was already
-// opened.
-func TestOpenFilesUnreadable(t *testing.T) {
+// An unreadable file errors out of OpenBlockFiles and closes what was
+// already opened.
+func TestOpenBlockFilesUnreadable(t *testing.T) {
 	if os.Geteuid() == 0 {
 		t.Skip("running as root: permission bits are not enforced")
 	}
@@ -137,34 +134,7 @@ func TestOpenFilesUnreadable(t *testing.T) {
 	if err := os.Chmod(locked, 0o000); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenFiles([]string{ok, locked}); err == nil {
+	if _, _, err := OpenBlockFiles([]string{ok, locked}); err == nil {
 		t.Error("unreadable file should error")
-	}
-}
-
-func TestNewFileMultiScanner(t *testing.T) {
-	dir := t.TempDir()
-	a := filepath.Join(dir, "a.csv")
-	b := filepath.Join(dir, "b.csv.gz")
-	writeLogFile(t, a, makeRecords(100), false)
-	writeLogFile(t, b, makeRecords(50), true)
-	sc, closer, err := NewFileMultiScanner(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer.Close()
-	n := 0
-	for {
-		_, ok := sc.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 150 {
-		t.Errorf("scanned %d records, want 150", n)
 	}
 }

@@ -1,303 +1,24 @@
 // Package pipeline runs record analyses concurrently: one or more sources
-// of log records are fanned out to worker goroutines, each folding into
-// its own accumulator, and the per-worker accumulators are merged at the
-// end. Every accumulator in internal/stats and the core Engine/Analyzer
+// of raw log bytes are cut into line-aligned blocks, the blocks are fanned
+// out to worker goroutines that split, parse and fold each one into a
+// per-worker accumulator, and the accumulators are merged at the end.
+// Every accumulator in internal/stats and the core Engine/Analyzer
 // support Merge, so any analysis composes with this scheme.
 //
-// Three ingestion layers are provided. Run drains a single Scanner from
-// the calling goroutine. RunScanners adds per-file fan-out: one scanner
-// goroutine per source feeds the shared worker pool, so a multi-file
-// corpus is decoded in parallel instead of serially through a
-// MultiScanner. Both recycle batch buffers through a sync.Pool, keeping
-// steady-state allocation per batch near zero. RunBlocks/RunFilesBlocks
-// (blocks.go) go further and move the line splitting and parsing itself
-// onto the worker pool: sources ship raw line-aligned byte blocks, so
-// even a single large file parses on every core.
+// There is one ingestion path. RunBlockSources (blocks.go) takes any
+// number of logfmt.BlockReader sources; RunFilesBlocks opens paths
+// (gzip-transparent, files.go) and calls it. Reader goroutines only snap
+// blocks to line boundaries, so even a single large file parses on every
+// core; malformed lines are counted and skipped, and a Strict source
+// aborts with the stream's absolute "line N". A strictly ordered scan is
+// the same call with one source and one worker: chain the inputs with
+// io.MultiReader and they fold in order.
 //
 // The design follows the same reasoning as gopacket's FastHash fan-out:
-// batches keep channel overhead amortized, and per-worker state avoids
+// blocks keep channel overhead amortized, and per-worker state avoids
 // locks entirely.
 package pipeline
 
-import (
-	"errors"
-	"runtime"
-	"sync"
-
-	"syriafilter/internal/logfmt"
-)
-
-// Scanner yields records. logfmt.Reader satisfies it; SliceScanner and
-// MultiScanner adapt in-memory corpora and file sets.
-type Scanner interface {
-	// Next returns the next record, or ok=false at the end of the stream.
-	// The returned pointer may be reused between calls.
-	Next() (*logfmt.Record, bool)
-	// Err returns the terminal error, nil on clean EOF.
-	Err() error
-}
-
-// BatchSize is the number of records per work unit.
+// BatchSize is the number of records consumers of the pipeline buffer
+// per downstream work unit (serve's shard enqueue).
 const BatchSize = 1024
-
-// batchPool recycles batch buffers between scanners and workers, so a
-// steady-state run allocates no new batch arrays after warm-up.
-var batchPool = sync.Pool{
-	New: func() any {
-		b := make([]logfmt.Record, 0, BatchSize)
-		return &b
-	},
-}
-
-func getBatch() *[]logfmt.Record {
-	b := batchPool.Get().(*[]logfmt.Record)
-	*b = (*b)[:0]
-	return b
-}
-
-// Run scans src with n workers. Each worker owns an accumulator from
-// newAcc and folds records with observe; merge folds worker accumulators
-// into the first one, which is returned. n <= 0 uses GOMAXPROCS.
-//
-// Records handed to observe are private copies, but their backing batch
-// is recycled: they are only valid for the duration of the observe call.
-// Accumulators that outlive the call must copy what they keep (retaining
-// field strings is fine — strings are immutable).
-func Run[A any](src Scanner, n int, newAcc func() A, observe func(A, *logfmt.Record), merge func(dst, src A)) (A, error) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n == 1 {
-		acc := newAcc()
-		for {
-			rec, ok := src.Next()
-			if !ok {
-				break
-			}
-			observe(acc, rec)
-		}
-		return acc, src.Err()
-	}
-
-	batches := make(chan *[]logfmt.Record, n*2)
-	accs := startWorkers(batches, n, newAcc, observe)
-
-	batch := getBatch()
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		*batch = append(*batch, *rec)
-		if len(*batch) == BatchSize {
-			batches <- batch
-			batch = getBatch()
-		}
-	}
-	if len(*batch) > 0 {
-		batches <- batch
-	} else {
-		batchPool.Put(batch)
-	}
-	close(batches)
-
-	return drainWorkers(accs, merge), src.Err()
-}
-
-// RunScanners scans every source concurrently — one scanner goroutine per
-// source, all feeding the same n-worker pool — and merges the per-worker
-// accumulators. This is the multi-file ingestion layer: for a corpus
-// split across per-proxy log files it decodes the files in parallel,
-// instead of serially like NewMultiScanner. n <= 0 uses GOMAXPROCS.
-//
-// Results are deterministic regardless of n or scanner interleaving for
-// commutative accumulators. All of internal/core's are, with one caveat:
-// its capped stores (Options.MaxStoredCensoredURLs, MaxTokenEntries)
-// admit entries in observation order, so determinism holds only while a
-// corpus stays under those caps — past them, use Run with a MultiScanner
-// and n=1 for a strictly ordered scan. The returned error is the first
-// failing scanner's, in srcs order.
-func RunScanners[A any](srcs []Scanner, n int, newAcc func() A, observe func(A, *logfmt.Record), merge func(dst, src A)) (A, error) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if len(srcs) == 1 {
-		return Run(srcs[0], n, newAcc, observe, merge)
-	}
-	if len(srcs) == 0 {
-		return newAcc(), nil
-	}
-
-	batches := make(chan *[]logfmt.Record, n*2)
-	accs := startWorkers(batches, n, newAcc, observe)
-
-	errs := make([]error, len(srcs))
-	var scanWG sync.WaitGroup
-	for i, src := range srcs {
-		scanWG.Add(1)
-		go func(i int, src Scanner) {
-			defer scanWG.Done()
-			batch := getBatch()
-			for {
-				rec, ok := src.Next()
-				if !ok {
-					break
-				}
-				*batch = append(*batch, *rec)
-				if len(*batch) == BatchSize {
-					batches <- batch
-					batch = getBatch()
-				}
-			}
-			if len(*batch) > 0 {
-				batches <- batch
-			} else {
-				batchPool.Put(batch)
-			}
-			errs[i] = src.Err()
-		}(i, src)
-	}
-	scanWG.Wait()
-	close(batches)
-
-	out := drainWorkers(accs, merge)
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
-// RunFiles opens each path and runs RunScanners with one scanner per
-// file. Gzip-compressed files are decompressed transparently (see
-// OpenScanner); a missing, unreadable or malformed-gzip file is an
-// error, never a silently dropped source.
-func RunFiles[A any](paths []string, n int, newAcc func() A, observe func(A, *logfmt.Record), merge func(dst, src A)) (A, error) {
-	srcs, closer, err := OpenFiles(paths)
-	if err != nil {
-		var zero A
-		return zero, err
-	}
-	defer closer.Close()
-	return RunScanners(srcs, n, newAcc, observe, merge)
-}
-
-// startWorkers launches n workers consuming batches; each returns its
-// accumulator through the result slice filled when the channel closes.
-func startWorkers[A any](batches <-chan *[]logfmt.Record, n int, newAcc func() A, observe func(A, *logfmt.Record)) *workerSet[A] {
-	ws := &workerSet[A]{accs: make([]A, n)}
-	for i := 0; i < n; i++ {
-		ws.wg.Add(1)
-		go func(i int) {
-			defer ws.wg.Done()
-			acc := newAcc()
-			for batch := range batches {
-				recs := *batch
-				for j := range recs {
-					observe(acc, &recs[j])
-				}
-				batchPool.Put(batch)
-			}
-			ws.accs[i] = acc
-		}(i)
-	}
-	return ws
-}
-
-type workerSet[A any] struct {
-	wg   sync.WaitGroup
-	accs []A
-}
-
-// drainWorkers waits for the workers and folds their accumulators into
-// the first one, in worker order.
-func drainWorkers[A any](ws *workerSet[A], merge func(dst, src A)) A {
-	ws.wg.Wait()
-	out := ws.accs[0]
-	for i := 1; i < len(ws.accs); i++ {
-		merge(out, ws.accs[i])
-	}
-	return out
-}
-
-// SliceScanner adapts an in-memory record slice.
-type SliceScanner struct {
-	recs []logfmt.Record
-	i    int
-}
-
-// NewSliceScanner wraps recs (not copied).
-func NewSliceScanner(recs []logfmt.Record) *SliceScanner {
-	return &SliceScanner{recs: recs}
-}
-
-// Next implements Scanner.
-func (s *SliceScanner) Next() (*logfmt.Record, bool) {
-	if s.i >= len(s.recs) {
-		return nil, false
-	}
-	r := &s.recs[s.i]
-	s.i++
-	return r, true
-}
-
-// Err implements Scanner.
-func (s *SliceScanner) Err() error { return nil }
-
-// Reset rewinds the scanner for another pass.
-func (s *SliceScanner) Reset() { s.i = 0 }
-
-// FuncScanner adapts a generator function to a Scanner.
-type FuncScanner struct {
-	fn  func() (*logfmt.Record, bool)
-	err error
-}
-
-// NewFuncScanner wraps fn.
-func NewFuncScanner(fn func() (*logfmt.Record, bool)) *FuncScanner {
-	return &FuncScanner{fn: fn}
-}
-
-// Next implements Scanner.
-func (s *FuncScanner) Next() (*logfmt.Record, bool) { return s.fn() }
-
-// Err implements Scanner.
-func (s *FuncScanner) Err() error { return s.err }
-
-// MultiScanner chains several scanners serially, e.g. one logfmt.Reader
-// per proxy log file. Prefer RunScanners for parallel multi-file
-// ingestion; MultiScanner remains for strict-order single-goroutine
-// scans.
-type MultiScanner struct {
-	scanners []Scanner
-	i        int
-	err      error
-}
-
-// NewMultiScanner chains scanners in order.
-func NewMultiScanner(scanners ...Scanner) *MultiScanner {
-	return &MultiScanner{scanners: scanners}
-}
-
-// Next implements Scanner.
-func (m *MultiScanner) Next() (*logfmt.Record, bool) {
-	for m.i < len(m.scanners) {
-		rec, ok := m.scanners[m.i].Next()
-		if ok {
-			return rec, true
-		}
-		if err := m.scanners[m.i].Err(); err != nil {
-			m.err = err
-			return nil, false
-		}
-		m.i++
-	}
-	return nil, false
-}
-
-// Err implements Scanner.
-func (m *MultiScanner) Err() error { return m.err }
-
-// ErrStopped is returned by sources cancelled mid-scan.
-var ErrStopped = errors.New("pipeline: stopped")

@@ -1,12 +1,14 @@
 package pipeline
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"syriafilter/internal/logfmt"
@@ -52,34 +54,88 @@ func mergeCount(dst, src *countAcc) {
 	}
 }
 
-func TestRunSerialEqualsParallel(t *testing.T) {
-	recs := makeRecords(10000)
-	serial, err := Run(NewSliceScanner(recs), 1, newCountAcc, observeCount, mergeCount)
-	if err != nil {
+// observeAll is the in-memory reference every block run is compared
+// against: the records folded directly, no bytes and no pool in between.
+func observeAll(parts ...[]logfmt.Record) *countAcc {
+	acc := newCountAcc()
+	for _, recs := range parts {
+		for i := range recs {
+			observeCount(acc, &recs[i])
+		}
+	}
+	return acc
+}
+
+func requireSameCounts(t *testing.T, label string, got, want *countAcc) {
+	t.Helper()
+	if got.total != want.total || got.censored != want.censored {
+		t.Fatalf("%s: totals %d/%d, want %d/%d", label, got.total, got.censored, want.total, want.censored)
+	}
+	if len(got.hosts) != len(want.hosts) {
+		t.Fatalf("%s: %d hosts, want %d", label, len(got.hosts), len(want.hosts))
+	}
+	for k, v := range want.hosts {
+		if got.hosts[k] != v {
+			t.Fatalf("%s: host %s = %d, want %d", label, k, got.hosts[k], v)
+		}
+	}
+}
+
+// encodeRecords renders recs as headerless CSV: the bytes a source reads.
+func encodeRecords(t *testing.T, recs []logfmt.Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := logfmt.NewWriter(&buf)
+	for i := range recs {
+		if err := w.Write(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		par, err := Run(NewSliceScanner(recs), workers, newCountAcc, observeCount, mergeCount)
+	return buf.Bytes()
+}
+
+// memSource is a block source over r. The 4 KiB block size cuts even a
+// small corpus into many blocks, so a worker pool has work to interleave.
+func memSource(r io.Reader) *BlockSource {
+	return &BlockSource{R: logfmt.NewBlockReaderSize(r, 4096)}
+}
+
+func runSources(srcs []*BlockSource, workers int) (*countAcc, BlockStats, error) {
+	return RunBlockSources(srcs, workers, nil, newCountAcc, observeCount, mergeCount)
+}
+
+func splitRecords(recs []logfmt.Record, parts int) [][]logfmt.Record {
+	out := make([][]logfmt.Record, 0, parts)
+	per := (len(recs) + parts - 1) / parts
+	for i := 0; i < len(recs); i += per {
+		out = append(out, recs[i:min(i+per, len(recs))])
+	}
+	return out
+}
+
+// One source folds to the in-memory reference on the serial fast path and
+// on every pool size.
+func TestRunSerialEqualsParallel(t *testing.T) {
+	recs := makeRecords(10000)
+	data := encodeRecords(t, recs)
+	want := observeAll(recs)
+	for _, workers := range []int{1, 2, 4, 8} {
+		got, stats, err := runSources([]*BlockSource{memSource(bytes.NewReader(data))}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par.total != serial.total || par.censored != serial.censored {
-			t.Fatalf("workers=%d: totals %d/%d vs %d/%d",
-				workers, par.total, par.censored, serial.total, serial.censored)
-		}
-		if len(par.hosts) != len(serial.hosts) {
-			t.Fatalf("workers=%d: host sets differ", workers)
-		}
-		for k, v := range serial.hosts {
-			if par.hosts[k] != v {
-				t.Fatalf("workers=%d: host %s = %d, want %d", workers, k, par.hosts[k], v)
-			}
+		requireSameCounts(t, fmt.Sprintf("workers=%d", workers), got, want)
+		if stats.Records != want.total || stats.Bytes != uint64(len(data)) {
+			t.Fatalf("workers=%d: stats %+v, want %d records over %d bytes", workers, stats, want.total, len(data))
 		}
 	}
 }
 
 func TestRunEmptySource(t *testing.T) {
-	acc, err := Run(NewSliceScanner(nil), 4, newCountAcc, observeCount, mergeCount)
+	acc, _, err := runSources([]*BlockSource{memSource(strings.NewReader(""))}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +145,8 @@ func TestRunEmptySource(t *testing.T) {
 }
 
 func TestRunDefaultWorkers(t *testing.T) {
-	recs := makeRecords(100)
-	acc, err := Run(NewSliceScanner(recs), 0, newCountAcc, observeCount, mergeCount)
+	data := encodeRecords(t, makeRecords(100))
+	acc, _, err := runSources([]*BlockSource{memSource(bytes.NewReader(data))}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,98 +155,11 @@ func TestRunDefaultWorkers(t *testing.T) {
 	}
 }
 
-func TestSliceScannerReset(t *testing.T) {
-	recs := makeRecords(5)
-	s := NewSliceScanner(recs)
-	n := 0
-	for {
-		if _, ok := s.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 5 {
-		t.Fatalf("first pass = %d", n)
-	}
-	s.Reset()
-	if _, ok := s.Next(); !ok {
-		t.Fatal("reset did not rewind")
-	}
-}
-
-func TestFuncScanner(t *testing.T) {
-	i := 0
-	recs := makeRecords(3)
-	s := NewFuncScanner(func() (*logfmt.Record, bool) {
-		if i >= len(recs) {
-			return nil, false
-		}
-		r := &recs[i]
-		i++
-		return r, true
-	})
-	n := 0
-	for {
-		if _, ok := s.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 3 || s.Err() != nil {
-		t.Errorf("n=%d err=%v", n, s.Err())
-	}
-}
-
-func TestMultiScanner(t *testing.T) {
-	a := NewSliceScanner(makeRecords(3))
-	b := NewSliceScanner(makeRecords(4))
-	m := NewMultiScanner(a, b)
-	n := 0
-	for {
-		if _, ok := m.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 7 {
-		t.Errorf("n = %d", n)
-	}
-	if m.Err() != nil {
-		t.Errorf("err = %v", m.Err())
-	}
-}
-
-type errScanner struct{ err error }
-
-func (e *errScanner) Next() (*logfmt.Record, bool) { return nil, false }
-func (e *errScanner) Err() error                   { return e.err }
-
-func TestMultiScannerPropagatesError(t *testing.T) {
-	wantErr := errors.New("boom")
-	m := NewMultiScanner(NewSliceScanner(makeRecords(2)), &errScanner{err: wantErr})
-	for {
-		if _, ok := m.Next(); !ok {
-			break
-		}
-	}
-	if !errors.Is(m.Err(), wantErr) {
-		t.Errorf("err = %v", m.Err())
-	}
-}
-
+// Any io.Reader is a source, at the default block size.
 func TestRunWithReaderSource(t *testing.T) {
-	// End-to-end: records written as CSV, read back through logfmt.Reader,
-	// folded by the pipeline.
-	var sb strings.Builder
-	w := logfmt.NewWriter(&sb)
-	recs := makeRecords(500)
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Flush()
-	acc, err := Run(logfmt.NewReader(strings.NewReader(sb.String())), 3, newCountAcc, observeCount, mergeCount)
+	data := encodeRecords(t, makeRecords(500))
+	src := &BlockSource{R: logfmt.NewBlockReader(strings.NewReader(string(data)))}
+	acc, _, err := runSources([]*BlockSource{src}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,89 +168,59 @@ func TestRunWithReaderSource(t *testing.T) {
 	}
 }
 
-func BenchmarkPipelineSerial(b *testing.B) {
-	recs := makeRecords(100000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(NewSliceScanner(recs), 1, newCountAcc, observeCount, mergeCount); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPipelineParallel(b *testing.B) {
-	recs := makeRecords(100000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(NewSliceScanner(recs), 0, newCountAcc, observeCount, mergeCount); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func splitRecords(recs []logfmt.Record, parts int) []Scanner {
-	srcs := make([]Scanner, 0, parts)
-	per := (len(recs) + parts - 1) / parts
-	for i := 0; i < len(recs); i += per {
-		end := i + per
-		if end > len(recs) {
-			end = len(recs)
-		}
-		srcs = append(srcs, NewSliceScanner(recs[i:end]))
-	}
-	return srcs
-}
-
+// Per-source fan-out — the corpus split over 1, 3 or 7 sources read
+// concurrently — folds to the same result as one source scanned serially.
 func TestRunScannersMatchesRun(t *testing.T) {
 	recs := makeRecords(20000)
-	want, err := Run(NewSliceScanner(recs), 1, newCountAcc, observeCount, mergeCount)
+	want, _, err := runSources([]*BlockSource{memSource(bytes.NewReader(encodeRecords(t, recs)))}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireSameCounts(t, "one source", want, observeAll(recs))
 	for _, workers := range []int{1, 2, 8} {
 		for _, parts := range []int{1, 3, 7} {
-			got, err := RunScanners(splitRecords(recs, parts), workers, newCountAcc, observeCount, mergeCount)
+			var srcs []*BlockSource
+			for _, part := range splitRecords(recs, parts) {
+				srcs = append(srcs, memSource(bytes.NewReader(encodeRecords(t, part))))
+			}
+			got, _, err := runSources(srcs, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.total != want.total || got.censored != want.censored {
-				t.Fatalf("workers=%d parts=%d: totals %d/%d vs %d/%d",
-					workers, parts, got.total, got.censored, want.total, want.censored)
-			}
-			for k, v := range want.hosts {
-				if got.hosts[k] != v {
-					t.Fatalf("workers=%d parts=%d: host %s = %d, want %d",
-						workers, parts, k, got.hosts[k], v)
-				}
-			}
+			requireSameCounts(t, fmt.Sprintf("workers=%d parts=%d", workers, parts), got, want)
 		}
 	}
 }
 
+// Several sources with nothing in them: the pool starts, finds no block
+// and merges empty accumulators.
 func TestRunScannersEmpty(t *testing.T) {
-	acc, err := RunScanners(nil, 4, newCountAcc, observeCount, mergeCount)
+	srcs := []*BlockSource{memSource(strings.NewReader("")), memSource(strings.NewReader(""))}
+	acc, stats, err := runSources(srcs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc.total != 0 {
-		t.Errorf("total = %d", acc.total)
+	if acc.total != 0 || stats != (BlockStats{}) {
+		t.Errorf("acc=%+v stats=%+v", acc, stats)
 	}
 }
 
+// A failing source does not stop the healthy ones, and when several fail
+// the error returned is the first one's in srcs order, path-wrapped.
 func TestRunScannersPropagatesError(t *testing.T) {
-	wantErr := errors.New("boom")
-	srcs := []Scanner{
-		NewSliceScanner(makeRecords(2000)),
-		&errScanner{err: wantErr},
-		NewSliceScanner(makeRecords(1000)),
+	boom, later := errors.New("boom"), errors.New("later")
+	srcs := []*BlockSource{
+		memSource(bytes.NewReader(encodeRecords(t, makeRecords(2000)))),
+		{R: logfmt.NewBlockReader(iotest.ErrReader(boom)), Path: "second.csv"},
+		memSource(bytes.NewReader(encodeRecords(t, makeRecords(1000)))),
+		{R: logfmt.NewBlockReader(iotest.ErrReader(later)), Path: "fourth.csv"},
 	}
-	acc, err := RunScanners(srcs, 2, newCountAcc, observeCount, mergeCount)
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v", err)
+	acc, _, err := runSources(srcs, 2)
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "second.csv") {
+		t.Fatalf("err = %v, want boom from second.csv", err)
 	}
-	// Healthy scanners are still fully consumed.
 	if acc.total != 3000 {
-		t.Errorf("total = %d", acc.total)
+		t.Errorf("total = %d, want the 3000 records of the healthy sources", acc.total)
 	}
 }
 
@@ -289,48 +228,54 @@ func TestRunFiles(t *testing.T) {
 	dir := t.TempDir()
 	recs := makeRecords(3000)
 	var paths []string
-	for part, src := range splitRecords(recs, 3) {
-		path := filepath.Join(dir, fmt.Sprintf("part-%d.csv", part))
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := logfmt.NewWriter(f)
-		for {
-			rec, ok := src.Next()
-			if !ok {
-				break
-			}
-			if err := w.Write(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+	for i, part := range splitRecords(recs, 3) {
+		path := filepath.Join(dir, fmt.Sprintf("part-%d.csv", i))
+		writeLogFile(t, path, part, false)
 		paths = append(paths, path)
 	}
-	acc, err := RunFiles(paths, 4, newCountAcc, observeCount, mergeCount)
+	acc, _, err := blockFilesRun(t, paths, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc.total != 3000 {
-		t.Errorf("total = %d", acc.total)
-	}
-	if _, err := RunFiles([]string{filepath.Join(dir, "missing.csv")}, 2, newCountAcc, observeCount, mergeCount); err == nil {
-		t.Error("missing file should error")
-	}
+	requireSameCounts(t, "three files", acc, observeAll(recs))
 }
 
-func BenchmarkPipelinePerFileFanout(b *testing.B) {
-	recs := makeRecords(100000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunScanners(splitRecords(recs, 7), 0, newCountAcc, observeCount, mergeCount); err != nil {
-			b.Fatal(err)
+// The strictly ordered scan: one source chaining the files (one of them
+// gzipped) through io.MultiReader, one worker. Records are observed in
+// file order, then line order — what capped order-sensitive accumulators
+// need.
+func TestRunBlockSourcesOrderedScan(t *testing.T) {
+	dir := t.TempDir()
+	recs := makeRecords(150)
+	first, second := recs[100:], recs[:100] // file order differs from time order
+	a := filepath.Join(dir, "a.csv")
+	b := filepath.Join(dir, "b.csv.gz")
+	writeLogFile(t, a, first, false)
+	writeLogFile(t, b, second, true)
+
+	var readers []io.Reader
+	for _, path := range []string{a, b} {
+		r, closer, err := OpenReader(path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer closer.Close()
+		readers = append(readers, r)
+	}
+	src := &BlockSource{R: logfmt.NewBlockReaderSize(io.MultiReader(readers...), 512)}
+	got, _, err := RunBlockSources([]*BlockSource{src}, 1, nil,
+		func() *[]int64 { return new([]int64) },
+		func(seen *[]int64, r *logfmt.Record) { *seen = append(*seen, r.Time) },
+		func(dst, src *[]int64) { t.Error("one worker has nothing to merge") },
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int64
+	for _, r := range append(append([]logfmt.Record{}, first...), second...) {
+		want = append(want, r.Time)
+	}
+	if fmt.Sprint(*got) != fmt.Sprint(want) {
+		t.Errorf("records observed out of file order:\n got %v\nwant %v", *got, want)
 	}
 }

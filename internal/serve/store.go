@@ -123,10 +123,10 @@ type Snapshot struct {
 
 // Stats summarizes a Store for monitoring. IngestedBytes and
 // IngestMBPerS only cover the block ingest paths (IngestBlocks,
-// IngestFiles, POST /v1/ingest); records delivered through Add or
-// IngestScanner have no byte representation to count. IngestMBPerS is
-// a windowed rate — bytes over the last ~10 seconds — so it reads the
-// daemon's current load, not a lifetime average diluted by idle time.
+// IngestFiles, POST /v1/ingest); records delivered through Add have no
+// byte representation to count. IngestMBPerS is a windowed rate — bytes
+// over the last ~10 seconds — so it reads the daemon's current load, not
+// a lifetime average diluted by idle time.
 // Timewin is the bucket layout of the latest snapshot. Obs is the full
 // metric registry snapshot (the JSON face of GET /metrics); absent
 // when the store runs with DisableObs.
@@ -464,40 +464,10 @@ func (st *Store) add(recs []logfmt.Record, sp *trace.Span) (uint64, error) {
 	return added, nil
 }
 
-// IngestScanner drains sc into the store in pipeline.BatchSize chunks,
-// returning the number of records added and the scanner's terminal
-// error. Parsing happens on the calling goroutine; prefer IngestBlocks /
-// IngestFiles, which spread it across a worker pool.
-func (st *Store) IngestScanner(sc pipeline.Scanner) (uint64, error) {
-	var added uint64
-	batch := make([]logfmt.Record, 0, pipeline.BatchSize)
-	for {
-		rec, ok := sc.Next()
-		if !ok {
-			break
-		}
-		batch = append(batch, *rec)
-		if len(batch) == pipeline.BatchSize {
-			n, err := st.Add(batch)
-			added += n
-			if err != nil {
-				return added, err
-			}
-			batch = batch[:0]
-		}
-	}
-	n, err := st.Add(batch)
-	added += n
-	if err != nil {
-		return added, err
-	}
-	return added, sc.Err()
-}
-
 // ingestAcc is the per-worker accumulator of the block ingest path: it
 // buffers parsed records and flushes them into the sharded store in
-// pipeline.BatchSize chunks. Field strings of buffered records alias the
-// block strings ParseBlock produced, which stay valid for good.
+// pipeline.BatchSize chunks. Buffered records own their field strings
+// (ParseBlock never aliases the block buffer), so they outlive the block.
 type ingestAcc struct {
 	st    *Store
 	sp    *trace.Span // the request span batches attach to (nil untraced)
@@ -587,7 +557,7 @@ func (st *Store) ingestBlockSources(srcs []*pipeline.BlockSource, workers int, s
 			},
 		}
 	}
-	out, stats, err := pipeline.RunBlockSourcesObs(srcs, workers, bobs,
+	out, stats, err := pipeline.RunBlockSources(srcs, workers, bobs,
 		func() *ingestAcc {
 			return &ingestAcc{st: st, sp: sp, batch: make([]logfmt.Record, 0, pipeline.BatchSize)}
 		},

@@ -145,8 +145,9 @@ func TestSyncIncremental(t *testing.T) {
 		t.Fatal("change carries neither full nor delta")
 	}
 
-	// An unchanged third sync is empty and immediate.
-	third := decodeSync(t, get(srv, "/v1/sync?ids=table4&since="+second.Next))
+	// An unchanged third sync is empty; the short timeout keeps the
+	// no-op long-poll from parking for DefaultSyncTimeout.
+	third := decodeSync(t, get(srv, "/v1/sync?ids=table4&timeout=50ms&since="+second.Next))
 	if len(third.Changed) != 0 {
 		t.Errorf("no-op sync reported %d changes", len(third.Changed))
 	}
@@ -379,7 +380,7 @@ func TestSyncRaceHammer(t *testing.T) {
 	// Quiesced: one more token round-trip must drain to empty.
 	store.Refresh()
 	resp := decodeSync(t, get(srv, "/v1/sync?ids=table4"))
-	final := decodeSync(t, get(srv, "/v1/sync?ids=table4&since="+resp.Next))
+	final := decodeSync(t, get(srv, "/v1/sync?ids=table4&timeout=50ms&since="+resp.Next))
 	if len(final.Changed) != 0 {
 		t.Errorf("quiesced sync still reports %d changes", len(final.Changed))
 	}

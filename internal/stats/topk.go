@@ -84,8 +84,7 @@ func SortEntries(entries []Entry) {
 //
 // It exists because the real dataset (751M rows) would make exact per-URL
 // counting memory-prohibitive; the paper's top-10 tables are exactly the
-// heavy-hitter regime the sketch serves. BenchmarkAblationTopK compares it
-// with the exact Counter.
+// heavy-hitter regime the sketch serves.
 type TopK struct {
 	capacity int
 	counts   map[string]*tkNode
