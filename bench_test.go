@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -328,8 +329,8 @@ func BenchmarkSnapshotCut(b *testing.B) {
 
 // BenchmarkCheckpointRoundTrip measures the state codec on a full
 // analyzed engine: encode + decode of every metric module's state (the
-// per-shard work of a serve.Store checkpoint/restore cycle, before
-// gzip). SetBytes is the encoded state size, so the run reports codec
+// per-frame work of a serve.Store checkpoint/restore cycle, before
+// deflate). SetBytes is the encoded state size, so the run reports codec
 // MB/s.
 func BenchmarkCheckpointRoundTrip(b *testing.B) {
 	f := fixture(b)
@@ -351,8 +352,9 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointEncode isolates the write half (what a periodic
-// checkpoint costs the shard goroutine, before gzip).
+// BenchmarkCheckpointEncode isolates the write half of the codec on one
+// engine: what a checkpoint pays, before deflate, for each frame it has
+// to re-encode (BenchmarkCheckpointWrite counts how many those are).
 func BenchmarkCheckpointEncode(b *testing.B) {
 	f := fixture(b)
 	state := f.analyzer.MarshalState()
@@ -363,6 +365,59 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 		if len(f.analyzer.MarshalState()) == 0 {
 			b.Fatal("empty state")
 		}
+	}
+}
+
+// BenchmarkCheckpointWrite measures one Store.Checkpoint of the fixture
+// store (hourly buckets, 2 shards, fsyncs included) by how much of it
+// changed since the previous checkpoint: dirty=all re-adds the whole
+// corpus first, so every bucket of every shard re-encodes — the floor a
+// cold store or the first checkpoint after ingest pays; dirty=one adds
+// one record, so one bucket of one shard does — the steady state of a
+// live, time-ordered stream, which the ledger's restart rounds cannot
+// show; dirty=none adds nothing, the memo's floor (table + file write).
+// bytes/op is the checkpoint's size on disk.
+func BenchmarkCheckpointWrite(b *testing.B) {
+	f := fixture(b)
+	for _, dirty := range []struct {
+		name string
+		recs []logfmt.Record
+	}{{"all", f.records}, {"one", f.records[:1]}, {"none", nil}} {
+		b.Run("dirty="+dirty.name, func(b *testing.B) {
+			st, err := serve.NewStore(serve.Config{Options: benchOpts(f), Shards: 2, Bucket: time.Hour, DisableObs: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			if _, err := st.Add(f.records); err != nil {
+				b.Fatal(err)
+			}
+			dir := b.TempDir()
+			if _, err := st.Checkpoint(dir); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if _, err := st.Add(dirty.recs); err != nil {
+					b.Fatal(err)
+				}
+				// The shard queues are FIFO: drain the adds, and collect
+				// their garbage, before the clock starts, so it times the
+				// checkpoint alone.
+				if _, err := st.Refresh(); err != nil {
+					b.Fatal(err)
+				}
+				runtime.GC()
+				b.StartTimer()
+				info, err := st.Checkpoint(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(info.Bytes)
+			}
+		})
 	}
 }
 

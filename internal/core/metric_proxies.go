@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"syriafilter/internal/logfmt"
@@ -115,7 +115,7 @@ func (m *proxiesMetric) EncodeState(w *statecodec.Writer) {
 	for id := range m.slots {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	// Per proxy, the slot series encode as count maps that skip zero
 	// entries — byte-identical to the historical layout of one map per
 	// proxy holding only the slots that proxy observed.

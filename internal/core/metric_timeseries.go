@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"syriafilter/internal/logfmt"
 	"syriafilter/internal/statecodec"
@@ -118,7 +118,7 @@ func (m *timeseriesMetric) sortedSlotIDs() []int64 {
 	for id := range m.slots {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -150,7 +150,7 @@ func (m *timeseriesMetric) EncodeState(w *statecodec.Writer) {
 	for h := range m.censHourDomains {
 		hours = append(hours, h)
 	}
-	sort.Slice(hours, func(i, j int) bool { return hours[i] < hours[j] })
+	slices.Sort(hours)
 	w.Uvarint(uint64(len(hours)))
 	for _, h := range hours {
 		w.Varint(h)

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"syriafilter/internal/logfmt"
 	"syriafilter/internal/statecodec"
@@ -172,14 +173,13 @@ func keepSmallestCensored(s []censoredURL, max int) []censoredURL {
 }
 
 func sortCensored(s []censoredURL) {
-	sort.Slice(s, func(i, j int) bool {
-		a, b := &s[i], &s[j]
-		if a.Domain != b.Domain {
-			return a.Domain < b.Domain
+	slices.SortFunc(s, func(a, b censoredURL) int {
+		if c := strings.Compare(a.Domain, b.Domain); c != 0 {
+			return c
 		}
-		if a.URL != b.URL {
-			return a.URL < b.URL
+		if c := strings.Compare(a.URL, b.URL); c != 0 {
+			return c
 		}
-		return a.Host < b.Host
+		return strings.Compare(a.Host, b.Host)
 	})
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"syriafilter/internal/logfmt"
 	"syriafilter/internal/statecodec"
@@ -121,7 +121,7 @@ func (m *torMetric) EncodeState(w *statecodec.Writer) {
 	for h := range m.allowedIPsByHour {
 		hours = append(hours, h)
 	}
-	sort.Slice(hours, func(i, j int) bool { return hours[i] < hours[j] })
+	slices.Sort(hours)
 	w.Uvarint(uint64(len(hours)))
 	for _, h := range hours {
 		w.Varint(h)

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"syriafilter/internal/statecodec"
 	"syriafilter/internal/stats"
@@ -243,7 +244,7 @@ func encTopK(w *statecodec.Writer, t *stats.TopK) {
 	t.EachEntry(func(key string, count, errBound uint64) {
 		entries = append(entries, ent{key, count, errBound})
 	})
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+	slices.SortFunc(entries, func(a, b ent) int { return strings.Compare(a.key, b.key) })
 	w.Uvarint(uint64(t.Capacity()))
 	w.Uvarint(uint64(len(entries)))
 	for _, e := range entries {

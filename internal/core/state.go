@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 
 	"syriafilter/internal/statecodec"
 	"syriafilter/internal/stats"
@@ -14,9 +15,9 @@ import (
 // section per registered module, so a reader can pair sections with
 // modules by registry name: a subset engine round-trips its subset, a
 // full engine reads a full checkpoint, and a future registry reorder
-// changes nothing. Each section is encoded with its own
-// statecodec.Writer (own string table), which is what makes unknown
-// sections skippable.
+// changes nothing. Each section is encoded in its own string-table
+// scope (one statecodec.Writer, Reset between sections), which is what
+// makes unknown sections skippable.
 //
 //	"SFEN" | format version byte | uvarint section count
 //	per section: string module name | blob payload
@@ -38,8 +39,9 @@ func (e *Engine) MarshalState() []byte {
 	w.Raw([]byte(engineStateMagic))
 	w.Byte(engineStateVersion)
 	w.Uvarint(uint64(len(e.modules)))
+	mw := statecodec.NewWriter()
 	for _, m := range e.modules {
-		mw := statecodec.NewWriter()
+		mw.Reset()
 		m.EncodeState(mw)
 		w.String(m.Name())
 		w.Blob(mw.Bytes())
@@ -108,6 +110,40 @@ func (e *Engine) UnmarshalState(b []byte) error {
 	return nil
 }
 
+// StateLayout peeks at an engine state stream without decoding it and
+// returns its section layout: every section's module name and leading
+// layout-version byte, in stream order. An engine's layout depends only
+// on how it was built (module set, counting mode), never on what it
+// observed, so a stream whose layout equals that of an engine's own
+// MarshalState is in the form that engine would write — which is how a
+// holder of decoded bytes (the timewin frame memo) tells "these bytes
+// are this engine's encoding" from "these bytes merely load into it": a
+// full checkpoint loads into a subset engine and an exact one into a
+// sketched engine, but neither is what those engines emit.
+func StateLayout(b []byte) (string, error) {
+	r := statecodec.NewReader(b)
+	if magic := r.Raw(len(engineStateMagic)); r.Err() != nil || string(magic) != engineStateMagic {
+		return "", fmt.Errorf("core: not an engine state stream (bad magic)")
+	}
+	if v := r.Byte(); r.Err() == nil && v != engineStateVersion {
+		return "", fmt.Errorf("core: engine state version %d unsupported (max %d)", v, engineStateVersion)
+	}
+	n := r.Count()
+	var layout []byte
+	for i := 0; i < n; i++ {
+		name := r.String()
+		payload := r.Blob()
+		if err := r.Err(); err != nil {
+			return "", err
+		}
+		if len(payload) == 0 {
+			return "", fmt.Errorf("core: module %q: empty state section", name)
+		}
+		layout = append(append(layout, name...), 0, payload[0])
+	}
+	return string(layout), r.Err()
+}
+
 // WriteState writes MarshalState to w.
 func (e *Engine) WriteState(w io.Writer) error {
 	_, err := w.Write(e.MarshalState())
@@ -142,7 +178,7 @@ func sortedStrKeys[V any](m map[string]V) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	return keys
 }
 
@@ -174,7 +210,7 @@ func encCounter(w *statecodec.Writer, c *stats.Counter) {
 	}
 	entries := make([]kv, 0, c.Len())
 	c.Each(func(k string, v uint64) { entries = append(entries, kv{k, v}) })
-	sort.Slice(entries, func(i, j int) bool { return entries[i].k < entries[j].k })
+	slices.SortFunc(entries, func(a, b kv) int { return strings.Compare(a.k, b.k) })
 	w.Uvarint(uint64(len(entries)))
 	for _, e := range entries {
 		w.StringRef(e.k)
@@ -207,7 +243,7 @@ func encI64Counts(w *statecodec.Writer, m map[int64]uint64) {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	w.Uvarint(uint64(len(m)))
 	for _, k := range keys {
 		w.Varint(k)
@@ -216,15 +252,15 @@ func encI64Counts(w *statecodec.Writer, m map[int64]uint64) {
 }
 
 func encU16Counts(w *statecodec.Writer, m map[uint16]uint64) {
-	keys := make([]int, 0, len(m))
+	keys := make([]uint16, 0, len(m))
 	for k := range m {
-		keys = append(keys, int(k))
+		keys = append(keys, k)
 	}
-	sort.Ints(keys)
+	slices.Sort(keys)
 	w.Uvarint(uint64(len(m)))
 	for _, k := range keys {
 		w.Uvarint(uint64(k))
-		w.Uvarint(m[uint16(k)])
+		w.Uvarint(m[k])
 	}
 }
 
@@ -249,7 +285,7 @@ func encIPSet(w *statecodec.Writer, set map[uint32]struct{}) {
 	for ip := range set {
 		ips = append(ips, ip)
 	}
-	sort.Slice(ips, func(i, j int) bool { return ips[i] < ips[j] })
+	slices.Sort(ips)
 	w.Uvarint(uint64(len(ips)))
 	var prev uint32
 	for _, ip := range ips {
@@ -279,9 +315,7 @@ func encHashSet(w *statecodec.Writer, set map[[20]byte]struct{}) {
 	for h := range set {
 		hashes = append(hashes, h)
 	}
-	sort.Slice(hashes, func(i, j int) bool {
-		return bytes.Compare(hashes[i][:], hashes[j][:]) < 0
-	})
+	slices.SortFunc(hashes, func(a, b [20]byte) int { return bytes.Compare(a[:], b[:]) })
 	w.Uvarint(uint64(len(hashes)))
 	for i := range hashes {
 		w.Raw(hashes[i][:])

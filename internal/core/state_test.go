@@ -212,6 +212,75 @@ func TestEngineStateCorruption(t *testing.T) {
 	}
 }
 
+// A decoded engine keeps no reference into the bytes it was decoded
+// from: timewin inflates checkpoint frames into one buffer it reuses
+// from frame to frame, so the caller may overwrite the input the moment
+// UnmarshalState returns. Exact and sketch layouts both.
+func TestUnmarshalStateDoesNotAliasInput(t *testing.T) {
+	f := corpus(t)
+	for name, an := range map[string]*Analyzer{"exact": f.analyzer, "sketch": sketchedCorpus(t, 0, 0)} {
+		state := an.MarshalState()
+		input := bytes.Clone(state)
+		restored, err := NewEngine(an.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.UnmarshalState(input); err != nil {
+			t.Fatal(err)
+		}
+		for i := range input {
+			input[i] = 0xAA
+		}
+		if !bytes.Equal(restored.MarshalState(), state) {
+			t.Errorf("%s: engine state changed when its decode input was overwritten", name)
+		}
+	}
+}
+
+// StateLayout names what an engine writes, not what it holds: equal for
+// an empty and a loaded engine of one configuration, different across
+// module sets and counting modes — including the pairs that load into
+// each other.
+func TestStateLayout(t *testing.T) {
+	f := corpus(t)
+	opt := fixtureOptions(f)
+	layout := func(b []byte) string {
+		t.Helper()
+		l, err := StateLayout(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	full := layout(f.analyzer.MarshalState())
+	if empty := layout(NewAnalyzer(opt).MarshalState()); empty != full {
+		t.Error("an empty and a loaded engine of one configuration report different layouts")
+	}
+	subset, err := NewEngine(opt, "datasets", "domains")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := subset.UnmarshalState(f.analyzer.MarshalState()); err != nil {
+		t.Fatal(err)
+	}
+	if layout(subset.MarshalState()) == full {
+		t.Error("a module-subset engine reports the full layout")
+	}
+	sk := NewAnalyzer(opt.WithSketches(0, 0))
+	if err := sk.UnmarshalState(f.analyzer.MarshalState()); err != nil {
+		t.Fatal(err)
+	}
+	if layout(sk.MarshalState()) == full {
+		t.Error("a sketched engine reports the exact layout")
+	}
+	state := f.analyzer.MarshalState()
+	for _, bad := range [][]byte{nil, []byte("NOPE"), state[:len(state)/2]} {
+		if _, err := StateLayout(bad); err == nil {
+			t.Errorf("StateLayout accepted a %d-byte malformed stream", len(bad))
+		}
+	}
+}
+
 // FuzzStateRoundTrip feeds arbitrary log lines through the engine and
 // pins the codec invariant: encode → decode → re-encode is
 // byte-identical, and every experiment renders identically.

@@ -1,19 +1,18 @@
 package serve
 
 import (
-	"compress/gzip"
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"syriafilter/internal/obs/trace"
@@ -25,8 +24,8 @@ import (
 // plus one manifest naming the current one:
 //
 //	dir/MANIFEST.json        -> {"generation":"gen-00000003", ...}
-//	dir/gen-00000003/shard-0000.ckpt.gz
-//	dir/gen-00000003/shard-0001.ckpt.gz
+//	dir/gen-00000003/shard-0000.ckpt
+//	dir/gen-00000003/shard-0001.ckpt
 //	...
 //
 // Crash safety is rename-based, twice over: a generation is written
@@ -39,14 +38,29 @@ import (
 // generation — a reader never sees a half-written checkpoint. Older
 // generations are pruned only after the manifest swap is durable.
 //
-// Each shard file is a gzip stream of:
+// Encoding and I/O happen on different goroutines. Each shard's own
+// goroutine cuts its partition's frames (timewin.CheckpointFrames) —
+// serialized with its ingest stream, so they are a clean prefix of what
+// the shard acked — encoding only the frames that changed since they
+// were last cut, and hands the immutable slices back. The goroutine that
+// asked for the checkpoint then does every step above — each of them
+// disk I/O — so a shard pauses for the encoding of what changed and
+// never for a write or an fsync.
 //
-//	"SFCK" | version byte
+// Each shard file is, with no outer compression:
+//
+//	"SFCK" | version byte (2)
 //	uvarint shard index | uvarint shard count | uvarint observed records
-//	partition state (timewin.Partition.MarshalState)
+//	CRC-32 (IEEE, little-endian) of the header bytes above
+//	partition frames (timewin.Frames: a table, then one self-checking
+//	gzip member per bucket and for the tail)
+//
+// Version 1 (one gzip stream around timewin's MarshalState, under a
+// longer file suffix) is not read: a directory holding only such
+// generations restores nothing and the daemon cold-boots.
 const (
 	shardStateMagic   = "SFCK"
-	shardStateVersion = 1
+	shardStateVersion = 2
 	manifestName      = "MANIFEST.json"
 	manifestFormat    = 1
 )
@@ -74,20 +88,21 @@ type manifest struct {
 var ErrNoCheckpoint = errors.New("serve: no checkpoint manifest")
 
 // Checkpoint writes a consistent point-in-time checkpoint of every
-// shard into dir and returns what was written. Each shard's state is
-// encoded and written by that shard's own goroutine — serialized with
-// its ingest stream, so the file is a clean prefix of what the shard
-// acked — with all shards working in parallel. Safe to call while
-// ingest and queries keep running; only the shard currently encoding
-// pauses its ingest.
+// shard into dir and returns what was written. The shards cut their
+// frames in parallel, each on its own goroutine, re-encoding only the
+// buckets that changed since the last checkpoint (or restore); the files
+// are written, synced and renamed by the caller. Safe to call while
+// ingest and queries keep running; a shard pauses its ingest only while
+// it encodes what changed.
 func (st *Store) Checkpoint(dir string) (CheckpointInfo, error) {
 	return st.CheckpointCtx(context.Background(), dir)
 }
 
-// CheckpointCtx is Checkpoint inside a traced context: the write (and
-// each shard's encode, via "ckpt.shard" children) joins the span ctx
-// carries, or becomes its own background "checkpoint.write" trace when
-// ctx has none (the periodic -checkpoint-every loop).
+// CheckpointCtx is Checkpoint inside a traced context: the write (each
+// shard's encode as a "ckpt.shard" child, each file's write and fsync
+// as a "ckpt.write" child) joins the span ctx carries, or becomes its
+// own background "checkpoint.write" trace when ctx has none (the
+// periodic -checkpoint-every loop).
 func (st *Store) CheckpointCtx(ctx context.Context, dir string) (CheckpointInfo, error) {
 	if err := st.begin(); err != nil {
 		return CheckpointInfo{}, err
@@ -135,29 +150,39 @@ func (st *Store) checkpointSpan(dir string, parent *trace.Span) (info Checkpoint
 		return CheckpointInfo{}, err
 	}
 
-	// The shards encode and write their files concurrently.
+	// The shards cut their frames concurrently; nothing in the op touches
+	// the disk.
 	type result struct {
-		err     error
-		bytes   int64
+		frames  timewin.Frames
 		records uint64
 	}
 	results := make([]result, len(st.shards))
 	st.fanOut(sp, "ckpt.shard", func(i int, ssp *trace.Span, p *timewin.Partition, observed *uint64) {
 		r := &results[i]
 		r.records = *observed
-		r.bytes, r.err = writeShardFile(filepath.Join(tmpDir, shardFileName(i)), i, len(st.shards), *observed, p)
-		ssp.Fail(r.err)
+		r.frames = p.CheckpointFrames()
+		ssp.SetAttrs(trace.Int("frames_encoded", int64(r.frames.Encoded)),
+			trace.Int("frames_reused", int64(r.frames.Reused)),
+			trace.Int("bytes", r.frames.Size()))
 	})
 	info = CheckpointInfo{
 		Generation:  gen,
 		CreatedUnix: time.Now().Unix(),
 		Shards:      len(st.shards),
 	}
-	for i, r := range results {
-		if r.err != nil {
-			return fail(fmt.Errorf("serve: checkpoint shard %d: %w", i, r.err))
+	for i := range results {
+		r := &results[i]
+		st.obsm.framesEncoded.Add(uint64(r.frames.Encoded))
+		st.obsm.framesReused.Add(uint64(r.frames.Reused))
+		wsp := sp.Child("ckpt.write")
+		wsp.SetAttrs(trace.Int("shard", int64(i)))
+		n, err := st.writeShardFile(filepath.Join(tmpDir, shardFileName(i)), i, r.records, &r.frames)
+		wsp.Fail(err)
+		wsp.End()
+		if err != nil {
+			return fail(fmt.Errorf("serve: checkpoint shard %d: %w", i, err))
 		}
-		info.Bytes += r.bytes
+		info.Bytes += n
 		info.Records += r.records
 	}
 
@@ -190,28 +215,35 @@ func (st *Store) checkpointSpan(dir string, parent *trace.Span) (info Checkpoint
 	return info, nil
 }
 
-func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.ckpt.gz", i) }
+const shardFileSuffix = ".ckpt"
 
-// writeShardFile encodes one shard's partition into a gzip-framed file,
+func shardFileName(i int) string { return fmt.Sprintf("shard-%04d%s", i, shardFileSuffix) }
+
+// writeShardFile writes one shard's header and already-encoded frames,
 // syncing before close so the later directory rename publishes durable
-// bytes. Returns the compressed size.
-func writeShardFile(path string, idx, count int, observed uint64, p *timewin.Partition) (int64, error) {
+// bytes. Returns the file's size.
+func (st *Store) writeShardFile(path string, idx int, observed uint64, frames *timewin.Frames) (int64, error) {
+	if st.ckptWriteStall != nil {
+		st.ckptWriteStall(idx)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
 	}
-	zw := gzip.NewWriter(f)
 	hw := statecodec.NewWriter()
 	hw.Raw([]byte(shardStateMagic))
 	hw.Byte(shardStateVersion)
 	hw.Uvarint(uint64(idx))
-	hw.Uvarint(uint64(count))
+	hw.Uvarint(uint64(len(st.shards)))
 	hw.Uvarint(observed)
-	if _, err = zw.Write(hw.Bytes()); err == nil {
-		err = p.WriteState(zw)
+	hw.Checksum()
+	// Frames are a few KB each: batch them into fewer writes.
+	bw := bufio.NewWriterSize(f, 256<<10)
+	if _, err = bw.Write(hw.Bytes()); err == nil {
+		_, err = frames.WriteTo(bw)
 	}
-	if cerr := zw.Close(); err == nil {
-		err = cerr
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
 	}
 	if serr := f.Sync(); err == nil {
 		err = serr
@@ -223,11 +255,7 @@ func writeShardFile(path string, idx, count int, observed uint64, p *timewin.Par
 		os.Remove(path)
 		return 0, err
 	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
+	return int64(hw.Len()) + frames.Size(), nil
 }
 
 func writeManifest(dir string, m *manifest) error {
@@ -456,7 +484,7 @@ func (st *Store) restoreGeneration(dir string, g genEntry, m *manifest) (info Ch
 	shards := 0
 	var bytes int64
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "shard-") && strings.HasSuffix(e.Name(), ".ckpt.gz") {
+		if strings.HasPrefix(e.Name(), "shard-") && strings.HasSuffix(e.Name(), shardFileSuffix) {
 			shards++
 			if fi, err := e.Info(); err == nil {
 				bytes += fi.Size()
@@ -467,23 +495,29 @@ func (st *Store) restoreGeneration(dir string, g genEntry, m *manifest) (info Ch
 		return CheckpointInfo{}, false, fmt.Errorf("no shard files in %s", g.name)
 	}
 
+	// Stage one empty partition per shard file, then decode every frame
+	// of every file on one worker pool: nothing is staged unless all of
+	// it decodes.
 	staged := make([]*timewin.Partition, shards)
+	streams := make([][]byte, shards)
 	counts := make([]uint64, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			staged[i], counts[i], errs[i] = st.readShardFile(filepath.Join(genDir, shardFileName(i)), i, shards)
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
+	for i := range staged {
+		streams[i], counts[i], err = readShardFile(filepath.Join(genDir, shardFileName(i)), i, shards)
 		if err != nil {
 			return CheckpointInfo{}, false, fmt.Errorf("shard file %d: %w", i, err)
 		}
+		staged[i], err = timewin.New(timewin.Config{
+			Options: st.cfg.Options,
+			Metrics: st.cfg.Metrics,
+			Bucket:  st.cfg.Bucket,
+			Retain:  st.cfg.Retain,
+		})
+		if err != nil {
+			return CheckpointInfo{}, false, err
+		}
+	}
+	if err := timewin.UnmarshalFramesAll(staged, streams, runtime.GOMAXPROCS(0)); err != nil {
+		return CheckpointInfo{}, false, fmt.Errorf("shard files: %w", err)
 	}
 
 	// Fold phase: nothing below can fail (Absorb only errors on grid
@@ -552,20 +586,11 @@ func readManifest(dir string) (*manifest, error) {
 	return &m, nil
 }
 
-// readShardFile decodes one checkpoint shard file into a fresh staging
-// partition built from the store's config.
-func (st *Store) readShardFile(path string, idx, count int) (*timewin.Partition, uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer zr.Close()
-	b, err := io.ReadAll(zr)
+// readShardFile reads one checkpoint shard file and checks its header,
+// returning the partition frames stream behind it and the shard's
+// observed-record count.
+func readShardFile(path string, idx, count int) (stream []byte, observed uint64, err error) {
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -574,7 +599,7 @@ func (st *Store) readShardFile(path string, idx, count int) (*timewin.Partition,
 		return nil, 0, fmt.Errorf("not a shard checkpoint (bad magic)")
 	}
 	if v := r.Byte(); r.Err() == nil && v != shardStateVersion {
-		return nil, 0, fmt.Errorf("shard checkpoint version %d unsupported (max %d)", v, shardStateVersion)
+		return nil, 0, fmt.Errorf("shard checkpoint version %d unsupported (want %d)", v, shardStateVersion)
 	}
 	if got := r.Uvarint(); r.Err() == nil && got != uint64(idx) {
 		return nil, 0, fmt.Errorf("file claims shard %d, expected %d", got, idx)
@@ -582,21 +607,10 @@ func (st *Store) readShardFile(path string, idx, count int) (*timewin.Partition,
 	if got := r.Uvarint(); r.Err() == nil && got != uint64(count) {
 		return nil, 0, fmt.Errorf("file claims %d shards, manifest says %d", got, count)
 	}
-	observed := r.Uvarint()
+	observed = r.Uvarint()
+	r.Checksum()
 	if err := r.Err(); err != nil {
 		return nil, 0, err
 	}
-	p, err := timewin.New(timewin.Config{
-		Options: st.cfg.Options,
-		Metrics: st.cfg.Metrics,
-		Bucket:  st.cfg.Bucket,
-		Retain:  st.cfg.Retain,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := p.UnmarshalState(b[len(b)-r.Remaining():]); err != nil {
-		return nil, 0, err
-	}
-	return p, observed, nil
+	return b[len(b)-r.Remaining():], observed, nil
 }

@@ -278,6 +278,23 @@ func TestRestoreGenerationFallback(t *testing.T) {
 			wantRecords: 1000, wantFallbacks: 1,
 		},
 		{
+			name: "one flipped byte in a frame of newest falls back one generation",
+			mutate: func(t *testing.T, dir string) {
+				// The file ends with its last frame's CRC-32 and length; 64
+				// bytes back is inside that frame's deflate payload.
+				path := filepath.Join(dir, genB.Generation, shardFileName(0))
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b[len(b)-64] ^= 0x01
+				if err := os.WriteFile(path, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantRecords: 1000, wantFallbacks: 1,
+		},
+		{
 			name: "missing newest generation falls back one generation",
 			mutate: func(t *testing.T, dir string) {
 				if err := os.RemoveAll(filepath.Join(dir, genB.Generation)); err != nil {
@@ -351,8 +368,8 @@ func truncateFile(t *testing.T, path string, n int64) {
 }
 
 // garbleFile flips bytes in the middle of path, keeping the length (a
-// bit-rot corruption the gzip checksum catches, unlike a truncation the
-// decoder catches first).
+// bit-rot corruption the frames' gzip checksums catch, unlike a
+// truncation the table's lengths catch first).
 func garbleFile(t *testing.T, path string) {
 	t.Helper()
 	b, err := os.ReadFile(path)

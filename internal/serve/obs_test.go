@@ -117,6 +117,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"censord_timewin_compactions_total":                  false,
 		"censord_checkpoint_writes_total":                    true,
 		"censord_checkpoint_write_seconds_count":             true,
+		"censord_checkpoint_frames_encoded_total":            true,
+		"censord_checkpoint_frames_reused_total":             false,
 		"censord_checkpoint_generation":                      true,
 		"censord_checkpoint_bytes":                           true,
 		"censord_intern_strings_total":                       true,

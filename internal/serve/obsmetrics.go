@@ -43,6 +43,8 @@ type storeMetrics struct {
 
 	checkpoints      *obs.Counter
 	checkpointWrite  *obs.Histogram
+	framesEncoded    *obs.Counter
+	framesReused     *obs.Counter
 	restores         *obs.Counter
 	restoreSeconds   *obs.Histogram
 	restoreFallbacks *obs.Counter
@@ -95,6 +97,12 @@ func newStoreMetrics(r *obs.Registry) storeMetrics {
 			"Checkpoints written."),
 		checkpointWrite: r.Histogram("censord_checkpoint_write_seconds",
 			"Checkpoint write duration (all shards, fsyncs included).", nil),
+		framesEncoded: r.Counter("censord_checkpoint_frames_encoded_total",
+			"Bucket and tail frames checkpoints had to encode: their "+
+				"record count moved since the frame was last cut."),
+		framesReused: r.Counter("censord_checkpoint_frames_reused_total",
+			"Bucket and tail frames checkpoints wrote from the memo "+
+				"without encoding (unchanged since cut, or seeded by a restore)."),
 		restores: r.Counter("censord_checkpoint_restores_total",
 			"Checkpoints restored."),
 		restoreSeconds: r.Histogram("censord_checkpoint_restore_seconds",

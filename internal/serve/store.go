@@ -257,6 +257,10 @@ type Store struct {
 	// the merge — a test hook for injecting per-shard latency so trace
 	// attribution can be pinned without depending on real load.
 	rangeStall func(shard int)
+	// ckptWriteStall, when non-nil, runs before each checkpoint shard
+	// file is created — a test hook for holding the file write open to
+	// pin that no shard goroutine waits on checkpoint I/O.
+	ckptWriteStall func(shard int)
 
 	ckptSeq  atomic.Uint64                  // checkpoint generation counter
 	lastCkpt atomic.Pointer[CheckpointInfo] // most recent written or restored checkpoint

@@ -20,14 +20,15 @@
 //
 // String-table scope is one Writer/Reader pair. Container formats that
 // frame multiple independently-skippable sections (the Engine's
-// per-module sections) must give each section its own Writer, or a
-// skipped section would swallow string definitions that later
-// sections reference.
+// per-module sections) must give each section its own Writer — or one
+// Writer Reset between sections — or a skipped section would swallow
+// string definitions that later sections reference.
 package statecodec
 
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 )
 
 // Writer accumulates an encoded state buffer. The zero value is not
@@ -39,6 +40,16 @@ type Writer struct {
 
 // NewWriter returns an empty writer.
 func NewWriter() *Writer { return &Writer{} }
+
+// Reset empties the writer for another encoding while keeping what it
+// allocated: the buffer keeps its capacity and the string table its
+// buckets. The next encoding starts a new string-table scope, exactly as
+// a fresh Writer would. Bytes returned before the Reset are overwritten
+// by later writes; copy them out first.
+func (w *Writer) Reset() {
+	w.buf = w.buf[:0]
+	clear(w.strs)
+}
 
 // Bytes returns the encoded buffer. It aliases the writer's internal
 // storage; further writes may invalidate it.
@@ -80,6 +91,13 @@ func (w *Writer) Blob(b []byte) {
 // Raw appends bytes with no length prefix; the reader must know the
 // width (fixed-size hashes, magic numbers).
 func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
+
+// Checksum appends the CRC-32 (IEEE, little-endian) of everything
+// written so far, for headers and tables that no compression layer's
+// checksum covers. Reader.Checksum verifies it.
+func (w *Writer) Checksum() {
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(w.buf))
+}
 
 // StringRef appends s through the writer's intern table: the first
 // occurrence is written inline (tag 0 + the string) and assigned the
@@ -225,6 +243,20 @@ func (r *Reader) Raw(n int) []byte {
 	b := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return b
+}
+
+// Checksum reads a CRC-32 written by Writer.Checksum and poisons the
+// reader unless it matches every byte read before it, from the start of
+// the buffer.
+func (r *Reader) Checksum() {
+	if r.err != nil {
+		return
+	}
+	covered := r.off
+	want := crc32.ChecksumIEEE(r.buf[:covered])
+	if got := r.Raw(4); r.err == nil && binary.LittleEndian.Uint32(got) != want {
+		r.Failf("statecodec: checksum mismatch over the first %d bytes", covered)
+	}
 }
 
 // StringRef reads an interned string written by Writer.StringRef.

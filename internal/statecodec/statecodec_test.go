@@ -81,6 +81,62 @@ func TestStringRefInterns(t *testing.T) {
 	}
 }
 
+// A Reset writer encodes exactly what a fresh one would: the buffer is
+// empty and the string table forgotten, so the first ref after a Reset
+// is written inline again.
+func TestWriterReset(t *testing.T) {
+	encode := func(w *Writer) []byte {
+		w.StringRef("example.com")
+		w.Uvarint(7)
+		w.StringRef("example.com")
+		w.StringRef("example.org")
+		return bytes.Clone(w.Bytes())
+	}
+	want := encode(NewWriter())
+	w := NewWriter()
+	w.StringRef("example.org") // a different table, from an earlier section
+	w.String("left over")
+	w.Reset()
+	if w.Len() != 0 {
+		t.Fatalf("Reset left %d bytes behind", w.Len())
+	}
+	if got := encode(w); !bytes.Equal(got, want) {
+		t.Errorf("a Reset writer encoded %x, a fresh one %x", got, want)
+	}
+}
+
+// A Checksum covers every byte before it: any single flipped bit, in the
+// covered bytes or in the sum, poisons the reader.
+func TestChecksum(t *testing.T) {
+	w := NewWriter()
+	w.Uvarint(300)
+	w.String("header")
+	w.Checksum()
+	w.String("not covered")
+	good := w.Bytes()
+	read := func(b []byte) error {
+		r := NewReader(b)
+		r.Uvarint()
+		_ = r.String()
+		r.Checksum()
+		return r.Err()
+	}
+	if err := read(good); err != nil {
+		t.Fatalf("intact stream: %v", err)
+	}
+	covered := len(good) - len("not covered") - 1
+	for i := 0; i < covered; i++ {
+		bad := bytes.Clone(good)
+		bad[i] ^= 0x10
+		if read(bad) == nil {
+			t.Errorf("flipped bit in byte %d of %d passed the checksum", i, covered)
+		}
+	}
+	if read(good[:covered-1]) == nil {
+		t.Error("truncated checksum accepted")
+	}
+}
+
 // Every truncation of a valid stream must fail cleanly (no panic) and
 // leave a sticky error.
 func TestTruncation(t *testing.T) {

@@ -22,6 +22,15 @@ import (
 //	                              blob engine state
 //
 // Engine states are the core.Engine.MarshalState encoding.
+//
+// This is the canonical, uncached form: MarshalState encodes every
+// engine on every call and neither reads nor fills the checkpoint-frame
+// memo, so a probe or an equality test that calls it measures (or
+// compares) a real encode. What internal/serve writes to disk is the
+// framed form of the same state, CheckpointFrames in frames.go, which
+// re-encodes only what changed; a bucket or tail of zero records is
+// refused by both decoders, because the record count is the version
+// that memo (and Fingerprint) reads.
 const (
 	partitionStateMagic   = "SFTW"
 	partitionStateVersion = 1
@@ -91,10 +100,14 @@ func (p *Partition) ReadState(r io.Reader) error {
 }
 
 // partitionState is a fully decoded, not yet applied partition state.
+// tailFrame and each bucket's frame, when set, are the checkpoint frame
+// the engine was decoded from (or last cut as): absorb hands it to the
+// memo of whatever it installs directly.
 type partitionState struct {
 	tail             *core.Engine
 	tailMin, tailMax int64
 	tailRecords      uint64
+	tailFrame        []byte
 	buckets          []decodedBucket
 }
 
@@ -102,6 +115,37 @@ type decodedBucket struct {
 	idx     int64
 	records uint64
 	eng     *core.Engine
+	frame   []byte
+}
+
+// checkGrid reads the bucket width and the retention horizon that lead
+// both partition encodings, and refuses a width other than p's.
+func (p *Partition) checkGrid(r *statecodec.Reader) error {
+	if secs := r.Uvarint(); r.Err() == nil && secs != uint64(p.bucketSecs) {
+		return fmt.Errorf("timewin: checkpoint bucket width %ds does not match configured %ds; rebuild state on the new grid (cold boot) or restore with the original -bucket", secs, p.bucketSecs)
+	}
+	r.Uvarint() // stored retention horizon, informative only
+	return r.Err()
+}
+
+// validate checks what both decoders require of a decoded layout before
+// it may be applied: bucket indices strictly ascending, and no bucket or
+// tail of zero records. The record count is the version the frame memo
+// and Fingerprint read, so an engine that merged in without moving it
+// would leave both serving the state from before the merge.
+func (st *partitionState) validate(hasTail bool) error {
+	if hasTail && st.tailRecords == 0 {
+		return fmt.Errorf("timewin: tail with no records")
+	}
+	for i, b := range st.buckets {
+		if b.records == 0 {
+			return fmt.Errorf("timewin: bucket %d with no records", b.idx)
+		}
+		if i > 0 && b.idx <= st.buckets[i-1].idx {
+			return fmt.Errorf("timewin: bucket indices out of order (%d after %d)", b.idx, st.buckets[i-1].idx)
+		}
+	}
+	return nil
 }
 
 // decodeState parses and validates every byte of b — including every
@@ -115,34 +159,35 @@ func (p *Partition) decodeState(b []byte) (*partitionState, error) {
 	if v := r.Byte(); r.Err() == nil && v != partitionStateVersion {
 		return nil, fmt.Errorf("timewin: partition state version %d unsupported (max %d)", v, partitionStateVersion)
 	}
-	if secs := r.Uvarint(); r.Err() == nil && secs != uint64(p.bucketSecs) {
-		return nil, fmt.Errorf("timewin: checkpoint bucket width %ds does not match configured %ds; rebuild state on the new grid (cold boot) or restore with the original -bucket", secs, p.bucketSecs)
+	if err := p.checkGrid(r); err != nil {
+		return nil, err
 	}
-	r.Uvarint() // stored retention horizon, informative only
 	st := &partitionState{}
+	engine := func() (*core.Engine, error) {
+		blob := r.Blob()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		return p.decodeEngine(blob)
+	}
 	if r.Bool() {
 		st.tailMin = r.Varint()
 		st.tailMax = r.Varint()
 		st.tailRecords = r.Uvarint()
-		eng, err := p.decodeEngine(r.Blob(), r)
+		eng, err := engine()
 		if err != nil {
 			return nil, err
 		}
 		st.tail = eng
 	}
 	n := r.Count()
-	prev := int64(0)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		idx := r.Varint()
 		records := r.Uvarint()
-		eng, err := p.decodeEngine(r.Blob(), r)
+		eng, err := engine()
 		if err != nil {
 			return nil, err
 		}
-		if i > 0 && idx <= prev {
-			return nil, fmt.Errorf("timewin: bucket indices out of order (%d after %d)", idx, prev)
-		}
-		prev = idx
 		st.buckets = append(st.buckets, decodedBucket{idx: idx, records: records, eng: eng})
 	}
 	if err := r.Err(); err != nil {
@@ -151,13 +196,16 @@ func (p *Partition) decodeState(b []byte) (*partitionState, error) {
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("timewin: %d trailing bytes after partition state", r.Remaining())
 	}
+	if err := st.validate(st.tail != nil); err != nil {
+		return nil, err
+	}
 	return st, nil
 }
 
-func (p *Partition) decodeEngine(blob []byte, r *statecodec.Reader) (*core.Engine, error) {
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
+// decodeEngine decodes one engine state into a fresh engine of the
+// partition's configuration. It reads p only, so the frame workers may
+// call it concurrently.
+func (p *Partition) decodeEngine(blob []byte) (*core.Engine, error) {
 	eng, err := core.NewEngine(p.opt, p.metrics...)
 	if err != nil {
 		// Unreachable: New validated the module names.
@@ -185,10 +233,11 @@ func (p *Partition) Absorb(other *Partition) error {
 		tailMin:     other.tailMin,
 		tailMax:     other.tailMax,
 		tailRecords: other.tailRecords,
+		tailFrame:   other.tailMemo.valid(other.tailRecords),
 	}
 	for _, idx := range other.order {
 		b := other.live[idx]
-		st.buckets = append(st.buckets, decodedBucket{idx: idx, records: b.records, eng: b.eng})
+		st.buckets = append(st.buckets, decodedBucket{idx: idx, records: b.records, eng: b.eng, frame: b.memo.valid(b.records)})
 	}
 	p.absorb(st)
 	return nil
@@ -198,12 +247,16 @@ func (p *Partition) Absorb(other *Partition) error {
 // span is known before buckets are placed); a bucket at or below the
 // resulting tail horizon folds into the tail rather than resurrecting a
 // compacted index, exactly like a late record in Observe. A final
-// compact re-applies p's own retention policy.
+// compact re-applies p's own retention policy. An engine installed
+// directly — nothing of p's to merge into — brings its frame along as
+// the memo; every merge moves a record count, which is what retires the
+// frame cut at the old one.
 func (p *Partition) absorb(st *partitionState) {
 	if st.tail != nil {
 		if p.tail == nil {
 			p.tail = st.tail
 			p.tailMin, p.tailMax = st.tailMin, st.tailMax
+			p.tailMemo = frame{records: st.tailRecords, data: st.tailFrame}
 		} else {
 			p.tail.Merge(st.tail)
 			if st.tailMin < p.tailMin {
@@ -245,7 +298,7 @@ func (p *Partition) absorb(st *partitionState) {
 			b.records += db.records
 			continue
 		}
-		p.live[db.idx] = &bucket{eng: db.eng, records: db.records}
+		p.live[db.idx] = &bucket{eng: db.eng, records: db.records, memo: frame{records: db.records, data: db.frame}}
 		p.insertIdx(db.idx)
 	}
 	p.compact()

@@ -267,6 +267,7 @@ func (c *Coverage) Extend(o Coverage) {
 type bucket struct {
 	eng     *core.Engine
 	records uint64
+	memo    frame // last checkpoint frame cut for eng; see frames.go
 }
 
 // Partition is the time-partitioned store: a ring of live bucket engines
@@ -283,8 +284,10 @@ type Partition struct {
 	tail             *core.Engine
 	tailRecords      uint64
 	tailMin, tailMax int64 // bucket-index span covered by the tail
+	tailMemo         frame // last checkpoint frame cut for the tail
 
-	spare *core.Engine // validated engine from New, consumed by the first bucket
+	spare  *core.Engine // validated engine from New, consumed by the first bucket
+	layout string       // core.StateLayout of what this partition's engines encode to
 
 	obs *PartitionObs
 }
@@ -307,6 +310,10 @@ func New(cfg Config) (*Partition, error) {
 	if err != nil {
 		return nil, err
 	}
+	layout, err := core.StateLayout(spare.MarshalState())
+	if err != nil {
+		return nil, err
+	}
 	return &Partition{
 		opt:           cfg.Options,
 		metrics:       cfg.Metrics,
@@ -314,6 +321,7 @@ func New(cfg Config) (*Partition, error) {
 		retainBuckets: retain,
 		live:          map[int64]*bucket{},
 		spare:         spare,
+		layout:        layout,
 		obs:           cfg.Obs,
 	}, nil
 }

@@ -218,6 +218,17 @@ awk -v n="$restores" 'BEGIN { exit !(n == 1) }' \
 
 echo "smoke: warm restart serves byte-identical tables from the checkpoint ($restored records, metrics monotone gen $pre_gen -> $post_gen)"
 
+# The restore seeded the frame memo with the bytes it read: a checkpoint
+# of the restarted, unchanged daemon encodes nothing and reuses every
+# frame (same shard count on both sides, so nothing merged).
+curl -sf -X POST "http://$ADDR/v1/checkpoint" > /dev/null
+curl -sf "http://$ADDR/metrics" > "$tmp/metrics-reckpt.txt"
+enc=$(mval "$tmp/metrics-reckpt.txt" censord_checkpoint_frames_encoded_total)
+reused=$(mval "$tmp/metrics-reckpt.txt" censord_checkpoint_frames_reused_total)
+awk -v e="$enc" -v r="$reused" 'BEGIN { exit !(e == 0 && r > 0) }' \
+  || { echo "smoke: checkpoint after warm restart encoded $enc frames and reused $reused, want 0 and > 0" >&2; exit 1; }
+echo "smoke: checkpoint after warm restart re-encoded nothing ($reused frames reused)"
+
 # --- sketch mode: checkpoint -> SIGTERM -> warm restart, estimates survive ---
 #
 # Same drill with -sketch: boot a sketch-mode daemon on the corpus,

@@ -355,7 +355,7 @@ func (l *ledger) anyShardFile(gen string) string {
 		l.t.Fatal(err)
 	}
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "shard-") && strings.HasSuffix(e.Name(), ".ckpt.gz") {
+		if strings.HasPrefix(e.Name(), "shard-") && strings.HasSuffix(e.Name(), ".ckpt") {
 			return filepath.Join(l.dir, gen, e.Name())
 		}
 	}
