@@ -48,17 +48,17 @@
 // "loading" (503) until the first snapshot is cut, and "draining"
 // (503) again from SIGTERM until exit so load balancers stop routing
 // before the queues flush. The daemon is hardened for unattended
-// multi-week runs: explicit HTTP read/write/idle timeouts
-// (-http-*-timeout), a POST /v1/ingest body cap (-max-body, 413
-// beyond it), and bounded ingest backpressure — a shard queue stalled
-// past -shed-after fails the request with 429 + Retry-After instead
-// of hanging the handler (censord_ingest_shed_total counts these).
+// multi-week runs: explicit HTTP read/write/idle timeouts, a POST
+// /v1/ingest body cap (-max-body, 413 beyond it), and bounded ingest
+// backpressure — a shard queue stalled past -shed-after fails the
+// request with 429 + Retry-After instead of hanging the handler
+// (censord_ingest_shed_total counts these).
 // POST /v1/checkpoint cuts a checkpoint on demand when -checkpoint is
 // set. Every request is traced (W3C traceparent honored, X-Request-ID
 // derived otherwise): traces slower than -trace-slow (default 250ms)
 // or errored are always retained in the in-memory flight recorder at
-// GET /debug/traces, the rest sampled 1-in--trace-sample; -trace-slow 0
-// disables tracing entirely. Logs are structured
+// GET /debug/traces, the rest sampled 1 in 16; -trace-slow 0 disables
+// tracing entirely. Logs are structured
 // (log/slog) — -log-level selects verbosity, -log-format text|json the
 // encoding — and every request is access-logged with an X-Request-ID.
 // -debug-addr serves net/http/pprof on a second, separately bindable
@@ -133,13 +133,8 @@ func main() {
 		docCache   = flag.Int64("doc-cache-bytes", serve.DefaultDocCacheBytes, "rendered-doc cache budget: encoded doc/range responses are cached per snapshot generation and served as memcpy (0 = render every request)")
 		syncParked = flag.Int("sync-max-parked", serve.DefaultSyncMaxParked, "maximum concurrently parked GET /v1/sync long-polls; excess polls shed with 429 + Retry-After")
 		shedAfter  = flag.Duration("shed-after", serve.DefaultAddTimeout, "ingest load-shedding deadline: a shard queue full past this sheds the request with 429 instead of blocking the handler (negative = block forever)")
-		readTO     = flag.Duration("http-read-timeout", 5*time.Minute, "http.Server read timeout (covers the whole request body)")
-		writeTO    = flag.Duration("http-write-timeout", 5*time.Minute, "http.Server write timeout")
-		idleTO     = flag.Duration("http-idle-timeout", 2*time.Minute, "http.Server keep-alive idle timeout")
 		keepGens   = flag.Int("keep-generations", serve.DefaultKeepGenerations, "checkpoint generations kept on disk; restore falls back one generation at a time when the newest is damaged")
 		traceSlow  = flag.Duration("trace-slow", trace.DefaultSlow, "flight-recorder slow threshold: traces at least this long (and errored traces) are always retained and logged (0 = disable tracing)")
-		traceSmpl  = flag.Int("trace-sample", trace.DefaultSample, "flight-recorder sampling: 1 in N fast, error-free traces is retained alongside every slow/error trace")
-		traceRing  = flag.Int("trace-ring", trace.DefaultRingSize, "flight-recorder capacity per retention class (slow/error vs sampled), per shard")
 		version    = flag.Bool("version", false, "print version and build info, then exit")
 	)
 	flag.Parse()
@@ -165,10 +160,8 @@ func main() {
 	var tracer *trace.Tracer
 	if *traceSlow > 0 {
 		tracer = trace.New(trace.Config{
-			Slow:     *traceSlow,
-			Sample:   *traceSmpl,
-			RingSize: *traceRing,
-			Logger:   logger,
+			Slow:   *traceSlow,
+			Logger: logger,
 		})
 	}
 
@@ -300,9 +293,9 @@ func main() {
 		Addr:              *addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       *readTO,
-		WriteTimeout:      *writeTO,
-		IdleTimeout:       *idleTO,
+		ReadTimeout:       5 * time.Minute, // covers the whole request body
+		WriteTimeout:      5 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()

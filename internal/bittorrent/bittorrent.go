@@ -7,7 +7,6 @@
 package bittorrent
 
 import (
-	"encoding/hex"
 	"errors"
 	"strings"
 
@@ -24,13 +23,6 @@ type Announce struct {
 	Left       uint64
 	Event      string // "started", "stopped", "completed" or ""
 }
-
-// HashHex returns the lowercase hex of the info hash.
-func (a *Announce) HashHex() string { return hex.EncodeToString(a.InfoHash[:]) }
-
-// PeerIDString returns the peer id as a printable string (it is
-// conventionally ASCII: "-UT3110-" + random).
-func (a *Announce) PeerIDString() string { return string(a.PeerID[:]) }
 
 // Query renders the announce as a cs-uri-query string, percent-encoding
 // the binary hash the way real clients do.

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"syriafilter/internal/categorydb"
-	"syriafilter/internal/geoip"
 	"syriafilter/internal/logfmt"
 	"syriafilter/internal/stats"
 	"syriafilter/internal/urlx"
@@ -510,13 +509,6 @@ func (e *Engine) IsraeliSubnets() []SubnetStat {
 		}
 		return out[i].Subnet < out[j].Subnet
 	})
-	return out
-}
-
-// PaperSubnets returns the Table 12 subnet labels in paper order, for
-// harnesses that want the fixed row set.
-func PaperSubnets() []string {
-	out := append([]string(nil), geoip.IsraeliSubnets...)
 	return out
 }
 

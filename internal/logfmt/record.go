@@ -10,8 +10,6 @@
 // that produces byte-identical lines for round-tripping.
 package logfmt
 
-import "time"
-
 // FilterResult is the sc-filter-result field: the action class the proxy
 // assigned to the request (§3.2). Note the paper's caveat that this
 // reflects the action the proxy performs, not the censorship outcome.
@@ -263,6 +261,3 @@ func (r *Record) UserKey() string {
 	}
 	return r.ClientIP + "|" + r.UserAgent
 }
-
-// Timestamp converts the record time to a time.Time in UTC.
-func (r *Record) Timestamp() time.Time { return time.Unix(r.Time, 0).UTC() }

@@ -50,7 +50,7 @@ import (
 // Each shard file is, with no outer compression:
 //
 //	"SFCK" | version byte (2)
-//	uvarint shard index | uvarint shard count | uvarint observed records
+//	uvarint shard index | uvarint shard count | uvarint records
 //	CRC-32 (IEEE, little-endian) of the header bytes above
 //	partition frames (timewin.Frames: a table, then one self-checking
 //	gzip member per bucket and for the tail)
@@ -157,9 +157,9 @@ func (st *Store) checkpointSpan(dir string, parent *trace.Span) (info Checkpoint
 		records uint64
 	}
 	results := make([]result, len(st.shards))
-	st.fanOut(sp, "ckpt.shard", func(i int, ssp *trace.Span, p *timewin.Partition, observed *uint64) {
+	st.fanOut(sp, "ckpt.shard", func(i int, ssp *trace.Span, p *timewin.Partition) {
 		r := &results[i]
-		r.records = *observed
+		r.records = p.Records()
 		r.frames = p.CheckpointFrames()
 		ssp.SetAttrs(trace.Int("frames_encoded", int64(r.frames.Encoded)),
 			trace.Int("frames_reused", int64(r.frames.Reused)),
@@ -222,7 +222,7 @@ func shardFileName(i int) string { return fmt.Sprintf("shard-%04d%s", i, shardFi
 // writeShardFile writes one shard's header and already-encoded frames,
 // syncing before close so the later directory rename publishes durable
 // bytes. Returns the file's size.
-func (st *Store) writeShardFile(path string, idx int, observed uint64, frames *timewin.Frames) (int64, error) {
+func (st *Store) writeShardFile(path string, idx int, records uint64, frames *timewin.Frames) (int64, error) {
 	if st.ckptWriteStall != nil {
 		st.ckptWriteStall(idx)
 	}
@@ -235,7 +235,7 @@ func (st *Store) writeShardFile(path string, idx int, observed uint64, frames *t
 	hw.Byte(shardStateVersion)
 	hw.Uvarint(uint64(idx))
 	hw.Uvarint(uint64(len(st.shards)))
-	hw.Uvarint(observed)
+	hw.Uvarint(records)
 	hw.Checksum()
 	// Frames are a few KB each: batch them into fewer writes.
 	bw := bufio.NewWriterSize(f, 256<<10)
@@ -519,6 +519,13 @@ func (st *Store) restoreGeneration(dir string, g genEntry, m *manifest) (info Ch
 	if err := timewin.UnmarshalFramesAll(staged, streams, runtime.GOMAXPROCS(0)); err != nil {
 		return CheckpointInfo{}, false, fmt.Errorf("shard files: %w", err)
 	}
+	// The header's count and the table's are the same number written
+	// twice; a file that disagrees with itself is damaged, not trusted.
+	for i, p := range staged {
+		if got := p.Records(); got != counts[i] {
+			return CheckpointInfo{}, false, fmt.Errorf("shard file %d: header counts %d records, its table %d", i, counts[i], got)
+		}
+	}
 
 	// Fold phase: nothing below can fail (Absorb only errors on grid
 	// mismatch, which decode already validated), so a successful decode
@@ -528,12 +535,8 @@ func (st *Store) restoreGeneration(dir string, g genEntry, m *manifest) (info Ch
 	for j := range staged {
 		j := j
 		sh := j % len(st.shards)
-		err := st.shardOp(sh, func(_ int, _ *trace.Span, p *timewin.Partition, observed *uint64) {
-			if err := p.Absorb(staged[j]); err != nil {
-				rerr = err
-				return
-			}
-			*observed += counts[j]
+		err := st.shardOp(sh, func(_ int, _ *trace.Span, p *timewin.Partition) {
+			rerr = p.Absorb(staged[j])
 		})
 		if err != nil {
 			return CheckpointInfo{}, j > 0, err
@@ -587,9 +590,9 @@ func readManifest(dir string) (*manifest, error) {
 }
 
 // readShardFile reads one checkpoint shard file and checks its header,
-// returning the partition frames stream behind it and the shard's
-// observed-record count.
-func readShardFile(path string, idx, count int) (stream []byte, observed uint64, err error) {
+// returning the partition frames stream behind it and the record count
+// the header claims for it.
+func readShardFile(path string, idx, count int) (stream []byte, records uint64, err error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
@@ -607,10 +610,10 @@ func readShardFile(path string, idx, count int) (stream []byte, observed uint64,
 	if got := r.Uvarint(); r.Err() == nil && got != uint64(count) {
 		return nil, 0, fmt.Errorf("file claims %d shards, manifest says %d", got, count)
 	}
-	observed = r.Uvarint()
+	records = r.Uvarint()
 	r.Checksum()
 	if err := r.Err(); err != nil {
 		return nil, 0, err
 	}
-	return b[len(b)-r.Remaining():], observed, nil
+	return b[len(b)-r.Remaining():], records, nil
 }

@@ -87,7 +87,7 @@ func frameCounts(st *Store) (encoded, reused uint64) {
 func assertMemoEqualsCold(t *testing.T, st *Store) {
 	t.Helper()
 	for i := range st.shards {
-		err := st.shardOp(i, func(shard int, _ *trace.Span, p *timewin.Partition, _ *uint64) {
+		err := st.shardOp(i, func(shard int, _ *trace.Span, p *timewin.Partition) {
 			cold, err := timewin.New(timewin.Config{Options: st.cfg.Options, Metrics: st.cfg.Metrics, Bucket: st.cfg.Bucket, Retain: st.cfg.Retain})
 			if err != nil {
 				t.Error(err)

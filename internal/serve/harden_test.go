@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"syriafilter/internal/logfmt"
+	"syriafilter/internal/statecodec"
 	"syriafilter/internal/timewin"
 )
 
@@ -49,7 +50,7 @@ func TestAddShedsOnStalledShard(t *testing.T) {
 	release := make(chan struct{})
 	stallDone := make(chan struct{})
 	store.shards[0].msgs <- shardMsg{done: stallDone,
-		op: func(p *timewin.Partition, observed *uint64) { <-release }}
+		op: func(p *timewin.Partition) { <-release }}
 	for i := 0; i < shardQueue; i++ {
 		store.shards[0].msgs <- shardMsg{}
 	}
@@ -289,6 +290,29 @@ func TestRestoreGenerationFallback(t *testing.T) {
 				}
 				b[len(b)-64] ^= 0x01
 				if err := os.WriteFile(path, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantRecords: 1000, wantFallbacks: 1,
+		},
+		{
+			name: "header count disagreeing with the table falls back one generation",
+			mutate: func(t *testing.T, dir string) {
+				// A well-formed header — its own CRC is right — that claims
+				// one record more than the table behind it sums to.
+				path := filepath.Join(dir, genB.Generation, shardFileName(0))
+				stream, records, err := readShardFile(path, 0, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hw := statecodec.NewWriter()
+				hw.Raw([]byte(shardStateMagic))
+				hw.Byte(shardStateVersion)
+				hw.Uvarint(0)
+				hw.Uvarint(2)
+				hw.Uvarint(records + 1)
+				hw.Checksum()
+				if err := os.WriteFile(path, append(hw.Bytes(), stream...), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			},

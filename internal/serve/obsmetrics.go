@@ -334,6 +334,3 @@ func (r *Readiness) State() string {
 	}
 	return "ok"
 }
-
-// Ready reports whether the state is "ok".
-func (r *Readiness) Ready() bool { return r.State() == "ok" }

@@ -145,6 +145,28 @@ func TestUnknownIDAndMissingModuleStatuses(t *testing.T) {
 	store.rangeStall = func(int) { merges.Add(1) }
 	srv := NewServer(store, f.gen)
 
+	// A daemon without the generator: an id that needs it, asked for by
+	// name, is refused in Render's words on every endpoint; the default
+	// sync id set leaves it out instead.
+	const needsGen = "needs the ground-truth generator"
+	full, err := NewStore(Config{Options: f.opt, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(full.Close)
+	if _, err := full.Refresh(); err != nil { // a first cut, so a sync has something to answer with
+		t.Fatal(err)
+	}
+	noGen := NewServer(full, nil)
+	for _, path := range []string{"/v1/experiments/probing", "/v1/range/probing", "/v1/sync?ids=probing"} {
+		if rw := get(noGen, path); rw.Code != 422 || !strings.Contains(rw.Body.String(), needsGen) {
+			t.Errorf("%s without a generator: status %d body %.200s; want 422 mentioning %q", path, rw.Code, rw.Body.String(), needsGen)
+		}
+	}
+	if rw := get(noGen, "/v1/sync"); rw.Code != 200 || strings.Contains(rw.Body.String(), `"id":"probing"`) {
+		t.Errorf("/v1/sync without a generator: status %d, probing listed: %v", rw.Code, strings.Contains(rw.Body.String(), `"id":"probing"`))
+	}
+
 	for _, tc := range []struct {
 		path   string
 		status int

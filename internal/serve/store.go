@@ -163,11 +163,10 @@ type Stats struct {
 // shardMsg is one unit of shard work: either a batch to observe or a
 // control op to run between batches (snapshot merges, checkpoint writes
 // and restore folds use ops, so they serialize with ingestion without
-// any engine lock). Ops receive the shard's observed-record counter by
-// pointer: readers report it, restore folds bump it.
+// any engine lock).
 type shardMsg struct {
 	batch []logfmt.Record
-	op    func(p *timewin.Partition, observed *uint64)
+	op    func(p *timewin.Partition)
 	done  chan struct{}
 	// span, when non-nil, covers this message's life on the shard: it
 	// was started at enqueue time, gets a "dequeued" event when the
@@ -184,11 +183,10 @@ type shard struct {
 
 func (s *shard) loop(p *timewin.Partition, wg *sync.WaitGroup) {
 	defer wg.Done()
-	var observed uint64
 	for m := range s.msgs {
 		m.span.Event("dequeued")
 		if m.op != nil {
-			m.op(p, &observed)
+			m.op(p)
 			close(m.done)
 			m.span.End()
 			continue
@@ -196,7 +194,6 @@ func (s *shard) loop(p *timewin.Partition, wg *sync.WaitGroup) {
 		for i := range m.batch {
 			p.Observe(&m.batch[i])
 		}
-		observed += uint64(len(m.batch))
 		m.span.SetAttrs(trace.Int("records", int64(len(m.batch))))
 		m.span.End()
 	}
@@ -635,8 +632,8 @@ func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 	if st.begin() != nil {
 		return st.Current(), nil
 	}
-	// Change detection: one cheap op round summing the shards' observed
-	// counters. Counters only grow and each shard's op runs after every
+	// Change detection: one cheap op round summing the shards' record
+	// counts. Counts only grow and each shard's op runs after every
 	// batch enqueued before it, so an unchanged total proves the shard
 	// streams are at the same prefix the snapshot folded. Seq 0 (the
 	// boot-time empty view) always rebuilds: a restore folds records
@@ -644,8 +641,8 @@ func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 	// them.
 	if cur := st.Current(); cur.Seq > 0 {
 		var total uint64
-		st.shardOpsSpan(nil, "", func(_ int, _ *trace.Span, _ *timewin.Partition, observed *uint64) {
-			total += *observed
+		st.shardOpsSpan(nil, "", func(_ int, _ *trace.Span, p *timewin.Partition) {
+			total += p.Records()
 		})
 		if total == cur.Records {
 			st.mu.RUnlock()
@@ -666,10 +663,10 @@ func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 	t0 := time.Now()
 	metas := make([]timewin.Meta, len(parts))
 	counts := make([]uint64, len(parts))
-	st.fanOut(cut, "snapshot.shard", func(i int, _ *trace.Span, p *timewin.Partition, observed *uint64) {
+	st.fanOut(cut, "snapshot.shard", func(i int, _ *trace.Span, p *timewin.Partition) {
 		p.AllInto(parts[i].Engine)
 		metas[i] = p.Meta()
-		counts[i] = *observed
+		counts[i] = p.Records()
 	})
 	st.mu.RUnlock()
 	var records uint64
@@ -759,7 +756,7 @@ func (st *Store) begin() error {
 // shardFn is a control op as the shard-op helpers hand it out: with its
 // shard index and the child span (nil untraced) that covers its queue
 // wait plus execution, for result attrs.
-type shardFn func(shard int, sp *trace.Span, p *timewin.Partition, observed *uint64)
+type shardFn func(shard int, sp *trace.Span, p *timewin.Partition)
 
 // enqueue sends op to shard i and returns the channel closed once it
 // ran. Under a parent span the op gets a child span named name (attrs:
@@ -770,8 +767,8 @@ func (st *Store) enqueue(i int, sp *trace.Span, name string, op shardFn) <-chan 
 	done := make(chan struct{})
 	child := sp.Child(name)
 	child.SetAttrs(trace.Int("shard", int64(i)))
-	st.shards[i].msgs <- shardMsg{op: func(p *timewin.Partition, observed *uint64) {
-		op(i, child, p, observed)
+	st.shards[i].msgs <- shardMsg{op: func(p *timewin.Partition) {
+		op(i, child, p)
 	}, done: done, span: child}
 	return done
 }
@@ -866,7 +863,7 @@ func (st *Store) RangeCtx(ctx context.Context, w timewin.Window, modules ...stri
 	}
 	covs := make([]timewin.Coverage, len(parts))
 	errs := make([]error, len(parts))
-	st.fanOut(trace.FromContext(ctx), "range.shard", func(i int, ssp *trace.Span, p *timewin.Partition, _ *uint64) {
+	st.fanOut(trace.FromContext(ctx), "range.shard", func(i int, ssp *trace.Span, p *timewin.Partition) {
 		if st.rangeStall != nil {
 			st.rangeStall(i)
 		}
@@ -937,7 +934,7 @@ func (st *Store) RangeSeriesCtx(ctx context.Context, w timewin.Window, step int6
 	// The bucket layout across shards (the snapshot's Timewin field is
 	// the same thing frozen at build time) bounds the open sides.
 	var meta timewin.Meta
-	st.shardOpsSpan(nil, "", func(_ int, _ *trace.Span, p *timewin.Partition, _ *uint64) {
+	st.shardOpsSpan(nil, "", func(_ int, _ *trace.Span, p *timewin.Partition) {
 		timewin.MergeMeta(&meta, p.Meta())
 	})
 	if len(meta.Buckets) == 0 {
@@ -983,7 +980,7 @@ func (st *Store) RangeSeriesCtx(ctx context.Context, w timewin.Window, step int6
 		wins = append(wins, RangeWindow{Window: timewin.Window{From: s, To: e}, An: an})
 	}
 	var rerr error
-	st.shardOpsSpan(trace.FromContext(ctx), "range.shard", func(shard int, ssp *trace.Span, p *timewin.Partition, _ *uint64) {
+	st.shardOpsSpan(trace.FromContext(ctx), "range.shard", func(shard int, ssp *trace.Span, p *timewin.Partition) {
 		if st.rangeStall != nil {
 			st.rangeStall(shard)
 		}
@@ -1024,7 +1021,7 @@ func (st *Store) rangeFingerprint(w timewin.Window) (uint64, bool) {
 	}
 	fps := make([]uint64, len(st.shards))
 	oks := make([]bool, len(st.shards))
-	st.fanOut(nil, "", func(i int, _ *trace.Span, p *timewin.Partition, _ *uint64) {
+	st.fanOut(nil, "", func(i int, _ *trace.Span, p *timewin.Partition) {
 		fps[i], oks[i] = p.Fingerprint(w)
 	})
 	st.mu.RUnlock()

@@ -178,12 +178,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		Changed:  []syncChange{},
 	}
 	for _, id := range ids {
-		if s.gen == nil && render.NeedsGenerator(id) {
-			if explicit {
-				writeError(w, http.StatusUnprocessableEntity,
-					"render: experiment %s needs the synthetic generator (run without -ingest-only data source?)", id)
-				return
-			}
+		if !explicit && s.gen == nil && render.NeedsGenerator(id) {
 			continue // default id set: skip what this daemon cannot render
 		}
 		dt, err := s.trackDoc(r.Context(), snap, id)

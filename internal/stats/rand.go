@@ -56,9 +56,6 @@ func (r *Rand) Intn(n int) int {
 	return int(hi)
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -96,14 +93,6 @@ func (r *Rand) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Bool returns true with probability p.

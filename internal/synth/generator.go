@@ -25,11 +25,10 @@ type Generator struct {
 	perWeight float64 // requests per unit of (dayWeight * diurnal)
 
 	// Iteration state.
-	dayIdx  int
-	slot    int
-	batch   []Request
-	batchI  int
-	emitted int
+	dayIdx int
+	slot   int
+	batch  []Request
+	batchI int
 
 	israeliIPs  []uint32 // sample pool of Israeli addresses (blocked + allowed)
 	countryIPs  map[string][]uint32
@@ -146,9 +145,6 @@ func (g *Generator) Consensus() *torsim.Consensus { return g.w.consensus }
 // Users returns the population size.
 func (g *Generator) Users() int { return len(g.w.users) }
 
-// Emitted returns the number of requests handed out so far.
-func (g *Generator) Emitted() int { return g.emitted }
-
 // Next returns the next request in time order, or ok=false when the
 // timeline is exhausted. The returned value is a copy; callers may retain
 // it.
@@ -166,7 +162,6 @@ func (g *Generator) Next() (Request, bool) {
 	}
 	req := g.batch[g.batchI]
 	g.batchI++
-	g.emitted++
 	return req, true
 }
 

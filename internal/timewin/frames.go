@@ -32,15 +32,11 @@ import (
 // Validity is that one comparison, made when a checkpoint asks; Observe
 // carries no dirty flag and gains no work.
 //
-// The stream is a table followed by the frames it describes:
+// The stream is the partition table (state.go) with each segment's frame
+// length for payload, then a checksum, then the frames the table
+// describes:
 //
-//	"SFTF" | version byte
-//	uvarint bucket seconds | uvarint retain buckets
-//	bool tail present | [varint tailMin | varint tailMax |
-//	                     uvarint tail records | uvarint tail frame length]
-//	uvarint live bucket count
-//	per bucket (ascending index): varint index | uvarint records |
-//	                              uvarint frame length
+//	table "SFTF" v1, payload = uvarint frame length
 //	CRC-32 (IEEE, little-endian) of every byte above
 //	the frames back to back, tail first, then the buckets in table order
 //
@@ -49,8 +45,7 @@ import (
 // pool, and a writer only concatenates. The table's checksum and the
 // frames' own leave no byte of the stream unchecked.
 const (
-	framesMagic   = "SFTF"
-	framesVersion = 1
+	framesMagic = "SFTF"
 
 	// minFrameLen is the smallest gzip member: a 10-byte header, an empty
 	// deflate stream, and the CRC-32 and length trailer.
@@ -65,6 +60,8 @@ const (
 	// garbled length costs a bounded allocation and one clean error.
 	presizeRatio = 16
 )
+
+var framesTable = tableKind{magic: framesMagic, version: 1, name: "frames"}
 
 // frame is a remembered checkpoint frame: data is immutable once cut and
 // valid while the owner's record count is still records.
@@ -123,36 +120,16 @@ func (f *Frames) WriteTo(w io.Writer) (int64, error) {
 func (p *Partition) CheckpointFrames() Frames {
 	var fs Frames
 	w := statecodec.NewWriter()
-	cut := func(eng *core.Engine, records uint64, memo *frame) {
-		if memo.valid(records) == nil {
-			*memo = frame{records: records, data: packFrame(eng.MarshalState())}
+	p.writeTable(w, framesTable, func(s *segment) {
+		if s.memo.valid(s.records) == nil {
+			s.memo = frame{records: s.records, data: packFrame(s.eng.MarshalState())}
 			fs.Encoded++
 		} else {
 			fs.Reused++
 		}
-		fs.frames = append(fs.frames, memo.data)
-		w.Uvarint(uint64(len(memo.data)))
-	}
-	w.Raw([]byte(framesMagic))
-	w.Byte(framesVersion)
-	w.Uvarint(uint64(p.bucketSecs))
-	w.Uvarint(uint64(p.retainBuckets))
-	if p.tail != nil {
-		w.Bool(true)
-		w.Varint(p.tailMin)
-		w.Varint(p.tailMax)
-		w.Uvarint(p.tailRecords)
-		cut(p.tail, p.tailRecords, &p.tailMemo)
-	} else {
-		w.Bool(false)
-	}
-	w.Uvarint(uint64(len(p.order)))
-	for _, idx := range p.order {
-		b := p.live[idx]
-		w.Varint(idx)
-		w.Uvarint(b.records)
-		cut(b.eng, b.records, &b.memo)
-	}
+		fs.frames = append(fs.frames, s.memo.data)
+		w.Uvarint(uint64(len(s.memo.data)))
+	})
 	w.Checksum()
 	fs.table = w.Bytes()
 	return fs
@@ -249,98 +226,59 @@ func (u *unpacker) unpack(fr []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// stagedFrames is one parsed frames stream: the table decoded into st,
-// and the compressed frames still to inflate, in stream order (the
-// tail's first when the table has one).
-type stagedFrames struct {
-	p       *Partition
-	st      *partitionState
-	hasTail bool
-	frames  [][]byte
-}
-
-// slot returns frame k's place in the staged state: where its engine
-// goes and where the frame itself goes when it may seed the memo.
-func (s *stagedFrames) slot(k int) (eng **core.Engine, seed *[]byte) {
-	if s.hasTail {
-		if k == 0 {
-			return &s.st.tail, &s.st.tailFrame
-		}
-		k--
-	}
-	return &s.st.buckets[k].eng, &s.st.buckets[k].frame
-}
-
-// parseFrames decodes and validates the table of b without inflating a
+// readFrames decodes and validates the table of b without inflating a
 // frame: every count and every frame length is checked against the bytes
-// that are really there.
-func (p *Partition) parseFrames(b []byte) (*stagedFrames, error) {
+// that are really there. Each staged segment holds its frame as its memo
+// and has no engine yet; order lists them as their frames lie in b.
+func (p *Partition) readFrames(b []byte) (ss segments, order []*segment, err error) {
 	r := statecodec.NewReader(b)
-	if magic := r.Raw(len(framesMagic)); r.Err() != nil || string(magic) != framesMagic {
-		return nil, fmt.Errorf("timewin: not a partition frames stream (bad magic)")
-	}
-	if v := r.Byte(); r.Err() == nil && v != framesVersion {
-		return nil, fmt.Errorf("timewin: partition frames version %d unsupported (max %d)", v, framesVersion)
-	}
-	if err := p.checkGrid(r); err != nil {
-		return nil, err
-	}
-	s := &stagedFrames{p: p, st: &partitionState{}}
 	var lens []int
-	if r.Bool() {
-		s.hasTail = true
-		s.st.tailMin = r.Varint()
-		s.st.tailMax = r.Varint()
-		s.st.tailRecords = r.Uvarint()
+	ss, err = p.readTable(r, framesTable, func(s *segment) error {
+		order = append(order, s)
 		lens = append(lens, r.Count())
-	}
-	n := r.Count()
-	for i := 0; i < n && r.Err() == nil; i++ {
-		s.st.buckets = append(s.st.buckets, decodedBucket{idx: r.Varint(), records: r.Uvarint()})
-		lens = append(lens, r.Count())
+		return nil
+	})
+	if err != nil {
+		return ss, nil, err
 	}
 	r.Checksum()
 	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if err := s.st.validate(s.hasTail); err != nil {
-		return nil, err
+		return ss, nil, err
 	}
 	rest := b[len(b)-r.Remaining():]
-	for _, n := range lens {
+	for k, s := range order {
 		// Count bounded each length by the input behind it, so the sum
 		// cannot overflow before this catches a table that overruns.
+		n := lens[k]
 		if n > len(rest) {
-			return nil, fmt.Errorf("timewin: frame of %d bytes with %d remaining", n, len(rest))
+			return ss, nil, fmt.Errorf("timewin: frame of %d bytes with %d remaining", n, len(rest))
 		}
-		s.frames = append(s.frames, rest[:n:n])
+		s.memo = frame{records: s.records, data: rest[:n:n]}
 		rest = rest[n:]
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("timewin: %d trailing bytes after partition frames", len(rest))
+		return ss, nil, fmt.Errorf("timewin: %d trailing bytes after partition frames", len(rest))
 	}
-	return s, nil
+	return ss, order, nil
 }
 
-// decode inflates frame k and decodes it into a fresh engine of the
-// partition's configuration. The frame is kept as the memo's seed only
-// when its layout is the partition's own — exactly its modules, in its
-// counting mode — because only then is it what encoding the decoded
-// engine would produce: a full checkpoint loaded into a module-subset
-// partition must not re-emit sections it no longer maintains.
-func (s *stagedFrames) decode(k int, u *unpacker) error {
-	raw, err := u.unpack(s.frames[k])
+// decodeFrame inflates a staged segment's frame and decodes it into a
+// fresh engine of the partition's configuration. The frame stays as the
+// segment's memo only when its layout is the partition's own — exactly
+// its modules, in its counting mode — because only then is it what
+// encoding the decoded engine would produce: a full checkpoint loaded
+// into a module-subset partition must not re-emit sections it no longer
+// maintains.
+func (p *Partition) decodeFrame(s *segment, u *unpacker) error {
+	raw, err := u.unpack(s.memo.data)
 	if err != nil {
 		return err
 	}
-	eng, err := s.p.decodeEngine(raw)
-	if err != nil {
+	if s.eng, err = p.decodeEngine(raw); err != nil {
 		return err
 	}
-	engSlot, seed := s.slot(k)
-	*engSlot = eng
-	if layout, err := core.StateLayout(raw); err == nil && layout == s.p.layout {
-		*seed = s.frames[k]
+	if layout, err := core.StateLayout(raw); err != nil || layout != p.layout {
+		s.memo = frame{}
 	}
 	return nil
 }
@@ -362,17 +300,20 @@ func (p *Partition) UnmarshalFrames(b []byte) error {
 // first failing stream. A retained stream is referenced by the memos it
 // seeds; the caller must not modify it afterwards.
 func UnmarshalFramesAll(parts []*Partition, streams [][]byte, workers int) error {
-	type task struct{ s, k int }
-	staged := make([]*stagedFrames, len(streams))
+	type task struct {
+		stream, frame int
+		s             *segment
+	}
+	staged := make([]segments, len(streams))
 	var tasks []task
 	for i, b := range streams {
-		s, err := parts[i].parseFrames(b)
+		ss, order, err := parts[i].readFrames(b)
 		if err != nil {
 			return fmt.Errorf("stream %d: %w", i, err)
 		}
-		staged[i] = s
-		for k := range s.frames {
-			tasks = append(tasks, task{i, k})
+		staged[i] = ss
+		for k, s := range order {
+			tasks = append(tasks, task{i, k, s})
 		}
 	}
 
@@ -390,7 +331,7 @@ func UnmarshalFramesAll(parts []*Partition, streams [][]byte, workers int) error
 				if i >= len(tasks) {
 					return
 				}
-				if errs[i] = staged[tasks[i].s].decode(tasks[i].k, &u); errs[i] != nil {
+				if errs[i] = parts[tasks[i].stream].decodeFrame(tasks[i].s, &u); errs[i] != nil {
 					failed.Store(true)
 				}
 			}
@@ -399,11 +340,11 @@ func UnmarshalFramesAll(parts []*Partition, streams [][]byte, workers int) error
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("stream %d: frame %d: %w", tasks[i].s, tasks[i].k, err)
+			return fmt.Errorf("stream %d: frame %d: %w", tasks[i].stream, tasks[i].frame, err)
 		}
 	}
-	for _, s := range staged {
-		s.p.absorb(s.st)
+	for i, ss := range staged {
+		parts[i].absorb(ss)
 	}
 	return nil
 }

@@ -402,9 +402,9 @@ func TestDecodeRefusesZeroRecordCounts(t *testing.T) {
 			p.Observe(&rec)
 		}
 		if zero == "tail" {
-			p.tailRecords = 0
+			p.tail.records = 0
 		} else {
-			p.live[p.order[0]].records = 0
+			p.live[0].records = 0
 		}
 		_, stream := frameStream(t, p)
 		for name, err := range map[string]error{

@@ -8,59 +8,119 @@ import (
 	"syriafilter/internal/statecodec"
 )
 
-// Partition state framing. The bucket ring, the frozen tail, and the
-// meta that gives them meaning (bucket width, retention horizon) are
-// serialized together, so a restored partition resumes with the same
-// retention semantics it was checkpointed with:
+// Partition state framing. A partition has two encodings, and they are
+// one table with two payloads. The table carries the segments — the
+// frozen tail, then the bucket ring — and the meta that gives them
+// meaning (bucket width, retention horizon), so a restored partition
+// resumes with the same retention semantics it was checkpointed with:
 //
-//	"SFTW" | version byte
+//	magic | version byte
 //	uvarint bucket seconds | uvarint retain buckets
-//	bool tail present | [varint tailMin | varint tailMax |
-//	                     uvarint tail records | blob tail engine state]
+//	bool tail present | [varint tail lo | varint tail hi |
+//	                     uvarint tail records | payload]
 //	uvarint live bucket count
-//	per bucket (ascending index): varint index | uvarint records |
-//	                              blob engine state
+//	per bucket (ascending index): varint index | uvarint records | payload
 //
-// Engine states are the core.Engine.MarshalState encoding.
-//
-// This is the canonical, uncached form: MarshalState encodes every
+// "SFTW", the state encoding, has each segment's engine state
+// (core.Engine.MarshalState) as a blob for payload and ends with the
+// table. It is the canonical, uncached form: MarshalState encodes every
 // engine on every call and neither reads nor fills the checkpoint-frame
 // memo, so a probe or an equality test that calls it measures (or
-// compares) a real encode. What internal/serve writes to disk is the
-// framed form of the same state, CheckpointFrames in frames.go, which
-// re-encodes only what changed; a bucket or tail of zero records is
-// refused by both decoders, because the record count is the version
-// that memo (and Fingerprint) reads.
-const (
-	partitionStateMagic   = "SFTW"
-	partitionStateVersion = 1
-)
+// compares) a real encode. "SFTF", the frames encoding that
+// internal/serve writes to disk, has the length of the segment's
+// checkpoint frame for payload and re-encodes only what changed; see
+// frames.go for what follows its table.
+//
+// Both are read by readTable, which checks the layout as it goes: the
+// bucket width is the partition's, bucket indices ascend, and no segment
+// has zero records — the record count is the version the frame memo and
+// Fingerprint read, so an engine that merged in without moving it would
+// leave both serving the state from before the merge.
+type tableKind struct {
+	magic   string
+	version byte
+	name    string // for error messages
+}
+
+var stateTable = tableKind{magic: "SFTW", version: 1, name: "state"}
+
+// writeTable writes the table of kind k for p's segments, calling payload
+// where each segment's belongs.
+func (p *Partition) writeTable(w *statecodec.Writer, k tableKind, payload func(*segment)) {
+	w.Raw([]byte(k.magic))
+	w.Byte(k.version)
+	w.Uvarint(uint64(p.bucketSecs))
+	w.Uvarint(uint64(p.retainBuckets))
+	w.Bool(p.tail != nil)
+	if t := p.tail; t != nil {
+		w.Varint(t.lo)
+		w.Varint(t.hi)
+		w.Uvarint(t.records)
+		payload(t)
+	}
+	w.Uvarint(uint64(len(p.live)))
+	for _, s := range p.live {
+		w.Varint(s.lo)
+		w.Uvarint(s.records)
+		payload(s)
+	}
+}
+
+// readTable parses and validates a table of kind k into staged segments,
+// calling payload to read each segment's; p is only read. The caller
+// checks what follows the table.
+func (p *Partition) readTable(r *statecodec.Reader, k tableKind, payload func(*segment) error) (segments, error) {
+	var ss segments
+	if magic := r.Raw(len(k.magic)); r.Err() != nil || string(magic) != k.magic {
+		return ss, fmt.Errorf("timewin: not a partition %s stream (bad magic)", k.name)
+	}
+	if v := r.Byte(); r.Err() == nil && v != k.version {
+		return ss, fmt.Errorf("timewin: partition %s version %d unsupported (max %d)", k.name, v, k.version)
+	}
+	if secs := r.Uvarint(); r.Err() == nil && secs != uint64(p.bucketSecs) {
+		return ss, fmt.Errorf("timewin: checkpoint bucket width %ds does not match configured %ds; rebuild state on the new grid (cold boot) or restore with the original -bucket", secs, p.bucketSecs)
+	}
+	r.Uvarint() // stored retention horizon, informative only
+	read := func(s *segment) error {
+		s.records = r.Uvarint()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if s.records == 0 && s == ss.tail {
+			return fmt.Errorf("timewin: tail with no records")
+		}
+		if s.records == 0 {
+			return fmt.Errorf("timewin: bucket %d with no records", s.lo)
+		}
+		return payload(s)
+	}
+	if r.Bool() {
+		ss.tail = &segment{lo: r.Varint(), hi: r.Varint()}
+		if err := read(ss.tail); err != nil {
+			return ss, err
+		}
+	}
+	n := r.Count()
+	for i := 0; i < n; i++ {
+		idx := r.Varint()
+		if i > 0 && r.Err() == nil && idx <= ss.live[i-1].lo {
+			return ss, fmt.Errorf("timewin: bucket indices out of order (%d after %d)", idx, ss.live[i-1].lo)
+		}
+		s := &segment{lo: idx, hi: idx}
+		if err := read(s); err != nil {
+			return ss, err
+		}
+		ss.live = append(ss.live, s)
+	}
+	return ss, r.Err()
+}
 
 // MarshalState serializes the partition: meta, tail, and every live
 // bucket. Like the engine encoding it is deterministic, so checkpoint
 // bytes are a pure function of the partition's logical state.
 func (p *Partition) MarshalState() []byte {
 	w := statecodec.NewWriter()
-	w.Raw([]byte(partitionStateMagic))
-	w.Byte(partitionStateVersion)
-	w.Uvarint(uint64(p.bucketSecs))
-	w.Uvarint(uint64(p.retainBuckets))
-	if p.tail != nil {
-		w.Bool(true)
-		w.Varint(p.tailMin)
-		w.Varint(p.tailMax)
-		w.Uvarint(p.tailRecords)
-		w.Blob(p.tail.MarshalState())
-	} else {
-		w.Bool(false)
-	}
-	w.Uvarint(uint64(len(p.order)))
-	for _, idx := range p.order {
-		b := p.live[idx]
-		w.Varint(idx)
-		w.Uvarint(b.records)
-		w.Blob(b.eng.MarshalState())
-	}
+	p.writeTable(w, stateTable, func(s *segment) { w.Blob(s.eng.MarshalState()) })
 	return w.Bytes()
 }
 
@@ -75,18 +135,29 @@ func (p *Partition) WriteState(w io.Writer) error {
 // install as new ones), and the restored tail merges into p's tail —
 // so restoring into an empty partition reproduces the checkpointed
 // state exactly, and restoring into a loaded one is equivalent to
-// having ingested both corpora. Decoding is staged: on any error p is
-// left untouched.
+// having ingested both corpora. Decoding is staged — every byte of b,
+// including every embedded engine state, is parsed and validated first —
+// so on any error p is left untouched.
 //
 // The checkpoint's bucket width must match p's — bucket indices are
 // meaningless across grids. The stored retention horizon is informative
 // only; p's own configured horizon governs compaction after the fold.
 func (p *Partition) UnmarshalState(b []byte) error {
-	st, err := p.decodeState(b)
+	r := statecodec.NewReader(b)
+	ss, err := p.readTable(r, stateTable, func(s *segment) (err error) {
+		blob := r.Blob()
+		if err = r.Err(); err == nil {
+			s.eng, err = p.decodeEngine(blob)
+		}
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	p.absorb(st)
+	if r.Remaining() != 0 {
+		return fmt.Errorf("timewin: %d trailing bytes after partition state", r.Remaining())
+	}
+	p.absorb(ss)
 	return nil
 }
 
@@ -97,109 +168,6 @@ func (p *Partition) ReadState(r io.Reader) error {
 		return fmt.Errorf("timewin: reading partition state: %w", err)
 	}
 	return p.UnmarshalState(b)
-}
-
-// partitionState is a fully decoded, not yet applied partition state.
-// tailFrame and each bucket's frame, when set, are the checkpoint frame
-// the engine was decoded from (or last cut as): absorb hands it to the
-// memo of whatever it installs directly.
-type partitionState struct {
-	tail             *core.Engine
-	tailMin, tailMax int64
-	tailRecords      uint64
-	tailFrame        []byte
-	buckets          []decodedBucket
-}
-
-type decodedBucket struct {
-	idx     int64
-	records uint64
-	eng     *core.Engine
-	frame   []byte
-}
-
-// checkGrid reads the bucket width and the retention horizon that lead
-// both partition encodings, and refuses a width other than p's.
-func (p *Partition) checkGrid(r *statecodec.Reader) error {
-	if secs := r.Uvarint(); r.Err() == nil && secs != uint64(p.bucketSecs) {
-		return fmt.Errorf("timewin: checkpoint bucket width %ds does not match configured %ds; rebuild state on the new grid (cold boot) or restore with the original -bucket", secs, p.bucketSecs)
-	}
-	r.Uvarint() // stored retention horizon, informative only
-	return r.Err()
-}
-
-// validate checks what both decoders require of a decoded layout before
-// it may be applied: bucket indices strictly ascending, and no bucket or
-// tail of zero records. The record count is the version the frame memo
-// and Fingerprint read, so an engine that merged in without moving it
-// would leave both serving the state from before the merge.
-func (st *partitionState) validate(hasTail bool) error {
-	if hasTail && st.tailRecords == 0 {
-		return fmt.Errorf("timewin: tail with no records")
-	}
-	for i, b := range st.buckets {
-		if b.records == 0 {
-			return fmt.Errorf("timewin: bucket %d with no records", b.idx)
-		}
-		if i > 0 && b.idx <= st.buckets[i-1].idx {
-			return fmt.Errorf("timewin: bucket indices out of order (%d after %d)", b.idx, st.buckets[i-1].idx)
-		}
-	}
-	return nil
-}
-
-// decodeState parses and validates every byte of b — including every
-// embedded engine state — without touching p, so a corrupted or
-// truncated checkpoint cannot leave a partially restored partition.
-func (p *Partition) decodeState(b []byte) (*partitionState, error) {
-	r := statecodec.NewReader(b)
-	if magic := r.Raw(len(partitionStateMagic)); r.Err() != nil || string(magic) != partitionStateMagic {
-		return nil, fmt.Errorf("timewin: not a partition state stream (bad magic)")
-	}
-	if v := r.Byte(); r.Err() == nil && v != partitionStateVersion {
-		return nil, fmt.Errorf("timewin: partition state version %d unsupported (max %d)", v, partitionStateVersion)
-	}
-	if err := p.checkGrid(r); err != nil {
-		return nil, err
-	}
-	st := &partitionState{}
-	engine := func() (*core.Engine, error) {
-		blob := r.Blob()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		return p.decodeEngine(blob)
-	}
-	if r.Bool() {
-		st.tailMin = r.Varint()
-		st.tailMax = r.Varint()
-		st.tailRecords = r.Uvarint()
-		eng, err := engine()
-		if err != nil {
-			return nil, err
-		}
-		st.tail = eng
-	}
-	n := r.Count()
-	for i := 0; i < n && r.Err() == nil; i++ {
-		idx := r.Varint()
-		records := r.Uvarint()
-		eng, err := engine()
-		if err != nil {
-			return nil, err
-		}
-		st.buckets = append(st.buckets, decodedBucket{idx: idx, records: records, eng: eng})
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("timewin: %d trailing bytes after partition state", r.Remaining())
-	}
-	if err := st.validate(st.tail != nil); err != nil {
-		return nil, err
-	}
-	return st, nil
 }
 
 // decodeEngine decodes one engine state into a fresh engine of the
@@ -228,78 +196,37 @@ func (p *Partition) Absorb(other *Partition) error {
 	if other.bucketSecs != p.bucketSecs {
 		return fmt.Errorf("timewin: absorbing partition with bucket width %ds into %ds", other.bucketSecs, p.bucketSecs)
 	}
-	st := &partitionState{
-		tail:        other.tail,
-		tailMin:     other.tailMin,
-		tailMax:     other.tailMax,
-		tailRecords: other.tailRecords,
-		tailFrame:   other.tailMemo.valid(other.tailRecords),
-	}
-	for _, idx := range other.order {
-		b := other.live[idx]
-		st.buckets = append(st.buckets, decodedBucket{idx: idx, records: b.records, eng: b.eng, frame: b.memo.valid(b.records)})
-	}
-	p.absorb(st)
+	p.absorb(other.segments)
 	return nil
 }
 
-// absorb applies a decoded state to p. The tail folds first (so its
-// span is known before buckets are placed); a bucket at or below the
-// resulting tail horizon folds into the tail rather than resurrecting a
-// compacted index, exactly like a late record in Observe. A final
-// compact re-applies p's own retention policy. An engine installed
-// directly — nothing of p's to merge into — brings its frame along as
-// the memo; every merge moves a record count, which is what retires the
-// frame cut at the old one.
-func (p *Partition) absorb(st *partitionState) {
-	if st.tail != nil {
+// absorb applies staged segments to p. The tail folds first (so its span
+// is known before buckets are placed) and swallows the live buckets it
+// now covers — either side's tail may overlap the other's ring. Each
+// bucket then goes where seek says a record of its index would: into the
+// tail at or below the horizon, rather than resurrecting a compacted
+// index, into the live bucket of its index, or into the ring as a new
+// one, where p's own retention policy applies. A segment installed
+// directly — nothing of p's to merge into — keeps its memo; every merge
+// moves a record count, which is what retires the frame cut at the old
+// one.
+func (p *Partition) absorb(ss segments) {
+	if ss.tail != nil {
 		if p.tail == nil {
-			p.tail = st.tail
-			p.tailMin, p.tailMax = st.tailMin, st.tailMax
-			p.tailMemo = frame{records: st.tailRecords, data: st.tailFrame}
+			p.tail = ss.tail
 		} else {
-			p.tail.Merge(st.tail)
-			if st.tailMin < p.tailMin {
-				p.tailMin = st.tailMin
-			}
-			if st.tailMax > p.tailMax {
-				p.tailMax = st.tailMax
-			}
+			p.tail.merge(ss.tail)
 		}
-		p.tailRecords += st.tailRecords
-	}
-	// A tail now covering live bucket indices swallows those buckets
-	// (either side's tail may overlap the other's ring).
-	if p.tail != nil {
-		for len(p.order) > 0 && p.order[0] <= p.tailMax {
-			idx := p.order[0]
-			b := p.live[idx]
-			p.tail.Merge(b.eng)
-			p.tailRecords += b.records
-			if idx < p.tailMin {
-				p.tailMin = idx
-			}
-			delete(p.live, idx)
-			p.order = p.order[1:]
+		for len(p.live) > 0 && p.live[0].lo <= p.tail.hi {
+			p.tail.merge(p.live[0])
+			p.live = p.live[1:]
 		}
 	}
-	for i := range st.buckets {
-		db := &st.buckets[i]
-		if p.tail != nil && db.idx <= p.tailMax {
-			p.tail.Merge(db.eng)
-			p.tailRecords += db.records
-			if db.idx < p.tailMin {
-				p.tailMin = db.idx
-			}
-			continue
+	for _, src := range ss.live {
+		if dst, at := p.seek(src.lo); dst != nil {
+			dst.merge(src)
+		} else {
+			p.join(at, src)
 		}
-		if b := p.live[db.idx]; b != nil {
-			b.eng.Merge(db.eng)
-			b.records += db.records
-			continue
-		}
-		p.live[db.idx] = &bucket{eng: db.eng, records: db.records, memo: frame{records: db.records, data: db.frame}}
-		p.insertIdx(db.idx)
 	}
-	p.compact()
 }

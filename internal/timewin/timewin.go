@@ -3,13 +3,18 @@
 // temporal views: per-day censored/allowed volumes, policy shifts across
 // the Jul 22 – Aug 5 2011 capture, proxy outages.
 //
-// A Partition owns a ring of live per-bucket engines (one core.Engine per
-// bucket of the configured width) plus one frozen "tail" engine. Fold
-// routes each record to its bucket by Record.Time; when a retention
-// horizon is configured, buckets that fall behind the newest bucket by
-// more than the horizon are compacted — merged into the tail and freed —
-// so memory stays bounded by the horizon while all-time queries stay
-// exact (the tail plus the live ring is always the complete corpus).
+// A Partition is a run of segments in time order. A segment is one
+// core.Engine and the bucket indices it answers for: a live bucket covers
+// exactly one index of the configured width, and the "tail" — at most one,
+// in front of the live ring — covers the span of every bucket compacted
+// into it. Observe routes each record by Record.Time to the segment of its
+// bucket index (the tail at or below its upper edge, the newest bucket
+// without a search on a time-ordered stream, a binary search otherwise).
+// When a retention horizon is configured, a new bucket joining the ring
+// moves the horizon, and buckets that fall behind the newest by more than
+// it are compacted — merged into the tail and freed — so memory stays
+// bounded by the horizon while all-time queries stay exact (the tail plus
+// the live ring is always the complete corpus).
 //
 // Range queries merge the covered buckets into a caller-provided engine
 // (clone-and-Merge, the same primitive behind internal/serve snapshots),
@@ -24,6 +29,7 @@ package timewin
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -264,10 +270,42 @@ func (c *Coverage) Extend(o Coverage) {
 	c.Tail = c.Tail || o.Tail
 }
 
-type bucket struct {
-	eng     *core.Engine
+// segment is one engine and the run of bucket indices [lo, hi] it answers
+// for. A live bucket has lo == hi; the tail is the one widened segment, in
+// front of the ring. records is the segment's version: nothing changes
+// eng without moving it (see frames.go, Fingerprint).
+type segment struct {
+	lo, hi  int64
 	records uint64
+	eng     *core.Engine
 	memo    frame // last checkpoint frame cut for eng; see frames.go
+}
+
+// merge folds o into s: engines, record counts, and the index span.
+func (s *segment) merge(o *segment) {
+	s.eng.Merge(o.eng)
+	s.records += o.records
+	s.lo = min(s.lo, o.lo)
+	s.hi = max(s.hi, o.hi)
+}
+
+// segments is a partition's content in time order: the tail, when there
+// is one, then the live buckets by ascending index — in a partition, all
+// above the tail. It is also what a decoded state is staged as before
+// absorb applies it.
+type segments struct {
+	tail *segment
+	live []*segment
+}
+
+// each visits every segment in time order.
+func (ss *segments) each(visit func(*segment)) {
+	if ss.tail != nil {
+		visit(ss.tail)
+	}
+	for _, s := range ss.live {
+		visit(s)
+	}
 }
 
 // Partition is the time-partitioned store: a ring of live bucket engines
@@ -278,13 +316,7 @@ type Partition struct {
 	bucketSecs    int64
 	retainBuckets int64
 
-	live  map[int64]*bucket
-	order []int64 // sorted live bucket indices
-
-	tail             *core.Engine
-	tailRecords      uint64
-	tailMin, tailMax int64 // bucket-index span covered by the tail
-	tailMemo         frame // last checkpoint frame cut for the tail
+	segments
 
 	spare  *core.Engine // validated engine from New, consumed by the first bucket
 	layout string       // core.StateLayout of what this partition's engines encode to
@@ -319,7 +351,6 @@ func New(cfg Config) (*Partition, error) {
 		metrics:       cfg.Metrics,
 		bucketSecs:    secs,
 		retainBuckets: retain,
-		live:          map[int64]*bucket{},
 		spare:         spare,
 		layout:        layout,
 		obs:           cfg.Obs,
@@ -361,30 +392,48 @@ func floorDiv(t, w int64) int64 {
 // all-time view exact instead of resurrecting freed buckets.
 func (p *Partition) Observe(rec *logfmt.Record) {
 	idx := floorDiv(rec.Time, p.bucketSecs)
-	if p.tail != nil && idx <= p.tailMax {
-		p.tail.Observe(rec)
-		p.tailRecords++
-		if idx < p.tailMin {
-			p.tailMin = idx
-		}
-		return
+	s, at := p.seek(idx)
+	if s == nil {
+		s = p.join(at, &segment{lo: idx, hi: idx, eng: p.newEngine()})
 	}
-	b := p.live[idx]
-	if b == nil {
-		b = &bucket{eng: p.newEngine()}
-		p.live[idx] = b
-		p.insertIdx(idx)
-	}
-	b.eng.Observe(rec)
-	b.records++
-	p.compact()
+	s.eng.Observe(rec)
+	s.records++
+	s.lo = min(s.lo, idx) // only the tail can be widened
 }
 
-func (p *Partition) insertIdx(idx int64) {
-	i := sort.Search(len(p.order), func(i int) bool { return p.order[i] >= idx })
-	p.order = append(p.order, 0)
-	copy(p.order[i+1:], p.order[i:])
-	p.order[i] = idx
+// seek finds the segment that answers for bucket index idx: the tail at
+// or below its horizon, else the live bucket of that index — the newest
+// one without a search, which is every record of a time-ordered stream.
+// When there is none, s is nil and at is the index's place in the ring.
+func (p *Partition) seek(idx int64) (s *segment, at int) {
+	if t := p.tail; t != nil && idx <= t.hi {
+		return t, 0
+	}
+	n := len(p.live)
+	if n == 0 || idx > p.live[n-1].lo {
+		return nil, n
+	}
+	at = n - 1
+	if idx < p.live[at].lo {
+		at = sort.Search(n, func(i int) bool { return p.live[i].lo >= idx })
+	}
+	if p.live[at].lo == idx {
+		return p.live[at], at
+	}
+	return nil, at
+}
+
+// join puts a new bucket at its place in the ring — the only moment the
+// retention horizon can move, so the only moment compaction runs — and
+// returns the segment that now answers for it: the bucket itself, or the
+// tail when it joined below the horizon.
+func (p *Partition) join(at int, s *segment) *segment {
+	p.live = slices.Insert(p.live, at, s)
+	p.compact()
+	if p.tail != nil && s.hi <= p.tail.hi {
+		return p.tail
+	}
+	return s
 }
 
 // compact merges every live bucket behind the retention horizon into the
@@ -392,11 +441,11 @@ func (p *Partition) insertIdx(idx int64) {
 // clock), which keeps historical corpora — the 2011 capture — behaving
 // exactly like a live stream.
 func (p *Partition) compact() {
-	if p.retainBuckets <= 0 || len(p.order) == 0 {
+	if p.retainBuckets <= 0 {
 		return
 	}
-	horizon := p.order[len(p.order)-1] - p.retainBuckets + 1
-	if p.order[0] >= horizon {
+	horizon := p.live[len(p.live)-1].lo - p.retainBuckets + 1
+	if p.live[0].lo >= horizon {
 		return
 	}
 	var t0 time.Time
@@ -404,62 +453,72 @@ func (p *Partition) compact() {
 		t0 = time.Now()
 	}
 	merged := 0
-	for len(p.order) > 0 && p.order[0] < horizon {
-		idx := p.order[0]
-		b := p.live[idx]
+	for ; p.live[0].lo < horizon; merged++ { // the newest bucket is never behind the horizon
+		b := p.live[0]
 		if p.tail == nil {
-			p.tail = p.newEngine()
-			p.tailMin, p.tailMax = idx, idx
+			p.tail = &segment{lo: b.lo, hi: b.hi, eng: p.newEngine()}
 		}
-		p.tail.Merge(b.eng)
-		p.tailRecords += b.records
-		if idx < p.tailMin {
-			p.tailMin = idx
-		}
-		if idx > p.tailMax {
-			p.tailMax = idx
-		}
-		delete(p.live, idx)
-		p.order = p.order[1:]
-		merged++
+		p.tail.merge(b)
+		p.live = p.live[1:]
 	}
-	if merged > 0 && p.obs != nil && p.obs.OnCompact != nil {
+	if p.obs != nil && p.obs.OnCompact != nil {
 		p.obs.OnCompact(merged, time.Since(t0).Seconds())
 	}
 }
 
 // Buckets returns the number of live buckets.
-func (p *Partition) Buckets() int { return len(p.order) }
+func (p *Partition) Buckets() int { return len(p.live) }
 
 // Records returns the total records folded (tail plus live buckets).
-func (p *Partition) Records() uint64 {
-	n := p.tailRecords
-	for _, idx := range p.order {
-		n += p.live[idx].records
-	}
+func (p *Partition) Records() (n uint64) {
+	p.each(func(s *segment) { n += s.records })
 	return n
+}
+
+// span is the time range [from, to) a segment answers for.
+func (p *Partition) span(s *segment) (from, to int64) {
+	return s.lo * p.bucketSecs, (s.hi + 1) * p.bucketSecs
 }
 
 // Meta snapshots the partition's bucket layout.
 func (p *Partition) Meta() Meta {
-	m := Meta{
-		BucketSeconds: p.bucketSecs,
-		RetainBuckets: int(p.retainBuckets),
-		TailRecords:   p.tailRecords,
-	}
-	for _, idx := range p.order {
-		start := idx * p.bucketSecs
+	m := Meta{BucketSeconds: p.bucketSecs, RetainBuckets: int(p.retainBuckets)}
+	p.each(func(s *segment) {
+		from, to := p.span(s)
+		if s == p.tail {
+			m.TailRecords, m.TailFromUnix, m.TailToUnix = s.records, from, to
+			return
+		}
 		m.Buckets = append(m.Buckets, BucketMeta{
-			StartUnix: start,
-			Start:     time.Unix(start, 0).UTC().Format(time.RFC3339),
-			Records:   p.live[idx].records,
+			StartUnix: from,
+			Start:     time.Unix(from, 0).UTC().Format(time.RFC3339),
+			Records:   s.records,
 		})
-	}
-	if p.tail != nil && p.tailRecords > 0 {
-		m.TailFromUnix = p.tailMin * p.bucketSecs
-		m.TailToUnix = (p.tailMax + 1) * p.bucketSecs
-	}
+	})
 	return m
+}
+
+// window visits what a read of w merges: the tail when w covers its
+// span, then every live bucket w overlaps (buckets are atomic). ok is
+// false, with nothing visited, when w begins inside the tail: those
+// buckets were merged away, and horizon is the first instant still
+// covered bucket by bucket.
+func (p *Partition) window(w Window, visit func(s *segment, from, to int64)) (horizon int64, ok bool) {
+	if t := p.tail; t != nil {
+		from, to := p.span(t)
+		if w.Overlaps(from, to) {
+			if !w.Covers(from, to) {
+				return to, false
+			}
+			visit(t, from, to)
+		}
+	}
+	for _, s := range p.live {
+		if from, to := p.span(s); w.Overlaps(from, to) {
+			visit(s, from, to)
+		}
+	}
+	return 0, true
 }
 
 // Fingerprint hashes what RangeInto(dst, w) would merge right now: the
@@ -476,24 +535,17 @@ func (p *Partition) Meta() Meta {
 // reader can afford it before and after every query.
 func (p *Partition) Fingerprint(w Window) (fp uint64, ok bool) {
 	fp = fnvOffset
-	if p.tail != nil && p.tailRecords > 0 {
-		tailFrom := p.tailMin * p.bucketSecs
-		tailTo := (p.tailMax + 1) * p.bucketSecs
-		if w.Overlaps(tailFrom, tailTo) {
-			if !w.Covers(tailFrom, tailTo) {
-				return 0, false
-			}
+	_, ok = p.window(w, func(s *segment, from, to int64) {
+		fp = fnvMix(fp, uint64(from))
+		if s == p.tail {
 			// Three words against two per bucket: a hashed tail makes the
 			// word count odd, so it cannot read as bucket pairs.
-			fp = fnvMix(fnvMix(fnvMix(fp, uint64(tailFrom)), uint64(tailTo)), p.tailRecords)
+			fp = fnvMix(fp, uint64(to))
 		}
-	}
-	for _, idx := range p.order {
-		from := idx * p.bucketSecs
-		if !w.Overlaps(from, from+p.bucketSecs) {
-			continue
-		}
-		fp = fnvMix(fnvMix(fp, uint64(from)), p.live[idx].records)
+		fp = fnvMix(fp, s.records)
+	})
+	if !ok {
+		return 0, false
 	}
 	return fp, true
 }
@@ -519,12 +571,7 @@ const (
 // primitive: its result is merge-equivalent to a batch run over the same
 // records.
 func (p *Partition) AllInto(dst *core.Engine) {
-	if p.tail != nil {
-		dst.MergeProjected(p.tail)
-	}
-	for _, idx := range p.order {
-		dst.MergeProjected(p.live[idx].eng)
-	}
+	p.each(func(s *segment) { dst.MergeProjected(s.eng) })
 }
 
 // RangeInto merges every bucket overlapping w into dst and reports what
@@ -541,26 +588,16 @@ func (p *Partition) RangeInto(dst *core.Engine, w Window) (Coverage, error) {
 	if p.obs != nil && p.obs.OnRangeMerge != nil {
 		t0 = time.Now()
 	}
-	if p.tail != nil && p.tailRecords > 0 {
-		tailFrom := p.tailMin * p.bucketSecs
-		tailTo := (p.tailMax + 1) * p.bucketSecs
-		if w.Overlaps(tailFrom, tailTo) {
-			if !w.Covers(tailFrom, tailTo) {
-				return cov, &RetentionError{HorizonUnix: tailTo}
-			}
-			dst.MergeProjected(p.tail)
-			cov.Extend(Coverage{FromUnix: tailFrom, ToUnix: tailTo, Records: p.tailRecords, Tail: true})
+	horizon, ok := p.window(w, func(s *segment, from, to int64) {
+		dst.MergeProjected(s.eng)
+		c := Coverage{FromUnix: from, ToUnix: to, Records: s.records, Tail: s == p.tail}
+		if !c.Tail {
+			c.Buckets = 1
 		}
-	}
-	for _, idx := range p.order {
-		from := idx * p.bucketSecs
-		to := from + p.bucketSecs
-		if !w.Overlaps(from, to) {
-			continue
-		}
-		b := p.live[idx]
-		dst.MergeProjected(b.eng)
-		cov.Extend(Coverage{FromUnix: from, ToUnix: to, Buckets: 1, Records: b.records})
+		cov.Extend(c)
+	})
+	if !ok {
+		return cov, &RetentionError{HorizonUnix: horizon}
 	}
 	if (cov.Buckets > 0 || cov.Tail) && p.obs != nil && p.obs.OnRangeMerge != nil {
 		p.obs.OnRangeMerge(cov.Buckets, cov.Records, time.Since(t0).Seconds())
