@@ -18,6 +18,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 
 	"syriafilter/internal/bittorrent"
 	"syriafilter/internal/categorydb"
@@ -47,12 +48,21 @@ type Options struct {
 	Sketches SketchOptions
 }
 
+// The default databases are built once per process and shared by every
+// engine whose caller supplied none: an engine only reads them and never
+// hands them out, and the daemon builds an engine per cut, per range
+// window and per restored segment.
+var (
+	defaultCategories = sync.OnceValue(categorydb.PaperSeed)
+	defaultGeoDB      = sync.OnceValue(geoip.SyriaEra)
+)
+
 func (o *Options) defaults() {
 	if o.Categories == nil {
-		o.Categories = categorydb.PaperSeed()
+		o.Categories = defaultCategories()
 	}
 	if o.GeoDB == nil {
-		o.GeoDB = geoip.SyriaEra()
+		o.GeoDB = defaultGeoDB()
 	}
 	if o.SampleOneIn == 0 {
 		o.SampleOneIn = 25

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"syriafilter/internal/bittorrent"
+	"syriafilter/internal/categorydb"
+	"syriafilter/internal/geoip"
 	"syriafilter/internal/logfmt"
 	"syriafilter/internal/pipeline"
 )
@@ -206,6 +208,25 @@ func TestEngineRegistry(t *testing.T) {
 				t.Errorf("experiment %q names unknown module %q", id, m)
 			}
 		}
+	}
+}
+
+// The default databases are built once: an engine per cut, range window
+// and restored segment must not each parse the seed tables again. A
+// caller's own database is left alone.
+func TestDefaultEnginesShareDatabases(t *testing.T) {
+	a, _ := NewEngine(Options{}, "datasets")
+	b, _ := NewEngine(Options{})
+	if a.opt.GeoDB == nil || a.opt.GeoDB != b.opt.GeoDB {
+		t.Errorf("default engines hold GeoDBs %p and %p, want one shared instance", a.opt.GeoDB, b.opt.GeoDB)
+	}
+	if a.opt.Categories == nil || a.opt.Categories != b.opt.Categories {
+		t.Errorf("default engines hold category DBs %p and %p, want one shared instance", a.opt.Categories, b.opt.Categories)
+	}
+	own := Options{GeoDB: geoip.SyriaEra(), Categories: categorydb.PaperSeed()}
+	c, _ := NewEngine(own)
+	if c.opt.GeoDB != own.GeoDB || c.opt.Categories != own.Categories {
+		t.Error("NewEngine replaced the caller's databases with the defaults")
 	}
 }
 

@@ -83,6 +83,12 @@ func (m *tokensMetric) Merge(other Metric) {
 	o := other.(*tokensMetric)
 	m.allowed.counter.Merge(o.allowed.counter)
 	m.proxied.counter.Merge(o.proxied.counter)
+	// A cut or a range read lands here once per folded segment, a few
+	// hundred times in a row: double the store when it fills, where
+	// append's 1.25x steps would copy it several times over.
+	if free := cap(m.censoredURLs) - len(m.censoredURLs); free < len(o.censoredURLs) {
+		m.censoredURLs = slices.Grow(m.censoredURLs, max(len(o.censoredURLs), len(m.censoredURLs)))
+	}
 	m.censoredURLs = append(m.censoredURLs, o.censoredURLs...)
 	if len(m.censoredURLs) > m.opt.MaxStoredCensoredURLs {
 		m.censoredURLs = keepSmallestCensored(m.censoredURLs, m.opt.MaxStoredCensoredURLs)

@@ -118,7 +118,7 @@ func kcounterSizes(c kcounter) SketchSizes {
 }
 
 // kcounter is the counting abstraction behind the sketchable frequency
-// tables: an exact map-backed stats.Counter, or a bounded Space-Saving
+// tables: an exact stats.Counter, or a bounded Space-Saving
 // top-k paired with a HyperLogLog for the distinct count. Observe paths
 // write through the interface; result functions read estimates through
 // it without knowing the mode.

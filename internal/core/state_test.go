@@ -68,6 +68,16 @@ func TestEngineStateDeterministic(t *testing.T) {
 	if !bytes.Equal(half1.MarshalState(), f.analyzer.MarshalState()) {
 		t.Error("merged-engine state bytes differ from serial engine state bytes")
 	}
+	// Nor may arrival order: a counter keeps its keys in insertion order,
+	// and the same records observed backwards insert every table's keys
+	// the other way round.
+	reversed := NewAnalyzer(opt)
+	for i := len(f.records) - 1; i >= 0; i-- {
+		reversed.Observe(&f.records[i])
+	}
+	if !bytes.Equal(reversed.MarshalState(), f.analyzer.MarshalState()) {
+		t.Error("state bytes of the corpus observed backwards differ from serial engine state bytes")
+	}
 	// And repeated marshaling of the same engine is stable.
 	if !bytes.Equal(f.analyzer.MarshalState(), f.analyzer.MarshalState()) {
 		t.Error("two MarshalState calls on the same engine disagree")

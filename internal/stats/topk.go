@@ -1,49 +1,178 @@
 package stats
 
-import "sort"
+import (
+	"cmp"
+	"hash/maphash"
+	"slices"
+	"sort"
+	"strings"
+)
 
-// Counter is an exact string-keyed frequency counter. It is the reference
-// implementation used when memory is not a concern (our corpora are scaled
-// down from the paper's 751M requests) and the baseline against which the
-// Space-Saving sketch is validated and benchmarked.
+// counterSeed keys every Counter's hash for the life of the process. Keys
+// are attacker-supplied (hostnames and URL tokens arriving over the ingest
+// endpoint), so the hash is seeded at random: a fixed function would let a
+// client craft keys that all probe one chain. One seed for the whole
+// process, not one per counter, is what lets Merge reuse the other
+// counter's stored hashes. Nothing observable depends on it: Top and the
+// state encoding sort, and probe order never leaves the table.
+var counterSeed = maphash.MakeSeed()
+
+func hashKey(key string) uint32 { return uint32(maphash.String(counterSeed, key)) }
+
+const (
+	// smallCounter is the size up to which a Counter carries no index and
+	// a lookup is a scan over the stored hash words. Most counters the
+	// daemon holds are one hour bucket's slice of a long-tailed table and
+	// never outgrow it; for them an index would only be 64 bytes to
+	// allocate, clear and miss the cache on.
+	smallCounter = 8
+	// minIndex is the first index size: 2*smallCounter slots keep the
+	// ninth key under the 3/4 load bound.
+	minIndex = 2 * smallCounter
+	// maxSelectK is the largest k Top serves by selection. Selection
+	// shifts up to k entries per insertion, so it is for the small k of a
+	// "top ten" table; past it the full sort is no slower and has no bad
+	// input order.
+	maxSelectK = 64
+)
+
+// Counter is an exact string-keyed frequency counter: a dense table of
+// (key, hash, count) in insertion order, found through an open-addressing
+// index. Keeping each key's hash is what makes folding cheap — Merge and
+// index growth probe with the stored word and never hash a string twice —
+// and the fold (a snapshot cut, a range read, a restore, each merging a
+// few hundred of these) is where the daemon's read side spends its time.
+//
+// The zero value is an empty counter. It is the reference the Space-Saving
+// sketch is validated and benchmarked against.
 type Counter struct {
-	m map[string]uint64
-	n uint64
+	keys   []string
+	hashes []uint32 // hashKey(keys[i])
+	counts []uint64
+	// index holds 1+position into the dense arrays (0 = empty slot) at
+	// hash&mask, linearly probed; its length is a power of two and it is
+	// at most 3/4 full. It is nil while Len() <= smallCounter. Positions
+	// are int32: a counter holds fewer than 2^31 keys (the largest, the
+	// token vocabulary, is capped at 4M).
+	index []int32
+	n     uint64
 }
 
 // NewCounter returns an empty counter.
-func NewCounter() *Counter { return &Counter{m: make(map[string]uint64)} }
+func NewCounter() *Counter { return &Counter{} }
 
 // Add increments key by one.
 func (c *Counter) Add(key string) { c.AddN(key, 1) }
 
 // AddN increments key by n.
 func (c *Counter) AddN(key string, n uint64) {
-	c.m[key] += n
+	c.counts[c.slot(key, hashKey(key))] += n
 	c.n += n
 }
 
 // Count returns the exact count for key.
-func (c *Counter) Count(key string) uint64 { return c.m[key] }
+func (c *Counter) Count(key string) uint64 {
+	if i, _ := c.find(key, hashKey(key)); i >= 0 {
+		return c.counts[i]
+	}
+	return 0
+}
 
 // Total returns the sum of all counts.
 func (c *Counter) Total() uint64 { return c.n }
 
 // Len returns the number of distinct keys.
-func (c *Counter) Len() int { return len(c.m) }
+func (c *Counter) Len() int { return len(c.keys) }
 
 // Merge folds other into c.
 func (c *Counter) Merge(other *Counter) {
-	for k, v := range other.m {
-		c.m[k] += v
+	if len(c.keys) == 0 {
+		// Nothing to collide with, and the size is known: copy the table
+		// and index it once.
+		c.keys = append(c.keys, other.keys...)
+		c.hashes = append(c.hashes, other.hashes...)
+		c.counts = append(c.counts, other.counts...)
+		if len(c.keys) > smallCounter {
+			c.reindex(len(c.keys))
+		}
+	} else {
+		// c.Merge(c) doubles every count: no key is new, so the arrays
+		// this loop ranges over are not appended to under it.
+		for i, key := range other.keys {
+			c.counts[c.slot(key, other.hashes[i])] += other.counts[i]
+		}
 	}
 	c.n += other.n
 }
 
 // Each calls fn for every (key, count) pair in unspecified order.
 func (c *Counter) Each(fn func(key string, count uint64)) {
-	for k, v := range c.m {
-		fn(k, v)
+	for i, key := range c.keys {
+		fn(key, c.counts[i])
+	}
+}
+
+// find returns key's position in the dense arrays, or -1 and — when the
+// counter is indexed — the empty index slot its probe ended on, where an
+// insertion that does not grow the index places it. h is hashKey(key).
+// Equal hash words almost always mean equal keys, and equal interned keys
+// share a pointer, which the string compare checks before any byte.
+func (c *Counter) find(key string, h uint32) (pos int, free uint32) {
+	if c.index == nil {
+		for i, x := range c.hashes {
+			if x == h && c.keys[i] == key {
+				return i, 0
+			}
+		}
+		return -1, 0
+	}
+	mask := uint32(len(c.index) - 1)
+	for p := h & mask; ; p = (p + 1) & mask {
+		at := c.index[p]
+		if at == 0 {
+			return -1, p
+		}
+		if i := int(at - 1); c.hashes[i] == h && c.keys[i] == key {
+			return i, 0
+		}
+	}
+}
+
+// slot returns key's position, appending it with a zero count if absent.
+func (c *Counter) slot(key string, h uint32) int {
+	i, free := c.find(key, h)
+	if i >= 0 {
+		return i
+	}
+	i = len(c.keys)
+	c.keys = append(c.keys, key)
+	c.hashes = append(c.hashes, h)
+	c.counts = append(c.counts, 0)
+	switch {
+	case i < smallCounter:
+	case (i+1)*4 > len(c.index)*3:
+		c.reindex(i + 1)
+	default:
+		c.index[free] = int32(i + 1)
+	}
+	return i
+}
+
+// reindex replaces the index with one sized to hold n keys under the load
+// bound, filled from the stored hashes.
+func (c *Counter) reindex(n int) {
+	size := minIndex
+	for size*3 < n*4 {
+		size <<= 1
+	}
+	c.index = make([]int32, size)
+	mask := uint32(size - 1)
+	for i, h := range c.hashes {
+		p := h & mask
+		for c.index[p] != 0 {
+			p = (p + 1) & mask
+		}
+		c.index[p] = int32(i + 1)
 	}
 }
 
@@ -54,28 +183,47 @@ type Entry struct {
 }
 
 // Top returns the k most frequent keys in descending count order, ties
-// broken lexicographically so output is deterministic.
+// broken lexicographically so output is deterministic. k <= 0 returns
+// every key.
 func (c *Counter) Top(k int) []Entry {
-	all := make([]Entry, 0, len(c.m))
-	for key, n := range c.m {
-		all = append(all, Entry{key, n})
+	if k <= 0 || k >= len(c.keys) || k > maxSelectK {
+		all := make([]Entry, len(c.keys))
+		for i, key := range c.keys {
+			all[i] = Entry{key, c.counts[i]}
+		}
+		SortEntries(all)
+		if k > 0 && k < len(all) {
+			all = all[:k]
+		}
+		return all
 	}
-	SortEntries(all)
-	if k > 0 && k < len(all) {
-		all = all[:k]
+	// Keep the best k seen so far, sorted: all but a few entries lose to
+	// the current k-th on one integer compare and touch nothing else.
+	best := make([]Entry, 0, k)
+	for i, n := range c.counts {
+		if len(best) == k {
+			if w := &best[k-1]; n < w.Count || n == w.Count && c.keys[i] > w.Key {
+				continue
+			}
+			best = best[:k-1]
+		}
+		e := Entry{c.keys[i], n}
+		at, _ := slices.BinarySearchFunc(best, e, compareEntries)
+		best = slices.Insert(best, at, e)
 	}
-	return all
+	return best
+}
+
+// compareEntries orders by descending count, then ascending key.
+func compareEntries(a, b Entry) int {
+	if c := cmp.Compare(b.Count, a.Count); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Key, b.Key)
 }
 
 // SortEntries sorts entries by descending count, then ascending key.
-func SortEntries(entries []Entry) {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Count != entries[j].Count {
-			return entries[i].Count > entries[j].Count
-		}
-		return entries[i].Key < entries[j].Key
-	})
-}
+func SortEntries(entries []Entry) { slices.SortFunc(entries, compareEntries) }
 
 // TopK is the Space-Saving heavy-hitters sketch (Metwally, Agrawal, El
 // Abbadi 2005). It tracks at most capacity keys with bounded overestimation
