@@ -3,10 +3,11 @@
 // every experiment of the paper's evaluation over HTTP, from immutable
 // point-in-time snapshots.
 //
-// Log sources: files given with -input are ingested at boot (one scanner
-// goroutine per file, gzip-transparent); a directory given with -watch
-// is polled for new files, which are ingested as they appear; and
-// POST /v1/ingest accepts log batches while serving.
+// Log sources: files given with -input are ingested at boot (read in
+// blocks, one reader per file feeding a shared parse pool,
+// gzip-transparent); a directory given with -watch is polled for new
+// files, which are ingested as they appear; and POST /v1/ingest accepts
+// log batches while serving.
 //
 // -seed and -requests must match the syngen invocation that produced the
 // corpus, because the category database, Tor consensus and ground-truth

@@ -266,21 +266,3 @@ func TokenizeURL(host, path, query string) []string {
 	tokenizeRecord(&rec, func(tok string) { out = append(out, tok) })
 	return out
 }
-
-func mergeU16(dst, src map[uint16]uint64) {
-	for k, v := range src {
-		dst[k] += v
-	}
-}
-
-func mergeI64(dst, src map[int64]uint64) {
-	for k, v := range src {
-		dst[k] += v
-	}
-}
-
-func mergeStr(dst, src map[string]uint64) {
-	for k, v := range src {
-		dst[k] += v
-	}
-}

@@ -7,7 +7,6 @@ import (
 
 	"syriafilter/internal/categorydb"
 	"syriafilter/internal/logfmt"
-	"syriafilter/internal/statecodec"
 	"syriafilter/internal/stats"
 	"syriafilter/internal/urlx"
 )
@@ -16,7 +15,7 @@ import (
 // state behind one slice of the paper's evaluation (a table, a figure, or
 // a closely related group of them). Modules are independent — an Engine
 // can run any subset — and mergeable, so they compose with the parallel
-// pipeline the same way the monolithic Analyzer always did.
+// pipeline, the time-window store and checkpoints alike.
 type Metric interface {
 	// Name returns the module's registry name (stable, lowercase).
 	Name() string
@@ -24,20 +23,12 @@ type Metric interface {
 	// engine's shared recordCtx are only valid for the duration of the
 	// call.
 	Observe(rec *logfmt.Record)
-	// Merge folds another instance of the same module into this one.
-	// Implementations may assume other has the same dynamic type.
-	Merge(other Metric)
-	// EncodeState serializes the module's accumulated state. The
-	// encoding must be deterministic (map iteration sorted) and lead
-	// with a module version byte, so a checkpoint re-encodes
-	// byte-identically and a future layout change can migrate old
-	// state. Configuration reached through the engine's Options is not
-	// state and is not written.
-	EncodeState(w *statecodec.Writer)
-	// DecodeState replaces the module's state with one previously
-	// written by EncodeState (any accumulated state is discarded, not
-	// merged). Failures are reported through the reader's sticky error.
-	DecodeState(r *statecodec.Reader)
+	// state returns the module's accumulated state as the typed fields
+	// its constructor declared, in wire order (see field). The engine
+	// merges, encodes and decodes a module through this list and
+	// nothing else. Configuration reached through the engine's Options
+	// is not state and is not declared.
+	state() []field
 }
 
 // recordCtx caches per-record derived values shared across modules, so
@@ -195,14 +186,13 @@ func AllMetrics() []string {
 
 // Engine composes metric modules: it derives the shared per-record
 // context once, dispatches each record to every registered module, and
-// merges module-by-module. A full engine (every module) is exactly the
-// old monolithic Analyzer; a subset engine pays only for the modules the
+// merges module-by-module. A subset engine pays only for the modules the
 // requested tables and figures need.
 //
-// Like the Analyzer, an Engine is not safe for concurrent use; run one
-// per pipeline worker and Merge. The one exception is reading: once its
-// single writer has stopped (a published serve.Snapshot), any number of
-// goroutines may call the result functions at once.
+// An Engine is not safe for concurrent use; run one per pipeline worker
+// and Merge. The one exception is reading: once its single writer has
+// stopped (a published serve.Snapshot), any number of goroutines may
+// call the result functions at once.
 type Engine struct {
 	opt     Options
 	cx      recordCtx
@@ -305,7 +295,10 @@ func (e *Engine) MergeProjected(b *Engine) {
 		if o == nil {
 			panic(fmt.Sprintf("core: merging engines with different module sets: %v vs %v", e.Metrics(), b.Metrics()))
 		}
-		m.Merge(o)
+		src := o.state()
+		for i, f := range m.state() {
+			f.merge(src[i])
+		}
 	}
 }
 

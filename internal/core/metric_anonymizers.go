@@ -3,7 +3,6 @@ package core
 import (
 	"syriafilter/internal/categorydb"
 	"syriafilter/internal/logfmt"
-	"syriafilter/internal/statecodec"
 	"syriafilter/internal/stats"
 )
 
@@ -14,17 +13,14 @@ type anonymizersMetric struct {
 
 	allowed  *stats.Counter
 	censored *stats.Counter
+	declared
 }
 
 func newAnonymizersMetric(e *Engine) *anonymizersMetric {
-	return &anonymizersMetric{
-		cx:       &e.cx,
-		allowed:  stats.NewCounter(),
-		censored: stats.NewCounter(),
-	}
+	m := &anonymizersMetric{cx: &e.cx}
+	m.declare(e, "anonymizers", counterField{&m.allowed}, counterField{&m.censored})
+	return m
 }
-
-func (m *anonymizersMetric) Name() string { return "anonymizers" }
 
 func (m *anonymizersMetric) Observe(rec *logfmt.Record) {
 	if m.cx.HostCategory() != categorydb.CatAnonymizer {
@@ -35,22 +31,4 @@ func (m *anonymizersMetric) Observe(rec *logfmt.Record) {
 	} else if m.cx.allowed {
 		m.allowed.Add(rec.Host)
 	}
-}
-
-func (m *anonymizersMetric) Merge(other Metric) {
-	o := other.(*anonymizersMetric)
-	m.allowed.Merge(o.allowed)
-	m.censored.Merge(o.censored)
-}
-
-func (m *anonymizersMetric) EncodeState(w *statecodec.Writer) {
-	w.Byte(1)
-	encCounter(w, m.allowed)
-	encCounter(w, m.censored)
-}
-
-func (m *anonymizersMetric) DecodeState(r *statecodec.Reader) {
-	checkVersion(r, "anonymizers", 1)
-	m.allowed = decCounter(r)
-	m.censored = decCounter(r)
 }

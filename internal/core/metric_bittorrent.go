@@ -3,7 +3,6 @@ package core
 import (
 	"syriafilter/internal/bittorrent"
 	"syriafilter/internal/logfmt"
-	"syriafilter/internal/statecodec"
 	"syriafilter/internal/stats"
 )
 
@@ -16,18 +15,18 @@ type bittorrentMetric struct {
 	peers           map[[20]byte]struct{}
 	hashes          map[[20]byte]struct{}
 	trackers        *stats.Counter
+	declared
 }
 
 func newBitTorrentMetric(e *Engine) *bittorrentMetric {
-	return &bittorrentMetric{
-		cx:       &e.cx,
-		peers:    map[[20]byte]struct{}{},
-		hashes:   map[[20]byte]struct{}{},
-		trackers: stats.NewCounter(),
-	}
+	m := &bittorrentMetric{cx: &e.cx}
+	m.declare(e, "bittorrent",
+		scalarField{&m.total}, scalarField{&m.censored},
+		digestSetField{&m.peers}, digestSetField{&m.hashes},
+		counterField{&m.trackers},
+	)
+	return m
 }
-
-func (m *bittorrentMetric) Name() string { return "bittorrent" }
 
 func (m *bittorrentMetric) Observe(rec *logfmt.Record) {
 	if !bittorrent.IsAnnouncePath(rec.Path) {
@@ -44,35 +43,4 @@ func (m *bittorrentMetric) Observe(rec *logfmt.Record) {
 	if m.cx.censored {
 		m.censored++
 	}
-}
-
-func (m *bittorrentMetric) Merge(other Metric) {
-	o := other.(*bittorrentMetric)
-	m.total += o.total
-	m.censored += o.censored
-	for k := range o.peers {
-		m.peers[k] = struct{}{}
-	}
-	for k := range o.hashes {
-		m.hashes[k] = struct{}{}
-	}
-	m.trackers.Merge(o.trackers)
-}
-
-func (m *bittorrentMetric) EncodeState(w *statecodec.Writer) {
-	w.Byte(1)
-	w.Uvarint(m.total)
-	w.Uvarint(m.censored)
-	encHashSet(w, m.peers)
-	encHashSet(w, m.hashes)
-	encCounter(w, m.trackers)
-}
-
-func (m *bittorrentMetric) DecodeState(r *statecodec.Reader) {
-	checkVersion(r, "bittorrent", 1)
-	m.total = r.Uvarint()
-	m.censored = r.Uvarint()
-	m.peers = decHashSet(r)
-	m.hashes = decHashSet(r)
-	m.trackers = decCounter(r)
 }

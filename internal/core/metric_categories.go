@@ -2,7 +2,6 @@ package core
 
 import (
 	"syriafilter/internal/logfmt"
-	"syriafilter/internal/statecodec"
 	"syriafilter/internal/stats"
 )
 
@@ -13,17 +12,14 @@ type categoriesMetric struct {
 
 	censoredSample *stats.Counter
 	censoredFull   *stats.Counter
+	declared
 }
 
 func newCategoriesMetric(e *Engine) *categoriesMetric {
-	return &categoriesMetric{
-		cx:             &e.cx,
-		censoredSample: stats.NewCounter(),
-		censoredFull:   stats.NewCounter(),
-	}
+	m := &categoriesMetric{cx: &e.cx}
+	m.declare(e, "categories", counterField{&m.censoredSample}, counterField{&m.censoredFull})
+	return m
 }
-
-func (m *categoriesMetric) Name() string { return "categories" }
 
 func (m *categoriesMetric) Observe(rec *logfmt.Record) {
 	if !m.cx.censored {
@@ -37,22 +33,4 @@ func (m *categoriesMetric) Observe(rec *logfmt.Record) {
 	if m.cx.Sampled() {
 		m.censoredSample.Add(cat)
 	}
-}
-
-func (m *categoriesMetric) Merge(other Metric) {
-	o := other.(*categoriesMetric)
-	m.censoredSample.Merge(o.censoredSample)
-	m.censoredFull.Merge(o.censoredFull)
-}
-
-func (m *categoriesMetric) EncodeState(w *statecodec.Writer) {
-	w.Byte(1)
-	encCounter(w, m.censoredSample)
-	encCounter(w, m.censoredFull)
-}
-
-func (m *categoriesMetric) DecodeState(r *statecodec.Reader) {
-	checkVersion(r, "categories", 1)
-	m.censoredSample = decCounter(r)
-	m.censoredFull = decCounter(r)
 }

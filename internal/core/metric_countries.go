@@ -2,7 +2,6 @@ package core
 
 import (
 	"syriafilter/internal/logfmt"
-	"syriafilter/internal/statecodec"
 	"syriafilter/internal/stats"
 )
 
@@ -14,18 +13,14 @@ type countriesMetric struct {
 
 	censored *stats.Counter
 	allowed  *stats.Counter
+	declared
 }
 
 func newCountriesMetric(e *Engine) *countriesMetric {
-	return &countriesMetric{
-		cx:       &e.cx,
-		opt:      &e.opt,
-		censored: stats.NewCounter(),
-		allowed:  stats.NewCounter(),
-	}
+	m := &countriesMetric{cx: &e.cx, opt: &e.opt}
+	m.declare(e, "countries", counterField{&m.censored}, counterField{&m.allowed})
+	return m
 }
-
-func (m *countriesMetric) Name() string { return "countries" }
 
 func (m *countriesMetric) Observe(rec *logfmt.Record) {
 	ip, isIP := m.cx.IPv4()
@@ -41,22 +36,4 @@ func (m *countriesMetric) Observe(rec *logfmt.Record) {
 	} else if m.cx.allowed {
 		m.allowed.Add(country)
 	}
-}
-
-func (m *countriesMetric) Merge(other Metric) {
-	o := other.(*countriesMetric)
-	m.censored.Merge(o.censored)
-	m.allowed.Merge(o.allowed)
-}
-
-func (m *countriesMetric) EncodeState(w *statecodec.Writer) {
-	w.Byte(1)
-	encCounter(w, m.censored)
-	encCounter(w, m.allowed)
-}
-
-func (m *countriesMetric) DecodeState(r *statecodec.Reader) {
-	checkVersion(r, "countries", 1)
-	m.censored = decCounter(r)
-	m.allowed = decCounter(r)
 }

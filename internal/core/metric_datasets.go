@@ -10,13 +10,14 @@ import (
 type datasetsMetric struct {
 	cx       *recordCtx
 	datasets [numDatasets]ClassCounts
+	declared
 }
 
 func newDatasetsMetric(e *Engine) *datasetsMetric {
-	return &datasetsMetric{cx: &e.cx}
+	m := &datasetsMetric{cx: &e.cx}
+	m.declare(e, "datasets", datasetCountsField{&m.datasets})
+	return m
 }
-
-func (m *datasetsMetric) Name() string { return "datasets" }
 
 func (m *datasetsMetric) Observe(rec *logfmt.Record) {
 	m.bump(DFull, rec)
@@ -40,28 +41,32 @@ func (m *datasetsMetric) bump(id DatasetID, rec *logfmt.Record) {
 	}
 }
 
-func (m *datasetsMetric) Merge(other Metric) {
-	o := other.(*datasetsMetric)
-	for i := range m.datasets {
-		m.datasets[i].merge(&o.datasets[i])
+// datasetCountsField is one ClassCounts row group per dataset, written
+// with its length.
+type datasetCountsField struct{ p *[numDatasets]ClassCounts }
+
+func (f datasetCountsField) init(*Engine) { *f.p = [numDatasets]ClassCounts{} }
+
+func (f datasetCountsField) merge(src field) {
+	o := src.(datasetCountsField)
+	for i := range f.p {
+		f.p[i].merge(&o.p[i])
 	}
 }
 
-func (m *datasetsMetric) EncodeState(w *statecodec.Writer) {
-	w.Byte(1)
-	w.Uvarint(uint64(len(m.datasets)))
-	for i := range m.datasets {
-		encClassCounts(w, &m.datasets[i])
+func (f datasetCountsField) encode(w *statecodec.Writer) {
+	w.Uvarint(uint64(len(f.p)))
+	for i := range f.p {
+		encClassCounts(w, &f.p[i])
 	}
 }
 
-func (m *datasetsMetric) DecodeState(r *statecodec.Reader) {
-	checkVersion(r, "datasets", 1)
-	if n := r.Count(); r.Err() == nil && n != len(m.datasets) {
-		r.Failf("core: %d datasets, want %d", n, len(m.datasets))
+func (f datasetCountsField) decode(r *statecodec.Reader, _ byte, _ *Engine) {
+	if n := r.Count(); r.Err() == nil && n != len(f.p) {
+		r.Failf("core: %d datasets, want %d", n, len(f.p))
 		return
 	}
-	for i := range m.datasets {
-		decClassCounts(r, &m.datasets[i])
+	for i := range f.p {
+		decClassCounts(r, &f.p[i])
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"syriafilter/internal/logfmt"
-	"syriafilter/internal/statecodec"
 	"syriafilter/internal/urlx"
 )
 
@@ -11,7 +10,6 @@ import (
 // discovery algorithm (Tables 8–10 share it with the tokens module).
 type domainsMetric struct {
 	cx *recordCtx
-	e  *Engine
 
 	allowed  kcounter // registered domains, allowed
 	censored kcounter // registered domains, censored
@@ -28,25 +26,20 @@ type domainsMetric struct {
 	censoredDeny     kcounter
 	hostCensoredDeny kcounter
 	hostAllowed      kcounter
+	declared
 }
 
 func newDomainsMetric(e *Engine) *domainsMetric {
-	return &domainsMetric{
-		cx:               &e.cx,
-		e:                e,
-		allowed:          e.newCounter(),
-		censored:         e.newCounter(),
-		denied:           e.newCounter(),
-		proxied:          e.newCounter(),
-		tldCensored:      e.newCounter(),
-		tldAllowed:       e.newCounter(),
-		censoredDeny:     e.newCounter(),
-		hostCensoredDeny: e.newCounter(),
-		hostAllowed:      e.newCounter(),
-	}
+	m := &domainsMetric{cx: &e.cx}
+	m.declare(e, "domains",
+		kcounterField{&m.allowed}, kcounterField{&m.censored},
+		kcounterField{&m.denied}, kcounterField{&m.proxied},
+		kcounterField{&m.tldCensored}, kcounterField{&m.tldAllowed},
+		kcounterField{&m.censoredDeny}, kcounterField{&m.hostCensoredDeny},
+		kcounterField{&m.hostAllowed},
+	)
+	return m
 }
-
-func (m *domainsMetric) Name() string { return "domains" }
 
 func (m *domainsMetric) Observe(rec *logfmt.Record) {
 	switch {
@@ -65,59 +58,5 @@ func (m *domainsMetric) Observe(rec *logfmt.Record) {
 		m.tldAllowed.Add(urlx.TLD(rec.Host))
 	default:
 		m.denied.Add(m.cx.Domain())
-	}
-}
-
-func (m *domainsMetric) Merge(other Metric) {
-	o := other.(*domainsMetric)
-	m.allowed.Merge(o.allowed)
-	m.censored.Merge(o.censored)
-	m.denied.Merge(o.denied)
-	m.proxied.Merge(o.proxied)
-	m.tldCensored.Merge(o.tldCensored)
-	m.tldAllowed.Merge(o.tldAllowed)
-	m.censoredDeny.Merge(o.censoredDeny)
-	m.hostCensoredDeny.Merge(o.hostCensoredDeny)
-	m.hostAllowed.Merge(o.hostAllowed)
-}
-
-// counters returns every counter field, in the fixed encoding order.
-func (m *domainsMetric) counters() []*kcounter {
-	return []*kcounter{
-		&m.allowed, &m.censored, &m.denied, &m.proxied,
-		&m.tldCensored, &m.tldAllowed,
-		&m.censoredDeny, &m.hostCensoredDeny, &m.hostAllowed,
-	}
-}
-
-func (m *domainsMetric) sketchSizes() SketchSizes {
-	var s SketchSizes
-	for _, c := range m.counters() {
-		s.add(kcounterSizes(*c))
-	}
-	return s
-}
-
-// EncodeState writes version 1 (exact counters, the historical layout)
-// or version 2 (sketch counters) depending on the engine mode.
-func (m *domainsMetric) EncodeState(w *statecodec.Writer) {
-	if m.e.Sketched() {
-		w.Byte(2)
-	} else {
-		w.Byte(1)
-	}
-	for _, c := range m.counters() {
-		encKCounter(w, *c)
-	}
-}
-
-func (m *domainsMetric) DecodeState(r *statecodec.Reader) {
-	v := checkVersion(r, "domains", 2)
-	for _, c := range m.counters() {
-		if v == 2 {
-			*c = m.e.decKCounterSketch(r)
-		} else {
-			*c = m.e.decKCounterExact(r)
-		}
 	}
 }

@@ -14,17 +14,14 @@ type facebookMetric struct {
 	pages map[string]*pageStat
 	paths map[string]*triple // facebook.com path stats (plugins)
 	cens  uint64             // censored requests on facebook.com domain
+	declared
 }
 
 func newFacebookMetric(e *Engine) *facebookMetric {
-	return &facebookMetric{
-		cx:    &e.cx,
-		pages: map[string]*pageStat{},
-		paths: map[string]*triple{},
-	}
+	m := &facebookMetric{cx: &e.cx}
+	m.declare(e, "facebook", scalarField{&m.cens}, pageTableField{&m.pages}, tripleMapField{&m.paths})
+	return m
 }
-
-func (m *facebookMetric) Name() string { return "facebook" }
 
 func (m *facebookMetric) Observe(rec *logfmt.Record) {
 	if m.cx.Domain() != "facebook.com" {
@@ -68,60 +65,46 @@ func (m *facebookMetric) Observe(rec *logfmt.Record) {
 	}
 }
 
-func (m *facebookMetric) Merge(other Metric) {
-	o := other.(*facebookMetric)
-	for k, v := range o.pages {
-		ps := m.pages[k]
-		if ps == nil {
-			ps = &pageStat{}
-			m.pages[k] = ps
-		}
+// pageTableField is the per-page table: a triple plus the sticky
+// custom-category flag.
+type pageTableField struct{ p *map[string]*pageStat }
+
+func (f pageTableField) init(*Engine) { *f.p = map[string]*pageStat{} }
+
+func (f pageTableField) merge(src field) {
+	for k, v := range *src.(pageTableField).p {
+		ps := entry(*f.p, k)
 		ps.Censored += v.Censored
 		ps.Allowed += v.Allowed
 		ps.Proxied += v.Proxied
 		ps.CustomCategory = ps.CustomCategory || v.CustomCategory
 	}
-	for k, v := range o.paths {
-		ts := m.paths[k]
-		if ts == nil {
-			ts = &triple{}
-			m.paths[k] = ts
-		}
-		ts.Censored += v.Censored
-		ts.Allowed += v.Allowed
-		ts.Proxied += v.Proxied
-	}
-	m.cens += o.cens
 }
 
-func (m *facebookMetric) EncodeState(w *statecodec.Writer) {
-	w.Byte(1)
-	w.Uvarint(m.cens)
-	w.Uvarint(uint64(len(m.pages)))
-	for _, k := range sortedStrKeys(m.pages) {
-		ps := m.pages[k]
+func (f pageTableField) encode(w *statecodec.Writer) {
+	pages := *f.p
+	w.Uvarint(uint64(len(pages)))
+	for _, k := range sortedKeys(pages) {
+		ps := pages[k]
 		w.StringRef(k)
 		w.Uvarint(ps.Censored)
 		w.Uvarint(ps.Allowed)
 		w.Uvarint(ps.Proxied)
 		w.Bool(ps.CustomCategory)
 	}
-	encTripleMap(w, m.paths)
 }
 
-func (m *facebookMetric) DecodeState(r *statecodec.Reader) {
-	checkVersion(r, "facebook", 1)
-	m.cens = r.Uvarint()
+func (f pageTableField) decode(r *statecodec.Reader, _ byte, _ *Engine) {
 	n := r.Count()
-	m.pages = make(map[string]*pageStat, n)
+	pages := make(map[string]*pageStat, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		k := r.StringRef()
-		m.pages[k] = &pageStat{
+		pages[k] = &pageStat{
 			Censored:       r.Uvarint(),
 			Allowed:        r.Uvarint(),
 			Proxied:        r.Uvarint(),
 			CustomCategory: r.Bool(),
 		}
 	}
-	m.paths = decTripleMap(r)
+	*f.p = pages
 }

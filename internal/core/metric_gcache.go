@@ -2,20 +2,20 @@ package core
 
 import (
 	"syriafilter/internal/logfmt"
-	"syriafilter/internal/statecodec"
 )
 
 // gcacheMetric accumulates webcache.googleusercontent.com traffic (§7.4).
 type gcacheMetric struct {
 	cx              *recordCtx
 	total, censored uint64
+	declared
 }
 
 func newGCacheMetric(e *Engine) *gcacheMetric {
-	return &gcacheMetric{cx: &e.cx}
+	m := &gcacheMetric{cx: &e.cx}
+	m.declare(e, "gcache", scalarField{&m.total}, scalarField{&m.censored})
+	return m
 }
-
-func (m *gcacheMetric) Name() string { return "gcache" }
 
 func (m *gcacheMetric) Observe(rec *logfmt.Record) {
 	if rec.Host != "webcache.googleusercontent.com" {
@@ -25,22 +25,4 @@ func (m *gcacheMetric) Observe(rec *logfmt.Record) {
 	if m.cx.censored {
 		m.censored++
 	}
-}
-
-func (m *gcacheMetric) Merge(other Metric) {
-	o := other.(*gcacheMetric)
-	m.total += o.total
-	m.censored += o.censored
-}
-
-func (m *gcacheMetric) EncodeState(w *statecodec.Writer) {
-	w.Byte(1)
-	w.Uvarint(m.total)
-	w.Uvarint(m.censored)
-}
-
-func (m *gcacheMetric) DecodeState(r *statecodec.Reader) {
-	checkVersion(r, "gcache", 1)
-	m.total = r.Uvarint()
-	m.censored = r.Uvarint()
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"syriafilter/internal/logfmt"
-	"syriafilter/internal/statecodec"
 )
 
 // httpsMetric accumulates the §4 HTTPS/CONNECT view. It counts every
@@ -15,13 +14,17 @@ type httpsMetric struct {
 	total         uint64
 	censored      uint64
 	censoredIPLit uint64
+	declared
 }
 
 func newHTTPSMetric(e *Engine) *httpsMetric {
-	return &httpsMetric{cx: &e.cx}
+	m := &httpsMetric{cx: &e.cx}
+	m.declare(e, "https",
+		scalarField{&m.grandTotal}, scalarField{&m.total},
+		scalarField{&m.censored}, scalarField{&m.censoredIPLit},
+	)
+	return m
 }
-
-func (m *httpsMetric) Name() string { return "https" }
 
 func (m *httpsMetric) Observe(rec *logfmt.Record) {
 	m.grandTotal++
@@ -35,28 +38,4 @@ func (m *httpsMetric) Observe(rec *logfmt.Record) {
 			m.censoredIPLit++
 		}
 	}
-}
-
-func (m *httpsMetric) Merge(other Metric) {
-	o := other.(*httpsMetric)
-	m.grandTotal += o.grandTotal
-	m.total += o.total
-	m.censored += o.censored
-	m.censoredIPLit += o.censoredIPLit
-}
-
-func (m *httpsMetric) EncodeState(w *statecodec.Writer) {
-	w.Byte(1)
-	w.Uvarint(m.grandTotal)
-	w.Uvarint(m.total)
-	w.Uvarint(m.censored)
-	w.Uvarint(m.censoredIPLit)
-}
-
-func (m *httpsMetric) DecodeState(r *statecodec.Reader) {
-	checkVersion(r, "https", 1)
-	m.grandTotal = r.Uvarint()
-	m.total = r.Uvarint()
-	m.censored = r.Uvarint()
-	m.censoredIPLit = r.Uvarint()
 }

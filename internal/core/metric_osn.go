@@ -2,7 +2,6 @@ package core
 
 import (
 	"syriafilter/internal/logfmt"
-	"syriafilter/internal/statecodec"
 )
 
 // osnMetric accumulates censored/allowed/proxied counts across the §6
@@ -11,44 +10,20 @@ import (
 type osnMetric struct {
 	cx  *recordCtx
 	osn map[string]*triple
+	declared
 }
 
 func newOSNMetric(e *Engine) *osnMetric {
-	m := &osnMetric{cx: &e.cx, osn: map[string]*triple{}}
+	m := &osnMetric{cx: &e.cx}
+	m.declare(e, "osn", tripleMapField{&m.osn})
 	for _, osn := range OSNWatchlist {
 		m.osn[osn] = &triple{}
 	}
 	return m
 }
 
-func (m *osnMetric) Name() string { return "osn" }
-
 func (m *osnMetric) Observe(rec *logfmt.Record) {
 	if ts, ok := m.osn[m.cx.Domain()]; ok {
 		bumpTriple(ts, m.cx.censored, m.cx.allowed, m.cx.proxied)
 	}
-}
-
-func (m *osnMetric) Merge(other Metric) {
-	o := other.(*osnMetric)
-	for k, v := range o.osn {
-		ts := m.osn[k]
-		if ts == nil {
-			ts = &triple{}
-			m.osn[k] = ts
-		}
-		ts.Censored += v.Censored
-		ts.Allowed += v.Allowed
-		ts.Proxied += v.Proxied
-	}
-}
-
-func (m *osnMetric) EncodeState(w *statecodec.Writer) {
-	w.Byte(1)
-	encTripleMap(w, m.osn)
-}
-
-func (m *osnMetric) DecodeState(r *statecodec.Reader) {
-	checkVersion(r, "osn", 1)
-	m.osn = decTripleMap(r)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"syriafilter/internal/logfmt"
-	"syriafilter/internal/statecodec"
 )
 
 // portsMetric accumulates the per-port request counts of Figure 1.
@@ -10,17 +9,14 @@ type portsMetric struct {
 	cx       *recordCtx
 	allowed  map[uint16]uint64
 	censored map[uint16]uint64
+	declared
 }
 
 func newPortsMetric(e *Engine) *portsMetric {
-	return &portsMetric{
-		cx:       &e.cx,
-		allowed:  map[uint16]uint64{},
-		censored: map[uint16]uint64{},
-	}
+	m := &portsMetric{cx: &e.cx}
+	m.declare(e, "ports", portCountsField{&m.allowed}, portCountsField{&m.censored})
+	return m
 }
-
-func (m *portsMetric) Name() string { return "ports" }
 
 func (m *portsMetric) Observe(rec *logfmt.Record) {
 	switch {
@@ -30,22 +26,4 @@ func (m *portsMetric) Observe(rec *logfmt.Record) {
 	case m.cx.allowed:
 		m.allowed[rec.Port]++
 	}
-}
-
-func (m *portsMetric) Merge(other Metric) {
-	o := other.(*portsMetric)
-	mergeU16(m.allowed, o.allowed)
-	mergeU16(m.censored, o.censored)
-}
-
-func (m *portsMetric) EncodeState(w *statecodec.Writer) {
-	w.Byte(1)
-	encU16Counts(w, m.allowed)
-	encU16Counts(w, m.censored)
-}
-
-func (m *portsMetric) DecodeState(r *statecodec.Reader) {
-	checkVersion(r, "ports", 1)
-	m.allowed = decU16Counts(r)
-	m.censored = decU16Counts(r)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"strings"
 
 	"syriafilter/internal/logfmt"
@@ -13,57 +12,44 @@ import (
 // and Figure 7.
 //
 // The per-slot series are stored as one map of per-slot arrays with a
-// one-entry cache of the last slot touched (see timeseriesMetric for the
-// rationale): on a roughly time-sorted corpus the hot path is an array
-// increment, not a map insert.
+// one-entry cache of the last slot touched (slotTable; see
+// timeseriesMetric for the rationale): on a roughly time-sorted corpus
+// the hot path is an array increment, not a map insert.
 type proxiesMetric struct {
-	cx          *recordCtx
-	total       [logfmt.NumProxies]uint64
-	censored    [logfmt.NumProxies]uint64
-	slots       map[int64]*proxySlot
+	cx       *recordCtx
+	total    [logfmt.NumProxies]uint64
+	censored [logfmt.NumProxies]uint64
+	slotTable[proxySlot]
 	censDomains [logfmt.NumProxies]map[string]uint64
 	labels      [logfmt.NumProxies]map[string]uint64 // default category label sightings
-
-	lastSlotID int64
-	lastSlot   *proxySlot
+	declared
 }
 
 // proxySlot is one 5-minute bucket of per-proxy counts. Zero entries
-// mean "never observed" and are skipped when encoding, keeping the state
-// byte-compatible with the historical per-proxy-map layout.
+// mean "never observed".
 type proxySlot struct {
 	total    [logfmt.NumProxies]uint64
 	censored [logfmt.NumProxies]uint64
 }
 
-func newProxiesMetric(e *Engine) *proxiesMetric {
-	m := &proxiesMetric{cx: &e.cx, slots: map[int64]*proxySlot{}}
-	for i := 0; i < logfmt.NumProxies; i++ {
-		m.censDomains[i] = map[string]uint64{}
-		m.labels[i] = map[string]uint64{}
+// series returns the slot's k-th series: each proxy's total, then each
+// proxy's censored.
+func (s *proxySlot) series(k int) *uint64 {
+	if k < logfmt.NumProxies {
+		return &s.total[k]
 	}
+	return &s.censored[k-logfmt.NumProxies]
+}
+
+func newProxiesMetric(e *Engine) *proxiesMetric {
+	m := &proxiesMetric{cx: &e.cx}
+	m.slotTable = slotTable[proxySlot]{n: 2 * logfmt.NumProxies, series: (*proxySlot).series}
+	m.declare(e, "proxies", proxyTableField{m})
 	return m
 }
 
-func (m *proxiesMetric) Name() string { return "proxies" }
-
-// slot returns the bucket for id, creating it if needed, through the
-// one-entry cache.
-func (m *proxiesMetric) slot(id int64) *proxySlot {
-	if m.lastSlot != nil && m.lastSlotID == id {
-		return m.lastSlot
-	}
-	s := m.slots[id]
-	if s == nil {
-		s = &proxySlot{}
-		m.slots[id] = s
-	}
-	m.lastSlotID, m.lastSlot = id, s
-	return s
-}
-
-// at returns the bucket for id without creating it (zero value when the
-// slot was never observed) — the read-side accessor for figures.
+// at returns the bucket for id without creating it (nil when the slot
+// was never observed) — the read-side accessor for figures.
 func (m *proxiesMetric) at(id int64) *proxySlot {
 	return m.slots[id]
 }
@@ -87,94 +73,58 @@ func (m *proxiesMetric) Observe(rec *logfmt.Record) {
 	}
 }
 
-func (m *proxiesMetric) Merge(other Metric) {
-	o := other.(*proxiesMetric)
-	for id, os := range o.slots {
-		s := m.slots[id]
-		if s == nil {
-			s = &proxySlot{}
-			m.slots[id] = s
-		}
-		for i := 0; i < logfmt.NumProxies; i++ {
-			s.total[i] += os.total[i]
-			s.censored[i] += os.censored[i]
-		}
-	}
-	for i := 0; i < logfmt.NumProxies; i++ {
-		m.total[i] += o.total[i]
-		m.censored[i] += o.censored[i]
-		mergeStr(m.censDomains[i], o.censDomains[i])
-		mergeStr(m.labels[i], o.labels[i])
+// proxyTableField is the module's whole state. Its layout is one group
+// per proxy — totals, that proxy's two slot series, its domain and label
+// counts — so the slot table the groups share cannot stand as a field of
+// its own.
+type proxyTableField struct{ m *proxiesMetric }
+
+func (f proxyTableField) init(e *Engine) {
+	m := f.m
+	m.total, m.censored = [logfmt.NumProxies]uint64{}, [logfmt.NumProxies]uint64{}
+	m.slotTable.init(e)
+	for i := range m.censDomains {
+		m.censDomains[i] = map[string]uint64{}
+		m.labels[i] = map[string]uint64{}
 	}
 }
 
-func (m *proxiesMetric) EncodeState(w *statecodec.Writer) {
-	w.Byte(1)
+func (f proxyTableField) merge(src field) {
+	m, o := f.m, src.(proxyTableField).m
+	m.slotTable.merge(&o.slotTable)
+	for i := range m.total {
+		m.total[i] += o.total[i]
+		m.censored[i] += o.censored[i]
+		mergeCounts(m.censDomains[i], o.censDomains[i])
+		mergeCounts(m.labels[i], o.labels[i])
+	}
+}
+
+func (f proxyTableField) encode(w *statecodec.Writer) {
+	m := f.m
 	w.Uvarint(logfmt.NumProxies)
-	ids := make([]int64, 0, len(m.slots))
-	for id := range m.slots {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	// Per proxy, the slot series encode as count maps that skip zero
-	// entries — byte-identical to the historical layout of one map per
-	// proxy holding only the slots that proxy observed.
-	encSeries := func(sel func(*proxySlot) uint64) {
-		n := 0
-		for _, id := range ids {
-			if sel(m.slots[id]) > 0 {
-				n++
-			}
-		}
-		w.Uvarint(uint64(n))
-		for _, id := range ids {
-			if v := sel(m.slots[id]); v > 0 {
-				w.Varint(id)
-				w.Uvarint(v)
-			}
-		}
-	}
-	for i := 0; i < logfmt.NumProxies; i++ {
-		i := i
+	ids := sortedKeys(m.slots)
+	for i := range m.total {
 		w.Uvarint(m.total[i])
 		w.Uvarint(m.censored[i])
-		encSeries(func(s *proxySlot) uint64 { return s.total[i] })
-		encSeries(func(s *proxySlot) uint64 { return s.censored[i] })
+		m.encSeries(w, ids, i)
+		m.encSeries(w, ids, logfmt.NumProxies+i)
 		encStrCounts(w, m.censDomains[i])
 		encStrCounts(w, m.labels[i])
 	}
 }
 
-func (m *proxiesMetric) DecodeState(r *statecodec.Reader) {
-	checkVersion(r, "proxies", 1)
-	if n := r.Count(); r.Err() == nil && n != logfmt.NumProxies {
-		r.Failf("core: %d proxies, want %d", n, logfmt.NumProxies)
+func (f proxyTableField) decode(r *statecodec.Reader, _ byte, e *Engine) {
+	m := f.m
+	if !decProxyCount(r) {
 		return
 	}
-	m.slots = map[int64]*proxySlot{}
-	m.lastSlot = nil
-	decSeries := func(i int, censored bool) {
-		n := r.Count()
-		for j := 0; j < n && r.Err() == nil; j++ {
-			id := r.Varint()
-			v := r.Uvarint()
-			s := m.slots[id]
-			if s == nil {
-				s = &proxySlot{}
-				m.slots[id] = s
-			}
-			if censored {
-				s.censored[i] = v
-			} else {
-				s.total[i] = v
-			}
-		}
-	}
+	m.slotTable.init(e)
 	for i := 0; i < logfmt.NumProxies && r.Err() == nil; i++ {
 		m.total[i] = r.Uvarint()
 		m.censored[i] = r.Uvarint()
-		decSeries(i, false)
-		decSeries(i, true)
+		m.decSeries(r, i)
+		m.decSeries(r, logfmt.NumProxies+i)
 		m.censDomains[i] = decStrCounts(r)
 		m.labels[i] = decStrCounts(r)
 	}

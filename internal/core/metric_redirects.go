@@ -2,37 +2,23 @@ package core
 
 import (
 	"syriafilter/internal/logfmt"
-	"syriafilter/internal/statecodec"
 	"syriafilter/internal/stats"
 )
 
 // redirectsMetric accumulates the policy_redirect host counts of Table 7.
 type redirectsMetric struct {
 	hosts *stats.Counter
+	declared
 }
 
-func newRedirectsMetric(*Engine) *redirectsMetric {
-	return &redirectsMetric{hosts: stats.NewCounter()}
+func newRedirectsMetric(e *Engine) *redirectsMetric {
+	m := &redirectsMetric{}
+	m.declare(e, "redirects", counterField{&m.hosts})
+	return m
 }
-
-func (m *redirectsMetric) Name() string { return "redirects" }
 
 func (m *redirectsMetric) Observe(rec *logfmt.Record) {
 	if rec.Exception == logfmt.ExPolicyRedirect {
 		m.hosts.Add(rec.Host)
 	}
-}
-
-func (m *redirectsMetric) Merge(other Metric) {
-	m.hosts.Merge(other.(*redirectsMetric).hosts)
-}
-
-func (m *redirectsMetric) EncodeState(w *statecodec.Writer) {
-	w.Byte(1)
-	encCounter(w, m.hosts)
-}
-
-func (m *redirectsMetric) DecodeState(r *statecodec.Reader) {
-	checkVersion(r, "redirects", 1)
-	m.hosts = decCounter(r)
 }

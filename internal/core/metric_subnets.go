@@ -67,13 +67,14 @@ type subnetsMetric struct {
 	opt      *Options
 	sketched bool
 	subnets  map[string]*subnetStat
+	declared
 }
 
 func newSubnetsMetric(e *Engine) *subnetsMetric {
-	return &subnetsMetric{cx: &e.cx, opt: &e.opt, sketched: e.Sketched(), subnets: map[string]*subnetStat{}}
+	m := &subnetsMetric{cx: &e.cx, opt: &e.opt, sketched: e.Sketched()}
+	m.declare(e, "subnets", subnetTableField{m})
+	return m
 }
-
-func (m *subnetsMetric) Name() string { return "subnets" }
 
 func (m *subnetsMetric) stat(subnet string) *subnetStat {
 	st := m.subnets[subnet]
@@ -119,18 +120,22 @@ func (m *subnetsMetric) addIP(set map[uint32]struct{}, hll *stats.HyperLogLog, i
 	set[ip] = struct{}{}
 }
 
-func (m *subnetsMetric) sketchSizes() SketchSizes {
-	if !m.sketched {
-		return SketchSizes{}
-	}
-	// No frequency sketches here: each subnet carries three distinct-IP
-	// HyperLogLogs (censored / allowed / proxied).
-	return SketchSizes{HLLs: 3 * len(m.subnets)}
+// subnetTableField is the per-subnet table in the engine's counting
+// mode: three counts plus three distinct-IP sets, or HyperLogLogs, per
+// subnet.
+type subnetTableField struct{ m *subnetsMetric }
+
+func (f subnetTableField) init(*Engine) { f.m.subnets = map[string]*subnetStat{} }
+
+// sketchSizes: no frequency sketches here, three distinct-IP
+// HyperLogLogs (censored / allowed / proxied) per subnet.
+func (f subnetTableField) sketchSizes() SketchSizes {
+	return SketchSizes{HLLs: 3 * len(f.m.subnets)}
 }
 
-func (m *subnetsMetric) Merge(other Metric) {
-	o := other.(*subnetsMetric)
-	for k, v := range o.subnets {
+func (f subnetTableField) merge(src field) {
+	m := f.m
+	for k, v := range src.(subnetTableField).m.subnets {
 		st := m.stat(k)
 		st.Censored += v.Censored
 		st.Allowed += v.Allowed
@@ -141,26 +146,16 @@ func (m *subnetsMetric) Merge(other Metric) {
 			st.ProxHLL.Merge(v.ProxHLL)
 			continue
 		}
-		for ip := range v.CensoredIPs {
-			st.CensoredIPs[ip] = struct{}{}
-		}
-		for ip := range v.AllowedIPs {
-			st.AllowedIPs[ip] = struct{}{}
-		}
-		for ip := range v.ProxIPs {
-			st.ProxIPs[ip] = struct{}{}
-		}
+		mergeSet(st.CensoredIPs, v.CensoredIPs)
+		mergeSet(st.AllowedIPs, v.AllowedIPs)
+		mergeSet(st.ProxIPs, v.ProxIPs)
 	}
 }
 
-func (m *subnetsMetric) EncodeState(w *statecodec.Writer) {
-	if m.sketched {
-		w.Byte(2)
-	} else {
-		w.Byte(1)
-	}
+func (f subnetTableField) encode(w *statecodec.Writer) {
+	m := f.m
 	w.Uvarint(uint64(len(m.subnets)))
-	for _, k := range sortedStrKeys(m.subnets) {
+	for _, k := range sortedKeys(m.subnets) {
 		st := m.subnets[k]
 		w.StringRef(k)
 		w.Uvarint(st.Censored)
@@ -178,12 +173,8 @@ func (m *subnetsMetric) EncodeState(w *statecodec.Writer) {
 	}
 }
 
-func (m *subnetsMetric) DecodeState(r *statecodec.Reader) {
-	v := checkVersion(r, "subnets", 2)
-	if v == 2 && !m.sketched {
-		r.Failf("core: checkpoint carries sketch state; rebuild the engine with sketches enabled (-sketch)")
-		return
-	}
+func (f subnetTableField) decode(r *statecodec.Reader, layout byte, _ *Engine) {
+	m := f.m
 	n := r.Count()
 	m.subnets = make(map[string]*subnetStat, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
@@ -193,13 +184,13 @@ func (m *subnetsMetric) DecodeState(r *statecodec.Reader) {
 		st.Allowed = r.Uvarint()
 		st.Proxied = r.Uvarint()
 		switch {
-		case v == 2:
+		case layout == layoutSketch:
 			st.CensHLL = decHLL(r)
 			st.AllowHLL = decHLL(r)
 			st.ProxHLL = decHLL(r)
 		case m.sketched:
-			// v1 (exact) state into a sketched engine: replay the IP
-			// sets into the HLLs.
+			// Exact state into a sketched engine: replay the IP sets
+			// into the fresh HLLs.
 			for _, hll := range []*stats.HyperLogLog{st.CensHLL, st.AllowHLL, st.ProxHLL} {
 				for ip := range decIPSet(r) {
 					hll.AddHash(uint64(ip))

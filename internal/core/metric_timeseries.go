@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"syriafilter/internal/logfmt"
 	"syriafilter/internal/statecodec"
 )
@@ -12,53 +10,41 @@ import (
 // Table 5's peak-window breakdown.
 //
 // Slots are stored as one map of per-slot structs rather than parallel
-// maps, with a one-entry cache of the last slot touched: real corpora
-// arrive roughly time-sorted, so consecutive records almost always share
-// a 5-minute slot and the hot path is two pointer increments instead of
-// two map inserts per record.
+// maps, with a one-entry cache of the last slot touched (slotTable): real
+// corpora arrive roughly time-sorted, so consecutive records almost
+// always share a 5-minute slot and the hot path is two pointer increments
+// instead of two map inserts per record.
 type timeseriesMetric struct {
-	cx    *recordCtx
-	slots map[int64]*tsSlot
+	cx *recordCtx
+	slotTable[tsSlot]
 	// censHourDomains maps hour -> censored domain -> count.
 	censHourDomains map[int64]map[string]uint64
 
-	lastSlotID int64
-	lastSlot   *tsSlot
 	lastHourID int64
 	lastHour   map[string]uint64
+	declared
 }
 
 // tsSlot is one 5-minute bucket. A field is zero when that class was
-// never observed in the slot (the encoded state skips zero fields, so it
-// stays byte-compatible with the historical parallel-map layout).
+// never observed in the slot.
 type tsSlot struct {
 	allowed  uint64
 	censored uint64
 }
 
-func newTimeseriesMetric(e *Engine) *timeseriesMetric {
-	return &timeseriesMetric{
-		cx:              &e.cx,
-		slots:           map[int64]*tsSlot{},
-		censHourDomains: map[int64]map[string]uint64{},
+// series returns the slot's k-th series: allowed, then censored.
+func (s *tsSlot) series(k int) *uint64 {
+	if k == 0 {
+		return &s.allowed
 	}
+	return &s.censored
 }
 
-func (m *timeseriesMetric) Name() string { return "timeseries" }
-
-// slot returns the bucket for id, creating it if needed, through the
-// one-entry cache.
-func (m *timeseriesMetric) slot(id int64) *tsSlot {
-	if m.lastSlot != nil && m.lastSlotID == id {
-		return m.lastSlot
-	}
-	s := m.slots[id]
-	if s == nil {
-		s = &tsSlot{}
-		m.slots[id] = s
-	}
-	m.lastSlotID, m.lastSlot = id, s
-	return s
+func newTimeseriesMetric(e *Engine) *timeseriesMetric {
+	m := &timeseriesMetric{cx: &e.cx}
+	m.slotTable = slotTable[tsSlot]{n: 2, series: (*tsSlot).series}
+	m.declare(e, "timeseries", &m.slotTable, tsHourDomainsField{m})
+	return m
 }
 
 // at returns the bucket for id without creating it (zero value when the
@@ -91,98 +77,99 @@ func (m *timeseriesMetric) Observe(rec *logfmt.Record) {
 	}
 }
 
-func (m *timeseriesMetric) Merge(other Metric) {
-	o := other.(*timeseriesMetric)
-	for id, os := range o.slots {
-		s := m.slots[id]
-		if s == nil {
-			s = &tsSlot{}
-			m.slots[id] = s
-		}
-		s.allowed += os.allowed
-		s.censored += os.censored
+// tsHourDomainsField is hour -> censored domain -> count, with the
+// one-entry cache over it.
+type tsHourDomainsField struct{ m *timeseriesMetric }
+
+func (f tsHourDomainsField) init(*Engine) {
+	f.m.censHourDomains, f.m.lastHour = map[int64]map[string]uint64{}, nil
+}
+
+func (f tsHourDomainsField) merge(src field) {
+	mergeHourly(f.m.censHourDomains, src.(tsHourDomainsField).m.censHourDomains, mergeCounts[string])
+}
+
+func (f tsHourDomainsField) encode(w *statecodec.Writer) {
+	encHourly(w, f.m.censHourDomains, encStrCounts)
+}
+
+func (f tsHourDomainsField) decode(r *statecodec.Reader, _ byte, _ *Engine) {
+	f.m.censHourDomains, f.m.lastHour = decHourly(r, decStrCounts), nil
+}
+
+// slotTable is a map of per-slot structs S (5-minute buckets, each a few
+// uint64 series) with a one-entry cache of the last slot touched. The
+// timeseries and proxies modules embed it; as a field it is the n series
+// in order, each encoded as its own count map holding only the slots
+// where that series is non-zero — byte-identical to the historical
+// layout of one map per series.
+type slotTable[S any] struct {
+	slots      map[int64]*S
+	lastSlotID int64
+	lastSlot   *S
+
+	// series reaches the k-th of a slot's n series.
+	n      int
+	series func(*S, int) *uint64
+}
+
+// slot returns the bucket for id, creating it if needed, through the
+// one-entry cache.
+func (t *slotTable[S]) slot(id int64) *S {
+	if t.lastSlot != nil && t.lastSlotID == id {
+		return t.lastSlot
 	}
-	for hour, hd := range o.censHourDomains {
-		mine := m.censHourDomains[hour]
-		if mine == nil {
-			mine = map[string]uint64{}
-			m.censHourDomains[hour] = mine
+	t.lastSlotID, t.lastSlot = id, entry(t.slots, id)
+	return t.lastSlot
+}
+
+func (t *slotTable[S]) init(*Engine) { t.slots, t.lastSlot = map[int64]*S{}, nil }
+
+func (t *slotTable[S]) merge(src field) {
+	for id, o := range src.(*slotTable[S]).slots {
+		s := entry(t.slots, id)
+		for k := 0; k < t.n; k++ {
+			*t.series(s, k) += *t.series(o, k)
 		}
-		mergeStr(mine, hd)
 	}
 }
 
-// sortedSlotIDs returns the slot ids in ascending order.
-func (m *timeseriesMetric) sortedSlotIDs() []int64 {
-	ids := make([]int64, 0, len(m.slots))
-	for id := range m.slots {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
-}
-
-func (m *timeseriesMetric) EncodeState(w *statecodec.Writer) {
-	w.Byte(1)
-	// Encode the allowed and censored series as two separate count maps,
-	// skipping zero fields — byte-identical to the historical layout
-	// where each series was its own map holding only observed slots.
-	ids := m.sortedSlotIDs()
-	for _, sel := range []func(*tsSlot) uint64{
-		func(s *tsSlot) uint64 { return s.allowed },
-		func(s *tsSlot) uint64 { return s.censored },
-	} {
-		n := 0
-		for _, id := range ids {
-			if sel(m.slots[id]) > 0 {
-				n++
-			}
-		}
-		w.Uvarint(uint64(n))
-		for _, id := range ids {
-			if v := sel(m.slots[id]); v > 0 {
-				w.Varint(id)
-				w.Uvarint(v)
-			}
-		}
-	}
-	hours := make([]int64, 0, len(m.censHourDomains))
-	for h := range m.censHourDomains {
-		hours = append(hours, h)
-	}
-	slices.Sort(hours)
-	w.Uvarint(uint64(len(hours)))
-	for _, h := range hours {
-		w.Varint(h)
-		encStrCounts(w, m.censHourDomains[h])
+func (t *slotTable[S]) encode(w *statecodec.Writer) {
+	ids := sortedKeys(t.slots)
+	for k := 0; k < t.n; k++ {
+		t.encSeries(w, ids, k)
 	}
 }
 
-func (m *timeseriesMetric) DecodeState(r *statecodec.Reader) {
-	checkVersion(r, "timeseries", 1)
-	m.slots = map[int64]*tsSlot{}
-	m.lastSlot, m.lastHour = nil, nil
-	for pass := 0; pass < 2; pass++ {
-		n := r.Count()
-		for i := 0; i < n && r.Err() == nil; i++ {
-			id := r.Varint()
-			v := r.Uvarint()
-			s := m.slots[id]
-			if s == nil {
-				s = &tsSlot{}
-				m.slots[id] = s
-			}
-			if pass == 0 {
-				s.allowed = v
-			} else {
-				s.censored = v
-			}
+func (t *slotTable[S]) decode(r *statecodec.Reader, _ byte, e *Engine) {
+	t.init(e)
+	for k := 0; k < t.n; k++ {
+		t.decSeries(r, k)
+	}
+}
+
+// encSeries writes series k over the slots in ids (ascending).
+func (t *slotTable[S]) encSeries(w *statecodec.Writer, ids []int64, k int) {
+	n := 0
+	for _, id := range ids {
+		if *t.series(t.slots[id], k) > 0 {
+			n++
 		}
 	}
+	w.Uvarint(uint64(n))
+	for _, id := range ids {
+		if v := *t.series(t.slots[id], k); v > 0 {
+			w.Varint(id)
+			w.Uvarint(v)
+		}
+	}
+}
+
+// decSeries reads series k, creating the slots it names.
+func (t *slotTable[S]) decSeries(r *statecodec.Reader, k int) {
 	n := r.Count()
-	m.censHourDomains = make(map[int64]map[string]uint64, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		h := r.Varint()
-		m.censHourDomains[h] = decStrCounts(r)
+		id := r.Varint()
+		*t.series(entry(t.slots, id), k) = r.Uvarint()
 	}
 }

@@ -18,8 +18,10 @@ type cappedCounter struct {
 	max     int
 }
 
+// newCappedCounter leaves the counter itself to the module's state
+// declaration.
 func newCappedCounter(e *Engine, max int) *cappedCounter {
-	return &cappedCounter{counter: e.newCounter(), exact: !e.Sketched(), max: max}
+	return &cappedCounter{exact: !e.Sketched(), max: max}
 }
 
 func (c *cappedCounter) add(tok string) {
@@ -35,24 +37,26 @@ func (c *cappedCounter) add(tok string) {
 type tokensMetric struct {
 	cx  *recordCtx
 	opt *Options
-	e   *Engine
 
 	allowed      *cappedCounter
 	proxied      *cappedCounter
 	censoredURLs []censoredURL
+	declared
 }
 
 func newTokensMetric(e *Engine) *tokensMetric {
-	return &tokensMetric{
+	m := &tokensMetric{
 		cx:      &e.cx,
 		opt:     &e.opt,
-		e:       e,
 		allowed: newCappedCounter(e, e.opt.MaxTokenEntries),
 		proxied: newCappedCounter(e, 0),
 	}
+	m.declare(e, "tokens",
+		kcounterField{&m.allowed.counter}, kcounterField{&m.proxied.counter},
+		censoredStoreField{m},
+	)
+	return m
 }
-
-func (m *tokensMetric) Name() string { return "tokens" }
 
 func (m *tokensMetric) Observe(rec *logfmt.Record) {
 	if m.cx.allowed && !m.cx.proxied {
@@ -72,17 +76,13 @@ func (m *tokensMetric) Observe(rec *logfmt.Record) {
 	}
 }
 
-func (m *tokensMetric) sketchSizes() SketchSizes {
-	var s SketchSizes
-	s.add(kcounterSizes(m.allowed.counter))
-	s.add(kcounterSizes(m.proxied.counter))
-	return s
-}
+// censoredStoreField is the capped censored-URL store.
+type censoredStoreField struct{ m *tokensMetric }
 
-func (m *tokensMetric) Merge(other Metric) {
-	o := other.(*tokensMetric)
-	m.allowed.counter.Merge(o.allowed.counter)
-	m.proxied.counter.Merge(o.proxied.counter)
+func (f censoredStoreField) init(*Engine) { f.m.censoredURLs = nil }
+
+func (f censoredStoreField) merge(src field) {
+	m, o := f.m, src.(censoredStoreField).m
 	// A cut or a range read lands here once per folded segment, a few
 	// hundred times in a row: double the store when it fills, where
 	// append's 1.25x steps would copy it several times over.
@@ -95,19 +95,12 @@ func (m *tokensMetric) Merge(other Metric) {
 	}
 }
 
-// EncodeState writes the censored-URL store in its canonical sorted,
-// capped form (the view every consumer reads), so the encoding is a
-// pure function of the observed corpus even when the raw slice briefly
-// holds up to 2x the cap between compactions.
-func (m *tokensMetric) EncodeState(w *statecodec.Writer) {
-	if m.e.Sketched() {
-		w.Byte(2)
-	} else {
-		w.Byte(1)
-	}
-	encKCounter(w, m.allowed.counter)
-	encKCounter(w, m.proxied.counter)
-	urls := m.censored()
+// encode writes the store in its canonical sorted, capped form (the view
+// every consumer reads), so the encoding is a pure function of the
+// observed corpus even when the raw slice briefly holds up to 2x the cap
+// between compactions.
+func (f censoredStoreField) encode(w *statecodec.Writer) {
+	urls := f.m.censored()
 	w.Uvarint(uint64(len(urls)))
 	for i := range urls {
 		w.StringRef(urls[i].Domain)
@@ -116,22 +109,15 @@ func (m *tokensMetric) EncodeState(w *statecodec.Writer) {
 	}
 }
 
-func (m *tokensMetric) DecodeState(r *statecodec.Reader) {
-	v := checkVersion(r, "tokens", 2)
-	if v == 2 {
-		m.allowed.counter = m.e.decKCounterSketch(r)
-		m.proxied.counter = m.e.decKCounterSketch(r)
-	} else {
-		m.allowed.counter = m.e.decKCounterExact(r)
-		m.proxied.counter = m.e.decKCounterExact(r)
-	}
+func (f censoredStoreField) decode(r *statecodec.Reader, _ byte, _ *Engine) {
 	n := r.Count()
-	m.censoredURLs = make([]censoredURL, 0, n)
+	urls := make([]censoredURL, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		m.censoredURLs = append(m.censoredURLs, censoredURL{
+		urls = append(urls, censoredURL{
 			Domain: r.StringRef(), URL: r.String(), Host: r.StringRef(),
 		})
 	}
+	f.m.censoredURLs = urls
 }
 
 // censored returns the store in its canonical form — sorted by

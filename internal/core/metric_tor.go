@@ -1,17 +1,13 @@
 package core
 
 import (
-	"slices"
-
 	"syriafilter/internal/logfmt"
-	"syriafilter/internal/statecodec"
 	"syriafilter/internal/torsim"
 )
 
 // torMetric accumulates the §7.1 Tor view: request volumes by protocol,
 // censored relays and the hourly series behind Figures 8 and 9. Without a
-// consensus in Options the module observes nothing, matching the old
-// Analyzer behaviour.
+// consensus in Options the module observes nothing.
 type torMetric struct {
 	cx  *recordCtx
 	opt *Options
@@ -23,20 +19,21 @@ type torMetric struct {
 	censHourly         map[int64]uint64
 	censoredIPs        map[uint32]struct{}
 	allowedIPsByHour   map[int64]map[uint32]struct{}
+	declared
 }
 
 func newTorMetric(e *Engine) *torMetric {
-	return &torMetric{
-		cx:               &e.cx,
-		opt:              &e.opt,
-		hourly:           map[int64]uint64{},
-		censHourly:       map[int64]uint64{},
-		censoredIPs:      map[uint32]struct{}{},
-		allowedIPsByHour: map[int64]map[uint32]struct{}{},
-	}
+	m := &torMetric{cx: &e.cx, opt: &e.opt}
+	m.declare(e, "tor",
+		scalarField{&m.total}, scalarField{&m.http}, scalarField{&m.onion},
+		scalarField{&m.censored}, scalarField{&m.errors},
+		proxyCountsField{&m.censoredByProxy},
+		hourCountsField{&m.hourly}, hourCountsField{&m.censHourly},
+		ipSetField{&m.censoredIPs},
+		hourIPSetsField{&m.allowedIPsByHour},
+	)
+	return m
 }
-
-func (m *torMetric) Name() string { return "tor" }
 
 func (m *torMetric) Observe(rec *logfmt.Record) {
 	if m.opt.Consensus == nil {
@@ -73,83 +70,5 @@ func (m *torMetric) Observe(rec *logfmt.Record) {
 			m.allowedIPsByHour[hour] = set
 		}
 		set[ip] = struct{}{}
-	}
-}
-
-func (m *torMetric) Merge(other Metric) {
-	o := other.(*torMetric)
-	m.total += o.total
-	m.http += o.http
-	m.onion += o.onion
-	m.censored += o.censored
-	m.errors += o.errors
-	for i := 0; i < logfmt.NumProxies; i++ {
-		m.censoredByProxy[i] += o.censoredByProxy[i]
-	}
-	mergeI64(m.hourly, o.hourly)
-	mergeI64(m.censHourly, o.censHourly)
-	for ip := range o.censoredIPs {
-		m.censoredIPs[ip] = struct{}{}
-	}
-	for hour, set := range o.allowedIPsByHour {
-		mine := m.allowedIPsByHour[hour]
-		if mine == nil {
-			mine = map[uint32]struct{}{}
-			m.allowedIPsByHour[hour] = mine
-		}
-		for ip := range set {
-			mine[ip] = struct{}{}
-		}
-	}
-}
-
-func (m *torMetric) EncodeState(w *statecodec.Writer) {
-	w.Byte(1)
-	w.Uvarint(m.total)
-	w.Uvarint(m.http)
-	w.Uvarint(m.onion)
-	w.Uvarint(m.censored)
-	w.Uvarint(m.errors)
-	w.Uvarint(logfmt.NumProxies)
-	for i := 0; i < logfmt.NumProxies; i++ {
-		w.Uvarint(m.censoredByProxy[i])
-	}
-	encI64Counts(w, m.hourly)
-	encI64Counts(w, m.censHourly)
-	encIPSet(w, m.censoredIPs)
-	hours := make([]int64, 0, len(m.allowedIPsByHour))
-	for h := range m.allowedIPsByHour {
-		hours = append(hours, h)
-	}
-	slices.Sort(hours)
-	w.Uvarint(uint64(len(hours)))
-	for _, h := range hours {
-		w.Varint(h)
-		encIPSet(w, m.allowedIPsByHour[h])
-	}
-}
-
-func (m *torMetric) DecodeState(r *statecodec.Reader) {
-	checkVersion(r, "tor", 1)
-	m.total = r.Uvarint()
-	m.http = r.Uvarint()
-	m.onion = r.Uvarint()
-	m.censored = r.Uvarint()
-	m.errors = r.Uvarint()
-	if n := r.Count(); r.Err() == nil && n != logfmt.NumProxies {
-		r.Failf("core: %d proxies, want %d", n, logfmt.NumProxies)
-		return
-	}
-	for i := 0; i < logfmt.NumProxies; i++ {
-		m.censoredByProxy[i] = r.Uvarint()
-	}
-	m.hourly = decI64Counts(r)
-	m.censHourly = decI64Counts(r)
-	m.censoredIPs = decIPSet(r)
-	n := r.Count()
-	m.allowedIPsByHour = make(map[int64]map[uint32]struct{}, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		h := r.Varint()
-		m.allowedIPsByHour[h] = decIPSet(r)
 	}
 }

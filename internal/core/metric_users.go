@@ -27,24 +27,14 @@ type usersMetric struct {
 	hllCensored *stats.HyperLogLog
 	topTotal    *stats.TopK
 	topCensored *stats.TopK
+	declared
 }
 
 func newUsersMetric(e *Engine) *usersMetric {
-	m := &usersMetric{cx: &e.cx}
-	if e.Sketched() {
-		so := e.opt.Sketches
-		m.sketched = true
-		m.hllTotal = stats.NewHyperLogLog(so.Precision)
-		m.hllCensored = stats.NewHyperLogLog(so.Precision)
-		m.topTotal = stats.NewTopK(so.TopK)
-		m.topCensored = stats.NewTopK(so.TopK)
-	} else {
-		m.users = map[string]*userStat{}
-	}
+	m := &usersMetric{cx: &e.cx, sketched: e.Sketched()}
+	m.declare(e, "users", userTableField{m})
 	return m
 }
-
-func (m *usersMetric) Name() string { return "users" }
 
 func (m *usersMetric) Observe(rec *logfmt.Record) {
 	key := m.cx.UserKey()
@@ -68,57 +58,6 @@ func (m *usersMetric) Observe(rec *logfmt.Record) {
 	us.Total++
 	if m.cx.censored {
 		us.Censored++
-	}
-}
-
-// observeN replays an aggregated per-user record (state restore path).
-func (m *usersMetric) observeN(key string, total, censored uint64) {
-	if m.sketched {
-		m.hllTotal.Add(key)
-		m.topTotal.AddN(key, total)
-		if censored > 0 {
-			m.hllCensored.Add(key)
-			m.topCensored.AddN(key, censored)
-		}
-		return
-	}
-	us := m.users[key]
-	if us == nil {
-		us = &userStat{}
-		m.users[key] = us
-	}
-	us.Total += total
-	us.Censored += censored
-}
-
-func (m *usersMetric) Merge(other Metric) {
-	o := other.(*usersMetric)
-	if m.sketched {
-		m.hllTotal.Merge(o.hllTotal)
-		m.hllCensored.Merge(o.hllCensored)
-		m.topTotal.Merge(o.topTotal)
-		m.topCensored.Merge(o.topCensored)
-		return
-	}
-	for k, v := range o.users {
-		if mine, ok := m.users[k]; ok {
-			mine.Total += v.Total
-			mine.Censored += v.Censored
-		} else {
-			cp := *v
-			m.users[k] = &cp
-		}
-	}
-}
-
-func (m *usersMetric) sketchSizes() SketchSizes {
-	if !m.sketched {
-		return SketchSizes{}
-	}
-	return SketchSizes{
-		TopKEntries:  m.topTotal.Len() + m.topCensored.Len(),
-		TopKCapacity: m.topTotal.Capacity() + m.topCensored.Capacity(),
-		HLLs:         2,
 	}
 }
 
@@ -168,18 +107,63 @@ func (m *usersMetric) report() UserReport {
 	return rep
 }
 
-func (m *usersMetric) EncodeState(w *statecodec.Writer) {
+// userTableField is the per-user table in the engine's counting mode:
+// the exact map, or the two HyperLogLogs and two Space-Saving sketches.
+type userTableField struct{ m *usersMetric }
+
+func (f userTableField) init(e *Engine) {
+	m := f.m
+	if !m.sketched {
+		m.users = map[string]*userStat{}
+		return
+	}
+	so := e.opt.Sketches
+	m.hllTotal = stats.NewHyperLogLog(so.Precision)
+	m.hllCensored = stats.NewHyperLogLog(so.Precision)
+	m.topTotal = stats.NewTopK(so.TopK)
+	m.topCensored = stats.NewTopK(so.TopK)
+}
+
+func (f userTableField) merge(src field) {
+	m, o := f.m, src.(userTableField).m
 	if m.sketched {
-		w.Byte(2)
+		m.hllTotal.Merge(o.hllTotal)
+		m.hllCensored.Merge(o.hllCensored)
+		m.topTotal.Merge(o.topTotal)
+		m.topCensored.Merge(o.topCensored)
+		return
+	}
+	for k, v := range o.users {
+		if mine, ok := m.users[k]; ok {
+			mine.Total += v.Total
+			mine.Censored += v.Censored
+		} else {
+			cp := *v
+			m.users[k] = &cp
+		}
+	}
+}
+
+func (f userTableField) sketchSizes() SketchSizes {
+	m := f.m
+	return SketchSizes{
+		TopKEntries:  m.topTotal.Len() + m.topCensored.Len(),
+		TopKCapacity: m.topTotal.Capacity() + m.topCensored.Capacity(),
+		HLLs:         2,
+	}
+}
+
+func (f userTableField) encode(w *statecodec.Writer) {
+	m := f.m
+	if m.sketched {
 		encHLL(w, m.hllTotal)
 		encHLL(w, m.hllCensored)
 		encTopK(w, m.topTotal)
 		encTopK(w, m.topCensored)
 		return
 	}
-	w.Byte(1)
 	w.Uvarint(uint64(len(m.users)))
-	for _, k := range sortedStrKeys(m.users) {
+	for _, k := range sortedKeys(m.users) {
 		us := m.users[k]
 		w.StringRef(k)
 		w.Uvarint(us.Total)
@@ -187,24 +171,21 @@ func (m *usersMetric) EncodeState(w *statecodec.Writer) {
 	}
 }
 
-func (m *usersMetric) DecodeState(r *statecodec.Reader) {
-	v := checkVersion(r, "users", 2)
-	if v == 2 {
-		if !m.sketched {
-			r.Failf("core: checkpoint carries sketch state; rebuild the engine with sketches enabled (-sketch)")
-			return
-		}
+func (f userTableField) decode(r *statecodec.Reader, layout byte, e *Engine) {
+	m := f.m
+	if layout == layoutSketch {
 		m.hllTotal = decHLL(r)
 		m.hllCensored = decHLL(r)
 		m.topTotal = decTopK(r)
 		m.topCensored = decTopK(r)
 		return
 	}
-	// v1 (exact) state: load verbatim, or replay into the sketches when
-	// this engine runs sketched — an exact checkpoint is always a valid
-	// sketch input.
+	// Exact state: load verbatim, or replay each user's totals into
+	// fresh sketches when this engine runs sketched.
 	n := r.Count()
-	if !m.sketched {
+	if m.sketched {
+		f.init(e)
+	} else {
 		m.users = make(map[string]*userStat, n)
 	}
 	for i := 0; i < n && r.Err() == nil; i++ {
@@ -214,6 +195,15 @@ func (m *usersMetric) DecodeState(r *statecodec.Reader) {
 		if r.Err() != nil {
 			return
 		}
-		m.observeN(k, total, censored)
+		if !m.sketched {
+			m.users[k] = &userStat{Total: total, Censored: censored}
+			continue
+		}
+		m.hllTotal.Add(k)
+		m.topTotal.AddN(k, total)
+		if censored > 0 {
+			m.hllCensored.Add(k)
+			m.topCensored.AddN(k, censored)
+		}
 	}
 }

@@ -86,12 +86,6 @@ func (s *SketchSizes) add(o SketchSizes) {
 	s.HLLs += o.HLLs
 }
 
-// sketchSizer is implemented by the sketchable modules so SketchStats
-// can aggregate without knowing each module's layout.
-type sketchSizer interface {
-	sketchSizes() SketchSizes
-}
-
 // SketchStats reports the live sketch footprint per module. It returns
 // nil when the engine runs exact (nothing is sketched). The caller owns
 // the map; internal/serve samples it on every /metrics scrape against
@@ -101,20 +95,16 @@ func (e *Engine) SketchStats() map[string]SketchSizes {
 		return nil
 	}
 	out := map[string]SketchSizes{}
-	for _, name := range e.Metrics() {
-		if s, ok := e.Metric(name).(sketchSizer); ok {
-			out[name] = s.sketchSizes()
+	for _, m := range e.modules {
+		for _, f := range m.state() {
+			if sf, ok := f.(sketchable); ok {
+				s := out[m.Name()]
+				s.add(sf.sketchSizes())
+				out[m.Name()] = s
+			}
 		}
 	}
 	return out
-}
-
-// kcounterSizes reports a kcounter's sketch footprint (zero for exact).
-func kcounterSizes(c kcounter) SketchSizes {
-	if sc, ok := c.(*sketchCounter); ok {
-		return SketchSizes{TopKEntries: sc.topk.Len(), TopKCapacity: sc.topk.Capacity(), HLLs: 1}
-	}
-	return SketchSizes{}
 }
 
 // kcounter is the counting abstraction behind the sketchable frequency
@@ -137,6 +127,11 @@ type kcounter interface {
 	// the sketch's retained top-k — in unspecified order.
 	Each(fn func(key string, n uint64))
 	Merge(other kcounter)
+	// encode writes the counter in its mode's layout; the section's
+	// layout byte records which one is in the stream.
+	encode(w *statecodec.Writer)
+	// sketchSizes reports the sketch footprint (zero for exact).
+	sketchSizes() SketchSizes
 }
 
 // newCounter builds the engine-appropriate kcounter.
@@ -157,6 +152,8 @@ func (c exactCounter) Merge(other kcounter) { c.Counter.Merge(other.(exactCounte
 func (c exactCounter) Each(fn func(string, uint64)) {
 	c.Counter.Each(fn)
 }
+func (c exactCounter) encode(w *statecodec.Writer) { encCounter(w, c.Counter) }
+func (c exactCounter) sketchSizes() SketchSizes    { return SketchSizes{} }
 
 // sketchCounter is the bounded-memory kcounter: Space-Saving for the
 // frequency table, HyperLogLog for the distinct count, and an exact
@@ -196,6 +193,10 @@ func (c *sketchCounter) Top(k int) []stats.Entry { return c.topk.Top(k) }
 
 func (c *sketchCounter) Each(fn func(string, uint64)) {
 	c.topk.EachEntry(func(key string, count, _ uint64) { fn(key, count) })
+}
+
+func (c *sketchCounter) sketchSizes() SketchSizes {
+	return SketchSizes{TopKEntries: c.topk.Len(), TopKCapacity: c.topk.Capacity(), HLLs: 1}
 }
 
 func (c *sketchCounter) Merge(other kcounter) {
@@ -280,8 +281,8 @@ func decTopK(r *statecodec.Reader) *stats.TopK {
 	return t
 }
 
-// encSketchCounter / decSketchCounter code a sketchCounter.
-func encSketchCounter(w *statecodec.Writer, c *sketchCounter) {
+// encode / decSketchCounter code a sketchCounter.
+func (c *sketchCounter) encode(w *statecodec.Writer) {
 	w.Uvarint(c.total)
 	encTopK(w, c.topk)
 	encHLL(w, c.hll)
@@ -295,22 +296,9 @@ func decSketchCounter(r *statecodec.Reader) *sketchCounter {
 	return c
 }
 
-// encKCounter writes a kcounter in the mode-appropriate layout; the
-// caller's module version byte records which one is in the stream
-// (exact modules stay on their v1 layout, sketched modules bump to v2).
-func encKCounter(w *statecodec.Writer, c kcounter) {
-	switch cc := c.(type) {
-	case exactCounter:
-		encCounter(w, cc.Counter)
-	case *sketchCounter:
-		encSketchCounter(w, cc)
-	}
-}
-
-// decKCounterExact decodes a v1 (exact) counter section into the
-// engine's counting mode: verbatim for an exact engine, replayed
-// key-by-key into a fresh sketch for a sketched one (an exact checkpoint
-// is always a valid sketch input; the reverse is not).
+// decKCounterExact decodes an exact counter into the engine's counting
+// mode: verbatim for an exact engine, replayed key by key into a fresh
+// sketch for a sketched one.
 func (e *Engine) decKCounterExact(r *statecodec.Reader) kcounter {
 	if !e.opt.Sketches.Enabled {
 		return exactCounter{decCounter(r)}
@@ -322,14 +310,4 @@ func (e *Engine) decKCounterExact(r *statecodec.Reader) kcounter {
 		c.AddN(k, r.Uvarint())
 	}
 	return c
-}
-
-// decKCounterSketch decodes a v2 (sketch) counter section; only a
-// sketched engine can hold it.
-func (e *Engine) decKCounterSketch(r *statecodec.Reader) kcounter {
-	if !e.opt.Sketches.Enabled {
-		r.Failf("core: checkpoint carries sketch state; rebuild the engine with sketches enabled (-sketch)")
-		return exactCounter{stats.NewCounter()}
-	}
-	return decSketchCounter(r)
 }

@@ -77,8 +77,8 @@ func TestSketchBoundedEntries(t *testing.T) {
 		t.Errorf("users topCensored tracks %d entries, capacity %d", got, k)
 	}
 	dm := sk.mDomains("test")
-	for _, c := range dm.counters() {
-		scc, ok := (*c).(*sketchCounter)
+	for _, f := range dm.state() {
+		scc, ok := (*f.(kcounterField).p).(*sketchCounter)
 		if !ok {
 			t.Fatal("sketched engine holds a non-sketch domains counter")
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"slices"
@@ -22,12 +23,30 @@ import (
 //	"SFEN" | format version byte | uvarint section count
 //	per section: string module name | blob payload
 //
-// A payload is the module's EncodeState output and leads with that
-// module's own version byte.
+// A payload leads with the section's layout version byte, followed by
+// the module's declared fields in order.
 const (
 	engineStateMagic   = "SFEN"
 	engineStateVersion = 1
 )
+
+// Section layouts. Every module writes layoutExact (the historical
+// layout) unless it declares a sketchable field and the engine runs
+// sketched: then those fields take their sketch form and the section
+// says so.
+const (
+	layoutExact  = 1
+	layoutSketch = 2
+)
+
+// layoutOf returns the layout this engine writes for a module declaring
+// fs.
+func (e *Engine) layoutOf(fs []field) byte {
+	if e.Sketched() && hasSketchable(fs) {
+		return layoutSketch
+	}
+	return layoutExact
+}
 
 // MarshalState serializes the engine's accumulated metric state. The
 // encoding is deterministic: marshaling the same logical state (however
@@ -42,7 +61,11 @@ func (e *Engine) MarshalState() []byte {
 	mw := statecodec.NewWriter()
 	for _, m := range e.modules {
 		mw.Reset()
-		m.EncodeState(mw)
+		fs := m.state()
+		mw.Byte(e.layoutOf(fs))
+		for _, f := range fs {
+			f.encode(mw)
+		}
 		w.String(m.Name())
 		w.Blob(mw.Bytes())
 	}
@@ -50,9 +73,12 @@ func (e *Engine) MarshalState() []byte {
 }
 
 // UnmarshalState replaces the engine's metric state with a state
-// previously produced by MarshalState. Call it on a freshly built
-// engine with the same Options the writing engine used: the stream
-// carries accumulated counts only, not the configuration databases.
+// previously produced by MarshalState: whatever a decoded module had
+// accumulated is discarded, not merged into. The engine must have been
+// built with the same Options the writing engine used — the stream
+// carries accumulated counts only, not the configuration databases —
+// except that an exact state also loads into a sketched engine, by
+// replay.
 //
 // Sections are paired with modules by name. A section for a module this
 // engine was not built with is skipped (a full checkpoint loads into a
@@ -84,7 +110,7 @@ func (e *Engine) UnmarshalState(b []byte) error {
 		}
 		decoded[name] = true
 		mr := statecodec.NewReader(payload)
-		m.DecodeState(mr)
+		e.decodeFields(mr, name, m.state())
 		if err := mr.Err(); err != nil {
 			return fmt.Errorf("core: module %q: %w", name, err)
 		}
@@ -159,13 +185,28 @@ func (e *Engine) ReadState(r io.Reader) error {
 	return e.UnmarshalState(b)
 }
 
-// checkVersion reads and validates a module's leading version byte.
-func checkVersion(r *statecodec.Reader, module string, max byte) byte {
-	v := r.Byte()
-	if r.Err() == nil && (v == 0 || v > max) {
-		r.Failf("core: %s state version %d unsupported (max %d)", module, v, max)
+// decodeFields reads one module section into fs: the layout byte, which
+// must be one this engine can hold, then every field in order, stopping
+// at the first failure.
+func (e *Engine) decodeFields(r *statecodec.Reader, module string, fs []field) {
+	newest := byte(layoutExact)
+	if hasSketchable(fs) {
+		newest = layoutSketch
 	}
-	return v
+	layout := r.Byte()
+	switch {
+	case r.Err() != nil:
+	case layout == 0 || layout > newest:
+		r.Failf("core: %s state version %d unsupported (max %d)", module, layout, newest)
+	case layout == layoutSketch && !e.Sketched():
+		r.Failf("core: checkpoint carries sketch state; rebuild the engine with sketches enabled (-sketch)")
+	}
+	for _, f := range fs {
+		if r.Err() != nil {
+			return
+		}
+		f.decode(r, layout, e)
+	}
 }
 
 // --- shared field codecs ---
@@ -173,8 +214,8 @@ func checkVersion(r *statecodec.Reader, module string, max byte) byte {
 // All of them iterate in sorted key order, making every module encoding
 // a pure function of its logical state.
 
-func sortedStrKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
@@ -182,23 +223,43 @@ func sortedStrKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// encStrCounts / decStrCounts code a map[string]uint64 with interned keys.
-func encStrCounts(w *statecodec.Writer, m map[string]uint64) {
+// encCounts / decCounts code a count map whose keys encKey / decKey code.
+func encCounts[K cmp.Ordered](w *statecodec.Writer, m map[K]uint64, encKey func(*statecodec.Writer, K)) {
 	w.Uvarint(uint64(len(m)))
-	for _, k := range sortedStrKeys(m) {
-		w.StringRef(k)
+	for _, k := range sortedKeys(m) {
+		encKey(w, k)
 		w.Uvarint(m[k])
 	}
 }
 
-func decStrCounts(r *statecodec.Reader) map[string]uint64 {
+func decCounts[K comparable](r *statecodec.Reader, decKey func(*statecodec.Reader) K) map[K]uint64 {
 	n := r.Count()
-	m := make(map[string]uint64, n)
+	m := make(map[K]uint64, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		k := r.StringRef()
+		k := decKey(r)
 		m[k] = r.Uvarint()
 	}
 	return m
+}
+
+// encStrCounts / decStrCounts code a map[string]uint64 with interned keys.
+func encStrCounts(w *statecodec.Writer, m map[string]uint64) {
+	encCounts(w, m, (*statecodec.Writer).StringRef)
+}
+
+func decStrCounts(r *statecodec.Reader) map[string]uint64 {
+	return decCounts(r, (*statecodec.Reader).StringRef)
+}
+
+// encPort / decPort are the key codec of a per-port count map.
+func encPort(w *statecodec.Writer, port uint16) { w.Uvarint(uint64(port)) }
+
+func decPort(r *statecodec.Reader) uint16 {
+	k := r.Uvarint()
+	if k > 0xffff {
+		r.Failf("core: port %d out of range", k)
+	}
+	return uint16(k)
 }
 
 // encCounter / decCounter code a stats.Counter (the total is recomputed
@@ -228,67 +289,11 @@ func decCounter(r *statecodec.Reader) *stats.Counter {
 	return c
 }
 
-func decI64Counts(r *statecodec.Reader) map[int64]uint64 {
-	n := r.Count()
-	m := make(map[int64]uint64, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		k := r.Varint()
-		m[k] = r.Uvarint()
-	}
-	return m
-}
-
-func encI64Counts(w *statecodec.Writer, m map[int64]uint64) {
-	keys := make([]int64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	w.Uvarint(uint64(len(m)))
-	for _, k := range keys {
-		w.Varint(k)
-		w.Uvarint(m[k])
-	}
-}
-
-func encU16Counts(w *statecodec.Writer, m map[uint16]uint64) {
-	keys := make([]uint16, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	w.Uvarint(uint64(len(m)))
-	for _, k := range keys {
-		w.Uvarint(uint64(k))
-		w.Uvarint(m[k])
-	}
-}
-
-func decU16Counts(r *statecodec.Reader) map[uint16]uint64 {
-	n := r.Count()
-	m := make(map[uint16]uint64, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		k := r.Uvarint()
-		v := r.Uvarint()
-		if k > 0xffff {
-			r.Failf("core: port %d out of range", k)
-			return m
-		}
-		m[uint16(k)] = v
-	}
-	return m
-}
-
 // encIPSet / decIPSet code a set of IPv4 addresses as sorted deltas.
 func encIPSet(w *statecodec.Writer, set map[uint32]struct{}) {
-	ips := make([]uint32, 0, len(set))
-	for ip := range set {
-		ips = append(ips, ip)
-	}
-	slices.Sort(ips)
-	w.Uvarint(uint64(len(ips)))
+	w.Uvarint(uint64(len(set)))
 	var prev uint32
-	for _, ip := range ips {
+	for _, ip := range sortedKeys(set) {
 		w.Uvarint(uint64(ip - prev))
 		prev = ip
 	}
@@ -307,6 +312,25 @@ func decIPSet(r *statecodec.Reader) map[uint32]struct{} {
 		set[uint32(prev)] = struct{}{}
 	}
 	return set
+}
+
+// encHourly / decHourly code a per-hour map of values coded by enc / dec.
+func encHourly[V any](w *statecodec.Writer, m map[int64]V, enc func(*statecodec.Writer, V)) {
+	w.Uvarint(uint64(len(m)))
+	for _, hour := range sortedKeys(m) {
+		w.Varint(hour)
+		enc(w, m[hour])
+	}
+}
+
+func decHourly[V any](r *statecodec.Reader, dec func(*statecodec.Reader) V) map[int64]V {
+	n := r.Count()
+	m := make(map[int64]V, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		hour := r.Varint()
+		m[hour] = dec(r)
+	}
+	return m
 }
 
 // encHashSet / decHashSet code a set of 20-byte digests, sorted.
@@ -340,7 +364,7 @@ func decHashSet(r *statecodec.Reader) map[[20]byte]struct{} {
 // triples (the osn watchlist, facebook platform paths).
 func encTripleMap(w *statecodec.Writer, m map[string]*triple) {
 	w.Uvarint(uint64(len(m)))
-	for _, k := range sortedStrKeys(m) {
+	for _, k := range sortedKeys(m) {
 		ts := m[k]
 		w.StringRef(k)
 		w.Uvarint(ts.Censored)

@@ -167,7 +167,7 @@ func packFrame(raw []byte) []byte {
 var frameHeader = packFrame(nil)[:10]
 
 // unpacker inflates frames one after another, reusing its inflater and
-// its output buffer: no DecodeState keeps a reference into its input
+// its output buffer: no state decoder keeps a reference into its input
 // (strings and register arrays are copied out), so the bytes of one
 // frame may be overwritten by the next.
 type unpacker struct {
