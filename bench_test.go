@@ -53,25 +53,16 @@ func fixture(b *testing.B) *benchFixture {
 		if err != nil {
 			panic(err)
 		}
-		cluster := proxysim.NewCluster(proxysim.Config{
-			Seed: 99, Engine: gen.Engine(), Consensus: gen.Consensus(),
-		})
 		an := core.NewAnalyzer(core.Options{
 			Categories: gen.CategoryDB(),
 			Consensus:  gen.Consensus(),
 			TitleDB:    bittorrent.NewTitleDB(),
 		})
 		var recs []logfmt.Record
-		var rec logfmt.Record
-		for {
-			req, ok := gen.Next()
-			if !ok {
-				break
-			}
-			cluster.Process(&req, &rec)
-			an.Observe(&rec)
-			recs = append(recs, rec)
-		}
+		proxysim.Emit(gen, func(rec *logfmt.Record) {
+			an.Observe(rec)
+			recs = append(recs, *rec)
+		})
 		benchFix = &benchFixture{gen: gen, analyzer: an, records: recs}
 	})
 	return benchFix

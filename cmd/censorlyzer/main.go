@@ -108,41 +108,17 @@ func main() {
 		return
 	}
 
-	selected := map[string]bool{}
-	for _, e := range strings.Split(*exps, ",") {
-		selected[strings.TrimSpace(e)] = true
-	}
-	all := selected["all"]
-
-	// Subset selection: instantiate only the metric modules the requested
-	// experiments read, so producing one table does not pay for all of
-	// them. "all" (or an unknown id, reported below) runs the full engine.
-	var metrics []string
-	if !all {
-		var ids []string
-		for _, id := range render.Order() {
-			if selected[id] {
-				ids = append(ids, id)
-			}
-		}
-		if len(ids) > 0 {
-			mods, err := core.ModulesFor(ids...)
-			if err != nil {
-				// An id known to this binary but not to core's experiment
-				// table: run the full engine so output stays correct, but
-				// say that the subset optimization was lost.
-				logger.Warn("subset selection disabled; running the full engine", "err", err)
-			} else {
-				metrics = mods
-			}
-		}
+	ids, metrics, err := selectExperiments(*exps)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "censorlyzer:", err)
+		os.Exit(2)
 	}
 
 	gen, err := synth.New(synth.Config{Seed: *seed, TotalRequests: *requests})
 	if err != nil {
 		fatal(err)
 	}
-	an, err := analyze(gen, *input, *seed, *workers, metrics, win)
+	an, err := analyze(gen, *input, *workers, metrics, win)
 	if err != nil {
 		fatal(err)
 	}
@@ -168,16 +144,11 @@ func main() {
 	}
 
 	cx := render.Context{An: an, Gen: gen}
-	ran := 0
-	for _, id := range render.Order() {
-		if !all && !selected[id] {
-			continue
-		}
+	for _, id := range ids {
 		doc, err := render.Render(id, cx)
 		if err != nil {
 			fatal(err)
 		}
-		ran++
 		if *jsonOut {
 			// One document per line — render.EncodeJSON is the shared
 			// encoder, so this is byte-identical to what cmd/censord's
@@ -194,11 +165,37 @@ func main() {
 		fmt.Printf("\n### %s — %s\n\n", id, doc.Title)
 		fmt.Print(doc.Text())
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matched %q; known ids:\n", *exps)
-		listExperiments(os.Stderr)
-		os.Exit(2)
+}
+
+// selectExperiments resolves the -exp list into the ids to render, in
+// presentation order, and the metric modules they read, so producing one
+// table does not pay for all of them; "all" selects every id and the
+// full engine (nil metrics). An id no renderer knows is an error, worded
+// as every front end words it.
+func selectExperiments(exps string) (ids, metrics []string, err error) {
+	order := render.Order()
+	known := map[string]bool{"all": true}
+	for _, id := range order {
+		known[id] = true
 	}
+	selected := map[string]bool{}
+	for _, e := range strings.Split(exps, ",") {
+		id := strings.TrimSpace(e)
+		if !known[id] {
+			return nil, nil, render.UnknownID(id)
+		}
+		selected[id] = true
+	}
+	if selected["all"] {
+		return order, nil, nil
+	}
+	for _, id := range order {
+		if selected[id] {
+			ids = append(ids, id)
+		}
+	}
+	metrics, err = core.ModulesFor(ids...)
+	return ids, metrics, err
 }
 
 // listExperiments prints every experiment id, its title, and the metric
@@ -282,7 +279,7 @@ func writeStateFile(path string, e *core.Engine) error {
 // the worker pool, not one decode goroutine per file — so even a single
 // large file scans on every core. Records outside win are skipped (the
 // zero window keeps everything).
-func analyze(gen *synth.Generator, input string, seed uint64, workers int, metrics []string, win timewin.Window) (*core.Analyzer, error) {
+func analyze(gen *synth.Generator, input string, workers int, metrics []string, win timewin.Window) (*core.Analyzer, error) {
 	newAcc := func() *core.Analyzer {
 		a, err := core.NewAnalyzerFor(analyzerOptions(gen), metrics...)
 		if err != nil {
@@ -291,22 +288,12 @@ func analyze(gen *synth.Generator, input string, seed uint64, workers int, metri
 		return a
 	}
 	if input == "" {
-		cluster := proxysim.NewCluster(proxysim.Config{
-			Seed: seed, Engine: gen.Engine(), Consensus: gen.Consensus(),
-		})
 		an := newAcc()
-		var rec logfmt.Record
-		for {
-			req, ok := gen.Next()
-			if !ok {
-				break
+		proxysim.Emit(gen, func(rec *logfmt.Record) {
+			if win.Contains(rec.Time) {
+				an.Observe(rec)
 			}
-			cluster.Process(&req, &rec)
-			if !win.Contains(rec.Time) {
-				continue
-			}
-			an.Observe(&rec)
-		}
+		})
 		return an, nil
 	}
 	var paths []string

@@ -39,10 +39,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cluster := proxysim.NewCluster(proxysim.Config{
-		Seed: *seed, Engine: gen.Engine(), Consensus: gen.Consensus(),
-	})
-
 	writers := map[int]*logfmt.Writer{}
 	var files []*os.File
 	defer func() {
@@ -87,13 +83,7 @@ func main() {
 	// (deterministically per seed), which is what makes censord's
 	// /v1/range and censorlyzer -from/-to queries non-degenerate.
 	var minTime, maxTime int64
-	var rec logfmt.Record
-	for {
-		req, ok := gen.Next()
-		if !ok {
-			break
-		}
-		cluster.Process(&req, &rec)
+	c := proxysim.Emit(gen, func(rec *logfmt.Record) {
 		if minTime == 0 || rec.Time < minTime {
 			minTime = rec.Time
 		}
@@ -104,10 +94,10 @@ func main() {
 		if w == nil {
 			w = writers[rec.Proxy()]
 		}
-		if err := w.Write(&rec); err != nil {
+		if err := w.Write(rec); err != nil {
 			fatal(err)
 		}
-	}
+	})
 	var written uint64
 	for _, w := range writers {
 		if err := w.Flush(); err != nil {
@@ -116,7 +106,6 @@ func main() {
 		written += w.Count()
 	}
 	if !*quiet {
-		c := cluster.Counts()
 		span := ""
 		if written > 0 {
 			const layout = "2006-01-02 15:04"

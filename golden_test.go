@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"syriafilter/internal/core"
-	"syriafilter/internal/logfmt"
 	"syriafilter/internal/proxysim"
 	"syriafilter/internal/render"
 	"syriafilter/internal/synth"
@@ -45,19 +44,8 @@ func goldenAnalyzer(t *testing.T, seed uint64) (*synth.Generator, *core.Analyzer
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster := proxysim.NewCluster(proxysim.Config{
-		Seed: seed, Engine: gen.Engine(), Consensus: gen.Consensus(),
-	})
 	an := core.NewAnalyzer(analyzerOptions(gen))
-	var rec logfmt.Record
-	for {
-		req, ok := gen.Next()
-		if !ok {
-			break
-		}
-		cluster.Process(&req, &rec)
-		an.Observe(&rec)
-	}
+	proxysim.Emit(gen, an.Observe)
 	return gen, an
 }
 

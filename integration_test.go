@@ -35,16 +35,12 @@ func buildCorpusFiles(t *testing.T, dir string, seed uint64, n int) (*synth.Gene
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster := proxysim.NewCluster(proxysim.Config{
-		Seed: seed, Engine: gen.Engine(), Consensus: gen.Consensus(),
-	})
 	ref := core.NewAnalyzer(analyzerOptions(gen))
 
 	writers := map[int]*logfmt.Writer{}
 	var paths []string
 	for sg := logfmt.FirstProxy; sg <= logfmt.LastProxy; sg++ {
-		path := filepath.Join(dir, "sg.csv")
-		path = filepath.Join(dir, "sg-"+string(rune('0'+sg/10))+string(rune('0'+sg%10))+".csv")
+		path := filepath.Join(dir, "sg-"+string(rune('0'+sg/10))+string(rune('0'+sg%10))+".csv")
 		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)
@@ -58,18 +54,12 @@ func buildCorpusFiles(t *testing.T, dir string, seed uint64, n int) (*synth.Gene
 		paths = append(paths, path)
 	}
 
-	var rec logfmt.Record
-	for {
-		req, ok := gen.Next()
-		if !ok {
-			break
-		}
-		cluster.Process(&req, &rec)
-		ref.Observe(&rec)
-		if err := writers[rec.Proxy()].Write(&rec); err != nil {
+	proxysim.Emit(gen, func(rec *logfmt.Record) {
+		ref.Observe(rec)
+		if err := writers[rec.Proxy()].Write(rec); err != nil {
 			t.Fatal(err)
 		}
-	}
+	})
 	for _, w := range writers {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)

@@ -84,12 +84,6 @@ func (db *DB) Classify(host string) Category {
 	}
 }
 
-// IsAnonymizer reports whether host is categorized as an anonymizer
-// (web proxy / VPN endpoint), the Fig. 10 population.
-func (db *DB) IsAnonymizer(host string) bool {
-	return db.Classify(host) == CatAnonymizer
-}
-
 // Len returns the number of registered suffixes.
 func (db *DB) Len() int { return len(db.bySuffix) }
 

@@ -49,16 +49,6 @@ func TestOverwrite(t *testing.T) {
 	}
 }
 
-func TestIsAnonymizer(t *testing.T) {
-	db := PaperSeed()
-	if !db.IsAnonymizer("www.hidemyass.com") {
-		t.Error("hidemyass not anonymizer")
-	}
-	if db.IsAnonymizer("facebook.com") {
-		t.Error("facebook flagged anonymizer")
-	}
-}
-
 func TestDomainsSorted(t *testing.T) {
 	db := New()
 	db.Add("b.com", CatGames)

@@ -35,25 +35,16 @@ func corpus(t testing.TB) *fixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cluster := proxysim.NewCluster(proxysim.Config{
-			Seed: 42, Engine: gen.Engine(), Consensus: gen.Consensus(),
-		})
 		an := NewAnalyzer(Options{
 			Categories: gen.CategoryDB(),
 			Consensus:  gen.Consensus(),
 			TitleDB:    bittorrent.NewTitleDB(),
 		})
 		var recs []logfmt.Record
-		var rec logfmt.Record
-		for {
-			req, ok := gen.Next()
-			if !ok {
-				break
-			}
-			cluster.Process(&req, &rec)
-			an.Observe(&rec)
-			recs = append(recs, rec)
-		}
+		proxysim.Emit(gen, func(rec *logfmt.Record) {
+			an.Observe(rec)
+			recs = append(recs, *rec)
+		})
 		fix = &fixture{gen: gen, analyzer: an, records: recs}
 	})
 	if fix == nil {

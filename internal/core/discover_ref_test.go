@@ -13,8 +13,8 @@ import (
 // round rebuilds the token counts and per-token domain sets from the
 // whole residue, and every call recomputes from scratch (no memo).
 func discoverFiltersReference(e *Engine, minCount uint64) Discovery {
-	dm := e.mDomains("DiscoverFilters")
-	tm := e.mTokens("DiscoverFilters")
+	dm := mod[*domainsMetric](e, "domains", "DiscoverFilters")
+	tm := mod[*tokensMetric](e, "tokens", "DiscoverFilters")
 	if minCount == 0 {
 		minCount = 3
 	}

@@ -68,17 +68,8 @@ func TestDiscoverFiltersMatchesReferenceOnSynth(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cluster := proxysim.NewCluster(proxysim.Config{Seed: seed, Engine: gen.Engine(), Consensus: gen.Consensus()})
 			e := discoveryEngine(t, Options{Categories: gen.CategoryDB()})
-			var rec logfmt.Record
-			for {
-				req, ok := gen.Next()
-				if !ok {
-					break
-				}
-				cluster.Process(&req, &rec)
-				e.Observe(&rec)
-			}
+			proxysim.Emit(gen, e.Observe)
 			checkAgainstReference(t, e)
 		})
 	}

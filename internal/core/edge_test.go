@@ -191,9 +191,9 @@ func TestSampleDeterministic(t *testing.T) {
 		Time: time.Date(2011, 8, 2, 9, 0, 0, 0, time.UTC).Unix(),
 		Host: "determinism.example", Path: "/p",
 	}
-	in1 := a.inSample(&rec)
+	in1 := sampleHit(&rec, a.opt.SampleOneIn)
 	for i := 0; i < 100; i++ {
-		if a.inSample(&rec) != in1 {
+		if sampleHit(&rec, a.opt.SampleOneIn) != in1 {
 			t.Fatal("sample membership flapped")
 		}
 	}

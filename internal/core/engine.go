@@ -302,94 +302,14 @@ func (e *Engine) MergeProjected(b *Engine) {
 	}
 }
 
-// inSample reports the deterministic Dsample membership of rec under this
-// engine's options.
-func (e *Engine) inSample(rec *logfmt.Record) bool {
-	return sampleHit(rec, e.opt.SampleOneIn)
-}
-
-// mod returns the named module or panics with a clear message naming the
-// result that needed it. Result methods call it so that asking a subset
-// engine for a table it was not built for fails loudly instead of
-// returning silently-empty rows.
-func (e *Engine) mod(name, result string) Metric {
-	m := e.byName[name]
-	if m == nil {
+// mod returns the named module as its concrete type, or panics with a
+// message naming the result that needed it. Result functions call it so
+// that asking a subset engine for a table it was not built for fails
+// loudly instead of returning silently-empty rows.
+func mod[T Metric](e *Engine, name, result string) T {
+	m, ok := e.byName[name].(T)
+	if !ok {
 		panic(fmt.Sprintf("core: %s needs metric module %q, which this engine was built without (have %v)", result, name, e.Metrics()))
 	}
 	return m
-}
-
-// Typed module accessors for the result functions.
-
-func (e *Engine) mDatasets(result string) *datasetsMetric {
-	return e.mod("datasets", result).(*datasetsMetric)
-}
-
-func (e *Engine) mDomains(result string) *domainsMetric {
-	return e.mod("domains", result).(*domainsMetric)
-}
-
-func (e *Engine) mPorts(result string) *portsMetric {
-	return e.mod("ports", result).(*portsMetric)
-}
-
-func (e *Engine) mTimeseries(result string) *timeseriesMetric {
-	return e.mod("timeseries", result).(*timeseriesMetric)
-}
-
-func (e *Engine) mProxies(result string) *proxiesMetric {
-	return e.mod("proxies", result).(*proxiesMetric)
-}
-
-func (e *Engine) mUsers(result string) *usersMetric {
-	return e.mod("users", result).(*usersMetric)
-}
-
-func (e *Engine) mCategories(result string) *categoriesMetric {
-	return e.mod("categories", result).(*categoriesMetric)
-}
-
-func (e *Engine) mRedirects(result string) *redirectsMetric {
-	return e.mod("redirects", result).(*redirectsMetric)
-}
-
-func (e *Engine) mTokens(result string) *tokensMetric {
-	return e.mod("tokens", result).(*tokensMetric)
-}
-
-func (e *Engine) mCountries(result string) *countriesMetric {
-	return e.mod("countries", result).(*countriesMetric)
-}
-
-func (e *Engine) mSubnets(result string) *subnetsMetric {
-	return e.mod("subnets", result).(*subnetsMetric)
-}
-
-func (e *Engine) mOSN(result string) *osnMetric {
-	return e.mod("osn", result).(*osnMetric)
-}
-
-func (e *Engine) mFacebook(result string) *facebookMetric {
-	return e.mod("facebook", result).(*facebookMetric)
-}
-
-func (e *Engine) mTor(result string) *torMetric {
-	return e.mod("tor", result).(*torMetric)
-}
-
-func (e *Engine) mAnonymizers(result string) *anonymizersMetric {
-	return e.mod("anonymizers", result).(*anonymizersMetric)
-}
-
-func (e *Engine) mHTTPS(result string) *httpsMetric {
-	return e.mod("https", result).(*httpsMetric)
-}
-
-func (e *Engine) mBitTorrent(result string) *bittorrentMetric {
-	return e.mod("bittorrent", result).(*bittorrentMetric)
-}
-
-func (e *Engine) mGCache(result string) *gcacheMetric {
-	return e.mod("gcache", result).(*gcacheMetric)
 }

@@ -19,7 +19,7 @@ type PortCount struct {
 // PortDistribution returns the allowed and censored per-port request
 // counts, descending by count.
 func (e *Engine) PortDistribution() (allowed, censored []PortCount) {
-	m := e.mPorts("PortDistribution")
+	m := mod[*portsMetric](e, "ports", "PortDistribution")
 	return sortPorts(m.allowed), sortPorts(m.censored)
 }
 
@@ -50,7 +50,7 @@ type FreqSeries struct {
 // DomainFreqDistribution returns the Fig 2 curves for allowed, denied
 // (errors) and censored traffic.
 func (e *Engine) DomainFreqDistribution() []FreqSeries {
-	dm := e.mDomains("DomainFreqDistribution")
+	dm := mod[*domainsMetric](e, "domains", "DomainFreqDistribution")
 	mk := func(name string, c kcounter) FreqSeries {
 		var counts []uint64
 		var samples []float64
@@ -85,7 +85,7 @@ type CategoryShare struct {
 // CensoredCategories returns the category distribution of censored
 // traffic. sample selects the Dsample-based variant the paper plots.
 func (e *Engine) CensoredCategories(sample bool) []CategoryShare {
-	m := e.mCategories("CensoredCategories")
+	m := mod[*categoriesMetric](e, "categories", "CensoredCategories")
 	c := m.censoredFull
 	if sample {
 		c = m.censoredSample
@@ -126,7 +126,7 @@ type UserReport struct {
 // UserAnalysis computes the Duser-based per-user view (estimates when the
 // engine runs sketched).
 func (e *Engine) UserAnalysis() UserReport {
-	return e.mUsers("UserAnalysis").report()
+	return mod[*usersMetric](e, "users", "UserAnalysis").report()
 }
 
 func mean(xs []float64) float64 {
@@ -152,7 +152,7 @@ type SeriesPoint struct {
 // TimeSeries returns the censored/allowed series over [fromUnix, toUnix),
 // with empty slots materialized as zeros.
 func (e *Engine) TimeSeries(fromUnix, toUnix int64) []SeriesPoint {
-	m := e.mTimeseries("TimeSeries")
+	m := mod[*timeseriesMetric](e, "timeseries", "TimeSeries")
 	var out []SeriesPoint
 	for t := fromUnix - fromUnix%SlotSeconds; t < toUnix; t += SlotSeconds {
 		s := m.at(t / SlotSeconds)
@@ -173,7 +173,7 @@ type RCVPoint struct {
 
 // RCV computes Fig 6 over [fromUnix, toUnix).
 func (e *Engine) RCV(fromUnix, toUnix int64) []RCVPoint {
-	m := e.mTimeseries("RCV")
+	m := mod[*timeseriesMetric](e, "timeseries", "RCV")
 	var out []RCVPoint
 	for t := fromUnix - fromUnix%SlotSeconds; t < toUnix; t += SlotSeconds {
 		s := m.at(t / SlotSeconds)
@@ -199,7 +199,7 @@ type ProxyLoad struct {
 
 // ProxyLoads returns per-proxy totals (SG-42..48 order).
 func (e *Engine) ProxyLoads() []ProxyLoad {
-	m := e.mProxies("ProxyLoads")
+	m := mod[*proxiesMetric](e, "proxies", "ProxyLoads")
 	out := make([]ProxyLoad, logfmt.NumProxies)
 	for i := range out {
 		out[i] = ProxyLoad{
@@ -215,7 +215,7 @@ func (e *Engine) ProxyLoads() []ProxyLoad {
 // proxy's share of (total | censored) traffic — the stacked bands of
 // Fig 7.
 func (e *Engine) ProxyShareSeries(fromUnix, toUnix int64, censored bool) []([7]float64) {
-	m := e.mProxies("ProxyShareSeries")
+	m := mod[*proxiesMetric](e, "proxies", "ProxyShareSeries")
 	var out [][7]float64
 	for t := fromUnix - fromUnix%SlotSeconds; t < toUnix; t += SlotSeconds {
 		var row [7]float64
@@ -256,7 +256,7 @@ type TorReport struct {
 
 // TorAnalysis returns the Tor summary (zero-valued without a consensus).
 func (e *Engine) TorAnalysis() TorReport {
-	m := e.mTor("TorAnalysis")
+	m := mod[*torMetric](e, "tor", "TorAnalysis")
 	rep := TorReport{
 		Total: m.total, HTTP: m.http, Onion: m.onion,
 		Censored: m.censored, Errors: m.errors,
@@ -284,7 +284,7 @@ type HourPoint struct {
 
 // TorHourly returns the per-hour Tor request series over [from, to).
 func (e *Engine) TorHourly(fromUnix, toUnix int64) []HourPoint {
-	m := e.mTor("TorHourly")
+	m := mod[*torMetric](e, "tor", "TorHourly")
 	var out []HourPoint
 	for t := fromUnix - fromUnix%3600; t < toUnix; t += 3600 {
 		hour := t / 3600
@@ -310,7 +310,7 @@ type RFilterPoint struct {
 //
 // over [fromUnix, toUnix). Returns nil if no Tor relay was ever censored.
 func (e *Engine) RFilter(fromUnix, toUnix int64) []RFilterPoint {
-	m := e.mTor("RFilter")
+	m := mod[*torMetric](e, "tor", "RFilter")
 	if len(m.censoredIPs) == 0 {
 		return nil
 	}
@@ -351,7 +351,7 @@ type AnonymizerReport struct {
 
 // Anonymizers computes the anonymizer-service view.
 func (e *Engine) Anonymizers() AnonymizerReport {
-	m := e.mAnonymizers("Anonymizers")
+	m := mod[*anonymizersMetric](e, "anonymizers", "Anonymizers")
 	rep := AnonymizerReport{}
 	hosts := map[string]struct{}{}
 	m.allowed.Each(func(h string, _ uint64) { hosts[h] = struct{}{} })
@@ -392,7 +392,7 @@ type HTTPSReport struct {
 
 // HTTPSAnalysis summarizes CONNECT/HTTPS traffic.
 func (e *Engine) HTTPSAnalysis() HTTPSReport {
-	m := e.mHTTPS("HTTPSAnalysis")
+	m := mod[*httpsMetric](e, "https", "HTTPSAnalysis")
 	rep := HTTPSReport{
 		Total:             m.total,
 		Censored:          m.censored,
@@ -427,7 +427,7 @@ type BitTorrentReport struct {
 // blacklist to check titles against (pass the Table 10 discovery output
 // or the ground-truth list).
 func (e *Engine) BitTorrent(keywords []string) BitTorrentReport {
-	m := e.mBitTorrent("BitTorrent")
+	m := mod[*bittorrentMetric](e, "bittorrent", "BitTorrent")
 	rep := BitTorrentReport{
 		Announces: m.total,
 		Users:     len(m.peers),
@@ -466,6 +466,6 @@ type GoogleCacheReport struct {
 
 // GoogleCache summarizes webcache.googleusercontent.com traffic.
 func (e *Engine) GoogleCache() GoogleCacheReport {
-	m := e.mGCache("GoogleCache")
+	m := mod[*gcacheMetric](e, "gcache", "GoogleCache")
 	return GoogleCacheReport{Total: m.total, Censored: m.censored}
 }

@@ -31,7 +31,7 @@ func censoredRecord(i int) logfmt.Record {
 
 func censoredSetOf(t *testing.T, e *Engine) []censoredURL {
 	t.Helper()
-	return append([]censoredURL(nil), e.mTokens("test").censored()...)
+	return append([]censoredURL(nil), mod[*tokensMetric](e, "tokens", "test").censored()...)
 }
 
 // Past MaxStoredCensoredURLs, the kept censored-URL set must be a pure
@@ -100,7 +100,7 @@ func TestCensoredURLCapBoundsAndSelection(t *testing.T) {
 	for i := 200 - 1; i >= 0; i-- { // descending arrival: worst case for first-k-by-arrival
 		rec := censoredRecord(i)
 		e.Observe(&rec)
-		if n := len(e.mTokens("test").censoredURLs); n > 2*maxKeep {
+		if n := len(mod[*tokensMetric](e, "tokens", "test").censoredURLs); n > 2*maxKeep {
 			t.Fatalf("store grew to %d entries (maxKeep %d)", n, maxKeep)
 		}
 	}

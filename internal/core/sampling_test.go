@@ -77,7 +77,7 @@ func TestSamplePreservesHeavyHitters(t *testing.T) {
 	an := f.analyzer
 	for i := range f.records {
 		rec := &f.records[i]
-		if an.inSample(rec) && rec.Class() == logfmt.ClassCensored && !rec.IsProxied() {
+		if sampleHit(rec, an.opt.SampleOneIn) && rec.Class() == logfmt.ClassCensored && !rec.IsProxied() {
 			sampleCensored.Add(hostDomain(rec))
 		}
 	}

@@ -69,14 +69,14 @@ func TestSketchBoundedEntries(t *testing.T) {
 		t.Fatalf("fixture has %d distinct users, need >= %d for a meaningful bound", exactUsers, 10*k)
 	}
 	sk := sketchedCorpus(t, 10, k)
-	um := sk.mUsers("test")
+	um := mod[*usersMetric](sk.Engine, "users", "test")
 	if got := um.topTotal.Len(); got > k {
 		t.Errorf("users topTotal tracks %d entries, capacity %d", got, k)
 	}
 	if got := um.topCensored.Len(); got > k {
 		t.Errorf("users topCensored tracks %d entries, capacity %d", got, k)
 	}
-	dm := sk.mDomains("test")
+	dm := mod[*domainsMetric](sk.Engine, "domains", "test")
 	for _, f := range dm.state() {
 		scc, ok := (*f.(kcounterField).p).(*sketchCounter)
 		if !ok {
@@ -152,8 +152,8 @@ func TestSketchLoadsExactState(t *testing.T) {
 			approx.TotalUsers, exact.TotalUsers, relErr, bound)
 	}
 	// Replayed totals are exact (scalars survive replay losslessly).
-	skDm := sk.mDomains("test")
-	exDm := f.analyzer.mDomains("test")
+	skDm := mod[*domainsMetric](sk.Engine, "domains", "test")
+	exDm := mod[*domainsMetric](f.analyzer.Engine, "domains", "test")
 	if skDm.allowed.Total() != exDm.allowed.Total() {
 		t.Errorf("replayed allowed-domains total %d != exact %d",
 			skDm.allowed.Total(), exDm.allowed.Total())

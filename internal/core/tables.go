@@ -25,7 +25,7 @@ type DatasetInfo struct {
 
 // Table1 returns the dataset sizes.
 func (e *Engine) Table1() []DatasetInfo {
-	m := e.mDatasets("Table1")
+	m := mod[*datasetsMetric](e, "datasets", "Table1")
 	out := make([]DatasetInfo, 0, int(numDatasets))
 	for id := DFull; id < numDatasets; id++ {
 		out = append(out, DatasetInfo{ID: id, Requests: m.datasets[id].Total})
@@ -34,10 +34,14 @@ func (e *Engine) Table1() []DatasetInfo {
 }
 
 // Table3 returns the class × exception counts for every dataset.
-func (e *Engine) Table3() [4]ClassCounts { return e.mDatasets("Table3").datasets }
+func (e *Engine) Table3() [4]ClassCounts {
+	return mod[*datasetsMetric](e, "datasets", "Table3").datasets
+}
 
 // Dataset returns one dataset's counts.
-func (e *Engine) Dataset(id DatasetID) ClassCounts { return e.mDatasets("Dataset").datasets[id] }
+func (e *Engine) Dataset(id DatasetID) ClassCounts {
+	return mod[*datasetsMetric](e, "datasets", "Dataset").datasets[id]
+}
 
 // --- Table 4 ---
 
@@ -65,7 +69,7 @@ func sharesOf(c interface {
 
 // TopDomains returns Table 4: the top-k allowed and censored domains.
 func (e *Engine) TopDomains(k int) (allowed, censored []DomainShare) {
-	m := e.mDomains("TopDomains")
+	m := mod[*domainsMetric](e, "domains", "TopDomains")
 	return sharesOf(m.allowed, k), sharesOf(m.censored, k)
 }
 
@@ -81,7 +85,7 @@ type Table5Window struct {
 // [from, from+width), stepped across [from, to). The paper uses Aug 3,
 // 6:00–12:00 in 2-hour windows.
 func (e *Engine) Table5(fromUnix, toUnix, widthSec int64, k int) []Table5Window {
-	m := e.mTimeseries("Table5")
+	m := mod[*timeseriesMetric](e, "timeseries", "Table5")
 	var out []Table5Window
 	for start := fromUnix; start < toUnix; start += widthSec {
 		end := start + widthSec
@@ -104,7 +108,7 @@ func (e *Engine) Table5(fromUnix, toUnix, widthSec int64, k int) []Table5Window 
 // ProxySimilarity returns the 7×7 cosine-similarity matrix of censored
 // domain profiles (Table 6), indexed by SG-42..48 order.
 func (e *Engine) ProxySimilarity() [][]float64 {
-	m := e.mProxies("ProxySimilarity")
+	m := mod[*proxiesMetric](e, "proxies", "ProxySimilarity")
 	profiles := make([]map[string]uint64, len(m.censDomains))
 	for i := range m.censDomains {
 		profiles[i] = m.censDomains[i]
@@ -116,7 +120,7 @@ func (e *Engine) ProxySimilarity() [][]float64 {
 // stamps (§5.2: "none" on SG-43/48, "unavailable" elsewhere).
 func (e *Engine) ProxyCategoryLabels() [7]string {
 	var out [7]string
-	for i, m := range e.mProxies("ProxyCategoryLabels").labels {
+	for i, m := range mod[*proxiesMetric](e, "proxies", "ProxyCategoryLabels").labels {
 		best, bestN := "", uint64(0)
 		for label, n := range m {
 			if n > bestN {
@@ -132,7 +136,7 @@ func (e *Engine) ProxyCategoryLabels() [7]string {
 
 // RedirectHosts returns the top-k policy_redirect hosts.
 func (e *Engine) RedirectHosts(k int) []DomainShare {
-	return sharesOf(e.mRedirects("RedirectHosts").hosts, k)
+	return sharesOf(mod[*redirectsMetric](e, "redirects", "RedirectHosts").hosts, k)
 }
 
 // --- Tables 8 and 10: the §5.4 discovery algorithm ---
@@ -184,8 +188,8 @@ type Discovery struct {
 // serve.Snapshot — wait on a single computation. The returned slices are
 // therefore shared between callers and must be treated as read-only.
 func (e *Engine) DiscoverFilters(minCount uint64) Discovery {
-	dm := e.mDomains("DiscoverFilters")
-	tm := e.mTokens("DiscoverFilters")
+	dm := mod[*domainsMetric](e, "domains", "DiscoverFilters")
+	tm := mod[*tokensMetric](e, "tokens", "DiscoverFilters")
 	if minCount == 0 {
 		minCount = 3
 	}
@@ -451,7 +455,7 @@ type CountryRatio struct {
 // CountryRatios computes per-country censorship ratios over IP-literal
 // destinations, descending by ratio.
 func (e *Engine) CountryRatios() []CountryRatio {
-	m := e.mCountries("CountryRatios")
+	m := mod[*countriesMetric](e, "countries", "CountryRatios")
 	all := map[string]*CountryRatio{}
 	m.censored.Each(func(c string, n uint64) {
 		all[c] = &CountryRatio{Country: c, Censored: n}
@@ -493,7 +497,7 @@ type SubnetStat struct {
 // IsraeliSubnets reports per-subnet censorship over the Israeli address
 // ranges, descending by censored requests.
 func (e *Engine) IsraeliSubnets() []SubnetStat {
-	m := e.mSubnets("IsraeliSubnets")
+	m := mod[*subnetsMetric](e, "subnets", "IsraeliSubnets")
 	out := make([]SubnetStat, 0, len(m.subnets))
 	for subnet, st := range m.subnets {
 		out = append(out, SubnetStat{
@@ -523,7 +527,7 @@ type OSNStat struct {
 // SocialNetworks reports censorship across the §6 watchlist, descending
 // by censored count.
 func (e *Engine) SocialNetworks() []OSNStat {
-	m := e.mOSN("SocialNetworks")
+	m := mod[*osnMetric](e, "osn", "SocialNetworks")
 	out := make([]OSNStat, 0, len(m.osn))
 	for dom, ts := range m.osn {
 		out = append(out, OSNStat{Domain: dom, Censored: ts.Censored, Allowed: ts.Allowed, Proxied: ts.Proxied})
@@ -548,7 +552,7 @@ type FBPage struct {
 // FacebookPages lists the custom-category ("Blocked sites") Facebook
 // pages, descending by censored count.
 func (e *Engine) FacebookPages() []FBPage {
-	m := e.mFacebook("FacebookPages")
+	m := mod[*facebookMetric](e, "facebook", "FacebookPages")
 	out := []FBPage{}
 	for path, ps := range m.pages {
 		if !ps.CustomCategory {
@@ -581,7 +585,7 @@ type PluginStat struct {
 
 // SocialPlugins reports the top-k censored facebook.com platform elements.
 func (e *Engine) SocialPlugins(k int) []PluginStat {
-	m := e.mFacebook("SocialPlugins")
+	m := mod[*facebookMetric](e, "facebook", "SocialPlugins")
 	out := []PluginStat{}
 	for path, ts := range m.paths {
 		if ts.Censored == 0 {

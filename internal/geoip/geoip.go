@@ -101,15 +101,6 @@ func (db *DB) Country(ip uint32) string {
 	return r.Country
 }
 
-// CountryOfHost geo-localizes a dotted-quad host string.
-func (db *DB) CountryOfHost(host string) string {
-	ip, ok := urlx.ParseIPv4(host)
-	if !ok {
-		return ""
-	}
-	return db.Country(ip)
-}
-
 // Len returns the number of ranges.
 func (db *DB) Len() int { return len(db.ranges) }
 
@@ -161,13 +152,4 @@ func ParseCIDR(cidr string) (start, end uint32, err error) {
 	start = base & mask
 	end = start | ^mask
 	return start, end, nil
-}
-
-// CIDRContains reports whether ip falls inside cidr.
-func CIDRContains(cidr string, ip uint32) bool {
-	start, end, err := ParseCIDR(cidr)
-	if err != nil {
-		return false
-	}
-	return ip >= start && ip <= end
 }

@@ -79,12 +79,9 @@ func TestLookup(t *testing.T) {
 		"1.1.1.1":       "",
 	}
 	for host, want := range cases {
-		if got := db.CountryOfHost(host); got != want {
-			t.Errorf("CountryOfHost(%s) = %q, want %q", host, got, want)
+		if got := db.Country(mustIP(t, host)); got != want {
+			t.Errorf("Country(%s) = %q, want %q", host, got, want)
 		}
-	}
-	if got := db.CountryOfHost("not-an-ip.example"); got != "" {
-		t.Errorf("hostname geo-localized to %q", got)
 	}
 }
 
@@ -120,18 +117,6 @@ func TestLookupMatchesLinear(t *testing.T) {
 		return aok == bok && a == b
 	}, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCIDRContains(t *testing.T) {
-	if !CIDRContains("84.229.0.0/16", mustIP(t, "84.229.1.2")) {
-		t.Error("member rejected")
-	}
-	if CIDRContains("84.229.0.0/16", mustIP(t, "84.230.0.0")) {
-		t.Error("non-member accepted")
-	}
-	if CIDRContains("garbage", 42) {
-		t.Error("bad CIDR matched")
 	}
 }
 

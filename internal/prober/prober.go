@@ -14,6 +14,7 @@ package prober
 
 import (
 	"sort"
+	"strings"
 
 	"syriafilter/internal/policy"
 )
@@ -169,38 +170,5 @@ func hasSuffixDot(host, dom string) bool {
 }
 
 func containsFold(s, sub string) bool {
-	// Hosts/paths here are ASCII; simple lowercase both sides.
-	return index(lower(s), lower(sub)) >= 0
-}
-
-func lower(s string) string {
-	b := []byte(s)
-	changed := false
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + 32
-			changed = true
-		}
-	}
-	if !changed {
-		return s
-	}
-	return string(b)
-}
-
-func index(s, sub string) int {
-	n, m := len(s), len(sub)
-	if m == 0 {
-		return 0
-	}
-outer:
-	for i := 0; i+m <= n; i++ {
-		for j := 0; j < m; j++ {
-			if s[i+j] != sub[j] {
-				continue outer
-			}
-		}
-		return i
-	}
-	return -1
+	return strings.Contains(strings.ToLower(s), strings.ToLower(sub))
 }

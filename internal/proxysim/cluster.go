@@ -11,8 +11,8 @@
 // "none" vs "unavailable" category labels of §5.2), and SG-44's
 // intermittent Tor blocking (§7.1) — then renders logfmt Records.
 //
-// Server (httpproxy.go) is the live counterpart: an actual net/http
-// filtering proxy driven by the same engine.
+// Emit is the entry point: it runs a synth.Generator through a cluster
+// built from that same generator and hands out the log records.
 package proxysim
 
 import (
@@ -127,6 +127,24 @@ func NewCluster(cfg Config) *Cluster {
 
 // Counts returns the processing totals so far.
 func (c *Cluster) Counts() Counts { return c.counts }
+
+// Emit writes the corpus gen describes: it drains gen through a cluster
+// built from gen itself — seed, policy engine and consensus are the
+// generator's, so the two halves of the simulated world cannot disagree —
+// and calls fn with each log record, in time order. The record is reused
+// between calls; copy it to keep it. Emit returns the cluster's totals.
+func Emit(gen *synth.Generator, fn func(*logfmt.Record)) Counts {
+	c := NewCluster(Config{Seed: gen.Seed(), Engine: gen.Engine(), Consensus: gen.Consensus()})
+	var rec logfmt.Record
+	for {
+		req, ok := gen.Next()
+		if !ok {
+			return c.counts
+		}
+		c.Process(&req, &rec)
+		fn(&rec)
+	}
+}
 
 // Process filters one client request and fills rec with the resulting log
 // line. rec is fully overwritten.

@@ -83,29 +83,20 @@ func diffCorpus(t *testing.T) (prev, cur Context) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster := proxysim.NewCluster(proxysim.Config{
-		Seed: 7, Engine: gen.Engine(), Consensus: gen.Consensus(),
-	})
 	opt := core.Options{
 		Categories: gen.CategoryDB(),
 		Consensus:  gen.Consensus(),
 		TitleDB:    bittorrent.NewTitleDB(),
 	}
 	an1, an2 := core.NewAnalyzer(opt), core.NewAnalyzer(opt)
-	var rec logfmt.Record
 	i := 0
-	for {
-		req, ok := gen.Next()
-		if !ok {
-			break
-		}
-		cluster.Process(&req, &rec)
+	proxysim.Emit(gen, func(rec *logfmt.Record) {
 		if i < 6000 {
-			an1.Observe(&rec)
+			an1.Observe(rec)
 		}
-		an2.Observe(&rec)
+		an2.Observe(rec)
 		i++
-	}
+	})
 	return Context{An: an1, Gen: gen}, Context{An: an2, Gen: gen}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"syriafilter/internal/bittorrent"
 	"syriafilter/internal/core"
-	"syriafilter/internal/logfmt"
 	"syriafilter/internal/proxysim"
 	"syriafilter/internal/synth"
 )
@@ -28,23 +27,12 @@ func fixture(t *testing.T) Context {
 		if err != nil {
 			return
 		}
-		cluster := proxysim.NewCluster(proxysim.Config{
-			Seed: 11, Engine: gen.Engine(), Consensus: gen.Consensus(),
-		})
 		an := core.NewAnalyzer(core.Options{
 			Categories: gen.CategoryDB(),
 			Consensus:  gen.Consensus(),
 			TitleDB:    bittorrent.NewTitleDB(),
 		})
-		var rec logfmt.Record
-		for {
-			req, ok := gen.Next()
-			if !ok {
-				break
-			}
-			cluster.Process(&req, &rec)
-			an.Observe(&rec)
-		}
+		proxysim.Emit(gen, an.Observe)
 		fixGen, fixAn = gen, an
 	})
 	if fixAn == nil {

@@ -1,6 +1,6 @@
 // Package report renders analysis results as aligned text tables and
 // ASCII series, so each of the paper's tables and figures can be printed
-// by cmd/censorlyzer and the examples without any plotting dependency.
+// by cmd/censorlyzer without any plotting dependency.
 // Tables and charts also marshal to JSON (typed rows, not pre-formatted
 // strings), so cmd/censord's HTTP API and `censorlyzer -json` share one
 // encoder.

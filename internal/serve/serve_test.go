@@ -40,9 +40,6 @@ func corpus(t *testing.T) *fixture {
 		if err != nil {
 			return
 		}
-		cluster := proxysim.NewCluster(proxysim.Config{
-			Seed: 23, Engine: gen.Engine(), Consensus: gen.Consensus(),
-		})
 		opt := core.Options{
 			Categories: gen.CategoryDB(),
 			Consensus:  gen.Consensus(),
@@ -50,16 +47,10 @@ func corpus(t *testing.T) *fixture {
 		}
 		an := core.NewAnalyzer(opt)
 		var recs []logfmt.Record
-		var rec logfmt.Record
-		for {
-			req, ok := gen.Next()
-			if !ok {
-				break
-			}
-			cluster.Process(&req, &rec)
-			an.Observe(&rec)
-			recs = append(recs, rec)
-		}
+		proxysim.Emit(gen, func(rec *logfmt.Record) {
+			an.Observe(rec)
+			recs = append(recs, *rec)
+		})
 		fix = &fixture{gen: gen, records: recs, batch: an, opt: opt}
 	})
 	if fix == nil {

@@ -951,33 +951,47 @@ func (st *Store) RangeSeriesCtx(ctx context.Context, w timewin.Window, step int6
 			from = meta.TailToUnix
 		}
 	} else {
-		from -= ((from % st.bucketSecs) + st.bucketSecs) % st.bucketSecs // align down to a bucket edge
+		// Align down to a bucket edge. Bounds arrive from the query
+		// string, so every step from here to the window count is checked
+		// against int64 instead of trusted not to wrap.
+		rem := ((from % st.bucketSecs) + st.bucketSecs) % st.bucketSecs
+		if from < math.MinInt64+rem {
+			return nil, fmt.Errorf("serve: range %s starts within a bucket of the smallest time", w)
+		}
+		from -= rem
 	}
 	to := w.To
 	if to == 0 {
 		to = meta.Buckets[len(meta.Buckets)-1].StartUnix + st.bucketSecs
 	} else if rem := ((to % st.bucketSecs) + st.bucketSecs) % st.bucketSecs; rem != 0 {
-		to += st.bucketSecs - rem // align up: buckets are atomic, so the
-		// last window's reported bounds must include the whole bucket it merges
+		// Align up: buckets are atomic, so the last window's reported
+		// bounds must include the whole bucket it merges.
+		if to > math.MaxInt64-(st.bucketSecs-rem) {
+			return nil, fmt.Errorf("serve: range %s ends within a bucket of the largest time", w)
+		}
+		to += st.bucketSecs - rem
 	}
 	if to <= from {
 		return nil, fmt.Errorf("serve: empty range %s", timewin.Window{From: from, To: to})
 	}
-	if n := (to - from + step - 1) / step; n > maxSeriesWindows {
+	// to > from, so the wrapped difference read as unsigned is exact even
+	// when it exceeds int64.
+	if n := (uint64(to-from)-1)/uint64(step) + 1; n > maxSeriesWindows {
 		return nil, fmt.Errorf("serve: range %s at step %ds is %d windows (max %d); widen the step",
 			timewin.Window{From: w.From, To: w.To}, step, n, maxSeriesWindows)
 	}
 	var wins []RangeWindow
-	for s := from; s < to; s += step {
-		e := s + step
-		if e > to {
-			e = to
+	for s := from; s < to; {
+		e := to
+		if uint64(to-s) > uint64(step) {
+			e = s + step
 		}
 		an, err := core.NewAnalyzerFor(st.cfg.Options, mods...)
 		if err != nil {
 			return nil, err
 		}
 		wins = append(wins, RangeWindow{Window: timewin.Window{From: s, To: e}, An: an})
+		s = e
 	}
 	var rerr error
 	st.shardOpsSpan(trace.FromContext(ctx), "range.shard", func(shard int, ssp *trace.Span, p *timewin.Partition) {

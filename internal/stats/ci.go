@@ -49,52 +49,6 @@ func ProportionCI(successes, n uint64, conf float64) (Interval, error) {
 	return Interval{P: p, Lo: clamp01(p - half), Hi: clamp01(p + half), Conf: conf}, nil
 }
 
-// WilsonCI returns the Wilson score interval, which behaves sanely for
-// proportions near 0 or 1 and small n (many of the paper's censored-share
-// cells are tiny proportions).
-func WilsonCI(successes, n uint64, conf float64) (Interval, error) {
-	if n == 0 {
-		return Interval{}, errors.New("stats: WilsonCI with n = 0")
-	}
-	if successes > n {
-		return Interval{}, errors.New("stats: successes exceed trials")
-	}
-	z, err := zFor(conf)
-	if err != nil {
-		return Interval{}, err
-	}
-	p := float64(successes) / float64(n)
-	nf := float64(n)
-	z2 := z * z
-	denom := 1 + z2/nf
-	center := (p + z2/(2*nf)) / denom
-	half := z * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf)) / denom
-	lo, hi := clamp01(center-half), clamp01(center+half)
-	// Degenerate observations pin the corresponding bound exactly.
-	if successes == 0 {
-		lo = 0
-	}
-	if successes == n {
-		hi = 1
-	}
-	return Interval{P: p, Lo: lo, Hi: hi, Conf: conf}, nil
-}
-
-// SampleSizeForHalfWidth returns the n needed so that a Wald interval at the
-// given confidence has half-width at most h for worst-case p = 0.5, the
-// calculation behind the paper's "n = 32M ⇒ ±0.0001" claim.
-func SampleSizeForHalfWidth(h, conf float64) (uint64, error) {
-	if !(h > 0) {
-		return 0, errors.New("stats: half-width must be positive")
-	}
-	z, err := zFor(conf)
-	if err != nil {
-		return 0, err
-	}
-	n := z * z * 0.25 / (h * h)
-	return uint64(math.Ceil(n)), nil
-}
-
 func clamp01(x float64) float64 {
 	if x < 0 {
 		return 0

@@ -55,11 +55,6 @@ func (h *Histogram) Buckets() []uint64 {
 	return out
 }
 
-// BucketMid returns the midpoint value of bucket i.
-func (h *Histogram) BucketMid(i int) float64 {
-	return h.lo + (float64(i)+0.5)*h.width
-}
-
 // Total returns the number of recorded observations.
 func (h *Histogram) Total() uint64 { return h.n }
 

@@ -61,15 +61,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// ExpFloat64 returns an exponentially distributed float64 with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u)
-}
-
 // NormFloat64 returns a standard normal variate (Box-Muller, one branch).
 func (r *Rand) NormFloat64() float64 {
 	// Marsaglia polar method without caching the spare value; simple and
@@ -82,17 +73,6 @@ func (r *Rand) NormFloat64() float64 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
 	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 // Bool returns true with probability p.

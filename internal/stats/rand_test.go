@@ -87,34 +87,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := NewRand(17)
-	var w Welford
-	for i := 0; i < 200000; i++ {
-		w.Add(r.ExpFloat64())
-	}
-	if math.Abs(w.Mean()-1) > 0.02 {
-		t.Errorf("exponential mean = %v, want ~1", w.Mean())
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRand(19)
-	for _, n := range []int{0, 1, 2, 17, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestForkIndependence(t *testing.T) {
 	parent := NewRand(23)
 	child := parent.Fork()

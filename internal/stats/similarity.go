@@ -46,25 +46,6 @@ func CosineCounts(a, b map[string]uint64) float64 {
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
-// Jaccard returns |A∩B| / |A∪B| for two string sets, used as a secondary
-// similarity measure in the proxy-specialization analysis.
-func Jaccard(a, b map[string]struct{}) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 0
-	}
-	inter := 0
-	for k := range a {
-		if _, ok := b[k]; ok {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
 // SimilarityMatrix computes the full pairwise cosine matrix over n count
 // maps (Table 6). The diagonal is 1 when the profile is non-empty.
 func SimilarityMatrix(profiles []map[string]uint64) [][]float64 {

@@ -163,38 +163,6 @@ func (ac *AhoCorasick) First(text string) int {
 	return -1
 }
 
-// FindAll returns the set of pattern indices occurring in text, ascending.
-func (ac *AhoCorasick) FindAll(text string) []int {
-	if len(ac.patterns) == 0 {
-		return nil
-	}
-	var hit map[int]struct{}
-	s := int32(0)
-	for i := 0; i < len(text); i++ {
-		s = ac.next[s][text[i]]
-		for _, o := range ac.out[s] {
-			if hit == nil {
-				hit = make(map[int]struct{})
-			}
-			hit[int(o)] = struct{}{}
-		}
-	}
-	if hit == nil {
-		return nil
-	}
-	out := make([]int, 0, len(hit))
-	for i := range hit {
-		out = append(out, i)
-	}
-	// Insertion sort: hit sets are tiny.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // ContainsNaive is the reference O(patterns × text) implementation used for
 // property testing and the ablation benchmark.
 func ContainsNaive(patterns []string, text string) bool {

@@ -63,12 +63,3 @@ func (s *SuffixSet) Contains(host string) bool {
 	_, ok := s.Match(host)
 	return ok
 }
-
-// Suffixes returns the suffix list in unspecified order.
-func (s *SuffixSet) Suffixes() []string {
-	out := make([]string, 0, len(s.suffixes))
-	for d := range s.suffixes {
-		out = append(out, d)
-	}
-	return out
-}

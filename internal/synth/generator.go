@@ -129,6 +129,9 @@ func (g *Generator) buildIPPools(r *stats.Rand) {
 	g.countryKeys = keys
 }
 
+// Seed returns the seed the corpus is generated from.
+func (g *Generator) Seed() uint64 { return g.cfg.Seed }
+
 // Ruleset returns the effective ground-truth policy (paper base plus the
 // generated blocked domains).
 func (g *Generator) Ruleset() *policy.Ruleset { return g.w.ruleset }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"syriafilter/internal/categorydb"
 	"syriafilter/internal/policy"
 )
 
@@ -108,7 +109,7 @@ func TestCorpusContainsAllTrafficKinds(t *testing.T) {
 		if r.Method == "CONNECT" {
 			hasConnect = true
 		}
-		if cons.IsRelayEndpoint(r.Host, r.Port) {
+		if _, ok := cons.LookupHost(r.Host, r.Port); ok {
 			hasTor = true
 		}
 		if strings.HasPrefix(r.Query, "info_hash=") {
@@ -265,7 +266,7 @@ func TestCategoryDBCoversGeneratedHosts(t *testing.T) {
 	if db.Classify("syria-news-01.info") != "General News" {
 		t.Error("generated news domain not categorized")
 	}
-	if !db.IsAnonymizer("vtunnel-000.net") {
+	if db.Classify("vtunnel-000.net") != categorydb.CatAnonymizer {
 		t.Error("generated anonymizer not categorized")
 	}
 }

@@ -136,12 +136,6 @@ func (c *Consensus) LookupHost(host string, port uint16) (Relay, bool) {
 	return c.Lookup(ip, port)
 }
 
-// IsRelayEndpoint reports whether (host, port) belongs to a relay.
-func (c *Consensus) IsRelayEndpoint(host string, port uint16) bool {
-	_, ok := c.LookupHost(host, port)
-	return ok
-}
-
 // Traffic classes of §7.1.
 type TrafficClass uint8
 

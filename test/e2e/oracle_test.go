@@ -51,29 +51,20 @@ func loadWorld(t *testing.T) *world {
 		if err != nil {
 			return
 		}
-		cluster := proxysim.NewCluster(proxysim.Config{
-			Seed: corpusSeed, Engine: gen.Engine(), Consensus: gen.Consensus(),
-		})
 		w := &world{gen: gen, opt: core.Options{
 			Categories: gen.CategoryDB(),
 			Consensus:  gen.Consensus(),
 			TitleDB:    bittorrent.NewTitleDB(),
 		}}
-		var rec logfmt.Record
-		for {
-			req, ok := gen.Next()
-			if !ok {
-				break
-			}
-			cluster.Process(&req, &rec)
+		proxysim.Emit(gen, func(rec *logfmt.Record) {
 			if w.minTime == 0 || rec.Time < w.minTime {
 				w.minTime = rec.Time
 			}
 			if rec.Time > w.maxTime {
 				w.maxTime = rec.Time
 			}
-			w.records = append(w.records, rec)
-		}
+			w.records = append(w.records, *rec)
+		})
 		theWorld = w
 	})
 	if theWorld == nil {
