@@ -2,18 +2,23 @@ package repro
 
 import (
 	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"syriafilter/internal/core"
+	"syriafilter/internal/logfmt"
 	"syriafilter/internal/proxysim"
 	"syriafilter/internal/render"
+	"syriafilter/internal/serve"
 	"syriafilter/internal/synth"
 )
 
@@ -37,16 +42,69 @@ func sha256Hex(b []byte) string {
 }
 
 // goldenAnalyzer is the batch path of cmd/censorlyzer with no -input:
-// synthesize, filter, observe every record into one full analyzer.
-func goldenAnalyzer(t *testing.T, seed uint64) (*synth.Generator, *core.Analyzer) {
+// synthesize, filter, observe every record into one full analyzer. The
+// records are returned too, for the daemon path to ingest.
+func goldenAnalyzer(t *testing.T, seed uint64) (*synth.Generator, *core.Analyzer, []logfmt.Record) {
 	t.Helper()
 	gen, err := synth.New(synth.Config{Seed: seed, TotalRequests: goldenRequests})
 	if err != nil {
 		t.Fatal(err)
 	}
 	an := core.NewAnalyzer(analyzerOptions(gen))
-	proxysim.Emit(gen, an.Observe)
-	return gen, an
+	var recs []logfmt.Record
+	proxysim.Emit(gen, func(rec *logfmt.Record) {
+		an.Observe(rec)
+		recs = append(recs, *rec)
+	})
+	return gen, an, recs
+}
+
+// goldenOverHTTP is the daemon path over the same records: a 3-shard
+// serve.Store cut once, every doc fetched from the snapshot endpoint and
+// from the whole-window range endpoint, as JSON and as text, plain and
+// gzipped. Every one of those bodies must hash to the batch digest.
+func goldenOverHTTP(t *testing.T, seed uint64, gen *synth.Generator, recs []logfmt.Record, want map[string]docDigest) {
+	t.Helper()
+	store, err := serve.NewStore(serve.Config{Options: analyzerOptions(gen), Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if _, err := store.Add(recs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.NewServer(store, gen)
+	for _, id := range render.Order() {
+		for _, route := range []string{"/v1/experiments/", "/v1/range/"} {
+			for format, digest := range map[string]string{"json": want[id].JSON, "text": want[id].Text} {
+				for _, gz := range []bool{false, true} {
+					req := httptest.NewRequest("GET", route+id+"?format="+format, nil)
+					if gz {
+						req.Header.Set("Accept-Encoding", "gzip")
+					}
+					rw := httptest.NewRecorder()
+					srv.ServeHTTP(rw, req)
+					body := rw.Body.Bytes()
+					if gz && rw.Code == 200 {
+						zr, err := gzip.NewReader(rw.Body)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if body, err = io.ReadAll(zr); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if rw.Code != 200 || sha256Hex(body) != digest {
+						t.Errorf("seed %d GET %s%s?format=%s (gzip %v): status %d, body is not the batch document",
+							seed, route, id, format, gz, rw.Code)
+					}
+				}
+			}
+		}
+	}
 }
 
 // No document may move: every render.Order() doc of the batch path, as
@@ -54,11 +112,12 @@ func goldenAnalyzer(t *testing.T, seed uint64) (*synth.Generator, *core.Analyzer
 // digest in testdata/golden/digests.json; seed 1's JSON docs are also
 // kept in full (indented) under testdata/golden/seed1/, so a mismatch
 // shows which rows moved rather than only that a hash did. Rewrite both
-// with -update after a change that is meant to move a document.
+// with -update after a change that is meant to move a document. The
+// daemon must serve the same bytes: see goldenOverHTTP.
 func TestGoldenDocs(t *testing.T) {
 	got := map[string]map[string]docDigest{}
 	for seed := uint64(1); seed <= 3; seed++ {
-		gen, an := goldenAnalyzer(t, seed)
+		gen, an, recs := goldenAnalyzer(t, seed)
 		digests := map[string]docDigest{}
 		for _, id := range render.Order() {
 			doc, err := render.Render(id, render.Context{An: an, Gen: gen})
@@ -96,6 +155,7 @@ func TestGoldenDocs(t *testing.T) {
 			}
 		}
 		got[fmt.Sprintf("seed%d", seed)] = digests
+		goldenOverHTTP(t, seed, gen, recs, digests)
 	}
 
 	path := filepath.Join(goldenDocsDir, "digests.json")

@@ -164,9 +164,6 @@ func (b *BlockReader) Next() (Block, bool) {
 // Err returns the terminal error, nil at clean end of stream.
 func (b *BlockReader) Err() error { return b.err }
 
-// Lines returns the number of physical lines handed out so far.
-func (b *BlockReader) Lines() int { return b.line }
-
 // countLines counts the physical lines in a block: one per newline, plus
 // an unterminated final line.
 func countLines(data []byte) int {

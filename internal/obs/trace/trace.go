@@ -251,7 +251,6 @@ const (
 	KindStr AttrKind = iota
 	KindInt
 	KindFloat
-	KindBool
 )
 
 // Attr is one typed key/value pair on a span or event. Values are held
@@ -273,15 +272,6 @@ func Int(k string, v int64) Attr { return Attr{Key: k, Kind: KindInt, num: v} }
 // Float builds a float attribute.
 func Float(k string, v float64) Attr { return Attr{Key: k, Kind: KindFloat, f: v} }
 
-// Bool builds a boolean attribute.
-func Bool(k string, v bool) Attr {
-	a := Attr{Key: k, Kind: KindBool}
-	if v {
-		a.num = 1
-	}
-	return a
-}
-
 // Value returns the attribute's value as an any (boxing; used at
 // publication and rendering time, never on the hot path).
 func (a Attr) Value() any {
@@ -290,8 +280,6 @@ func (a Attr) Value() any {
 		return a.num
 	case KindFloat:
 		return a.f
-	case KindBool:
-		return a.num != 0
 	default:
 		return a.str
 	}

@@ -173,19 +173,31 @@ func UnknownID(id string) error {
 	return fmt.Errorf("%w %q (known: %v)", ErrUnknownID, id, Order())
 }
 
-// Render builds the Doc for one experiment id. It returns an error for
-// unknown ids, for generator-requiring experiments rendered without one,
-// and when the analyzer was built without a module the experiment reads
-// (subset engines panic there; Render converts that into an error so a
-// daemon serving a module subset degrades per-experiment).
-func Render(id string, cx Context) (doc *Doc, err error) {
+// Check reports what Render refuses before it reads the analyzer: an
+// unknown id (ErrUnknownID) and a generator-requiring experiment in a
+// context without one. A front end that must answer for a doc without
+// rendering it — a conditional GET — asks here, in Render's words.
+func Check(id string, cx Context) error {
 	r, ok := renderers[id]
 	if !ok {
-		return nil, UnknownID(id)
+		return UnknownID(id)
 	}
 	if r.needsGen && cx.Gen == nil {
-		return nil, fmt.Errorf("render: experiment %q needs the ground-truth generator, which this context does not have", id)
+		return fmt.Errorf("render: experiment %q needs the ground-truth generator, which this context does not have", id)
 	}
+	return nil
+}
+
+// Render builds the Doc for one experiment id. It returns an error for
+// what Check refuses, and when the analyzer was built without a module
+// the experiment reads (subset engines panic there; Render converts
+// that into an error so a daemon serving a module subset degrades
+// per-experiment).
+func Render(id string, cx Context) (doc *Doc, err error) {
+	if err := Check(id, cx); err != nil {
+		return nil, err
+	}
+	r := renderers[id]
 	d := &Doc{ID: id, Kind: Kind(id), Title: r.title}
 	if cx.An != nil && cx.An.Sketched() && core.UsesSketchedModules(id) {
 		d.Approx = true

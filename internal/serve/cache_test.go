@@ -116,6 +116,24 @@ func TestETagRevalidation(t *testing.T) {
 	if rw := get(srv, "/v1/tables/4", [2]string{"If-None-Match", `W/"nope", ` + etag}); rw.Code != 304 {
 		t.Errorf("list-form If-None-Match: status %d, want 304", rw.Code)
 	}
+	// A validator is only honoured for a request that would otherwise
+	// answer 200: nothing vouches for a doc that does not exist, or for a
+	// format nobody serves.
+	for path, want := range map[string]int{
+		"/v1/experiments/nope":      404,
+		"/v1/tables/99":             404,
+		"/v1/range/nope":            404,
+		"/v1/tables/4?format=xml":   400,
+		"/v1/range/table4?format=x": 400,
+		"/v1/experiments?format=x":  400,
+	} {
+		for _, inm := range []string{"", "*", etag} {
+			if rw := get(srv, path, [2]string{"If-None-Match", inm}); rw.Code != want || rw.Header().Get("ETag") != "" {
+				t.Errorf("%s with If-None-Match %s: status %d, ETag %q; want %d and none",
+					path, inm, rw.Code, rw.Header().Get("ETag"), want)
+			}
+		}
+	}
 
 	if _, err := store.Add(f.records[4000:8000]); err != nil {
 		t.Fatal(err)
@@ -226,12 +244,12 @@ func TestRangeCacheByteIdentity(t *testing.T) {
 
 // The LRU respects its byte budget and counts evictions.
 func TestDocCacheEviction(t *testing.T) {
-	c := newDocCache(2048, docCacheMetrics{})
+	c := newDocCache(2048, &readMetrics{})
 	body := make([]byte, 400)
 	var keys []docKey
 	for i := 0; i < 8; i++ {
 		k := docKey{gen: uint64(i), id: "x", format: "json"}
-		c.put(k, &docEntry{body: body, etag: "e"})
+		c.put(k, &docEntry{body: body})
 		keys = append(keys, k)
 	}
 	c.mu.Lock()

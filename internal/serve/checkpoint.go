@@ -111,12 +111,8 @@ func (st *Store) CheckpointCtx(ctx context.Context, dir string) (CheckpointInfo,
 	return st.checkpointSpan(dir, trace.FromContext(ctx))
 }
 
-// checkpoint is Checkpoint without the closed gate, so the final
+// checkpointSpan is Checkpoint without the closed gate, so the final
 // checkpoint of CloseAndCheckpoint can run after closed flips.
-func (st *Store) checkpoint(dir string) (CheckpointInfo, error) {
-	return st.checkpointSpan(dir, nil)
-}
-
 func (st *Store) checkpointSpan(dir string, parent *trace.Span) (info CheckpointInfo, err error) {
 	sp := parent.Child("checkpoint.write")
 	if parent == nil {

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"sync"
 
-	"syriafilter/internal/obs"
 	"syriafilter/internal/render"
 )
 
@@ -15,12 +14,9 @@ import (
 // the milliseconds.
 const DefaultDocCacheBytes int64 = 64 << 20
 
-// docKey identifies one cached response variant. gen is the snapshot
-// Seq for doc endpoints and the window-content fingerprint for range
-// endpoints (see Store.rangeFingerprint); both only change when the
-// underlying content can, which is what makes the cache
-// invalidation-free: stale keys are never wrong, merely unreachable,
-// and the LRU sweep reclaims them.
+// docKey identifies one cached response variant at one generation (see
+// read.go), which is what makes the cache invalidation-free: stale keys
+// are never wrong, merely unreachable, and the LRU sweep reclaims them.
 type docKey struct {
 	gen    uint64
 	id     string
@@ -31,13 +27,11 @@ type docKey struct {
 
 // docEntry is one cached response: the exact bytes a fresh render
 // would produce (the byte-identity invariant TestDocCacheByteIdentity
-// pins), the entry's strong ETag, any extra response headers
-// (X-Range-*), and — for plain JSON doc entries — the rendered Doc
-// itself so /v1/sync can row-diff consecutive generations without
-// re-rendering.
+// pins), the response headers that describe them (X-Range-*), and —
+// for plain JSON doc entries — the rendered Doc itself so /v1/sync can
+// row-diff consecutive generations without re-rendering.
 type docEntry struct {
 	body    []byte
-	etag    string
 	headers [][2]string
 	doc     *render.Doc
 
@@ -49,21 +43,12 @@ type docEntry struct {
 // list element, struct) charged against the byte budget.
 const docCacheOverhead = 160
 
-// docCacheMetrics are the cache's obs instruments; the zero value is a
-// complete set of nil-receiver no-ops.
-type docCacheMetrics struct {
-	hits      *obs.Counter
-	misses    *obs.Counter
-	evictions *obs.Counter
-	bytes     *obs.Gauge
-}
-
 // docCache is a byte-bounded LRU of rendered responses. A nil
 // *docCache is a disabled cache: get always misses (uncounted), put is
 // a no-op — so the serving paths carry no "is caching on" branches.
 type docCache struct {
 	max int64
-	m   docCacheMetrics
+	m   *readMetrics // the cache's instruments: hits, misses, evictions, bytes
 
 	mu      sync.Mutex
 	entries map[docKey]*list.Element
@@ -71,7 +56,7 @@ type docCache struct {
 	bytes   int64
 }
 
-func newDocCache(maxBytes int64, m docCacheMetrics) *docCache {
+func newDocCache(maxBytes int64, m *readMetrics) *docCache {
 	if maxBytes <= 0 {
 		return nil
 	}
@@ -88,11 +73,11 @@ func (c *docCache) get(k docKey) *docEntry {
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
 	if !ok {
-		c.m.misses.Inc()
+		c.m.cacheMisses.Inc()
 		return nil
 	}
 	c.lru.MoveToFront(el)
-	c.m.hits.Inc()
+	c.m.cacheHits.Inc()
 	return el.Value.(*docEntry)
 }
 
@@ -105,7 +90,7 @@ func (c *docCache) put(k docKey, e *docEntry) {
 		return
 	}
 	e.key = k
-	e.size = int64(len(e.body)+len(e.etag)+len(k.id)+len(k.window)+len(k.format)) + docCacheOverhead
+	e.size = int64(len(e.body)+len(k.id)+len(k.window)+len(k.format)) + docCacheOverhead
 	for _, h := range e.headers {
 		e.size += int64(len(h[0]) + len(h[1]))
 	}
@@ -126,7 +111,7 @@ func (c *docCache) put(k docKey, e *docEntry) {
 		c.lru.Remove(el)
 		delete(c.entries, old.key)
 		c.bytes -= old.size
-		c.m.evictions.Inc()
+		c.m.cacheEvictions.Inc()
 	}
-	c.m.bytes.Set(c.bytes)
+	c.m.cacheBytes.Set(c.bytes)
 }

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"syriafilter/internal/core"
@@ -271,66 +269,4 @@ func newReadMetrics(r *obs.Registry) readMetrics {
 // snapshot (the merged representative of every shard engine).
 func (st *Store) sketchSizes(module string) core.SketchSizes {
 	return st.Current().An.Engine.SketchStats()[module]
-}
-
-// Readiness is the serving-state signal behind GET /readyz, distinct
-// from /healthz liveness: a daemon restoring a checkpoint or replaying
-// boot files is alive but not ready. The zero state is "ok"; a nil
-// *Readiness always reads ready, so wiring it is optional.
-type Readiness struct {
-	state atomic.Pointer[string]
-
-	mu      sync.Mutex
-	changed chan struct{} // closed and replaced on every Set
-}
-
-// NewReadiness builds a readiness signal in the given state.
-func NewReadiness(state string) *Readiness {
-	r := &Readiness{}
-	r.Set(state)
-	return r
-}
-
-// Set publishes a new state ("restoring", "loading", "ok", ...) and
-// wakes everyone parked on Changed — this is what lets a draining
-// daemon unblock its /v1/sync long-polls instead of stalling shutdown.
-func (r *Readiness) Set(state string) {
-	if r == nil {
-		return
-	}
-	r.state.Store(&state)
-	r.mu.Lock()
-	ch := r.changed
-	r.changed = nil
-	r.mu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
-}
-
-// Changed returns a channel closed at the next Set. Callers must
-// re-fetch it after every wakeup (each Set rotates the channel). A nil
-// *Readiness returns nil — a channel that never fires, matching its
-// permanently-"ok" State.
-func (r *Readiness) Changed() <-chan struct{} {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.changed == nil {
-		r.changed = make(chan struct{})
-	}
-	return r.changed
-}
-
-// State returns the current state; nil or unset reads "ok".
-func (r *Readiness) State() string {
-	if r == nil {
-		return "ok"
-	}
-	if s := r.state.Load(); s != nil {
-		return *s
-	}
-	return "ok"
 }

@@ -159,8 +159,11 @@ func TestUnknownIDAndMissingModuleStatuses(t *testing.T) {
 	}
 	noGen := NewServer(full, nil)
 	for _, path := range []string{"/v1/experiments/probing", "/v1/range/probing", "/v1/sync?ids=probing"} {
-		if rw := get(noGen, path); rw.Code != 422 || !strings.Contains(rw.Body.String(), needsGen) {
-			t.Errorf("%s without a generator: status %d body %.200s; want 422 mentioning %q", path, rw.Code, rw.Body.String(), needsGen)
+		// With or without a validator: there is no body for one to vouch for.
+		for _, hdr := range [][][2]string{nil, {{"If-None-Match", "*"}}} {
+			if rw := get(noGen, path, hdr...); rw.Code != 422 || !strings.Contains(rw.Body.String(), needsGen) {
+				t.Errorf("%s %v without a generator: status %d body %.200s; want 422 mentioning %q", path, hdr, rw.Code, rw.Body.String(), needsGen)
+			}
 		}
 	}
 	if rw := get(noGen, "/v1/sync"); rw.Code != 200 || strings.Contains(rw.Body.String(), `"id":"probing"`) {
@@ -190,6 +193,11 @@ func TestUnknownIDAndMissingModuleStatuses(t *testing.T) {
 		}
 		if rw.Code != 200 && merges.Load() != before {
 			t.Errorf("%s: a shard merged before the %d was decided", tc.path, rw.Code)
+		}
+		// If-None-Match moves none of it: a refusal stays the refusal, and
+		// only a request that answers 200 can be told 304 instead.
+		if rw := get(srv, tc.path, [2]string{"If-None-Match", "*"}); rw.Code != tc.status && !(tc.status == 200 && rw.Code == 304) {
+			t.Errorf("%s with If-None-Match: *: status %d, want %d", tc.path, rw.Code, tc.status)
 		}
 	}
 	if merges.Load() == 0 {

@@ -1,0 +1,353 @@
+package serve
+
+import (
+	"bytes"
+	"compress/gzip"
+	"context"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"net/http"
+	"os"
+	"strconv"
+	"strings"
+	"time"
+
+	"syriafilter/internal/core"
+	"syriafilter/internal/obs/trace"
+	"syriafilter/internal/render"
+	"syriafilter/internal/timewin"
+)
+
+// The one way a GET leaves the daemon: admit (can this id answer 200
+// here?), negotiate (which variant?), through (that variant's body at
+// the current generation, cached or built), answer (validator, headers,
+// body or 304). A generation is whatever changes exactly when the body
+// can — the snapshot Seq for docs, a window fingerprint for ranges, the
+// content hash of the boot-time index — so cache keys and ETags made of
+// it are never wrong, only unreachable, and a matching If-None-Match
+// proves the client's copy current with no lookup, merge or render. It
+// is honoured only for a request that would otherwise answer 200.
+
+// variant is what negotiate read off a request: the body format and
+// whether the client takes gzip.
+type variant struct {
+	format string // "json" or "text"
+	gzip   bool
+}
+
+// negotiate resolves ?format= (absent means json) and Accept-Encoding.
+// A format no endpoint knows is 400; ok=false means it was written.
+func negotiate(w http.ResponseWriter, r *http.Request, format string) (v variant, ok bool) {
+	switch format {
+	case "":
+		format = "json"
+	case "json", "text":
+	default:
+		writeError(w, http.StatusBadRequest, "unknown format %q (accepted: json, text)", format)
+		return v, false
+	}
+	return variant{format: format, gzip: acceptsGzip(r)}, true
+}
+
+// acceptsGzip reports whether the client asked for gzip responses.
+// Deliberately simple: a "gzip" token anywhere in Accept-Encoding that
+// is not explicitly disabled with q=0.
+func acceptsGzip(r *http.Request) bool {
+	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
+		enc, q, hasQ := strings.Cut(strings.TrimSpace(part), ";")
+		if strings.TrimSpace(enc) != "gzip" {
+			continue
+		}
+		if hasQ {
+			if v := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(q), "q=")); v == "0" || v == "0.0" || v == "0.00" || v == "0.000" {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// gzipBytes compresses b at the default level. gzip output for a given
+// input is deterministic (the header carries no mod time), so cached
+// and fresh gzip variants stay byte-identical.
+func gzipBytes(b []byte) []byte {
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write(b)
+	zw.Close()
+	return buf.Bytes()
+}
+
+// admit decides, without rendering, whether id can answer 200 on this
+// daemon, and writes the refusal when it cannot: 404 for an id no
+// renderer knows, 422 for one that needs the generator this daemon
+// lacks or reads a module the store was built without. On success it
+// returns the modules the doc reads, which is what a range read folds.
+func (s *Server) admit(w http.ResponseWriter, id string) (mods []string, ok bool) {
+	if err := render.Check(id, render.Context{Gen: s.gen}); err != nil {
+		status := http.StatusUnprocessableEntity
+		if errors.Is(err, render.ErrUnknownID) {
+			status = http.StatusNotFound
+		}
+		writeError(w, status, "%v", err)
+		return nil, false
+	}
+	mods, err := core.ModulesFor(id)
+	if err == nil {
+		mods, err = s.store.projection(mods)
+	}
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, "render: %s: %v", id, err)
+		return nil, false
+	}
+	return mods, true
+}
+
+// bootNonce builds the per-process validator prefix (see Server.boot).
+func bootNonce() string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d.%d", os.Getpid(), time.Now().UnixNano())
+	return strconv.FormatUint(h.Sum64(), 36)
+}
+
+// etagFor derives the strong ETag of one cached response variant from
+// its key: equal ETags are equal bodies, within one process life (see
+// Server.boot).
+func (s *Server) etagFor(k docKey) string {
+	parts := []string{s.boot, strconv.FormatUint(k.gen, 36), k.id, k.window, k.format}
+	if k.gzip {
+		parts = append(parts, "gz")
+	}
+	return `"` + strings.Join(parts, ".") + `"`
+}
+
+// etagMatch implements If-None-Match: a comma-separated list of
+// entity tags (weak prefixes tolerated, compared strongly) or "*".
+func etagMatch(header, etag string) bool {
+	if header == "" || etag == "" {
+		return false
+	}
+	if strings.TrimSpace(header) == "*" {
+		return true
+	}
+	for _, part := range strings.Split(header, ",") {
+		part = strings.TrimSpace(part)
+		part = strings.TrimPrefix(part, "W/")
+		if part == etag {
+			return true
+		}
+	}
+	return false
+}
+
+// answer writes the response to a read: a body-less 304 when etag ("":
+// no validator) matches the request's If-None-Match, reported by
+// returning true; otherwise the entry body fetches, in v's encoding and
+// content type. body runs only when the validator misses, and writes
+// its own error when it returns ok=false.
+func answer(w http.ResponseWriter, r *http.Request, v variant, etag string, body func() (e *docEntry, ok bool)) (notModified bool) {
+	w.Header().Set("Vary", "Accept-Encoding")
+	if etagMatch(r.Header.Get("If-None-Match"), etag) {
+		w.Header().Set("ETag", etag)
+		w.WriteHeader(http.StatusNotModified)
+		return true
+	}
+	e, ok := body()
+	if !ok {
+		return false
+	}
+	if etag != "" {
+		w.Header().Set("ETag", etag)
+	}
+	for _, kv := range e.headers {
+		w.Header().Set(kv[0], kv[1])
+	}
+	if v.gzip {
+		w.Header().Set("Content-Encoding", "gzip")
+	}
+	if v.format == "text" {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(e.body)))
+	w.Write(e.body)
+	return false
+}
+
+// source is what a cached read reads, the one thing that differs
+// between them. A doc route (and /v1/sync) reads id off a snapshot. A
+// range reads it over a window of the live partitions instead, under
+// the window's content fingerprint (Store.rangeFingerprint): a window
+// no record arrives in keeps its entries and its ETag across cuts.
+type source struct {
+	id   string
+	snap *Snapshot // a doc read; nil for a range read, which has:
+
+	mods   []string // the modules id reads (admit fills it in), all a range merge folds
+	win    timewin.Window
+	step   int64  // > 0: a series, one doc per step-sized sub-window
+	window string // the cache key's "from:to:step"
+}
+
+// generation reads src's current generation; ok=false means the read is
+// not cacheable right now (a closed store, a window that begins inside
+// the compacted tail) and gets no validator.
+func (s *Server) generation(ctx context.Context, src *source) (gen uint64, ok bool) {
+	if src.snap != nil {
+		return src.snap.Seq, true
+	}
+	sp := trace.FromContext(ctx).Child("cache.lookup")
+	defer sp.End()
+	return s.store.rangeFingerprint(src.win)
+}
+
+// build produces src's plain body in format, with the headers that
+// describe it; on failure, the status to answer with. Every body is
+// rendered from a run of engines — the snapshot's, the merge of the
+// buckets a window covers (over the whole corpus, byte-identical to the
+// snapshot's), or one such merge per step-sized sub-window — and only
+// the last keeps the render.Series around its docs.
+func (s *Server) build(ctx context.Context, src *source, format string) (*docEntry, int, error) {
+	e := &docEntry{}
+	wins := []RangeWindow{{}}
+	var err error
+	switch {
+	case src.snap != nil:
+		wins[0].An = src.snap.An
+	case src.step > 0:
+		wins, err = s.store.RangeSeriesCtx(ctx, src.win, src.step, src.mods...)
+	default:
+		var cov timewin.Coverage
+		wins[0].An, cov, err = s.store.RangeCtx(ctx, src.win, src.mods...)
+		e.headers = [][2]string{
+			{"X-Range-From", fmt.Sprint(cov.FromUnix)},
+			{"X-Range-To", fmt.Sprint(cov.ToUnix)},
+			{"X-Range-Records", fmt.Sprint(cov.Records)},
+			// Bucket *merges* summed across shards — the query's cost, not the
+			// distinct-bucket layout (/v1/stats reports that).
+			{"X-Range-Buckets", fmt.Sprint(cov.Buckets)},
+		}
+	}
+	if err != nil {
+		// Retention violations are 422 (the data exists only compacted),
+		// bad windows and steps 400, a closed store 503.
+		var re *timewin.RetentionError
+		switch {
+		case errors.As(err, &re):
+			return nil, http.StatusUnprocessableEntity, err
+		case errors.Is(err, ErrClosed):
+			return nil, http.StatusServiceUnavailable, err
+		}
+		return nil, http.StatusBadRequest, err
+	}
+	rsp := trace.FromContext(ctx).Child("render")
+	defer rsp.End()
+	rsp.SetAttrs(trace.Int("windows", int64(len(wins))))
+	series := &render.Series{ID: src.id, Kind: render.Kind(src.id), Title: render.Title(src.id), StepSeconds: src.step}
+	for _, rw := range wins {
+		doc, err := render.Render(src.id, render.Context{An: rw.An, Gen: s.gen})
+		if err != nil {
+			rsp.Fail(err)
+			return nil, http.StatusUnprocessableEntity, err
+		}
+		series.Windows = append(series.Windows, render.SeriesWindow{
+			FromUnix: rw.Window.From,
+			ToUnix:   rw.Window.To,
+			Records:  rw.Coverage.Records,
+			Doc:      doc,
+		})
+	}
+	var body interface{ Text() string } = series
+	if src.step == 0 {
+		body = series.Windows[0].Doc
+		if src.snap != nil && format == "json" {
+			e.doc = series.Windows[0].Doc // what /v1/sync row-diffs across generations
+		}
+	}
+	if format == "text" {
+		e.body = []byte(body.Text())
+	} else if e.body, err = render.EncodeJSON(body); err != nil {
+		rsp.Fail(err)
+		return nil, http.StatusInternalServerError, err
+	}
+	return e, 0, nil
+}
+
+// through is the one cache-through: the entry stored under k, or else
+// built — the plain body by build, the gzip variant from the (likewise
+// cached) plain one — and stored only if the generation still reads
+// k.gen afterwards: a body built while its window moved is served once
+// and not kept. cacheable=false (k.gen is then meaningless) skips the
+// cache both ways.
+func (s *Server) through(ctx context.Context, src *source, k docKey, cacheable bool) (e *docEntry, status int, err error) {
+	c := s.cache
+	if !cacheable {
+		c = nil // a nil cache misses and stores nothing
+	}
+	sp := trace.FromContext(ctx).Child("cache.lookup")
+	var hit int64
+	if e = c.get(k); e != nil {
+		hit = 1
+	}
+	sp.SetAttrs(trace.Str("id", k.id), trace.Int("hit", hit))
+	sp.End()
+	if e != nil {
+		return e, 0, nil
+	}
+	if k.gzip {
+		plainKey := k
+		plainKey.gzip = false
+		plain, status, err := s.through(ctx, src, plainKey, cacheable)
+		if err != nil {
+			return nil, status, err
+		}
+		e = &docEntry{body: gzipBytes(plain.body), headers: plain.headers}
+	} else if e, status, err = s.build(ctx, src, k.format); err != nil {
+		return nil, status, err
+	}
+	if cacheable {
+		if now, ok := s.generation(ctx, src); ok && now == k.gen {
+			c.put(k, e)
+		}
+	}
+	return e, 0, nil
+}
+
+// serveCached is the read path end to end, for every read that has a
+// generation to cache under: admit src.id, negotiate the variant, and
+// answer with src's body at the generation it reads now. A matching
+// validator is the cheapest hit there is and is counted as one.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, format string, src *source) {
+	var ok bool
+	if src.mods, ok = s.admit(w, src.id); !ok {
+		return
+	}
+	v, ok := negotiate(w, r, format)
+	if !ok {
+		return
+	}
+	if src.snap != nil {
+		// Which snapshot answers is known without the body: said on a 304 too.
+		w.Header().Set("X-Snapshot-Seq", fmt.Sprint(src.snap.Seq))
+		w.Header().Set("X-Snapshot-Records", fmt.Sprint(src.snap.Records))
+	}
+	gen, cacheable := s.generation(r.Context(), src)
+	k := docKey{gen: gen, id: src.id, window: src.window, format: v.format, gzip: v.gzip}
+	etag := ""
+	if cacheable {
+		etag = s.etagFor(k)
+	}
+	if answer(w, r, v, etag, func() (*docEntry, bool) {
+		e, status, err := s.through(r.Context(), src, k, cacheable)
+		if err != nil {
+			writeError(w, status, "%v", err)
+			return nil, false
+		}
+		return e, true
+	}) {
+		s.readm.cacheHits.Inc()
+	}
+}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"compress/gzip"
 	"context"
 	"encoding/json"
@@ -12,7 +11,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -21,7 +19,6 @@ import (
 	"syriafilter/internal/core"
 	"syriafilter/internal/logfmt"
 	"syriafilter/internal/obs"
-	"syriafilter/internal/obs/trace"
 	"syriafilter/internal/render"
 	"syriafilter/internal/synth"
 	"syriafilter/internal/timewin"
@@ -45,25 +42,22 @@ import (
 //	GET  /debug/traces                flight recorder: retained traces (?limit&min_ms)
 //	GET  /debug/traces/{id}           one trace as a nested span tree
 //
-// Query endpoints serve JSON by default and aligned text with
-// ?format=text; ?fresh=1 rebuilds the snapshot before answering. JSON
+// The GET /v1 endpoints share one read path (read.go): JSON by default,
+// aligned text with ?format=text, any other format 400; gzip when
+// asked; an id no renderer knows 404 and one this daemon cannot render
+// (no generator, module not kept) 422, before anything is built. JSON
 // bodies are the render.Doc encoding — byte-identical to
 // `censorlyzer -json` over the same records, which is what the CI smoke
-// test diffs.
+// test diffs — and a cache-served or gzip-served body is byte-identical
+// to a fresh render. ?fresh=1 on a doc route rebuilds the snapshot
+// first. Bodies carry strong ETags derived from their generation and
+// revalidate with If-None-Match → 304; GET /v1/sync turns the same
+// generations into incremental long-polling (see handleSync).
 //
 // Unless the store runs with DisableObs, every route is wrapped in the
 // obs middleware: per-route request/status-class counters, an in-flight
 // gauge, a latency histogram, and (with WithLogger) a structured access
 // log line per request carrying an X-Request-ID.
-//
-// Read-path caching: doc, range and index responses are cached by
-// content generation (snapshot Seq for docs, a window fingerprint for
-// ranges) in a byte-bounded LRU, served with strong ETags and gzip
-// variants, and revalidated with If-None-Match → 304. GET /v1/sync
-// turns the same generations into incremental long-polling: see
-// handleSync. The invariant throughout is that a cache-served or
-// gzip-served body is byte-identical to a fresh render — keys change
-// whenever the content can.
 type Server struct {
 	store   *Store
 	gen     *synth.Generator
@@ -88,9 +82,9 @@ type Server struct {
 	syncWaiting   atomic.Int64
 	tracker       syncTracker
 
-	indexPlain []byte
-	indexGz    []byte
-	indexETag  string
+	// The experiment index, frozen at boot: plain and gzip.
+	index     [2]*docEntry
+	indexETag string
 }
 
 // ServerOption customizes NewServer.
@@ -150,10 +144,7 @@ func NewServer(store *Store, gen *synth.Generator, opts ...ServerOption) *Server
 		reg.GaugeFunc("censord_sync_waiting", "/v1/sync long-polls currently parked.",
 			func() float64 { return float64(s.syncWaiting.Load()) })
 	}
-	s.cache = newDocCache(s.cacheBytes, docCacheMetrics{
-		hits: s.readm.cacheHits, misses: s.readm.cacheMisses,
-		evictions: s.readm.cacheEvictions, bytes: s.readm.cacheBytes,
-	})
+	s.cache = newDocCache(s.cacheBytes, &s.readm)
 	s.buildIndex()
 	handle := func(pattern, route string, h http.HandlerFunc) {
 		if reg == nil {
@@ -166,9 +157,9 @@ func NewServer(store *Store, gen *synth.Generator, opts ...ServerOption) *Server
 	handle("GET /readyz", "/readyz", s.handleReady)
 	handle("GET /v1/stats", "/v1/stats", s.handleStats)
 	handle("GET /v1/experiments", "/v1/experiments", s.handleIndex)
-	handle("GET /v1/experiments/{id}", "/v1/experiments/{id}", s.handleExperiment)
-	handle("GET /v1/tables/{id}", "/v1/tables/{id}", s.handleTable)
-	handle("GET /v1/figures/{id}", "/v1/figures/{id}", s.handleFigure)
+	handle("GET /v1/experiments/{id}", "/v1/experiments/{id}", s.handleDoc("", ""))
+	handle("GET /v1/tables/{id}", "/v1/tables/{id}", s.handleDoc("table", "table"))
+	handle("GET /v1/figures/{id}", "/v1/figures/{id}", s.handleDoc("figure", "fig"))
 	handle("GET /v1/range/{id}", "/v1/range/{id}", s.handleRange)
 	handle("GET /v1/sync", "/v1/sync", s.handleSync)
 	handle("POST /v1/ingest", "/v1/ingest", s.handleIngest)
@@ -203,6 +194,15 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// retryLater marks w as the answer to a request the daemon cannot take
+// right now — it is restoring, draining, closed or shedding load (the
+// 503s and 429s) — so the client knows to come back, and returns w for
+// the write that follows.
+func retryLater(w http.ResponseWriter) http.ResponseWriter {
+	w.Header().Set("Retry-After", "1")
+	return w
+}
+
 // handleHealth is the liveness probe: it answers 200 "ok" whenever the
 // process can serve HTTP at all, even mid-restore. Readiness — is this
 // instance safe to route traffic to — is /readyz's question.
@@ -218,15 +218,21 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleReady is the readiness probe: 503 with the blocking state
-// ("restoring" during a checkpoint restore, whatever the wired
-// Readiness reports during boot) and 200 {"status":"ok"} once the
-// instance should receive traffic.
-func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
+// servingState is "ok" once the instance should receive traffic, and
+// otherwise what it is busy with: "restoring" during a checkpoint
+// restore, whatever the wired Readiness reports during boot and drain.
+func (s *Server) servingState() string {
 	state := s.ready.State() // nil-safe: no signal wired reads "ok"
 	if state == "ok" && s.store.Restoring() {
 		state = "restoring"
 	}
+	return state
+}
+
+// handleReady is the readiness probe: 200 {"status":"ok"}, or 503 with
+// the blocking state.
+func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
+	state := s.servingState()
 	status := http.StatusOK
 	if state != "ok" {
 		status = http.StatusServiceUnavailable
@@ -269,8 +275,7 @@ func (s *Server) buildIndex() {
 		// loudly rather than panicking the constructor.
 		return
 	}
-	s.indexPlain = body
-	s.indexGz = gzipBytes(body)
+	s.index = [2]*docEntry{{body: body}, {body: gzipBytes(body)}}
 	h := fnv.New64a()
 	h.Write(body)
 	// Content-derived, deliberately without the boot nonce: identical
@@ -280,113 +285,49 @@ func (s *Server) buildIndex() {
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if s.indexPlain == nil {
+	v, ok := negotiate(w, r, r.URL.Query().Get("format"))
+	if !ok {
+		return
+	}
+	e := s.index[0]
+	if v.gzip {
+		e = s.index[1]
+	}
+	if e == nil {
 		writeError(w, http.StatusInternalServerError, "experiment index unavailable")
 		return
 	}
-	w.Header().Set("Vary", "Accept-Encoding")
-	w.Header().Set("ETag", s.indexETag)
-	if etagMatch(r.Header.Get("If-None-Match"), s.indexETag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	body := s.indexPlain
-	if acceptsGzip(r) {
-		w.Header().Set("Content-Encoding", "gzip")
-		body = s.indexGz
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.Write(body)
+	// The index has one representation, whatever format asks for.
+	answer(w, r, variant{format: "json", gzip: v.gzip}, s.indexETag, func() (*docEntry, bool) { return e, true })
 }
 
-// bootNonce builds the per-process validator prefix (see Server.boot).
-func bootNonce() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d.%d", os.Getpid(), time.Now().UnixNano())
-	return strconv.FormatUint(h.Sum64(), 36)
-}
-
-// etagFor derives the strong ETag of one cached response variant. The
-// key's generation component only changes when the content can, so
-// equality of ETags implies byte-equality of bodies — within one
-// process life; the boot nonce keeps validators from leaking across
-// restarts, where Seq resets.
-func (s *Server) etagFor(k docKey) string {
-	parts := []string{s.boot, strconv.FormatUint(k.gen, 36), k.id, k.window, k.format}
-	if k.gzip {
-		parts = append(parts, "gz")
-	}
-	return `"` + strings.Join(parts, ".") + `"`
-}
-
-// etagMatch implements If-None-Match: a comma-separated list of
-// entity tags (weak prefixes tolerated, compared strongly) or "*".
-func etagMatch(header, etag string) bool {
-	if header == "" || etag == "" {
-		return false
-	}
-	if strings.TrimSpace(header) == "*" {
-		return true
-	}
-	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(part)
-		part = strings.TrimPrefix(part, "W/")
-		if part == etag {
-			return true
-		}
-	}
-	return false
-}
-
-// acceptsGzip reports whether the client asked for gzip responses.
-// Deliberately simple: a "gzip" token anywhere in Accept-Encoding that
-// is not explicitly disabled with q=0.
-func acceptsGzip(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		enc, q, hasQ := strings.Cut(strings.TrimSpace(part), ";")
-		if strings.TrimSpace(enc) != "gzip" {
-			continue
-		}
-		if hasQ {
-			if v := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(q), "q=")); v == "0" || v == "0.0" || v == "0.00" || v == "0.000" {
-				return false
+// handleDoc serves one experiment against the current (or, with
+// ?fresh=1, a just-rebuilt) snapshot. kind restricts the route to
+// tables or figures, whose ids may then be given bare ("4" for
+// "table4"); "" accepts any experiment.
+func (s *Server) handleDoc(kind, prefix string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		if kind != "" {
+			if !strings.HasPrefix(id, prefix) {
+				id = prefix + id
+			}
+			if render.Kind(id) != kind {
+				writeError(w, http.StatusNotFound, "%s is not a %s id", id, kind)
+				return
 			}
 		}
-		return true
+		q := r.URL.Query()
+		snap := s.store.Current()
+		if q.Get("fresh") == "1" {
+			var err error
+			if snap, err = s.store.RefreshCtx(r.Context()); err != nil {
+				writeError(w, http.StatusInternalServerError, "snapshot: %v", err)
+				return
+			}
+		}
+		s.serveCached(w, r, q.Get("format"), &source{id: id, snap: snap})
 	}
-	return false
-}
-
-// gzipBytes compresses b at the default level. gzip output for a given
-// input is deterministic (the header carries no mod time), so cached
-// and fresh gzip variants stay byte-identical.
-func gzipBytes(b []byte) []byte {
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	zw.Write(b)
-	zw.Close()
-	return buf.Bytes()
-}
-
-func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	s.serveDoc(w, r, r.PathValue("id"), "")
-}
-
-func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !strings.HasPrefix(id, "table") {
-		id = "table" + id
-	}
-	s.serveDoc(w, r, id, "table")
-}
-
-func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !strings.HasPrefix(id, "fig") {
-		id = "fig" + id
-	}
-	s.serveDoc(w, r, id, "figure")
 }
 
 // gateServing rejects requests that would observe (or snapshot)
@@ -397,51 +338,20 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 // Answer 503 + Retry-After so clients (and LBs) come back once
 // /readyz flips. Returns true when the request was rejected.
 func (s *Server) gateServing(w http.ResponseWriter) bool {
-	state := s.ready.State() // nil-safe: no signal wired reads "ok"
-	if state == "ok" && s.store.Restoring() {
-		state = "restoring"
-	}
+	state := s.servingState()
 	if state == "ok" {
 		return false
 	}
-	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, "service %s; retry shortly", state)
+	writeError(retryLater(w), http.StatusServiceUnavailable, "service %s; retry shortly", state)
 	return true
 }
 
-// handleRange is the windowed query endpoint. Without step it merges
-// every bucket the window covers into one transient engine and renders
-// the experiment Doc over it — for a window covering the whole corpus
-// the body is byte-identical to the all-time snapshot (and to
-// `censorlyzer -json`). With step it renders one Doc per step-sized
-// sub-window and returns a Series. Either way the engines carry only
-// the modules core.ModulesFor names for the experiment, so the merge
-// costs what the doc reads, not what the daemon keeps. Ranges that
-// begin inside the compacted retention tail answer 422 with the horizon.
-//
-// Range responses cache under a window-content fingerprint instead of
-// the snapshot Seq (range queries read the live partitions, not the
-// snapshot): see rangeFingerprint. A fully-frozen window — no records
-// arriving inside it — therefore keeps hitting across snapshot
-// generations, and its ETag keeps revalidating.
+// handleRange is the windowed query endpoint: ?from&to bound the
+// window, ?step turns the answer into a series (see source for both
+// bodies and for what they cache under). Ranges that begin inside
+// the compacted retention tail answer 422 with the horizon.
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	if s.gateServing(w) {
-		return
-	}
-	id := r.PathValue("id")
-	if render.Title(id) == "" {
-		writeError(w, http.StatusNotFound, "%v", render.UnknownID(id))
-		return
-	}
-	// The merge folds only the modules the doc reads; a daemon built
-	// without one of them cannot render the doc at all, which is known
-	// before any shard is asked for anything.
-	mods, err := core.ModulesFor(id)
-	if err == nil {
-		mods, err = s.store.projection(mods)
-	}
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "render: %s: %v", id, err)
 		return
 	}
 	q := r.URL.Query()
@@ -457,297 +367,8 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	format := "json"
-	if q.Get("format") == "text" {
-		format = "text"
-	}
-	gz := acceptsGzip(r)
-
-	fp, cacheable := s.rangeFingerprint(r.Context(), win)
-	var key docKey
-	var etag string
-	if cacheable {
-		key = docKey{gen: fp, id: id,
-			window: fmt.Sprintf("%d:%d:%d", win.From, win.To, step),
-			format: format, gzip: gz}
-		etag = s.etagFor(key)
-		w.Header().Set("Vary", "Accept-Encoding")
-		if etagMatch(r.Header.Get("If-None-Match"), etag) {
-			// The fingerprint is content-derived, so a match proves the
-			// client's body is current even on a cold cache: 304 with
-			// zero merge and zero render.
-			s.readm.cacheHits.Inc()
-			w.Header().Set("ETag", etag)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		if e := s.cache.get(key); e != nil {
-			s.writeRangeBody(w, e.etag, e.headers, format, gz, e.body)
-			return
-		}
-	}
-
-	// Miss (or uncacheable): run the real query.
-	var body []byte
-	var hdrs [][2]string
-	if step > 0 {
-		body = s.buildRangeSeries(w, r, id, mods, win, step, format)
-	} else {
-		body, hdrs = s.buildRangeDoc(w, r, id, mods, win, format)
-	}
-	if body == nil {
-		return // the builder wrote the error response
-	}
-	gzBody := body
-	if gz {
-		gzBody = gzipBytes(body)
-	}
-	if cacheable {
-		// Verify-then-store: only cache if the window's content did not
-		// move while we merged — the fingerprint sandwich proves the body
-		// corresponds to the key (per-bucket record counts are monotone,
-		// so equal fingerprints before and after bracket an unchanged
-		// window).
-		if fp2, ok := s.rangeFingerprint(r.Context(), win); ok && fp2 == fp {
-			plainKey := key
-			plainKey.gzip = false
-			s.cache.put(plainKey, &docEntry{body: body, etag: s.etagFor(plainKey), headers: hdrs})
-			if gz {
-				s.cache.put(key, &docEntry{body: gzBody, etag: etag, headers: hdrs})
-			}
-		}
-	}
-	s.writeRangeBody(w, etag, hdrs, format, gz, gzBody)
-}
-
-// writeRangeBody writes a 200 range response: optional strong ETag,
-// the X-Range-* coverage headers, content type by format, and the
-// (possibly gzipped) body.
-func (s *Server) writeRangeBody(w http.ResponseWriter, etag string, hdrs [][2]string, format string, gz bool, body []byte) {
-	if etag != "" {
-		w.Header().Set("ETag", etag)
-	}
-	for _, h := range hdrs {
-		w.Header().Set(h[0], h[1])
-	}
-	if gz {
-		w.Header().Set("Content-Encoding", "gzip")
-	}
-	if format == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.Write(body)
-}
-
-// buildRangeDoc runs the uncached single-doc range query and encodes
-// the response body; on failure it writes the error response itself
-// and returns a nil body.
-func (s *Server) buildRangeDoc(w http.ResponseWriter, r *http.Request, id string, mods []string, win timewin.Window, format string) ([]byte, [][2]string) {
-	an, cov, err := s.store.RangeCtx(r.Context(), win, mods...)
-	if err != nil {
-		s.writeRangeError(w, err)
-		return nil, nil
-	}
-	rsp := trace.FromContext(r.Context()).Child("render")
-	doc, err := render.Render(id, render.Context{An: an, Gen: s.gen})
-	rsp.End()
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-		return nil, nil
-	}
-	hdrs := [][2]string{
-		{"X-Range-From", fmt.Sprint(cov.FromUnix)},
-		{"X-Range-To", fmt.Sprint(cov.ToUnix)},
-		{"X-Range-Records", fmt.Sprint(cov.Records)},
-		// Bucket *merges* summed across shards — the query's cost, not the
-		// distinct-bucket layout (/v1/stats reports that).
-		{"X-Range-Buckets", fmt.Sprint(cov.Buckets)},
-	}
-	if format == "text" {
-		return []byte(doc.Text()), hdrs
-	}
-	body, err := render.EncodeJSON(doc)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return nil, nil
-	}
-	return body, hdrs
-}
-
-// buildRangeSeries is buildRangeDoc for ?step= series responses.
-func (s *Server) buildRangeSeries(w http.ResponseWriter, r *http.Request, id string, mods []string, win timewin.Window, step int64, format string) []byte {
-	wins, err := s.store.RangeSeriesCtx(r.Context(), win, step, mods...)
-	if err != nil {
-		s.writeRangeError(w, err)
-		return nil
-	}
-	rsp := trace.FromContext(r.Context()).Child("render")
-	rsp.SetAttrs(trace.Int("windows", int64(len(wins))))
-	series := &render.Series{ID: id, Kind: render.Kind(id), Title: render.Title(id), StepSeconds: step}
-	for _, rw := range wins {
-		doc, err := render.Render(id, render.Context{An: rw.An, Gen: s.gen})
-		if err != nil {
-			rsp.Fail(err)
-			rsp.End()
-			writeError(w, http.StatusUnprocessableEntity, "%v", err)
-			return nil
-		}
-		series.Windows = append(series.Windows, render.SeriesWindow{
-			FromUnix: rw.Window.From,
-			ToUnix:   rw.Window.To,
-			Records:  rw.Coverage.Records,
-			Doc:      doc,
-		})
-	}
-	rsp.End()
-	if format == "text" {
-		return []byte(series.Text())
-	}
-	body, err := render.EncodeJSON(series)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return nil
-	}
-	return body
-}
-
-// rangeFingerprint is Store.rangeFingerprint under the request's
-// "cache.lookup" span.
-func (s *Server) rangeFingerprint(ctx context.Context, win timewin.Window) (uint64, bool) {
-	sp := trace.FromContext(ctx).Child("cache.lookup")
-	defer sp.End()
-	return s.store.rangeFingerprint(win)
-}
-
-// writeRangeError maps range-query failures: retention violations are
-// 422 (the data exists only compacted), as is a module the store never
-// kept; bad windows/steps are 400, a closed store is 503.
-func (s *Server) writeRangeError(w http.ResponseWriter, err error) {
-	var re *timewin.RetentionError
-	switch {
-	case errors.As(err, &re), errors.Is(err, ErrNoModule):
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-	default:
-		writeError(w, http.StatusBadRequest, "%v", err)
-	}
-}
-
-// serveDoc serves one experiment against the current (or, with
-// ?fresh=1, a just-rebuilt) snapshot, through the rendered-doc cache:
-// the response is keyed by (Seq, id, format, gzip), revalidated with
-// If-None-Match (304, zero render, zero body — counted as the cheapest
-// kind of cache hit), and byte-identical to a fresh render on every
-// path. wantKind restricts the endpoint to tables or figures; ""
-// accepts any experiment.
-func (s *Server) serveDoc(w http.ResponseWriter, r *http.Request, id, wantKind string) {
-	if wantKind != "" && render.Kind(id) != wantKind {
-		writeError(w, http.StatusNotFound, "%s is not a %s id", id, wantKind)
-		return
-	}
-	snap := s.store.Current()
-	if r.URL.Query().Get("fresh") == "1" {
-		var err error
-		if snap, err = s.store.RefreshCtx(r.Context()); err != nil {
-			writeError(w, http.StatusInternalServerError, "snapshot: %v", err)
-			return
-		}
-	}
-	format := "json"
-	if r.URL.Query().Get("format") == "text" {
-		format = "text"
-	}
-	gz := acceptsGzip(r)
-	key := docKey{gen: snap.Seq, id: id, format: format, gzip: gz}
-	etag := s.etagFor(key)
-	w.Header().Set("Vary", "Accept-Encoding")
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		// Clients only ever hold ETags from successful responses of this
-		// process life (the boot nonce sees to that), so a match proves
-		// the body they have is current: no render, no body.
-		s.readm.cacheHits.Inc()
-		w.Header().Set("ETag", etag)
-		w.Header().Set("X-Snapshot-Seq", fmt.Sprint(snap.Seq))
-		w.Header().Set("X-Snapshot-Records", fmt.Sprint(snap.Records))
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	e, err := s.cachedDoc(r.Context(), snap, id, format, gz)
-	if err != nil {
-		status := http.StatusUnprocessableEntity
-		if errors.Is(err, render.ErrUnknownID) {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, "%v", err)
-		return
-	}
-	w.Header().Set("ETag", etag)
-	w.Header().Set("X-Snapshot-Seq", fmt.Sprint(snap.Seq))
-	w.Header().Set("X-Snapshot-Records", fmt.Sprint(snap.Records))
-	if gz {
-		w.Header().Set("Content-Encoding", "gzip")
-	}
-	if format == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(e.body)))
-	w.Write(e.body)
-}
-
-// cachedDoc returns the cached encoding of (snap, id, format, gz),
-// rendering — and for gz, compressing the (likewise cached) plain
-// variant — on miss. Returned entries are byte-identical to a fresh
-// render by construction: keys embed the snapshot Seq, which changes
-// whenever the folded state can. Render errors are returned, never
-// cached.
-func (s *Server) cachedDoc(ctx context.Context, snap *Snapshot, id, format string, gz bool) (*docEntry, error) {
-	key := docKey{gen: snap.Seq, id: id, format: format, gzip: gz}
-	sp := trace.FromContext(ctx).Child("cache.lookup")
-	sp.SetAttrs(trace.Str("id", id), trace.Int("seq", int64(snap.Seq)))
-	if e := s.cache.get(key); e != nil {
-		sp.SetAttrs(trace.Int("hit", 1))
-		sp.End()
-		return e, nil
-	}
-	sp.SetAttrs(trace.Int("hit", 0))
-	sp.End()
-	e := &docEntry{etag: s.etagFor(key)}
-	if gz {
-		plain, err := s.cachedDoc(ctx, snap, id, format, false)
-		if err != nil {
-			return nil, err
-		}
-		e.body = gzipBytes(plain.body)
-	} else {
-		rsp := trace.FromContext(ctx).Child("render")
-		doc, err := render.Render(id, render.Context{An: snap.An, Gen: s.gen})
-		if err != nil {
-			rsp.Fail(err)
-			rsp.End()
-			return nil, err
-		}
-		if format == "text" {
-			e.body = []byte(doc.Text())
-		} else {
-			b, err := render.EncodeJSON(doc)
-			if err != nil {
-				rsp.Fail(err)
-				rsp.End()
-				return nil, err
-			}
-			e.body = b
-			e.doc = doc
-		}
-		rsp.End()
-	}
-	s.cache.put(key, e)
-	return e, nil
+	s.serveCached(w, r, q.Get("format"), &source{id: r.PathValue("id"), win: win, step: step,
+		window: fmt.Sprintf("%d:%d:%d", win.From, win.To, step)})
 }
 
 // handleIngest accepts a batch of CSV log lines (the 26-field Blue Coat
@@ -800,13 +421,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusRequestEntityTooLarge,
 				"body exceeds the %d byte ingest cap (%d records accepted); split the upload", tooBig.Limit, added)
 		case errors.Is(err, ErrOverloaded):
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, map[string]any{
+			writeJSON(retryLater(w), http.StatusTooManyRequests, map[string]any{
 				"error": err.Error(), "added": added, "malformed": malformed,
 			})
 		case errors.Is(err, ErrClosed):
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			writeError(retryLater(w), http.StatusServiceUnavailable, "%v", err)
 		default:
 			writeError(w, http.StatusBadRequest, "ingest after %d records: %v", added, err)
 		}
@@ -856,8 +475,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	info, err := s.ckptFn(r.Context())
 	if err != nil {
 		if errors.Is(err, ErrClosed) {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			writeError(retryLater(w), http.StatusServiceUnavailable, "%v", err)
 			return
 		}
 		writeError(w, http.StatusInternalServerError, "checkpoint: %v", err)

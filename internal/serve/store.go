@@ -9,20 +9,16 @@
 // so ingestion is lock-free and never blocks queries. Everything else
 // that touches a partition is a control op the shard runs between its
 // batches, so engines are never touched concurrently. Two helpers hand
-// ops out: fanOut enqueues one on every shard and then awaits them all
-// (the shards work at once, each into its own slot, and the caller
-// combines the slots in shard order), shardOpsSpan walks the shards one
-// at a time (ops may share state).
+// ops out: fanOut to every shard at once, each op into its own slot,
+// shardOpsSpan one shard at a time (ops may share state).
 //
-// Snapshots are built copy-on-swap by fanOut: every shard merges its
-// partition into a fresh engine of its own, the per-shard engines are
-// merged in shard order, and the result is atomically swapped into
-// place. Queries always read a consistent point-in-time engine and never
-// take a lock. Checkpoints fan out the same way, one file per shard.
-// Range queries (Store.Range, Store.RangeSeries) merge only the buckets
-// a time window covers, and only the metric modules the caller names,
-// into transient engines: Range by fanOut, RangeSeries shard by shard
-// into one engine per sub-window.
+// Every whole-store view is cut by fold: an engine per shard, filled at
+// once and merged in shard order. A snapshot is the fold of everything,
+// atomically swapped into place, so queries read a consistent
+// point-in-time engine and never take a lock. A range query
+// (Store.Range) folds only the buckets a time window covers and the
+// metric modules the caller names; Store.RangeSeries walks the shards
+// into one engine per sub-window. Checkpoints fan out one file per shard.
 package serve
 
 import (
@@ -238,8 +234,7 @@ type Store struct {
 	ingested  atomic.Uint64
 	refreshMu sync.Mutex // serializes snapshot builds
 
-	syncMu sync.Mutex    // guards syncCh rotation
-	syncCh chan struct{} // closed and replaced at every snapshot publish
+	changed broadcast // woken at every snapshot publish
 
 	ingestedBytes atomic.Uint64   // raw log bytes through the block paths
 	rate          *obs.RateWindow // windowed byte rate behind ingest_mb_per_s
@@ -300,7 +295,7 @@ func NewStore(cfg Config) (*Store, error) {
 	}
 	st := &Store{cfg: cfg, bucketSecs: int64(cfg.Bucket / time.Second), addTimeout: addTimeout,
 		keepGens: keepGens, logger: logger, start: time.Now(), stop: make(chan struct{}),
-		syncCh: make(chan struct{}), rate: &obs.RateWindow{}, tracer: cfg.Tracer}
+		rate: &obs.RateWindow{}, tracer: cfg.Tracer}
 	var twObs *timewin.PartitionObs
 	if !cfg.DisableObs {
 		st.reg = cfg.Registry
@@ -600,14 +595,12 @@ func (st *Store) ingestBlockSources(srcs []*pipeline.BlockSource, workers int, s
 // Current returns the latest published snapshot (never nil).
 func (st *Store) Current() *Snapshot { return st.snap.Load() }
 
-// Refresh builds a new snapshot now and swaps it in: every shard merges
-// its partition into a fresh engine of its own, on the shard's
-// goroutine after the batches enqueued before the request — so the
-// snapshot is a consistent prefix of each shard's ingest stream and no
-// engine is ever accessed concurrently — and the per-shard engines are
-// then merged in shard order. The shards merge at the same time, so
-// ingestion pauses on all of them for the length of one shard's merge
-// instead of on each in turn.
+// Refresh builds a new snapshot now and swaps it in: the fold of every
+// shard's whole partition, each merged on its shard's goroutine after
+// the batches enqueued before the request, so the snapshot is a
+// consistent prefix of each shard's ingest stream. The shards merge at
+// the same time: ingestion pauses on all of them for the length of one
+// shard's merge instead of on each in turn.
 func (st *Store) Refresh() (*Snapshot, error) {
 	return st.RefreshCtx(context.Background())
 }
@@ -629,9 +622,6 @@ func (st *Store) Refresh() (*Snapshot, error) {
 func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 	st.refreshMu.Lock()
 	defer st.refreshMu.Unlock()
-	if st.begin() != nil {
-		return st.Current(), nil
-	}
 	// Change detection: one cheap op round summing the shards' record
 	// counts. Counts only grow and each shard's op runs after every
 	// batch enqueued before it, so an unchanged total proves the shard
@@ -640,82 +630,66 @@ func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 	// without publishing, and callers use the first Refresh to surface
 	// them.
 	if cur := st.Current(); cur.Seq > 0 {
+		if st.begin() != nil {
+			return cur, nil
+		}
 		var total uint64
 		st.shardOpsSpan(nil, "", func(_ int, _ *trace.Span, p *timewin.Partition) {
 			total += p.Records()
 		})
+		st.mu.RUnlock()
 		if total == cur.Records {
-			st.mu.RUnlock()
 			st.obsm.snapshotSkips.Inc()
 			return cur, nil
 		}
-	}
-	parts, err := st.shardEngines(st.cfg.Metrics)
-	if err != nil {
-		st.mu.RUnlock()
-		return nil, err
 	}
 	sp := trace.FromContext(ctx)
 	cut := sp.Child("snapshot.cut")
 	if sp == nil {
 		cut = st.tracer.Root("snapshot.cut")
 	}
+	defer cut.End()
 	t0 := time.Now()
-	metas := make([]timewin.Meta, len(parts))
-	counts := make([]uint64, len(parts))
-	st.fanOut(cut, "snapshot.shard", func(i int, _ *trace.Span, p *timewin.Partition) {
-		p.AllInto(parts[i].Engine)
+	metas := make([]timewin.Meta, len(st.shards))
+	counts := make([]uint64, len(st.shards))
+	an, err := st.fold(cut, "snapshot.shard", st.cfg.Metrics, func(i int, _ *trace.Span, p *timewin.Partition, dst *core.Engine) error {
+		p.AllInto(dst)
 		metas[i] = p.Meta()
 		counts[i] = p.Records()
+		return nil
 	})
-	st.mu.RUnlock()
+	if errors.Is(err, ErrClosed) {
+		return st.Current(), nil
+	}
+	if err != nil {
+		cut.Fail(err)
+		return nil, err
+	}
 	var records uint64
 	var meta timewin.Meta
-	for i := range parts {
-		if i > 0 {
-			parts[0].Merge(parts[i])
-		}
+	for i := range metas {
 		timewin.MergeMeta(&meta, metas[i])
 		records += counts[i]
 	}
 	cut.SetAttrs(trace.Int("records", int64(records)))
-	cut.End()
 	snap := &Snapshot{
-		An:      parts[0],
+		An:      an,
 		Seq:     st.seq.Add(1),
 		Records: records,
 		Built:   time.Now(),
 		Timewin: meta,
 	}
 	st.snap.Store(snap)
-	st.wakeSync()
+	st.changed.wake()
 	st.obsm.snapshots.Inc()
 	st.obsm.snapshotSeconds.Observe(time.Since(t0).Seconds())
 	return snap, nil
 }
 
-// wakeSync rotates the change-signal channel and closes the old one,
-// waking every parked ChangeSignal waiter. Called after every snapshot
-// publish (the new snapshot is visible to Current before the close, so
-// a waiter that re-checks on wakeup always observes the change).
-func (st *Store) wakeSync() {
-	st.syncMu.Lock()
-	ch := st.syncCh
-	st.syncCh = make(chan struct{})
-	st.syncMu.Unlock()
-	close(ch)
-}
-
-// ChangeSignal returns a channel closed at the next snapshot publish.
-// Waiters must re-fetch it after every wakeup (each publish rotates
-// the channel), and must fetch it *before* reading Current: publish
-// stores the snapshot first and closes the channel second, so
-// fetch-then-check can never miss a change.
-func (st *Store) ChangeSignal() <-chan struct{} {
-	st.syncMu.Lock()
-	defer st.syncMu.Unlock()
-	return st.syncCh
-}
+// ChangeSignal returns a channel closed at the next snapshot publish: a
+// broadcast, so fetch it before reading Current and again after every
+// wakeup.
+func (st *Store) ChangeSignal() <-chan struct{} { return st.changed.wait() }
 
 // Done returns a channel closed when the store shuts down, so parked
 // long-polls can bail out instead of stalling Close.
@@ -798,11 +772,14 @@ func (st *Store) fanOut(sp *trace.Span, name string, op shardFn) {
 	}
 }
 
-// shardEngines builds one empty analyzer per shard over the given
-// modules (nil = every module): the per-shard destinations of a fanOut
-// fold, merged into the first in shard order afterwards. One shard means
-// one engine and no extra merge.
-func (st *Store) shardEngines(modules []string) ([]*core.Analyzer, error) {
+// fold is the read every whole-store view is cut by: one empty analyzer
+// per shard over the given modules (nil = every module), op run on every
+// shard at once to fill its own, and the per-shard analyzers merged into
+// the first in shard order — so the result does not depend on how the
+// ops interleaved, and one shard means one engine and no extra merge.
+// An op's error fails its span; the first in shard order is fold's.
+func (st *Store) fold(sp *trace.Span, name string, modules []string,
+	op func(shard int, sp *trace.Span, p *timewin.Partition, dst *core.Engine) error) (*core.Analyzer, error) {
 	parts := make([]*core.Analyzer, len(st.shards))
 	for i := range parts {
 		an, err := core.NewAnalyzerFor(st.cfg.Options, modules...)
@@ -811,7 +788,24 @@ func (st *Store) shardEngines(modules []string) ([]*core.Analyzer, error) {
 		}
 		parts[i] = an
 	}
-	return parts, nil
+	if err := st.begin(); err != nil {
+		return nil, err
+	}
+	errs := make([]error, len(parts))
+	st.fanOut(sp, name, func(i int, ssp *trace.Span, p *timewin.Partition) {
+		errs[i] = op(i, ssp, p, parts[i].Engine)
+		ssp.Fail(errs[i])
+	})
+	st.mu.RUnlock()
+	for i := range parts {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		if i > 0 {
+			parts[0].Merge(parts[i])
+		}
+	}
+	return parts[0], nil
 }
 
 // projection resolves the module set a range read folds: the named
@@ -846,46 +840,33 @@ func (st *Store) Range(w timewin.Window, modules ...string) (*core.Analyzer, tim
 // RangeCtx is Range inside a traced request: each shard's bucket merge
 // becomes a "range.shard" child span carrying the shard index and the
 // buckets/records it merged, so a slow range query's trace shows which
-// shard (and which stage — queue wait vs merge) ate the time. The
-// shards merge concurrently, each into its own engine; the per-shard
-// engines are then merged in shard order.
+// shard (and which stage — queue wait vs merge) ate the time.
 func (st *Store) RangeCtx(ctx context.Context, w timewin.Window, modules ...string) (*core.Analyzer, timewin.Coverage, error) {
 	mods, err := st.projection(modules)
 	if err != nil {
 		return nil, timewin.Coverage{}, err
 	}
-	parts, err := st.shardEngines(mods)
-	if err != nil {
-		return nil, timewin.Coverage{}, err
-	}
-	if err := st.begin(); err != nil {
-		return nil, timewin.Coverage{}, err
-	}
-	covs := make([]timewin.Coverage, len(parts))
-	errs := make([]error, len(parts))
-	st.fanOut(trace.FromContext(ctx), "range.shard", func(i int, ssp *trace.Span, p *timewin.Partition) {
+	covs := make([]timewin.Coverage, len(st.shards))
+	an, err := st.fold(trace.FromContext(ctx), "range.shard", mods, func(i int, ssp *trace.Span, p *timewin.Partition, dst *core.Engine) error {
 		if st.rangeStall != nil {
 			st.rangeStall(i)
 		}
-		covs[i], errs[i] = p.RangeInto(parts[i].Engine, w)
-		if errs[i] != nil {
-			ssp.Fail(errs[i])
-			return
+		c, err := p.RangeInto(dst, w)
+		if err != nil {
+			return err
 		}
-		ssp.SetAttrs(trace.Int("buckets", int64(covs[i].Buckets)), trace.Int("records", int64(covs[i].Records)))
+		covs[i] = c
+		ssp.SetAttrs(trace.Int("buckets", int64(c.Buckets)), trace.Int("records", int64(c.Records)))
+		return nil
 	})
-	st.mu.RUnlock()
-	var cov timewin.Coverage
-	for i := range parts {
-		if errs[i] != nil {
-			return nil, cov, errs[i]
-		}
-		cov.Extend(covs[i])
-		if i > 0 {
-			parts[0].Merge(parts[i])
-		}
+	if err != nil {
+		return nil, timewin.Coverage{}, err
 	}
-	return parts[0], cov, nil
+	var cov timewin.Coverage
+	for _, c := range covs {
+		cov.Extend(c)
+	}
+	return an, cov, nil
 }
 
 // RangeWindow is one sub-window of a RangeSeries result.
@@ -1111,7 +1092,7 @@ func (st *Store) Close() { st.shutdown(nil) }
 func (st *Store) CloseAndCheckpoint(dir string) (CheckpointInfo, error) {
 	var info CheckpointInfo
 	err := ErrClosed
-	st.shutdown(func() { info, err = st.checkpoint(dir) })
+	st.shutdown(func() { info, err = st.checkpointSpan(dir, nil) })
 	return info, err
 }
 

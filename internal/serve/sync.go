@@ -55,11 +55,12 @@ type docTrack struct {
 // it, taken under the lock: another request may advance the track the
 // moment the lock drops, while the docs and bytes a copy points at are
 // never written again. The render goes through the doc cache (same key
-// the GET endpoints use), so tracking an id also warms its cache entry.
+// the GET endpoints use), so tracking an id also warms its cache entry;
+// when it fails, the status to answer with comes back with the error.
 // Serialized under the tracker lock: seenSeq/curSeq advance
 // monotonically even when concurrent sync requests observe different
 // snapshots.
-func (s *Server) trackDoc(ctx context.Context, snap *Snapshot, id string) (docTrack, error) {
+func (s *Server) trackDoc(ctx context.Context, snap *Snapshot, id string) (docTrack, int, error) {
 	t := &s.tracker
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -69,9 +70,9 @@ func (s *Server) trackDoc(ctx context.Context, snap *Snapshot, id string) (docTr
 		t.docs[id] = dt
 	}
 	if dt.cur == nil || snap.Seq > dt.seenSeq {
-		e, err := s.cachedDoc(ctx, snap, id, "json", false)
+		e, status, err := s.through(ctx, &source{id: id, snap: snap}, docKey{gen: snap.Seq, id: id, format: "json"}, true)
 		if err != nil {
-			return docTrack{}, err
+			return docTrack{}, status, err
 		}
 		if dt.cur == nil || !bytes.Equal(e.body, dt.curJSON) {
 			dt.prev, dt.prevSeq = dt.cur, dt.curSeq
@@ -81,7 +82,7 @@ func (s *Server) trackDoc(ctx context.Context, snap *Snapshot, id string) (docTr
 			dt.seenSeq = snap.Seq
 		}
 	}
-	return *dt, nil
+	return *dt, 0, nil
 }
 
 // syncChange is one changed experiment in a /v1/sync response: either
@@ -123,7 +124,11 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	if f := q.Get("format"); f != "" && f != "json" {
+	v, ok := negotiate(w, r, q.Get("format"))
+	if !ok {
+		return
+	}
+	if v.format != "json" {
 		writeError(w, http.StatusBadRequest, "sync: only format=json is supported")
 		return
 	}
@@ -133,10 +138,10 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	timeout := DefaultSyncTimeout
-	if v := q.Get("timeout"); v != "" {
-		d, err := time.ParseDuration(v)
+	if t := q.Get("timeout"); t != "" {
+		d, err := time.ParseDuration(t)
 		if err != nil || d < 0 {
-			writeError(w, http.StatusBadRequest, "sync: bad timeout %q (want a Go duration like 30s)", v)
+			writeError(w, http.StatusBadRequest, "sync: bad timeout %q (want a Go duration like 30s)", t)
 			return
 		}
 		if d > maxSyncTimeout {
@@ -146,12 +151,11 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	}
 	ids := render.Order()
 	explicit := false
-	if v := q.Get("ids"); v != "" {
+	if list := q.Get("ids"); list != "" {
 		explicit = true
-		ids = strings.Split(v, ",")
+		ids = strings.Split(list, ",")
 		for _, id := range ids {
-			if render.Title(id) == "" {
-				writeError(w, http.StatusNotFound, "%v", render.UnknownID(id))
+			if _, ok := s.admit(w, id); !ok {
 				return
 			}
 		}
@@ -181,9 +185,9 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		if !explicit && s.gen == nil && render.NeedsGenerator(id) {
 			continue // default id set: skip what this daemon cannot render
 		}
-		dt, err := s.trackDoc(r.Context(), snap, id)
+		dt, status, err := s.trackDoc(r.Context(), snap, id)
 		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, "%v", err)
+			writeError(w, status, "%v", err)
 			return
 		}
 		if dt.curSeq <= since {
@@ -211,16 +215,12 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	w.Header().Set("Vary", "Accept-Encoding")
-	if acceptsGzip(r) {
+	if v.gzip {
 		// Compressed per response, not cached: delta bodies depend on the
 		// client's since token.
-		w.Header().Set("Content-Encoding", "gzip")
 		body = gzipBytes(body)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.Write(body)
+	answer(w, r, v, "", func() (*docEntry, bool) { return &docEntry{body: body}, true })
 }
 
 // waitSync parks the request until the published snapshot moves past
@@ -235,8 +235,7 @@ func (s *Server) waitSync(w http.ResponseWriter, r *http.Request, since uint64, 
 	if n := s.syncWaiting.Add(1); n > int64(s.syncMaxParked) {
 		s.syncWaiting.Add(-1)
 		s.readm.syncShed.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
+		writeError(retryLater(w), http.StatusTooManyRequests,
 			"sync: %d long-polls already parked (-sync-max-parked); retry shortly", s.syncMaxParked)
 		return nil, false, false
 	}
@@ -252,9 +251,7 @@ func (s *Server) waitSync(w http.ResponseWriter, r *http.Request, since uint64, 
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	for {
-		// Fetch both signal channels BEFORE re-checking state: publishes
-		// and readiness flips rotate their channel after updating state,
-		// so fetch-then-check can never sleep through a transition.
+		// Broadcasts: fetch both before checking what they announce.
 		ch := s.store.ChangeSignal()
 		rch := s.ready.Changed()
 		if snap = s.store.Current(); snap.Seq > since {
@@ -262,16 +259,12 @@ func (s *Server) waitSync(w http.ResponseWriter, r *http.Request, since uint64, 
 			sp.SetAttrs(trace.Int("woken", 1))
 			return snap, false, true
 		}
-		if state := s.ready.State(); state != "ok" || s.store.Restoring() {
-			if state == "ok" {
-				state = "restoring"
-			}
+		if state := s.servingState(); state != "ok" {
 			// Drain-aware wakeup: SIGTERM flips readiness to "draining"
 			// before Shutdown, so parked polls resolve instead of pinning
 			// the drain deadline.
 			sp.Event("drain", trace.Str("state", state))
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "service %s; retry shortly", state)
+			writeError(retryLater(w), http.StatusServiceUnavailable, "service %s; retry shortly", state)
 			return nil, false, false
 		}
 		select {
@@ -281,8 +274,7 @@ func (s *Server) waitSync(w http.ResponseWriter, r *http.Request, since uint64, 
 			s.readm.syncTimeouts.Inc()
 			return s.store.Current(), true, true
 		case <-s.store.Done():
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "%v", ErrClosed)
+			writeError(retryLater(w), http.StatusServiceUnavailable, "%v", ErrClosed)
 			return nil, false, false
 		case <-r.Context().Done():
 			return nil, false, false

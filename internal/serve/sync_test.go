@@ -265,7 +265,7 @@ func TestSyncParkedShed(t *testing.T) {
 		t.Errorf("second park answered %d, want 429", rw.Code)
 	}
 	// A spurious wakeup (same Seq) must re-park, not return early.
-	store.wakeSync()
+	store.changed.wake()
 	select {
 	case rw := <-parked:
 		t.Fatalf("parked poll returned on a no-change wakeup: status %d", rw.Code)
@@ -304,8 +304,10 @@ func TestSyncRaceHammer(t *testing.T) {
 	}()
 
 	errs := make(chan string, 16)
-	// Conditional-GET readers: hold the last ETag and revalidate.
-	for i := 0; i < 3; i++ {
+	// Conditional-GET readers: hold the last ETag and revalidate — two
+	// against the snapshot, one against the live partitions.
+	for _, path := range []string{"/v1/tables/4", "/v1/tables/4", "/v1/range/table4"} {
+		path := path
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -318,13 +320,13 @@ func TestSyncRaceHammer(t *testing.T) {
 				}
 				var rw *httptest.ResponseRecorder
 				if etag != "" {
-					rw = get(srv, "/v1/tables/4", [2]string{"If-None-Match", etag})
+					rw = get(srv, path, [2]string{"If-None-Match", etag})
 				} else {
-					rw = get(srv, "/v1/tables/4")
+					rw = get(srv, path)
 				}
 				if rw.Code != 200 && rw.Code != 304 {
 					select {
-					case errs <- fmt.Sprintf("GET status %d", rw.Code):
+					case errs <- fmt.Sprintf("GET %s status %d", path, rw.Code):
 					default:
 					}
 					return

@@ -1,8 +1,8 @@
 // Package stats provides the streaming statistics, sampling, and sketching
 // primitives used throughout the analysis toolkit: deterministic PRNG,
-// Space-Saving top-k, histograms/CDFs, cosine similarity, Zipf sampling,
-// power-law fitting, proportion confidence intervals, HyperLogLog
-// cardinality estimation, and Welford online moments.
+// Space-Saving top-k, CDFs, cosine similarity, Zipf sampling, power-law
+// fitting, proportion confidence intervals and HyperLogLog cardinality
+// estimation.
 //
 // Everything here is allocation-conscious and safe to use from the scan
 // pipeline's per-worker accumulators. Nothing reads the wall clock; all

@@ -2,31 +2,14 @@ package stats
 
 import "math"
 
-// Cosine returns the cosine similarity of two equal-length vectors, the
-// metric the paper uses in §5.2 (Table 6) to compare censored-domain
+// CosineCounts computes the cosine similarity of two sparse count maps
+// (domain -> request count), aligning keys as the union of both maps —
+// the metric the paper uses in §5.2 (Table 6) to compare censored-domain
 // profiles across proxies:
 //
 //	cos(A, B) = Σ AᵢBᵢ / (√Σ Aᵢ² · √Σ Bᵢ²)
 //
-// Returns 0 when either vector is all-zero (no basis for similarity).
-func Cosine(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("stats: Cosine over vectors of different length")
-	}
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-// CosineCounts computes cosine similarity between two sparse count maps
-// (domain -> request count), aligning keys as the union of both maps.
+// Returns 0 when either map is all-zero (no basis for similarity).
 func CosineCounts(a, b map[string]uint64) float64 {
 	var dot, na, nb float64
 	for k, av := range a {

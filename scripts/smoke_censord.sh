@@ -93,6 +93,14 @@ curl -sf "http://$ADDR/v1/figures/7"     > "$tmp/live-fig7.json"
 diff "$tmp/batch-table4.json" "$tmp/live-table4.json"
 diff "$tmp/batch-fig7.json" "$tmp/live-fig7.json"
 
+# The read path refuses what it cannot answer 200: a validator does not
+# vouch for a doc that does not exist, and an unknown format is not
+# served as JSON.
+code=$(curl -s -o /dev/null -w '%{http_code}' -H 'If-None-Match: *' "http://$ADDR/v1/experiments/nope")
+[ "$code" = 404 ] || { echo "smoke: If-None-Match: * on an unknown id answered $code, want 404" >&2; exit 1; }
+code=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/v1/tables/table4?format=xml")
+[ "$code" = 400 ] || { echo "smoke: ?format=xml answered $code, want 400" >&2; exit 1; }
+
 # Range queries: the full (open) window is byte-identical to the batch
 # run; a bucket-aligned sub-window matches the -from/-to batch run; a
 # step query returns one doc per day window.

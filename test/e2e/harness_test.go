@@ -5,13 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -359,55 +357,4 @@ func metricValue(series map[string]float64, family string) float64 {
 		}
 	}
 	return sum
-}
-
-// histQuantile reads a cumulative-bucket histogram out of a parsed
-// /metrics scrape and returns the upper bound of the bucket containing
-// quantile q (the standard Prometheus-style estimate). route filters to
-// one route label; "" takes every series of the family (for unlabeled
-// histograms like censord_sync_wait_seconds).
-func histQuantile(series map[string]float64, family, route string, q float64) float64 {
-	type bucket struct {
-		le  float64
-		cum float64
-	}
-	var buckets []bucket
-	prefix := family + "_bucket{"
-	for k, v := range series {
-		if !strings.HasPrefix(k, prefix) {
-			continue
-		}
-		if route != "" && !strings.Contains(k, `route="`+route+`"`) {
-			continue
-		}
-		leStart := strings.Index(k, `le="`)
-		if leStart < 0 {
-			continue
-		}
-		leStr := k[leStart+4:]
-		leStr = leStr[:strings.IndexByte(leStr, '"')]
-		le := math.Inf(1)
-		if leStr != "+Inf" {
-			var err error
-			if le, err = strconv.ParseFloat(leStr, 64); err != nil {
-				continue
-			}
-		}
-		buckets = append(buckets, bucket{le: le, cum: v})
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
-	if len(buckets) == 0 {
-		return 0
-	}
-	total := buckets[len(buckets)-1].cum
-	if total == 0 {
-		return 0
-	}
-	want := q * total
-	for _, b := range buckets {
-		if b.cum >= want {
-			return b.le
-		}
-	}
-	return buckets[len(buckets)-1].le
 }

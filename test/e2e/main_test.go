@@ -25,8 +25,6 @@ var (
 
 	loadDuration = flag.Duration("load.duration", 2*time.Second, "load smoke duration")
 	loadTargetMB = flag.Float64("load.target-mb", 8, "load smoke target ingest rate, MB/s")
-	loadOut      = flag.String("load.out", "", "write the load smoke result JSON here (empty = log only)")
-	loadRevision = flag.String("load.revision", "", "VCS revision stamped into the load smoke result (empty = ask git)")
 )
 
 // censordBin is the freshly built daemon binary, set by TestMain.
