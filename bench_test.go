@@ -181,6 +181,46 @@ func BenchmarkIngestEndToEnd(b *testing.B) {
 	})
 }
 
+// BenchmarkStoreIngest measures the daemon's ingest path in process:
+// Store.IngestBlocks of the corpus file into a warm store (every key
+// already folded, the batch free list filled), in MB/s of log bytes and
+// B/op of garbage — the in-tree counterpart of the ledger's ingest_mb_s
+// and boot_mb_s. A no-op range read queues behind the batches, so the
+// clock stops when the shards have applied them.
+func BenchmarkStoreIngest(b *testing.B) {
+	f := fixture(b)
+	path, _ := ingestBenchFile(b)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			st, err := serve.NewStore(serve.Config{Options: benchOpts(f), Shards: shards})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			ingest := func() {
+				added, _, err := st.IngestBlocks(logfmt.NewBlockReader(bytes.NewReader(data)), 0)
+				if err != nil || added != uint64(len(f.records)) {
+					b.Fatalf("added %d of %d: %v", added, len(f.records), err)
+				}
+				if _, _, err := st.Range(timewin.Window{From: 1, To: 2}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ingest()
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ingest()
+			}
+		})
+	}
+}
+
 func benchOpts(f *benchFixture) core.Options {
 	return core.Options{
 		Categories: f.gen.CategoryDB(),

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -54,7 +55,12 @@ func TestAddShedsOnStalledShard(t *testing.T) {
 	for i := 0; i < shardQueue; i++ {
 		store.shards[0].msgs <- shardMsg{}
 	}
-	defer close(release)
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
 
 	start := time.Now()
 	added, err := store.Add(toStalled[:10])
@@ -69,8 +75,9 @@ func TestAddShedsOnStalledShard(t *testing.T) {
 	}
 
 	// The healthy shard is untouched by the stall.
-	if n, err := store.Add(toHealthy[:10]); err != nil || n != 10 {
-		t.Errorf("Add to healthy shard: added=%d err=%v, want 10, nil", n, err)
+	healthyAdded, err := store.Add(toHealthy[:10])
+	if err != nil || healthyAdded != 10 {
+		t.Errorf("Add to healthy shard: added=%d err=%v, want 10, nil", healthyAdded, err)
 	}
 
 	// And so are unrelated handlers: liveness answers while shard 0 is
@@ -85,8 +92,11 @@ func TestAddShedsOnStalledShard(t *testing.T) {
 		t.Errorf("GET /healthz during shard stall: %d, want 200", resp.StatusCode)
 	}
 
+	// The POST carries records for both shards, so the worker that sheds
+	// on the stalled one still holds a pending batch for the healthy one.
+	posted := append(append([]logfmt.Record(nil), toStalled[10:20]...), toHealthy[10:20]...)
 	resp, err = http.Post(srv.URL+"/v1/ingest", "text/csv",
-		bytes.NewReader(encodeCSV(t, toStalled[10:20], false)))
+		bytes.NewReader(encodeCSV(t, posted, false)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +108,38 @@ func TestAddShedsOnStalledShard(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 response missing Retry-After")
 	}
-	if !strings.Contains(string(body), `"added"`) {
-		t.Errorf("429 body %s does not report the accepted-record count", body)
+	var shed struct {
+		Added *uint64 `json:"added"`
+	}
+	if err := json.Unmarshal(body, &shed); err != nil || shed.Added == nil {
+		t.Fatalf("429 body %s does not report the accepted-record count (%v)", body, err)
 	}
 	if got := store.obsm.shed.Value(); got != 2 {
 		t.Errorf("censord_ingest_shed_total after HTTP shed = %d, want 2", got)
+	}
+
+	// Release the stall and drain: what the store folded is exactly what
+	// the three calls reported added — a dropped pending batch is never
+	// counted — and that is what censord_store_records_total reports.
+	// censord_ingest_records_total counts records parsed, the dropped
+	// ones included, so it is the wrong counter to reconcile against.
+	close(release)
+	released = true
+	snap, err := store.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := added + healthyAdded + *shed.Added
+	text := scrape(t, srv.URL)
+	if got := metricValue(t, text, "censord_store_records_total"); got != float64(sum) {
+		t.Errorf("censord_store_records_total = %v, want the %d records the calls reported added", got, sum)
+	}
+	if snap.Records != sum {
+		t.Errorf("Refresh folded %d records, want the %d records the calls reported added", snap.Records, sum)
+	}
+	if got := metricValue(t, text, "censord_ingest_records_total"); got != float64(len(posted)) || got <= float64(sum) {
+		t.Errorf("censord_ingest_records_total = %v, want the %d records parsed, more than the %d folded",
+			got, len(posted), sum)
 	}
 }
 

@@ -391,10 +391,11 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 // the client's view — resending the whole upload re-folds the
 // accepted subset (engines fold once per record, nothing dedups),
 // dropping it keeps the subset counted. Producers that need exact
-// counts should disable shedding (AddTimeout <= 0 / -shed-after -1s)
+// counts should disable shedding (AddTimeout < 0 / -shed-after -1s)
 // and let a full queue block them, or reconcile against
-// censord_ingest_records_total after a 429. A closed (draining)
-// store answers 503.
+// censord_store_records_total (records folded) after a 429 — not
+// censord_ingest_records_total, which counts records parsed, the
+// dropped ones included. A closed (draining) store answers 503.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	rbody := r.Body
 	if s.maxBody > 0 {

@@ -6,7 +6,11 @@
 // Architecture: N hash-partitioned shards, each a single goroutine that
 // owns one timewin.Partition — a ring of per-time-bucket core engines
 // plus a frozen all-time tail — and drains a channel of record batches,
-// so ingestion is lock-free and never blocks queries. Everything else
+// so ingestion is lock-free and never blocks queries. Records reach the
+// shards through one routine (ingestAcc), for Add and the block ingest
+// paths alike: each is copied once, into its shard's batch, and batches
+// come from a store-owned free list — the send hands one to the shard
+// goroutine, which puts it back once applied. Everything else
 // that touches a partition is a control op the shard runs between its
 // batches, so engines are never touched concurrently. Two helpers hand
 // ops out: fanOut to every shard at once, each op into its own slot,
@@ -161,7 +165,10 @@ type Stats struct {
 // and restore folds use ops, so they serialize with ingestion without
 // any engine lock).
 type shardMsg struct {
-	batch []logfmt.Record
+	// batch comes from the store's free list and is owned by whoever
+	// holds the message: the send hands it to the shard goroutine, which
+	// puts it back once applied. nil carries no batch.
+	batch *[]logfmt.Record
 	op    func(p *timewin.Partition)
 	done  chan struct{}
 	// span, when non-nil, covers this message's life on the shard: it
@@ -175,6 +182,7 @@ type shardMsg struct {
 
 type shard struct {
 	msgs chan shardMsg
+	free *batchPool // where applied batches go back
 }
 
 func (s *shard) loop(p *timewin.Partition, wg *sync.WaitGroup) {
@@ -187,12 +195,35 @@ func (s *shard) loop(p *timewin.Partition, wg *sync.WaitGroup) {
 			m.span.End()
 			continue
 		}
-		for i := range m.batch {
-			p.Observe(&m.batch[i])
+		if b := m.batch; b != nil {
+			for i := range *b {
+				p.Observe(&(*b)[i])
+			}
+			m.span.SetAttrs(trace.Int("records", int64(len(*b))))
+			s.free.put(b)
 		}
-		m.span.SetAttrs(trace.Int("records", int64(len(m.batch))))
 		m.span.End()
 	}
+}
+
+// batchPool is the store's free list of shard batches, each of capacity
+// pipeline.BatchSize. It holds pointers so that put does not allocate.
+type batchPool struct{ p sync.Pool }
+
+func (bp *batchPool) get() *[]logfmt.Record {
+	if b, ok := bp.p.Get().(*[]logfmt.Record); ok {
+		return b
+	}
+	b := make([]logfmt.Record, 0, pipeline.BatchSize)
+	return &b
+}
+
+// put empties b — clearing it first, so the list pins no field strings —
+// and returns it to the list. The caller must own b and drop it.
+func (bp *batchPool) put(b *[]logfmt.Record) {
+	clear(*b)
+	*b = (*b)[:0]
+	bp.p.Put(b)
 }
 
 // shardQueue is the per-shard batch buffer: enough to keep shards busy,
@@ -227,6 +258,7 @@ type Store struct {
 	keepGens   int
 	logger     *slog.Logger
 	shards     []*shard
+	batches    batchPool // free list of shard batches (see ingestAcc)
 	start      time.Time
 
 	snap      atomic.Pointer[Snapshot]
@@ -322,7 +354,7 @@ func NewStore(cfg Config) (*Store, error) {
 			return nil, err
 		}
 		retainBuckets = p.RetainBuckets()
-		sh := &shard{msgs: make(chan shardMsg, shardQueue)}
+		sh := &shard{msgs: make(chan shardMsg, shardQueue), free: &st.batches}
 		st.shards = append(st.shards, sh)
 		st.wg.Add(1)
 		go sh.loop(p, &st.wg)
@@ -368,17 +400,18 @@ func shardKey(rec *logfmt.Record) uint64 {
 	return stats.Hash64(rec.ClientIP) ^ stats.Hash64(rec.Host)
 }
 
-// Add routes records to their shards and blocks until every batch is
-// enqueued — backpressure under overload, bounded by the configured
-// AddTimeout: if a shard queue stays full past the deadline the call
-// sheds the remaining batches and returns ErrOverloaded, so one
-// stalled shard cannot hang every ingest path forever. The deadline
-// covers the whole call, not each shard. Records are copied, so the
-// caller may reuse recs. Returns the records actually enqueued (all of
-// them when err is nil, 0 with ErrClosed after Close). On
+// Add routes records to their shards, in pipeline.BatchSize batches per
+// shard, and blocks until every batch is enqueued — backpressure under
+// overload, bounded by the configured AddTimeout: if a shard queue
+// stays full past the deadline the call sheds the remaining batches and
+// returns ErrOverloaded, so one stalled shard cannot hang every ingest
+// path forever. The deadline covers the whole call, not each shard.
+// Each record is copied once, into its shard's batch (see ingestAcc),
+// so the caller may reuse recs. Returns the records actually enqueued
+// (all of them when err is nil, 0 with ErrClosed after Close). On
 // ErrOverloaded the enqueued count is exact but the enqueued SET is
-// not an input-order prefix: records bucket by shard hash, and the
-// accepted buckets are whichever enqueued before the stalled one —
+// not an input-order prefix: records batch by shard hash, and the
+// accepted batches are whichever enqueued before the stalled one —
 // callers must treat a shed batch as indivisible (see handleIngest).
 func (st *Store) Add(recs []logfmt.Record) (uint64, error) {
 	return st.add(recs, nil)
@@ -393,113 +426,164 @@ func (st *Store) AddCtx(ctx context.Context, recs []logfmt.Record) (uint64, erro
 }
 
 func (st *Store) add(recs []logfmt.Record, sp *trace.Span) (uint64, error) {
-	if len(recs) == 0 {
-		return 0, nil
+	a := st.newIngestAcc(sp)
+	for i := 0; i < len(recs) && a.err == nil; i++ {
+		a.route(&recs[i])
 	}
-	st.mu.RLock()
+	a.flush()
+	return a.added, a.err
+}
+
+// ingestAcc is the one routine records reach their shards through, for
+// Add and the block ingest path alike (one accumulator per Add call, one
+// per parse worker). It keeps one pending batch per shard, taken from
+// the store's free list; route copies each record into the batch of the
+// shard its hash picks — the only copy a record makes on its way in —
+// and a batch that reaches pipeline.BatchSize is sent whole, while
+// flush sends the partial ones. The channel send passes ownership: the
+// shard goroutine applies the batch, clears it and puts it back on the
+// free list, and the sender never touches it again. So on a warm store
+// routing allocates nothing per record. Pending memory is bounded at
+// shards × BatchSize records per accumulator. Copied records own their
+// field strings (ParseBlock never aliases the block buffer), so they
+// outlive the block.
+//
+// A send that finds its queue full waits against the deadline of its
+// scope, armed lazily on the first such wait: an Add call is one scope;
+// on the block path every full batch is one and the final flush is
+// another. The first send past its deadline sheds: the error sticks, and
+// that batch, every other pending one and every later record are
+// dropped, never counted.
+type ingestAcc struct {
+	st      *Store
+	sp      *trace.Span        // the request span batches attach to (nil untraced)
+	pending []*[]logfmt.Record // per shard; nil until the shard's first record
+	added   uint64
+	err     error       // sticky: the first failed send
+	timer   *time.Timer // the scope's deadline; nil until a send waits
+}
+
+func (st *Store) newIngestAcc(sp *trace.Span) *ingestAcc {
+	return &ingestAcc{st: st, sp: sp, pending: make([]*[]logfmt.Record, len(st.shards))}
+}
+
+// route copies rec into its shard's pending batch and sends the batch if
+// that filled it, reporting whether it did.
+func (a *ingestAcc) route(rec *logfmt.Record) bool {
+	if a.err != nil {
+		return false // shedding: the call is already failed
+	}
+	i := shardKey(rec) % uint64(len(a.pending))
+	b := a.pending[i]
+	if b == nil {
+		b = a.st.batches.get()
+		a.pending[i] = b
+	}
+	*b = append(*b, *rec)
+	if len(*b) < pipeline.BatchSize {
+		return false
+	}
+	a.send(int(i))
+	return true
+}
+
+// flush sends every partial batch in shard order — or, once the
+// accumulator has failed, puts them back uncounted — and ends the scope.
+func (a *ingestAcc) flush() {
+	for i, b := range a.pending {
+		if b == nil {
+			continue
+		}
+		if a.err != nil {
+			a.pending[i] = nil
+			a.st.batches.put(b)
+			continue
+		}
+		a.send(i)
+	}
+	a.endScope()
+}
+
+// endScope stops the scope's deadline: the next send that has to wait
+// arms a fresh one.
+func (a *ingestAcc) endScope() {
+	if a.timer != nil {
+		a.timer.Stop()
+		a.timer = nil
+	}
+}
+
+// send hands shard i's pending batch to its shard.
+func (a *ingestAcc) send(i int) {
+	b := a.pending[i]
+	a.pending[i] = nil
+	n := uint64(len(*b))
+	st := a.st
+	if err := st.begin(); err != nil {
+		a.err = err
+		st.batches.put(b)
+		return
+	}
 	defer st.mu.RUnlock()
-	if st.closed {
-		return 0, ErrClosed
-	}
-	n := uint64(len(st.shards))
-	buckets := make([][]logfmt.Record, n)
-	for i := range recs {
-		b := shardKey(&recs[i]) % n
-		buckets[b] = append(buckets[b], recs[i])
+	msg := shardMsg{batch: b}
+	if a.sp != nil {
+		msg.span = a.sp.Child("shard.apply")
+		msg.span.SetAttrs(trace.Int("shard", int64(i)))
 	}
 	// Backpressure visibility: the fast path (queue has room) records a
-	// zero wait, the contended path times the blocking send. One lazily
-	// armed timer bounds the sum of every blocking send in this call.
-	var deadline <-chan time.Time
-	var added uint64
-	for i, b := range buckets {
-		if len(b) == 0 {
-			continue
-		}
-		msg := shardMsg{batch: b}
-		if sp != nil {
-			msg.span = sp.Child("shard.apply")
-			msg.span.SetAttrs(trace.Int("shard", int64(i)))
-		}
-		select {
-		case st.shards[i].msgs <- msg:
-			st.obsm.backpressure.Observe(0)
-			added += uint64(len(b))
-			continue
-		default:
-		}
-		if st.addTimeout > 0 && deadline == nil {
-			timer := time.NewTimer(st.addTimeout)
-			defer timer.Stop()
-			deadline = timer.C
-		}
-		wait := sp.Child("enqueue.wait")
-		wait.SetAttrs(trace.Int("shard", int64(i)))
-		t0 := time.Now()
-		select {
-		case st.shards[i].msgs <- msg:
-			st.obsm.backpressure.Observe(time.Since(t0).Seconds())
-			wait.End()
-			added += uint64(len(b))
-		case <-deadline: // nil (never ready) when shedding is disabled
-			st.obsm.backpressure.Observe(time.Since(t0).Seconds())
-			st.obsm.shed.Inc()
-			st.ingested.Add(added)
-			err := fmt.Errorf("%w: shard %d after %v (%d of %d records enqueued)",
-				ErrOverloaded, i, st.addTimeout, added, len(recs))
-			wait.Fail(err)
-			wait.End()
-			// The apply span was started but its message never enqueued:
-			// close it here or the trace would never publish.
-			msg.span.Fail(err)
-			msg.span.End()
-			return added, err
-		}
-	}
-	st.ingested.Add(added)
-	return added, nil
-}
-
-// ingestAcc is the per-worker accumulator of the block ingest path: it
-// buffers parsed records and flushes them into the sharded store in
-// pipeline.BatchSize chunks. Buffered records own their field strings
-// (ParseBlock never aliases the block buffer), so they outlive the block.
-type ingestAcc struct {
-	st    *Store
-	sp    *trace.Span // the request span batches attach to (nil untraced)
-	batch []logfmt.Record
-	added uint64
-	err   error // sticky: first Add failure; later records are dropped
-}
-
-func (a *ingestAcc) observe(rec *logfmt.Record) {
-	if a.err != nil {
-		return // shedding: stop buffering, the call is already failed
-	}
-	a.batch = append(a.batch, *rec)
-	if len(a.batch) == pipeline.BatchSize {
-		a.flush()
-	}
-}
-
-func (a *ingestAcc) flush() {
-	if len(a.batch) > 0 && a.err == nil {
-		n, err := a.st.add(a.batch, a.sp)
+	// zero wait, the contended path times the blocking send.
+	select {
+	case st.shards[i].msgs <- msg:
+		st.obsm.backpressure.Observe(0)
 		a.added += n
-		a.err = err
-		a.batch = a.batch[:0]
+		st.ingested.Add(n)
+		return
+	default:
+	}
+	var deadline <-chan time.Time // nil (never ready) when shedding is disabled
+	if st.addTimeout > 0 {
+		if a.timer == nil {
+			a.timer = time.NewTimer(st.addTimeout)
+		}
+		deadline = a.timer.C
+	}
+	wait := a.sp.Child("enqueue.wait")
+	wait.SetAttrs(trace.Int("shard", int64(i)))
+	t0 := time.Now()
+	select {
+	case st.shards[i].msgs <- msg:
+		st.obsm.backpressure.Observe(time.Since(t0).Seconds())
+		wait.End()
+		a.added += n
+		st.ingested.Add(n)
+	case <-deadline:
+		st.obsm.backpressure.Observe(time.Since(t0).Seconds())
+		st.obsm.shed.Inc()
+		a.err = fmt.Errorf("%w: shard %d after %v (%d records enqueued)",
+			ErrOverloaded, i, st.addTimeout, a.added)
+		wait.Fail(a.err)
+		wait.End()
+		// The apply span was started but its message never enqueued:
+		// close it here or the trace would never publish.
+		msg.span.Fail(a.err)
+		msg.span.End()
+		st.batches.put(b)
 	}
 }
 
 // IngestBlocks drains a block stream into the store with a parse worker
 // pool (workers <= 0 uses GOMAXPROCS): line splitting and parsing run
 // concurrently instead of on the calling goroutine, so a fat POST body
-// or log file no longer decodes on one core. Returns the records added,
-// the malformed lines skipped, and the stream's terminal error. On an
-// ErrOverloaded shed, added counts an unspecified subset of the
-// stream: each worker's sticky error stops only that worker's
-// accumulator, so records after the drop point may still have been
-// accepted by other workers — the batch is not resumable from added.
+// or log file no longer decodes on one core. Each worker routes its
+// parsed records straight into per-shard batches (see ingestAcc): a
+// record is copied once, from the worker's reused parse slot into the
+// batch its shard applies. Returns the records added, the malformed
+// lines skipped, and the stream's terminal error. On an ErrOverloaded
+// shed, added counts an unspecified subset of the stream: each worker's
+// sticky error stops only that worker's accumulator, and drops its
+// pending batches uncounted, so records after the drop point may still
+// have been accepted by other workers — the batch is not resumable from
+// added.
 func (st *Store) IngestBlocks(br *logfmt.BlockReader, workers int) (added, malformed uint64, err error) {
 	return st.ingestBlockSources([]*pipeline.BlockSource{{R: br}}, workers, nil)
 }
@@ -554,10 +638,12 @@ func (st *Store) ingestBlockSources(srcs []*pipeline.BlockSource, workers int, s
 		}
 	}
 	out, stats, err := pipeline.RunBlockSources(srcs, workers, bobs,
-		func() *ingestAcc {
-			return &ingestAcc{st: st, sp: sp, batch: make([]logfmt.Record, 0, pipeline.BatchSize)}
+		func() *ingestAcc { return st.newIngestAcc(sp) },
+		func(a *ingestAcc, rec *logfmt.Record) {
+			if a.route(rec) {
+				a.endScope() // one deadline per full batch
+			}
 		},
-		func(a *ingestAcc, rec *logfmt.Record) { a.observe(rec) },
 		func(dst, src *ingestAcc) {
 			src.flush()
 			dst.added += src.added
