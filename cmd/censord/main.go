@@ -105,6 +105,7 @@ import (
 	"syriafilter/internal/core"
 	"syriafilter/internal/obs"
 	"syriafilter/internal/obs/trace"
+	"syriafilter/internal/render"
 	"syriafilter/internal/serve"
 	"syriafilter/internal/synth"
 )
@@ -171,15 +172,9 @@ func main() {
 		fatal(err)
 	}
 
-	var metrics []string
-	if *exps != "all" {
-		var ids []string
-		for _, id := range strings.Split(*exps, ",") {
-			ids = append(ids, strings.TrimSpace(id))
-		}
-		if metrics, err = core.ModulesFor(ids...); err != nil {
-			fatal(err)
-		}
+	_, metrics, err := render.Select(*exps)
+	if err != nil {
+		fatal(err)
 	}
 
 	opt := core.Options{

@@ -108,7 +108,7 @@ func main() {
 		return
 	}
 
-	ids, metrics, err := selectExperiments(*exps)
+	ids, metrics, err := render.Select(*exps)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "censorlyzer:", err)
 		os.Exit(2)
@@ -165,37 +165,6 @@ func main() {
 		fmt.Printf("\n### %s — %s\n\n", id, doc.Title)
 		fmt.Print(doc.Text())
 	}
-}
-
-// selectExperiments resolves the -exp list into the ids to render, in
-// presentation order, and the metric modules they read, so producing one
-// table does not pay for all of them; "all" selects every id and the
-// full engine (nil metrics). An id no renderer knows is an error, worded
-// as every front end words it.
-func selectExperiments(exps string) (ids, metrics []string, err error) {
-	order := render.Order()
-	known := map[string]bool{"all": true}
-	for _, id := range order {
-		known[id] = true
-	}
-	selected := map[string]bool{}
-	for _, e := range strings.Split(exps, ",") {
-		id := strings.TrimSpace(e)
-		if !known[id] {
-			return nil, nil, render.UnknownID(id)
-		}
-		selected[id] = true
-	}
-	if selected["all"] {
-		return order, nil, nil
-	}
-	for _, id := range order {
-		if selected[id] {
-			ids = append(ids, id)
-		}
-	}
-	metrics, err = core.ModulesFor(ids...)
-	return ids, metrics, err
 }
 
 // listExperiments prints every experiment id, its title, and the metric

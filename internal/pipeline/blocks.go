@@ -23,6 +23,14 @@ type BlockStats struct {
 	// Bytes is the number of raw log bytes consumed (post-decompression
 	// for gzip sources), which is what throughput reporting divides by.
 	Bytes uint64
+	// ReadSeconds is the wall-clock time spent reading blocks: file or
+	// socket I/O plus line snapping, before any parsing — the upstream
+	// half of ingest. ParseSeconds is the time spent parsing them and
+	// folding their records. Summed over blocks like the counts, so with
+	// concurrent readers and workers either can exceed the run's wall
+	// clock; together they split ingest latency into "waiting on bytes"
+	// and "parsing bytes".
+	ReadSeconds, ParseSeconds float64
 }
 
 func (s *BlockStats) add(o BlockStats) {
@@ -30,39 +38,23 @@ func (s *BlockStats) add(o BlockStats) {
 	s.Records += o.Records
 	s.Malformed += o.Malformed
 	s.Bytes += o.Bytes
+	s.ReadSeconds += o.ReadSeconds
+	s.ParseSeconds += o.ParseSeconds
 }
 
 // BlockObs is an optional per-block observation hook for the block
-// ingestion layer. After each block parses, OnBlock receives that one
-// block's counters and its wall-clock parse duration in seconds — the
-// raw feed for live ingest metrics (records/s, byte rates, parse-stage
-// latency). Calls arrive from whichever goroutine parsed the block, so
-// OnBlock must be safe for concurrent use; a nil *BlockObs disables the
-// hook, and the only per-block cost of the disabled path is a nil check.
-type BlockObs struct {
-	OnBlock func(blk BlockStats, seconds float64)
-	// OnRead, when non-nil, is called after each block *read* (the
-	// upstream half of the pipeline: file/socket I/O plus line
-	// snapping, before any parsing) with the block's size and the
-	// read's wall-clock duration. Reads happen on the per-source reader
-	// goroutines, so OnRead must be safe for concurrent use. Together
-	// with OnBlock this splits ingest latency into its two stages —
-	// "waiting on bytes" vs "parsing bytes" — which is exactly the
-	// attribution a slow-ingest trace needs.
-	OnRead func(bytes int, seconds float64)
-}
+// ingestion layer: after each block parses, it receives that one block's
+// stats, read and parse times included — the raw feed for live ingest
+// metrics (records/s, byte rates, per-stage latency). Calls arrive from
+// whichever goroutine parsed the block, so it must be safe for
+// concurrent use; nil disables it.
+type BlockObs func(blk BlockStats)
 
-// next reads one block from src, reporting the read to OnRead.
-func (o *BlockObs) next(src *BlockSource) (logfmt.Block, bool) {
-	if o == nil || o.OnRead == nil {
-		return src.R.Next()
-	}
+// next reads one block from src and times the read.
+func next(src *BlockSource) (logfmt.Block, float64, bool) {
 	t0 := time.Now()
 	blk, ok := src.R.Next()
-	if ok {
-		o.OnRead(len(blk.Data), time.Since(t0).Seconds())
-	}
-	return blk, ok
+	return blk, time.Since(t0).Seconds(), ok
 }
 
 // BlockSource is one block stream plus its error-attribution context.
@@ -76,31 +68,32 @@ type BlockSource struct {
 	Strict bool
 }
 
-// blockItem routes one block to the pool with its source index.
+// blockItem routes one block to the pool with its source index and how
+// long it took to read.
 type blockItem struct {
-	src int
-	blk logfmt.Block
+	src   int
+	blk   logfmt.Block
+	readS float64
 }
 
 // parseBlock is the one per-block step both the serial loop and the pool
-// workers run: parse blk into emit, release its buffer, report to obs.
+// workers run: parse the block into emit, release its buffer, report to
+// obs.
 // The error is a strict source's first malformed line, path-wrapped.
-func parseBlock(src *BlockSource, blk logfmt.Block, obs *BlockObs, emit func(*logfmt.Record)) (BlockStats, error) {
-	timed := obs != nil && obs.OnBlock != nil
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
-	res, err := logfmt.ParseBlock(blk, src.Strict, emit)
+func parseBlock(src *BlockSource, it blockItem, obs BlockObs, emit func(*logfmt.Record)) (BlockStats, error) {
+	t0 := time.Now()
+	res, err := logfmt.ParseBlock(it.blk, src.Strict, emit)
 	one := BlockStats{
-		Lines:     uint64(res.Lines),
-		Records:   uint64(res.Records),
-		Malformed: uint64(res.Malformed),
-		Bytes:     uint64(len(blk.Data)),
+		Lines:        uint64(res.Lines),
+		Records:      uint64(res.Records),
+		Malformed:    uint64(res.Malformed),
+		Bytes:        uint64(len(it.blk.Data)),
+		ReadSeconds:  it.readS,
+		ParseSeconds: time.Since(t0).Seconds(),
 	}
-	blk.Release()
-	if timed {
-		obs.OnBlock(one, time.Since(t0).Seconds())
+	it.blk.Release()
+	if obs != nil {
+		obs(one)
 	}
 	return one, wrapPath(src.Path, err)
 }
@@ -110,8 +103,8 @@ func parseBlock(src *BlockSource, blk logfmt.Block, obs *BlockObs, emit func(*lo
 // per-worker accumulators. Each worker owns an accumulator from newAcc,
 // parses whole blocks and folds records with observe; merge folds worker
 // accumulators into the first one, which is returned. n <= 0 uses
-// GOMAXPROCS. obs, when non-nil, sees every block read and parse (see
-// BlockObs).
+// GOMAXPROCS. obs, when non-nil, sees every block once it has parsed;
+// the returned stats sum what it saw.
 //
 // The Record passed to observe is reused between lines: observe must copy
 // the struct if it keeps it (retaining field strings is fine). Results
@@ -132,7 +125,7 @@ func parseBlock(src *BlockSource, blk logfmt.Block, obs *BlockObs, emit func(*lo
 // The returned error is the first failing source's, in srcs order; within
 // one source, the earliest failing line wins, so strict-mode errors match
 // a serial scan of that source.
-func RunBlockSources[A any](srcs []*BlockSource, n int, obs *BlockObs, newAcc func() A, observe func(A, *logfmt.Record), merge func(dst, src A)) (A, BlockStats, error) {
+func RunBlockSources[A any](srcs []*BlockSource, n int, obs BlockObs, newAcc func() A, observe func(A, *logfmt.Record), merge func(dst, src A)) (A, BlockStats, error) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
@@ -147,11 +140,11 @@ func RunBlockSources[A any](srcs []*BlockSource, n int, obs *BlockObs, newAcc fu
 		emit := func(rec *logfmt.Record) { observe(acc, rec) }
 		var stats BlockStats
 		for {
-			blk, ok := obs.next(src)
+			blk, readS, ok := next(src)
 			if !ok {
 				break
 			}
-			one, err := parseBlock(src, blk, obs, emit)
+			one, err := parseBlock(src, blockItem{blk: blk, readS: readS}, obs, emit)
 			stats.add(one)
 			if err != nil {
 				return acc, stats, err
@@ -172,11 +165,11 @@ func RunBlockSources[A any](srcs []*BlockSource, n int, obs *BlockObs, newAcc fu
 		go func(i int, src *BlockSource) {
 			defer readWG.Done()
 			for !stop.Load() {
-				blk, ok := obs.next(src)
+				blk, readS, ok := next(src)
 				if !ok {
 					break
 				}
-				items <- blockItem{src: i, blk: blk}
+				items <- blockItem{src: i, blk: blk, readS: readS}
 			}
 			readErrs[i] = wrapPath(src.Path, src.R.Err())
 		}(i, src)
@@ -206,7 +199,7 @@ func RunBlockSources[A any](srcs []*BlockSource, n int, obs *BlockObs, newAcc fu
 			emit := func(rec *logfmt.Record) { observe(acc, rec) }
 			var stats BlockStats
 			for it := range items {
-				one, err := parseBlock(srcs[it.src], it.blk, obs, emit)
+				one, err := parseBlock(srcs[it.src], it, obs, emit)
 				stats.add(one)
 				if err != nil {
 					failMu.Lock()

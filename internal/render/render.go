@@ -173,6 +173,33 @@ func UnknownID(id string) error {
 	return fmt.Errorf("%w %q (known: %v)", ErrUnknownID, id, Order())
 }
 
+// Select resolves a comma-separated -exp list into the ids to render, in
+// presentation order, and the metric modules they read, so producing one
+// table does not pay for all of them. "all", alone or beside other ids,
+// selects every id and the full engine (nil metrics). Any id no renderer
+// knows fails the whole selection with UnknownID. Every front end
+// parses -exp here, so they accept and word it alike.
+func Select(exps string) (ids, metrics []string, err error) {
+	selected := map[string]bool{}
+	for _, e := range strings.Split(exps, ",") {
+		id := strings.TrimSpace(e)
+		if _, ok := renderers[id]; !ok && id != "all" {
+			return nil, nil, UnknownID(id)
+		}
+		selected[id] = true
+	}
+	if selected["all"] {
+		return Order(), nil, nil
+	}
+	for _, id := range order {
+		if selected[id] {
+			ids = append(ids, id)
+		}
+	}
+	metrics, err = core.ModulesFor(ids...)
+	return ids, metrics, err
+}
+
 // Check reports what Render refuses before it reads the analyzer: an
 // unknown id (ErrUnknownID) and a generator-requiring experiment in a
 // context without one. A front end that must answer for a doc without

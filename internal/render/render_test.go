@@ -3,6 +3,8 @@ package render
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -189,6 +191,47 @@ func TestSeriesJSONAndText(t *testing.T) {
 	for _, frag := range []string{"table1", "step 86400s, 2 windows", "2011-08-01T00:00:00Z", "Table 1"} {
 		if !strings.Contains(text, frag) {
 			t.Errorf("series text missing %q:\n%s", frag, text)
+		}
+	}
+}
+
+// -exp resolves to ids in presentation order plus the modules they read;
+// "all" anywhere in the list selects everything, and an unknown id fails
+// the whole selection instead of being dropped beside the valid ones.
+func TestSelect(t *testing.T) {
+	cases := []struct {
+		exps    string
+		ids     []string
+		metrics []string
+		unknown string
+	}{
+		{exps: "all", ids: Order()},
+		{exps: "table4, all", ids: Order()},
+		{exps: "all,table4", ids: Order()},
+		{exps: "fig5, table4,table1", ids: []string{"table1", "table4", "fig5"},
+			metrics: []string{"datasets", "domains", "timeseries"}},
+		{exps: "table4,nope", unknown: "nope"},
+		{exps: "nope,all", unknown: "nope"},
+		{exps: "nope,nada", unknown: "nope"},
+		{exps: "", unknown: ""},
+	}
+	for _, tc := range cases {
+		ids, metrics, err := Select(tc.exps)
+		if tc.ids == nil {
+			if !errors.Is(err, ErrUnknownID) || !strings.Contains(err.Error(), `"`+tc.unknown+`"`) {
+				t.Errorf("-exp %q: err = %v, want ErrUnknownID naming %q", tc.exps, err, tc.unknown)
+			}
+			if ids != nil || metrics != nil {
+				t.Errorf("-exp %q: a failed selection returned ids %v, metrics %v", tc.exps, ids, metrics)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("-exp %q: %v", tc.exps, err)
+			continue
+		}
+		if !reflect.DeepEqual(ids, tc.ids) || !reflect.DeepEqual(metrics, tc.metrics) {
+			t.Errorf("-exp %q: ids %v metrics %v, want %v %v", tc.exps, ids, metrics, tc.ids, tc.metrics)
 		}
 	}
 }

@@ -153,14 +153,17 @@ func (st *Store) checkpointSpan(dir string, parent *trace.Span) (info Checkpoint
 		records uint64
 	}
 	results := make([]result, len(st.shards))
-	st.fanOut(sp, "ckpt.shard", func(i int, ssp *trace.Span, p *timewin.Partition) {
+	if err := st.each(true, sp, "ckpt.shard", func(i int, ssp *trace.Span, p *timewin.Partition) error {
 		r := &results[i]
 		r.records = p.Records()
 		r.frames = p.CheckpointFrames()
 		ssp.SetAttrs(trace.Int("frames_encoded", int64(r.frames.Encoded)),
 			trace.Int("frames_reused", int64(r.frames.Reused)),
 			trace.Int("bytes", r.frames.Size()))
-	})
+		return nil
+	}); err != nil {
+		return fail(err)
+	}
 	info = CheckpointInfo{
 		Generation:  gen,
 		CreatedUnix: time.Now().Unix(),
@@ -375,7 +378,8 @@ func scanGenerations(dir string) ([]genEntry, uint64) {
 // ErrNoCheckpoint means dir holds no checkpoint at all (no manifest,
 // no generation directories) — a normal cold boot. Generations that
 // exist but all fail to decode are a real error carrying the newest
-// generation's failure.
+// generation's failure. A closed store fails with ErrClosed at the
+// first generation that decodes, counting no fallback.
 //
 // A checkpoint's shard count does not need to match the store's: files
 // are distributed round-robin and absorbed, since queries always merge
@@ -434,18 +438,10 @@ func (st *Store) Restore(dir string) (CheckpointInfo, error) {
 	for _, g := range gens {
 		gsp := sp.Child("restore.generation")
 		gsp.SetAttrs(trace.Str("generation", g.name))
-		info, folded, err := st.restoreGeneration(dir, g, m)
-		gsp.Fail(err)
-		gsp.End()
+		staged, records, info, err := st.decodeGeneration(dir, g, m)
 		if err != nil {
-			if folded {
-				// The fold phase started, so the store may hold a partial
-				// generation: absorbing an older one on top would corrupt
-				// it. (Unreachable in practice — decode validates
-				// everything the fold checks — but never walk past it.)
-				spErr = fmt.Errorf("serve: restore %s failed mid-fold: %w", g.name, err)
-				return CheckpointInfo{}, spErr
-			}
+			gsp.Fail(err)
+			gsp.End()
 			st.obsm.restoreFallbacks.Inc()
 			st.logger.Warn("checkpoint generation unusable, falling back to previous",
 				"generation", g.name, "err", err)
@@ -454,6 +450,27 @@ func (st *Store) Restore(dir string) (CheckpointInfo, error) {
 			}
 			continue
 		}
+		// Fold step: shard i absorbs staged files i, i+n, … in ascending
+		// order, the per-shard order of a file-at-a-time fold. Any error
+		// here ends the walk — ErrClosed on a closed store, or a failed
+		// absorb, after which the store may hold part of this generation
+		// and an older one absorbed on top would corrupt it.
+		n := len(st.shards)
+		err = st.each(false, nil, "", func(i int, _ *trace.Span, p *timewin.Partition) error {
+			for j := i; j < len(staged); j += n {
+				if err := p.Absorb(staged[j]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		gsp.Fail(err)
+		gsp.End()
+		if err != nil {
+			spErr = fmt.Errorf("serve: restore %s: %w", g.name, err)
+			return CheckpointInfo{}, spErr
+		}
+		st.ingested.Add(records)
 		st.lastCkpt.Store(&info)
 		st.obsm.restores.Inc()
 		st.obsm.restoreSeconds.Observe(time.Since(t0).Seconds())
@@ -464,18 +481,17 @@ func (st *Store) Restore(dir string) (CheckpointInfo, error) {
 	return CheckpointInfo{}, spErr
 }
 
-// restoreGeneration decodes one generation directory completely and,
-// only on full success, folds it into the live shards. The shard count
-// is taken from the directory itself (every complete generation is
+// decodeGeneration reads and decodes one generation directory completely
+// into staging partitions, one per shard file, touching no live shard:
+// any corruption, truncation or config mismatch fails it. The shard
+// count is taken from the directory itself (every complete generation is
 // self-describing), so fallback generations restore even when the
-// manifest that described them is gone. folded reports whether the
-// fold phase began — an error with folded=true means the store may
-// hold partial state and the caller must not try another generation.
-func (st *Store) restoreGeneration(dir string, g genEntry, m *manifest) (info CheckpointInfo, folded bool, err error) {
+// manifest that described them is gone. records is what the files hold.
+func (st *Store) decodeGeneration(dir string, g genEntry, m *manifest) (staged []*timewin.Partition, records uint64, info CheckpointInfo, err error) {
 	genDir := filepath.Join(dir, g.name)
 	entries, err := os.ReadDir(genDir)
 	if err != nil {
-		return CheckpointInfo{}, false, err
+		return nil, 0, info, err
 	}
 	shards := 0
 	var bytes int64
@@ -488,19 +504,19 @@ func (st *Store) restoreGeneration(dir string, g genEntry, m *manifest) (info Ch
 		}
 	}
 	if shards == 0 {
-		return CheckpointInfo{}, false, fmt.Errorf("no shard files in %s", g.name)
+		return nil, 0, info, fmt.Errorf("no shard files in %s", g.name)
 	}
 
 	// Stage one empty partition per shard file, then decode every frame
 	// of every file on one worker pool: nothing is staged unless all of
 	// it decodes.
-	staged := make([]*timewin.Partition, shards)
+	staged = make([]*timewin.Partition, shards)
 	streams := make([][]byte, shards)
 	counts := make([]uint64, shards)
 	for i := range staged {
 		streams[i], counts[i], err = readShardFile(filepath.Join(genDir, shardFileName(i)), i, shards)
 		if err != nil {
-			return CheckpointInfo{}, false, fmt.Errorf("shard file %d: %w", i, err)
+			return nil, 0, info, fmt.Errorf("shard file %d: %w", i, err)
 		}
 		staged[i], err = timewin.New(timewin.Config{
 			Options: st.cfg.Options,
@@ -509,43 +525,23 @@ func (st *Store) restoreGeneration(dir string, g genEntry, m *manifest) (info Ch
 			Retain:  st.cfg.Retain,
 		})
 		if err != nil {
-			return CheckpointInfo{}, false, err
+			return nil, 0, info, err
 		}
 	}
 	if err := timewin.UnmarshalFramesAll(staged, streams, runtime.GOMAXPROCS(0)); err != nil {
-		return CheckpointInfo{}, false, fmt.Errorf("shard files: %w", err)
+		return nil, 0, info, fmt.Errorf("shard files: %w", err)
 	}
 	// The header's count and the table's are the same number written
 	// twice; a file that disagrees with itself is damaged, not trusted.
 	for i, p := range staged {
 		if got := p.Records(); got != counts[i] {
-			return CheckpointInfo{}, false, fmt.Errorf("shard file %d: header counts %d records, its table %d", i, counts[i], got)
+			return nil, 0, info, fmt.Errorf("shard file %d: header counts %d records, its table %d", i, counts[i], got)
 		}
-	}
-
-	// Fold phase: nothing below can fail (Absorb only errors on grid
-	// mismatch, which decode already validated), so a successful decode
-	// is a successful restore.
-	var rerr error
-	var records uint64
-	for j := range staged {
-		j := j
-		sh := j % len(st.shards)
-		err := st.shardOp(sh, func(_ int, _ *trace.Span, p *timewin.Partition) {
-			rerr = p.Absorb(staged[j])
-		})
-		if err != nil {
-			return CheckpointInfo{}, j > 0, err
-		}
-		if rerr != nil {
-			return CheckpointInfo{}, true, rerr
-		}
-		st.ingested.Add(counts[j])
-		records += counts[j]
+		records += counts[i]
 	}
 
 	if m != nil && m.Generation == g.name {
-		return m.CheckpointInfo, true, nil
+		return staged, records, m.CheckpointInfo, nil
 	}
 	// A fallback generation has no manifest metadata; reconstruct it
 	// from the directory (creation time ≈ the directory's mtime, set by
@@ -554,17 +550,7 @@ func (st *Store) restoreGeneration(dir string, g genEntry, m *manifest) (info Ch
 	if fi, err := os.Stat(genDir); err == nil {
 		info.CreatedUnix = fi.ModTime().Unix()
 	}
-	return info, true, nil
-}
-
-// shardOp runs op on one shard's goroutine.
-func (st *Store) shardOp(i int, op shardFn) error {
-	if err := st.begin(); err != nil {
-		return err
-	}
-	defer st.mu.RUnlock()
-	<-st.enqueue(i, nil, "", op)
-	return nil
+	return staged, records, info, nil
 }
 
 func readManifest(dir string) (*manifest, error) {

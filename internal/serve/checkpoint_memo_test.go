@@ -86,28 +86,25 @@ func frameCounts(st *Store) (encoded, reused uint64) {
 // which knows no memo — encodes from scratch.
 func assertMemoEqualsCold(t *testing.T, st *Store) {
 	t.Helper()
-	for i := range st.shards {
-		err := st.shardOp(i, func(shard int, _ *trace.Span, p *timewin.Partition) {
-			cold, err := timewin.New(timewin.Config{Options: st.cfg.Options, Metrics: st.cfg.Metrics, Bucket: st.cfg.Bucket, Retain: st.cfg.Retain})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := cold.UnmarshalState(p.MarshalState()); err != nil {
-				t.Error(err)
-				return
-			}
-			var got, want bytes.Buffer
-			memo, scratch := p.CheckpointFrames(), cold.CheckpointFrames()
-			memo.WriteTo(&got)
-			scratch.WriteTo(&want)
-			if scratch.Reused != 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Errorf("shard %d: memoised frames differ from a cold encode (%d vs %d bytes)", shard, got.Len(), want.Len())
-			}
-		})
+	err := st.each(false, nil, "", func(shard int, _ *trace.Span, p *timewin.Partition) error {
+		cold, err := timewin.New(timewin.Config{Options: st.cfg.Options, Metrics: st.cfg.Metrics, Bucket: st.cfg.Bucket, Retain: st.cfg.Retain})
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
+		if err := cold.UnmarshalState(p.MarshalState()); err != nil {
+			return err
+		}
+		var got, want bytes.Buffer
+		memo, scratch := p.CheckpointFrames(), cold.CheckpointFrames()
+		memo.WriteTo(&got)
+		scratch.WriteTo(&want)
+		if scratch.Reused != 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("shard %d: memoised frames differ from a cold encode (%d vs %d bytes)", shard, got.Len(), want.Len())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

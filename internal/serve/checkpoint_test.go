@@ -238,6 +238,31 @@ func TestCloseAndCheckpointFlushes(t *testing.T) {
 	}
 }
 
+// Restore into a closed store is refused as closed, not walked as if
+// every generation were corrupt: nothing counts as a fallback.
+func TestRestoreClosedStore(t *testing.T) {
+	f := corpus(t)
+	dir := t.TempDir()
+	store := newCkptStore(t, f, 2)
+	store.Add(f.records[:1000])
+	if _, err := store.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	store.Add(f.records[1000:2000])
+	if _, err := store.CloseAndCheckpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	closed := newCkptStore(t, f, 2)
+	closed.Close()
+	if _, err := closed.Restore(dir); !errors.Is(err, ErrClosed) {
+		t.Errorf("Restore into a closed store: %v, want ErrClosed", err)
+	}
+	if n := closed.obsm.restoreFallbacks.Value(); n != 0 {
+		t.Errorf("restore_fallbacks_total = %d, want 0", n)
+	}
+}
+
 // Corrupted or truncated checkpoints fail cleanly: Restore reports an
 // error and the store remains usable and empty (the cold-boot path).
 func TestRestoreCorruptCheckpoint(t *testing.T) {

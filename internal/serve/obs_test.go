@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,8 @@ import (
 	"testing"
 
 	"syriafilter/internal/logfmt"
+	"syriafilter/internal/obs/trace"
+	"syriafilter/internal/timewin"
 )
 
 // scrape fetches GET /metrics and returns the exposition body.
@@ -292,7 +295,7 @@ func TestDisableObs(t *testing.T) {
 		t.Error("DisableObs stats carries an obs section")
 	}
 	if st.IngestMBPerS <= 0 {
-		t.Errorf("DisableObs ingest_mb_per_s = %v, want > 0 (per-call fallback)", st.IngestMBPerS)
+		t.Errorf("DisableObs ingest_mb_per_s = %v, want > 0 (the rate is fed per block either way)", st.IngestMBPerS)
 	}
 
 	srv := httptest.NewServer(NewServer(store, f.gen))
@@ -312,5 +315,131 @@ func TestDisableObs(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /healthz on DisableObs store = %d", resp.StatusCode)
+	}
+}
+
+// The range-merge and ingest-stage instruments are taken where the
+// store runs the stage. A Range counts one merge per shard that covered
+// something and, in buckets, the sum of what they covered; a RangeSeries
+// one merge per shard per covered window; an empty window neither. A
+// traced block ingest observes one read and one parse per block and
+// sums both onto its pipeline.blocks span.
+func TestStageMetricsAtTheirCallSites(t *testing.T) {
+	f := corpus(t)
+	tr := trace.New(trace.Config{Slow: -1}) // keep every trace
+	const shards = 4
+	store, err := NewStore(Config{Options: f.opt, Shards: shards, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	body := encodeCSV(t, f.records[:6000], false)
+	ctx := trace.NewContext(context.Background(), tr.Root("test.ingest"))
+	blocks0 := store.obsm.blocks.Value()
+	if _, _, err := store.IngestBlocksCtx(ctx, logfmt.NewBlockReaderSize(bytes.NewReader(body), 64<<10), 2); err != nil {
+		t.Fatal(err)
+	}
+	trace.FromContext(ctx).End()
+	blocks := store.obsm.blocks.Value() - blocks0
+	if blocks < 2 {
+		t.Fatalf("ingest parsed %d blocks, want several", blocks)
+	}
+	if r, p := store.obsm.readSeconds.Count(), store.obsm.parseSeconds.Count(); r != blocks || p != blocks {
+		t.Errorf("ingest_read_seconds_count %d, ingest_parse_seconds_count %d, want %d each (one per block)", r, p, blocks)
+	}
+
+	// Which shard holds a bucket at which start, for the expected counts.
+	// The op also runs behind every batch, so the ingest trace has ended.
+	metas := make([]timewin.Meta, shards)
+	if err := store.each(false, nil, "", func(i int, _ *trace.Span, p *timewin.Partition) error {
+		metas[i] = p.Meta()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var pipe *trace.SpanNode
+	for _, tc := range tr.Recorder().Snapshot(0, 0) {
+		if root := tc.TreeView(); root != nil && root.Name == "test.ingest" {
+			for _, c := range root.Children {
+				if c.Name == "pipeline.blocks" {
+					pipe = c
+				}
+			}
+		}
+	}
+	if pipe == nil {
+		t.Fatal("no pipeline.blocks span under the ingest trace")
+	}
+	for _, k := range []string{"read_s", "parse_s"} {
+		if v, _ := pipe.Attrs[k].(float64); v <= 0 {
+			t.Errorf("pipeline.blocks %s = %v, want > 0", k, pipe.Attrs[k])
+		}
+	}
+
+	has := func(shard int, from, to int64) bool {
+		for _, b := range metas[shard].Buckets {
+			if b.StartUnix >= from && b.StartUnix < to {
+				return true
+			}
+		}
+		return false
+	}
+	merges := func() (n, buckets uint64) {
+		return store.obsm.rangeMerges.Value(), store.obsm.rangeMergeBuckets.Value()
+	}
+	snap, err := store.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hour = 3600
+	from := snap.Timewin.Buckets[len(snap.Timewin.Buckets)/2].StartUnix
+	w := timewin.Window{From: from, To: from + 6*hour}
+
+	n0, b0 := merges()
+	_, cov, err := store.Range(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n1, b1 := merges()
+	var covering uint64
+	for i := 0; i < shards; i++ {
+		if has(i, w.From, w.To) {
+			covering++
+		}
+	}
+	if covering == 0 || cov.Buckets == 0 {
+		t.Fatalf("window %s covers nothing; pick one with data", w)
+	}
+	if n1-n0 != covering || b1-b0 != uint64(cov.Buckets) {
+		t.Errorf("Range moved merges by %d and buckets by %d, want %d (covering shards) and %d (Coverage.Buckets)",
+			n1-n0, b1-b0, covering, cov.Buckets)
+	}
+
+	wins, err := store.RangeSeries(w, 2*hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n2, b2 := merges()
+	var want uint64
+	for i := 0; i < shards; i++ {
+		for _, win := range wins {
+			if has(i, win.Window.From, win.Window.To) {
+				want++
+			}
+		}
+	}
+	if n2-n1 != want {
+		t.Errorf("RangeSeries over %d windows moved merges by %d, want %d (one per shard per covered window)", len(wins), n2-n1, want)
+	}
+
+	empty := timewin.Window{From: from + 10*365*24*hour, To: from + 10*365*24*hour + 6*hour}
+	if _, _, err := store.Range(empty); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.RangeSeries(empty, 2*hour); err != nil {
+		t.Fatal(err)
+	}
+	if n3, b3 := merges(); n3 != n2 || b3 != b2 {
+		t.Errorf("empty-window reads moved merges %d→%d, buckets %d→%d", n2, n3, b2, b3)
 	}
 }

@@ -111,48 +111,45 @@ func newStoreMetrics(r *obs.Registry) storeMetrics {
 	}
 }
 
-// blockObsHook adapts the store's ingest instruments to the pipeline's
-// per-block hook, and feeds the windowed byte-rate as blocks complete
-// (so a long streaming POST moves ingest_mb_per_s while still running).
-func (st *Store) blockObsHook() *pipeline.BlockObs {
-	return &pipeline.BlockObs{
-		OnBlock: func(b pipeline.BlockStats, seconds float64) {
-			st.obsm.blocks.Inc()
-			st.obsm.records.Add(b.Records)
-			st.obsm.malformed.Add(b.Malformed)
-			st.obsm.bytes.Add(b.Bytes)
-			st.obsm.parseSeconds.Observe(seconds)
-			st.rate.Add(b.Bytes)
-		},
-		OnRead: func(_ int, seconds float64) {
-			st.obsm.readSeconds.Observe(seconds)
-		},
-	}
+// onBlock is the pipeline's per-block hook: it feeds the ingest
+// instruments and the windowed byte rate as blocks complete (so a long
+// streaming POST moves ingest_mb_per_s while still running).
+func (st *Store) onBlock(b pipeline.BlockStats) {
+	st.obsm.blocks.Inc()
+	st.obsm.records.Add(b.Records)
+	st.obsm.malformed.Add(b.Malformed)
+	st.obsm.bytes.Add(b.Bytes)
+	st.obsm.readSeconds.Observe(b.ReadSeconds)
+	st.obsm.parseSeconds.Observe(b.ParseSeconds)
+	st.rate.Add(b.Bytes)
 }
 
-// partitionObsHook adapts the shared compaction and range-merge
-// instruments to timewin's hook. Both fire on shard goroutines
-// concurrently; the obs objects are atomic, so one shared hook serves
-// every shard. Compaction passes — rare, inline with ingest, and
-// invisible to any single request — are additionally recorded as
-// single-span background traces so an ingest stall caused by a big
-// compaction shows up in the flight recorder.
-func (st *Store) partitionObsHook() *timewin.PartitionObs {
-	return &timewin.PartitionObs{
-		OnCompact: func(buckets int, seconds float64) {
-			st.obsm.compactions.Inc()
-			st.obsm.compactedBuckets.Add(uint64(buckets))
-			st.obsm.compactSeconds.Observe(seconds)
-			st.tracer.Op("timewin.compact",
-				time.Now().Add(-time.Duration(seconds*float64(time.Second))), nil,
-				trace.Int("buckets", int64(buckets)))
-		},
-		OnRangeMerge: func(buckets int, records uint64, seconds float64) {
-			st.obsm.rangeMerges.Inc()
-			st.obsm.rangeMergeBuckets.Add(uint64(buckets))
-			st.obsm.rangeMergeSeconds.Observe(seconds)
-		},
+// onCompact is every shard partition's compaction hook; it fires on the
+// shard goroutines concurrently, which the atomic obs objects allow.
+// Compaction passes — rare, inline with ingest, and invisible to any
+// single request — are also recorded as single-span background traces so
+// an ingest stall caused by a big compaction shows up in the flight
+// recorder.
+func (st *Store) onCompact(buckets int, seconds float64) {
+	st.obsm.compactions.Inc()
+	st.obsm.compactedBuckets.Add(uint64(buckets))
+	st.obsm.compactSeconds.Observe(seconds)
+	st.tracer.Op("timewin.compact",
+		time.Now().Add(-time.Duration(seconds*float64(time.Second))), nil,
+		trace.Int("buckets", int64(buckets)))
+}
+
+// rangeInto is every range read's per-shard merge, measured where it
+// runs: one that covered something counts in the range-merge metrics.
+func (st *Store) rangeInto(p *timewin.Partition, dst *core.Engine, w timewin.Window) (timewin.Coverage, error) {
+	t0 := time.Now()
+	c, err := p.RangeInto(dst, w)
+	if c.Buckets > 0 || c.Tail {
+		st.obsm.rangeMerges.Inc()
+		st.obsm.rangeMergeBuckets.Add(uint64(c.Buckets))
+		st.obsm.rangeMergeSeconds.Observe(time.Since(t0).Seconds())
 	}
+	return c, err
 }
 
 // registerObsFuncs registers the scrape-sampled series: state another

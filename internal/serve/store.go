@@ -12,17 +12,20 @@
 // come from a store-owned free list — the send hands one to the shard
 // goroutine, which puts it back once applied. Everything else
 // that touches a partition is a control op the shard runs between its
-// batches, so engines are never touched concurrently. Two helpers hand
-// ops out: fanOut to every shard at once, each op into its own slot,
-// shardOpsSpan one shard at a time (ops may share state).
+// batches, so engines are never touched concurrently. Control ops reach
+// the shards one way, through each: under the closed-store gate, one op
+// per shard, all running at once, each writing its own slot. The one
+// exception is RangeSeries' window pass, which walks the shards one at a
+// time because they share its per-window engines.
 //
-// Every whole-store view is cut by fold: an engine per shard, filled at
-// once and merged in shard order. A snapshot is the fold of everything,
-// atomically swapped into place, so queries read a consistent
-// point-in-time engine and never take a lock. A range query
+// Every whole-store view is cut by fold, built on each: an engine per
+// shard, filled at once and merged in shard order. A snapshot is the
+// fold of everything, atomically swapped into place, so queries read a
+// consistent point-in-time engine and never take a lock. A range query
 // (Store.Range) folds only the buckets a time window covers and the
 // metric modules the caller names; Store.RangeSeries walks the shards
-// into one engine per sub-window. Checkpoints fan out one file per shard.
+// into one engine per sub-window. Checkpoints cut one file per shard,
+// and a restore absorbs them back in one fan-out.
 package serve
 
 import (
@@ -91,9 +94,9 @@ type Config struct {
 	// (reachable via Store.Registry). One store per registry: a second
 	// store would overwrite the first's sampled series.
 	Registry *obs.Registry
-	// DisableObs turns off all instrumentation: no registry, nil metric
-	// objects (whose methods are no-ops), no per-block hooks. This is
-	// the benchmark baseline, not an expected production setting.
+	// DisableObs turns off all instrumentation: no registry, and nil
+	// metric objects, whose methods are no-ops. This is the benchmark
+	// baseline, not an expected production setting.
 	DisableObs bool
 	// Tracer, when non-nil, spans every store operation that a request
 	// can wait on — shard enqueue, per-shard apply, range merges,
@@ -271,11 +274,10 @@ type Store struct {
 	ingestedBytes atomic.Uint64   // raw log bytes through the block paths
 	rate          *obs.RateWindow // windowed byte rate behind ingest_mb_per_s
 
-	reg       *obs.Registry      // nil when DisableObs
-	obsm      storeMetrics       // zero value (all no-ops) when DisableObs
-	blockObs  *pipeline.BlockObs // nil when DisableObs
-	tracer    *trace.Tracer      // nil = tracing disabled
-	restoring atomic.Bool        // a checkpoint restore is in flight
+	reg       *obs.Registry // nil when DisableObs
+	obsm      storeMetrics  // zero value (all no-ops) when DisableObs
+	tracer    *trace.Tracer // nil = tracing disabled
+	restoring atomic.Bool   // a checkpoint restore is in flight
 
 	// rangeStall, when non-nil, runs inside every range shard op before
 	// the merge — a test hook for injecting per-shard latency so trace
@@ -328,24 +330,21 @@ func NewStore(cfg Config) (*Store, error) {
 	st := &Store{cfg: cfg, bucketSecs: int64(cfg.Bucket / time.Second), addTimeout: addTimeout,
 		keepGens: keepGens, logger: logger, start: time.Now(), stop: make(chan struct{}),
 		rate: &obs.RateWindow{}, tracer: cfg.Tracer}
-	var twObs *timewin.PartitionObs
 	if !cfg.DisableObs {
 		st.reg = cfg.Registry
 		if st.reg == nil {
 			st.reg = obs.NewRegistry()
 		}
 		st.obsm = newStoreMetrics(st.reg)
-		st.blockObs = st.blockObsHook()
-		twObs = st.partitionObsHook()
 	}
 	var retainBuckets int64
 	for i := 0; i < cfg.Shards; i++ {
 		p, err := timewin.New(timewin.Config{
-			Options: cfg.Options,
-			Metrics: cfg.Metrics,
-			Bucket:  cfg.Bucket,
-			Retain:  cfg.Retain,
-			Obs:     twObs,
+			Options:   cfg.Options,
+			Metrics:   cfg.Metrics,
+			Bucket:    cfg.Bucket,
+			Retain:    cfg.Retain,
+			OnCompact: st.onCompact,
 		})
 		if err != nil {
 			for _, sh := range st.shards {
@@ -613,31 +612,8 @@ func (st *Store) IngestFilesCtx(ctx context.Context, paths []string, workers int
 }
 
 func (st *Store) ingestBlockSources(srcs []*pipeline.BlockSource, workers int, sp *trace.Span) (uint64, uint64, error) {
-	// When traced, wrap the store's block hook so the pipeline's two
-	// stages (reading bytes vs parsing them) aggregate into one
-	// "pipeline.blocks" child span — per-block spans would drown the
-	// trace, per-stage totals are what attribution needs.
-	bobs := st.blockObs
 	psp := sp.Child("pipeline.blocks")
-	var parseNS, readNS atomic.Int64
-	if psp != nil {
-		inner := st.blockObs
-		bobs = &pipeline.BlockObs{
-			OnBlock: func(blk pipeline.BlockStats, seconds float64) {
-				parseNS.Add(int64(seconds * 1e9))
-				if inner != nil && inner.OnBlock != nil {
-					inner.OnBlock(blk, seconds)
-				}
-			},
-			OnRead: func(n int, seconds float64) {
-				readNS.Add(int64(seconds * 1e9))
-				if inner != nil && inner.OnRead != nil {
-					inner.OnRead(n, seconds)
-				}
-			},
-		}
-	}
-	out, stats, err := pipeline.RunBlockSources(srcs, workers, bobs,
+	out, stats, err := pipeline.RunBlockSources(srcs, workers, st.onBlock,
 		func() *ingestAcc { return st.newIngestAcc(sp) },
 		func(a *ingestAcc, rec *logfmt.Record) {
 			if a.route(rec) {
@@ -654,23 +630,21 @@ func (st *Store) ingestBlockSources(srcs []*pipeline.BlockSource, workers int, s
 	)
 	out.flush()
 	st.ingestedBytes.Add(stats.Bytes)
-	if st.blockObs == nil {
-		// Uninstrumented stores still get a (coarser, per-call) windowed
-		// rate so /v1/stats stays meaningful.
-		st.rate.Add(stats.Bytes)
-	}
 	// A store-side failure (shedding, closed) outranks the stream error:
 	// it is what the caller must react to (back off, retry).
 	if out.err != nil {
 		err = out.err
 	}
+	// The pipeline's two stages (reading bytes vs parsing them) are
+	// attributed as run totals on one span: per-block spans would drown
+	// the trace, per-stage totals are what attribution needs.
 	if psp != nil {
 		psp.SetAttrs(
 			trace.Int("records", int64(stats.Records)),
 			trace.Int("malformed", int64(stats.Malformed)),
 			trace.Int("bytes", int64(stats.Bytes)),
-			trace.Float("read_s", float64(readNS.Load())/1e9),
-			trace.Float("parse_s", float64(parseNS.Load())/1e9),
+			trace.Float("read_s", stats.ReadSeconds),
+			trace.Float("parse_s", stats.ParseSeconds),
 		)
 		psp.Fail(err)
 		psp.End()
@@ -716,14 +690,17 @@ func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 	// without publishing, and callers use the first Refresh to surface
 	// them.
 	if cur := st.Current(); cur.Seq > 0 {
-		if st.begin() != nil {
+		counts := make([]uint64, len(st.shards))
+		if st.each(false, nil, "", func(i int, _ *trace.Span, p *timewin.Partition) error {
+			counts[i] = p.Records()
+			return nil
+		}) != nil {
 			return cur, nil
 		}
 		var total uint64
-		st.shardOpsSpan(nil, "", func(_ int, _ *trace.Span, p *timewin.Partition) {
-			total += p.Records()
-		})
-		st.mu.RUnlock()
+		for _, n := range counts {
+			total += n
+		}
 		if total == cur.Records {
 			st.obsm.snapshotSkips.Inc()
 			return cur, nil
@@ -813,57 +790,70 @@ func (st *Store) begin() error {
 	return nil
 }
 
-// shardFn is a control op as the shard-op helpers hand it out: with its
-// shard index and the child span (nil untraced) that covers its queue
-// wait plus execution, for result attrs.
-type shardFn func(shard int, sp *trace.Span, p *timewin.Partition)
+// shardFn is a control op as each hands it out: with its shard index and
+// the child span (nil untraced) that covers its queue wait plus
+// execution, for result attrs. Its error fails that span.
+type shardFn func(shard int, sp *trace.Span, p *timewin.Partition) error
 
-// enqueue sends op to shard i and returns the channel closed once it
-// ran. Under a parent span the op gets a child span named name (attrs:
-// shard index) with a "dequeued" event at pickup — the per-shard
-// attribution a slow trace needs. The caller must be inside begin, or be
-// shutdown's final op.
-func (st *Store) enqueue(i int, sp *trace.Span, name string, op shardFn) <-chan struct{} {
+// enqueue sends op to shard i, behind every message already queued
+// there, and returns the channel closed once it ran; the op's error
+// lands in *errp. Under a parent span the op gets a child span named
+// name (attrs: shard index) with a "dequeued" event at pickup — the
+// per-shard attribution a slow trace needs. The caller must hold the
+// closed-store gate, or be shutdown's final op.
+func (st *Store) enqueue(i int, sp *trace.Span, name string, op shardFn, errp *error) <-chan struct{} {
 	done := make(chan struct{})
 	child := sp.Child(name)
 	child.SetAttrs(trace.Int("shard", int64(i)))
 	st.shards[i].msgs <- shardMsg{op: func(p *timewin.Partition) {
-		op(i, child, p)
+		*errp = op(i, child, p)
+		child.Fail(*errp)
 	}, done: done, span: child}
 	return done
 }
 
-// shardOpsSpan runs op on every shard goroutine, one shard at a time, so
-// ops may share state without synchronising. Each op observes its shard
-// at the stream position its message reached.
-func (st *Store) shardOpsSpan(sp *trace.Span, name string, op shardFn) {
-	for i := range st.shards {
-		<-st.enqueue(i, sp, name, op)
-	}
-}
-
-// fanOut enqueues op on every shard and only then awaits them all, so
-// the shards run their ops concurrently: the wall-clock cost is the
-// slowest shard's, not the sum. Ops must write only to per-shard slots
+// each is the one way a control op reaches the shards (bar RangeSeries'
+// window pass): it enqueues op on every shard and only then waits for
+// all of them, so the shards run their ops at once and the wall-clock
+// cost is the slowest shard's. Each op observes its shard after every
+// batch enqueued before it, and writes only to its own per-shard slot
 // (index by the shard argument); the caller combines the slots in shard
-// order once fanOut returns, which keeps the result independent of how
-// the ops interleaved.
-func (st *Store) fanOut(sp *trace.Span, name string, op shardFn) {
+// order once each returns, so the result does not depend on how the ops
+// interleaved. The error is the first op's in shard order.
+//
+// each takes the closed-store gate for the fan-out, and on a closed
+// store runs nothing and returns ErrClosed — the one place a control op
+// reports it. held skips the gate for the checkpoint cut, whose caller
+// holds it already (CheckpointCtx) or runs after the close
+// (CloseAndCheckpoint).
+func (st *Store) each(held bool, sp *trace.Span, name string, op shardFn) error {
+	if !held {
+		if err := st.begin(); err != nil {
+			return err
+		}
+		defer st.mu.RUnlock()
+	}
+	errs := make([]error, len(st.shards))
 	dones := make([]<-chan struct{}, len(st.shards))
 	for i := range st.shards {
-		dones[i] = st.enqueue(i, sp, name, op)
+		dones[i] = st.enqueue(i, sp, name, op, &errs[i])
 	}
 	for _, done := range dones {
 		<-done
 	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // fold is the read every whole-store view is cut by: one empty analyzer
-// per shard over the given modules (nil = every module), op run on every
-// shard at once to fill its own, and the per-shard analyzers merged into
-// the first in shard order — so the result does not depend on how the
-// ops interleaved, and one shard means one engine and no extra merge.
-// An op's error fails its span; the first in shard order is fold's.
+// per shard over the given modules (nil = every module), filled by op on
+// every shard at once through each, and the per-shard analyzers merged
+// into the first in shard order — so one shard means one engine and no
+// extra merge.
 func (st *Store) fold(sp *trace.Span, name string, modules []string,
 	op func(shard int, sp *trace.Span, p *timewin.Partition, dst *core.Engine) error) (*core.Analyzer, error) {
 	parts := make([]*core.Analyzer, len(st.shards))
@@ -874,22 +864,13 @@ func (st *Store) fold(sp *trace.Span, name string, modules []string,
 		}
 		parts[i] = an
 	}
-	if err := st.begin(); err != nil {
+	if err := st.each(false, sp, name, func(i int, ssp *trace.Span, p *timewin.Partition) error {
+		return op(i, ssp, p, parts[i].Engine)
+	}); err != nil {
 		return nil, err
 	}
-	errs := make([]error, len(parts))
-	st.fanOut(sp, name, func(i int, ssp *trace.Span, p *timewin.Partition) {
-		errs[i] = op(i, ssp, p, parts[i].Engine)
-		ssp.Fail(errs[i])
-	})
-	st.mu.RUnlock()
-	for i := range parts {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		if i > 0 {
-			parts[0].Merge(parts[i])
-		}
+	for _, an := range parts[1:] {
+		parts[0].Merge(an)
 	}
 	return parts[0], nil
 }
@@ -937,7 +918,7 @@ func (st *Store) RangeCtx(ctx context.Context, w timewin.Window, modules ...stri
 		if st.rangeStall != nil {
 			st.rangeStall(i)
 		}
-		c, err := p.RangeInto(dst, w)
+		c, err := st.rangeInto(p, dst, w)
 		if err != nil {
 			return err
 		}
@@ -994,16 +975,19 @@ func (st *Store) RangeSeriesCtx(ctx context.Context, w timewin.Window, step int6
 	if err != nil {
 		return nil, err
 	}
-	if err := st.begin(); err != nil {
-		return nil, err
-	}
-	defer st.mu.RUnlock()
 	// The bucket layout across shards (the snapshot's Timewin field is
 	// the same thing frozen at build time) bounds the open sides.
+	metas := make([]timewin.Meta, len(st.shards))
+	if err := st.each(false, nil, "", func(i int, _ *trace.Span, p *timewin.Partition) error {
+		metas[i] = p.Meta()
+		return nil
+	}); err != nil {
+		return nil, err
+	}
 	var meta timewin.Meta
-	st.shardOpsSpan(nil, "", func(_ int, _ *trace.Span, p *timewin.Partition) {
-		timewin.MergeMeta(&meta, p.Meta())
-	})
+	for _, m := range metas {
+		timewin.MergeMeta(&meta, m)
+	}
 	if len(meta.Buckets) == 0 {
 		return nil, nil
 	}
@@ -1060,29 +1044,34 @@ func (st *Store) RangeSeriesCtx(ctx context.Context, w timewin.Window, step int6
 		wins = append(wins, RangeWindow{Window: timewin.Window{From: s, To: e}, An: an})
 		s = e
 	}
-	var rerr error
-	st.shardOpsSpan(trace.FromContext(ctx), "range.shard", func(shard int, ssp *trace.Span, p *timewin.Partition) {
-		if st.rangeStall != nil {
-			st.rangeStall(shard)
-		}
-		var buckets, records int64
-		for i := range wins {
-			c, err := p.RangeInto(wins[i].An.Engine, wins[i].Window)
-			if err != nil {
-				ssp.Fail(err)
-				if rerr == nil {
-					rerr = err
-				}
-				return
+	// The window pass is the one shard walk that does not go through
+	// each: the shards share the per-window engines, so they take turns.
+	if err := st.begin(); err != nil {
+		return nil, err
+	}
+	defer st.mu.RUnlock()
+	sp := trace.FromContext(ctx)
+	for i := range st.shards {
+		<-st.enqueue(i, sp, "range.shard", func(shard int, ssp *trace.Span, p *timewin.Partition) error {
+			if st.rangeStall != nil {
+				st.rangeStall(shard)
 			}
-			buckets += int64(c.Buckets)
-			records += int64(c.Records)
-			wins[i].Coverage.Extend(c)
+			var buckets, records int64
+			for j := range wins {
+				c, err := st.rangeInto(p, wins[j].An.Engine, wins[j].Window)
+				if err != nil {
+					return err
+				}
+				buckets += int64(c.Buckets)
+				records += int64(c.Records)
+				wins[j].Coverage.Extend(c)
+			}
+			ssp.SetAttrs(trace.Int("buckets", buckets), trace.Int("records", records))
+			return nil
+		}, &err)
+		if err != nil {
+			return nil, err
 		}
-		ssp.SetAttrs(trace.Int("buckets", buckets), trace.Int("records", records))
-	})
-	if rerr != nil {
-		return nil, rerr
 	}
 	return wins, nil
 }
@@ -1097,15 +1086,14 @@ func (st *Store) RangeSeriesCtx(ctx context.Context, w timewin.Window, step int6
 // some shard's compacted tail (the query itself answers 422 with the
 // horizon).
 func (st *Store) rangeFingerprint(w timewin.Window) (uint64, bool) {
-	if st.begin() != nil {
-		return 0, false
-	}
 	fps := make([]uint64, len(st.shards))
 	oks := make([]bool, len(st.shards))
-	st.fanOut(nil, "", func(i int, _ *trace.Span, p *timewin.Partition) {
+	if st.each(false, nil, "", func(i int, _ *trace.Span, p *timewin.Partition) error {
 		fps[i], oks[i] = p.Fingerprint(w)
-	})
-	st.mu.RUnlock()
+		return nil
+	}) != nil {
+		return 0, false
+	}
 	h := fnv.New64a()
 	var b [8]byte
 	for i, fp := range fps {

@@ -145,26 +145,6 @@ func (e *RetentionError) Error() string {
 		time.Unix(e.HorizonUnix, 0).UTC().Format(time.RFC3339))
 }
 
-// PartitionObs receives compaction events from a Partition. Compaction
-// happens inline on the Observe path (the partition is single-threaded
-// by contract), so OnCompact is called from whatever goroutine owns the
-// partition; a nil *PartitionObs disables the hook at no cost beyond
-// the horizon check compact already does.
-type PartitionObs struct {
-	// OnCompact is called after each compaction pass that merged at
-	// least one bucket into the tail, with the number of buckets merged
-	// and the pass's wall-clock duration in seconds.
-	OnCompact func(buckets int, seconds float64)
-	// OnRangeMerge, when non-nil, is called after each RangeInto that
-	// merged at least one bucket (or the tail), with the bucket-merge
-	// count, the records covered and the merge's wall-clock duration in
-	// seconds. Like OnCompact it fires on the goroutine that owns the
-	// partition — internal/serve's shard goroutines — so the hook must
-	// be safe for concurrent use across partitions. This is the
-	// per-shard cost signal behind range-query latency attribution.
-	OnRangeMerge func(buckets int, records uint64, seconds float64)
-}
-
 // Config configures a Partition.
 type Config struct {
 	// Options configures every bucket engine (and the tail).
@@ -179,8 +159,12 @@ type Config struct {
 	// bucket by more than this are compacted into the tail. It is rounded
 	// up to a whole number of buckets. 0 keeps every bucket live forever.
 	Retain time.Duration
-	// Obs, when non-nil, receives compaction events.
-	Obs *PartitionObs
+	// OnCompact, when non-nil, is called after each compaction pass that
+	// merged at least one bucket into the tail, with the number of buckets
+	// merged and the pass's wall-clock duration in seconds. Compaction
+	// runs inline on the Observe path, so the call comes from whatever
+	// goroutine owns the partition.
+	OnCompact func(buckets int, seconds float64)
 }
 
 // BucketMeta describes one live bucket.
@@ -321,7 +305,7 @@ type Partition struct {
 	spare  *core.Engine // validated engine from New, consumed by the first bucket
 	layout string       // core.StateLayout of what this partition's engines encode to
 
-	obs *PartitionObs
+	onCompact func(buckets int, seconds float64)
 }
 
 // New builds an empty partition. The engine construction also validates
@@ -353,7 +337,7 @@ func New(cfg Config) (*Partition, error) {
 		retainBuckets: retain,
 		spare:         spare,
 		layout:        layout,
-		obs:           cfg.Obs,
+		onCompact:     cfg.OnCompact,
 	}, nil
 }
 
@@ -449,7 +433,7 @@ func (p *Partition) compact() {
 		return
 	}
 	var t0 time.Time
-	if p.obs != nil && p.obs.OnCompact != nil {
+	if p.onCompact != nil {
 		t0 = time.Now()
 	}
 	merged := 0
@@ -461,8 +445,8 @@ func (p *Partition) compact() {
 		p.tail.merge(b)
 		p.live = p.live[1:]
 	}
-	if p.obs != nil && p.obs.OnCompact != nil {
-		p.obs.OnCompact(merged, time.Since(t0).Seconds())
+	if p.onCompact != nil {
+		p.onCompact(merged, time.Since(t0).Seconds())
 	}
 }
 
@@ -584,10 +568,6 @@ func (p *Partition) AllInto(dst *core.Engine) {
 // error.
 func (p *Partition) RangeInto(dst *core.Engine, w Window) (Coverage, error) {
 	var cov Coverage
-	var t0 time.Time
-	if p.obs != nil && p.obs.OnRangeMerge != nil {
-		t0 = time.Now()
-	}
 	horizon, ok := p.window(w, func(s *segment, from, to int64) {
 		dst.MergeProjected(s.eng)
 		c := Coverage{FromUnix: from, ToUnix: to, Records: s.records, Tail: s == p.tail}
@@ -598,9 +578,6 @@ func (p *Partition) RangeInto(dst *core.Engine, w Window) (Coverage, error) {
 	})
 	if !ok {
 		return cov, &RetentionError{HorizonUnix: horizon}
-	}
-	if (cov.Buckets > 0 || cov.Tail) && p.obs != nil && p.obs.OnRangeMerge != nil {
-		p.obs.OnRangeMerge(cov.Buckets, cov.Records, time.Since(t0).Seconds())
 	}
 	return cov, nil
 }
