@@ -141,8 +141,7 @@ func ingestBenchFile(b *testing.B) (string, int64) {
 
 // BenchmarkIngestEndToEnd measures the whole file -> full-engine path
 // (read, split, parse, observe, merge) on a single large input file, in
-// MB/s of file bytes; blocks-sketch is the same path into the -sketch
-// engine.
+// MB/s of file bytes.
 func BenchmarkIngestEndToEnd(b *testing.B) {
 	f := fixture(b)
 	path, size := ingestBenchFile(b)
@@ -156,21 +155,6 @@ func BenchmarkIngestEndToEnd(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			an, stats, err := pipeline.RunFilesBlocks([]string{path}, 0, newAcc, observe, merge)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if stats.Records == 0 || an.Dataset(core.DFull).Total == 0 {
-				b.Fatal("empty")
-			}
-		}
-	})
-	b.Run("blocks-sketch", func(b *testing.B) {
-		sketchOpts := opts.WithSketches(0, 0)
-		newSketch := func() *core.Analyzer { return core.NewAnalyzer(sketchOpts) }
-		b.SetBytes(size)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			an, stats, err := pipeline.RunFilesBlocks([]string{path}, 0, newSketch, observe, merge)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -127,9 +127,6 @@ func main() {
 		retain     = flag.Duration("retain", 30*24*time.Hour, "retention horizon: buckets older than the newest record by more than this are compacted into the frozen all-time tail (0 = keep every bucket live)")
 		ckptDir    = flag.String("checkpoint", "", "checkpoint directory: restore state from it at boot (warm restart), checkpoint into it periodically and on graceful shutdown")
 		ckptEvery  = flag.Duration("checkpoint-every", 5*time.Minute, "periodic checkpoint interval when -checkpoint is set (0 = only on shutdown)")
-		sketch     = flag.Bool("sketch", false, "bounded-memory mode: users/domains/subnets/tokens run on HLL + top-k sketches (results marked approx)")
-		sketchP    = flag.Uint("sketch-precision", core.DefaultSketchPrecision, "HLL precision p with -sketch (2^p registers, ~1.04/sqrt(2^p) error)")
-		sketchK    = flag.Int("sketch-topk", core.DefaultSketchTopK, "space-saving capacity per frequency table with -sketch")
 		logLevel   = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
 		logFormat  = flag.String("log-format", "text", "log encoding: text or json")
 		debugAddr  = flag.String("debug-addr", "", "optional listen address serving /debug/pprof on its own listener (empty = disabled)")
@@ -182,9 +179,6 @@ func main() {
 		Categories: gen.CategoryDB(),
 		Consensus:  gen.Consensus(),
 		TitleDB:    bittorrent.NewTitleDB(),
-	}
-	if *sketch {
-		opt = opt.WithSketches(uint8(*sketchP), *sketchK)
 	}
 
 	store, err := serve.NewStore(serve.Config{

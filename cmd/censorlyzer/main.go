@@ -72,9 +72,6 @@ func main() {
 		toF      = flag.String("to", "", "only analyze records before this time (exclusive, same formats)")
 		loadF    = flag.String("load-state", "", "fold a previously saved engine state in before rendering (incremental runs)")
 		saveF    = flag.String("save-state", "", "write the final engine state to this file (gzip; temp-file + rename)")
-		sketch   = flag.Bool("sketch", false, "bounded-memory mode: users/domains/subnets/tokens run on HLL + top-k sketches (results marked approx)")
-		sketchP  = flag.Uint("sketch-precision", core.DefaultSketchPrecision, "HLL precision p with -sketch (2^p registers, ~1.04/sqrt(2^p) error)")
-		sketchK  = flag.Int("sketch-topk", core.DefaultSketchTopK, "space-saving capacity per frequency table with -sketch")
 		logLevel = flag.String("log-level", "info", "diagnostic log verbosity: debug, info, warn or error")
 		logFmt   = flag.String("log-format", "text", "diagnostic log encoding: text or json")
 		version  = flag.Bool("version", false, "print version and build info, then exit")
@@ -93,10 +90,6 @@ func main() {
 	}
 	logger = l
 	slog.SetDefault(l)
-
-	if *sketch {
-		sketchOpt = core.SketchOptions{Enabled: true, Precision: uint8(*sketchP), TopK: *sketchK}
-	}
 
 	win, err := timewin.ParseWindow(*fromF, *toF)
 	if err != nil {
@@ -184,21 +177,14 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// sketchOpt carries the -sketch flags into every analyzer built by this
-// run (main sets it before any engine exists).
-var sketchOpt core.SketchOptions
-
 // analyzerOptions derives the engine configuration from the generator;
 // saved state carries accumulated counts only, so -load-state requires
-// the same configuration (same -seed, same -sketch mode) to be
-// meaningful (an exact v1 state does load into a sketched engine, by
-// replay).
+// the same configuration (same -seed) to be meaningful.
 func analyzerOptions(gen *synth.Generator) core.Options {
 	return core.Options{
 		Categories: gen.CategoryDB(),
 		Consensus:  gen.Consensus(),
 		TitleDB:    bittorrent.NewTitleDB(),
-		Sketches:   sketchOpt,
 	}
 }
 

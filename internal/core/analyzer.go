@@ -35,9 +35,6 @@ type Options struct {
 	GeoDB      *geoip.DB
 	Consensus  *torsim.Consensus
 	TitleDB    *bittorrent.TitleDB
-	// Sketches switches the cardinality-heavy modules to bounded-memory
-	// sketches; see SketchOptions and WithSketches.
-	Sketches SketchOptions
 	// maxStoredCensoredURLs caps the URL store used by keyword discovery
 	// (default 500_000; censored traffic is ~1% so this is rarely hit).
 	// Tests lower it to reach the cap on a small corpus.
@@ -70,7 +67,6 @@ func (o *Options) defaults() {
 	if o.maxStoredCensoredURLs == 0 {
 		o.maxStoredCensoredURLs = 500_000
 	}
-	o.Sketches.defaults()
 }
 
 // DatasetID indexes the four datasets of Table 1.

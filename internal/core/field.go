@@ -10,17 +10,16 @@ import (
 // constructor (declared.declare): each field is a typed pointer into the
 // module, and its kind carries everything the engine ever does to state —
 // the empty value, the fold, the encoder and the replacing decoder — side
-// by side. MergeProjected, MarshalState, UnmarshalState and SketchStats
-// only walk the list, so what merges is what encodes is what decodes, by
-// construction.
+// by side. MergeProjected, MarshalState and UnmarshalState only walk the
+// list, so what merges is what encodes is what decodes, by construction.
 //
 // The order of a declaration is the module's wire layout. Kinds are one
 // pointer wide, so converting one to field allocates nothing, and the
 // list lives inside the module: an engine costs no more to build than
 // its modules.
 type field interface {
-	// init sets the field to its empty value for engine e.
-	init(e *Engine)
+	// init sets the field to its empty value.
+	init()
 	// merge folds the same field of another instance of the module in
 	// (src has the receiver's dynamic type). It copies out of src and
 	// never aliases its maps or slices: Clone relies on it.
@@ -30,19 +29,9 @@ type field interface {
 	// re-encodes byte-identically.
 	encode(w *statecodec.Writer)
 	// decode replaces the field with one written by encode: whatever
-	// the field held is discarded, never merged into. layout is the
-	// section's version byte (layoutExact or layoutSketch) and only
-	// matters to the sketchable kinds. Failures are reported through
-	// the reader's sticky error.
-	decode(r *statecodec.Reader, layout byte, e *Engine)
-}
-
-// sketchable is a field kind with a second, bounded-memory form: it is
-// what makes a module's section layoutSketch in a sketched engine, and
-// what SketchStats sums.
-type sketchable interface {
-	field
-	sketchSizes() SketchSizes
+	// the field held is discarded, never merged into. Failures are
+	// reported through the reader's sticky error.
+	decode(r *statecodec.Reader)
 }
 
 // declared is embedded by every module and holds its registry name and
@@ -58,43 +47,32 @@ const maxFields = 10
 
 // declare names the module, records its fields in wire order and sets
 // each to its empty value.
-func (d *declared) declare(e *Engine, name string, fs ...field) {
+func (d *declared) declare(name string, fs ...field) {
 	if len(fs) > maxFields {
 		panic("core: state declaration wider than maxFields")
 	}
 	d.name = name
 	d.n = copy(d.fields[:], fs)
 	for _, f := range fs {
-		f.init(e)
+		f.init()
 	}
 }
 
 func (d *declared) Name() string   { return d.name }
 func (d *declared) state() []field { return d.fields[:d.n] }
 
-func hasSketchable(fs []field) bool {
-	for _, f := range fs {
-		if _, ok := f.(sketchable); ok {
-			return true
-		}
-	}
-	return false
-}
-
 // scalarField is one count.
 type scalarField struct{ p *uint64 }
 
-func (f scalarField) init(*Engine)                { *f.p = 0 }
+func (f scalarField) init()                       { *f.p = 0 }
 func (f scalarField) merge(src field)             { *f.p += *src.(scalarField).p }
 func (f scalarField) encode(w *statecodec.Writer) { w.Uvarint(*f.p) }
-func (f scalarField) decode(r *statecodec.Reader, _ byte, _ *Engine) {
-	*f.p = r.Uvarint()
-}
+func (f scalarField) decode(r *statecodec.Reader) { *f.p = r.Uvarint() }
 
 // proxyCountsField is one count per proxy, written with its length.
 type proxyCountsField struct{ p *[logfmt.NumProxies]uint64 }
 
-func (f proxyCountsField) init(*Engine) { *f.p = [logfmt.NumProxies]uint64{} }
+func (f proxyCountsField) init() { *f.p = [logfmt.NumProxies]uint64{} }
 
 func (f proxyCountsField) merge(src field) {
 	for i, v := range src.(proxyCountsField).p {
@@ -109,7 +87,7 @@ func (f proxyCountsField) encode(w *statecodec.Writer) {
 	}
 }
 
-func (f proxyCountsField) decode(r *statecodec.Reader, _ byte, _ *Engine) {
+func (f proxyCountsField) decode(r *statecodec.Reader) {
 	if !decProxyCount(r) {
 		return
 	}
@@ -129,91 +107,63 @@ func decProxyCount(r *statecodec.Reader) bool {
 // counterField is an exact frequency table.
 type counterField struct{ p **stats.Counter }
 
-func (f counterField) init(*Engine)                { *f.p = stats.NewCounter() }
+func (f counterField) init()                       { *f.p = stats.NewCounter() }
 func (f counterField) merge(src field)             { (*f.p).Merge(*src.(counterField).p) }
 func (f counterField) encode(w *statecodec.Writer) { encCounter(w, *f.p) }
-func (f counterField) decode(r *statecodec.Reader, _ byte, _ *Engine) {
-	*f.p = decCounter(r)
-}
-
-// kcounterField is a frequency table in the engine's counting mode: an
-// exact counter, or its sketch. An exact section read by a sketched
-// engine is replayed key by key into a fresh sketch (an exact checkpoint
-// is always a valid sketch input; the reverse is not).
-type kcounterField struct{ p *kcounter }
-
-func (f kcounterField) init(e *Engine)              { *f.p = e.newCounter() }
-func (f kcounterField) merge(src field)             { (*f.p).Merge(*src.(kcounterField).p) }
-func (f kcounterField) encode(w *statecodec.Writer) { (*f.p).encode(w) }
-func (f kcounterField) sketchSizes() SketchSizes    { return (*f.p).sketchSizes() }
-func (f kcounterField) decode(r *statecodec.Reader, layout byte, e *Engine) {
-	if layout == layoutSketch {
-		*f.p = decSketchCounter(r)
-	} else {
-		*f.p = e.decKCounterExact(r)
-	}
-}
+func (f counterField) decode(r *statecodec.Reader) { *f.p = decCounter(r) }
 
 // portCountsField is a count per TCP port.
 type portCountsField struct{ p *map[uint16]uint64 }
 
-func (f portCountsField) init(*Engine)                { *f.p = map[uint16]uint64{} }
+func (f portCountsField) init()                       { *f.p = map[uint16]uint64{} }
 func (f portCountsField) merge(src field)             { mergeCounts(*f.p, *src.(portCountsField).p) }
 func (f portCountsField) encode(w *statecodec.Writer) { encCounts(w, *f.p, encPort) }
-func (f portCountsField) decode(r *statecodec.Reader, _ byte, _ *Engine) {
-	*f.p = decCounts(r, decPort)
-}
+func (f portCountsField) decode(r *statecodec.Reader) { *f.p = decCounts(r, decPort) }
 
 // hourCountsField is a count per hour (or any signed integer key).
 type hourCountsField struct{ p *map[int64]uint64 }
 
-func (f hourCountsField) init(*Engine)    { *f.p = map[int64]uint64{} }
+func (f hourCountsField) init()           { *f.p = map[int64]uint64{} }
 func (f hourCountsField) merge(src field) { mergeCounts(*f.p, *src.(hourCountsField).p) }
 func (f hourCountsField) encode(w *statecodec.Writer) {
 	encCounts(w, *f.p, (*statecodec.Writer).Varint)
 }
-func (f hourCountsField) decode(r *statecodec.Reader, _ byte, _ *Engine) {
+func (f hourCountsField) decode(r *statecodec.Reader) {
 	*f.p = decCounts(r, (*statecodec.Reader).Varint)
 }
 
 // ipSetField is a set of IPv4 addresses.
 type ipSetField struct{ p *map[uint32]struct{} }
 
-func (f ipSetField) init(*Engine)                { *f.p = map[uint32]struct{}{} }
+func (f ipSetField) init()                       { *f.p = map[uint32]struct{}{} }
 func (f ipSetField) merge(src field)             { mergeSet(*f.p, *src.(ipSetField).p) }
 func (f ipSetField) encode(w *statecodec.Writer) { encIPSet(w, *f.p) }
-func (f ipSetField) decode(r *statecodec.Reader, _ byte, _ *Engine) {
-	*f.p = decIPSet(r)
-}
+func (f ipSetField) decode(r *statecodec.Reader) { *f.p = decIPSet(r) }
 
 // hourIPSetsField is a set of IPv4 addresses per hour.
 type hourIPSetsField struct {
 	p *map[int64]map[uint32]struct{}
 }
 
-func (f hourIPSetsField) init(*Engine) { *f.p = map[int64]map[uint32]struct{}{} }
+func (f hourIPSetsField) init() { *f.p = map[int64]map[uint32]struct{}{} }
 func (f hourIPSetsField) merge(src field) {
 	mergeHourly(*f.p, *src.(hourIPSetsField).p, mergeSet[uint32])
 }
 func (f hourIPSetsField) encode(w *statecodec.Writer) { encHourly(w, *f.p, encIPSet) }
-func (f hourIPSetsField) decode(r *statecodec.Reader, _ byte, _ *Engine) {
-	*f.p = decHourly(r, decIPSet)
-}
+func (f hourIPSetsField) decode(r *statecodec.Reader) { *f.p = decHourly(r, decIPSet) }
 
 // digestSetField is a set of 20-byte digests.
 type digestSetField struct{ p *map[[20]byte]struct{} }
 
-func (f digestSetField) init(*Engine)                { *f.p = map[[20]byte]struct{}{} }
+func (f digestSetField) init()                       { *f.p = map[[20]byte]struct{}{} }
 func (f digestSetField) merge(src field)             { mergeSet(*f.p, *src.(digestSetField).p) }
 func (f digestSetField) encode(w *statecodec.Writer) { encHashSet(w, *f.p) }
-func (f digestSetField) decode(r *statecodec.Reader, _ byte, _ *Engine) {
-	*f.p = decHashSet(r)
-}
+func (f digestSetField) decode(r *statecodec.Reader) { *f.p = decHashSet(r) }
 
 // tripleMapField is a keyed map of censored/allowed/proxied triples.
 type tripleMapField struct{ p *map[string]*triple }
 
-func (f tripleMapField) init(*Engine) { *f.p = map[string]*triple{} }
+func (f tripleMapField) init() { *f.p = map[string]*triple{} }
 
 func (f tripleMapField) merge(src field) {
 	for k, v := range *src.(tripleMapField).p {
@@ -225,9 +175,7 @@ func (f tripleMapField) merge(src field) {
 }
 
 func (f tripleMapField) encode(w *statecodec.Writer) { encTripleMap(w, *f.p) }
-func (f tripleMapField) decode(r *statecodec.Reader, _ byte, _ *Engine) {
-	*f.p = decTripleMap(r)
-}
+func (f tripleMapField) decode(r *statecodec.Reader) { *f.p = decTripleMap(r) }
 
 // --- folds shared by the kinds above and the module-specific ones ---
 

@@ -51,7 +51,7 @@ type FreqSeries struct {
 // (errors) and censored traffic.
 func (e *Engine) DomainFreqDistribution() []FreqSeries {
 	dm := mod[*domainsMetric](e, "domains", "DomainFreqDistribution")
-	mk := func(name string, c kcounter) FreqSeries {
+	mk := func(name string, c *stats.Counter) FreqSeries {
 		var counts []uint64
 		var samples []float64
 		// Top(0) yields a sorted order, so the float summation inside
@@ -123,8 +123,7 @@ type UserReport struct {
 	MeanActivityOthers   float64
 }
 
-// UserAnalysis computes the Duser-based per-user view (estimates when the
-// engine runs sketched).
+// UserAnalysis computes the Duser-based per-user view.
 func (e *Engine) UserAnalysis() UserReport {
 	return mod[*usersMetric](e, "users", "UserAnalysis").report()
 }

@@ -62,11 +62,11 @@ func foldTree(t *testing.T, opt Options, recs []logfmt.Record, module string, se
 	return parts[0]
 }
 
-// TestModuleLaws holds every module, alone in its engine, exact and
-// sketched, to what the rest of the system assumes of mergeable state:
-// folding is order-free, the codec is a bijection on what it writes, a
-// decode replaces, and copies share nothing. A failure prints the seed;
-// rerun with -laws.seed.
+// TestModuleLaws holds every module, alone in its engine, to what the
+// rest of the system assumes of mergeable state: folding is order-free,
+// the codec is a bijection on what it writes, a decode replaces, and
+// copies share nothing. A failure prints the seed; rerun with
+// -laws.seed.
 func TestModuleLaws(t *testing.T) {
 	f := corpus(t)
 	recs := lawsStream(f)
@@ -76,105 +76,70 @@ func TestModuleLaws(t *testing.T) {
 	}
 	t.Logf("seed %d (-laws.seed)", seed)
 
-	exactOpt := fixtureOptions(f)
-	// Small sketches, so the stream overflows them and evictions are
-	// part of what is held to the laws.
-	sketchOpt := exactOpt.WithSketches(8, 64)
-	for _, mode := range []struct {
-		name string
-		opt  Options
-	}{{"exact", exactOpt}, {"sketch", sketchOpt}} {
-		full := lawsEngine(t, mode.opt, recs)
-		for _, module := range AllMetrics() {
-			opt := mode.opt
-			sketched := mode.name == "sketch" && slices.Contains(SketchedModules, module)
-			t.Run(module+"/"+mode.name, func(t *testing.T) {
-				seq := lawsEngine(t, opt, recs, module)
-				state := seq.MarshalState()
-				fresh := func() *Engine { return lawsEngine(t, opt, nil, module) }
-				// used has state of its own, from the head of the stream
-				// where every module sees something.
-				used := func() *Engine { return lawsEngine(t, opt, recs[:4000], module) }
-				if bytes.Equal(state, fresh().MarshalState()) {
-					t.Fatal("the stream leaves the module empty: the laws would hold vacuously")
-				}
+	opt := fixtureOptions(f)
+	full := lawsEngine(t, opt, recs)
+	for _, module := range AllMetrics() {
+		t.Run(module+"/exact", func(t *testing.T) {
+			seq := lawsEngine(t, opt, recs, module)
+			state := seq.MarshalState()
+			fresh := func() *Engine { return lawsEngine(t, opt, nil, module) }
+			// used has state of its own, from the head of the stream
+			// where every module sees something.
+			used := func() *Engine { return lawsEngine(t, opt, recs[:4000], module) }
+			if bytes.Equal(state, fresh().MarshalState()) {
+				t.Fatal("the stream leaves the module empty: the laws would hold vacuously")
+			}
 
-				// Fold: any split, any merge tree. Exact state equals
-				// sequential Observe byte for byte; sketches are
-				// order-sensitive once full, so they owe only
-				// determinism: the same tree twice, the same bytes.
-				tree := foldTree(t, opt, recs, module, seed).MarshalState()
-				if !sketched && !bytes.Equal(tree, state) {
-					t.Error("merge tree differs from sequential Observe")
-				}
-				if !bytes.Equal(foldTree(t, opt, recs, module, seed).MarshalState(), tree) {
-					t.Error("the same merge tree twice gave different states")
-				}
+			// Fold: any split, any merge tree equals sequential Observe
+			// byte for byte.
+			if !bytes.Equal(foldTree(t, opt, recs, module, seed).MarshalState(), state) {
+				t.Error("merge tree differs from sequential Observe")
+			}
 
-				// Codec: encode -> decode -> encode is the identity.
-				dec := fresh()
-				if err := dec.UnmarshalState(state); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(dec.MarshalState(), state) {
-					t.Error("encode -> decode -> encode is not byte-identical")
-				}
+			// Codec: encode -> decode -> encode is the identity.
+			dec := fresh()
+			if err := dec.UnmarshalState(state); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dec.MarshalState(), state) {
+				t.Error("encode -> decode -> encode is not byte-identical")
+			}
 
-				// Decode replaces: into an engine with state of its own
-				// it gives what it gives into a fresh one. In sketch mode
-				// also for an exact (v1) state, which must load into the
-				// sketched engine, by replay.
-				inputs := map[string][]byte{"own": state}
-				if mode.name == "sketch" {
-					inputs["exact"] = lawsEngine(t, exactOpt, recs, module).MarshalState()
-				}
-				for name, in := range inputs {
-					a, b := fresh(), used()
-					if err := a.UnmarshalState(in); err != nil {
-						t.Fatalf("%s state into a fresh engine: %v", name, err)
-					}
-					if err := b.UnmarshalState(in); err != nil {
-						t.Fatalf("%s state into a used engine: %v", name, err)
-					}
-					if !bytes.Equal(a.MarshalState(), b.MarshalState()) {
-						t.Errorf("%s state: decode into a used engine differs from decode into a fresh one", name)
-					}
-					if name == "exact" && !sketched && !bytes.Equal(a.MarshalState(), in) {
-						t.Error("exact state of a module sketch mode leaves alone changed on its way through a sketched engine")
-					}
-				}
+			// Decode replaces: into an engine with state of its own it
+			// gives what it gives into a fresh one.
+			reused := used()
+			if err := reused.UnmarshalState(state); err != nil {
+				t.Fatalf("state into a used engine: %v", err)
+			}
+			if !bytes.Equal(reused.MarshalState(), state) {
+				t.Error("decode into a used engine differs from decode into a fresh one")
+			}
 
-				// Clone is isolated, both ways.
-				orig := used()
-				before := orig.MarshalState()
-				clone := orig.Clone()
-				for i := 4000; i < 6000; i++ {
-					clone.Observe(&recs[i])
-				}
-				if !bytes.Equal(orig.MarshalState(), before) {
-					t.Error("observing into a clone changed the original")
-				}
-				after := clone.MarshalState()
-				for i := 4000; i < 5000; i++ {
-					orig.Observe(&recs[i])
-				}
-				if !bytes.Equal(clone.MarshalState(), after) {
-					t.Error("observing into the original changed its clone")
-				}
+			// Clone is isolated, both ways.
+			orig := used()
+			before := orig.MarshalState()
+			clone := orig.Clone()
+			for i := 4000; i < 6000; i++ {
+				clone.Observe(&recs[i])
+			}
+			if !bytes.Equal(orig.MarshalState(), before) {
+				t.Error("observing into a clone changed the original")
+			}
+			after := clone.MarshalState()
+			for i := 4000; i < 5000; i++ {
+				orig.Observe(&recs[i])
+			}
+			if !bytes.Equal(clone.MarshalState(), after) {
+				t.Error("observing into the original changed its clone")
+			}
 
-				// Projection: the module taken out of a full engine is
-				// the module observed alone.
-				sub := fresh()
-				sub.MergeProjected(full)
-				alone := fresh()
-				alone.Merge(seq)
-				if !bytes.Equal(sub.MarshalState(), alone.MarshalState()) {
-					t.Error("MergeProjected from a full engine differs from the subset engine")
-				}
-				if !sketched && !bytes.Equal(sub.MarshalState(), state) {
-					t.Error("MergeProjected from a full engine differs from sequential Observe")
-				}
-			})
-		}
+			// Projection: the module taken out of a full engine is the
+			// module observed alone.
+			sub := fresh()
+			sub.MergeProjected(full)
+			if !bytes.Equal(sub.MarshalState(), state) {
+				t.Error("MergeProjected from a full engine differs from sequential Observe")
+			}
+		})
 	}
 }

@@ -18,7 +18,7 @@ type anonymizersMetric struct {
 
 func newAnonymizersMetric(e *Engine) *anonymizersMetric {
 	m := &anonymizersMetric{cx: &e.cx}
-	m.declare(e, "anonymizers", counterField{&m.allowed}, counterField{&m.censored})
+	m.declare("anonymizers", counterField{&m.allowed}, counterField{&m.censored})
 	return m
 }
 

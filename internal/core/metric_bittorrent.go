@@ -20,7 +20,7 @@ type bittorrentMetric struct {
 
 func newBitTorrentMetric(e *Engine) *bittorrentMetric {
 	m := &bittorrentMetric{cx: &e.cx}
-	m.declare(e, "bittorrent",
+	m.declare("bittorrent",
 		scalarField{&m.total}, scalarField{&m.censored},
 		digestSetField{&m.peers}, digestSetField{&m.hashes},
 		counterField{&m.trackers},

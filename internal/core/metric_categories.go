@@ -17,7 +17,7 @@ type categoriesMetric struct {
 
 func newCategoriesMetric(e *Engine) *categoriesMetric {
 	m := &categoriesMetric{cx: &e.cx}
-	m.declare(e, "categories", counterField{&m.censoredSample}, counterField{&m.censoredFull})
+	m.declare("categories", counterField{&m.censoredSample}, counterField{&m.censoredFull})
 	return m
 }
 

@@ -18,7 +18,7 @@ type countriesMetric struct {
 
 func newCountriesMetric(e *Engine) *countriesMetric {
 	m := &countriesMetric{cx: &e.cx, opt: &e.opt}
-	m.declare(e, "countries", counterField{&m.censored}, counterField{&m.allowed})
+	m.declare("countries", counterField{&m.censored}, counterField{&m.allowed})
 	return m
 }
 

@@ -15,7 +15,7 @@ type datasetsMetric struct {
 
 func newDatasetsMetric(e *Engine) *datasetsMetric {
 	m := &datasetsMetric{cx: &e.cx}
-	m.declare(e, "datasets", datasetCountsField{&m.datasets})
+	m.declare("datasets", datasetCountsField{&m.datasets})
 	return m
 }
 
@@ -45,7 +45,7 @@ func (m *datasetsMetric) bump(id DatasetID, rec *logfmt.Record) {
 // with its length.
 type datasetCountsField struct{ p *[numDatasets]ClassCounts }
 
-func (f datasetCountsField) init(*Engine) { *f.p = [numDatasets]ClassCounts{} }
+func (f datasetCountsField) init() { *f.p = [numDatasets]ClassCounts{} }
 
 func (f datasetCountsField) merge(src field) {
 	o := src.(datasetCountsField)
@@ -61,7 +61,7 @@ func (f datasetCountsField) encode(w *statecodec.Writer) {
 	}
 }
 
-func (f datasetCountsField) decode(r *statecodec.Reader, _ byte, _ *Engine) {
+func (f datasetCountsField) decode(r *statecodec.Reader) {
 	if n := r.Count(); r.Err() == nil && n != len(f.p) {
 		r.Failf("core: %d datasets, want %d", n, len(f.p))
 		return

@@ -2,6 +2,7 @@ package core
 
 import (
 	"syriafilter/internal/logfmt"
+	"syriafilter/internal/stats"
 	"syriafilter/internal/urlx"
 )
 
@@ -11,32 +12,32 @@ import (
 type domainsMetric struct {
 	cx *recordCtx
 
-	allowed  kcounter // registered domains, allowed
-	censored kcounter // registered domains, censored
-	denied   kcounter // registered domains, errors
-	proxied  kcounter // registered domains, served from cache
+	allowed  *stats.Counter // registered domains, allowed
+	censored *stats.Counter // registered domains, censored
+	denied   *stats.Counter // registered domains, errors
+	proxied  *stats.Counter // registered domains, served from cache
 
-	tldCensored kcounter
-	tldAllowed  kcounter
+	tldCensored *stats.Counter
+	tldAllowed  *stats.Counter
 
 	// policy_denied-only domain counts (discovery input; redirects are
 	// handled by the custom-category analysis instead), plus host-level
 	// counts: URL blacklists can target single hosts (messenger.live.com)
 	// whose registered domain stays partly allowed.
-	censoredDeny     kcounter
-	hostCensoredDeny kcounter
-	hostAllowed      kcounter
+	censoredDeny     *stats.Counter
+	hostCensoredDeny *stats.Counter
+	hostAllowed      *stats.Counter
 	declared
 }
 
 func newDomainsMetric(e *Engine) *domainsMetric {
 	m := &domainsMetric{cx: &e.cx}
-	m.declare(e, "domains",
-		kcounterField{&m.allowed}, kcounterField{&m.censored},
-		kcounterField{&m.denied}, kcounterField{&m.proxied},
-		kcounterField{&m.tldCensored}, kcounterField{&m.tldAllowed},
-		kcounterField{&m.censoredDeny}, kcounterField{&m.hostCensoredDeny},
-		kcounterField{&m.hostAllowed},
+	m.declare("domains",
+		counterField{&m.allowed}, counterField{&m.censored},
+		counterField{&m.denied}, counterField{&m.proxied},
+		counterField{&m.tldCensored}, counterField{&m.tldAllowed},
+		counterField{&m.censoredDeny}, counterField{&m.hostCensoredDeny},
+		counterField{&m.hostAllowed},
 	)
 	return m
 }

@@ -19,7 +19,7 @@ type facebookMetric struct {
 
 func newFacebookMetric(e *Engine) *facebookMetric {
 	m := &facebookMetric{cx: &e.cx}
-	m.declare(e, "facebook", scalarField{&m.cens}, pageTableField{&m.pages}, tripleMapField{&m.paths})
+	m.declare("facebook", scalarField{&m.cens}, pageTableField{&m.pages}, tripleMapField{&m.paths})
 	return m
 }
 
@@ -69,7 +69,7 @@ func (m *facebookMetric) Observe(rec *logfmt.Record) {
 // custom-category flag.
 type pageTableField struct{ p *map[string]*pageStat }
 
-func (f pageTableField) init(*Engine) { *f.p = map[string]*pageStat{} }
+func (f pageTableField) init() { *f.p = map[string]*pageStat{} }
 
 func (f pageTableField) merge(src field) {
 	for k, v := range *src.(pageTableField).p {
@@ -94,7 +94,7 @@ func (f pageTableField) encode(w *statecodec.Writer) {
 	}
 }
 
-func (f pageTableField) decode(r *statecodec.Reader, _ byte, _ *Engine) {
+func (f pageTableField) decode(r *statecodec.Reader) {
 	n := r.Count()
 	pages := make(map[string]*pageStat, n)
 	for i := 0; i < n && r.Err() == nil; i++ {

@@ -13,7 +13,7 @@ type gcacheMetric struct {
 
 func newGCacheMetric(e *Engine) *gcacheMetric {
 	m := &gcacheMetric{cx: &e.cx}
-	m.declare(e, "gcache", scalarField{&m.total}, scalarField{&m.censored})
+	m.declare("gcache", scalarField{&m.total}, scalarField{&m.censored})
 	return m
 }
 

@@ -19,7 +19,7 @@ type httpsMetric struct {
 
 func newHTTPSMetric(e *Engine) *httpsMetric {
 	m := &httpsMetric{cx: &e.cx}
-	m.declare(e, "https",
+	m.declare("https",
 		scalarField{&m.grandTotal}, scalarField{&m.total},
 		scalarField{&m.censored}, scalarField{&m.censoredIPLit},
 	)

@@ -15,7 +15,7 @@ type osnMetric struct {
 
 func newOSNMetric(e *Engine) *osnMetric {
 	m := &osnMetric{cx: &e.cx}
-	m.declare(e, "osn", tripleMapField{&m.osn})
+	m.declare("osn", tripleMapField{&m.osn})
 	for _, osn := range OSNWatchlist {
 		m.osn[osn] = &triple{}
 	}

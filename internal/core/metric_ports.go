@@ -14,7 +14,7 @@ type portsMetric struct {
 
 func newPortsMetric(e *Engine) *portsMetric {
 	m := &portsMetric{cx: &e.cx}
-	m.declare(e, "ports", portCountsField{&m.allowed}, portCountsField{&m.censored})
+	m.declare("ports", portCountsField{&m.allowed}, portCountsField{&m.censored})
 	return m
 }
 

@@ -44,7 +44,7 @@ func (s *proxySlot) series(k int) *uint64 {
 func newProxiesMetric(e *Engine) *proxiesMetric {
 	m := &proxiesMetric{cx: &e.cx}
 	m.slotTable = slotTable[proxySlot]{n: 2 * logfmt.NumProxies, series: (*proxySlot).series}
-	m.declare(e, "proxies", proxyTableField{m})
+	m.declare("proxies", proxyTableField{m})
 	return m
 }
 
@@ -79,10 +79,10 @@ func (m *proxiesMetric) Observe(rec *logfmt.Record) {
 // its own.
 type proxyTableField struct{ m *proxiesMetric }
 
-func (f proxyTableField) init(e *Engine) {
+func (f proxyTableField) init() {
 	m := f.m
 	m.total, m.censored = [logfmt.NumProxies]uint64{}, [logfmt.NumProxies]uint64{}
-	m.slotTable.init(e)
+	m.slotTable.init()
 	for i := range m.censDomains {
 		m.censDomains[i] = map[string]uint64{}
 		m.labels[i] = map[string]uint64{}
@@ -114,12 +114,12 @@ func (f proxyTableField) encode(w *statecodec.Writer) {
 	}
 }
 
-func (f proxyTableField) decode(r *statecodec.Reader, _ byte, e *Engine) {
+func (f proxyTableField) decode(r *statecodec.Reader) {
 	m := f.m
 	if !decProxyCount(r) {
 		return
 	}
-	m.slotTable.init(e)
+	m.slotTable.init()
 	for i := 0; i < logfmt.NumProxies && r.Err() == nil; i++ {
 		m.total[i] = r.Uvarint()
 		m.censored[i] = r.Uvarint()

@@ -13,7 +13,7 @@ type redirectsMetric struct {
 
 func newRedirectsMetric(e *Engine) *redirectsMetric {
 	m := &redirectsMetric{}
-	m.declare(e, "redirects", counterField{&m.hosts})
+	m.declare("redirects", counterField{&m.hosts})
 	return m
 }
 

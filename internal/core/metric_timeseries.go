@@ -43,7 +43,7 @@ func (s *tsSlot) series(k int) *uint64 {
 func newTimeseriesMetric(e *Engine) *timeseriesMetric {
 	m := &timeseriesMetric{cx: &e.cx}
 	m.slotTable = slotTable[tsSlot]{n: 2, series: (*tsSlot).series}
-	m.declare(e, "timeseries", &m.slotTable, tsHourDomainsField{m})
+	m.declare("timeseries", &m.slotTable, tsHourDomainsField{m})
 	return m
 }
 
@@ -81,7 +81,7 @@ func (m *timeseriesMetric) Observe(rec *logfmt.Record) {
 // one-entry cache over it.
 type tsHourDomainsField struct{ m *timeseriesMetric }
 
-func (f tsHourDomainsField) init(*Engine) {
+func (f tsHourDomainsField) init() {
 	f.m.censHourDomains, f.m.lastHour = map[int64]map[string]uint64{}, nil
 }
 
@@ -93,7 +93,7 @@ func (f tsHourDomainsField) encode(w *statecodec.Writer) {
 	encHourly(w, f.m.censHourDomains, encStrCounts)
 }
 
-func (f tsHourDomainsField) decode(r *statecodec.Reader, _ byte, _ *Engine) {
+func (f tsHourDomainsField) decode(r *statecodec.Reader) {
 	f.m.censHourDomains, f.m.lastHour = decHourly(r, decStrCounts), nil
 }
 
@@ -123,7 +123,7 @@ func (t *slotTable[S]) slot(id int64) *S {
 	return t.lastSlot
 }
 
-func (t *slotTable[S]) init(*Engine) { t.slots, t.lastSlot = map[int64]*S{}, nil }
+func (t *slotTable[S]) init() { t.slots, t.lastSlot = map[int64]*S{}, nil }
 
 func (t *slotTable[S]) merge(src field) {
 	for id, o := range src.(*slotTable[S]).slots {
@@ -141,8 +141,8 @@ func (t *slotTable[S]) encode(w *statecodec.Writer) {
 	}
 }
 
-func (t *slotTable[S]) decode(r *statecodec.Reader, _ byte, e *Engine) {
-	t.init(e)
+func (t *slotTable[S]) decode(r *statecodec.Reader) {
+	t.init()
 	for k := 0; k < t.n; k++ {
 		t.decSeries(r, k)
 	}

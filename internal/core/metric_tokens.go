@@ -6,26 +6,19 @@ import (
 
 	"syriafilter/internal/logfmt"
 	"syriafilter/internal/statecodec"
+	"syriafilter/internal/stats"
 )
 
 // cappedCounter bounds a token vocabulary: once max distinct keys exist,
-// only already-seen keys keep counting. max <= 0 means unbounded. In
-// sketch mode the cap is moot — the sketch is bounded by construction —
-// so add skips the extra lookup.
+// only already-seen keys keep counting. max <= 0 means unbounded. The
+// counter itself is left to the module's state declaration.
 type cappedCounter struct {
-	counter kcounter
-	exact   bool
+	counter *stats.Counter
 	max     int
 }
 
-// newCappedCounter leaves the counter itself to the module's state
-// declaration.
-func newCappedCounter(e *Engine, max int) *cappedCounter {
-	return &cappedCounter{exact: !e.Sketched(), max: max}
-}
-
 func (c *cappedCounter) add(tok string) {
-	if c.exact && c.max > 0 && c.counter.Distinct() >= uint64(c.max) && c.counter.Count(tok) == 0 {
+	if c.max > 0 && c.counter.Len() >= c.max && c.counter.Count(tok) == 0 {
 		return
 	}
 	c.counter.Add(tok)
@@ -48,11 +41,11 @@ func newTokensMetric(e *Engine) *tokensMetric {
 	m := &tokensMetric{
 		cx:      &e.cx,
 		opt:     &e.opt,
-		allowed: newCappedCounter(e, maxTokenEntries),
-		proxied: newCappedCounter(e, 0),
+		allowed: &cappedCounter{max: maxTokenEntries},
+		proxied: &cappedCounter{},
 	}
-	m.declare(e, "tokens",
-		kcounterField{&m.allowed.counter}, kcounterField{&m.proxied.counter},
+	m.declare("tokens",
+		counterField{&m.allowed.counter}, counterField{&m.proxied.counter},
 		censoredStoreField{m},
 	)
 	return m
@@ -79,7 +72,7 @@ func (m *tokensMetric) Observe(rec *logfmt.Record) {
 // censoredStoreField is the capped censored-URL store.
 type censoredStoreField struct{ m *tokensMetric }
 
-func (f censoredStoreField) init(*Engine) { f.m.censoredURLs = nil }
+func (f censoredStoreField) init() { f.m.censoredURLs = nil }
 
 func (f censoredStoreField) merge(src field) {
 	m, o := f.m, src.(censoredStoreField).m
@@ -109,7 +102,7 @@ func (f censoredStoreField) encode(w *statecodec.Writer) {
 	}
 }
 
-func (f censoredStoreField) decode(r *statecodec.Reader, _ byte, _ *Engine) {
+func (f censoredStoreField) decode(r *statecodec.Reader) {
 	n := r.Count()
 	urls := make([]censoredURL, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {

@@ -24,7 +24,7 @@ type torMetric struct {
 
 func newTorMetric(e *Engine) *torMetric {
 	m := &torMetric{cx: &e.cx, opt: &e.opt}
-	m.declare(e, "tor",
+	m.declare("tor",
 		scalarField{&m.total}, scalarField{&m.http}, scalarField{&m.onion},
 		scalarField{&m.censored}, scalarField{&m.errors},
 		proxyCountsField{&m.censoredByProxy},

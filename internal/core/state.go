@@ -30,23 +30,8 @@ const (
 	engineStateVersion = 1
 )
 
-// Section layouts. Every module writes layoutExact (the historical
-// layout) unless it declares a sketchable field and the engine runs
-// sketched: then those fields take their sketch form and the section
-// says so.
-const (
-	layoutExact  = 1
-	layoutSketch = 2
-)
-
-// layoutOf returns the layout this engine writes for a module declaring
-// fs.
-func (e *Engine) layoutOf(fs []field) byte {
-	if e.Sketched() && hasSketchable(fs) {
-		return layoutSketch
-	}
-	return layoutExact
-}
+// layoutExact is the one section layout every module writes and reads.
+const layoutExact = 1
 
 // MarshalState serializes the engine's accumulated metric state. The
 // encoding is deterministic: marshaling the same logical state (however
@@ -61,9 +46,8 @@ func (e *Engine) MarshalState() []byte {
 	mw := statecodec.NewWriter()
 	for _, m := range e.modules {
 		mw.Reset()
-		fs := m.state()
-		mw.Byte(e.layoutOf(fs))
-		for _, f := range fs {
+		mw.Byte(layoutExact)
+		for _, f := range m.state() {
 			f.encode(mw)
 		}
 		w.String(m.Name())
@@ -76,9 +60,7 @@ func (e *Engine) MarshalState() []byte {
 // previously produced by MarshalState: whatever a decoded module had
 // accumulated is discarded, not merged into. The engine must have been
 // built with the same Options the writing engine used — the stream
-// carries accumulated counts only, not the configuration databases —
-// except that an exact state also loads into a sketched engine, by
-// replay.
+// carries accumulated counts only, not the configuration databases.
 //
 // Sections are paired with modules by name. A section for a module this
 // engine was not built with is skipped (a full checkpoint loads into a
@@ -110,7 +92,7 @@ func (e *Engine) UnmarshalState(b []byte) error {
 		}
 		decoded[name] = true
 		mr := statecodec.NewReader(payload)
-		e.decodeFields(mr, name, m.state())
+		decodeFields(mr, name, m.state())
 		if err := mr.Err(); err != nil {
 			return fmt.Errorf("core: module %q: %w", name, err)
 		}
@@ -139,13 +121,12 @@ func (e *Engine) UnmarshalState(b []byte) error {
 // StateLayout peeks at an engine state stream without decoding it and
 // returns its section layout: every section's module name and leading
 // layout-version byte, in stream order. An engine's layout depends only
-// on how it was built (module set, counting mode), never on what it
-// observed, so a stream whose layout equals that of an engine's own
-// MarshalState is in the form that engine would write — which is how a
-// holder of decoded bytes (the timewin frame memo) tells "these bytes
-// are this engine's encoding" from "these bytes merely load into it": a
-// full checkpoint loads into a subset engine and an exact one into a
-// sketched engine, but neither is what those engines emit.
+// on how it was built (its module set), never on what it observed, so a
+// stream whose layout equals that of an engine's own MarshalState is in
+// the form that engine would write — which is how a holder of decoded
+// bytes (the timewin frame memo) tells "these bytes are this engine's
+// encoding" from "these bytes merely load into it": a full checkpoint
+// loads into a subset engine, but is not what that engine emits.
 func StateLayout(b []byte) (string, error) {
 	r := statecodec.NewReader(b)
 	if magic := r.Raw(len(engineStateMagic)); r.Err() != nil || string(magic) != engineStateMagic {
@@ -186,26 +167,23 @@ func (e *Engine) ReadState(r io.Reader) error {
 }
 
 // decodeFields reads one module section into fs: the layout byte, which
-// must be one this engine can hold, then every field in order, stopping
-// at the first failure.
-func (e *Engine) decodeFields(r *statecodec.Reader, module string, fs []field) {
-	newest := byte(layoutExact)
-	if hasSketchable(fs) {
-		newest = layoutSketch
-	}
-	layout := r.Byte()
-	switch {
+// must be layoutExact, then every field in order, stopping at the first
+// failure.
+func decodeFields(r *statecodec.Reader, module string, fs []field) {
+	switch layout := r.Byte(); {
 	case r.Err() != nil:
-	case layout == 0 || layout > newest:
-		r.Failf("core: %s state version %d unsupported (max %d)", module, layout, newest)
-	case layout == layoutSketch && !e.Sketched():
-		r.Failf("core: checkpoint carries sketch state; rebuild the engine with sketches enabled (-sketch)")
+	case layout == 2:
+		// Layout 2 held the HyperLogLog and top-k estimates of the
+		// bounded-memory counting mode; its state cannot become exact.
+		r.Failf("core: %s state written by the removed -sketch mode; re-ingest the logs", module)
+	case layout != layoutExact:
+		r.Failf("core: %s state version %d unsupported (max %d)", module, layout, layoutExact)
 	}
 	for _, f := range fs {
 		if r.Err() != nil {
 			return
 		}
-		f.decode(r, layout, e)
+		f.decode(r)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -150,43 +151,81 @@ func TestEngineStateMissingModules(t *testing.T) {
 	}
 }
 
-// Sections are paired by name, not position: a stream with its module
-// sections reordered decodes to the same state.
-func TestEngineStateSectionOrderIndependent(t *testing.T) {
-	f := corpus(t)
-	state := f.analyzer.MarshalState()
+// stateSection is one module section of an engine state stream.
+type stateSection struct {
+	name    string
+	payload []byte
+}
 
-	// Reparse the outer framing and rebuild the stream with the
-	// sections reversed.
-	header := len(engineStateMagic) + 1
-	r := statecodec.NewReader(state[header:])
+// splitState reparses an engine state stream's outer framing.
+func splitState(t *testing.T, state []byte) []stateSection {
+	t.Helper()
+	r := statecodec.NewReader(state[len(engineStateMagic)+1:])
 	n := r.Count()
-	type section struct {
-		name    string
-		payload []byte
-	}
-	secs := make([]section, 0, n)
+	secs := make([]stateSection, 0, n)
 	for i := 0; i < n; i++ {
-		secs = append(secs, section{r.String(), r.Blob()})
+		secs = append(secs, stateSection{r.String(), r.Blob()})
 	}
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
+	return secs
+}
+
+// joinState frames secs as an engine state stream.
+func joinState(secs []stateSection) []byte {
 	w := statecodec.NewWriter()
-	w.Raw(state[:header])
-	w.Uvarint(uint64(n))
-	for i := n - 1; i >= 0; i-- {
-		w.String(secs[i].name)
-		w.Blob(secs[i].payload)
+	w.Raw([]byte(engineStateMagic))
+	w.Byte(engineStateVersion)
+	w.Uvarint(uint64(len(secs)))
+	for _, s := range secs {
+		w.String(s.name)
+		w.Blob(s.payload)
 	}
+	return w.Bytes()
+}
+
+// Sections are paired by name, not position: a stream with its module
+// sections reordered decodes to the same state.
+func TestEngineStateSectionOrderIndependent(t *testing.T) {
+	f := corpus(t)
+	secs := splitState(t, f.analyzer.MarshalState())
+	slices.Reverse(secs)
 
 	fresh := NewAnalyzer(fixtureOptions(f))
-	if err := fresh.UnmarshalState(w.Bytes()); err != nil {
+	if err := fresh.UnmarshalState(joinState(secs)); err != nil {
 		t.Fatal(err)
 	}
 	if renderAllExperiments(fresh) != renderAllExperiments(f.analyzer) {
 		t.Error("section-reversed state decodes to a different analyzer")
 	}
+}
+
+// State written by the removed -sketch mode is refused by name, and the
+// refusal leaves an engine that still observes and renders.
+func TestExactEngineRefusesSketchState(t *testing.T) {
+	f := corpus(t)
+	// The fixture's state with its users section relabelled layout 2, the
+	// form the removed mode wrote. Only the layout byte is read before the
+	// refusal, so the payload behind it does not matter.
+	secs := splitState(t, f.analyzer.MarshalState())
+	for i := range secs {
+		if secs[i].name == "users" {
+			secs[i].payload = append([]byte{2}, secs[i].payload[1:]...)
+		}
+	}
+	an := NewAnalyzer(fixtureOptions(f))
+	err := an.UnmarshalState(joinState(secs))
+	if err == nil || !strings.Contains(err.Error(), "written by the removed -sketch mode; re-ingest the logs") {
+		t.Fatalf("layout-2 users section: err = %v, want the -sketch refusal", err)
+	}
+	for i := range f.records[:5000] {
+		an.Observe(&f.records[i])
+	}
+	if an.UserAnalysis().TotalUsers == 0 {
+		t.Error("the engine counts no users after the refusal")
+	}
+	renderAllExperiments(an)
 }
 
 // Corrupted and truncated state must fail with an error — never panic,
@@ -225,32 +264,26 @@ func TestEngineStateCorruption(t *testing.T) {
 // A decoded engine keeps no reference into the bytes it was decoded
 // from: timewin inflates checkpoint frames into one buffer it reuses
 // from frame to frame, so the caller may overwrite the input the moment
-// UnmarshalState returns. Exact and sketch layouts both.
+// UnmarshalState returns.
 func TestUnmarshalStateDoesNotAliasInput(t *testing.T) {
 	f := corpus(t)
-	for name, an := range map[string]*Analyzer{"exact": f.analyzer, "sketch": sketchedCorpus(t, 0, 0)} {
-		state := an.MarshalState()
-		input := bytes.Clone(state)
-		restored, err := NewEngine(an.opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := restored.UnmarshalState(input); err != nil {
-			t.Fatal(err)
-		}
-		for i := range input {
-			input[i] = 0xAA
-		}
-		if !bytes.Equal(restored.MarshalState(), state) {
-			t.Errorf("%s: engine state changed when its decode input was overwritten", name)
-		}
+	state := f.analyzer.MarshalState()
+	input := bytes.Clone(state)
+	restored := NewAnalyzer(fixtureOptions(f))
+	if err := restored.UnmarshalState(input); err != nil {
+		t.Fatal(err)
+	}
+	for i := range input {
+		input[i] = 0xAA
+	}
+	if !bytes.Equal(restored.MarshalState(), state) {
+		t.Error("engine state changed when its decode input was overwritten")
 	}
 }
 
 // StateLayout names what an engine writes, not what it holds: equal for
 // an empty and a loaded engine of one configuration, different across
-// module sets and counting modes — including the pairs that load into
-// each other.
+// module sets — including a full state loaded into a subset engine.
 func TestStateLayout(t *testing.T) {
 	f := corpus(t)
 	opt := fixtureOptions(f)
@@ -275,13 +308,6 @@ func TestStateLayout(t *testing.T) {
 	}
 	if layout(subset.MarshalState()) == full {
 		t.Error("a module-subset engine reports the full layout")
-	}
-	sk := NewAnalyzer(opt.WithSketches(0, 0))
-	if err := sk.UnmarshalState(f.analyzer.MarshalState()); err != nil {
-		t.Fatal(err)
-	}
-	if layout(sk.MarshalState()) == full {
-		t.Error("a sketched engine reports the exact layout")
 	}
 	state := f.analyzer.MarshalState()
 	for _, bad := range [][]byte{nil, []byte("NOPE"), state[:len(state)/2]} {

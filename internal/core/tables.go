@@ -52,12 +52,8 @@ type DomainShare struct {
 	Share  float64 // of the class total
 }
 
-// sharesOf accepts anything with Top and Total — exact counters and
-// sketch counters alike.
-func sharesOf(c interface {
-	Top(k int) []stats.Entry
-	Total() uint64
-}, k int) []DomainShare {
+// sharesOf returns c's top k keys with their share of c's total.
+func sharesOf(c *stats.Counter, k int) []DomainShare {
 	top := c.Top(k)
 	total := c.Total()
 	out := make([]DomainShare, len(top))
@@ -502,9 +498,9 @@ func (e *Engine) IsraeliSubnets() []SubnetStat {
 	for subnet, st := range m.subnets {
 		out = append(out, SubnetStat{
 			Subnet:       subnet,
-			CensoredReqs: st.Censored, CensoredIPs: st.CensoredIPCount(),
-			AllowedReqs: st.Allowed, AllowedIPs: st.AllowedIPCount(),
-			ProxiedReqs: st.Proxied, ProxiedIPs: st.ProxiedIPCount(),
+			CensoredReqs: st.Censored, CensoredIPs: uint64(len(st.CensoredIPs)),
+			AllowedReqs: st.Allowed, AllowedIPs: uint64(len(st.AllowedIPs)),
+			ProxiedReqs: st.Proxied, ProxiedIPs: uint64(len(st.ProxIPs)),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -110,17 +110,15 @@ func parseBlock(src *BlockSource, it blockItem, obs BlockObs, emit func(*logfmt.
 // the struct if it keeps it (retaining field strings is fine). Results
 // are deterministic for commutative accumulators — block boundaries,
 // source interleaving and worker count never change what is observed,
-// only the order. All of internal/core's are commutative, with two
-// caveats, both accumulators that admit entries in observation order:
-// the token vocabulary cap (core's maxTokenEntries), so determinism
-// holds only while a corpus stays under it; and sketch mode, whose
-// Space-Saving tables evict in arrival order once they fill, so a
-// sketched run over a corpus with more distinct keys than the top-k
-// capacity differs from run to run. n=1 alone does not fix the order:
-// the serial path below needs a single source too, and with several the
+// only the order. All of internal/core's are commutative but one, an
+// accumulator that admits entries in observation order: the token
+// vocabulary cap (core's maxTokenEntries), so determinism holds only
+// while a corpus stays under it. n=1 alone does not fix the order: the
+// serial path below needs a single source too, and with several the
 // readers' blocks still reach the one worker in whatever order the
-// scheduler ran them. For either case pass one source (an io.MultiReader
-// over the files) and n=1, which folds strictly in stream order.
+// scheduler ran them. For a corpus past the cap pass one source (an
+// io.MultiReader over the files) and n=1, which folds strictly in stream
+// order.
 //
 // The returned error is the first failing source's, in srcs order; within
 // one source, the earliest failing line wins, so strict-mode errors match

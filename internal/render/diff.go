@@ -57,14 +57,13 @@ type RowPatch struct {
 
 // Diff computes the row-level delta turning prev into cur, two
 // renderings of the same experiment at different snapshots. ok=false
-// means the pair is not cheaply diffable — the section structure,
-// a table's title or headers, or the approx marker changed — and the
-// caller should send the full document instead. An ok Delta with no
-// sections means the documents are identical.
+// means the pair is not cheaply diffable — the section structure or a
+// table's title or headers changed — and the caller should send the full
+// document instead. An ok Delta with no sections means the documents are
+// identical.
 func Diff(prev, cur *Doc) (*Delta, bool) {
 	if prev == nil || cur == nil || prev.ID != cur.ID || prev.Kind != cur.Kind ||
-		prev.Title != cur.Title || prev.Approx != cur.Approx ||
-		len(prev.Sections) != len(cur.Sections) {
+		prev.Title != cur.Title || len(prev.Sections) != len(cur.Sections) {
 		return nil, false
 	}
 	d := &Delta{ID: cur.ID}

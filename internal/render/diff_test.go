@@ -19,7 +19,6 @@ type jsonDoc struct {
 	ID       string        `json:"id"`
 	Kind     string        `json:"kind"`
 	Title    string        `json:"title"`
-	Approx   bool          `json:"approx,omitempty"`
 	Sections []jsonSection `json:"sections"`
 }
 

@@ -41,11 +41,6 @@ type Doc struct {
 	Kind     string // "table", "figure" or "analysis"
 	Title    string
 	Sections []Section
-	// Approx marks results computed from sketch-mode estimates (the
-	// analyzer ran with -sketch and this experiment reads a sketched
-	// module). Exact-mode renderings never set it, so their text and JSON
-	// stay byte-identical to builds that predate sketches.
-	Approx bool
 }
 
 // addTable appends a table section.
@@ -68,9 +63,6 @@ func (d *Doc) textf(format string, args ...any) {
 // Text renders the whole Doc as terminal text.
 func (d *Doc) Text() string {
 	var sb strings.Builder
-	if d.Approx {
-		sb.WriteString("[approx: sketch-mode estimates]\n")
-	}
 	for i, s := range d.Sections {
 		if i > 0 {
 			sb.WriteByte('\n')
@@ -113,9 +105,8 @@ func (d *Doc) MarshalJSON() ([]byte, error) {
 		ID       string `json:"id"`
 		Kind     string `json:"kind"`
 		Title    string `json:"title"`
-		Approx   bool   `json:"approx,omitempty"`
 		Sections []any  `json:"sections"`
-	}{d.ID, d.Kind, d.Title, d.Approx, secs})
+	}{d.ID, d.Kind, d.Title, secs})
 }
 
 // Context carries what renderers read. An is required. Gen is the
@@ -226,9 +217,6 @@ func Render(id string, cx Context) (doc *Doc, err error) {
 	}
 	r := renderers[id]
 	d := &Doc{ID: id, Kind: Kind(id), Title: r.title}
-	if cx.An != nil && cx.An.Sketched() && core.UsesSketchedModules(id) {
-		d.Approx = true
-	}
 	defer func() {
 		if rec := recover(); rec != nil {
 			doc, err = nil, fmt.Errorf("render: %s: %v", id, rec)

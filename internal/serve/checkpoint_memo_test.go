@@ -9,24 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"syriafilter/internal/core"
 	"syriafilter/internal/logfmt"
 	"syriafilter/internal/obs/trace"
 	"syriafilter/internal/timewin"
 )
-
-// ckptModes runs a checkpoint test in exact and in -sketch counting mode.
-// The sketches are small: cheap per bucket, and a 128-key top-k overflows
-// on this corpus, so the eviction paths are in the bytes compared.
-func ckptModes(f *fixture) []struct {
-	name string
-	opt  core.Options
-} {
-	return []struct {
-		name string
-		opt  core.Options
-	}{{"exact", f.opt}, {"sketch", f.opt.WithSketches(6, 128)}}
-}
 
 func newMemoStore(t *testing.T, cfg Config) *Store {
 	t.Helper()
@@ -114,46 +100,44 @@ func assertMemoEqualsCold(t *testing.T, st *Store) {
 // checkpointed once.
 func TestCheckpointMemoisedEqualsCold(t *testing.T) {
 	f := corpus(t)
-	for _, mode := range ckptModes(f) {
-		t.Run(mode.name, func(t *testing.T) {
-			cfg := Config{Options: mode.opt, Shards: 3, Retain: 72 * time.Hour}
-			st := newMemoStore(t, cfg)
-			rnd := rand.New(rand.NewSource(11))
-			var fed []logfmt.Record
-			checkpoints := 0
-			dir := t.TempDir()
-			for next := 0; next < len(f.records); {
-				switch r := rnd.Intn(8); {
-				case r == 0:
-					if _, err := st.Checkpoint(dir); err != nil {
-						t.Fatal(err)
-					}
-					checkpoints++
-				case r == 1 && next > 5000: // late records, from behind the horizon
-					late := f.records[rnd.Intn(200):][:3]
-					fed = append(fed, late...)
-					st.Add(late)
-				default:
-					n := min(1+rnd.Intn(1500), len(f.records)-next)
-					fed = append(fed, f.records[next:next+n]...)
-					st.Add(f.records[next : next+n])
-					next += n
+	t.Run("exact", func(t *testing.T) {
+		cfg := Config{Options: f.opt, Shards: 3, Retain: 72 * time.Hour}
+		st := newMemoStore(t, cfg)
+		rnd := rand.New(rand.NewSource(11))
+		var fed []logfmt.Record
+		checkpoints := 0
+		dir := t.TempDir()
+		for next := 0; next < len(f.records); {
+			switch r := rnd.Intn(8); {
+			case r == 0:
+				if _, err := st.Checkpoint(dir); err != nil {
+					t.Fatal(err)
 				}
+				checkpoints++
+			case r == 1 && next > 5000: // late records, from behind the horizon
+				late := f.records[rnd.Intn(200):][:3]
+				fed = append(fed, late...)
+				st.Add(late)
+			default:
+				n := min(1+rnd.Intn(1500), len(f.records)-next)
+				fed = append(fed, f.records[next:next+n]...)
+				st.Add(f.records[next : next+n])
+				next += n
 			}
-			if st.obsm.compactions.Value() == 0 || checkpoints < 3 {
-				t.Fatalf("schedule too tame: %d compactions, %d checkpoints", st.obsm.compactions.Value(), checkpoints)
-			}
-			got := checkpointFiles(t, st)
+		}
+		if st.obsm.compactions.Value() == 0 || checkpoints < 3 {
+			t.Fatalf("schedule too tame: %d compactions, %d checkpoints", st.obsm.compactions.Value(), checkpoints)
+		}
+		got := checkpointFiles(t, st)
 
-			cold := newMemoStore(t, cfg)
-			cold.Add(fed)
-			sameFiles(t, "memoised vs cold", got, checkpointFiles(t, cold))
-			if enc, reused := frameCounts(cold); reused != 0 || enc == 0 {
-				t.Errorf("cold store encoded %d and reused %d frames", enc, reused)
-			}
-			assertMemoEqualsCold(t, st)
-		})
-	}
+		cold := newMemoStore(t, cfg)
+		cold.Add(fed)
+		sameFiles(t, "memoised vs cold", got, checkpointFiles(t, cold))
+		if enc, reused := frameCounts(cold); reused != 0 || enc == 0 {
+			t.Errorf("cold store encoded %d and reused %d frames", enc, reused)
+		}
+		assertMemoEqualsCold(t, st)
+	})
 }
 
 // (b) O(change), counted: a checkpoint encodes exactly one frame per
@@ -161,51 +145,49 @@ func TestCheckpointMemoisedEqualsCold(t *testing.T) {
 // every other frame.
 func TestCheckpointEncodesOnlyWhatChanged(t *testing.T) {
 	f := corpus(t)
-	for _, mode := range ckptModes(f) {
-		t.Run(mode.name, func(t *testing.T) {
-			const shards = 3
-			st := newMemoStore(t, Config{Options: mode.opt, Shards: shards})
-			st.Add(f.records)
-			// frames is the number of (shard, hour) pairs holding records.
-			pairs := map[[2]int64]bool{}
-			for i := range f.records {
-				pairs[[2]int64{int64(shardKey(&f.records[i]) % shards), f.records[i].Time / 3600}] = true
+	t.Run("exact", func(t *testing.T) {
+		const shards = 3
+		st := newMemoStore(t, Config{Options: f.opt, Shards: shards})
+		st.Add(f.records)
+		// frames is the number of (shard, hour) pairs holding records.
+		pairs := map[[2]int64]bool{}
+		for i := range f.records {
+			pairs[[2]int64{int64(shardKey(&f.records[i]) % shards), f.records[i].Time / 3600}] = true
+		}
+		frames := uint64(len(pairs))
+		dir := t.TempDir()
+		step := func(what string, wantEncoded uint64) {
+			t.Helper()
+			enc0, reu0 := frameCounts(st)
+			if _, err := st.Checkpoint(dir); err != nil {
+				t.Fatal(err)
 			}
-			frames := uint64(len(pairs))
-			dir := t.TempDir()
-			step := func(what string, wantEncoded uint64) {
-				t.Helper()
-				enc0, reu0 := frameCounts(st)
-				if _, err := st.Checkpoint(dir); err != nil {
-					t.Fatal(err)
-				}
-				enc, reu := frameCounts(st)
-				if enc-enc0 != wantEncoded || reu-reu0 != frames-wantEncoded {
-					t.Errorf("%s: encoded %d and reused %d frames, want %d and %d",
-						what, enc-enc0, reu-reu0, wantEncoded, frames-wantEncoded)
-				}
+			enc, reu := frameCounts(st)
+			if enc-enc0 != wantEncoded || reu-reu0 != frames-wantEncoded {
+				t.Errorf("%s: encoded %d and reused %d frames, want %d and %d",
+					what, enc-enc0, reu-reu0, wantEncoded, frames-wantEncoded)
 			}
-			step("first checkpoint", frames)
-			step("nothing new", 0)
+		}
+		step("first checkpoint", frames)
+		step("nothing new", 0)
 
-			// Records of one hour: one frame per shard that saw any of them.
-			hour := f.records[len(f.records)/2].Time / 3600
-			var touch []logfmt.Record
-			saw := map[uint64]bool{}
-			for i := range f.records {
-				if f.records[i].Time/3600 == hour && len(touch) < 40 {
-					touch = append(touch, f.records[i])
-					saw[shardKey(&f.records[i])%shards] = true
-				}
+		// Records of one hour: one frame per shard that saw any of them.
+		hour := f.records[len(f.records)/2].Time / 3600
+		var touch []logfmt.Record
+		saw := map[uint64]bool{}
+		for i := range f.records {
+			if f.records[i].Time/3600 == hour && len(touch) < 40 {
+				touch = append(touch, f.records[i])
+				saw[shardKey(&f.records[i])%shards] = true
 			}
-			st.Add(touch)
-			step("one hour touched", uint64(len(saw)))
-			st.Add(touch[:1])
-			step("one record", 1)
-			step("nothing new again", 0)
-			assertMemoEqualsCold(t, st)
-		})
-	}
+		}
+		st.Add(touch)
+		step("one hour touched", uint64(len(saw)))
+		st.Add(touch[:1])
+		step("one record", 1)
+		step("nothing new again", 0)
+		assertMemoEqualsCold(t, st)
+	})
 }
 
 // (c) A checkpoint restored into an empty store of the same shape seeds
@@ -217,79 +199,73 @@ func TestCheckpointEncodesOnlyWhatChanged(t *testing.T) {
 func TestCheckpointRestoreCheckpoint(t *testing.T) {
 	f := corpus(t)
 	half := len(f.records) / 2
-	for _, mode := range ckptModes(f) {
-		t.Run(mode.name, func(t *testing.T) {
-			cfg := Config{Options: mode.opt, Shards: 4, Retain: 96 * time.Hour}
-			orig := newMemoStore(t, cfg)
-			orig.Add(f.records)
-			dir := t.TempDir()
-			info, err := orig.Checkpoint(dir)
+	t.Run("exact", func(t *testing.T) {
+		cfg := Config{Options: f.opt, Shards: 4, Retain: 96 * time.Hour}
+		orig := newMemoStore(t, cfg)
+		orig.Add(f.records)
+		dir := t.TempDir()
+		info, err := orig.Checkpoint(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [][]byte
+		for i := 0; i < info.Shards; i++ {
+			b, err := os.ReadFile(filepath.Join(dir, info.Generation, shardFileName(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want [][]byte
-			for i := 0; i < info.Shards; i++ {
-				b, err := os.ReadFile(filepath.Join(dir, info.Generation, shardFileName(i)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = append(want, b)
-			}
+			want = append(want, b)
+		}
 
-			t.Run("same shape", func(t *testing.T) {
-				st := newMemoStore(t, cfg)
-				if _, err := st.Restore(dir); err != nil {
-					t.Fatal(err)
-				}
-				sameFiles(t, "checkpoint after restore", checkpointFiles(t, st), want)
-				if enc, reused := frameCounts(st); enc != 0 || reused == 0 {
-					t.Errorf("checkpoint after restore encoded %d frames (reused %d), want 0", enc, reused)
-				}
-				assertMemoEqualsCold(t, st)
-			})
-			t.Run("half the shards", func(t *testing.T) {
-				// Files 0 and 2 fold into shard 0, 1 and 3 into shard 1: every
-				// hour both files hold merges, and must re-encode.
-				two := cfg
-				two.Shards = 2
-				st := newMemoStore(t, two)
-				if _, err := st.Restore(dir); err != nil {
-					t.Fatal(err)
-				}
-				got := checkpointFiles(t, st)
-				if enc, _ := frameCounts(st); enc == 0 {
-					t.Error("a restore that merged shard files re-encoded nothing")
-				}
-				assertMemoEqualsCold(t, st)
-				if mode.name == "exact" {
-					// hash%4 folds onto hash%2 exactly as the restore does, so a
-					// cold two-shard store holds the same engines.
-					cold := newMemoStore(t, two)
-					cold.Add(f.records)
-					sameFiles(t, "resharded vs cold", got, checkpointFiles(t, cold))
-				}
-			})
-			t.Run("into a loaded store", func(t *testing.T) {
-				first := newMemoStore(t, cfg)
-				first.Add(f.records[:half])
-				halfDir := t.TempDir()
-				if _, err := first.Checkpoint(halfDir); err != nil {
-					t.Fatal(err)
-				}
-				st := newMemoStore(t, cfg)
-				st.Add(f.records[half:])
-				checkpointFiles(t, st) // cut a memo for the restore to invalidate
-				if _, err := st.Restore(halfDir); err != nil {
-					t.Fatal(err)
-				}
-				got := checkpointFiles(t, st)
-				assertMemoEqualsCold(t, st)
-				if mode.name == "exact" {
-					sameFiles(t, "restored into loaded vs cold", got, want)
-				}
-			})
+		t.Run("same shape", func(t *testing.T) {
+			st := newMemoStore(t, cfg)
+			if _, err := st.Restore(dir); err != nil {
+				t.Fatal(err)
+			}
+			sameFiles(t, "checkpoint after restore", checkpointFiles(t, st), want)
+			if enc, reused := frameCounts(st); enc != 0 || reused == 0 {
+				t.Errorf("checkpoint after restore encoded %d frames (reused %d), want 0", enc, reused)
+			}
+			assertMemoEqualsCold(t, st)
 		})
-	}
+		t.Run("half the shards", func(t *testing.T) {
+			// Files 0 and 2 fold into shard 0, 1 and 3 into shard 1: every
+			// hour both files hold merges, and must re-encode.
+			two := cfg
+			two.Shards = 2
+			st := newMemoStore(t, two)
+			if _, err := st.Restore(dir); err != nil {
+				t.Fatal(err)
+			}
+			got := checkpointFiles(t, st)
+			if enc, _ := frameCounts(st); enc == 0 {
+				t.Error("a restore that merged shard files re-encoded nothing")
+			}
+			assertMemoEqualsCold(t, st)
+			// hash%4 folds onto hash%2 exactly as the restore does, so a
+			// cold two-shard store holds the same engines.
+			cold := newMemoStore(t, two)
+			cold.Add(f.records)
+			sameFiles(t, "resharded vs cold", got, checkpointFiles(t, cold))
+		})
+		t.Run("into a loaded store", func(t *testing.T) {
+			first := newMemoStore(t, cfg)
+			first.Add(f.records[:half])
+			halfDir := t.TempDir()
+			if _, err := first.Checkpoint(halfDir); err != nil {
+				t.Fatal(err)
+			}
+			st := newMemoStore(t, cfg)
+			st.Add(f.records[half:])
+			checkpointFiles(t, st) // cut a memo for the restore to invalidate
+			if _, err := st.Restore(halfDir); err != nil {
+				t.Fatal(err)
+			}
+			got := checkpointFiles(t, st)
+			assertMemoEqualsCold(t, st)
+			sameFiles(t, "restored into loaded vs cold", got, want)
+		})
+	})
 
 	t.Run("full checkpoint into a module subset", func(t *testing.T) {
 		orig := newMemoStore(t, Config{Options: f.opt, Shards: 2})

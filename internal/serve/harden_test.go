@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"syriafilter/internal/core"
 	"syriafilter/internal/logfmt"
 	"syriafilter/internal/statecodec"
 	"syriafilter/internal/timewin"
@@ -357,6 +359,13 @@ func TestRestoreGenerationFallback(t *testing.T) {
 			wantRecords: 1000, wantFallbacks: 1,
 		},
 		{
+			name: "sketch-era state in newest falls back one generation",
+			mutate: func(t *testing.T, dir string) {
+				writeSketchEraShard(t, f, filepath.Join(dir, genB.Generation, shardFileName(0)))
+			},
+			wantRecords: 1000, wantFallbacks: 1,
+		},
+		{
 			name: "missing newest generation falls back one generation",
 			mutate: func(t *testing.T, dir string) {
 				if err := os.RemoveAll(filepath.Join(dir, genB.Generation)); err != nil {
@@ -439,6 +448,73 @@ func TestRestoreGenerationFallback(t *testing.T) {
 				t.Errorf("restored %d records after %d fallbacks, want %d after %d", info.Records, got, tc.wantRecords, newer)
 			}
 		})
+	}
+}
+
+// writeSketchEraShard writes, as shard 0 of 2, a file that is well formed
+// in every byte but one: its single bucket's engine state carries a users
+// section in layout 2, the form the removed -sketch mode wrote.
+func writeSketchEraShard(t *testing.T, f *fixture, path string) {
+	t.Helper()
+	an := core.NewAnalyzer(f.opt)
+	rec := f.records[0]
+	an.Observe(&rec)
+	in := statecodec.NewReader(an.MarshalState())
+	out := statecodec.NewWriter()
+	out.Raw(in.Raw(4)) // magic
+	out.Byte(in.Byte())
+	n := in.Count()
+	out.Uvarint(uint64(n))
+	for i := 0; i < n; i++ {
+		name, payload := in.String(), bytes.Clone(in.Blob())
+		if name == "users" {
+			payload[0] = 2
+		}
+		out.String(name)
+		out.Blob(payload)
+	}
+	if err := in.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var frame bytes.Buffer
+	zw, _ := gzip.NewWriterLevel(&frame, gzip.BestSpeed) // only errors on an invalid level
+	zw.Write(out.Bytes())
+	zw.Close()
+
+	hw := statecodec.NewWriter() // shard header: shard 0 of 2, one record
+	hw.Raw([]byte(shardStateMagic))
+	hw.Byte(shardStateVersion)
+	hw.Uvarint(0)
+	hw.Uvarint(2)
+	hw.Uvarint(1)
+	hw.Checksum()
+	tw := statecodec.NewWriter() // frames table: no tail, one hour bucket
+	tw.Raw([]byte("SFTF"))
+	tw.Byte(1)
+	tw.Uvarint(3600)
+	tw.Uvarint(0)
+	tw.Bool(false)
+	tw.Uvarint(1)
+	tw.Varint(rec.Time / 3600)
+	tw.Uvarint(1)
+	tw.Uvarint(uint64(frame.Len()))
+	tw.Checksum()
+	file := slices.Concat(hw.Bytes(), tw.Bytes(), frame.Bytes())
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The file fails on the layout byte and on nothing before it.
+	stream, _, err := readShardFile(path, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := timewin.New(timewin.Config{Options: f.opt, Bucket: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.UnmarshalFrames(stream); err == nil || !strings.Contains(err.Error(), "written by the removed -sketch mode") {
+		t.Fatalf("sketch-era frame: err = %v, want the -sketch refusal", err)
 	}
 }
 

@@ -154,8 +154,8 @@ func (st *Store) rangeInto(p *timewin.Partition, dst *core.Engine, w timewin.Win
 
 // registerObsFuncs registers the scrape-sampled series: state another
 // subsystem already maintains (record totals, queue depths, checkpoint
-// generation, sketch footprints) read through closures at scrape time
-// instead of being double-counted on the hot path.
+// generation) read through closures at scrape time instead of being
+// double-counted on the hot path.
 func (st *Store) registerObsFuncs(r *obs.Registry) {
 	obs.RegisterBuildInfo(r)
 	r.CounterFunc("censord_store_records_total",
@@ -195,22 +195,6 @@ func (st *Store) registerObsFuncs(r *obs.Registry) {
 			}
 			return 0
 		})
-
-	for _, mod := range core.SketchedModules {
-		mod := mod
-		r.GaugeFunc("censord_sketch_topk_entries",
-			"Retained Space-Saving entries per module (0 when exact).",
-			func() float64 { return float64(st.sketchSizes(mod).TopKEntries) },
-			"module", mod)
-		r.GaugeFunc("censord_sketch_topk_capacity",
-			"Space-Saving capacity per module (0 when exact).",
-			func() float64 { return float64(st.sketchSizes(mod).TopKCapacity) },
-			"module", mod)
-		r.GaugeFunc("censord_sketch_hlls",
-			"Live HyperLogLog sketches per module (0 when exact).",
-			func() float64 { return float64(st.sketchSizes(mod).HLLs) },
-			"module", mod)
-	}
 
 	r.CounterFunc("censord_intern_strings_total",
 		"Strings added to the parser interning tables (process-wide, cold path only).",
@@ -260,10 +244,4 @@ func newReadMetrics(r *obs.Registry) readMetrics {
 		syncWait: r.Histogram("censord_sync_wait_seconds",
 			"Time parked /v1/sync long-polls spent waiting, whatever ended the wait.", nil),
 	}
-}
-
-// sketchSizes samples one module's sketch footprint from the published
-// snapshot (the merged representative of every shard engine).
-func (st *Store) sketchSizes(module string) core.SketchSizes {
-	return st.Current().An.Engine.SketchStats()[module]
 }

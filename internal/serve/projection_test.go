@@ -30,9 +30,8 @@ func encodeDoc(t *testing.T, doc *render.Doc, format string) []byte {
 }
 
 // /v1/range folds only the modules its doc reads. The body must not
-// show it: for every experiment, window shape and format, exact and
-// sketched, it equals the body rendered from a Store.Range engine that
-// carries every module.
+// show it: for every experiment, window shape and format, it equals the
+// body rendered from a Store.Range engine that carries every module.
 func TestRangeProjectionByteIdentity(t *testing.T) {
 	f := corpus(t)
 	day := func(d, h int) int64 { return time.Date(2011, 8, d, h, 0, 0, 0, time.UTC).Unix() }
@@ -46,79 +45,69 @@ func TestRangeProjectionByteIdentity(t *testing.T) {
 		{"all", timewin.Window{}, 0},
 		{"6d-step-24h", timewin.Window{From: day(1, 0), To: day(7, 0)}, 86400},
 	}
-	modes := []struct {
-		name string
-		opt  core.Options
-	}{
-		{"exact", f.opt},
-		// A small top-k makes the sketches evict, so merge order shows.
-		{"sketch", f.opt.WithSketches(0, 64)},
+	store, err := NewStore(Config{Options: f.opt, Shards: 4, Bucket: time.Hour})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, mode := range modes {
-		store, err := NewStore(Config{Options: mode.opt, Shards: 4, Bucket: time.Hour})
+	t.Cleanup(store.Close)
+	if _, err := store.Add(f.records); err != nil {
+		t.Fatal(err)
+	}
+	// Caching off: every request takes the projected merge.
+	srv := NewServer(store, f.gen, WithDocCacheBytes(0))
+
+	for _, w := range windows {
+		// The reference engines carry every module.
+		var full *core.Analyzer
+		var series []RangeWindow
+		if w.step > 0 {
+			series, err = store.RangeSeries(w.win, w.step)
+		} else {
+			full, _, err = store.Range(w.win)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(store.Close)
-		if _, err := store.Add(f.records); err != nil {
-			t.Fatal(err)
-		}
-		// Caching off: every request takes the projected merge.
-		srv := NewServer(store, f.gen, WithDocCacheBytes(0))
-
-		for _, w := range windows {
-			// The reference engines carry every module.
-			var full *core.Analyzer
-			var series []RangeWindow
-			if w.step > 0 {
-				series, err = store.RangeSeries(w.win, w.step)
-			} else {
-				full, _, err = store.Range(w.win)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, id := range render.Order() {
-				for _, format := range []string{"json", "text"} {
-					var want []byte
-					if w.step > 0 {
-						s := &render.Series{ID: id, Kind: render.Kind(id), Title: render.Title(id), StepSeconds: w.step}
-						for _, rw := range series {
-							doc, err := render.Render(id, render.Context{An: rw.An, Gen: f.gen})
-							if err != nil {
-								t.Fatal(err)
-							}
-							s.Windows = append(s.Windows, render.SeriesWindow{
-								FromUnix: rw.Window.From, ToUnix: rw.Window.To, Records: rw.Coverage.Records, Doc: doc,
-							})
-						}
-						if want = []byte(s.Text()); format == "json" {
-							if want, err = render.EncodeJSON(s); err != nil {
-								t.Fatal(err)
-							}
-						}
-					} else {
-						doc, err := render.Render(id, render.Context{An: full, Gen: f.gen})
+		for _, id := range render.Order() {
+			for _, format := range []string{"json", "text"} {
+				var want []byte
+				if w.step > 0 {
+					s := &render.Series{ID: id, Kind: render.Kind(id), Title: render.Title(id), StepSeconds: w.step}
+					for _, rw := range series {
+						doc, err := render.Render(id, render.Context{An: rw.An, Gen: f.gen})
 						if err != nil {
 							t.Fatal(err)
 						}
-						want = encodeDoc(t, doc, format)
+						s.Windows = append(s.Windows, render.SeriesWindow{
+							FromUnix: rw.Window.From, ToUnix: rw.Window.To, Records: rw.Coverage.Records, Doc: doc,
+						})
 					}
-					path := fmt.Sprintf("/v1/range/%s?format=%s", id, format)
-					if !w.win.IsZero() {
-						path += fmt.Sprintf("&from=%d&to=%d", w.win.From, w.win.To)
+					if want = []byte(s.Text()); format == "json" {
+						if want, err = render.EncodeJSON(s); err != nil {
+							t.Fatal(err)
+						}
 					}
-					if w.step > 0 {
-						path += fmt.Sprintf("&step=%d", w.step)
+				} else {
+					doc, err := render.Render(id, render.Context{An: full, Gen: f.gen})
+					if err != nil {
+						t.Fatal(err)
 					}
-					rw := get(srv, path)
-					if rw.Code != http.StatusOK {
-						t.Fatalf("%s %s: status %d: %.200s", mode.name, path, rw.Code, rw.Body.String())
-					}
-					if !bytes.Equal(rw.Body.Bytes(), want) {
-						t.Errorf("%s %s (%s): projected body differs from the full-engine render\n got: %.200s\nwant: %.200s",
-							mode.name, path, w.name, rw.Body.Bytes(), want)
-					}
+					want = encodeDoc(t, doc, format)
+				}
+				path := fmt.Sprintf("/v1/range/%s?format=%s", id, format)
+				if !w.win.IsZero() {
+					path += fmt.Sprintf("&from=%d&to=%d", w.win.From, w.win.To)
+				}
+				if w.step > 0 {
+					path += fmt.Sprintf("&step=%d", w.step)
+				}
+				rw := get(srv, path)
+				if rw.Code != http.StatusOK {
+					t.Fatalf("%s: status %d: %.200s", path, rw.Code, rw.Body.String())
+				}
+				if !bytes.Equal(rw.Body.Bytes(), want) {
+					t.Errorf("%s (%s): projected body differs from the full-engine render\n got: %.200s\nwant: %.200s",
+						path, w.name, rw.Body.Bytes(), want)
 				}
 			}
 		}

@@ -435,3 +435,60 @@ func BenchmarkCounterTop(b *testing.B) {
 		}
 	})
 }
+
+func TestCounterBasics(t *testing.T) {
+	c := NewCounter()
+	c.Add("a")
+	c.AddN("b", 3)
+	c.Add("a")
+	if got := c.Count("a"); got != 2 {
+		t.Errorf("Count(a) = %d", got)
+	}
+	if got := c.Count("b"); got != 3 {
+		t.Errorf("Count(b) = %d", got)
+	}
+	if got := c.Count("missing"); got != 0 {
+		t.Errorf("Count(missing) = %d", got)
+	}
+	if c.Total() != 5 || c.Len() != 2 {
+		t.Errorf("Total=%d Len=%d", c.Total(), c.Len())
+	}
+}
+
+func TestCounterMerge(t *testing.T) {
+	a, b := NewCounter(), NewCounter()
+	a.AddN("x", 2)
+	b.AddN("x", 3)
+	b.AddN("y", 1)
+	a.Merge(b)
+	if a.Count("x") != 5 || a.Count("y") != 1 || a.Total() != 6 {
+		t.Errorf("merged counter wrong: x=%d y=%d total=%d", a.Count("x"), a.Count("y"), a.Total())
+	}
+}
+
+func TestCounterTopOrderingDeterministic(t *testing.T) {
+	c := NewCounter()
+	c.AddN("zeta", 5)
+	c.AddN("alpha", 5)
+	c.AddN("mid", 7)
+	top := c.Top(3)
+	if top[0].Key != "mid" || top[1].Key != "alpha" || top[2].Key != "zeta" {
+		t.Errorf("Top order = %v", top)
+	}
+}
+
+func TestCounterTopLimits(t *testing.T) {
+	c := NewCounter()
+	for i := 0; i < 10; i++ {
+		c.AddN(fmt.Sprintf("k%d", i), uint64(i+1))
+	}
+	if got := len(c.Top(3)); got != 3 {
+		t.Errorf("Top(3) len = %d", got)
+	}
+	if got := len(c.Top(0)); got != 10 {
+		t.Errorf("Top(0) len = %d", got)
+	}
+	if got := len(c.Top(100)); got != 10 {
+		t.Errorf("Top(100) len = %d", got)
+	}
+}

@@ -1,8 +1,7 @@
-// Package stats provides the streaming statistics, sampling, and sketching
-// primitives used throughout the analysis toolkit: deterministic PRNG,
-// Space-Saving top-k, CDFs, cosine similarity, Zipf sampling, power-law
-// fitting, proportion confidence intervals and HyperLogLog cardinality
-// estimation.
+// Package stats provides the streaming statistics and sampling primitives
+// used throughout the analysis toolkit: deterministic PRNG, exact
+// frequency counters, CDFs, cosine similarity, Zipf sampling, power-law
+// fitting and proportion confidence intervals.
 //
 // Everything here is allocation-conscious and safe to use from the scan
 // pipeline's per-worker accumulators. Nothing reads the wall clock; all

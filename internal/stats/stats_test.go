@@ -221,70 +221,6 @@ func TestCIErrors(t *testing.T) {
 	}
 }
 
-func TestHLLAccuracy(t *testing.T) {
-	h := NewHyperLogLog(14)
-	const n = 100000
-	r := NewRand(77)
-	seen := make(map[uint64]struct{}, n)
-	for len(seen) < n {
-		v := r.Uint64()
-		seen[v] = struct{}{}
-		h.AddHash(v)
-	}
-	est := float64(h.Estimate())
-	if math.Abs(est-n)/n > 0.03 {
-		t.Errorf("HLL estimate %v for true %d (err %.2f%%)", est, n, 100*math.Abs(est-n)/n)
-	}
-}
-
-func TestHLLSmallRange(t *testing.T) {
-	h := NewHyperLogLog(10)
-	for i := 0; i < 50; i++ {
-		h.Add(string(rune('a' + i)))
-	}
-	est := h.Estimate()
-	if est < 45 || est > 55 {
-		t.Errorf("small-range estimate = %d, want ~50", est)
-	}
-}
-
-func TestHLLDuplicatesDontInflate(t *testing.T) {
-	h := NewHyperLogLog(12)
-	for i := 0; i < 10000; i++ {
-		h.Add("same-key")
-	}
-	if est := h.Estimate(); est != 1 {
-		t.Errorf("estimate of singleton stream = %d", est)
-	}
-}
-
-func TestHLLMerge(t *testing.T) {
-	a, b := NewHyperLogLog(12), NewHyperLogLog(12)
-	r := NewRand(123)
-	for i := 0; i < 5000; i++ {
-		v := r.Uint64()
-		a.AddHash(v)
-		b.AddHash(v) // same elements: merge must not double count
-	}
-	for i := 0; i < 5000; i++ {
-		b.AddHash(r.Uint64())
-	}
-	a.Merge(b)
-	est := float64(a.Estimate())
-	if math.Abs(est-10000)/10000 > 0.05 {
-		t.Errorf("merged estimate %v, want ~10000", est)
-	}
-}
-
-func TestHLLPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for bad precision")
-		}
-	}()
-	NewHyperLogLog(3)
-}
-
 func TestHash64Stable(t *testing.T) {
 	// FNV-1a known-answer test.
 	if got := Hash64(""); got != 14695981039346656037 {

@@ -55,9 +55,9 @@ const (
 	// that is corruption, known before a byte is allocated for it.
 	maxInflateRatio = 1032
 	// presizeRatio caps the output buffer a frame's stored raw length may
-	// reserve up front. State frames inflate 3–5x (sketch registers more);
-	// past this the buffer grows with the bytes that really arrive, so a
-	// garbled length costs a bounded allocation and one clean error.
+	// reserve up front. State frames inflate 3–5x; past this the buffer
+	// grows with the bytes that really arrive, so a garbled length costs a
+	// bounded allocation and one clean error.
 	presizeRatio = 16
 )
 
@@ -168,8 +168,8 @@ var frameHeader = packFrame(nil)[:10]
 
 // unpacker inflates frames one after another, reusing its inflater and
 // its output buffer: no state decoder keeps a reference into its input
-// (strings and register arrays are copied out), so the bytes of one
-// frame may be overwritten by the next.
+// (strings are copied out), so the bytes of one frame may be overwritten
+// by the next.
 type unpacker struct {
 	zr  *gzip.Reader
 	src bytes.Reader
@@ -265,10 +265,9 @@ func (p *Partition) readFrames(b []byte) (ss segments, order []*segment, err err
 // decodeFrame inflates a staged segment's frame and decodes it into a
 // fresh engine of the partition's configuration. The frame stays as the
 // segment's memo only when its layout is the partition's own — exactly
-// its modules, in its counting mode — because only then is it what
-// encoding the decoded engine would produce: a full checkpoint loaded
-// into a module-subset partition must not re-emit sections it no longer
-// maintains.
+// its modules — because only then is it what encoding the decoded engine
+// would produce: a full checkpoint loaded into a module-subset partition
+// must not re-emit sections it no longer maintains.
 func (p *Partition) decodeFrame(s *segment, u *unpacker) error {
 	raw, err := u.unpack(s.memo.data)
 	if err != nil {

@@ -10,25 +10,15 @@ import (
 	"testing"
 	"time"
 
-	"syriafilter/internal/core"
 	"syriafilter/internal/logfmt"
 )
 
-// frameModes runs a frames test in exact and in -sketch counting mode.
-var frameModes = []struct {
-	name string
-	opt  core.Options
-}{
-	{"exact", core.Options{}},
-	{"sketch", core.Options{}.WithSketches(6, 8)}, // small: 17 hosts overflow an 8-key top-k
-}
-
-func newFramesPartition(t testing.TB, opt core.Options, retain time.Duration, metrics ...string) *Partition {
+func newFramesPartition(t testing.TB, retain time.Duration, metrics ...string) *Partition {
 	t.Helper()
 	if metrics == nil {
 		metrics = testMetrics
 	}
-	p, err := New(Config{Options: opt, Metrics: metrics, Bucket: time.Hour, Retain: retain})
+	p, err := New(Config{Metrics: metrics, Bucket: time.Hour, Retain: retain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +39,9 @@ func frameStream(t testing.TB, p *Partition) (Frames, []byte) {
 
 // coldStream is the reference: a fresh partition that observed recs in
 // order and cuts its frames once.
-func coldStream(t testing.TB, opt core.Options, retain time.Duration, recs []logfmt.Record, metrics ...string) []byte {
+func coldStream(t testing.TB, retain time.Duration, recs []logfmt.Record, metrics ...string) []byte {
 	t.Helper()
-	q := newFramesPartition(t, opt, retain, metrics...)
+	q := newFramesPartition(t, retain, metrics...)
 	for i := range recs {
 		q.Observe(&recs[i])
 	}
@@ -70,99 +60,95 @@ func hostRec(i int, ts int64) logfmt.Record {
 // late records a partition went through, its frames are byte for byte
 // those of a partition that saw the same records and checkpoints once.
 func TestFramesMemoisedEqualsCold(t *testing.T) {
-	for _, mode := range frameModes {
-		t.Run(mode.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 4; seed++ {
-				rnd := rand.New(rand.NewSource(seed))
-				const retain = 36 * time.Hour
-				p := newFramesPartition(t, mode.opt, retain)
-				var recs []logfmt.Record
-				now := base
-				checkpoints := 0
-				for step := 0; step < 600; step++ {
-					switch r := rnd.Intn(20); {
-					case r == 0:
-						p.CheckpointFrames()
-						checkpoints++
-						continue
-					case r == 1: // a late record, far behind the retention horizon
-						recs = append(recs, hostRec(step, base+int64(rnd.Intn(3600))))
-					case r < 5: // time moves on, eventually compacting old buckets
-						now += int64(rnd.Intn(3 * 3600))
-						fallthrough
-					default:
-						recs = append(recs, hostRec(step, now-int64(rnd.Intn(2*3600))))
-					}
-					p.Observe(&recs[len(recs)-1])
+	t.Run("exact", func(t *testing.T) {
+		for seed := int64(1); seed <= 4; seed++ {
+			rnd := rand.New(rand.NewSource(seed))
+			const retain = 36 * time.Hour
+			p := newFramesPartition(t, retain)
+			var recs []logfmt.Record
+			now := base
+			checkpoints := 0
+			for step := 0; step < 600; step++ {
+				switch r := rnd.Intn(20); {
+				case r == 0:
+					p.CheckpointFrames()
+					checkpoints++
+					continue
+				case r == 1: // a late record, far behind the retention horizon
+					recs = append(recs, hostRec(step, base+int64(rnd.Intn(3600))))
+				case r < 5: // time moves on, eventually compacting old buckets
+					now += int64(rnd.Intn(3 * 3600))
+					fallthrough
+				default:
+					recs = append(recs, hostRec(step, now-int64(rnd.Intn(2*3600))))
 				}
-				if p.tail == nil || checkpoints < 5 {
-					t.Fatalf("seed %d: schedule too tame (tail %v, %d checkpoints)", seed, p.tail != nil, checkpoints)
-				}
-				_, got := frameStream(t, p)
-				if want := coldStream(t, mode.opt, retain, recs); !bytes.Equal(got, want) {
-					t.Fatalf("seed %d: memoised frames differ from a cold encode (%d vs %d bytes)", seed, len(got), len(want))
-				}
-				// MarshalState stays the canonical, uncached form: it neither
-				// reads nor fills the memo, so the frames after it are the same.
-				p.MarshalState()
-				if fs, again := frameStream(t, p); fs.Encoded != 0 || !bytes.Equal(again, got) {
-					t.Fatalf("seed %d: second checkpoint encoded %d frames", seed, fs.Encoded)
-				}
+				p.Observe(&recs[len(recs)-1])
 			}
-		})
-	}
+			if p.tail == nil || checkpoints < 5 {
+				t.Fatalf("seed %d: schedule too tame (tail %v, %d checkpoints)", seed, p.tail != nil, checkpoints)
+			}
+			_, got := frameStream(t, p)
+			if want := coldStream(t, retain, recs); !bytes.Equal(got, want) {
+				t.Fatalf("seed %d: memoised frames differ from a cold encode (%d vs %d bytes)", seed, len(got), len(want))
+			}
+			// MarshalState stays the canonical, uncached form: it neither
+			// reads nor fills the memo, so the frames after it are the same.
+			p.MarshalState()
+			if fs, again := frameStream(t, p); fs.Encoded != 0 || !bytes.Equal(again, got) {
+				t.Fatalf("seed %d: second checkpoint encoded %d frames", seed, fs.Encoded)
+			}
+		}
+	})
 }
 
 // O(change) as a count: a checkpoint encodes exactly the frames whose
 // owner took records since the last one and reuses the rest.
 func TestFramesEncodeOnlyWhatChanged(t *testing.T) {
-	for _, mode := range frameModes {
-		t.Run(mode.name, func(t *testing.T) {
-			p := newFramesPartition(t, mode.opt, 48*time.Hour)
-			const hours = 72
-			for h := 0; h < hours; h++ {
-				for i := 0; i < 3; i++ {
-					rec := hostRec(h*3+i, base+int64(h)*3600+int64(i))
-					p.Observe(&rec)
-				}
-			}
-			frames := p.Buckets() + 1 // the live ring plus the tail
-			check := func(what string, encoded int) {
-				t.Helper()
-				fs := p.CheckpointFrames()
-				if fs.Encoded != encoded || fs.Reused != frames-encoded || len(fs.frames) != frames {
-					t.Fatalf("%s: encoded %d reused %d of %d frames, want %d encoded of %d",
-						what, fs.Encoded, fs.Reused, len(fs.frames), encoded, frames)
-				}
-			}
-			check("first checkpoint", frames)
-			check("nothing new", 0)
-
-			for i := 0; i < 5; i++ { // five records, one hour
-				rec := hostRec(i, base+int64(hours-1)*3600+100+int64(i))
+	t.Run("exact", func(t *testing.T) {
+		p := newFramesPartition(t, 48*time.Hour)
+		const hours = 72
+		for h := 0; h < hours; h++ {
+			for i := 0; i < 3; i++ {
+				rec := hostRec(h*3+i, base+int64(h)*3600+int64(i))
 				p.Observe(&rec)
 			}
-			check("one hour touched", 1)
+		}
+		frames := p.Buckets() + 1 // the live ring plus the tail
+		check := func(what string, encoded int) {
+			t.Helper()
+			fs := p.CheckpointFrames()
+			if fs.Encoded != encoded || fs.Reused != frames-encoded || len(fs.frames) != frames {
+				t.Fatalf("%s: encoded %d reused %d of %d frames, want %d encoded of %d",
+					what, fs.Encoded, fs.Reused, len(fs.frames), encoded, frames)
+			}
+		}
+		check("first checkpoint", frames)
+		check("nothing new", 0)
 
-			late := hostRec(1, base+60) // behind the horizon: folds into the tail
-			p.Observe(&late)
-			check("late record", 1)
+		for i := 0; i < 5; i++ { // five records, one hour
+			rec := hostRec(i, base+int64(hours-1)*3600+100+int64(i))
+			p.Observe(&rec)
+		}
+		check("one hour touched", 1)
 
-			// A new hour: its bucket is new, and the bucket it pushes past
-			// the horizon leaves the ring for the tail.
-			next := hostRec(2, base+int64(hours)*3600)
-			p.Observe(&next)
-			check("new hour with compaction", 2)
-			check("nothing new again", 0)
-		})
-	}
+		late := hostRec(1, base+60) // behind the horizon: folds into the tail
+		p.Observe(&late)
+		check("late record", 1)
+
+		// A new hour: its bucket is new, and the bucket it pushes past
+		// the horizon leaves the ring for the tail.
+		next := hostRec(2, base+int64(hours)*3600)
+		p.Observe(&next)
+		check("new hour with compaction", 2)
+		check("nothing new again", 0)
+	})
 }
 
-// restoreInto decodes stream into a fresh partition of the given mode
-// and module set.
-func restoreInto(t testing.TB, opt core.Options, retain time.Duration, stream []byte, metrics ...string) *Partition {
+// restoreInto decodes stream into a fresh partition of the given module
+// set.
+func restoreInto(t testing.TB, retain time.Duration, stream []byte, metrics ...string) *Partition {
 	t.Helper()
-	q := newFramesPartition(t, opt, retain, metrics...)
+	q := newFramesPartition(t, retain, metrics...)
 	if err := q.UnmarshalFrames(stream); err != nil {
 		t.Fatal(err)
 	}
@@ -180,35 +166,33 @@ func framesCorpus() []logfmt.Record {
 // A restore into an empty partition seeds the memo with the bytes it
 // read: the next checkpoint encodes nothing and writes the same stream.
 func TestFramesRestoreSeedsMemo(t *testing.T) {
-	for _, mode := range frameModes {
-		for _, retain := range []time.Duration{0, 36 * time.Hour} {
-			t.Run(fmt.Sprintf("%s/retain=%v", mode.name, retain), func(t *testing.T) {
-				recs := framesCorpus()
-				stream := coldStream(t, mode.opt, retain, recs)
-				q := restoreInto(t, mode.opt, retain, stream)
-				fs, again := frameStream(t, q)
-				if fs.Encoded != 0 || fs.Reused != len(fs.frames) {
-					t.Errorf("checkpoint after restore encoded %d of %d frames", fs.Encoded, len(fs.frames))
-				}
-				if !bytes.Equal(again, stream) {
-					t.Error("checkpoint after restore differs from the stream restored")
-				}
-				// And it is the same partition: the canonical encodings agree.
-				p := newFramesPartition(t, mode.opt, retain)
-				for i := range recs {
-					p.Observe(&recs[i])
-				}
-				if !bytes.Equal(q.MarshalState(), p.MarshalState()) {
-					t.Error("restored partition's MarshalState differs from the original's")
-				}
-				// The seeded memo obeys the same rule as a cut one.
-				rec := hostRec(3, recs[len(recs)-1].Time)
-				q.Observe(&rec)
-				if fs := q.CheckpointFrames(); fs.Encoded != 1 {
-					t.Errorf("one record after restore encoded %d frames, want 1", fs.Encoded)
-				}
-			})
-		}
+	for _, retain := range []time.Duration{0, 36 * time.Hour} {
+		t.Run(fmt.Sprintf("exact/retain=%v", retain), func(t *testing.T) {
+			recs := framesCorpus()
+			stream := coldStream(t, retain, recs)
+			q := restoreInto(t, retain, stream)
+			fs, again := frameStream(t, q)
+			if fs.Encoded != 0 || fs.Reused != len(fs.frames) {
+				t.Errorf("checkpoint after restore encoded %d of %d frames", fs.Encoded, len(fs.frames))
+			}
+			if !bytes.Equal(again, stream) {
+				t.Error("checkpoint after restore differs from the stream restored")
+			}
+			// And it is the same partition: the canonical encodings agree.
+			p := newFramesPartition(t, retain)
+			for i := range recs {
+				p.Observe(&recs[i])
+			}
+			if !bytes.Equal(q.MarshalState(), p.MarshalState()) {
+				t.Error("restored partition's MarshalState differs from the original's")
+			}
+			// The seeded memo obeys the same rule as a cut one.
+			rec := hostRec(3, recs[len(recs)-1].Time)
+			q.Observe(&rec)
+			if fs := q.CheckpointFrames(); fs.Encoded != 1 {
+				t.Errorf("one record after restore encoded %d frames, want 1", fs.Encoded)
+			}
+		})
 	}
 }
 
@@ -226,12 +210,11 @@ func TestFramesRestoreMergesReencode(t *testing.T) {
 			b = append(b, recs[i])
 		}
 	}
-	opt := core.Options{}
-	sa, sb := coldStream(t, opt, 0, a), coldStream(t, opt, 0, b)
-	want := coldStream(t, opt, 0, append(append([]logfmt.Record(nil), a...), b...))
+	sa, sb := coldStream(t, 0, a), coldStream(t, 0, b)
+	want := coldStream(t, 0, append(append([]logfmt.Record(nil), a...), b...))
 
 	t.Run("two streams into one partition", func(t *testing.T) {
-		q := restoreInto(t, opt, 0, sa)
+		q := restoreInto(t, 0, sa)
 		if err := q.UnmarshalFrames(sb); err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +227,7 @@ func TestFramesRestoreMergesReencode(t *testing.T) {
 		}
 	})
 	t.Run("into a loaded partition", func(t *testing.T) {
-		q := newFramesPartition(t, opt, 0)
+		q := newFramesPartition(t, 0)
 		for i := range a {
 			q.Observe(&a[i])
 		}
@@ -261,10 +244,10 @@ func TestFramesRestoreMergesReencode(t *testing.T) {
 		}
 	})
 	t.Run("absorb carries valid memos only", func(t *testing.T) {
-		src := restoreInto(t, opt, 0, sa)
+		src := restoreInto(t, 0, sa)
 		rec := a[0]
 		src.Observe(&rec) // src's first bucket moved on from its frame
-		dst := newFramesPartition(t, opt, 0)
+		dst := newFramesPartition(t, 0)
 		if err := dst.Absorb(src); err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +255,7 @@ func TestFramesRestoreMergesReencode(t *testing.T) {
 		if fs.Encoded != 1 {
 			t.Errorf("absorbed partition encoded %d frames, want the 1 that changed", fs.Encoded)
 		}
-		if cold := coldStream(t, opt, 0, append(append([]logfmt.Record(nil), a...), rec)); !bytes.Equal(got, cold) {
+		if cold := coldStream(t, 0, append(append([]logfmt.Record(nil), a...), rec)); !bytes.Equal(got, cold) {
 			t.Error("absorbed partition differs from the cold encode")
 		}
 	})
@@ -280,34 +263,20 @@ func TestFramesRestoreMergesReencode(t *testing.T) {
 
 // A frame may seed the memo only when it is what this partition's
 // engines would write. A full-module stream loads into a module-subset
-// partition, and an exact one into a sketched partition, but neither is
-// re-emitted: every frame re-encodes, to the subset's (or the sketch's)
-// own cold encoding.
+// partition, but is not re-emitted: every frame re-encodes, to the
+// subset's own cold encoding.
 func TestFramesForeignLayoutNotReused(t *testing.T) {
 	recs := framesCorpus()
 	full := append([]string{"ports"}, testMetrics...)
 	t.Run("full stream into subset partition", func(t *testing.T) {
-		stream := coldStream(t, core.Options{}, 0, recs, full...)
-		q := restoreInto(t, core.Options{}, 0, stream)
+		stream := coldStream(t, 0, recs, full...)
+		q := restoreInto(t, 0, stream)
 		fs, got := frameStream(t, q)
 		if fs.Reused != 0 {
 			t.Errorf("subset partition reused %d full-module frames", fs.Reused)
 		}
-		if want := coldStream(t, core.Options{}, 0, recs); !bytes.Equal(got, want) {
+		if want := coldStream(t, 0, recs); !bytes.Equal(got, want) {
 			t.Error("subset partition's frames differ from its cold encode")
-		}
-	})
-	t.Run("exact stream into sketched partition", func(t *testing.T) {
-		sk := core.Options{}.WithSketches(0, 0)
-		stream := coldStream(t, core.Options{}, 0, recs)
-		q := restoreInto(t, sk, 0, stream)
-		fs, got := frameStream(t, q)
-		if fs.Reused != 0 {
-			t.Errorf("sketched partition reused %d exact-layout frames", fs.Reused)
-		}
-		// Its frames are now sketch-layout: they restore and reuse.
-		if fs := restoreInto(t, sk, 0, got).CheckpointFrames(); fs.Encoded != 0 {
-			t.Errorf("sketch-layout frames re-encoded %d after a restore", fs.Encoded)
 		}
 	})
 }
@@ -318,11 +287,11 @@ func TestFramesForeignLayoutNotReused(t *testing.T) {
 // round a frame's deflate stream up to a byte. A flip there may decode,
 // to the identical partition.)
 func TestFramesCorruption(t *testing.T) {
-	stream := coldStream(t, core.Options{}, 36*time.Hour, framesCorpus())
-	canonical := restoreInto(t, core.Options{}, 36*time.Hour, stream).MarshalState()
+	stream := coldStream(t, 36*time.Hour, framesCorpus())
+	canonical := restoreInto(t, 36*time.Hour, stream).MarshalState()
 	refused := func(what string, b []byte) {
 		t.Helper()
-		q := newFramesPartition(t, core.Options{}, 36*time.Hour)
+		q := newFramesPartition(t, 36*time.Hour)
 		if err := q.UnmarshalFrames(b); err == nil {
 			t.Errorf("%s accepted", what)
 		}
@@ -340,7 +309,7 @@ func TestFramesCorruption(t *testing.T) {
 	for off := 0; off < len(stream); off++ {
 		b := bytes.Clone(stream)
 		b[off] ^= 0x40
-		q := newFramesPartition(t, core.Options{}, 36*time.Hour)
+		q := newFramesPartition(t, 36*time.Hour)
 		if err := q.UnmarshalFrames(b); err != nil {
 			if q.Records() != 0 || q.Buckets() != 0 || q.tail != nil {
 				t.Fatalf("flipped byte at %d: failed restore left state behind", off)
@@ -397,7 +366,7 @@ func TestFramesGarbledRawLength(t *testing.T) {
 // refuse it.
 func TestDecodeRefusesZeroRecordCounts(t *testing.T) {
 	for _, zero := range []string{"bucket", "tail"} {
-		p := newFramesPartition(t, core.Options{}, 36*time.Hour)
+		p := newFramesPartition(t, 36*time.Hour)
 		for _, rec := range framesCorpus() {
 			p.Observe(&rec)
 		}
@@ -408,8 +377,8 @@ func TestDecodeRefusesZeroRecordCounts(t *testing.T) {
 		}
 		_, stream := frameStream(t, p)
 		for name, err := range map[string]error{
-			"UnmarshalFrames": newFramesPartition(t, core.Options{}, 36*time.Hour).UnmarshalFrames(stream),
-			"UnmarshalState":  newFramesPartition(t, core.Options{}, 36*time.Hour).UnmarshalState(p.MarshalState()),
+			"UnmarshalFrames": newFramesPartition(t, 36*time.Hour).UnmarshalFrames(stream),
+			"UnmarshalState":  newFramesPartition(t, 36*time.Hour).UnmarshalState(p.MarshalState()),
 		} {
 			if err == nil || !strings.Contains(err.Error(), "no records") {
 				t.Errorf("%s accepted a %s of zero records: %v", name, zero, err)
@@ -424,17 +393,17 @@ func TestDecodeRefusesZeroRecordCounts(t *testing.T) {
 func FuzzPartitionFrames(f *testing.F) {
 	recs := framesCorpus()
 	for _, retain := range []time.Duration{0, 36 * time.Hour} {
-		stream := coldStream(f, core.Options{}, retain, recs)
+		stream := coldStream(f, retain, recs)
 		f.Add(stream)
 		f.Add(stream[:len(stream)/2])
 		flipped := bytes.Clone(stream)
 		flipped[len(flipped)/2] ^= 0xff
 		f.Add(flipped)
 	}
-	f.Add(coldStream(f, core.Options{}, 0, nil))
+	f.Add(coldStream(f, 0, nil))
 	f.Add([]byte(framesMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := newFramesPartition(t, core.Options{}, 36*time.Hour)
+		p := newFramesPartition(t, 36*time.Hour)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		err := p.UnmarshalFrames(data)
@@ -454,7 +423,7 @@ func FuzzPartitionFrames(f *testing.F) {
 		// Applied in full. What it encodes to restores to the same
 		// partition, with nothing left to encode.
 		_, stream := frameStream(t, p)
-		q := restoreInto(t, core.Options{}, 36*time.Hour, stream)
+		q := restoreInto(t, 36*time.Hour, stream)
 		fs2, again := frameStream(t, q)
 		if fs2.Encoded != 0 || !bytes.Equal(again, stream) {
 			t.Fatalf("re-encoding is not a fixed point (%d frames encoded)", fs2.Encoded)

@@ -17,9 +17,8 @@ import (
 // TestBootFlags covers what only a command line sets. An exact censord
 // booted on one plain and one gzipped -input file must serve, over a
 // sub-window, the docs censorlyzer -from/-to computes from the same
-// files. A -sketch censord marks its sketched tables approx and leaves
-// exact ones alone, and after SIGTERM and a restart from -checkpoint
-// alone it serves every table byte for byte as before.
+// files, and after SIGTERM and a restart from -checkpoint alone it
+// serves every table byte for byte as before.
 func TestBootFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boot-flag test spawns real daemons; skipped in -short")
@@ -39,9 +38,18 @@ func TestBootFlags(t *testing.T) {
 	}
 	input := plain + "," + gz
 	cfg := daemonConfig{Seed: corpusSeed, Requests: corpusRequests, Shards: 3, Bucket: time.Hour,
-		CkptDir: filepath.Join(tmp, "exact"), Extra: []string{"-input", input}}
+		CkptDir: filepath.Join(tmp, "ckpt"), Extra: []string{"-input", input}}
 
 	d := startDaemon(t, cfg)
+	tables := func() map[string][]byte {
+		docs := map[string][]byte{}
+		for _, id := range render.Order() {
+			if strings.HasPrefix(id, "table") {
+				_, docs[id] = d.get("/v1/experiments/" + id)
+			}
+		}
+		return docs
+	}
 	const from, to = "2011-08-03", "2011-08-05"
 	for _, id := range []string{"table1", "table4", "table8"} {
 		out, err := exec.Command(censorlyzerBin, "-input", input, "-exp", id, "-json", "-from", from, "-to", to,
@@ -54,37 +62,10 @@ func TestBootFlags(t *testing.T) {
 				id, from, to, code, body, out)
 		}
 	}
-	_, exactFig7 := d.get("/v1/experiments/fig7")
-	d.kill()
-
-	cfg.CkptDir = filepath.Join(tmp, "sketch")
-	cfg.Extra = append(cfg.Extra, "-sketch")
-	d = startDaemon(t, cfg)
-	tables := func() map[string][]byte {
-		docs := map[string][]byte{}
-		for _, id := range render.Order() {
-			if strings.HasPrefix(id, "table") {
-				_, docs[id] = d.get("/v1/experiments/" + id)
-			}
-		}
-		return docs
-	}
 	before := tables()
-	if !bytes.Contains(before["table4"], []byte(`"approx":true`)) {
-		t.Errorf("-sketch table4 is not marked approx: %.200s", before["table4"])
-	}
-	if bytes.Contains(before["table1"], []byte(`"approx"`)) {
-		t.Errorf("-sketch marks the exact table1 approx: %.200s", before["table1"])
-	}
-	if _, fig7 := d.get("/v1/experiments/fig7"); !bytes.Equal(fig7, exactFig7) {
-		t.Error("-sketch changed fig7, which reads only exact modules")
-	}
-	if n := metricValue(d.metrics(), `censord_sketch_hlls{module="users"}`); n <= 0 {
-		t.Errorf(`-sketch censord_sketch_hlls{module="users"} = %v, want > 0`, n)
-	}
 	d.term()
 
-	cfg.Extra = []string{"-sketch"}
+	cfg.Extra = nil
 	d = startDaemon(t, cfg)
 	defer d.term()
 	after := tables()

@@ -20,7 +20,7 @@ import (
 // daemonConfig is the restartable part of a censord invocation: the
 // chaos loop mutates Shards and Bucket across restarts, everything
 // else stays pinned to the oracle's world. Extra is appended to the
-// command line (boot -input files, -sketch).
+// command line (boot -input files).
 type daemonConfig struct {
 	Seed     uint64
 	Requests int

@@ -2,8 +2,8 @@
 // the real censord and censorlyzer binaries, TestChaos drives seeded
 // random fault-injection sequences against a batch-model oracle (see
 // chaos_test.go), and TestBootFlags covers what only a command line
-// sets — boot -input files, -sketch, a restart from -checkpoint alone
-// and censorlyzer's -from/-to window (see flags_test.go). Which test
+// sets — boot -input files, a restart from -checkpoint alone and
+// censorlyzer's -from/-to window (see flags_test.go). Which test
 // checks each of censord's properties is mapped in DESIGN.md ("Where
 // each property is checked").
 //
