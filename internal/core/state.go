@@ -257,14 +257,29 @@ func encCounter(w *statecodec.Writer, c *stats.Counter) {
 	}
 }
 
+// decCounter builds the counter in one step from exact-size slices. Keys
+// must arrive strictly ascending, as encCounter writes them: a repeated
+// or out-of-order key is corruption, not a count to sum. An entry is at
+// least two bytes (a key reference and a count), which bounds what a
+// lying count can make it allocate.
 func decCounter(r *statecodec.Reader) *stats.Counter {
 	n := r.Count()
-	c := stats.NewCounter()
-	for i := 0; i < n && r.Err() == nil; i++ {
-		k := r.StringRef()
-		c.AddN(k, r.Uvarint())
+	size := min(n, r.Remaining()/2)
+	keys := make([]string, 0, size)
+	counts := make([]uint64, 0, size)
+	for i := 0; i < n; i++ {
+		k, v := r.StringRef(), r.Uvarint()
+		if r.Err() != nil {
+			break
+		}
+		if i > 0 && k <= keys[i-1] {
+			r.Failf("core: counter key %q at entry %d does not follow %q", k, i, keys[i-1])
+			break
+		}
+		keys = append(keys, k)
+		counts = append(counts, v)
 	}
-	return c
+	return stats.CounterOf(keys, counts)
 }
 
 // encIPSet / decIPSet code a set of IPv4 addresses as sorted deltas.

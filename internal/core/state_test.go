@@ -228,6 +228,54 @@ func TestExactEngineRefusesSketchState(t *testing.T) {
 	renderAllExperiments(an)
 }
 
+// Counter keys arrive strictly ascending, as encCounter writes them. A
+// key that repeats, or arrives out of order, is corruption: the decode
+// fails naming the module instead of summing the entries, and the engine
+// stays usable.
+func TestEngineStateRefusesUnorderedCounterKeys(t *testing.T) {
+	f := corpus(t)
+	for _, keys := range [][2]string{
+		{"example.com", "example.com"},
+		{"example.org", "example.com"},
+	} {
+		secs := splitState(t, f.analyzer.MarshalState())
+		for i := range secs {
+			if secs[i].name == "domains" {
+				secs[i].payload = domainsSectionWithKeys(keys[:])
+			}
+		}
+		an := NewAnalyzer(fixtureOptions(f))
+		err := an.UnmarshalState(joinState(secs))
+		if err == nil || !strings.Contains(err.Error(), `module "domains"`) || !strings.Contains(err.Error(), "does not follow") {
+			t.Fatalf("domains counter keyed %q: err = %v, want an out-of-order refusal naming the module", keys, err)
+		}
+		for i := range f.records[:5000] {
+			an.Observe(&f.records[i])
+		}
+		if an.Metric("domains").(*domainsMetric).allowed.Len() == 0 {
+			t.Error("the engine counts no allowed domains after the refusal")
+		}
+		renderAllExperiments(an)
+	}
+}
+
+// domainsSectionWithKeys is a domains section whose first counter holds
+// keys in the given order, one count each, and whose other counters are
+// empty.
+func domainsSectionWithKeys(keys []string) []byte {
+	w := statecodec.NewWriter()
+	w.Byte(layoutExact)
+	w.Uvarint(uint64(len(keys)))
+	for _, k := range keys {
+		w.StringRef(k)
+		w.Uvarint(1)
+	}
+	for range len(newDomainsMetric(&Engine{}).state()) - 1 {
+		w.Uvarint(0)
+	}
+	return w.Bytes()
+}
+
 // Corrupted and truncated state must fail with an error — never panic,
 // and never quietly succeed on a prefix.
 func TestEngineStateCorruption(t *testing.T) {

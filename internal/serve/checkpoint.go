@@ -10,9 +10,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"syriafilter/internal/obs/trace"
@@ -448,7 +450,7 @@ func (st *Store) Restore(dir string) (CheckpointInfo, error) {
 	for _, g := range gens {
 		gsp := sp.Child("restore.generation")
 		gsp.SetAttrs(trace.Str("generation", g.name))
-		staged, records, info, err := st.decodeGeneration(dir, g, m)
+		records, info, err, absorbErr := st.loadGeneration(dir, g, m, gsp)
 		if err != nil {
 			gsp.Fail(err)
 			gsp.End()
@@ -463,24 +465,10 @@ func (st *Store) Restore(dir string) (CheckpointInfo, error) {
 			}
 			continue
 		}
-		// Fold step: shard i absorbs staged files i, i+n, … in ascending
-		// order, the per-shard order of a file-at-a-time fold. Any error
-		// here ends the walk — ErrClosed on a closed store, or a failed
-		// absorb, after which the store may hold part of this generation
-		// and an older one absorbed on top would corrupt it.
-		n := len(st.shards)
-		err = st.each(false, nil, "", func(i int, _ *trace.Span, p *timewin.Partition) error {
-			for j := i; j < len(staged); j += n {
-				if err := p.Absorb(staged[j]); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		gsp.Fail(err)
+		gsp.Fail(absorbErr)
 		gsp.End()
-		if err != nil {
-			spErr = fmt.Errorf("serve: restore %s: %w", g.name, err)
+		if absorbErr != nil {
+			spErr = fmt.Errorf("serve: restore %s: %w", g.name, absorbErr)
 			return CheckpointInfo{}, spErr
 		}
 		st.ingested.Add(records)
@@ -492,6 +480,74 @@ func (st *Store) Restore(dir string) (CheckpointInfo, error) {
 	}
 	spErr = fmt.Errorf("serve: no checkpoint generation in %s decodes: %w", dir, firstErr)
 	return CheckpointInfo{}, spErr
+}
+
+// loadGeneration decodes generation g and, if every file of it decodes,
+// absorbs it into the live shards, timing the two steps on gsp as
+// decode_s and absorb_s. err is a decode failure, after which the store
+// is as it was and the walk may fall back; absorbErr ends the walk — it is
+// ErrClosed on a closed store, or a failed absorb, after which the store
+// may hold part of this generation and an older one absorbed on top would
+// corrupt it.
+//
+// The collector is paused for both steps (see pauseGC): most of what
+// they allocate is state the store keeps, so a cycle would only re-mark
+// it. That holds because the decoders size their containers exactly
+// (TestRestoreAllocatesWhatItKeeps); with growth by appends the pause
+// would keep the garbage and raise peak memory. Collection is back on
+// before the call returns, so a failed attempt's garbage can go before
+// the next generation is read.
+func (st *Store) loadGeneration(dir string, g genEntry, m *manifest, gsp *trace.Span) (records uint64, info CheckpointInfo, err, absorbErr error) {
+	defer pauseGC()()
+	t0 := time.Now()
+	staged, records, info, err := st.decodeGeneration(dir, g, m)
+	gsp.SetAttrs(trace.Float("decode_s", time.Since(t0).Seconds()))
+	if err != nil {
+		return 0, info, err, nil
+	}
+	// Shard i absorbs staged files i, i+n, … in ascending order, the
+	// per-shard order of a file-at-a-time fold.
+	t1 := time.Now()
+	n := len(st.shards)
+	absorbErr = st.each(false, nil, "", func(i int, _ *trace.Span, p *timewin.Partition) error {
+		for j := i; j < len(staged); j += n {
+			if err := p.Absorb(staged[j]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	gsp.SetAttrs(trace.Float("absorb_s", time.Since(t1).Seconds()))
+	return records, info, nil, absorbErr
+}
+
+// gcPause counts the restores under way in the process; the collector is
+// off while it is above zero, and prev is the setting to put back.
+var gcPause struct {
+	sync.Mutex
+	n    int
+	prev int
+}
+
+// pauseGC turns garbage collection off and returns the func that undoes
+// it. Overlapping pauses — two stores restoring at once — share one
+// refcount, so collection comes back, at the setting the first pause
+// found, when the last of them resumes. The runtime's memory limit, if
+// one is set, still forces a cycle while collection is off.
+func pauseGC() (resume func()) {
+	gcPause.Lock()
+	if gcPause.n == 0 {
+		gcPause.prev = debug.SetGCPercent(-1)
+	}
+	gcPause.n++
+	gcPause.Unlock()
+	return func() {
+		gcPause.Lock()
+		if gcPause.n--; gcPause.n == 0 {
+			debug.SetGCPercent(gcPause.prev)
+		}
+		gcPause.Unlock()
+	}
 }
 
 // decodeGeneration reads and decodes one generation directory completely

@@ -59,6 +59,26 @@ type Counter struct {
 // NewCounter returns an empty counter.
 func NewCounter() *Counter { return &Counter{} }
 
+// CounterOf returns a counter holding counts[i] for keys[i], built in one
+// step: each key is hashed once and the index, if the size needs one, is
+// built once. It takes ownership of both slices, which must be the same
+// length; the keys must be distinct, which the caller checks (a decoder
+// that reads them in strictly ascending order has).
+func CounterOf(keys []string, counts []uint64) *Counter {
+	if len(keys) != len(counts) {
+		panic("stats: CounterOf with unequal keys and counts")
+	}
+	c := &Counter{keys: keys, counts: counts, hashes: make([]uint32, len(keys))}
+	for i, key := range keys {
+		c.hashes[i] = hashKey(key)
+		c.n += counts[i]
+	}
+	if len(keys) > smallCounter {
+		c.reindex(len(keys))
+	}
+	return c
+}
+
 // Add increments key by one.
 func (c *Counter) Add(key string) { c.AddN(key, 1) }
 

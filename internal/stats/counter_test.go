@@ -106,6 +106,24 @@ func (d *counterDiff) reset(i int) {
 	d.c[i], d.m[i] = NewCounter(), newMapCounter()
 }
 
+// rebuild replaces counter i with one CounterOf builds from its oracle's
+// entries in ascending key order, the form a state decode hands it, and
+// compares the two.
+func (d *counterDiff) rebuild(i int) {
+	d.t.Helper()
+	keys := make([]string, 0, len(d.m[i].m))
+	for key := range d.m[i].m {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	counts := make([]uint64, len(keys))
+	for j, key := range keys {
+		counts[j] = d.m[i].m[key]
+	}
+	d.c[i] = CounterOf(keys, counts)
+	d.checkAll(i)
+}
+
 func (d *counterDiff) checkKey(i int, key string) {
 	d.t.Helper()
 	c, m := d.c[i], d.m[i]
@@ -333,8 +351,33 @@ func FuzzCounterVsMap(f *testing.F) {
 		}
 		for i := 0; i < counters; i++ {
 			d.checkAll(i)
+			d.rebuild(i)
 		}
+		// A built counter is a counter like any other: it grows, folds
+		// and is folded from.
+		d.addN(0, "after-rebuild", 1)
+		d.merge(1, 0)
+		d.merge(0, 2)
+		d.merge(2, 2)
 	})
+}
+
+func TestCounterOf(t *testing.T) {
+	// Sizes on both sides of the scan-to-index switch and of the first
+	// index doubling, each built, checked, then grown by Add past its
+	// exact-size slices.
+	for _, n := range []int{0, 1, smallCounter, smallCounter + 1, minIndex * 3 / 4, minIndex*3/4 + 1, 1000} {
+		d := newCounterDiff(t, 1)
+		for id := 0; id < n; id++ {
+			d.m[0].AddN(diffKey(id), uint64(id%7+1))
+		}
+		d.rebuild(0)
+		for id := n; id < n+20; id++ {
+			d.addN(0, diffKey(id), 1)
+		}
+		d.addN(0, diffKey(n/2), 5)
+		d.checkAll(0)
+	}
 }
 
 // zipfKeys draws n keys from a Zipf(1.1) law over a shared universe of
