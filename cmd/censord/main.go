@@ -32,12 +32,12 @@
 //	curl -X POST --data-binary @more.csv localhost:8080/v1/ingest?refresh=1
 //
 // The read path is cost-proportional to change, not to poll rate:
-// rendered doc/range responses are cached by snapshot generation
-// (-doc-cache-bytes budgets the cache; censord_doccache_* meters it),
-// every doc endpoint serves a strong ETag and answers If-None-Match
-// revalidation with a body-less 304, responses gzip on
-// Accept-Encoding, and GET /v1/sync long-polls for changes: it parks
-// (bounded by -sync-max-parked, 429 beyond) until a snapshot cut
+// rendered doc/range responses are cached by snapshot generation in a
+// 64 MiB budget (censord_doccache_* meters it), every doc endpoint
+// serves a strong ETag and answers If-None-Match revalidation with a
+// body-less 304, responses gzip on Accept-Encoding, and GET /v1/sync
+// long-polls for changes: it parks (at most 1,024 polls at once, 429
+// beyond) until a snapshot cut
 // changes something, then returns only the changed experiments — as
 // row-level deltas when possible — plus a resume token. Background
 // snapshot ticks that find no new records do not bump the generation,
@@ -49,17 +49,16 @@
 // "loading" (503) until the first snapshot is cut, and "draining"
 // (503) again from SIGTERM until exit so load balancers stop routing
 // before the queues flush. The daemon is hardened for unattended
-// multi-week runs: explicit HTTP read/write/idle timeouts, a POST
-// /v1/ingest body cap (-max-body, 413 beyond it), and bounded ingest
+// multi-week runs: explicit HTTP read/write/idle timeouts, a 64 MiB
+// POST /v1/ingest body cap (413 beyond it), and bounded ingest
 // backpressure — a shard queue stalled past -shed-after fails the
 // request with 429 + Retry-After instead of hanging the handler
 // (censord_ingest_shed_total counts these).
 // POST /v1/checkpoint cuts a checkpoint on demand when -checkpoint is
 // set. Every request is traced (W3C traceparent honored, X-Request-ID
-// derived otherwise): traces slower than -trace-slow (default 250ms)
-// or errored are always retained in the in-memory flight recorder at
-// GET /debug/traces, the rest sampled 1 in 16; -trace-slow 0 disables
-// tracing entirely. Logs are structured
+// derived otherwise): traces of 250ms or longer and errored ones are
+// always retained in the in-memory flight recorder at GET
+// /debug/traces, the rest sampled 1 in 16. Logs are structured
 // (log/slog) — -log-level selects verbosity, -log-format text|json the
 // encoding — and every request is access-logged with an X-Request-ID.
 // -debug-addr serves net/http/pprof on a second, separately bindable
@@ -115,27 +114,23 @@ const watchEvery = 5 * time.Second
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "HTTP listen address")
-		input      = flag.String("input", "", "comma-separated log files ingested at boot (gzip ok)")
-		watch      = flag.String("watch", "", "directory polled every 5s for new log files")
-		seed       = flag.Uint64("seed", 1, "corpus seed (must match the generator that produced the logs)")
-		requests   = flag.Int("requests", 1_000_000, "corpus size the generator was run with (shapes the derived databases)")
-		exps       = flag.String("exp", "all", "comma-separated experiment ids to serve ('all' = every metric module)")
-		shards     = flag.Int("shards", 0, "engine shards (0 = GOMAXPROCS, capped at 16)")
-		snapEvery  = flag.Duration("snapshot-every", 2*time.Second, "background snapshot rebuild period (0 = only on demand)")
-		bucket     = flag.Duration("bucket", time.Hour, "time-partition bucket width for /v1/range queries")
-		retain     = flag.Duration("retain", 30*24*time.Hour, "retention horizon: buckets older than the newest record by more than this are compacted into the frozen all-time tail (0 = keep every bucket live)")
-		ckptDir    = flag.String("checkpoint", "", "checkpoint directory: restore state from it at boot (warm restart), checkpoint into it periodically and on graceful shutdown")
-		ckptEvery  = flag.Duration("checkpoint-every", 5*time.Minute, "periodic checkpoint interval when -checkpoint is set (0 = only on shutdown)")
-		logLevel   = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
-		logFormat  = flag.String("log-format", "text", "log encoding: text or json")
-		debugAddr  = flag.String("debug-addr", "", "optional listen address serving /debug/pprof on its own listener (empty = disabled)")
-		maxBody    = flag.Int64("max-body", 64<<20, "maximum POST /v1/ingest body size in wire bytes, 413 beyond it (0 = unbounded)")
-		docCache   = flag.Int64("doc-cache-bytes", serve.DefaultDocCacheBytes, "rendered-doc cache budget: encoded doc/range responses are cached per snapshot generation and served as memcpy (0 = render every request)")
-		syncParked = flag.Int("sync-max-parked", serve.DefaultSyncMaxParked, "maximum concurrently parked GET /v1/sync long-polls; excess polls shed with 429 + Retry-After")
-		shedAfter  = flag.Duration("shed-after", serve.DefaultAddTimeout, "ingest load-shedding deadline: a shard queue full past this sheds the request with 429 instead of blocking the handler (negative = block forever)")
-		traceSlow  = flag.Duration("trace-slow", trace.DefaultSlow, "flight-recorder slow threshold: traces at least this long (and errored traces) are always retained and logged (0 = disable tracing)")
-		version    = flag.Bool("version", false, "print version and build info, then exit")
+		addr      = flag.String("addr", ":8080", "HTTP listen address")
+		input     = flag.String("input", "", "comma-separated log files ingested at boot (gzip ok)")
+		watch     = flag.String("watch", "", "directory polled every 5s for new log files")
+		seed      = flag.Uint64("seed", 1, "corpus seed (must match the generator that produced the logs)")
+		requests  = flag.Int("requests", 1_000_000, "corpus size the generator was run with (shapes the derived databases)")
+		exps      = flag.String("exp", "all", "comma-separated experiment ids to serve ('all' = every metric module)")
+		shards    = flag.Int("shards", 0, "engine shards (0 = GOMAXPROCS, capped at 16)")
+		snapEvery = flag.Duration("snapshot-every", 2*time.Second, "background snapshot rebuild period (0 = only on demand)")
+		bucket    = flag.Duration("bucket", time.Hour, "time-partition bucket width for /v1/range queries")
+		retain    = flag.Duration("retain", 30*24*time.Hour, "retention horizon: buckets older than the newest record by more than this are compacted into the frozen all-time tail (0 = keep every bucket live)")
+		ckptDir   = flag.String("checkpoint", "", "checkpoint directory: restore state from it at boot (warm restart), checkpoint into it periodically and on graceful shutdown")
+		ckptEvery = flag.Duration("checkpoint-every", 5*time.Minute, "periodic checkpoint interval when -checkpoint is set (0 = only on shutdown)")
+		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
+		logFormat = flag.String("log-format", "text", "log encoding: text or json")
+		debugAddr = flag.String("debug-addr", "", "optional listen address serving /debug/pprof on its own listener (empty = disabled)")
+		shedAfter = flag.Duration("shed-after", serve.DefaultAddTimeout, "ingest load-shedding deadline: a shard queue full past this sheds the request with 429 instead of blocking the handler (negative = block forever)")
+		version   = flag.Bool("version", false, "print version and build info, then exit")
 	)
 	flag.Parse()
 
@@ -154,16 +149,10 @@ func main() {
 	logger.Info("censord starting", "version", build.Version,
 		"go", build.GoVersion, "revision", build.VCSRevision, "dirty", build.Dirty)
 
-	// The flight recorder is always on unless -trace-slow 0: tracing is
-	// how a multi-week unattended run explains its own latency outliers
-	// after the fact, and the disabled path is what it costs to keep it.
-	var tracer *trace.Tracer
-	if *traceSlow > 0 {
-		tracer = trace.New(trace.Config{
-			Slow:   *traceSlow,
-			Logger: logger,
-		})
-	}
+	// The flight recorder is always on: tracing is how a multi-week
+	// unattended run explains its own latency outliers after the fact.
+	// Traces of trace.DefaultSlow (250ms) or longer are always kept.
+	tracer := trace.New(trace.Config{Logger: logger})
 
 	gen, err := synth.New(synth.Config{Seed: *seed, TotalRequests: *requests})
 	if err != nil {
@@ -265,10 +254,7 @@ func main() {
 		}
 	}()
 
-	opts := []serve.ServerOption{
-		serve.WithLogger(logger), serve.WithReadiness(ready), serve.WithMaxBody(*maxBody),
-		serve.WithDocCacheBytes(*docCache), serve.WithSyncMaxParked(*syncParked),
-	}
+	opts := []serve.ServerOption{serve.WithLogger(logger), serve.WithReadiness(ready)}
 	if *ckptDir != "" {
 		dir := *ckptDir
 		opts = append(opts, serve.WithCheckpoint(func(ctx context.Context) (serve.CheckpointInfo, error) {

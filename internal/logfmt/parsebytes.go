@@ -268,24 +268,22 @@ func (p *Parser) store(s string, idx uint64) {
 		p.cache[idx] = s
 		p.internBytes += len(s)
 		internedStrings.Add(1)
-		internedBytes.Add(uint64(len(s)))
 	}
 }
 
-// Cumulative interning accounting across every Parser in the process.
-// Both are monotone (entries are only ever added; table caps freeze
-// growth rather than evict), so they expose cleanly as Prometheus
-// counters. The adds sit on the intern *miss* path only, which is cold
-// after warmup.
-var internedStrings, internedBytes atomic.Uint64
+// internedStrings counts strings added to interning tables across every
+// Parser in the process. It is monotone (entries are only ever added;
+// table caps freeze growth rather than evict), so it exposes cleanly as
+// a Prometheus counter. The add sits on the intern *miss* path only,
+// which is cold after warmup.
+var internedStrings atomic.Uint64
 
-// InternStats reports the cumulative number of strings and bytes
-// remembered by parser interning tables process-wide. A high
-// strings-per-record ratio means the input's nominally repetitive
-// fields are high-cardinality and parsing is degrading to per-value
-// copies.
-func InternStats() (strings, bytes uint64) {
-	return internedStrings.Load(), internedBytes.Load()
+// InternStats reports the cumulative number of strings remembered by
+// parser interning tables process-wide. A high strings-per-record ratio
+// means the input's nominally repetitive fields are high-cardinality
+// and parsing is degrading to per-value copies.
+func InternStats() uint64 {
+	return internedStrings.Load()
 }
 
 func undashB(b []byte) []byte {

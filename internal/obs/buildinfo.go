@@ -7,8 +7,7 @@ import (
 
 // Build identifies the running binary: module version, toolchain and
 // VCS state, read once from the build info stamped by `go build`. It
-// is embedded in /v1/stats and exported as the classic build_info
-// gauge so dashboards can segment every metric by revision.
+// is embedded in /v1/stats, logged at boot and printed by -version.
 type Build struct {
 	Version     string `json:"version"`
 	GoVersion   string `json:"go_version"`
@@ -50,18 +49,4 @@ func ReadBuild() Build {
 		}
 	})
 	return buildInfo
-}
-
-// RegisterBuildInfo exports the build identity on r as the
-// conventional constant-1 info gauge:
-//
-//	censord_build_info{version, goversion, vcs_revision} 1
-func RegisterBuildInfo(r *Registry) {
-	b := ReadBuild()
-	rev := b.VCSRevision
-	if rev == "" {
-		rev = "unknown"
-	}
-	r.Gauge("censord_build_info", "Build identity of the running binary (value is always 1).",
-		"version", b.Version, "goversion", b.GoVersion, "vcs_revision", rev).Set(1)
 }

@@ -2,22 +2,21 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
 // Histogram is a fixed-boundary histogram: observations are counted
 // into len(bounds)+1 buckets (the last catches everything above the
-// highest bound) plus a running sum and count. Boundaries are fixed at
-// construction, so histograms of the same shape merge bucket-by-bucket
-// without coordination — the property that lets per-shard histograms
-// aggregate on scrape.
+// highest bound) plus a running sum. There is no separate count: the
+// number of observations is the bucket total, so an exposition that
+// writes _count from the same read of the buckets it writes le="+Inf"
+// from cannot make the two disagree.
 //
 // Observe is lock-free and allocation-free: a binary search over the
-// boundary slice plus three atomic adds. Concurrent Observe/Merge/
-// Snapshot are safe; a snapshot taken during writes is a consistent
+// boundary slice plus two atomic updates. Concurrent Observe and
+// scrapes are safe; a scrape taken during writes is a consistent
 // mixture (per-bucket counts are each atomically read, the sum may lag
-// the count by in-flight observations — the usual Prometheus weak
+// the buckets by in-flight observations — the usual Prometheus weak
 // consistency).
 //
 // A nil *Histogram is a no-op, like every obs type.
@@ -25,7 +24,6 @@ type Histogram struct {
 	bounds []float64 // sorted upper bounds, le semantics
 	counts []atomic.Uint64
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
-	count  atomic.Uint64
 }
 
 // NewHistogram builds a histogram over the given sorted upper bounds
@@ -82,7 +80,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	h.counts[lo].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -92,38 +89,16 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Merge folds other's buckets into h. Both histograms must share the
-// same boundaries (they do when built from the same registration).
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil {
-		return
-	}
-	if len(h.bounds) != len(other.bounds) {
-		panic("obs: merging histograms with different bucket layouts")
-	}
-	var n uint64
-	for i := range other.counts {
-		c := other.counts[i].Load()
-		h.counts[i].Add(c)
-		n += c
-	}
-	h.count.Add(n)
-	os := math.Float64frombits(other.sum.Load())
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + os)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
+// Count returns the number of observations: the bucket total.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // Sum returns the sum of observed values.
@@ -145,74 +120,4 @@ func (h *Histogram) BucketCounts() []uint64 {
 		out[i] = h.counts[i].Load()
 	}
 	return out
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) by linear
-// interpolation inside the bucket the rank falls in — the same estimate
-// Prometheus's histogram_quantile computes. The overflow bucket clamps
-// to the highest bound. Returns NaN on an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return math.NaN()
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		if float64(cum+c) >= rank {
-			if i == len(h.bounds) {
-				return h.bounds[len(h.bounds)-1] // clamp at +Inf
-			}
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			upper := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lower + (upper-lower)*frac
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// snapshotHist is the JSON-ready summary Registry.Snapshot embeds.
-type snapshotHist struct {
-	Count uint64  `json:"count"`
-	Sum   float64 `json:"sum"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
-func (h *Histogram) snapshot() snapshotHist {
-	s := snapshotHist{Count: h.Count(), Sum: h.Sum()}
-	if s.Count > 0 {
-		s.P50 = h.Quantile(0.5)
-		s.P90 = h.Quantile(0.9)
-		s.P99 = h.Quantile(0.99)
-	}
-	return s
-}
-
-// searchBounds is kept for tests that validate Observe's inlined search
-// against the stdlib's.
-func searchBounds(bounds []float64, v float64) int {
-	return sort.SearchFloat64s(bounds, v)
 }

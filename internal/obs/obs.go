@@ -1,7 +1,6 @@
 // Package obs is the daemon's observability layer: a zero-dependency
 // metrics registry (atomic counters and gauges, fixed-boundary
-// log-bucket histograms), Prometheus text exposition, a structured
-// snapshot for embedding in JSON status endpoints, windowed rate
+// log-bucket histograms), Prometheus text exposition, windowed rate
 // tracking, Go runtime gauges, and HTTP middleware producing per-route
 // metrics plus structured access logs.
 //
@@ -22,8 +21,8 @@
 //
 //   - No external dependencies. The exposition writer emits the
 //     Prometheus text format (version 0.0.4) directly; histograms use
-//     fixed boundaries chosen at registration, so exposition and
-//     cross-shard merging never coordinate.
+//     fixed boundaries chosen at registration, so exposition never
+//     coordinates with Observe.
 package obs
 
 import "sync/atomic"

@@ -10,10 +10,9 @@ import (
 )
 
 // Registry holds named metric families and renders them in Prometheus
-// text exposition format (WritePrometheus) or as a JSON-ready structure
-// (Snapshot). Registration is cheap but locked — resolve metrics once
-// at wiring time and keep the returned pointers; the returned objects
-// are the lock-free hot path.
+// text exposition format (WritePrometheus). Registration is cheap but
+// locked — resolve metrics once at wiring time and keep the returned
+// pointers; the returned objects are the lock-free hot path.
 //
 // Families are keyed by name; series within a family by their label
 // set. Registering the same (name, labels) twice returns the same
@@ -175,7 +174,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 
 // CounterFunc registers a counter series whose value is sampled from fn
 // at scrape time — for monotone values another subsystem already
-// maintains (a store's record total, cumulative interned bytes).
+// maintains (a store's record total, cumulative interned strings).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -239,7 +238,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // writePromHistogram emits the cumulative _bucket/_sum/_count triplet.
-// The le label is appended to the series' own labels.
+// The le label is appended to the series' own labels. _count is the
+// cumulative total of the same bucket read, so it always equals the
+// le="+Inf" bucket even while observations land mid-scrape.
 func writePromHistogram(b *strings.Builder, name, ls string, h *Histogram) {
 	counts := h.BucketCounts()
 	bounds := h.Bounds()
@@ -257,47 +258,5 @@ func writePromHistogram(b *strings.Builder, name, ls string, h *Histogram) {
 		fmt.Fprintf(b, "%s_bucket%s%sle=%q} %d\n", name, open, sep, le, cum)
 	}
 	fmt.Fprintf(b, "%s_sum%s %s\n", name, ls, formatFloat(h.Sum()))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, ls, h.Count())
-}
-
-// Snapshot renders the registry as a JSON-ready map: family name to
-// value (single unlabeled series) or to a labels-to-value map.
-// Histograms become {count, sum, p50, p90, p99}. This is what
-// /v1/stats embeds as its "obs" section.
-func (r *Registry) Snapshot() map[string]any {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
-	for _, f := range r.fams {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-
-	out := make(map[string]any, len(fams))
-	for _, f := range fams {
-		one := func(s *series) any {
-			switch f.kind {
-			case kindCounter:
-				return s.ctr.Value()
-			case kindGauge:
-				return s.gauge.Value()
-			case kindCounterFunc, kindGaugeFunc:
-				return s.fn()
-			default:
-				return s.hist.snapshot()
-			}
-		}
-		if len(f.series) == 1 {
-			if s, ok := f.series[""]; ok {
-				out[f.name] = one(s)
-				continue
-			}
-		}
-		m := make(map[string]any, len(f.series))
-		for ls, s := range f.series {
-			key := strings.Trim(ls, "{}")
-			m[key] = one(s)
-		}
-		out[f.name] = m
-	}
-	return out
+	fmt.Fprintf(b, "%s_count%s %d\n", name, ls, cum)
 }

@@ -1,8 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -89,32 +89,58 @@ func TestRegistryTypeClash(t *testing.T) {
 	r.Gauge("clash", "")
 }
 
-// TestSnapshot checks the JSON-ready structure /v1/stats embeds:
-// unlabeled series flatten to a scalar, labeled families to a
-// labels-to-value map, histograms to a quantile summary — and the whole
-// thing must marshal.
-func TestSnapshot(t *testing.T) {
+// TestScrapeCountMatchesInfBucket scrapes a histogram while other
+// goroutines observe into it: on every scrape, _count must equal the
+// le="+Inf" bucket, as the exposition format requires. A _count read
+// separately from the buckets drifts from it whenever an Observe lands
+// between the two reads.
+func TestScrapeCountMatchesInfBucket(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total", "").Add(5)
-	r.Counter("b_total", "", "shard", "0").Add(1)
-	r.Counter("b_total", "", "shard", "1").Add(2)
-	h := r.Histogram("lat_seconds", "", []float64{1, 2, 4})
-	h.Observe(1.5)
-	h.Observe(3)
+	h := r.Histogram("h_seconds", "", []float64{0.001, 0.01, 0.1})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.Observe(float64(i%200) / 1000)
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
 
-	snap := r.Snapshot()
-	if v, ok := snap["a_total"].(uint64); !ok || v != 5 {
-		t.Errorf("a_total = %#v, want uint64 5", snap["a_total"])
+	const scrapes = 200
+	bad := 0
+	for i := 0; i < scrapes; i++ {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		var inf, count string
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, `h_seconds_bucket{le="+Inf"} `); ok {
+				inf = v
+			} else if v, ok := strings.CutPrefix(line, "h_seconds_count "); ok {
+				count = v
+			}
+		}
+		if inf == "" || count == "" {
+			t.Fatalf("scrape lacks the +Inf bucket or _count:\n%s", b.String())
+		}
+		if inf != count {
+			bad++
+		}
 	}
-	bm, ok := snap["b_total"].(map[string]any)
-	if !ok || bm[`shard="1"`] != uint64(2) {
-		t.Errorf("b_total = %#v, want labeled map with shard=\"1\" -> 2", snap["b_total"])
-	}
-	hs, ok := snap["lat_seconds"].(snapshotHist)
-	if !ok || hs.Count != 2 {
-		t.Errorf("lat_seconds = %#v, want snapshotHist with Count 2", snap["lat_seconds"])
-	}
-	if _, err := json.Marshal(snap); err != nil {
-		t.Fatalf("snapshot does not marshal: %v", err)
+	if bad > 0 {
+		t.Errorf("%d of %d scrapes wrote a _count that differs from the le=\"+Inf\" bucket", bad, scrapes)
 	}
 }

@@ -210,7 +210,6 @@ func (st *Store) checkpointSpan(dir string, parent *trace.Span) (info Checkpoint
 		return CheckpointInfo{}, err
 	}
 	st.lastCkpt.Store(&info)
-	st.obsm.checkpoints.Inc()
 	st.obsm.checkpointWrite.Observe(time.Since(t0).Seconds())
 	pruneGenerations(dir, st.skippedGens)
 	return info, nil
@@ -410,7 +409,6 @@ func (st *Store) Restore(dir string) (CheckpointInfo, error) {
 		sp.Fail(spErr)
 		sp.End()
 	}()
-	t0 := time.Now()
 
 	m, merr := readManifest(dir)
 	gens, maxSeq := scanGenerations(dir)
@@ -474,7 +472,6 @@ func (st *Store) Restore(dir string) (CheckpointInfo, error) {
 		st.ingested.Add(records)
 		st.lastCkpt.Store(&info)
 		st.obsm.restores.Inc()
-		st.obsm.restoreSeconds.Observe(time.Since(t0).Seconds())
 		sp.SetAttrs(trace.Int("records", int64(info.Records)))
 		return info, nil
 	}

@@ -8,7 +8,8 @@ import (
 )
 
 // DefaultDocCacheBytes is the rendered-doc cache budget when the
-// embedder sets none (WithDocCacheBytes overrides, 0 disables). Sized
+// embedder sets none (WithDocCacheBytes overrides, 0 disables); censord
+// always runs with it. Sized
 // for every experiment in both formats across a few generations plus a
 // working set of range windows — tens of MB against render costs in
 // the milliseconds.
@@ -48,7 +49,7 @@ const docCacheOverhead = 160
 // a no-op — so the serving paths carry no "is caching on" branches.
 type docCache struct {
 	max int64
-	m   *readMetrics // the cache's instruments: hits, misses, evictions, bytes
+	m   *readMetrics // the cache's instruments: hits, misses, evictions
 
 	mu      sync.Mutex
 	entries map[docKey]*list.Element
@@ -113,5 +114,4 @@ func (c *docCache) put(k docKey, e *docEntry) {
 		c.bytes -= old.size
 		c.m.cacheEvictions.Inc()
 	}
-	c.m.cacheBytes.Set(c.bytes)
 }

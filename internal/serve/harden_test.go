@@ -152,8 +152,9 @@ func TestAddShedsOnStalledShard(t *testing.T) {
 	}
 }
 
-// WithMaxBody caps ingest bodies: one byte over answers 413 and names
-// the cap, under the cap still works.
+// The ingest body cap: a server answers 413 naming the cap to a body
+// one byte over MaxIngestBody (64 MiB), and under a smaller cap one
+// byte over still answers 413 while a body under it is ingested.
 func TestIngestBodyCap(t *testing.T) {
 	f := corpus(t)
 	store, err := NewStore(Config{Options: f.opt, Shards: 2})
@@ -161,7 +162,32 @@ func TestIngestBodyCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	srv := httptest.NewServer(NewServer(store, f.gen, WithMaxBody(512)))
+
+	// MaxIngestBody+1 bytes of 1 KiB junk lines, streamed so the test
+	// never holds 64 MiB.
+	pr, pw := io.Pipe()
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		line := append(bytes.Repeat([]byte("x"), 1023), '\n')
+		for n := int64(0); n <= MaxIngestBody; n += int64(len(line)) {
+			if _, err := pw.Write(line); err != nil {
+				return
+			}
+		}
+		pw.Close()
+	}()
+	rw := httptest.NewRecorder()
+	NewServer(store, f.gen).ServeHTTP(rw, httptest.NewRequest("POST", "/v1/ingest", pr))
+	pr.Close() // the writer's next Write fails, and it returns
+	<-wrote
+	if rw.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rw.Body.String(), "67108864") {
+		t.Fatalf("body over MaxIngestBody: status %d body %s, want 413 naming 67108864", rw.Code, rw.Body.String())
+	}
+
+	capped := NewServer(store, f.gen)
+	capped.maxBody = 512
+	srv := httptest.NewServer(capped)
 	defer srv.Close()
 
 	big := encodeCSV(t, f.records[:100], false) // far over 512 bytes

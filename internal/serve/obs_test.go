@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -66,9 +67,12 @@ var sampleLine = regexp.MustCompile(
 		`(NaN|[+-]?Inf|[+-]?[0-9]*\.?[0-9]+([eE][+-]?[0-9]+)?)$`)
 
 // TestMetricsEndpoint drives ingest, snapshot and checkpoint traffic
-// through a server and asserts the scrape covers every subsystem the
-// issue names — HTTP, ingest, shard queues, snapshot/timewin,
-// checkpoint, runtime — in syntactically valid exposition format.
+// through a server and asserts the scrape covers every subsystem —
+// HTTP, ingest, shard queues, snapshot/timewin, checkpoint, read path,
+// runtime — in syntactically valid exposition format. The families
+// table is the inventory: the scrape's # TYPE names must equal its
+// keys, so a family cannot be added or dropped without listing it here
+// (and in DESIGN.md §9).
 func TestMetricsEndpoint(t *testing.T) {
 	f := corpus(t)
 	store, err := NewStore(Config{Options: f.opt, Shards: 2})
@@ -93,7 +97,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	text := scrape(t, srv.URL)
+	exported := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			exported[strings.Fields(rest)[0]] = true
+		}
 		if strings.HasPrefix(line, "# ") {
 			continue
 		}
@@ -102,41 +110,74 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	for series, positive := range map[string]bool{
-		"censord_ingest_blocks_total":                        true,
-		"censord_ingest_records_total":                       true,
-		"censord_ingest_bytes_total":                         true,
-		"censord_ingest_malformed_total":                     false,
-		"censord_ingest_parse_seconds_count":                 true,
-		"censord_ingest_backpressure_seconds_count":          true,
-		"censord_store_records_total":                        true,
-		"censord_store_shards":                               true,
-		"censord_shard_queue_depth{shard=\"0\"}":             false,
-		"censord_shard_queue_depth{shard=\"1\"}":             false,
-		"censord_snapshot_cuts_total":                        true,
-		"censord_snapshot_build_seconds_count":               true,
-		"censord_snapshot_seq":                               true,
-		"censord_timewin_live_buckets":                       true,
-		"censord_timewin_compactions_total":                  false,
-		"censord_checkpoint_writes_total":                    true,
-		"censord_checkpoint_write_seconds_count":             true,
-		"censord_checkpoint_frames_encoded_total":            true,
-		"censord_checkpoint_frames_reused_total":             false,
-		"censord_checkpoint_generation":                      true,
-		"censord_checkpoint_bytes":                           true,
-		"censord_intern_strings_total":                       true,
-		`http_requests_total{route="/v1/ingest",code="2xx"}`: true,
-		`http_request_seconds_count{route="/v1/ingest"}`:     true,
-		`http_in_flight{route="/metrics"}`:                   false,
-		"go_goroutines":                                      true,
-		"go_heap_alloc_bytes":                                true,
-		"go_gc_cycles_total":                                 false,
-	} {
-		v := metricValue(t, text, series)
-		if positive && v <= 0 {
+	// families maps each exported family to the series read from it
+	// ("" = the family's own unlabeled sample) and whether that series
+	// must be positive after the traffic above.
+	families := map[string]struct {
+		series   string
+		positive bool
+	}{
+		"censord_ingest_records_total":               {"", true},
+		"censord_ingest_malformed_total":             {"", false},
+		"censord_ingest_bytes_total":                 {"", true},
+		"censord_ingest_parse_seconds":               {"censord_ingest_parse_seconds_count", true},
+		"censord_ingest_read_seconds":                {"censord_ingest_read_seconds_count", true},
+		"censord_ingest_backpressure_seconds":        {"censord_ingest_backpressure_seconds_count", true},
+		"censord_ingest_shed_total":                  {"", false},
+		"censord_store_records_total":                {"", true},
+		"censord_store_shards":                       {"", true},
+		"censord_shard_queue_depth":                  {`censord_shard_queue_depth{shard="0"}`, false},
+		"censord_snapshot_cuts_total":                {"", true},
+		"censord_snapshot_skips_total":               {"", false},
+		"censord_snapshot_build_seconds":             {"censord_snapshot_build_seconds_count", true},
+		"censord_snapshot_seq":                       {"", true},
+		"censord_range_merge_buckets_total":          {"", false},
+		"censord_range_merge_seconds":                {"censord_range_merge_seconds_count", false},
+		"censord_timewin_live_buckets":               {"", true},
+		"censord_timewin_compactions_total":          {"", false},
+		"censord_checkpoint_write_seconds":           {"censord_checkpoint_write_seconds_count", true},
+		"censord_checkpoint_frames_encoded_total":    {"", true},
+		"censord_checkpoint_frames_reused_total":     {"", false},
+		"censord_checkpoint_generation":              {"", true},
+		"censord_checkpoint_bytes":                   {"", true},
+		"censord_checkpoint_restores_total":          {"", false},
+		"censord_checkpoint_restore_fallbacks_total": {"", false},
+		"censord_intern_strings_total":               {"", true},
+		"censord_doccache_hits_total":                {"", false},
+		"censord_doccache_misses_total":              {"", false},
+		"censord_doccache_evictions_total":           {"", false},
+		"censord_sync_wait_seconds":                  {"censord_sync_wait_seconds_count", false},
+		"http_requests_total":                        {`http_requests_total{route="/v1/ingest",code="2xx"}`, true},
+		"http_request_seconds":                       {`http_request_seconds_count{route="/v1/ingest"}`, true},
+		"http_in_flight":                             {`http_in_flight{route="/metrics"}`, false},
+		"go_goroutines":                              {"", true},
+		"go_gomaxprocs":                              {"", true},
+		"go_heap_alloc_bytes":                        {"", true},
+		"go_heap_sys_bytes":                          {"", true},
+		"go_heap_objects":                            {"", true},
+		"go_gc_cycles_total":                         {"", false},
+		"go_gc_pause_seconds_total":                  {"", false},
+		"go_alloc_bytes_total":                       {"", true},
+	}
+	for fam, want := range families {
+		if !exported[fam] {
+			t.Errorf("family %s is not exported", fam)
+			continue
+		}
+		series := want.series
+		if series == "" {
+			series = fam
+		}
+		if v := metricValue(t, text, series); want.positive && v <= 0 {
 			t.Errorf("%s = %v, want > 0", series, v)
 		}
 	}
+	for fam := range exported {
+		if _, ok := families[fam]; !ok {
+			t.Errorf("family %s is exported but not in the inventory", fam)
+		}
+	}
+	metricValue(t, text, `censord_shard_queue_depth{shard="1"}`)
 
 	if n := metricValue(t, text, "censord_ingest_records_total"); n != 5000 {
 		t.Errorf("ingest_records_total = %v, want 5000", n)
@@ -239,8 +280,8 @@ func TestReadyz(t *testing.T) {
 }
 
 // TestStatsWindowedRateAndObs: ingest_mb_per_s reads the last ~10s
-// (positive right after an ingest) and /v1/stats embeds the registry
-// snapshot under "obs".
+// (positive right after an ingest), and /v1/stats carries no copy of
+// the registry: the metrics are exported once, at /metrics.
 func TestStatsWindowedRateAndObs(t *testing.T) {
 	f := corpus(t)
 	store, err := NewStore(Config{Options: f.opt, Shards: 2})
@@ -257,19 +298,21 @@ func TestStatsWindowedRateAndObs(t *testing.T) {
 	if st.IngestMBPerS <= 0 {
 		t.Errorf("ingest_mb_per_s = %v right after ingest, want > 0", st.IngestMBPerS)
 	}
-	if st.Obs == nil {
-		t.Fatal("stats obs section missing")
+	rw := get(NewServer(store, f.gen), "/v1/stats")
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(rw.Body.Bytes(), &keys); err != nil {
+		t.Fatalf("GET /v1/stats: %v", err)
 	}
-	if _, ok := st.Obs["censord_ingest_records_total"]; !ok {
-		t.Error("obs section lacks censord_ingest_records_total")
+	if _, ok := keys["obs"]; ok {
+		t.Error(`/v1/stats carries an "obs" section`)
 	}
-	if _, ok := st.Obs["go_goroutines"]; !ok {
-		t.Error("obs section lacks go_goroutines")
+	if _, ok := keys["build"]; !ok {
+		t.Error(`/v1/stats lacks its "build" section`)
 	}
 }
 
 // TestDisableObs: the uninstrumented store still works end to end (the
-// benchmark baseline) — no registry, no /metrics route, no obs section.
+// benchmark baseline) — no registry, no /metrics route.
 func TestDisableObs(t *testing.T) {
 	f := corpus(t)
 	store, err := NewStore(Config{Options: f.opt, Shards: 2, DisableObs: true})
@@ -290,9 +333,6 @@ func TestDisableObs(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := store.Stats()
-	if st.Obs != nil {
-		t.Error("DisableObs stats carries an obs section")
-	}
 	if st.IngestMBPerS <= 0 {
 		t.Errorf("DisableObs ingest_mb_per_s = %v, want > 0 (the rate is fed per block either way)", st.IngestMBPerS)
 	}
@@ -318,11 +358,12 @@ func TestDisableObs(t *testing.T) {
 }
 
 // The range-merge and ingest-stage instruments are taken where the
-// store runs the stage. A Range counts one merge per shard that covered
-// something and, in buckets, the sum of what they covered; a RangeSeries
-// one merge per shard per covered window; an empty window neither. A
-// traced block ingest observes one read and one parse per block and
-// sums both onto its pipeline.blocks span.
+// store runs the stage. A Range observes one merge per shard that
+// covered something into range_merge_seconds and counts, in buckets,
+// the sum of what they covered; a RangeSeries one merge per shard per
+// covered window; an empty window neither. A traced block ingest
+// observes one read and one parse per block and sums both onto its
+// pipeline.blocks span.
 func TestStageMetricsAtTheirCallSites(t *testing.T) {
 	f := corpus(t)
 	tr := trace.New(trace.Config{Slow: -1}) // keep every trace
@@ -334,17 +375,17 @@ func TestStageMetricsAtTheirCallSites(t *testing.T) {
 	defer store.Close()
 	body := encodeCSV(t, f.records[:6000], false)
 	ctx := trace.NewContext(context.Background(), tr.Root("test.ingest"))
-	blocks0 := store.obsm.blocks.Value()
+	reads0, parses0 := store.obsm.readSeconds.Count(), store.obsm.parseSeconds.Count()
 	if _, _, err := store.IngestBlocksCtx(ctx, logfmt.NewBlockReaderSize(bytes.NewReader(body), 64<<10), 2); err != nil {
 		t.Fatal(err)
 	}
 	trace.FromContext(ctx).End()
-	blocks := store.obsm.blocks.Value() - blocks0
-	if blocks < 2 {
-		t.Fatalf("ingest parsed %d blocks, want several", blocks)
+	reads, parses := store.obsm.readSeconds.Count()-reads0, store.obsm.parseSeconds.Count()-parses0
+	if parses < 2 {
+		t.Fatalf("ingest parsed %d blocks, want several", parses)
 	}
-	if r, p := store.obsm.readSeconds.Count(), store.obsm.parseSeconds.Count(); r != blocks || p != blocks {
-		t.Errorf("ingest_read_seconds_count %d, ingest_parse_seconds_count %d, want %d each (one per block)", r, p, blocks)
+	if reads != parses {
+		t.Errorf("ingest_read_seconds_count moved %d, ingest_parse_seconds_count %d, want one of each per block", reads, parses)
 	}
 
 	// Which shard holds a bucket at which start, for the expected counts.
@@ -384,7 +425,7 @@ func TestStageMetricsAtTheirCallSites(t *testing.T) {
 		return false
 	}
 	merges := func() (n, buckets uint64) {
-		return store.obsm.rangeMerges.Value(), store.obsm.rangeMergeBuckets.Value()
+		return store.obsm.rangeMergeSeconds.Count(), store.obsm.rangeMergeBuckets.Value()
 	}
 	snap, err := store.Refresh()
 	if err != nil {

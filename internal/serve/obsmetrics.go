@@ -18,7 +18,6 @@ import (
 // code path whether or not the store is instrumented, which is exactly
 // what BenchmarkObsOverhead compares.
 type storeMetrics struct {
-	blocks       *obs.Counter
 	records      *obs.Counter
 	malformed    *obs.Counter
 	bytes        *obs.Counter
@@ -31,27 +30,20 @@ type storeMetrics struct {
 	snapshotSkips   *obs.Counter
 	snapshotSeconds *obs.Histogram
 
-	rangeMerges       *obs.Counter
 	rangeMergeBuckets *obs.Counter
 	rangeMergeSeconds *obs.Histogram
 
-	compactions      *obs.Counter
-	compactedBuckets *obs.Counter
-	compactSeconds   *obs.Histogram
+	compactions *obs.Counter
 
-	checkpoints      *obs.Counter
 	checkpointWrite  *obs.Histogram
 	framesEncoded    *obs.Counter
 	framesReused     *obs.Counter
 	restores         *obs.Counter
-	restoreSeconds   *obs.Histogram
 	restoreFallbacks *obs.Counter
 }
 
 func newStoreMetrics(r *obs.Registry) storeMetrics {
 	return storeMetrics{
-		blocks: r.Counter("censord_ingest_blocks_total",
-			"Line-aligned blocks parsed by the block ingest paths."),
 		records: r.Counter("censord_ingest_records_total",
 			"Well-formed records parsed by the block ingest paths."),
 		malformed: r.Counter("censord_ingest_malformed_total",
@@ -59,7 +51,7 @@ func newStoreMetrics(r *obs.Registry) storeMetrics {
 		bytes: r.Counter("censord_ingest_bytes_total",
 			"Raw log bytes consumed by the block ingest paths (post-gunzip)."),
 		parseSeconds: r.Histogram("censord_ingest_parse_seconds",
-			"Per-block parse latency.", nil),
+			"Per-block parse latency (its _count is the blocks parsed).", nil),
 		readSeconds: r.Histogram("censord_ingest_read_seconds",
 			"Per-block read latency (file/socket I/O plus line snapping, "+
 				"before parsing) — the upstream half of ingest.", nil),
@@ -77,24 +69,18 @@ func newStoreMetrics(r *obs.Registry) storeMetrics {
 		snapshotSeconds: r.Histogram("censord_snapshot_build_seconds",
 			"Snapshot build duration.", nil),
 
-		rangeMerges: r.Counter("censord_range_merges_total",
-			"Per-shard range merges (RangeInto calls that covered something)."),
 		rangeMergeBuckets: r.Counter("censord_range_merge_buckets_total",
 			"Bucket merges performed by range queries across all shards."),
 		rangeMergeSeconds: r.Histogram("censord_range_merge_seconds",
-			"Per-shard range merge duration.", nil),
+			"Per-shard range merge duration (its _count is the merges: "+
+				"RangeInto calls that covered something).", nil),
 
 		compactions: r.Counter("censord_timewin_compactions_total",
 			"Retention compaction passes across all shard partitions."),
-		compactedBuckets: r.Counter("censord_timewin_compacted_buckets_total",
-			"Live buckets merged into the all-time tail by compaction."),
-		compactSeconds: r.Histogram("censord_timewin_compact_seconds",
-			"Compaction pass duration.", nil),
 
-		checkpoints: r.Counter("censord_checkpoint_writes_total",
-			"Checkpoints written."),
 		checkpointWrite: r.Histogram("censord_checkpoint_write_seconds",
-			"Checkpoint write duration (all shards, fsyncs included).", nil),
+			"Checkpoint write duration (all shards, fsyncs included; "+
+				"its _count is the checkpoints written).", nil),
 		framesEncoded: r.Counter("censord_checkpoint_frames_encoded_total",
 			"Bucket and tail frames checkpoints had to encode: their "+
 				"record count moved since the frame was last cut."),
@@ -103,8 +89,6 @@ func newStoreMetrics(r *obs.Registry) storeMetrics {
 				"without encoding (unchanged since cut, or seeded by a restore)."),
 		restores: r.Counter("censord_checkpoint_restores_total",
 			"Checkpoints restored."),
-		restoreSeconds: r.Histogram("censord_checkpoint_restore_seconds",
-			"Checkpoint restore duration (decode and fold).", nil),
 		restoreFallbacks: r.Counter("censord_checkpoint_restore_fallbacks_total",
 			"Checkpoint generations skipped during restore because they "+
 				"failed to decode (corruption, truncation, config mismatch)."),
@@ -115,7 +99,6 @@ func newStoreMetrics(r *obs.Registry) storeMetrics {
 // instruments and the windowed byte rate as blocks complete (so a long
 // streaming POST moves ingest_mb_per_s while still running).
 func (st *Store) onBlock(b pipeline.BlockStats) {
-	st.obsm.blocks.Inc()
 	st.obsm.records.Add(b.Records)
 	st.obsm.malformed.Add(b.Malformed)
 	st.obsm.bytes.Add(b.Bytes)
@@ -132,8 +115,6 @@ func (st *Store) onBlock(b pipeline.BlockStats) {
 // recorder.
 func (st *Store) onCompact(buckets int, seconds float64) {
 	st.obsm.compactions.Inc()
-	st.obsm.compactedBuckets.Add(uint64(buckets))
-	st.obsm.compactSeconds.Observe(seconds)
 	st.tracer.Op("timewin.compact",
 		time.Now().Add(-time.Duration(seconds*float64(time.Second))), nil,
 		trace.Int("buckets", int64(buckets)))
@@ -145,7 +126,6 @@ func (st *Store) rangeInto(p *timewin.Partition, dst *core.Engine, w timewin.Win
 	t0 := time.Now()
 	c, err := p.RangeInto(dst, w)
 	if c.Buckets > 0 || c.Tail {
-		st.obsm.rangeMerges.Inc()
 		st.obsm.rangeMergeBuckets.Add(uint64(c.Buckets))
 		st.obsm.rangeMergeSeconds.Observe(time.Since(t0).Seconds())
 	}
@@ -157,7 +137,6 @@ func (st *Store) rangeInto(p *timewin.Partition, dst *core.Engine, w timewin.Win
 // generation) read through closures at scrape time instead of being
 // double-counted on the hot path.
 func (st *Store) registerObsFuncs(r *obs.Registry) {
-	obs.RegisterBuildInfo(r)
 	r.CounterFunc("censord_store_records_total",
 		"Records folded into the store, restored checkpoints included "+
 			"(monotone across a warm restart).",
@@ -174,15 +153,10 @@ func (st *Store) registerObsFuncs(r *obs.Registry) {
 
 	r.GaugeFunc("censord_snapshot_seq", "Sequence number of the published snapshot.",
 		func() float64 { return float64(st.Current().Seq) })
-	r.GaugeFunc("censord_snapshot_records", "Records folded into the published snapshot.",
-		func() float64 { return float64(st.Current().Records) })
 
 	r.GaugeFunc("censord_timewin_live_buckets",
 		"Distinct live time buckets across shards, at the published snapshot.",
 		func() float64 { return float64(len(st.Current().Timewin.Buckets)) })
-	r.GaugeFunc("censord_timewin_tail_records",
-		"Records compacted into the all-time tail, at the published snapshot.",
-		func() float64 { return float64(st.Current().Timewin.TailRecords) })
 
 	r.GaugeFunc("censord_checkpoint_generation",
 		"Generation sequence of the last written or restored checkpoint "+
@@ -198,10 +172,7 @@ func (st *Store) registerObsFuncs(r *obs.Registry) {
 
 	r.CounterFunc("censord_intern_strings_total",
 		"Strings added to the parser interning tables (process-wide, cold path only).",
-		func() float64 { s, _ := logfmt.InternStats(); return float64(s) })
-	r.CounterFunc("censord_intern_bytes_total",
-		"Bytes retained by the parser interning tables (process-wide).",
-		func() float64 { _, b := logfmt.InternStats(); return float64(b) })
+		func() float64 { return float64(logfmt.InternStats()) })
 }
 
 // readMetrics holds the read-path instruments: the rendered-doc cache
@@ -212,13 +183,8 @@ type readMetrics struct {
 	cacheHits      *obs.Counter
 	cacheMisses    *obs.Counter
 	cacheEvictions *obs.Counter
-	cacheBytes     *obs.Gauge
 
-	syncParked   *obs.Counter
-	syncWakeups  *obs.Counter
-	syncTimeouts *obs.Counter
-	syncShed     *obs.Counter
-	syncWait     *obs.Histogram
+	syncWait *obs.Histogram
 }
 
 func newReadMetrics(r *obs.Registry) readMetrics {
@@ -229,18 +195,8 @@ func newReadMetrics(r *obs.Registry) readMetrics {
 		cacheMisses: r.Counter("censord_doccache_misses_total",
 			"Rendered-doc cache misses (a full render ran)."),
 		cacheEvictions: r.Counter("censord_doccache_evictions_total",
-			"Entries evicted from the rendered-doc cache to stay under -doc-cache-bytes."),
-		cacheBytes: r.Gauge("censord_doccache_bytes",
-			"Bytes held by the rendered-doc cache (bodies plus bookkeeping)."),
+			"Entries evicted from the rendered-doc cache to stay under its 64 MiB budget."),
 
-		syncParked: r.Counter("censord_sync_parked_total",
-			"/v1/sync long-polls parked to wait for a snapshot change."),
-		syncWakeups: r.Counter("censord_sync_wakeups_total",
-			"Parked /v1/sync long-polls woken by a snapshot cut."),
-		syncTimeouts: r.Counter("censord_sync_timeouts_total",
-			"Parked /v1/sync long-polls that reached their timeout with no change."),
-		syncShed: r.Counter("censord_sync_shed_total",
-			"/v1/sync long-polls shed with 429 because -sync-max-parked was reached."),
 		syncWait: r.Histogram("censord_sync_wait_seconds",
 			"Time parked /v1/sync long-polls spent waiting, whatever ended the wait.", nil),
 	}

@@ -29,7 +29,7 @@ import (
 //	GET  /healthz                     liveness + snapshot freshness
 //	GET  /readyz                      readiness (503 while restoring/loading)
 //	GET  /metrics                     Prometheus text exposition
-//	GET  /v1/stats                    store counters (+ "obs" metric snapshot)
+//	GET  /v1/stats                    store counters, build identity, trace stats
 //	GET  /v1/experiments              experiment index (id, kind, title, modules)
 //	GET  /v1/experiments/{id}         any experiment (table4, fig8, https, ...)
 //	GET  /v1/tables/{id}              tables only; "table4" or bare "4"
@@ -65,7 +65,7 @@ type Server struct {
 	start   time.Time
 	logger  *slog.Logger
 	ready   *Readiness
-	maxBody int64
+	maxBody int64 // MaxIngestBody outside tests
 	ckptFn  func(ctx context.Context) (CheckpointInfo, error)
 
 	// boot is a per-process nonce prefixed to every ETag and sync
@@ -78,7 +78,7 @@ type Server struct {
 	cacheBytes    int64
 	cache         *docCache
 	readm         readMetrics
-	syncMaxParked int
+	syncMaxParked int // DefaultSyncMaxParked outside tests
 	syncWaiting   atomic.Int64
 	tracker       syncTracker
 
@@ -86,6 +86,10 @@ type Server struct {
 	index     [2]*docEntry
 	indexETag string
 }
+
+// MaxIngestBody caps POST /v1/ingest bodies in wire bytes (before
+// gunzip); a larger upload answers 413 and should be split.
+const MaxIngestBody int64 = 64 << 20
 
 // ServerOption customizes NewServer.
 type ServerOption func(*Server)
@@ -99,11 +103,6 @@ func WithLogger(l *slog.Logger) ServerOption { return func(s *Server) { s.logger
 // "draining" during shutdown). Without it /readyz follows only the
 // store's own restore state.
 func WithReadiness(r *Readiness) ServerOption { return func(s *Server) { s.ready = r } }
-
-// WithMaxBody caps POST /v1/ingest request bodies at n wire bytes
-// (pre-gunzip); larger uploads fail with 413. <= 0 leaves bodies
-// unbounded (the default, for embedders that trust their callers).
-func WithMaxBody(n int64) ServerOption { return func(s *Server) { s.maxBody = n } }
 
 // WithCheckpoint enables POST /v1/checkpoint: fn cuts a checkpoint now
 // and returns what was written. The daemon wires this to
@@ -119,20 +118,12 @@ func WithCheckpoint(fn func(ctx context.Context) (CheckpointInfo, error)) Server
 // generation, not the cache).
 func WithDocCacheBytes(n int64) ServerOption { return func(s *Server) { s.cacheBytes = n } }
 
-// WithSyncMaxParked bounds how many /v1/sync long-polls may be parked
-// at once; excess polls are shed with 429 + Retry-After so a poller
-// herd cannot pin unbounded handler goroutines. Default
-// DefaultSyncMaxParked; <= 0 sheds every park attempt (long-polling
-// effectively disabled, ?since still answers immediately when data
-// already changed).
-func WithSyncMaxParked(n int) ServerOption { return func(s *Server) { s.syncMaxParked = n } }
-
 // NewServer wires the routes. gen is the optional ground-truth world;
 // without it the generator-requiring experiments (probing, groundtruth)
 // answer 422.
 func NewServer(store *Store, gen *synth.Generator, opts ...ServerOption) *Server {
 	s := &Server{store: store, gen: gen, mux: http.NewServeMux(), start: time.Now(),
-		boot:       bootNonce(),
+		boot: bootNonce(), maxBody: MaxIngestBody,
 		cacheBytes: DefaultDocCacheBytes, syncMaxParked: DefaultSyncMaxParked}
 	for _, opt := range opts {
 		opt(s)
@@ -141,8 +132,6 @@ func NewServer(store *Store, gen *synth.Generator, opts ...ServerOption) *Server
 	reg := store.Registry()
 	if reg != nil {
 		s.readm = newReadMetrics(reg)
-		reg.GaugeFunc("censord_sync_waiting", "/v1/sync long-polls currently parked.",
-			func() float64 { return float64(s.syncWaiting.Load()) })
 	}
 	s.cache = newDocCache(s.cacheBytes, &s.readm)
 	s.buildIndex()
@@ -380,8 +369,8 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 // reader. ?refresh=1 rebuilds the snapshot after the batch so it is
 // immediately queryable.
 //
-// Failure semantics: with WithMaxBody, an oversized body answers 413
-// (the cap applies to wire bytes, before gunzip). A store shedding
+// Failure semantics: a body over MaxIngestBody answers 413 (the cap
+// applies to wire bytes, before gunzip). A store shedding
 // load answers 429 with Retry-After — the daemon never buffers
 // unboundedly or hangs the handler on a stalled shard. The response's
 // "added" field counts the records folded before the shed, but that
@@ -397,11 +386,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 // censord_ingest_records_total, which counts records parsed, the
 // dropped ones included. A closed (draining) store answers 503.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	rbody := r.Body
-	if s.maxBody > 0 {
-		rbody = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
-	br := bufio.NewReader(rbody)
+	br := bufio.NewReader(http.MaxBytesReader(w, r.Body, s.maxBody))
 	body := io.Reader(br)
 	magic, _ := br.Peek(2)
 	if r.Header.Get("Content-Encoding") == "gzip" ||

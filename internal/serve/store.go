@@ -138,13 +138,12 @@ type Stats struct {
 	SnapshotAgeS int64 `json:"snapshot_age_s"`
 	// CheckpointAgeS is the age of the last written or restored
 	// checkpoint, -1 when none exists yet.
-	CheckpointAgeS       int64          `json:"checkpoint_age_s"`
-	CheckpointBytes      int64          `json:"checkpoint_bytes,omitempty"`
-	CheckpointGeneration string         `json:"checkpoint_generation,omitempty"`
-	IngestedBytes        uint64         `json:"ingested_bytes"`
-	IngestMBPerS         float64        `json:"ingest_mb_per_s"`
-	Timewin              timewin.Meta   `json:"timewin"`
-	Obs                  map[string]any `json:"obs,omitempty"`
+	CheckpointAgeS       int64        `json:"checkpoint_age_s"`
+	CheckpointBytes      int64        `json:"checkpoint_bytes,omitempty"`
+	CheckpointGeneration string       `json:"checkpoint_generation,omitempty"`
+	IngestedBytes        uint64       `json:"ingested_bytes"`
+	IngestMBPerS         float64      `json:"ingest_mb_per_s"`
+	Timewin              timewin.Meta `json:"timewin"`
 	// Build identifies the running binary (version, Go toolchain, VCS
 	// revision) so a stats scrape is attributable to a deploy.
 	Build obs.Build `json:"build"`
@@ -1116,9 +1115,6 @@ func (st *Store) Stats() Stats {
 		out.CheckpointAgeS = int64(time.Since(time.Unix(ck.CreatedUnix, 0)).Seconds())
 		out.CheckpointBytes = ck.Bytes
 		out.CheckpointGeneration = ck.Generation
-	}
-	if st.reg != nil {
-		out.Obs = st.reg.Snapshot()
 	}
 	out.Build = obs.ReadBuild()
 	if st.tracer != nil {

@@ -15,10 +15,9 @@ import (
 	"syriafilter/internal/render"
 )
 
-// DefaultSyncMaxParked bounds concurrently parked /v1/sync long-polls
-// when the embedder sets none (WithSyncMaxParked overrides). Each
-// parked poll costs one goroutine and one connection; past the bound,
-// polls shed with 429 + Retry-After.
+// DefaultSyncMaxParked bounds concurrently parked /v1/sync long-polls.
+// Each parked poll costs one goroutine and one connection; past the
+// bound, polls shed with 429 + Retry-After.
 const DefaultSyncMaxParked = 1024
 
 // DefaultSyncTimeout is how long a /v1/sync long-poll parks when the
@@ -234,13 +233,11 @@ func (s *Server) waitSync(w http.ResponseWriter, r *http.Request, since uint64, 
 	}
 	if n := s.syncWaiting.Add(1); n > int64(s.syncMaxParked) {
 		s.syncWaiting.Add(-1)
-		s.readm.syncShed.Inc()
 		writeError(retryLater(w), http.StatusTooManyRequests,
-			"sync: %d long-polls already parked (-sync-max-parked); retry shortly", s.syncMaxParked)
+			"sync: %d long-polls already parked, the most one daemon holds; retry shortly", s.syncMaxParked)
 		return nil, false, false
 	}
 	defer s.syncWaiting.Add(-1)
-	s.readm.syncParked.Inc()
 	sp := trace.FromContext(r.Context()).Child("sync.park")
 	sp.SetAttrs(trace.Int("since", int64(since)))
 	t0 := time.Now()
@@ -255,7 +252,6 @@ func (s *Server) waitSync(w http.ResponseWriter, r *http.Request, since uint64, 
 		ch := s.store.ChangeSignal()
 		rch := s.ready.Changed()
 		if snap = s.store.Current(); snap.Seq > since {
-			s.readm.syncWakeups.Inc()
 			sp.SetAttrs(trace.Int("woken", 1))
 			return snap, false, true
 		}
@@ -271,7 +267,6 @@ func (s *Server) waitSync(w http.ResponseWriter, r *http.Request, since uint64, 
 		case <-ch:
 		case <-rch:
 		case <-timer.C:
-			s.readm.syncTimeouts.Inc()
 			return s.store.Current(), true, true
 		case <-s.store.Done():
 			writeError(retryLater(w), http.StatusServiceUnavailable, "%v", ErrClosed)

@@ -228,9 +228,11 @@ func TestSyncDrainWakeup(t *testing.T) {
 }
 
 // The parked-poll bound sheds excess long-polls with 429 instead of
-// accumulating goroutines; zero disables parking entirely.
+// accumulating goroutines: the poll one past DefaultSyncMaxParked
+// sheds, and a bound of zero disables parking entirely.
 func TestSyncParkedShed(t *testing.T) {
-	store, srv := newTestServer(t, 2000, WithSyncMaxParked(0))
+	store, srv := newTestServer(t, 2000)
+	srv.syncMaxParked = 0
 	token := fmt.Sprint(store.Current().Seq)
 	rw := get(srv, "/v1/sync?ids=table4&timeout=10s&since="+token)
 	if rw.Code != 429 {
@@ -246,7 +248,8 @@ func TestSyncParkedShed(t *testing.T) {
 
 	// With a bound of 1, a second concurrent park sheds while the first
 	// stays parked.
-	srv2 := NewServer(store, corpus(t).gen, WithSyncMaxParked(1))
+	srv2 := NewServer(store, corpus(t).gen)
+	srv2.syncMaxParked = 1
 	parked := make(chan *httptest.ResponseRecorder, 1)
 	// The parked poll resolves at cleanup: closing the store fires its
 	// Done arm, so the goroutine never outlives the test binary.
@@ -270,6 +273,23 @@ func TestSyncParkedShed(t *testing.T) {
 	case rw := <-parked:
 		t.Fatalf("parked poll returned on a no-change wakeup: status %d", rw.Code)
 	case <-time.After(100 * time.Millisecond):
+	}
+
+	// At the default bound, the 1,025th concurrent park sheds. The
+	// parked polls resolve at cleanup like the one above.
+	srv3 := NewServer(store, corpus(t).gen)
+	for i := 0; i < DefaultSyncMaxParked; i++ {
+		go get(srv3, "/v1/sync?ids=table4&timeout=30s&since="+token)
+	}
+	deadline = time.Now().Add(10 * time.Second)
+	for srv3.syncWaiting.Load() < DefaultSyncMaxParked {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d polls parked", srv3.syncWaiting.Load(), DefaultSyncMaxParked)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if rw := get(srv3, "/v1/sync?ids=table4&timeout=10s&since="+token); rw.Code != 429 || !strings.Contains(rw.Body.String(), "1024") {
+		t.Errorf("poll %d answered %d %s, want 429 naming the bound 1024", DefaultSyncMaxParked+1, rw.Code, rw.Body.String())
 	}
 }
 

@@ -2,6 +2,8 @@ package e2e
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -18,7 +20,11 @@ import (
 // booted on one plain and one gzipped -input file must serve, over a
 // sub-window, the docs censorlyzer -from/-to computes from the same
 // files, and after SIGTERM and a restart from -checkpoint alone it
-// serves every table byte for byte as before.
+// serves every table byte for byte as before. The restart also runs
+// with -log-format json, so every line it logs is a JSON object with a
+// "msg" key, and with -debug-addr, so pprof answers on that listener
+// and 404s on the public one. Tracing needs no flag: the slow threshold
+// is 250ms. censord -version exits 0 naming itself.
 func TestBootFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boot-flag test spawns real daemons; skipped in -short")
@@ -65,9 +71,9 @@ func TestBootFlags(t *testing.T) {
 	before := tables()
 	d.term()
 
-	cfg.Extra = nil
+	debugAddr := freeAddr(t)
+	cfg.Extra = []string{"-log-format", "json", "-debug-addr", debugAddr}
 	d = startDaemon(t, cfg)
-	defer d.term()
 	after := tables()
 	if len(after) != 14 {
 		t.Errorf("%d tables, want 14", len(after))
@@ -76,5 +82,61 @@ func TestBootFlags(t *testing.T) {
 		if !bytes.Equal(after[id], want) {
 			t.Errorf("%s differs after a restart from -checkpoint alone", id)
 		}
+	}
+
+	// The debug listener starts beside the public one; give it a moment.
+	pprofCode := 0
+	for deadline := time.Now().Add(5 * time.Second); pprofCode != 200 && time.Now().Before(deadline); {
+		if resp, err := http.Get("http://" + debugAddr + "/debug/pprof/"); err == nil {
+			pprofCode = resp.StatusCode
+			resp.Body.Close()
+		} else {
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	if pprofCode != 200 {
+		t.Errorf("GET /debug/pprof/ on -debug-addr: status %d, want 200", pprofCode)
+	}
+	if code, _ := d.get("/debug/pprof/"); code != 404 {
+		t.Errorf("GET /debug/pprof/ on the public listener: status %d, want 404", code)
+	}
+	// censord always traces, keeping every trace of 250ms or longer;
+	// /v1/stats exports the registry nowhere.
+	var stats struct {
+		Obs   json.RawMessage `json:"obs"`
+		Trace *struct {
+			SlowMS float64 `json:"slow_threshold_ms"`
+		} `json:"trace"`
+	}
+	if _, body := d.get("/v1/stats"); json.Unmarshal(body, &stats) != nil || stats.Trace == nil || stats.Trace.SlowMS != 250 || stats.Obs != nil {
+		t.Errorf("/v1/stats = %.300s, want a trace section with slow_threshold_ms 250 and no obs section", body)
+	}
+	d.term()
+
+	logged, err := os.ReadFile(d.logTo.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(logged), "\n"), "\n")
+	if len(lines) < 3 {
+		t.Errorf("-log-format json logged %d lines, want boot, ready and shutdown at least", len(lines))
+	}
+	for _, line := range lines {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Errorf("-log-format json wrote a line that is not a JSON object: %q", line)
+			continue
+		}
+		if _, ok := rec["msg"]; !ok {
+			t.Errorf("-log-format json wrote a line without a msg key: %q", line)
+		}
+	}
+
+	out, err := exec.Command(censordBin, "-version").Output()
+	if err != nil {
+		t.Fatalf("censord -version: %v", err)
+	}
+	if !strings.HasPrefix(string(out), "censord ") {
+		t.Errorf("censord -version printed %q, want a line starting with \"censord \"", out)
 	}
 }
