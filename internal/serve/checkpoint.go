@@ -503,10 +503,13 @@ func (st *Store) loadGeneration(dir string, g genEntry, m *manifest, gsp *trace.
 		return 0, info, err, nil
 	}
 	// Shard i absorbs staged files i, i+n, … in ascending order, the
-	// per-shard order of a file-at-a-time fold.
+	// per-shard order of a file-at-a-time fold. Absorbed records are no
+	// batch a cut could replay: the shard drops what it kept, so the next
+	// cut folds.
 	t1 := time.Now()
 	n := len(st.shards)
 	absorbErr = st.each(false, nil, "", func(i int, _ *trace.Span, p *timewin.Partition) error {
+		st.shards[i].drop()
 		for j := i; j < len(staged); j += n {
 			if err := p.Absorb(staged[j]); err != nil {
 				return err

@@ -230,6 +230,12 @@ func TestGateServingWhileNotReady(t *testing.T) {
 	}
 	defer store.Close()
 	fillStore(t, store, f)
+	// Records after the last cut: any cut a gated route let through would
+	// move Seq.
+	if _, err := store.Add(f.records[:100]); err != nil {
+		t.Fatal(err)
+	}
+	seq, ingested := store.Current().Seq, store.Stats().Ingested
 
 	ready := NewReadiness("draining")
 	srv := httptest.NewServer(NewServer(store, f.gen,
@@ -237,13 +243,18 @@ func TestGateServingWhileNotReady(t *testing.T) {
 		WithCheckpoint(func(context.Context) (CheckpointInfo, error) { return CheckpointInfo{}, nil })))
 	defer srv.Close()
 
-	gated := []struct{ method, path string }{
-		{"POST", "/v1/snapshot"},
-		{"POST", "/v1/checkpoint"},
-		{"GET", "/v1/range/table4?from=2011-07-01&to=2011-09-01"},
+	gated := []struct {
+		method, path string
+		body         []byte
+	}{
+		{"POST", "/v1/snapshot", nil},
+		{"POST", "/v1/checkpoint", nil},
+		{"GET", "/v1/range/table4?from=2011-07-01&to=2011-09-01", nil},
+		{"GET", "/v1/experiments/table4?fresh=1", nil},
+		{"POST", "/v1/ingest?refresh=1", encodeCSV(t, f.records[:50], false)},
 	}
 	for _, g := range gated {
-		req, err := http.NewRequest(g.method, srv.URL+g.path, nil)
+		req, err := http.NewRequest(g.method, srv.URL+g.path, bytes.NewReader(g.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,6 +272,12 @@ func TestGateServingWhileNotReady(t *testing.T) {
 		}
 		if !strings.Contains(string(body), "draining") {
 			t.Errorf("%s %s while draining: body %s does not name the state", g.method, g.path, body)
+		}
+		if got := store.Current().Seq; got != seq {
+			t.Errorf("%s %s while draining: snapshot seq %d → %d, want no cut", g.method, g.path, seq, got)
+		}
+		if got := store.Stats().Ingested; got != ingested {
+			t.Errorf("%s %s while draining: ingested %d → %d, want nothing added", g.method, g.path, ingested, got)
 		}
 	}
 

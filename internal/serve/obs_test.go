@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -363,7 +365,7 @@ func TestDisableObs(t *testing.T) {
 // the sum of what they covered; a RangeSeries one merge per shard per
 // covered window; an empty window neither. A traced block ingest
 // observes one read and one parse per block and sums both onto its
-// pipeline.blocks span.
+// pipeline.blocks span. A snapshot cut names its path on its span.
 func TestStageMetricsAtTheirCallSites(t *testing.T) {
 	f := corpus(t)
 	tr := trace.New(trace.Config{Slow: -1}) // keep every trace
@@ -481,5 +483,27 @@ func TestStageMetricsAtTheirCallSites(t *testing.T) {
 	}
 	if n3, b3 := merges(); n3 != n2 || b3 != b2 {
 		t.Errorf("empty-window reads moved merges %d→%d, buckets %d→%d", n2, n3, b2, b3)
+	}
+
+	// The snapshot.cut span says which path a cut took: the first cut
+	// folded every segment, and one after 100 new records extends it by
+	// replaying them.
+	if _, err := store.Add(f.records[:100]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	var cuts []string
+	for _, tc := range tr.Recorder().Snapshot(0, 0) {
+		for _, sp := range tc.Spans {
+			if sp.Name == "snapshot.cut" {
+				cuts = append(cuts, fmt.Sprintf("mode=%v replayed=%v", sp.Attrs["mode"], sp.Attrs["replayed"]))
+			}
+		}
+	}
+	slices.Sort(cuts)
+	if want := []string{"mode=extend replayed=100", "mode=fold replayed=0"}; !slices.Equal(cuts, want) {
+		t.Errorf("snapshot.cut spans %v, want %v", cuts, want)
 	}
 }

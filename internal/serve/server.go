@@ -50,9 +50,10 @@ import (
 // `censorlyzer -json` over the same records, which is what the CI smoke
 // test diffs — and a cache-served or gzip-served body is byte-identical
 // to a fresh render. ?fresh=1 on a doc route rebuilds the snapshot
-// first. Bodies carry strong ETags derived from their generation and
-// revalidate with If-None-Match → 304; GET /v1/sync turns the same
-// generations into incremental long-polling (see handleSync).
+// first (503 until the daemon is ready). Bodies carry strong ETags
+// derived from their generation and revalidate with If-None-Match →
+// 304; GET /v1/sync turns the same generations into incremental
+// long-polling (see handleSync).
 //
 // Unless the store runs with DisableObs, every route is wrapped in the
 // obs middleware: per-route request/status-class counters, an in-flight
@@ -309,6 +310,9 @@ func (s *Server) handleDoc(kind, prefix string) http.HandlerFunc {
 		q := r.URL.Query()
 		snap := s.store.Current()
 		if q.Get("fresh") == "1" {
+			if s.gateServing(w) {
+				return
+			}
 			var err error
 			if snap, err = s.store.RefreshCtx(r.Context()); err != nil {
 				writeError(w, http.StatusInternalServerError, "snapshot: %v", err)
@@ -321,9 +325,10 @@ func (s *Server) handleDoc(kind, prefix string) http.HandlerFunc {
 
 // gateServing rejects requests that would observe (or snapshot)
 // half-restored state: while the daemon is restoring a checkpoint or
-// replaying boot files, /v1/snapshot, /v1/range and /v1/checkpoint
-// would race the async boot — a snapshot cut mid-restore publishes a
-// partial view, and range queries merge partially-folded partitions.
+// replaying boot files, /v1/snapshot, /v1/range, /v1/checkpoint and the
+// cuts that ?fresh=1 and ?refresh=1 ask for would race the async boot —
+// a snapshot cut mid-restore publishes a partial view, and range
+// queries merge partially-folded partitions.
 // Answer 503 + Retry-After so clients (and LBs) come back once
 // /readyz flips. Returns true when the request was rejected.
 func (s *Server) gateServing(w http.ResponseWriter) bool {
@@ -367,7 +372,8 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 // so a large upload decodes on every core instead of the request
 // goroutine. Malformed lines are counted and skipped, like the file
 // reader. ?refresh=1 rebuilds the snapshot after the batch so it is
-// immediately queryable.
+// immediately queryable; until the daemon is ready such a request is
+// refused whole (503), like POST /v1/snapshot.
 //
 // Failure semantics: a body over MaxIngestBody answers 413 (the cap
 // applies to wire bytes, before gunzip). A store shedding
@@ -386,6 +392,12 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 // censord_ingest_records_total, which counts records parsed, the
 // dropped ones included. A closed (draining) store answers 503.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	refresh := r.URL.Query().Get("refresh") == "1"
+	// Refused whole, before a record is added: a resend then cannot
+	// count the batch twice.
+	if refresh && s.gateServing(w) {
+		return
+	}
 	br := bufio.NewReader(http.MaxBytesReader(w, r.Body, s.maxBody))
 	body := io.Reader(br)
 	magic, _ := br.Peek(2)
@@ -418,7 +430,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := map[string]any{"added": added, "malformed": malformed}
-	if r.URL.Query().Get("refresh") == "1" {
+	if refresh {
 		snap, err := s.store.RefreshCtx(r.Context())
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "snapshot: %v", err)

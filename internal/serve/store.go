@@ -19,9 +19,11 @@
 // time because they share its per-window engines.
 //
 // Every whole-store view is cut by fold, built on each: an engine per
-// shard, filled at once and merged in shard order. A snapshot is the
-// fold of everything, atomically swapped into place, so queries read a
-// consistent point-in-time engine and never take a lock. A range query
+// shard, filled at once and merged in shard order. A snapshot is
+// atomically swapped into place, so queries read a consistent
+// point-in-time engine and never take a lock; it is the last snapshot
+// extended by the batches the shards applied since, or, when some shard
+// could not keep them, the fold of everything. A range query
 // (Store.Range) folds only the buckets a time window covers and the
 // metric modules the caller names; Store.RangeSeries walks the shards
 // into one engine per sub-window. Checkpoints cut one file per shard,
@@ -175,6 +177,24 @@ type shardMsg struct {
 type shard struct {
 	msgs chan shardMsg
 	free *batchPool // where applied batches go back
+	// kept holds, in order, the records this shard applied since the last
+	// snapshot cut, for the next cut to replay into a clone of the
+	// published snapshot (see RefreshCtx), packed into as few batches as
+	// they fit. keeping says kept is every change to the partition since
+	// that cut: the cut's op sets it, and it is cleared when a batch would
+	// take kept past keepCap records, or when anything but this loop's
+	// Observe changes the partition (restore's absorb). All of it is
+	// touched only on the shard goroutine; a cut takes kept over inside
+	// its op.
+	kept     []*[]logfmt.Record
+	keptRecs int
+	keeping  bool
+	keepCap  int // records: this shard's share of extendBudget
+	// cutMeta is the partition's bucket layout as a cut last read it, at
+	// cutRecords records: a cut reads the layout again only when the
+	// count moved, so an idle refresh tick allocates none.
+	cutMeta    timewin.Meta
+	cutRecords uint64
 }
 
 func (s *shard) loop(p *timewin.Partition, wg *sync.WaitGroup) {
@@ -192,17 +212,70 @@ func (s *shard) loop(p *timewin.Partition, wg *sync.WaitGroup) {
 				p.Observe(&(*b)[i])
 			}
 			m.span.SetAttrs(trace.Int("records", int64(len(*b))))
-			s.free.put(b)
+			s.keep(b)
 		}
 		m.span.End()
 	}
 }
 
+// keep holds an applied batch for the next cut, or puts it back when
+// the shard is not keeping or b would take kept past keepCap — in which
+// case the shard stops keeping, and the next cut folds. A batch that
+// fits in the last kept one is copied into it, so that small sends do
+// not pin a whole batch each.
+func (s *shard) keep(b *[]logfmt.Record) {
+	if !s.keeping || s.keptRecs+len(*b) > s.keepCap {
+		s.drop()
+		s.free.put(b)
+		return
+	}
+	s.keptRecs += len(*b)
+	if n := len(s.kept); n > 0 {
+		if last := s.kept[n-1]; len(*last)+len(*b) <= cap(*last) {
+			*last = append(*last, *b...)
+			s.free.put(b)
+			return
+		}
+	}
+	s.kept = append(s.kept, b)
+}
+
+// drop puts every kept batch back and stops keeping until the next cut.
+func (s *shard) drop() {
+	for _, b := range s.kept {
+		s.free.put(b)
+	}
+	s.kept, s.keptRecs, s.keeping = nil, 0, false
+}
+
+// layout returns p's record count and bucket layout for a cut. Only
+// Observe and Absorb change the layout, and both move the count.
+func (s *shard) layout(p *timewin.Partition) (uint64, timewin.Meta) {
+	if n := p.Records(); n != s.cutRecords || s.cutMeta.BucketSeconds == 0 {
+		s.cutRecords, s.cutMeta = n, p.Meta()
+	}
+	return s.cutRecords, s.cutMeta
+}
+
+// handOver starts a cut on the shard goroutine: it returns the batches
+// applied since the last cut and whether they are all of what changed
+// the partition since, and starts keeping afresh, so every later batch
+// belongs to the next cut.
+func (s *shard) handOver() (kept []*[]logfmt.Record, whole bool) {
+	kept, whole = s.kept, s.keeping
+	s.kept, s.keptRecs, s.keeping = nil, 0, true
+	return kept, whole
+}
+
 // batchPool is the store's free list of shard batches, each of capacity
 // pipeline.BatchSize. It holds pointers so that put does not allocate.
-type batchPool struct{ p sync.Pool }
+type batchPool struct {
+	p   sync.Pool
+	out atomic.Int64 // batches got and not yet put back
+}
 
 func (bp *batchPool) get() *[]logfmt.Record {
+	bp.out.Add(1)
 	if b, ok := bp.p.Get().(*[]logfmt.Record); ok {
 		return b
 	}
@@ -215,8 +288,19 @@ func (bp *batchPool) get() *[]logfmt.Record {
 func (bp *batchPool) put(b *[]logfmt.Record) {
 	clear(*b)
 	*b = (*b)[:0]
+	bp.out.Add(-1)
 	bp.p.Put(b)
 }
+
+// extendBudget bounds the records a snapshot cut replays instead of
+// folding, over all shards; each shard keeps at most its share. The
+// replay runs record by record on the cutting goroutine, so its cost
+// follows the records since the last cut, plus one clone of the
+// published snapshot, while a fold's follows the whole state. On
+// BenchmarkSnapshotCut's 200,000-record store the two meet between
+// about 6,500 and 9,000 records (DESIGN §5), and on larger states the
+// fold only costs more.
+const extendBudget = 8 * pipeline.BatchSize
 
 // shardQueue is the per-shard batch buffer: enough to keep shards busy,
 // small enough that Add exerts backpressure instead of buffering
@@ -333,7 +417,8 @@ func NewStore(cfg Config) (*Store, error) {
 			return nil, err
 		}
 		retainBuckets = p.RetainBuckets()
-		sh := &shard{msgs: make(chan shardMsg, shardQueue), free: &st.batches}
+		sh := &shard{msgs: make(chan shardMsg, shardQueue), free: &st.batches,
+			keepCap: extendBudget / cfg.Shards}
 		st.shards = append(st.shards, sh)
 		st.wg.Add(1)
 		go sh.loop(p, &st.wg)
@@ -635,21 +720,26 @@ func (st *Store) ingestBlockSources(srcs []*pipeline.BlockSource, workers int, s
 // Current returns the latest published snapshot (never nil).
 func (st *Store) Current() *Snapshot { return st.snap.Load() }
 
-// Refresh builds a new snapshot now and swaps it in: the fold of every
-// shard's whole partition, each merged on its shard's goroutine after
-// the batches enqueued before the request, so the snapshot is a
-// consistent prefix of each shard's ingest stream. The shards merge at
-// the same time: ingestion pauses on all of them for the length of one
-// shard's merge instead of on each in turn.
+// Refresh builds a new snapshot now and swaps it in, at a consistent
+// prefix of each shard's ingest stream: every batch enqueued before the
+// request is in it. When it can, the cut extends the published snapshot:
+// it clones that snapshot's engine and observes into the clone the
+// batches each shard applied since the last cut, so a cut costs what
+// arrived since the last one. Otherwise — the first cut, the first after
+// a restore, or when a shard took more than its share of extendBudget
+// records since the last cut — it folds every shard's whole partition,
+// each on its shard's goroutine, all at once, so ingestion pauses on all
+// of them for the length of one shard's fold.
 func (st *Store) Refresh() (*Snapshot, error) {
 	return st.RefreshCtx(context.Background())
 }
 
-// RefreshCtx is Refresh inside a traced context: each shard's merge
-// becomes a "snapshot.shard" child span. Without a span in ctx the cut
-// is traced as its own background "snapshot.cut" trace (when the store
-// has a tracer), so periodic snapshot cost shows up in the flight
-// recorder too.
+// RefreshCtx is Refresh inside a traced context: the cut is a
+// "snapshot.cut" span, with a mode attribute (extend or fold) and the
+// records it replayed, and a fold adds each shard's merge as a
+// "snapshot.shard" child span. Without a span in ctx the cut is traced
+// as its own background trace (when the store has a tracer), so periodic
+// snapshot cost shows up in the flight recorder too.
 //
 // RefreshCtx is change-aware: when no records arrived since the
 // published snapshot it returns that snapshot without rebuilding, so
@@ -662,24 +752,31 @@ func (st *Store) Refresh() (*Snapshot, error) {
 func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 	st.refreshMu.Lock()
 	defer st.refreshMu.Unlock()
-	// Change detection: one cheap op round summing the shards' record
-	// counts. Counts only grow and each shard's op runs after every
-	// batch enqueued before it, so an unchanged total proves the shard
-	// streams are at the same prefix the snapshot folded. Seq 0 (the
-	// boot-time empty view) always rebuilds: a restore folds records
-	// without publishing, and callers use the first Refresh to surface
-	// them.
-	if cur := st.Current(); cur.Seq > 0 {
-		counts := make([]uint64, len(st.shards))
+	// Change detection and hand-over: one cheap op round in which each
+	// shard reports its record count and bucket layout and hands over the
+	// batches it kept since the last cut. Counts only grow and each
+	// shard's op runs after every batch enqueued before it, so an
+	// unchanged total proves the shard streams are at the same prefix the
+	// snapshot holds. Seq 0 (the boot-time empty view) always folds: a
+	// restore folds records without publishing, and callers use the first
+	// Refresh to surface them.
+	cur := st.Current()
+	cuts := make([]shardCut, len(st.shards))
+	extend := false
+	if cur.Seq > 0 {
 		if st.each(false, nil, "", func(i int, _ *trace.Span, p *timewin.Partition) error {
-			counts[i] = p.Records()
+			c := &cuts[i]
+			c.records, c.meta = st.shards[i].layout(p)
+			c.kept, c.whole = st.shards[i].handOver()
 			return nil
 		}) != nil {
 			return cur, nil
 		}
+		extend = true
 		var total uint64
-		for _, n := range counts {
-			total += n
+		for i := range cuts {
+			total += cuts[i].records
+			extend = extend && cuts[i].whole
 		}
 		if total == cur.Records {
 			st.obsm.snapshotSkips.Inc()
@@ -693,28 +790,53 @@ func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 	}
 	defer cut.End()
 	t0 := time.Now()
-	metas := make([]timewin.Meta, len(st.shards))
-	counts := make([]uint64, len(st.shards))
-	an, err := st.fold(cut, "snapshot.shard", st.cfg.Metrics, func(i int, _ *trace.Span, p *timewin.Partition, dst *core.Engine) error {
-		p.AllInto(dst)
-		metas[i] = p.Meta()
-		counts[i] = p.Records()
-		return nil
-	})
-	if errors.Is(err, ErrClosed) {
-		return st.Current(), nil
+	var an *core.Analyzer
+	if extend {
+		// Clone only reads the published engine, as every reader does.
+		an = cur.An.Clone()
 	}
-	if err != nil {
-		cut.Fail(err)
-		return nil, err
+	var replayed int64
+	for i := range cuts {
+		for _, b := range cuts[i].kept {
+			if extend {
+				for j := range *b {
+					an.Engine.Observe(&(*b)[j])
+				}
+				replayed += int64(len(*b))
+			}
+			st.batches.put(b)
+		}
+	}
+	if !extend {
+		var err error
+		an, err = st.fold(cut, "snapshot.shard", st.cfg.Metrics, func(i int, _ *trace.Span, p *timewin.Partition, dst *core.Engine) error {
+			p.AllInto(dst)
+			c := &cuts[i]
+			c.records, c.meta = st.shards[i].layout(p)
+			// The fold holds every batch applied so far: keep afresh.
+			st.shards[i].drop()
+			st.shards[i].keeping = true
+			return nil
+		})
+		if errors.Is(err, ErrClosed) {
+			return st.Current(), nil
+		}
+		if err != nil {
+			cut.Fail(err)
+			return nil, err
+		}
 	}
 	var records uint64
 	var meta timewin.Meta
-	for i := range metas {
-		timewin.MergeMeta(&meta, metas[i])
-		records += counts[i]
+	for i := range cuts {
+		timewin.MergeMeta(&meta, cuts[i].meta)
+		records += cuts[i].records
 	}
-	cut.SetAttrs(trace.Int("records", int64(records)))
+	mode := "fold"
+	if extend {
+		mode = "extend"
+	}
+	cut.SetAttrs(trace.Int("records", int64(records)), trace.Str("mode", mode), trace.Int("replayed", replayed))
 	snap := &Snapshot{
 		An:      an,
 		Seq:     st.seq.Add(1),
@@ -727,6 +849,16 @@ func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 	st.obsm.snapshots.Inc()
 	st.obsm.snapshotSeconds.Observe(time.Since(t0).Seconds())
 	return snap, nil
+}
+
+// shardCut is one shard's part of a snapshot cut: its record count and
+// bucket layout at the cut, and the batches it hands over (see
+// shard.handOver).
+type shardCut struct {
+	records uint64
+	meta    timewin.Meta
+	kept    []*[]logfmt.Record
+	whole   bool
 }
 
 // ChangeSignal returns a channel closed at the next snapshot publish: a

@@ -95,6 +95,8 @@ func startDaemon(t *testing.T, cfg daemonConfig) *daemon {
 			// between the two requests.
 			if !gateChecked {
 				code, _ := d.post("/v1/snapshot", nil, false)
+				// So is a doc read that asks for a fresh cut.
+				fcode, _ := d.get("/v1/experiments/table4?fresh=1")
 				// /v1/sync is gated the same way: while restoring it must
 				// answer 503 immediately, never park over half-restored
 				// state (parking would also stall this boot loop).
@@ -112,6 +114,9 @@ func startDaemon(t *testing.T, cfg daemonConfig) *daemon {
 					if still.StatusCode != 200 {
 						if code != http.StatusServiceUnavailable {
 							t.Errorf("POST /v1/snapshot while not ready: status %d, want 503", code)
+						}
+						if fcode != http.StatusServiceUnavailable {
+							t.Errorf("GET /v1/experiments/table4?fresh=1 while not ready: status %d, want 503", fcode)
 						}
 						if scode != http.StatusServiceUnavailable {
 							t.Errorf("GET /v1/sync while not ready: status %d, want 503", scode)
