@@ -154,7 +154,7 @@ func TestCorruptedCorpusIsTolerated(t *testing.T) {
 // produce identical tables and figures to observing the same records in
 // memory, for every experiment id. Run under -race in CI, this also
 // proves the concurrent parse workers are race-free.
-func TestBlockIngestMatchesScannerPath(t *testing.T) {
+func TestBlockIngestMatchesInMemoryObserve(t *testing.T) {
 	dir := t.TempDir()
 	gen, ref, paths := buildCorpusFiles(t, dir, 91, 60000)
 	blocks, stats := analyzeFiles(t, gen, paths, 8)

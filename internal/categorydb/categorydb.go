@@ -9,10 +9,7 @@
 // to NA, mirroring the 42 uncategorizable domains in Table 9.
 package categorydb
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Category is a McAfee-style content category. Values are the category
 // names the paper reports.
@@ -86,18 +83,6 @@ func (db *DB) Classify(host string) Category {
 
 // Len returns the number of registered suffixes.
 func (db *DB) Len() int { return len(db.bySuffix) }
-
-// Domains returns all registered suffixes for cat, sorted.
-func (db *DB) Domains(cat Category) []string {
-	var out []string
-	for s, c := range db.bySuffix {
-		if c == cat {
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
 
 // PaperSeed returns a database pre-loaded with every domain↔category pair
 // the paper names, plus enough context domains for the generator's world.

@@ -49,17 +49,6 @@ func TestOverwrite(t *testing.T) {
 	}
 }
 
-func TestDomainsSorted(t *testing.T) {
-	db := New()
-	db.Add("b.com", CatGames)
-	db.Add("a.com", CatGames)
-	db.Add("c.com", CatForums)
-	got := db.Domains(CatGames)
-	if len(got) != 2 || got[0] != "a.com" || got[1] != "b.com" {
-		t.Errorf("Domains = %v", got)
-	}
-}
-
 // The paper's key category claims must hold in the seed: the top censored
 // domains map to the categories Fig. 3 and Table 9 report.
 func TestSeedMatchesPaperCategories(t *testing.T) {

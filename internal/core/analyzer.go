@@ -103,27 +103,10 @@ type ClassCounts struct {
 	Proxied     uint64 // records answered from cache (any exception)
 }
 
-// Allowed returns the OBSERVED+no-exception count.
-func (c *ClassCounts) Allowed() uint64 { return c.ByException[logfmt.ExNone] }
-
 // Censored returns policy_denied + policy_redirect.
 func (c *ClassCounts) Censored() uint64 {
 	return c.ByException[logfmt.ExPolicyDenied] + c.ByException[logfmt.ExPolicyRedirect]
 }
-
-// Errors returns the network-error total.
-func (c *ClassCounts) Errors() uint64 {
-	var n uint64
-	for ex, cnt := range c.ByException {
-		if logfmt.ExceptionID(ex).IsError() {
-			n += cnt
-		}
-	}
-	return n
-}
-
-// Denied returns all non-allowed requests.
-func (c *ClassCounts) Denied() uint64 { return c.Total - c.Allowed() }
 
 func (c *ClassCounts) merge(o *ClassCounts) {
 	c.Total += o.Total
@@ -250,12 +233,4 @@ func tokenizeRecord(rec *logfmt.Record, yield func(string)) {
 	emit(rec.Host)
 	emit(rec.Path)
 	emit(rec.Query)
-}
-
-// TokenizeURL exposes the discovery tokenizer for tests and tools.
-func TokenizeURL(host, path, query string) []string {
-	rec := logfmt.Record{Host: host, Path: path, Query: query}
-	var out []string
-	tokenizeRecord(&rec, func(tok string) { out = append(out, tok) })
-	return out
 }

@@ -14,6 +14,20 @@ import (
 	"syriafilter/internal/synth"
 )
 
+// Allowed returns the OBSERVED+no-exception count.
+func (c *ClassCounts) Allowed() uint64 { return c.ByException[logfmt.ExNone] }
+
+// Errors returns the network-error total.
+func (c *ClassCounts) Errors() uint64 {
+	var n uint64
+	for ex, cnt := range c.ByException {
+		if logfmt.ExceptionID(ex).Class() == logfmt.ClassError {
+			n += cnt
+		}
+	}
+	return n
+}
+
 // fixture builds one shared analyzed corpus for the whole test package:
 // the full generate → filter → analyze path at a size large enough for
 // every table to be populated.
@@ -690,6 +704,34 @@ func TestFig6RCVPeak(t *testing.T) {
 }
 
 // --- Figure 7 ---
+
+// ProxyShareSeries returns, for each 5-minute slot in [from, to), each
+// proxy's share of (total | censored) traffic — the stacked bands of
+// Fig 7, read straight from the per-slot counts a checkpoint carries.
+func (e *Engine) ProxyShareSeries(fromUnix, toUnix int64, censored bool) []([7]float64) {
+	m := mod[*proxiesMetric](e, "proxies", "ProxyShareSeries")
+	var out [][7]float64
+	for t := fromUnix - fromUnix%SlotSeconds; t < toUnix; t += SlotSeconds {
+		var row [7]float64
+		if ps := m.slots[t/SlotSeconds]; ps != nil {
+			src := &ps.total
+			if censored {
+				src = &ps.censored
+			}
+			var total uint64
+			for i := 0; i < logfmt.NumProxies; i++ {
+				total += src[i]
+			}
+			if total > 0 {
+				for i := 0; i < logfmt.NumProxies; i++ {
+					row[i] = float64(src[i]) / float64(total)
+				}
+			}
+		}
+		out = append(out, row)
+	}
+	return out
+}
 
 func TestFig7ProxyLoads(t *testing.T) {
 	f := corpus(t)

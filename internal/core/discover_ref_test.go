@@ -4,9 +4,18 @@ import (
 	"sort"
 	"strings"
 
+	"syriafilter/internal/logfmt"
 	"syriafilter/internal/stats"
 	"syriafilter/internal/urlx"
 )
+
+// TokenizeURL exposes the discovery tokenizer to the reference.
+func TokenizeURL(host, path, query string) []string {
+	rec := logfmt.Record{Host: host, Path: path, Query: query}
+	var out []string
+	tokenizeRecord(&rec, func(tok string) { out = append(out, tok) })
+	return out
+}
 
 // discoverFiltersReference is the pre-incremental §5.4 implementation,
 // kept verbatim as the differential oracle for DiscoverFilters: every

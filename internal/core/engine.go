@@ -260,9 +260,6 @@ func (e *Engine) Metrics() []string {
 	return out
 }
 
-// Metric returns the named module, or nil when it is not registered.
-func (e *Engine) Metric(name string) Metric { return e.byName[name] }
-
 // Observe folds one record into every registered module.
 func (e *Engine) Observe(rec *logfmt.Record) {
 	e.version++

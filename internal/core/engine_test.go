@@ -14,6 +14,9 @@ import (
 	"syriafilter/internal/pipeline"
 )
 
+// Metric returns the named module, or nil when it is not registered.
+func (e *Engine) Metric(name string) Metric { return e.byName[name] }
+
 // benchKeywords is a fixed blacklist so the bt render does not depend on
 // running discovery first.
 var btKeywords = []string{"proxy", "hotspotshield", "ultrareach", "israel", "ultrasurf"}

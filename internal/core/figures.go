@@ -210,34 +210,6 @@ func (e *Engine) ProxyLoads() []ProxyLoad {
 	return out
 }
 
-// ProxyShareSeries returns, for each 5-minute slot in [from, to), each
-// proxy's share of (total | censored) traffic — the stacked bands of
-// Fig 7.
-func (e *Engine) ProxyShareSeries(fromUnix, toUnix int64, censored bool) []([7]float64) {
-	m := mod[*proxiesMetric](e, "proxies", "ProxyShareSeries")
-	var out [][7]float64
-	for t := fromUnix - fromUnix%SlotSeconds; t < toUnix; t += SlotSeconds {
-		var row [7]float64
-		if ps := m.at(t / SlotSeconds); ps != nil {
-			src := &ps.total
-			if censored {
-				src = &ps.censored
-			}
-			var total uint64
-			for i := 0; i < logfmt.NumProxies; i++ {
-				total += src[i]
-			}
-			if total > 0 {
-				for i := 0; i < logfmt.NumProxies; i++ {
-					row[i] = float64(src[i]) / float64(total)
-				}
-			}
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
 // --- Figure 8 ---
 
 // TorReport is the §7.1 summary.

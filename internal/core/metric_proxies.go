@@ -48,12 +48,6 @@ func newProxiesMetric(e *Engine) *proxiesMetric {
 	return m
 }
 
-// at returns the bucket for id without creating it (nil when the slot
-// was never observed) — the read-side accessor for figures.
-func (m *proxiesMetric) at(id int64) *proxySlot {
-	return m.slots[id]
-}
-
 func (m *proxiesMetric) Observe(rec *logfmt.Record) {
 	sg := rec.Proxy()
 	if sg < logfmt.FirstProxy || sg > logfmt.LastProxy {

@@ -377,9 +377,10 @@ func FuzzStateRoundTrip(f *testing.F) {
 		an := NewAnalyzer(fixtureOptions(fz))
 		// Parse fuzz bytes as log lines; malformed lines are skipped, so
 		// arbitrary input still drives Observe with whatever parses.
+		p := logfmt.NewParser()
 		for _, line := range bytes.Split(data, []byte("\n")) {
 			var rec logfmt.Record
-			if err := logfmt.ParseBytes(line, &rec); err == nil {
+			if err := p.ParseBytes(line, &rec); err == nil {
 				an.Observe(&rec)
 			}
 		}

@@ -4,13 +4,12 @@
 // behind Table 12.
 //
 // The database is an immutable sorted list of non-overlapping [start, end]
-// IPv4 ranges with a country code and optional subnet label; lookups are a
-// binary search. A Builder assembles it from CIDR strings and explicit
-// ranges, merging and validating as it goes.
+// IPv4 ranges with a country code and the CIDR each came from; lookups are a
+// binary search. A Builder assembles it from CIDR strings, validating as
+// it goes.
 package geoip
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -24,7 +23,7 @@ type Range struct {
 	Start   uint32
 	End     uint32
 	Country string // ISO-3166-alpha-2 ("IL", "SY", ...)
-	Subnet  string // optional CIDR label this range came from
+	Subnet  string // the CIDR this range came from
 }
 
 // DB is an immutable geolocation database.
@@ -44,15 +43,6 @@ func (b *Builder) AddCIDR(cidr, country string) error {
 		return err
 	}
 	b.ranges = append(b.ranges, Range{Start: start, End: end, Country: country, Subnet: cidr})
-	return nil
-}
-
-// AddRange adds an explicit inclusive range.
-func (b *Builder) AddRange(start, end uint32, country, label string) error {
-	if end < start {
-		return errors.New("geoip: range end before start")
-	}
-	b.ranges = append(b.ranges, Range{Start: start, End: end, Country: country, Subnet: label})
 	return nil
 }
 
@@ -103,24 +93,6 @@ func (db *DB) Country(ip uint32) string {
 
 // Len returns the number of ranges.
 func (db *DB) Len() int { return len(db.ranges) }
-
-// Ranges returns a copy of the range table (ascending by start).
-func (db *DB) Ranges() []Range {
-	out := make([]Range, len(db.ranges))
-	copy(out, db.ranges)
-	return out
-}
-
-// LookupLinear is the O(n) reference lookup used by property tests and the
-// ablation benchmark.
-func (db *DB) LookupLinear(ip uint32) (Range, bool) {
-	for _, r := range db.ranges {
-		if ip >= r.Start && ip <= r.End {
-			return r, true
-		}
-	}
-	return Range{}, false
-}
 
 // ParseCIDR parses "a.b.c.d/len" into an inclusive range.
 func ParseCIDR(cidr string) (start, end uint32, err error) {

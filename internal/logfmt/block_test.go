@@ -91,7 +91,7 @@ func blockAll(t testing.TB, input string, size int, strict bool) (recs []Record,
 // Every block size — including tiny ones that split single records across
 // many blocks — must reproduce the line Reader exactly: same records,
 // same line count, same malformed count.
-func TestBlockReaderMatchesScannerAcrossSizes(t *testing.T) {
+func TestBlockReaderMatchesLineReaderAcrossSizes(t *testing.T) {
 	input := corpusLines(t, 200)
 	want, wantLines, wantMal, werr := scanAll(t, input, false)
 	if werr != nil {
@@ -158,8 +158,8 @@ func TestBlockReaderCommentsAndBlanksAtBoundaries(t *testing.T) {
 }
 
 // Strict mode must attribute the failure to the same physical line number
-// as a serial scan, no matter where block boundaries fall.
-func TestBlockReaderStrictLineNumbersMatchScanner(t *testing.T) {
+// as the line Reader, no matter where block boundaries fall.
+func TestBlockReaderStrictLineNumbersMatchLineReader(t *testing.T) {
 	good := corpusLines(t, 10)
 	// Corrupt line 7 (header is line 1, records start at line 2).
 	rows := strings.SplitAfter(good, "\n")
@@ -168,7 +168,7 @@ func TestBlockReaderStrictLineNumbersMatchScanner(t *testing.T) {
 
 	_, _, _, werr := scanAll(t, input, true)
 	if werr == nil {
-		t.Fatal("scanner accepted corrupt corpus")
+		t.Fatal("line Reader accepted corrupt corpus")
 	}
 	for _, size := range []int{3, 32, 512, 1 << 20} {
 		_, _, _, err := blockAll(t, input, size, true)
@@ -176,7 +176,7 @@ func TestBlockReaderStrictLineNumbersMatchScanner(t *testing.T) {
 			t.Fatalf("size %d: block path accepted corrupt corpus", size)
 		}
 		if err.Error() != werr.Error() {
-			t.Fatalf("size %d: error %q, want %q (scanner parity)", size, err, werr)
+			t.Fatalf("size %d: error %q, want %q (line Reader parity)", size, err, werr)
 		}
 	}
 }

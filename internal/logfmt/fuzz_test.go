@@ -86,7 +86,7 @@ func FuzzBlockVsReader(f *testing.F) {
 		}
 		got, lines, mal, err := blockAll(t, input, size, false)
 		if err != nil {
-			t.Fatalf("block path failed where scanner succeeded: %v", err)
+			t.Fatalf("block path failed where the line Reader succeeded: %v", err)
 		}
 		if lines != wantLines || mal != wantMal || len(got) != len(want) {
 			t.Fatalf("records/lines/malformed = %d/%d/%d, want %d/%d/%d (size %d)",

@@ -62,8 +62,7 @@ var (
 // Parser holds the reusable scratch state behind ParseBytes: the
 // interning table, the per-record arena, the quoted-field unescape
 // buffer and a one-entry date cache. A Parser is not safe for
-// concurrent use; ParseBlock draws one from an internal pool per block,
-// which also serves as the package-level ParseBytes backing.
+// concurrent use; ParseBlock draws one from an internal pool per block.
 type Parser struct {
 	intern      map[string]string
 	cache       []string // direct-mapped fast path over intern
@@ -88,19 +87,6 @@ func NewParser() *Parser {
 }
 
 var parserPool = sync.Pool{New: func() any { return NewParser() }}
-
-// ParseBytes decodes one CSV log line into rec, overwriting all fields,
-// using a pooled Parser (see the method for the format). The Record's
-// string fields never alias line, so the caller may reuse the byte slice
-// immediately.
-// Bulk callers that parse many lines should hold their own Parser and
-// call its ParseBytes method to keep the interning table hot.
-func ParseBytes(line []byte, rec *Record) error {
-	p := parserPool.Get().(*Parser)
-	err := p.ParseBytes(line, rec)
-	parserPool.Put(p)
-	return err
-}
 
 // ParseBytes decodes one CSV log line into rec, overwriting all fields.
 // Lines are the 26-field format produced by Writer. Quoted fields (RFC
@@ -473,8 +459,8 @@ func atou32b(b []byte) (uint32, error) {
 	return uint32(n), nil
 }
 
-// parseFilterResultBytes is ParseFilterResult without the string
-// conversion.
+// parseFilterResultBytes parses the log spelling of a FilterResult
+// without a string conversion.
 func parseFilterResultBytes(b []byte) (FilterResult, bool) {
 	switch string(b) { // compiled to no-alloc comparisons
 	case "OBSERVED":

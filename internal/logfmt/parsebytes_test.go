@@ -65,17 +65,6 @@ func TestParseBytesMatchesParseLine(t *testing.T) {
 	}
 }
 
-// TestParseBytesPackageLevel covers the pooled package-level entry point.
-func TestParseBytesPackageLevel(t *testing.T) {
-	var rec Record
-	if err := ParseBytes([]byte(validSeedLine), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Host == "" || rec.Time == 0 {
-		t.Fatalf("suspicious record: %+v", rec)
-	}
-}
-
 // TestParseBytesNoAliasing pins the lifetime contract: Record fields
 // must survive the input buffer being clobbered (block buffers are
 // pooled and reused).

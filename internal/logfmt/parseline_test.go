@@ -15,6 +15,25 @@ import (
 // what FuzzParseBytesVsParseLine and FuzzBlockVsReader compare the
 // production path against, so they stay simple rather than fast.
 
+// ParseFilterResult parses the log spelling; ok is false for unknown text.
+func ParseFilterResult(s string) (FilterResult, bool) {
+	switch s {
+	case "OBSERVED":
+		return Observed, true
+	case "PROXIED":
+		return Proxied, true
+	case "DENIED":
+		return Denied, true
+	}
+	return Observed, false
+}
+
+// ParseExceptionID parses the log spelling; ok is false for unknown text.
+func ParseExceptionID(s string) (ExceptionID, bool) {
+	e, ok := exceptionByName[s]
+	return e, ok
+}
+
 // ParseLine decodes one CSV log line into rec, overwriting all fields. The
 // Record's string fields alias substrings of line, so the caller must not
 // mutate line afterwards; this is what makes bulk scans cheap (one string

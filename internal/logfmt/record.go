@@ -39,19 +39,6 @@ func (f FilterResult) String() string {
 	return "UNKNOWN"
 }
 
-// ParseFilterResult parses the log spelling; ok is false for unknown text.
-func ParseFilterResult(s string) (FilterResult, bool) {
-	switch s {
-	case "OBSERVED":
-		return Observed, true
-	case "PROXIED":
-		return Proxied, true
-	case "DENIED":
-		return Denied, true
-	}
-	return Observed, false
-}
-
 // ExceptionID is the x-exception-id field. ExNone renders as "-" in the
 // logs. The value set is exactly the one reported in Table 3.
 type ExceptionID uint8
@@ -104,12 +91,6 @@ var exceptionByName = func() map[string]ExceptionID {
 	return m
 }()
 
-// ParseExceptionID parses the log spelling; ok is false for unknown text.
-func ParseExceptionID(s string) (ExceptionID, bool) {
-	e, ok := exceptionByName[s]
-	return e, ok
-}
-
 // Class is the paper's §3.3 request classification derived from
 // x-exception-id: Allowed, Censored (policy_denied / policy_redirect) or
 // Error (every other exception).
@@ -145,12 +126,6 @@ func (e ExceptionID) Class() Class {
 		return ClassError
 	}
 }
-
-// IsCensorship reports whether the exception encodes a policy decision.
-func (e ExceptionID) IsCensorship() bool { return e.Class() == ClassCensored }
-
-// IsError reports whether the exception encodes a network/protocol error.
-func (e ExceptionID) IsError() bool { return e.Class() == ClassError }
 
 // ProxyBase is the common prefix of the seven proxies' IP addresses: the
 // paper reports s-ip in 82.137.200.42 – 82.137.200.48 and names proxies by
@@ -223,9 +198,6 @@ func (r *Record) SetProxy(sg int) {
 
 // Class returns the paper's request classification.
 func (r *Record) Class() Class { return r.Exception.Class() }
-
-// IsCensored reports whether the request was censored by policy.
-func (r *Record) IsCensored() bool { return r.Exception.IsCensorship() }
 
 // IsDeniedAny reports whether the request was not served (any exception).
 func (r *Record) IsDeniedAny() bool { return r.Exception != ExNone }

@@ -4,7 +4,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"syriafilter/internal/logfmt"
@@ -61,28 +60,22 @@ func next(src *BlockSource) (logfmt.Block, float64, bool) {
 type BlockSource struct {
 	// R yields the line-aligned blocks.
 	R *logfmt.BlockReader
-	// Path labels errors from this source ("" leaves them unwrapped).
+	// Path labels read errors from this source ("" leaves them unwrapped).
 	Path string
-	// Strict aborts the run at this source's first malformed line, with
-	// its 1-based physical line number in the stream ("line N: ...").
-	Strict bool
 }
 
-// blockItem routes one block to the pool with its source index and how
-// long it took to read.
+// blockItem routes one block to the pool with how long it took to read.
 type blockItem struct {
-	src   int
 	blk   logfmt.Block
 	readS float64
 }
 
-// parseBlock is the one per-block step both the serial loop and the pool
-// workers run: parse the block into emit, release its buffer, report to
-// obs.
-// The error is a strict source's first malformed line, path-wrapped.
-func parseBlock(src *BlockSource, it blockItem, obs BlockObs, emit func(*logfmt.Record)) (BlockStats, error) {
+// parseBlock is the per-block step of a pool worker: parse the block
+// into emit, release its buffer, report to obs. Malformed lines are
+// counted and skipped, so it cannot fail.
+func parseBlock(it blockItem, obs BlockObs, emit func(*logfmt.Record)) BlockStats {
 	t0 := time.Now()
-	res, err := logfmt.ParseBlock(it.blk, src.Strict, emit)
+	res, _ := logfmt.ParseBlock(it.blk, false, emit) // only strict parsing fails
 	one := BlockStats{
 		Lines:        uint64(res.Lines),
 		Records:      uint64(res.Records),
@@ -95,7 +88,7 @@ func parseBlock(src *BlockSource, it blockItem, obs BlockObs, emit func(*logfmt.
 	if obs != nil {
 		obs(one)
 	}
-	return one, wrapPath(src.Path, err)
+	return one
 }
 
 // RunBlockSources reads every source concurrently — one reader goroutine
@@ -113,16 +106,15 @@ func parseBlock(src *BlockSource, it blockItem, obs BlockObs, emit func(*logfmt.
 // only the order. All of internal/core's are commutative but one, an
 // accumulator that admits entries in observation order: the token
 // vocabulary cap (core's maxTokenEntries), so determinism holds only
-// while a corpus stays under it. n=1 alone does not fix the order: the
-// serial path below needs a single source too, and with several the
-// readers' blocks still reach the one worker in whatever order the
-// scheduler ran them. For a corpus past the cap pass one source (an
-// io.MultiReader over the files) and n=1, which folds strictly in stream
-// order.
+// while a corpus stays under it. n=1 alone does not fix the order: with
+// several sources the readers' blocks reach the one worker in whatever
+// order the scheduler ran them. For a corpus past the cap pass one
+// source (an io.MultiReader over the files) and n=1: its one reader
+// hands blocks to the one worker through a FIFO channel, so they fold
+// strictly in stream order.
 //
-// The returned error is the first failing source's, in srcs order; within
-// one source, the earliest failing line wins, so strict-mode errors match
-// a serial scan of that source.
+// Malformed lines are counted and skipped. The returned error is the
+// first source's read error, in srcs order.
 func RunBlockSources[A any](srcs []*BlockSource, n int, obs BlockObs, newAcc func() A, observe func(A, *logfmt.Record), merge func(dst, src A)) (A, BlockStats, error) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -130,61 +122,26 @@ func RunBlockSources[A any](srcs []*BlockSource, n int, obs BlockObs, newAcc fun
 	if len(srcs) == 0 {
 		return newAcc(), BlockStats{}, nil
 	}
-	if n == 1 && len(srcs) == 1 {
-		// Serial fast path: one source and one worker need no goroutines
-		// or channels at all.
-		src := srcs[0]
-		acc := newAcc()
-		emit := func(rec *logfmt.Record) { observe(acc, rec) }
-		var stats BlockStats
-		for {
-			blk, readS, ok := next(src)
-			if !ok {
-				break
-			}
-			one, err := parseBlock(src, blockItem{blk: blk, readS: readS}, obs, emit)
-			stats.add(one)
-			if err != nil {
-				return acc, stats, err
-			}
-		}
-		return acc, stats, wrapPath(src.Path, src.R.Err())
-	}
 
 	// Blocks are large; a small channel keeps memory bounded while the
 	// pool stays busy.
 	items := make(chan blockItem, n)
-	var stop atomic.Bool
-
 	readErrs := make([]error, len(srcs))
 	var readWG sync.WaitGroup
 	for i, src := range srcs {
 		readWG.Add(1)
 		go func(i int, src *BlockSource) {
 			defer readWG.Done()
-			for !stop.Load() {
+			for {
 				blk, readS, ok := next(src)
 				if !ok {
 					break
 				}
-				items <- blockItem{src: i, blk: blk, readS: readS}
+				items <- blockItem{blk: blk, readS: readS}
 			}
 			readErrs[i] = wrapPath(src.Path, src.R.Err())
 		}(i, src)
 	}
-
-	// Strict-mode first-error tracking: workers may hit malformed lines
-	// out of order, but blocks are dispatched in order per source, so the
-	// error in the lowest-FirstLine block of a source is that source's
-	// first bad line. Workers keep parsing already-dispatched blocks
-	// after stop is set — only the readers quit early — which guarantees
-	// every block preceding a reported error has been examined.
-	type parseFail struct {
-		firstLine int
-		err       error
-	}
-	fails := make([]parseFail, len(srcs))
-	var failMu sync.Mutex
 
 	accs := make([]A, n)
 	workerStats := make([]BlockStats, n)
@@ -197,16 +154,7 @@ func RunBlockSources[A any](srcs []*BlockSource, n int, obs BlockObs, newAcc fun
 			emit := func(rec *logfmt.Record) { observe(acc, rec) }
 			var stats BlockStats
 			for it := range items {
-				one, err := parseBlock(srcs[it.src], it, obs, emit)
-				stats.add(one)
-				if err != nil {
-					failMu.Lock()
-					if fails[it.src].err == nil || it.blk.FirstLine < fails[it.src].firstLine {
-						fails[it.src] = parseFail{it.blk.FirstLine, err}
-					}
-					failMu.Unlock()
-					stop.Store(true)
-				}
+				stats.add(parseBlock(it, obs, emit))
 			}
 			accs[w], workerStats[w] = acc, stats
 		}(w)
@@ -220,12 +168,9 @@ func RunBlockSources[A any](srcs []*BlockSource, n int, obs BlockObs, newAcc fun
 		merge(out, accs[w])
 		stats.add(workerStats[w])
 	}
-	for i := range srcs {
-		if fails[i].err != nil {
-			return out, stats, fails[i].err
-		}
-		if readErrs[i] != nil {
-			return out, stats, readErrs[i]
+	for _, err := range readErrs {
+		if err != nil {
+			return out, stats, err
 		}
 	}
 	return out, stats, nil

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,7 +19,7 @@ func blockFilesRun(t *testing.T, paths []string, workers int) (*countAcc, BlockS
 // A multi-file corpus folds to the in-memory reference over the records
 // written, for every worker count, and the stats account for every line
 // and byte on disk.
-func TestRunFilesBlocksMatchesScannerLayer(t *testing.T) {
+func TestRunFilesBlocksMatchesInMemoryFold(t *testing.T) {
 	dir := t.TempDir()
 	recs := makeRecords(20000)
 	var paths []string
@@ -129,46 +128,6 @@ func TestRunFilesBlocksMalformedCounting(t *testing.T) {
 	}
 	if stats.Malformed != 2 {
 		t.Fatalf("Malformed = %d, want 2", stats.Malformed)
-	}
-}
-
-// Strict mode reports the first malformed line of the failing source,
-// path-wrapped and numbered by physical line in the file — regardless of
-// worker count or which worker trips it.
-func TestRunBlockSourcesStrictMatchesScannerError(t *testing.T) {
-	dir := t.TempDir()
-	recs := makeRecords(8000)
-	path := filepath.Join(dir, "corpus.csv")
-	writeLogFile(t, path, recs, false)
-	rows, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(rows), "\n")
-	lines[4000] = "broken,record\n" // physical line 4001: the header is line 1
-	lines[6000] = "also,broken\n"   // a later error that must not win
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	want := "pipeline: " + path + ": line 4001: logfmt: wrong field count: got 2, want 26"
-
-	for _, workers := range []int{1, 4} {
-		src, closer, err := OpenBlockFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src.Strict = true
-		_, _, gotErr := runSources([]*BlockSource{src}, workers)
-		closer.Close()
-		if gotErr == nil {
-			t.Fatalf("workers=%d: strict run accepted corrupt corpus", workers)
-		}
-		if gotErr.Error() != want {
-			t.Fatalf("workers=%d:\n got %q\nwant %q", workers, gotErr, want)
-		}
-		if !errors.Is(gotErr, logfmt.ErrFieldCount) {
-			t.Fatalf("workers=%d: error does not unwrap to ErrFieldCount: %v", workers, gotErr)
-		}
 	}
 }
 

@@ -82,7 +82,7 @@ func TestRunFilesGzipTransparent(t *testing.T) {
 
 // A .gz file that is not gzip is an open error, not a silent empty
 // source.
-func TestOpenScannerMalformedGzipHeader(t *testing.T) {
+func TestOpenBlockFileMalformedGzipHeader(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "broken.csv.gz")
 	if err := os.WriteFile(path, []byte("this is not gzip\n"), 0o644); err != nil {
 		t.Fatal(err)

@@ -9,9 +9,8 @@
 // number of logfmt.BlockReader sources; RunFilesBlocks opens paths
 // (gzip-transparent, files.go) and calls it. Reader goroutines only snap
 // blocks to line boundaries, so even a single large file parses on every
-// core; malformed lines are counted and skipped, and a Strict source
-// aborts with the stream's absolute "line N". A strictly ordered scan is
-// the same call with one source and one worker: chain the inputs with
+// core; malformed lines are counted and skipped. A strictly ordered scan
+// is the same call with one source and one worker: chain the inputs with
 // io.MultiReader and they fold in order.
 //
 // The design follows the same reasoning as gopacket's FastHash fan-out:

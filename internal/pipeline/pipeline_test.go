@@ -40,7 +40,7 @@ func newCountAcc() *countAcc { return &countAcc{hosts: map[string]uint64{}} }
 
 func observeCount(a *countAcc, r *logfmt.Record) {
 	a.total++
-	if r.IsCensored() {
+	if r.Class() == logfmt.ClassCensored {
 		a.censored++
 	}
 	a.hosts[r.Host]++
@@ -116,9 +116,8 @@ func splitRecords(recs []logfmt.Record, parts int) [][]logfmt.Record {
 	return out
 }
 
-// One source folds to the in-memory reference on the serial fast path and
-// on every pool size.
-func TestRunSerialEqualsParallel(t *testing.T) {
+// One source folds to the in-memory reference on every pool size.
+func TestRunOneSourceEveryPoolSize(t *testing.T) {
 	recs := makeRecords(10000)
 	data := encodeRecords(t, recs)
 	want := observeAll(recs)
@@ -169,8 +168,8 @@ func TestRunWithReaderSource(t *testing.T) {
 }
 
 // Per-source fan-out — the corpus split over 1, 3 or 7 sources read
-// concurrently — folds to the same result as one source scanned serially.
-func TestRunScannersMatchesRun(t *testing.T) {
+// concurrently — folds to the same result as one source and one worker.
+func TestRunManySourcesMatchesOne(t *testing.T) {
 	recs := makeRecords(20000)
 	want, _, err := runSources([]*BlockSource{memSource(bytes.NewReader(encodeRecords(t, recs)))}, 1)
 	if err != nil {
@@ -194,7 +193,7 @@ func TestRunScannersMatchesRun(t *testing.T) {
 
 // Several sources with nothing in them: the pool starts, finds no block
 // and merges empty accumulators.
-func TestRunScannersEmpty(t *testing.T) {
+func TestRunManyEmptySources(t *testing.T) {
 	srcs := []*BlockSource{memSource(strings.NewReader("")), memSource(strings.NewReader(""))}
 	acc, stats, err := runSources(srcs, 4)
 	if err != nil {
@@ -207,7 +206,7 @@ func TestRunScannersEmpty(t *testing.T) {
 
 // A failing source does not stop the healthy ones, and when several fail
 // the error returned is the first one's in srcs order, path-wrapped.
-func TestRunScannersPropagatesError(t *testing.T) {
+func TestRunFirstSourceErrorWins(t *testing.T) {
 	boom, later := errors.New("boom"), errors.New("later")
 	srcs := []*BlockSource{
 		memSource(bytes.NewReader(encodeRecords(t, makeRecords(2000)))),
@@ -241,9 +240,10 @@ func TestRunFiles(t *testing.T) {
 }
 
 // The strictly ordered scan: one source chaining the files (one of them
-// gzipped) through io.MultiReader, one worker. Records are observed in
-// file order, then line order — what capped order-sensitive accumulators
-// need.
+// gzipped) through io.MultiReader, one worker. Its reader hands the
+// 512-byte blocks to the pool's one worker in stream order, so records
+// are observed in file order, then line order, across many blocks — what
+// capped order-sensitive accumulators need.
 func TestRunBlockSourcesOrderedScan(t *testing.T) {
 	dir := t.TempDir()
 	recs := makeRecords(150)
@@ -263,13 +263,17 @@ func TestRunBlockSourcesOrderedScan(t *testing.T) {
 		readers = append(readers, r)
 	}
 	src := &BlockSource{R: logfmt.NewBlockReaderSize(io.MultiReader(readers...), 512)}
-	got, _, err := RunBlockSources([]*BlockSource{src}, 1, nil,
+	blocks := 0 // obs runs on the one worker
+	got, _, err := RunBlockSources([]*BlockSource{src}, 1, func(BlockStats) { blocks++ },
 		func() *[]int64 { return new([]int64) },
 		func(seen *[]int64, r *logfmt.Record) { *seen = append(*seen, r.Time) },
 		func(dst, src *[]int64) { t.Error("one worker has nothing to merge") },
 	)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if blocks < 20 {
+		t.Fatalf("%d blocks: too few for the order to mean anything", blocks)
 	}
 	var want []int64
 	for _, r := range append(append([]logfmt.Record{}, first...), second...) {

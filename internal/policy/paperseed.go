@@ -105,7 +105,6 @@ func PaperRuleset() *Ruleset {
 		Domains:       append([]string(nil), PaperDomains...),
 		RedirectHosts: append([]string(nil), PaperRedirectHosts...),
 		Pages:         append([]PageRule(nil), PaperPages...),
-		CategoryLabel: "Blocked sites",
 	}
 	for _, cidr := range PaperBlockedSubnets {
 		if err := rs.AddCIDR(cidr); err != nil {

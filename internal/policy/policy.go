@@ -144,9 +144,6 @@ type Ruleset struct {
 	RedirectHosts []string
 	// Pages are the custom-category page rules (Table 14).
 	Pages []PageRule
-	// CategoryLabel is the cs-categories value stamped on custom-category
-	// hits ("Blocked sites"); combined by the proxy with its default label.
-	CategoryLabel string
 }
 
 // AddCIDR appends a blocked CIDR to the ruleset.
@@ -177,7 +174,6 @@ type Engine struct {
 	ranges   []IPRange // sorted by Start; may contain overlaps
 	redirect map[string]struct{}
 	pages    map[string]map[string]struct{} // host+path -> allowed query set
-	label    string
 }
 
 // Compile builds an Engine from a ruleset.
@@ -187,10 +183,6 @@ func Compile(rs *Ruleset) *Engine {
 		domains:  strmatch.NewSuffixSet(rs.Domains),
 		redirect: make(map[string]struct{}, len(rs.RedirectHosts)),
 		pages:    make(map[string]map[string]struct{}, len(rs.Pages)),
-		label:    rs.CategoryLabel,
-	}
-	if e.label == "" {
-		e.label = "Blocked sites"
 	}
 	e.ranges = make([]IPRange, len(rs.Ranges))
 	copy(e.ranges, rs.Ranges)
@@ -214,9 +206,6 @@ func Compile(rs *Ruleset) *Engine {
 	}
 	return e
 }
-
-// CategoryLabel returns the custom-category label stamped on page hits.
-func (e *Engine) CategoryLabel() string { return e.label }
 
 // Evaluate runs a request through all rule families. Precedence follows
 // the observed behaviour: custom-category pages and redirect hosts first

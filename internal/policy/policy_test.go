@@ -196,17 +196,6 @@ func TestRulesetAddErrors(t *testing.T) {
 	}
 }
 
-func TestCategoryLabelDefault(t *testing.T) {
-	e := Compile(&Ruleset{})
-	if e.CategoryLabel() != "Blocked sites" {
-		t.Errorf("label = %q", e.CategoryLabel())
-	}
-	e = Compile(&Ruleset{CategoryLabel: "Custom"})
-	if e.CategoryLabel() != "Custom" {
-		t.Errorf("label = %q", e.CategoryLabel())
-	}
-}
-
 // Invariant from the paper's discovery algorithm: the engine must be
 // deterministic — the same request always gets the same verdict (NA=0
 // criterion only works if a URL can never be both allowed and censored).

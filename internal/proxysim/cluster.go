@@ -125,9 +125,6 @@ func NewCluster(cfg Config) *Cluster {
 	return c
 }
 
-// Counts returns the processing totals so far.
-func (c *Cluster) Counts() Counts { return c.counts }
-
 // Emit writes the corpus gen describes: it drains gen through a cluster
 // built from gen itself — seed, policy engine and consensus are the
 // generator's, so the two halves of the simulated world cannot disagree —

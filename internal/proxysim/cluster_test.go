@@ -159,7 +159,7 @@ func TestErrorModelShares(t *testing.T) {
 		req.ClientIP = uint32(i)
 		c.Process(req, &rec)
 		total++
-		if rec.Exception.IsError() {
+		if rec.Class() == logfmt.ClassError {
 			errors++
 			perEx[rec.Exception]++
 		}
@@ -208,7 +208,7 @@ func TestTorBlockingIsolatedToSG44(t *testing.T) {
 		}
 		c.Process(req, &rec)
 		torTotal++
-		if rec.IsCensored() {
+		if rec.Class() == logfmt.ClassCensored {
 			censoredByProxy[rec.Proxy()]++
 		}
 	}
@@ -236,7 +236,7 @@ func TestTorBlockingIsolatedToSG44(t *testing.T) {
 			Path: "/tor/server/all.z",
 		}
 		c.Process(req, &rec)
-		if rec.IsCensored() {
+		if rec.Class() == logfmt.ClassCensored {
 			dirCensored++
 		}
 	}
@@ -244,6 +244,9 @@ func TestTorBlockingIsolatedToSG44(t *testing.T) {
 		t.Errorf("Torhttp censored %d times; paper: only Toronion is blocked", dirCensored)
 	}
 }
+
+// Counts returns the processing totals so far.
+func (c *Cluster) Counts() Counts { return c.counts }
 
 func TestCountsConsistency(t *testing.T) {
 	c := NewCluster(Config{Seed: 10})
@@ -273,7 +276,7 @@ func TestDefaultEngineIsPaperPolicy(t *testing.T) {
 	c := NewCluster(Config{Seed: 11})
 	var rec logfmt.Record
 	c.Process(testReq("x.il", "/", "", augTime(2, 3)), &rec)
-	if !rec.IsCensored() {
+	if rec.Class() != logfmt.ClassCensored {
 		t.Error("default cluster engine should block .il")
 	}
 }
@@ -288,7 +291,7 @@ func TestPolicyDecisionIgnoresErrors(t *testing.T) {
 		req := testReq("skype.com", "/go", "", augTime(2, i%24))
 		req.ClientIP = uint32(i)
 		c.Process(req, &rec)
-		if !rec.IsCensored() {
+		if rec.Class() != logfmt.ClassCensored {
 			t.Fatalf("censored request got %v", rec.Exception)
 		}
 	}

@@ -23,7 +23,7 @@ func TestTorBlockDutyKnob(t *testing.T) {
 			req.Port = relay.ORPort
 			req.ClientIP = uint32(i) * 53
 			c.Process(req, &rec)
-			if rec.IsCensored() {
+			if rec.Class() == logfmt.ClassCensored {
 				censored++
 			}
 		}
@@ -49,7 +49,7 @@ func TestNoConsensusNoTorBlocking(t *testing.T) {
 		req.Port = relay.ORPort
 		req.ClientIP = uint32(i)
 		c.Process(req, &rec)
-		if rec.IsCensored() {
+		if rec.Class() == logfmt.ClassCensored {
 			t.Fatalf("request %d censored without consensus: %+v", i, rec)
 		}
 	}
@@ -60,7 +60,7 @@ func TestCustomEngineRespected(t *testing.T) {
 	c := NewCluster(Config{Seed: 23, Engine: emptyEngine()})
 	var rec logfmt.Record
 	c.Process(testReq("www.metacafe.com", "/watch/1/", "", augTime(2, 10)), &rec)
-	if rec.IsCensored() {
+	if rec.Class() == logfmt.ClassCensored {
 		t.Error("empty policy censored metacafe")
 	}
 }
@@ -74,7 +74,7 @@ func TestZeroErrorModel(t *testing.T) {
 		req := testReq("ok.example", "/", "", augTime(2, i%24))
 		req.ClientIP = uint32(i)
 		c.Process(req, &rec)
-		if rec.Exception.IsError() {
+		if rec.Class() == logfmt.ClassError {
 			t.Fatalf("error emitted under zeroed model: %v", rec.Exception)
 		}
 	}

@@ -578,7 +578,7 @@ func writeOneRecordShard(t *testing.T, f *fixture, path, module string, edit fun
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p.UnmarshalFrames(stream)
+	return timewin.UnmarshalFramesAll([]*timewin.Partition{p}, [][]byte{stream}, 1)
 }
 
 // twoGenerations checkpoints a 2-shard store twice into a fresh dir: gen

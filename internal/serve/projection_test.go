@@ -95,7 +95,7 @@ func TestRangeProjectionByteIdentity(t *testing.T) {
 					want = encodeDoc(t, doc, format)
 				}
 				path := fmt.Sprintf("/v1/range/%s?format=%s", id, format)
-				if !w.win.IsZero() {
+				if w.win != (timewin.Window{}) {
 					path += fmt.Sprintf("&from=%d&to=%d", w.win.From, w.win.To)
 				}
 				if w.step > 0 {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -15,6 +16,11 @@ import (
 	"syriafilter/internal/render"
 	"syriafilter/internal/timewin"
 )
+
+// RangeSeries is RangeSeriesCtx outside a traced request.
+func (st *Store) RangeSeries(w timewin.Window, step int64, modules ...string) ([]RangeWindow, error) {
+	return st.RangeSeriesCtx(context.Background(), w, step, modules...)
+}
 
 // rangeStore boots a bucketed store over the shared fixture corpus,
 // ingested through Add in corpus (time) order.

@@ -15,7 +15,7 @@
 // batches, so engines are never touched concurrently. Control ops reach
 // the shards one way, through each: under the closed-store gate, one op
 // per shard, all running at once, each writing its own slot. The one
-// exception is RangeSeries' window pass, which walks the shards one at a
+// exception is RangeSeriesCtx' window pass, which walks the shards one at a
 // time because they share its per-window engines.
 //
 // Every whole-store view is cut by fold, built on each: an engine per
@@ -25,7 +25,7 @@
 // extended by the batches the shards applied since, or, when some shard
 // could not keep them, the fold of everything. A range query
 // (Store.Range) folds only the buckets a time window covers and the
-// metric modules the caller names; Store.RangeSeries walks the shards
+// metric modules the caller names; Store.RangeSeriesCtx walks the shards
 // into one engine per sub-window. Checkpoints cut one file per shard,
 // and a restore absorbs them back in one fan-out.
 package serve
@@ -122,9 +122,8 @@ type Snapshot struct {
 // byte representation to count. IngestMBPerS is a windowed rate — bytes
 // over the last ~10 seconds — so it reads the daemon's current load, not
 // a lifetime average diluted by idle time.
-// Timewin is the bucket layout of the latest snapshot. Obs is the full
-// metric registry snapshot (the JSON face of GET /metrics); absent
-// when the store runs with DisableObs.
+// Timewin is the bucket layout of the latest snapshot. The metric
+// families themselves are exported by GET /metrics only.
 type Stats struct {
 	Shards          int      `json:"shards"`
 	Metrics         []string `json:"metrics"`
@@ -924,7 +923,7 @@ func (st *Store) enqueue(i int, sp *trace.Span, name string, op shardFn, errp *e
 	return done
 }
 
-// each is the one way a control op reaches the shards (bar RangeSeries'
+// each is the one way a control op reaches the shards (bar RangeSeriesCtx'
 // window pass): it enqueues op on every shard and only then waits for
 // all of them, so the shards run their ops at once and the wall-clock
 // cost is the slowest shard's. Each op observes its shard after every
@@ -1048,7 +1047,7 @@ func (st *Store) RangeCtx(ctx context.Context, w timewin.Window, modules ...stri
 	return an, cov, nil
 }
 
-// RangeWindow is one sub-window of a RangeSeries result.
+// RangeWindow is one sub-window of a RangeSeriesCtx result.
 type RangeWindow struct {
 	Window   timewin.Window
 	Coverage timewin.Coverage
@@ -1059,7 +1058,7 @@ type RangeWindow struct {
 // transient engine per sub-window plus a merge per covered bucket.
 const maxSeriesWindows = 1024
 
-// RangeSeries splits [w.From, w.To) into step-sized sub-windows and
+// RangeSeriesCtx splits [w.From, w.To) into step-sized sub-windows and
 // merges each one's buckets into its own transient analyzer, in a
 // single pass over the shards. step must be a positive multiple of the
 // bucket width so sub-windows align with bucket edges (an explicit From
@@ -1068,15 +1067,11 @@ const maxSeriesWindows = 1024
 // *every* shard (the compacted tail cannot be split into sub-windows),
 // an open To ends after the newest. An explicit From inside the tail
 // fails with *timewin.RetentionError. modules projects the read as in
-// Range.
-func (st *Store) RangeSeries(w timewin.Window, step int64, modules ...string) ([]RangeWindow, error) {
-	return st.RangeSeriesCtx(context.Background(), w, step, modules...)
-}
-
-// RangeSeriesCtx is RangeSeries inside a traced request; per-shard
-// merges span like RangeCtx (one "range.shard" child per shard covers
-// all that shard's sub-window merges). Unlike RangeCtx the shards are
-// walked one at a time into one shared set of per-window engines:
+// RangeCtx.
+//
+// Per-shard merges span like RangeCtx (one "range.shard" child per shard
+// covers all that shard's sub-window merges). Unlike RangeCtx the shards
+// are walked one at a time into one shared set of per-window engines:
 // fanning out would need shards × windows transient engines, unbounded
 // at maxSeriesWindows.
 func (st *Store) RangeSeriesCtx(ctx context.Context, w timewin.Window, step int64, modules ...string) ([]RangeWindow, error) {

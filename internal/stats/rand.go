@@ -22,9 +22,6 @@ type Rand struct {
 // NewRand returns a generator seeded with seed.
 func NewRand(seed uint64) *Rand { return &Rand{state: seed} }
 
-// Seed resets the generator state.
-func (r *Rand) Seed(seed uint64) { r.state = seed }
-
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *Rand) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

@@ -49,9 +49,6 @@ func (z *Zipf) Rank(r *Rand) int {
 	return lo
 }
 
-// N returns the support size.
-func (z *Zipf) N() int { return len(z.cum) }
-
 // PowerLawFit holds the result of a discrete power-law MLE fit.
 type PowerLawFit struct {
 	Alpha float64 // scaling exponent

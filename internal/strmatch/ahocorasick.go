@@ -126,21 +126,6 @@ func NewAhoCorasick(patterns []string) *AhoCorasick {
 // Patterns returns the compiled pattern set (deduplicated, build order).
 func (ac *AhoCorasick) Patterns() []string { return ac.patterns }
 
-// Contains reports whether any pattern occurs in text.
-func (ac *AhoCorasick) Contains(text string) bool {
-	if len(ac.patterns) == 0 {
-		return false
-	}
-	s := int32(0)
-	for i := 0; i < len(text); i++ {
-		s = ac.next[s][text[i]]
-		if len(ac.out[s]) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // First returns the index (into Patterns) of the first pattern whose match
 // ends earliest in text, or -1 if none match. Ties broken by pattern order.
 func (ac *AhoCorasick) First(text string) int {
@@ -159,37 +144,6 @@ func (ac *AhoCorasick) First(text string) int {
 			}
 			return int(best)
 		}
-	}
-	return -1
-}
-
-// ContainsNaive is the reference O(patterns × text) implementation used for
-// property testing and the ablation benchmark.
-func ContainsNaive(patterns []string, text string) bool {
-	for _, p := range patterns {
-		if p == "" {
-			continue
-		}
-		if indexOf(text, p) >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func indexOf(s, sub string) int {
-	n, m := len(s), len(sub)
-	if m == 0 || m > n {
-		return -1
-	}
-outer:
-	for i := 0; i+m <= n; i++ {
-		for j := 0; j < m; j++ {
-			if s[i+j] != sub[j] {
-				continue outer
-			}
-		}
-		return i
 	}
 	return -1
 }

@@ -26,14 +26,6 @@ func NewSuffixSet(domains []string) *SuffixSet {
 	return s
 }
 
-// Add inserts a suffix into the set.
-func (s *SuffixSet) Add(domain string) {
-	d := strings.ToLower(strings.TrimPrefix(strings.TrimSpace(domain), "."))
-	if d != "" {
-		s.suffixes[d] = struct{}{}
-	}
-}
-
 // Len returns the number of suffixes.
 func (s *SuffixSet) Len() int { return len(s.suffixes) }
 
@@ -56,10 +48,4 @@ func (s *SuffixSet) Match(host string) (string, bool) {
 		}
 		probe = probe[i+1:]
 	}
-}
-
-// Contains reports whether host matches any suffix.
-func (s *SuffixSet) Contains(host string) bool {
-	_, ok := s.Match(host)
-	return ok
 }

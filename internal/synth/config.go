@@ -23,6 +23,8 @@ package synth
 import (
 	"errors"
 	"time"
+
+	"syriafilter/internal/torsim"
 )
 
 // Day identifies one observed day.
@@ -111,7 +113,7 @@ func (c *Config) Validate() error {
 		c.AnonymizerHosts = 821
 	}
 	if c.TorRelays == 0 {
-		c.TorRelays = 1111
+		c.TorRelays = torsim.DefaultRelayCount
 	}
 	if c.BlockedNewsDomains == 0 {
 		c.BlockedNewsDomains = 50

@@ -145,9 +145,6 @@ func (g *Generator) CategoryDB() *categorydb.DB { return g.w.catdb }
 // Consensus returns the Tor consensus the corpus's Tor traffic targets.
 func (g *Generator) Consensus() *torsim.Consensus { return g.w.consensus }
 
-// Users returns the population size.
-func (g *Generator) Users() int { return len(g.w.users) }
-
 // Next returns the next request in time order, or ok=false when the
 // timeline is exhausted. The returned value is a copy; callers may retain
 // it.

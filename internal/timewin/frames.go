@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -280,16 +279,6 @@ func (p *Partition) decodeFrame(s *segment, u *unpacker) error {
 		s.memo = frame{}
 	}
 	return nil
-}
-
-// UnmarshalFrames folds a stream written by CheckpointFrames into p,
-// with UnmarshalState's semantics: buckets merge by index, the tail
-// merges into the tail, and decoding is staged — on any error p is left
-// untouched. Buckets (and a tail) that install directly, with nothing to
-// merge into, keep the frame they were read from as their memo, so a
-// restored partition's next checkpoint re-encodes nothing.
-func (p *Partition) UnmarshalFrames(b []byte) error {
-	return UnmarshalFramesAll([]*Partition{p}, [][]byte{b}, runtime.GOMAXPROCS(0))
 }
 
 // UnmarshalFramesAll folds streams[i] into parts[i] for every i, all or

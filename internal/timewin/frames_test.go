@@ -13,6 +13,16 @@ import (
 	"syriafilter/internal/logfmt"
 )
 
+// UnmarshalFrames folds a stream written by CheckpointFrames into p,
+// with UnmarshalState's semantics: buckets merge by index, the tail
+// merges into the tail, and decoding is staged — on any error p is left
+// untouched. Buckets (and a tail) that install directly, with nothing to
+// merge into, keep the frame they were read from as their memo, so a
+// restored partition's next checkpoint re-encodes nothing.
+func (p *Partition) UnmarshalFrames(b []byte) error {
+	return UnmarshalFramesAll([]*Partition{p}, [][]byte{b}, runtime.GOMAXPROCS(0))
+}
+
 func newFramesPartition(t testing.TB, retain time.Duration, metrics ...string) *Partition {
 	t.Helper()
 	if metrics == nil {

@@ -2,7 +2,6 @@ package timewin
 
 import (
 	"fmt"
-	"io"
 
 	"syriafilter/internal/core"
 	"syriafilter/internal/statecodec"
@@ -124,12 +123,6 @@ func (p *Partition) MarshalState() []byte {
 	return w.Bytes()
 }
 
-// WriteState writes MarshalState to w.
-func (p *Partition) WriteState(w io.Writer) error {
-	_, err := w.Write(p.MarshalState())
-	return err
-}
-
 // UnmarshalState folds a state previously produced by MarshalState into
 // p: restored buckets merge into existing buckets of the same index (or
 // install as new ones), and the restored tail merges into p's tail —
@@ -159,15 +152,6 @@ func (p *Partition) UnmarshalState(b []byte) error {
 	}
 	p.absorb(ss)
 	return nil
-}
-
-// ReadState reads r to EOF and applies UnmarshalState.
-func (p *Partition) ReadState(r io.Reader) error {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("timewin: reading partition state: %w", err)
-	}
-	return p.UnmarshalState(b)
 }
 
 // decodeEngine decodes one engine state into a fresh engine of the

@@ -63,9 +63,6 @@ func (w Window) Covers(from, to int64) bool {
 	return (w.From == 0 || w.From <= from) && (w.To == 0 || w.To >= to)
 }
 
-// IsZero reports whether the window is unbounded on both sides.
-func (w Window) IsZero() bool { return w.From == 0 && w.To == 0 }
-
 // String renders the window for log and error messages.
 func (w Window) String() string {
 	f, t := "-inf", "+inf"
@@ -340,9 +337,6 @@ func New(cfg Config) (*Partition, error) {
 		onCompact:     cfg.OnCompact,
 	}, nil
 }
-
-// BucketSeconds returns the partition width in seconds.
-func (p *Partition) BucketSeconds() int64 { return p.bucketSecs }
 
 // RetainBuckets returns the retention horizon in buckets (0 = unlimited).
 func (p *Partition) RetainBuckets() int64 { return p.retainBuckets }

@@ -111,9 +111,6 @@ func nickname(r *stats.Rand) string {
 // Len returns the relay count.
 func (c *Consensus) Len() int { return len(c.relays) }
 
-// Relays returns the relay table (callers must not mutate it).
-func (c *Consensus) Relays() []Relay { return c.relays }
-
 // Relay returns relay i.
 func (c *Consensus) Relay(i int) Relay { return c.relays[i] }
 

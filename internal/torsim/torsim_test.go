@@ -33,7 +33,8 @@ func TestConsensusSize(t *testing.T) {
 	}
 	// All relay IPs must be unique.
 	seen := map[uint32]struct{}{}
-	for _, r := range c.Relays() {
+	for i := range c.Len() {
+		r := c.Relay(i)
 		if _, dup := seen[r.IP]; dup {
 			t.Fatalf("duplicate relay IP %s", r.Host())
 		}
@@ -44,7 +45,8 @@ func TestConsensusSize(t *testing.T) {
 func TestPortDistribution(t *testing.T) {
 	c := NewConsensus(7, DefaultRelayCount)
 	or9001 := 0
-	for _, r := range c.Relays() {
+	for i := range c.Len() {
+		r := c.Relay(i)
 		if r.ORPort == 9001 {
 			or9001++
 		}
@@ -106,7 +108,8 @@ func TestIsDirPath(t *testing.T) {
 func TestClassifyRequest(t *testing.T) {
 	c := NewConsensus(5, 200)
 	var withDir, orOnly Relay
-	for _, r := range c.Relays() {
+	for i := range c.Len() {
+		r := c.Relay(i)
 		if r.DirPort != 0 && withDir.IP == 0 && r.DirPort != r.ORPort {
 			withDir = r
 		}
@@ -151,7 +154,8 @@ func TestDirPathCycles(t *testing.T) {
 
 func TestRelayHostRoundTrip(t *testing.T) {
 	c := NewConsensus(11, 20)
-	for _, r := range c.Relays() {
+	for i := range c.Len() {
+		r := c.Relay(i)
 		ip, ok := urlx.ParseIPv4(r.Host())
 		if !ok || ip != r.IP {
 			t.Fatalf("Host round trip failed for %+v", r)

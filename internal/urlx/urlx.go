@@ -1,7 +1,6 @@
 // Package urlx provides the small URL-handling helpers the log pipeline
-// needs: splitting request URLs into the Blue Coat field quintet (host,
-// port, path, query, extension), host normalization, registered-domain
-// extraction, and IPv4 literal detection.
+// needs: path extensions, registered-domain and TLD extraction, and IPv4
+// literal parsing and formatting.
 //
 // It deliberately does not use net/url: Blue Coat logs store the URL
 // pre-split across cs-host / cs-uri-path / cs-uri-query / cs-uri-extension,
@@ -10,81 +9,6 @@
 package urlx
 
 import "strings"
-
-// Parts is a request URL decomposed the way the SG-9000 logs it.
-type Parts struct {
-	Scheme string // "http", "https", "tcp" (CONNECT tunnels)
-	Host   string // lowercased hostname or IP literal, no port
-	Port   uint16 // 0 when absent; defaulted by scheme in Split
-	Path   string // starts with "/" when present
-	Query  string // without the leading "?"
-	Ext    string // file extension of the last path segment, without dot
-}
-
-// Split decomposes a URL string. It accepts absolute URLs
-// ("http://h:p/x?q"), scheme-less ("h/x?q"), and bare hosts. Unknown ports
-// default to 80 for http and 443 for https.
-func Split(raw string) Parts {
-	var p Parts
-	rest := raw
-
-	if i := strings.Index(rest, "://"); i >= 0 {
-		p.Scheme = strings.ToLower(rest[:i])
-		rest = rest[i+3:]
-	} else {
-		p.Scheme = "http"
-	}
-
-	// Split host[:port] from path?query.
-	hostport := rest
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		hostport = rest[:i]
-		rest = rest[i:]
-	} else {
-		rest = ""
-	}
-
-	p.Host, p.Port = SplitHostPort(hostport)
-	if p.Port == 0 {
-		p.Port = DefaultPort(p.Scheme)
-	}
-
-	if i := strings.IndexByte(rest, '?'); i >= 0 {
-		p.Path = rest[:i]
-		p.Query = rest[i+1:]
-	} else {
-		p.Path = rest
-	}
-	p.Ext = PathExt(p.Path)
-	return p
-}
-
-// SplitHostPort splits "host:port" returning a lowercased host and the
-// numeric port (0 when absent or malformed).
-func SplitHostPort(hostport string) (string, uint16) {
-	host := hostport
-	var port uint16
-	if i := strings.LastIndexByte(hostport, ':'); i >= 0 {
-		if n, ok := atouPort(hostport[i+1:]); ok {
-			host = hostport[:i]
-			port = n
-		}
-	}
-	return strings.ToLower(host), port
-}
-
-// DefaultPort returns the conventional port for a scheme (0 if unknown).
-func DefaultPort(scheme string) uint16 {
-	switch scheme {
-	case "http", "":
-		return 80
-	case "https", "tcp": // Blue Coat logs CONNECT tunnels as tcp://host:443
-		return 443
-	case "ftp":
-		return 21
-	}
-	return 0
-}
 
 // PathExt returns the extension of the final path segment without the dot,
 // or "" if none ("-" in Blue Coat logs is represented as "" internally).
@@ -217,22 +141,4 @@ func put8(dst []byte, v byte) []byte {
 		dst = append(dst, '0'+(v/10)%10)
 	}
 	return append(dst, '0'+v%10)
-}
-
-func atouPort(s string) (uint16, bool) {
-	if len(s) == 0 || len(s) > 5 {
-		return 0, false
-	}
-	n := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	if n > 65535 {
-		return 0, false
-	}
-	return uint16(n), true
 }

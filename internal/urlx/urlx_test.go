@@ -5,41 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestSplitAbsolute(t *testing.T) {
-	p := Split("http://www.Facebook.com:8080/plugins/like.php?href=x&proxy=1")
-	if p.Scheme != "http" || p.Host != "www.facebook.com" || p.Port != 8080 {
-		t.Errorf("scheme/host/port = %q/%q/%d", p.Scheme, p.Host, p.Port)
-	}
-	if p.Path != "/plugins/like.php" || p.Query != "href=x&proxy=1" || p.Ext != "php" {
-		t.Errorf("path/query/ext = %q/%q/%q", p.Path, p.Query, p.Ext)
-	}
-}
-
-func TestSplitDefaults(t *testing.T) {
-	p := Split("skype.com")
-	if p.Host != "skype.com" || p.Port != 80 || p.Path != "" || p.Query != "" {
-		t.Errorf("bare host parse: %+v", p)
-	}
-	p = Split("https://mail.google.com/")
-	if p.Port != 443 || p.Path != "/" {
-		t.Errorf("https defaults: %+v", p)
-	}
-	p = Split("tcp://212.150.1.1:443")
-	if p.Scheme != "tcp" || p.Host != "212.150.1.1" || p.Port != 443 {
-		t.Errorf("CONNECT tunnel parse: %+v", p)
-	}
-}
-
-func TestSplitQueryOnly(t *testing.T) {
-	p := Split("google.com/tbproxy/af/query?q=test")
-	if p.Path != "/tbproxy/af/query" || p.Query != "q=test" {
-		t.Errorf("%+v", p)
-	}
-	if p.Ext != "" {
-		t.Errorf("ext = %q", p.Ext)
-	}
-}
-
 func TestPathExt(t *testing.T) {
 	cases := map[string]string{
 		"/a/b.php":        "php",
@@ -115,35 +80,6 @@ func TestFormatParseRoundTrip(t *testing.T) {
 	if err := quick.Check(func(ip uint32) bool {
 		got, ok := ParseIPv4(FormatIPv4(ip))
 		return ok && got == ip
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitHostPort(t *testing.T) {
-	h, p := SplitHostPort("Example.COM:9001")
-	if h != "example.com" || p != 9001 {
-		t.Errorf("got %q %d", h, p)
-	}
-	h, p = SplitHostPort("example.com")
-	if h != "example.com" || p != 0 {
-		t.Errorf("got %q %d", h, p)
-	}
-	// Malformed port: keep whole string as host.
-	h, p = SplitHostPort("example.com:http")
-	if h != "example.com:http" || p != 0 {
-		t.Errorf("got %q %d", h, p)
-	}
-	if _, p := SplitHostPort("h:70000"); p != 0 {
-		t.Errorf("overflow port accepted: %d", p)
-	}
-}
-
-func TestSplitNeverPanics(t *testing.T) {
-	if err := quick.Check(func(raw string) bool {
-		p := Split(raw)
-		_ = p
-		return true
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
