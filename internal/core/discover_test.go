@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -304,4 +306,175 @@ func TestDiscoverFiltersConcurrentReadersComputeOnce(t *testing.T) {
 	if e.disc.runs != 1 {
 		t.Errorf("discovery computed %d times, want 1", e.disc.runs)
 	}
+}
+
+// A seeded chain of clones — the extend cut's shape — over the synth
+// corpus with a small URL-store cap: each step clones the previous
+// engine, changes the clone, and asks for discovery on some steps only,
+// so an index is sometimes carried across several clones before it is
+// extended. The changes include a Merge, an UnmarshalState back to a
+// smaller store, compaction past the cap, a TLD that becomes blocked and
+// then stops being blocked, a token that gains an allowed occurrence,
+// and one source cloned twice. Every computation must equal the
+// reference, and both the carried path and the rebuild path must have
+// run.
+func TestCarriedDiscoveryMatchesReference(t *testing.T) {
+	f := corpus(t)
+	opt := Options{Categories: f.gen.CategoryDB(), Consensus: f.gen.Consensus()}
+	opt.maxStoredCensoredURLs = 1200
+	rng := rand.New(rand.NewSource(40))
+	pos := 0
+	slice := func(n int) []logfmt.Record {
+		if pos+n > len(f.records) {
+			pos = 0
+		}
+		pos += n
+		return f.records[pos-n : pos]
+	}
+	observe := func(e *Engine, recs []logfmt.Record) {
+		for i := range recs {
+			e.Observe(&recs[i])
+		}
+	}
+	var runs, extended, rebuilt, pastCap int
+	retire := func(e *Engine) {
+		runs += e.disc.runs
+		extended += e.disc.extended
+		rebuilt += e.disc.rebuilt
+	}
+	check := func(step int, what string, e *Engine, minCount uint64) Discovery {
+		t.Helper()
+		got, want := e.DiscoverFilters(minCount), discoverFiltersReference(e, minCount)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (%s), minCount %d:\n got  %+v\n want %+v", step, what, minCount, got, want)
+		}
+		return got
+	}
+
+	cur := discoveryEngine(t, opt)
+	observe(cur, slice(20_000))
+	early := cur.MarshalState() // a store well under the cap
+	check(-1, "first", cur, 0)
+	for step := 0; step < 150; step++ {
+		next := cur.Clone()
+		what := "observe"
+		switch r := rng.Intn(100); {
+		case step == 59:
+			what = "a TLD becomes blocked"
+			for _, host := range []string{"a.xq", "b.xq", "c.xq"} {
+				store{next}.censored(host, "/", "", 1)
+			}
+			if !slices.ContainsFunc(check(step, what, next, 0).Domains, func(sd SuspectedDomain) bool { return sd.Domain == ".xq" }) {
+				t.Fatal(".xq is not blocked after three censored requests")
+			}
+		case step == 60:
+			what = "a TLD stops being blocked"
+			store{next}.allowed("unblocked.xq", "/", "")
+			if slices.ContainsFunc(check(step, what, next, 0).Domains, func(sd SuspectedDomain) bool { return sd.Domain == ".xq" }) {
+				t.Fatal(".xq is still blocked after an allowed request")
+			}
+		case step == 61:
+			what = "a token gains an allowed occurrence"
+			kws := cur.DiscoverFilters(0).Keywords
+			if len(kws) == 0 {
+				t.Fatal("no keyword to veto")
+			}
+			kw := kws[0].Keyword
+			store{next}.allowed("ok.com", "/"+kw, "")
+			if slices.ContainsFunc(check(step, what, next, 0).Keywords, func(got Keyword) bool { return got.Keyword == kw }) {
+				t.Fatalf("%q is still a keyword after an allowed occurrence", kw)
+			}
+		case r < 6:
+			what = "merge"
+			other := discoveryEngine(t, opt)
+			observe(other, slice(500+rng.Intn(3000)))
+			next.Merge(other)
+		case r < 10:
+			what = "unmarshal"
+			if err := next.UnmarshalState(early); err != nil {
+				t.Fatal(err)
+			}
+		case r < 13:
+			// next took cur's index; the twin starts without one.
+			what = "cloned twice"
+			twin := cur.Clone()
+			recs := slice(200 + rng.Intn(2000))
+			observe(twin, recs)
+			observe(next, recs)
+			check(step, "twin", twin, 0)
+			retire(twin)
+		default:
+			observe(next, slice(200+rng.Intn(2000)))
+		}
+		if rng.Intn(3) > 0 {
+			check(step, what, next, []uint64{0, 0, 2}[rng.Intn(3)])
+		}
+		if len(mod[*tokensMetric](next, "tokens", "test").censoredURLs) > opt.maxStoredCensoredURLs {
+			pastCap++
+		}
+		retire(cur)
+		cur = next
+	}
+	retire(cur)
+	if extended == 0 || rebuilt == 0 || pastCap == 0 {
+		t.Errorf("%d computations: %d extended a carried index, %d rebuilt one; %d steps past the cap; want all three",
+			runs, extended, rebuilt, pastCap)
+	}
+	t.Logf("%d computations: %d extended a carried index, %d rebuilt one; %d steps past the cap", runs, extended, rebuilt, pastCap)
+}
+
+// Clones taken while eight readers compute discovery on the source — a
+// cut under a sync wake's renders — never wait for them: a clone gets
+// the index when no reader holds the memo, and starts without one
+// otherwise. Either way it computes the reference, and so do the
+// readers, whose changing minCount keeps them recomputing on an index
+// that clones keep taking away.
+func TestCloneDuringDiscovery(t *testing.T) {
+	f := corpus(t)
+	frozen := discoveryEngine(t, Options{Categories: f.gen.CategoryDB(), Consensus: f.gen.Consensus()})
+	const base, round, clones = 60_000, 300, 16
+	for i := range f.records[:base] {
+		frozen.Observe(&f.records[i])
+	}
+	wants := map[uint64]Discovery{}
+	for minCount := uint64(1); minCount <= 4; minCount++ {
+		wants[minCount] = discoverFiltersReference(frozen, minCount)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				minCount := uint64(1 + i%4)
+				if got := frozen.DiscoverFilters(minCount); !reflect.DeepEqual(got, wants[minCount]) {
+					t.Errorf("reader %d, minCount %d: discovery differs from the reference", g, minCount)
+					return
+				}
+			}
+		}(g)
+	}
+	carried := 0
+	for c := 0; c < clones; c++ {
+		n := frozen.Clone()
+		if n.disc.idx != nil {
+			carried++
+		}
+		recs := f.records[base+c*round : base+(c+1)*round]
+		for i := range recs {
+			n.Observe(&recs[i])
+		}
+		if got, want := n.DiscoverFilters(0), discoverFiltersReference(n, 0); !reflect.DeepEqual(got, want) {
+			t.Errorf("clone %d:\n got  %+v\n want %+v", c, got, want)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	t.Logf("%d of %d clones took the index", carried, clones)
 }

@@ -209,13 +209,20 @@ type Engine struct {
 // differing version or minCount makes it stale. The effective minCount
 // is never 0, so the zero memo matches no call. mu is the only part of
 // an Engine reached by concurrent readers: it serialises them so that
-// one computes and the rest reuse.
+// one computes and the rest reuse. idx is the URL index the last
+// computation brought up to date; it has one owner at a time, which
+// extends it only under its own mu, and Clone moves it to the clone.
 type discoveryMemo struct {
 	mu       sync.Mutex
 	version  uint64
 	minCount uint64
 	d        Discovery
-	runs     int // computations performed; read by tests only
+	idx      *urlIndex
+
+	// Read by tests only: computations performed, those that kept a
+	// non-empty index and extended it, and those that found the index
+	// was no prefix of the store and started it over.
+	runs, extended, rebuilt int
 }
 
 // NewEngine builds an engine with the named modules, in registry order

@@ -4,7 +4,8 @@ package core
 // same Options and module set, with e's state merged in. Records
 // observed by e afterwards do not affect the clone, which makes Clone
 // the copy-on-swap snapshot primitive behind internal/serve's live
-// store.
+// store. The clone also takes over e's §5.4 URL index, so its first
+// DiscoverFilters indexes only the URLs it stores after the copy.
 //
 // Clone relies on the same contract as pipeline merging: module Merge
 // implementations copy state out of their source instead of aliasing
@@ -25,6 +26,16 @@ func (e *Engine) Clone() *Engine {
 		panic("core: Clone: " + err.Error())
 	}
 	n.Merge(e)
+	// The clone's store starts as e's, so the URL index e's discovery
+	// left behind is a prefix of it: hand it over, so that the clone's
+	// discovery indexes only what it observes next. It moves rather than
+	// being shared, since its owner extends it. A reader computing e's
+	// discovery holds the lock; the clone then starts without an index
+	// rather than wait. e keeps its remembered result.
+	if e.disc.mu.TryLock() {
+		n.disc.idx, e.disc.idx = e.disc.idx, nil
+		e.disc.mu.Unlock()
+	}
 	return n
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -183,6 +184,9 @@ type Discovery struct {
 // concurrent callers of one frozen engine — the readers of a published
 // serve.Snapshot — wait on a single computation. The returned slices are
 // therefore shared between callers and must be treated as read-only.
+// Recomputing costs the stored URLs that arrived since the engine's URL
+// index last covered the store (see urlIndex and Clone), plus the
+// rounds themselves.
 func (e *Engine) DiscoverFilters(minCount uint64) Discovery {
 	dm := mod[*domainsMetric](e, "domains", "DiscoverFilters")
 	tm := mod[*tokensMetric](e, "tokens", "DiscoverFilters")
@@ -193,9 +197,19 @@ func (e *Engine) DiscoverFilters(minCount uint64) Discovery {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.version != e.version || m.minCount != minCount {
-		m.d = discoverFilters(dm, tm, minCount)
+		if m.idx == nil {
+			m.idx = new(urlIndex)
+		}
+		kept, rebuilt := m.idx.extend(tm.censoredSet())
+		m.d = discoverFilters(dm, tm, minCount, m.idx)
 		m.version, m.minCount = e.version, minCount
 		m.runs++
+		if kept > 0 {
+			m.extended++
+		}
+		if rebuilt {
+			m.rebuilt++
+		}
 	}
 	return m.d
 }
@@ -204,23 +218,160 @@ func (e *Engine) DiscoverFilters(minCount uint64) Discovery {
 // yielding candidates stops after this many rounds.
 const maxKeywords = 64
 
-// residueURL is one stored censored URL that phase 0 left unexplained.
-type residueURL struct {
-	lower string // strings.ToLower(URL): what a keyword is matched against
-	host  string
-	dom   int32   // index of the registered domain
-	toks  []int32 // distinct candidate ids of the URL's tokens
+// urlIndex is the part of §5.4 that depends on each stored censored URL
+// alone: its lowered form and that form's bigrams, its registered
+// domain, host and TLD, whether its host is an IP literal, and its
+// deduplicated tokens with their (token, registered domain) pairs, each
+// interned to a dense id. It is
+// built once, brought up to date by indexing only the URLs stored since
+// (extend), and moved into a clone by Engine.Clone, so a snapshot that
+// extends the previous one tokenises only the URLs its records added.
+// What does change between engine states — which TLDs are blocked,
+// which tokens the allowed vocabulary vetoes, every count — is evaluated
+// by each computation and never written into the index.
+type urlIndex struct {
+	// urls holds one entry per stored URL the index covers, in store
+	// order.
+	urls []indexedURL
+
+	toks, doms, hosts, tlds interner
+	pairs                   map[uint64]int32 // tok<<32 | dom -> pair id
+
+	// tokArena holds every URL's token ids back to back, and pairArena
+	// the matching pair ids at the same positions.
+	tokArena, pairArena []int32
 }
 
-// keywordCandidate is one distinct residue token with its live tallies.
-type keywordCandidate struct {
-	tok      string
-	count    uint64 // residue URLs still carrying the token
-	spread   int    // distinct registered domains among those URLs
-	eligible bool   // never seen in an allowed URL
+// indexedURL is what the index derives from one stored URL.
+type indexedURL struct {
+	key            censoredURL
+	lower          string  // strings.ToLower(URL): what a keyword is matched against
+	grams          bigrams // of lower
+	dom, host, tld int32
+	ip             bool  // IP-literal host: the IP analysis owns it, never residue
+	off, end       int32 // tokArena[off:end]
 }
 
-func discoverFilters(dm *domainsMetric, tm *tokensMetric, minCount uint64) Discovery {
+// bigrams is a 128-bit signature of the adjacent byte pairs of a
+// string: each pair sets one bit. If s contains t, every bit of t's
+// signature is set in s's.
+type bigrams [2]uint64
+
+func bigramsOf(s string) bigrams {
+	var g bigrams
+	for i := 1; i < len(s); i++ {
+		bit := (uint32(s[i-1])<<8 | uint32(s[i])) * 0x9e3779b1 >> 25
+		g[bit>>6] |= 1 << (bit & 63)
+	}
+	return g
+}
+
+// covers reports whether every bit of h is set in g.
+func (g bigrams) covers(h bigrams) bool {
+	return g[0]&h[0] == h[0] && g[1]&h[1] == h[1]
+}
+
+// interner maps strings to dense ids in first-seen order.
+type interner struct {
+	ids  map[string]int32
+	keys []string
+}
+
+// id returns k's id.
+func (in *interner) id(k string) int32 {
+	if id, ok := in.ids[k]; ok {
+		return id
+	}
+	if in.ids == nil {
+		in.ids = make(map[string]int32)
+	}
+	id := int32(len(in.keys))
+	in.ids[k] = id
+	in.keys = append(in.keys, k)
+	return id
+}
+
+// extend brings the index up to stored, which must be the store as
+// censoredSet returns it. Its entries are kept when they are a prefix of
+// stored, URL by URL, and only the suffix is indexed; otherwise —
+// after compaction past the cap, UnmarshalState or any reordering — the
+// index starts over. It reports how many entries it kept and whether it
+// started over.
+func (x *urlIndex) extend(stored []censoredURL) (kept int, rebuilt bool) {
+	if !x.prefixOf(stored) {
+		*x = urlIndex{}
+		rebuilt = true
+	}
+	kept = len(x.urls)
+	if x.pairs == nil {
+		x.pairs = make(map[uint64]int32)
+	}
+	// Size urls for the suffix at once and grow the arenas by doubling:
+	// append's 1.25x steps would copy a cold build's slices several times
+	// over, garbage that showed in censorlyzer's peak RSS.
+	x.urls = slices.Grow(x.urls, len(stored)-kept)
+	var u *indexedURL
+	tally := func(tok string) {
+		t := x.toks.id(tok)
+		if slices.Contains(x.tokArena[u.off:], t) {
+			return
+		}
+		key := uint64(t)<<32 | uint64(u.dom)
+		p, ok := x.pairs[key]
+		if !ok {
+			p = int32(len(x.pairs))
+			x.pairs[key] = p
+		}
+		if len(x.tokArena) == cap(x.tokArena) {
+			x.tokArena = slices.Grow(x.tokArena, max(len(x.tokArena), 256))
+			x.pairArena = slices.Grow(x.pairArena, max(len(x.pairArena), 256))
+		}
+		x.tokArena = append(x.tokArena, t)
+		x.pairArena = append(x.pairArena, p)
+	}
+	for _, cu := range stored[kept:] {
+		lower := strings.ToLower(cu.URL)
+		x.urls = append(x.urls, indexedURL{
+			key:   cu,
+			lower: lower,
+			grams: bigramsOf(lower),
+			dom:   x.doms.id(cu.Domain),
+			host:  x.hosts.id(cu.Host),
+			tld:   x.tlds.id(urlx.TLD(cu.Host)),
+			ip:    urlx.IsIPv4(cu.Host),
+			off:   int32(len(x.tokArena)),
+		})
+		u = &x.urls[len(x.urls)-1]
+		if !u.ip {
+			// Tokens are cut from the stored URL's segments, not from
+			// lower: ToLower maps some non-ASCII sequences to ASCII
+			// letters, which would invent tokens.
+			rec := logfmt.Record{Host: cu.Host, Path: pathOf(cu.URL, cu.Host), Query: queryOf(cu.URL)}
+			tokenizeRecord(&rec, tally)
+		}
+		u.end = int32(len(x.tokArena))
+	}
+	return kept, rebuilt
+}
+
+// prefixOf reports whether the index's entries are the first entries of
+// stored. The strings of a URL a clone merged in share their bytes with
+// the source's, so the comparison is mostly pointer checks.
+func (x *urlIndex) prefixOf(stored []censoredURL) bool {
+	if len(x.urls) > len(stored) {
+		return false
+	}
+	for i := range x.urls {
+		if stored[i] != x.urls[i].key {
+			return false
+		}
+	}
+	return true
+}
+
+// discoverFilters computes §5.4 over the stored URLs x indexes, which the
+// caller has brought up to date with the store.
+func discoverFilters(dm *domainsMetric, tm *tokensMetric, minCount uint64, x *urlIndex) Discovery {
 	const minSpread = 3
 	var d Discovery
 
@@ -247,94 +398,71 @@ func discoverFilters(dm *domainsMetric, tm *tokensMetric, minCount uint64) Disco
 	// then maintained: removing a URL subtracts it from each of its
 	// tokens. Every quantity is a function of the residue as a multiset,
 	// so the stored URLs are read in whatever order they are held.
-	stored := tm.censoredSet()
-	residue := make([]residueURL, 0, len(stored))
-	var cands []keywordCandidate
-	candID := map[string]int32{}
-	var domains []string
-	domID := map[string]int32{}
-	// refs counts the residue URLs per (candidate, registered domain).
-	refs := map[uint64]int32{}
-	pair := func(tok, dom int32) uint64 { return uint64(tok)<<32 | uint64(dom) }
-	// arena holds every URL's distinct candidate ids back to back; first
-	// marks where the URL being tokenized (on domain dom) starts.
-	var arena []int32
-	var first int
-	var dom int32
-	tally := func(tok string) {
-		id, ok := candID[tok]
-		if !ok {
-			id = int32(len(cands))
-			candID[tok] = id
-			cands = append(cands, keywordCandidate{tok: tok, eligible: tm.allowed.counter.Count(tok) == 0})
-		}
-		for _, seen := range arena[first:] {
-			if seen == id {
-				return
-			}
-		}
-		arena = append(arena, id)
-		cands[id].count++
-		key := pair(id, dom)
-		if refs[key]++; refs[key] == 1 {
-			cands[id].spread++
-		}
+	blocked := make([]bool, len(x.tlds.keys))
+	for i, tld := range x.tlds.keys {
+		blocked[i] = blockedTLDs[tld]
 	}
-	for i := range stored {
-		cu := &stored[i]
-		if blockedTLDs[urlx.TLD(cu.Host)] || urlx.IsIPv4(cu.Host) {
+	toks := x.toks.keys
+	count := make([]uint64, len(toks)) // residue URLs carrying the token
+	spread := make([]int, len(toks))   // distinct registered domains among them
+	refs := make([]uint64, len(x.pairs))
+	residue := make([]int32, 0, len(x.urls))
+	for id := range x.urls {
+		u := &x.urls[id]
+		if u.ip || blocked[u.tld] {
 			continue
 		}
-		var ok bool
-		if dom, ok = domID[cu.Domain]; !ok {
-			dom = int32(len(domains))
-			domID[cu.Domain] = dom
-			domains = append(domains, cu.Domain)
+		residue = append(residue, int32(id))
+		for j := u.off; j < u.end; j++ {
+			t, p := x.tokArena[j], x.pairArena[j]
+			count[t]++
+			if refs[p] == 0 {
+				spread[t]++
+			}
+			refs[p]++
 		}
-		first = len(arena)
-		rec := logfmt.Record{Host: cu.Host, Path: pathOf(cu.URL, cu.Host), Query: queryOf(cu.URL)}
-		tokenizeRecord(&rec, tally)
-		residue = append(residue, residueURL{
-			lower: strings.ToLower(cu.URL),
-			host:  cu.Host,
-			dom:   dom,
-			toks:  arena[first:],
-		})
+	}
+	// A token seen in an allowed URL is never a keyword.
+	vetoed := make([]bool, len(toks))
+	for t, tok := range toks {
+		vetoed[t] = tm.allowed.counter.Count(tok) != 0
 	}
 	for len(d.Keywords) < maxKeywords {
-		var best *keywordCandidate
-		for i := range cands {
-			c := &cands[i]
-			if !c.eligible || c.count < minCount || c.spread < minSpread {
+		best := -1
+		for t := range toks {
+			if vetoed[t] || count[t] < minCount || spread[t] < minSpread {
 				continue
 			}
-			if best == nil || c.count > best.count || (c.count == best.count && c.tok < best.tok) {
-				best = c
+			if best < 0 || count[t] > count[best] || count[t] == count[best] && toks[t] < toks[best] {
+				best = t
 			}
 		}
-		if best == nil {
+		if best < 0 {
 			break
 		}
+		kw := toks[best]
 		d.Keywords = append(d.Keywords, Keyword{
-			Keyword:  best.tok,
-			Censored: best.count,
-			Proxied:  tm.proxied.counter.Count(best.tok),
+			Keyword:  kw,
+			Censored: count[best],
+			Proxied:  tm.proxied.counter.Count(kw),
 		})
 		// Removal is by substring of the lowered URL, not by token
 		// membership: a keyword also explains URLs it merely occurs in.
-		kw := best.tok
+		// A URL missing one of the keyword's byte pairs cannot contain
+		// it, which settles most URLs without a substring search.
+		kg := bigramsOf(kw)
 		keep := residue[:0]
-		for i := range residue {
-			u := &residue[i]
-			if !strings.Contains(u.lower, kw) {
-				keep = append(keep, *u)
+		for _, id := range residue {
+			u := &x.urls[id]
+			if !u.grams.covers(kg) || !strings.Contains(u.lower, kw) {
+				keep = append(keep, id)
 				continue
 			}
-			for _, t := range u.toks {
-				cands[t].count--
-				key := pair(t, u.dom)
-				if refs[key]--; refs[key] == 0 {
-					cands[t].spread--
+			for j := u.off; j < u.end; j++ {
+				t, p := x.tokArena[j], x.pairArena[j]
+				count[t]--
+				if refs[p]--; refs[p] == 0 {
+					spread[t]--
 				}
 			}
 		}
@@ -345,16 +473,18 @@ func discoverFilters(dm *domainsMetric, tm *tokensMetric, minCount uint64) Disco
 	// domains, then single hosts (messenger.live.com-style entries whose
 	// registered domain still has allowed traffic). Counts come from the
 	// residue so keyword-explained requests are not re-attributed.
-	domCounts := stats.NewCounter()
-	hostCounts := stats.NewCounter()
-	for i := range residue {
-		domCounts.Add(domains[residue[i].dom])
-		hostCounts.Add(residue[i].host)
+	domCounts := make([]uint64, len(x.doms.keys))
+	hostCounts := make([]uint64, len(x.hosts.keys))
+	for _, id := range residue {
+		u := &x.urls[id]
+		domCounts[u.dom]++
+		hostCounts[u.host]++
 	}
 	suspected := make(map[string]bool)
-	domCounts.Each(func(dom string, n uint64) {
+	for i, n := range domCounts {
+		dom := x.doms.keys[i]
 		if n < minCount || dm.allowed.Count(dom) != 0 {
-			return
+			continue
 		}
 		suspected[dom] = true
 		d.Domains = append(d.Domains, SuspectedDomain{
@@ -362,19 +492,20 @@ func discoverFilters(dm *domainsMetric, tm *tokensMetric, minCount uint64) Disco
 			Censored: dm.censoredDeny.Count(dom),
 			Proxied:  dm.proxied.Count(dom),
 		})
-	})
-	hostCounts.Each(func(host string, n uint64) {
+	}
+	for i, n := range hostCounts {
+		host := x.hosts.keys[i]
 		if n < minCount || suspected[urlx.RegisteredDomain(host)] {
-			return
+			continue
 		}
 		if dm.hostAllowed.Count(host) != 0 {
-			return
+			continue
 		}
 		d.Domains = append(d.Domains, SuspectedDomain{
 			Domain:   host,
 			Censored: dm.hostCensoredDeny.Count(host),
 		})
-	})
+	}
 	sort.Slice(d.Domains, func(i, j int) bool {
 		if d.Domains[i].Censored != d.Domains[j].Censored {
 			return d.Domains[i].Censored > d.Domains[j].Censored

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -20,7 +21,9 @@ import (
 // ingest, Restore into the live store — with Range reads and Checkpoints,
 // which change nothing, and after every Refresh compares the snapshot's
 // state byte for byte with a cold fold, and checks that every batch the
-// cut was handed went back to the free list. Both paths must have run.
+// cut was handed went back to the free list. On a seeded half of the
+// snapshots it also compares §5.4 discovery with the cold fold's, which
+// computes it without a carried URL index. Both paths must have run.
 func TestExtendedCutEqualsFold(t *testing.T) {
 	f := corpus(t)
 	// Every other record of the capture's first day: two dozen hourly
@@ -68,6 +71,7 @@ func TestExtendedCutEqualsFold(t *testing.T) {
 			dir := t.TempDir()
 			seed := int64(1000 + shards)
 			rng := rand.New(rand.NewSource(seed))
+			discover := rand.New(rand.NewSource(seed + 1))
 			modes := map[string]int{}
 			add := func(recs []logfmt.Record) {
 				t.Helper()
@@ -130,6 +134,15 @@ func TestExtendedCutEqualsFold(t *testing.T) {
 					if !bytes.Equal(snap.An.MarshalState(), cold.MarshalState()) {
 						t.Fatalf("seed %d step %d: snapshot %d (%d records) differs from a fold of every segment",
 							seed, step, snap.Seq, snap.Records)
+					}
+					// Discovery on some snapshots only, so that the URL index
+					// an extend cut hands over is sometimes passed along
+					// several snapshots before one extends it.
+					if discover.Intn(2) == 0 {
+						if got, want := snap.An.DiscoverFilters(0), cold.DiscoverFilters(0); !reflect.DeepEqual(got, want) {
+							t.Fatalf("seed %d step %d: snapshot %d's discovery differs from a cold fold's:\n got  %+v\n want %+v",
+								seed, step, snap.Seq, got, want)
+						}
 					}
 				}
 			}

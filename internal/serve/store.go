@@ -103,6 +103,10 @@ type Config struct {
 // may read it concurrently — and because it never changes, the §5.4
 // discovery its engine remembers (core.Engine.DiscoverFilters) is
 // computed once per snapshot, however many docs and readers ask for it.
+// An extend cut's clone takes over the URL index that computation left
+// behind (unless a reader is computing at that moment), so the next
+// snapshot's discovery tokenises only the censored URLs stored since;
+// the snapshot keeps its remembered result.
 type Snapshot struct {
 	An *core.Analyzer
 	// Seq increments with every rebuild (0 = the boot-time empty view).

@@ -47,6 +47,20 @@ func TestSyncFullResync(t *testing.T) {
 	}
 }
 
+// waitParked waits until n sync polls are parked on srv. A test that
+// cuts or drains before its poll has parked passes without ever
+// exercising park → wake.
+func waitParked(t *testing.T, srv *Server, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.syncWaiting.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d polls parked", srv.syncWaiting.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // A sync at the current token with new data arriving mid-park wakes on
 // the snapshot cut — well before the timeout — and reports only what
 // changed.
@@ -63,8 +77,8 @@ func TestSyncLongPollWakeup(t *testing.T) {
 		json.Unmarshal(rw.Body.Bytes(), &resp)
 		done <- resp
 	}()
-	// Give the poll a moment to park, then change the data and cut.
-	time.Sleep(50 * time.Millisecond)
+	// Once the poll is parked, change the data and cut.
+	waitParked(t, srv, 1)
 	if _, err := store.Add(f.records[4000:8000]); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +224,7 @@ func TestSyncDrainWakeup(t *testing.T) {
 
 			done := make(chan *httptest.ResponseRecorder, 1)
 			go func() { done <- get(srv, "/v1/sync?ids=table4&timeout=30s&since="+token) }()
-			time.Sleep(50 * time.Millisecond)
+			waitParked(t, srv, 1)
 			tc.drain(store, ready)
 			select {
 			case rw := <-done:
@@ -256,14 +270,7 @@ func TestSyncParkedShed(t *testing.T) {
 	go func() {
 		parked <- get(srv2, "/v1/sync?ids=table4&timeout=30s&since="+token)
 	}()
-	// Wait until the first poll is actually parked.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv2.syncWaiting.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first poll never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(t, srv2, 1)
 	if rw := get(srv2, "/v1/sync?ids=table4&timeout=10s&since="+token); rw.Code != 429 {
 		t.Errorf("second park answered %d, want 429", rw.Code)
 	}
@@ -281,13 +288,7 @@ func TestSyncParkedShed(t *testing.T) {
 	for i := 0; i < DefaultSyncMaxParked; i++ {
 		go get(srv3, "/v1/sync?ids=table4&timeout=30s&since="+token)
 	}
-	deadline = time.Now().Add(10 * time.Second)
-	for srv3.syncWaiting.Load() < DefaultSyncMaxParked {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d polls parked", srv3.syncWaiting.Load(), DefaultSyncMaxParked)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(t, srv3, DefaultSyncMaxParked)
 	if rw := get(srv3, "/v1/sync?ids=table4&timeout=10s&since="+token); rw.Code != 429 || !strings.Contains(rw.Body.String(), "1024") {
 		t.Errorf("poll %d answered %d %s, want 429 naming the bound 1024", DefaultSyncMaxParked+1, rw.Code, rw.Body.String())
 	}
