@@ -37,12 +37,11 @@
 // serves a strong ETag and answers If-None-Match revalidation with a
 // body-less 304, responses gzip on Accept-Encoding, and GET /v1/sync
 // long-polls for changes: it parks (at most 1,024 polls at once, 429
-// beyond) until a snapshot cut
-// changes something, then returns only the changed experiments — as
-// row-level deltas when possible — plus a resume token. Background
-// snapshot ticks that find no new records do not bump the generation,
-// so an idle daemon serves entirely from cache and keeps pollers
-// parked.
+// beyond) until a snapshot cut changes something, then returns only
+// the changed experiments, each as its full doc, plus a resume token.
+// Background snapshot ticks that find no new records do not bump the
+// generation, so an idle daemon serves entirely from cache and keeps
+// pollers parked.
 //
 // The HTTP listener comes up immediately; checkpoint restore and boot
 // ingest run behind it with /readyz reporting "restoring" then

@@ -19,10 +19,11 @@ func EncodeJSON(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// Delta is the incremental form of one changed experiment, carried by
-// GET /v1/sync when the client's previous document is known: instead
-// of the full Doc, only the sections (and, inside tables, only the
-// rows) that changed between two renderings.
+// Delta is the incremental form of one changed experiment: instead of
+// the full Doc, only the sections (and, inside tables, only the rows)
+// that changed between two renderings. GET /v1/sync sends full
+// documents, so no client receives a Delta; it is kept, with Diff, only
+// for the bench harness's render.diff.s probe until that probe goes.
 //
 // A client applies a Delta to the JSON encoding of its previous Doc:
 // for each SectionDelta, replace `sections[Index].table.rows[p.Index]`
@@ -58,9 +59,9 @@ type RowPatch struct {
 // Diff computes the row-level delta turning prev into cur, two
 // renderings of the same experiment at different snapshots. ok=false
 // means the pair is not cheaply diffable — the section structure or a
-// table's title or headers changed — and the caller should send the full
-// document instead. An ok Delta with no sections means the documents are
-// identical.
+// table's title or headers changed. An ok Delta with no sections means
+// the documents are identical. Its one caller outside tests is the
+// bench harness's render.diff.s probe (see Delta).
 func Diff(prev, cur *Doc) (*Delta, bool) {
 	if prev == nil || cur == nil || prev.ID != cur.ID || prev.Kind != cur.Kind ||
 		prev.Title != cur.Title || len(prev.Sections) != len(cur.Sections) {

@@ -3,8 +3,6 @@ package serve
 import (
 	"container/list"
 	"sync"
-
-	"syriafilter/internal/render"
 )
 
 // DefaultDocCacheBytes is the rendered-doc cache budget when the
@@ -28,13 +26,11 @@ type docKey struct {
 
 // docEntry is one cached response: the exact bytes a fresh render
 // would produce (the byte-identity invariant TestDocCacheByteIdentity
-// pins), the response headers that describe them (X-Range-*), and —
-// for plain JSON doc entries — the rendered Doc itself so /v1/sync can
-// row-diff consecutive generations without re-rendering.
+// pins) and the response headers that describe them (X-Range-*). It
+// holds nothing else, so put's byte charge covers all it keeps alive.
 type docEntry struct {
 	body    []byte
 	headers [][2]string
-	doc     *render.Doc
 
 	key  docKey
 	size int64

@@ -263,9 +263,6 @@ func (s *Server) build(ctx context.Context, src *source, format string) (*docEnt
 	var body interface{ Text() string } = series
 	if src.step == 0 {
 		body = series.Windows[0].Doc
-		if src.snap != nil && format == "json" {
-			e.doc = series.Windows[0].Doc // what /v1/sync row-diffs across generations
-		}
 	}
 	if format == "text" {
 		e.body = []byte(body.Text())

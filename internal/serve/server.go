@@ -52,8 +52,8 @@ import (
 // to a fresh render. ?fresh=1 on a doc route rebuilds the snapshot
 // first (503 until the daemon is ready). Bodies carry strong ETags
 // derived from their generation and revalidate with If-None-Match →
-// 304; GET /v1/sync turns the same generations into incremental
-// long-polling (see handleSync).
+// 304; GET /v1/sync turns the same generations into long-polling that
+// answers with the full docs of what changed (see handleSync).
 //
 // Unless the store runs with DisableObs, every route is wrapped in the
 // obs middleware: per-route request/status-class counters, an in-flight

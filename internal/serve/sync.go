@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,70 +30,70 @@ const DefaultSyncTimeout = 25 * time.Second
 // maxSyncTimeout caps client-supplied ?timeout values.
 const maxSyncTimeout = 5 * time.Minute
 
-// syncTracker remembers, per experiment id, the current rendered doc
-// and the one before it, with the snapshot Seq at which each became
-// current. That is exactly enough to answer "changed since token?"
-// and, when the client's token falls inside the previous doc's reign,
-// to ship a row-level delta instead of the full doc. Ids are tracked
-// lazily — only those /v1/sync requests actually ask for — so sync
-// load determines sync cost.
+// syncTracker remembers, per experiment id, the current rendered JSON
+// and the snapshot Seq at which it became current. That is exactly
+// enough to answer "changed since token?": a change carries the full
+// doc, so no earlier rendering is kept. Ids are tracked lazily — only
+// those /v1/sync requests actually ask for — so sync load determines
+// sync cost.
 type syncTracker struct {
 	mu   sync.Mutex
 	docs map[string]*docTrack
 }
 
 type docTrack struct {
-	cur     *render.Doc
 	curJSON []byte // EncodeJSON bytes (trailing newline included)
-	curSeq  uint64 // seq at which cur last changed
+	curSeq  uint64 // seq at which curJSON last changed
 	seenSeq uint64 // newest seq evaluated (>= curSeq)
-	prev    *render.Doc
-	prevSeq uint64 // seq at which prev became current (0 = none)
 }
 
-// trackDoc advances id's tracked state to snap and returns a copy of
-// it, taken under the lock: another request may advance the track the
-// moment the lock drops, while the docs and bytes a copy points at are
-// never written again. The render goes through the doc cache (same key
-// the GET endpoints use), so tracking an id also warms its cache entry;
-// when it fails, the status to answer with comes back with the error.
-// Serialized under the tracker lock: seenSeq/curSeq advance
-// monotonically even when concurrent sync requests observe different
-// snapshots.
-func (s *Server) trackDoc(ctx context.Context, snap *Snapshot, id string) (docTrack, int, error) {
+// changes lists which of ids changed since the token, at the snapshot
+// current once the tracker lock is held. No track has seen a newer one
+// then, so every doc in a response belongs to the snapshot it names,
+// and curSeq/seenSeq only advance. The renders go through the doc
+// cache (same key the GET endpoints use), so tracking an id also warms
+// its cache entry; when one fails, the status to answer with comes
+// back with the error.
+func (s *Server) changes(ctx context.Context, ids []string, since uint64) (*Snapshot, []syncChange, int, error) {
 	t := &s.tracker
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	dt := t.docs[id]
-	if dt == nil {
-		dt = &docTrack{}
-		t.docs[id] = dt
-	}
-	if dt.cur == nil || snap.Seq > dt.seenSeq {
-		e, status, err := s.through(ctx, &source{id: id, snap: snap}, docKey{gen: snap.Seq, id: id, format: "json"}, true)
-		if err != nil {
-			return docTrack{}, status, err
+	snap := s.store.Current()
+	changed := []syncChange{}
+	for _, id := range ids {
+		dt := t.docs[id]
+		if dt == nil {
+			dt = &docTrack{}
+			t.docs[id] = dt
 		}
-		if dt.cur == nil || !bytes.Equal(e.body, dt.curJSON) {
-			dt.prev, dt.prevSeq = dt.cur, dt.curSeq
-			dt.cur, dt.curJSON, dt.curSeq = e.doc, e.body, snap.Seq
-		}
-		if snap.Seq > dt.seenSeq {
+		if dt.curJSON == nil || snap.Seq > dt.seenSeq {
+			e, status, err := s.through(ctx, &source{id: id, snap: snap}, docKey{gen: snap.Seq, id: id, format: "json"}, true)
+			if err != nil {
+				return nil, nil, status, err
+			}
+			if !bytes.Equal(e.body, dt.curJSON) {
+				dt.curJSON, dt.curSeq = e.body, snap.Seq
+			}
 			dt.seenSeq = snap.Seq
 		}
+		if dt.curSeq > since {
+			changed = append(changed, syncChange{
+				ID:         id,
+				ChangedSeq: dt.curSeq,
+				Full:       dt.curJSON[:len(dt.curJSON)-1], // strip the newline for embedding
+			})
+		}
 	}
-	return *dt, 0, nil
+	return snap, changed, 0, nil
 }
 
-// syncChange is one changed experiment in a /v1/sync response: either
-// the full doc (the exact bytes GET /v1/experiments/{id} serves, sans
-// trailing newline) or a render.Delta against the doc the client held
-// at its since token — whichever encodes smaller.
+// syncChange is one changed experiment in a /v1/sync response: the
+// full doc, the exact bytes GET /v1/experiments/{id} serves without
+// its trailing newline. Clients that want fewer bytes ask for gzip.
 type syncChange struct {
 	ID         string          `json:"id"`
 	ChangedSeq uint64          `json:"changed_seq"`
-	Full       json.RawMessage `json:"full,omitempty"`
-	Delta      json.RawMessage `json:"delta,omitempty"`
+	Full       json.RawMessage `json:"full"`
 }
 
 type syncResponse struct {
@@ -113,11 +114,11 @@ type syncResponse struct {
 // parks until a snapshot cut moves Seq (a change signal woken by
 // Refresh), the timeout lapses (an empty response with the same
 // token), or the daemon starts draining (503, so SIGTERM never stalls
-// behind parked pollers). The response lists only experiments whose
-// rendered docs changed since the token — as row-level deltas when the
-// renderer can diff cheaply, full docs otherwise — plus the next
-// token. Tokens do not survive a daemon restart: a token minted by
-// another process life triggers a full resync, never stale data.
+// behind parked pollers). The response lists, as full docs, only the
+// experiments whose rendered docs changed since the token, each once
+// in the order ?ids first names it, plus the next token. Tokens do not
+// survive a daemon restart: a token minted by another process life
+// triggers a full resync, never stale data.
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	if s.gateServing(w) {
 		return
@@ -148,14 +149,21 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		}
 		timeout = d
 	}
-	ids := render.Order()
-	explicit := false
+	var ids []string
 	if list := q.Get("ids"); list != "" {
-		explicit = true
-		ids = strings.Split(list, ",")
-		for _, id := range ids {
+		for _, id := range strings.Split(list, ",") {
+			if slices.Contains(ids, id) {
+				continue // a repeated id is sent once
+			}
 			if _, ok := s.admit(w, id); !ok {
 				return
+			}
+			ids = append(ids, id)
+		}
+	} else {
+		for _, id := range render.Order() {
+			if s.gen != nil || !render.NeedsGenerator(id) {
+				ids = append(ids, id) // the default set skips what this daemon cannot render
 			}
 		}
 	}
@@ -166,48 +174,22 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		since = 0
 	}
 
-	snap, timedOut, ok := s.waitSync(w, r, since, timeout)
+	timedOut, ok := s.waitSync(w, r, since, timeout)
 	if !ok {
 		return // a terminal response (429/503) was written, or the client left
 	}
-
-	resp := syncResponse{
-		Since:   since,
-		Next:    s.boot + "." + strconv.FormatUint(snap.Seq, 10),
-		Seq:     snap.Seq,
-		Records: snap.Records,
-
-		TimedOut: timedOut,
-		Changed:  []syncChange{},
+	snap, changed, status, err := s.changes(r.Context(), ids, since)
+	if err != nil {
+		writeError(w, status, "%v", err)
+		return
 	}
-	for _, id := range ids {
-		if !explicit && s.gen == nil && render.NeedsGenerator(id) {
-			continue // default id set: skip what this daemon cannot render
-		}
-		dt, status, err := s.trackDoc(r.Context(), snap, id)
-		if err != nil {
-			writeError(w, status, "%v", err)
-			return
-		}
-		if dt.curSeq <= since {
-			continue // unchanged since the client's token
-		}
-		ch := syncChange{ID: id, ChangedSeq: dt.curSeq}
-		full := dt.curJSON[:len(dt.curJSON)-1] // strip the newline for embedding
-		if dt.prev != nil && dt.prevSeq <= since {
-			// The client's token falls inside prev's reign, so prev is
-			// exactly what it holds: a delta applies. Ship it only when
-			// it actually encodes smaller than the full doc.
-			if delta, ok := render.Diff(dt.prev, dt.cur); ok {
-				if db, err := json.Marshal(delta); err == nil && len(db) < len(full) {
-					ch.Delta = db
-				}
-			}
-		}
-		if ch.Delta == nil {
-			ch.Full = full
-		}
-		resp.Changed = append(resp.Changed, ch)
+	resp := syncResponse{
+		Since:    since,
+		Next:     s.boot + "." + strconv.FormatUint(snap.Seq, 10),
+		Seq:      snap.Seq,
+		Records:  snap.Records,
+		TimedOut: timedOut,
+		Changed:  changed,
 	}
 	body, err := render.EncodeJSON(resp)
 	if err != nil {
@@ -215,8 +197,8 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if v.gzip {
-		// Compressed per response, not cached: delta bodies depend on the
-		// client's since token.
+		// Compressed per response, not cached: which docs a body carries
+		// depends on the client's since token.
 		body = gzipBytes(body)
 	}
 	answer(w, r, v, "", func() (*docEntry, bool) { return &docEntry{body: body}, true })
@@ -226,16 +208,15 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 // since, the timeout lapses, or the daemon drains/closes. ok=false
 // means no sync response should be written: a terminal 429/503 already
 // was, or the client disconnected.
-func (s *Server) waitSync(w http.ResponseWriter, r *http.Request, since uint64, timeout time.Duration) (snap *Snapshot, timedOut, ok bool) {
-	snap = s.store.Current()
-	if snap.Seq > since || timeout <= 0 {
-		return snap, false, true
+func (s *Server) waitSync(w http.ResponseWriter, r *http.Request, since uint64, timeout time.Duration) (timedOut, ok bool) {
+	if s.store.Current().Seq > since || timeout <= 0 {
+		return false, true
 	}
 	if n := s.syncWaiting.Add(1); n > int64(s.syncMaxParked) {
 		s.syncWaiting.Add(-1)
 		writeError(retryLater(w), http.StatusTooManyRequests,
 			"sync: %d long-polls already parked, the most one daemon holds; retry shortly", s.syncMaxParked)
-		return nil, false, false
+		return false, false
 	}
 	defer s.syncWaiting.Add(-1)
 	sp := trace.FromContext(r.Context()).Child("sync.park")
@@ -251,9 +232,9 @@ func (s *Server) waitSync(w http.ResponseWriter, r *http.Request, since uint64, 
 		// Broadcasts: fetch both before checking what they announce.
 		ch := s.store.ChangeSignal()
 		rch := s.ready.Changed()
-		if snap = s.store.Current(); snap.Seq > since {
+		if s.store.Current().Seq > since {
 			sp.SetAttrs(trace.Int("woken", 1))
-			return snap, false, true
+			return false, true
 		}
 		if state := s.servingState(); state != "ok" {
 			// Drain-aware wakeup: SIGTERM flips readiness to "draining"
@@ -261,18 +242,18 @@ func (s *Server) waitSync(w http.ResponseWriter, r *http.Request, since uint64, 
 			// the drain deadline.
 			sp.Event("drain", trace.Str("state", state))
 			writeError(retryLater(w), http.StatusServiceUnavailable, "service %s; retry shortly", state)
-			return nil, false, false
+			return false, false
 		}
 		select {
 		case <-ch:
 		case <-rch:
 		case <-timer.C:
-			return s.store.Current(), true, true
+			return true, true
 		case <-s.store.Done():
 			writeError(retryLater(w), http.StatusServiceUnavailable, "%v", ErrClosed)
-			return nil, false, false
+			return false, false
 		case <-r.Context().Done():
-			return nil, false, false
+			return false, false
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"syriafilter/internal/render"
+	"syriafilter/internal/logfmt"
 )
 
 func decodeSync(t *testing.T, rw *httptest.ResponseRecorder) syncResponse {
@@ -27,22 +27,26 @@ func decodeSync(t *testing.T, rw *httptest.ResponseRecorder) syncResponse {
 
 // A zero-token sync against a populated store answers immediately with
 // every requested id as a full doc, byte-identical to the GET endpoint.
+// A repeated id is sent once, in the order ?ids first names it.
 func TestSyncFullResync(t *testing.T) {
 	_, srv := newTestServer(t, 4000)
-	resp := decodeSync(t, get(srv, "/v1/sync?ids=table4,fig8"))
-	if resp.TimedOut || len(resp.Changed) != 2 {
-		t.Fatalf("timed_out=%v changed=%d, want immediate full resync of 2 ids", resp.TimedOut, len(resp.Changed))
-	}
-	if resp.Next != srv.boot+"."+fmt.Sprint(resp.Seq) {
-		t.Errorf("next token %q does not carry the boot nonce and seq", resp.Next)
-	}
-	for _, ch := range resp.Changed {
-		if ch.Full == nil {
-			t.Fatalf("%s: zero-token sync must ship the full doc", ch.ID)
+	for _, ids := range []string{"table4,fig8", "table4,fig8,table4"} {
+		resp := decodeSync(t, get(srv, "/v1/sync?ids="+ids))
+		var got []string
+		for _, ch := range resp.Changed {
+			got = append(got, ch.ID)
 		}
-		want := get(srv, "/v1/experiments/"+ch.ID).Body.Bytes()
-		if !bytes.Equal(ch.Full, bytes.TrimSuffix(want, []byte("\n"))) {
-			t.Errorf("%s: sync full doc differs from GET body", ch.ID)
+		if resp.TimedOut || strings.Join(got, ",") != "table4,fig8" {
+			t.Fatalf("ids=%s: timed_out=%v changed=%v, want an immediate full resync of table4, fig8", ids, resp.TimedOut, got)
+		}
+		if resp.Next != srv.boot+"."+fmt.Sprint(resp.Seq) {
+			t.Errorf("next token %q does not carry the boot nonce and seq", resp.Next)
+		}
+		for _, ch := range resp.Changed {
+			want := get(srv, "/v1/experiments/"+ch.ID).Body.Bytes()
+			if !bytes.Equal(ch.Full, bytes.TrimSuffix(want, []byte("\n"))) {
+				t.Errorf("%s: sync full doc differs from GET body", ch.ID)
+			}
 		}
 	}
 }
@@ -120,12 +124,14 @@ func TestSyncTimeout(t *testing.T) {
 }
 
 // Sequential sync: after one generation of new data, the second sync
-// carries the change; when the renderer can diff, it ships a row-level
-// delta that is smaller than the full doc.
+// carries each change as the full doc, byte-identical to the GET body,
+// and the wire has no other encoding of it. table1 is in the set
+// because a few changed rows of a longer doc are what a row-level delta
+// would have been sent for.
 func TestSyncIncremental(t *testing.T) {
 	f := corpus(t)
 	store, srv := newTestServer(t, 4000)
-	first := decodeSync(t, get(srv, "/v1/sync?ids=table4"))
+	first := decodeSync(t, get(srv, "/v1/sync?ids=table4,table1"))
 
 	if _, err := store.Add(f.records[4000:4200]); err != nil {
 		t.Fatal(err)
@@ -133,35 +139,32 @@ func TestSyncIncremental(t *testing.T) {
 	if _, err := store.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	second := decodeSync(t, get(srv, "/v1/sync?ids=table4&since="+first.Next))
-	if len(second.Changed) != 1 {
-		t.Fatalf("changed = %d, want 1", len(second.Changed))
+	rw := get(srv, "/v1/sync?ids=table4,table1&since="+first.Next)
+	second := decodeSync(t, rw)
+	if len(second.Changed) != 2 {
+		t.Fatalf("changed = %d, want 2", len(second.Changed))
 	}
-	ch := second.Changed[0]
-	full := get(srv, "/v1/experiments/table4").Body.Bytes()
-	switch {
-	case ch.Delta != nil:
-		var d render.Delta
-		if err := json.Unmarshal(ch.Delta, &d); err != nil {
-			t.Fatalf("delta does not decode: %v", err)
-		}
-		if d.ID != "table4" {
-			t.Errorf("delta id %q", d.ID)
-		}
-		if len(ch.Delta) >= len(full) {
-			t.Errorf("delta (%d bytes) not smaller than full doc (%d)", len(ch.Delta), len(full))
-		}
-	case ch.Full != nil:
+	for _, ch := range second.Changed {
+		full := get(srv, "/v1/experiments/"+ch.ID).Body.Bytes()
 		if !bytes.Equal(ch.Full, bytes.TrimSuffix(full, []byte("\n"))) {
-			t.Error("sync full doc differs from GET body")
+			t.Errorf("%s: sync full doc differs from GET body", ch.ID)
 		}
-	default:
-		t.Fatal("change carries neither full nor delta")
+	}
+	var raw struct {
+		Changed []map[string]json.RawMessage `json:"changed"`
+	}
+	if err := json.Unmarshal(rw.Body.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, ch := range raw.Changed {
+		if _, ok := ch["delta"]; ok {
+			t.Errorf("%s: sync change carries a \"delta\" key", ch["id"])
+		}
 	}
 
 	// An unchanged third sync is empty; the short timeout keeps the
 	// no-op long-poll from parking for DefaultSyncTimeout.
-	third := decodeSync(t, get(srv, "/v1/sync?ids=table4&timeout=50ms&since="+second.Next))
+	third := decodeSync(t, get(srv, "/v1/sync?ids=table4,table1&timeout=50ms&since="+second.Next))
 	if len(third.Changed) != 0 {
 		t.Errorf("no-op sync reported %d changes", len(third.Changed))
 	}
@@ -294,8 +297,53 @@ func TestSyncParkedShed(t *testing.T) {
 	}
 }
 
-// The full read path is race-free under load: concurrent ingest,
-// snapshot cuts, conditional GETs and sync polls (run with -race).
+// syncPoller is one /v1/sync client: it rides a token chain and keeps
+// every doc a response sent it, the way a client assembles its view.
+type syncPoller struct {
+	srv     *Server
+	ids     string
+	timeout string
+	since   string
+	docs    map[string][]byte
+	resync  bool // the next response must be a full resync
+}
+
+// poll runs one sync and folds its changes into p.docs; it returns how
+// many docs changed.
+func (p *syncPoller) poll(timeout string) (int, error) {
+	rw := get(p.srv, "/v1/sync?ids="+p.ids+"&timeout="+timeout+"&since="+p.since)
+	if rw.Code != 200 {
+		return 0, fmt.Errorf("sync ids=%s: status %d: %.120s", p.ids, rw.Code, rw.Body.String())
+	}
+	var resp syncResponse
+	if err := json.Unmarshal(rw.Body.Bytes(), &resp); err != nil {
+		return 0, fmt.Errorf("sync ids=%s: %v", p.ids, err)
+	}
+	if p.resync && resp.Since != 0 {
+		return 0, fmt.Errorf("sync ids=%s: a token from another server resumed at %d, want a full resync", p.ids, resp.Since)
+	}
+	p.resync = false
+	if resp.Since == 0 && len(resp.Changed) != strings.Count(p.ids, ",")+1 {
+		return 0, fmt.Errorf("sync ids=%s: full resync sent %d docs", p.ids, len(resp.Changed))
+	}
+	for _, ch := range resp.Changed {
+		if ch.ChangedSeq <= resp.Since || ch.ChangedSeq > resp.Seq {
+			return 0, fmt.Errorf("sync %s: changed_seq %d outside (%d, %d]", ch.ID, ch.ChangedSeq, resp.Since, resp.Seq)
+		}
+		p.docs[ch.ID] = ch.Full
+	}
+	p.since = resp.Next
+	return len(resp.Changed), nil
+}
+
+// The full read path is race-free under load and /v1/sync converges:
+// while a writer feeds the whole fixture through ingest and snapshot
+// cuts, conditional GETs revalidate and pollers with different id sets
+// and timeouts ride their token chains, one against a server whose doc
+// cache evicts throughout, one moving to that server halfway (its
+// token's boot nonce is foreign there, so it must resync in full). Once
+// the writer is done, every doc each poller assembled equals a fresh
+// GET byte for byte (run with -race).
 func TestSyncRaceHammer(t *testing.T) {
 	f := corpus(t)
 	store, err := NewStore(Config{Options: f.opt, Shards: 4, SnapshotEvery: 2 * time.Millisecond})
@@ -303,53 +351,73 @@ func TestSyncRaceHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
+	if _, err := store.Add(f.records[:2000]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Refresh(); err != nil {
+		t.Fatal(err)
+	}
 	srv := NewServer(store, f.gen)
+	// A few KB holds one generation of fig5 but not the working set.
+	small := NewServer(store, f.gen, WithDocCacheBytes(4<<10))
 
-	stop := make(chan struct{})
+	half, stop := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Writer: feed batches and cut snapshots.
+	// Writer: feed batches and cut snapshots; the readers stop once it
+	// has fed the whole fixture.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		recs := f.records
-		for len(recs) > 0 {
-			n := 256
-			if n > len(recs) {
-				n = len(recs)
+		defer close(stop)
+		feed := func(recs []logfmt.Record) {
+			for len(recs) > 0 {
+				n := min(256, len(recs))
+				store.Add(recs[:n])
+				recs = recs[n:]
+				store.Refresh()
 			}
-			store.Add(recs[:n])
-			recs = recs[n:]
-			store.Refresh()
 		}
+		mid := (2000 + len(f.records)) / 2
+		feed(f.records[2000:mid])
+		close(half)
+		feed(f.records[mid:])
 	}()
 
-	errs := make(chan string, 16)
+	errs := make(chan error, 16)
+	fail := func(err error) {
+		select {
+		case errs <- err:
+		default:
+		}
+	}
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
 	// Conditional-GET readers: hold the last ETag and revalidate — two
 	// against the snapshot, one against the live partitions.
-	for _, path := range []string{"/v1/tables/4", "/v1/tables/4", "/v1/range/table4"} {
-		path := path
+	for _, rd := range []struct {
+		srv  *Server
+		path string
+	}{{srv, "/v1/tables/4"}, {small, "/v1/tables/4"}, {srv, "/v1/range/table4"}} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			etag := ""
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for !stopped() {
 				var rw *httptest.ResponseRecorder
 				if etag != "" {
-					rw = get(srv, path, [2]string{"If-None-Match", etag})
+					rw = get(rd.srv, rd.path, [2]string{"If-None-Match", etag})
 				} else {
-					rw = get(srv, path)
+					rw = get(rd.srv, rd.path)
 				}
 				if rw.Code != 200 && rw.Code != 304 {
-					select {
-					case errs <- fmt.Sprintf("GET %s status %d", path, rw.Code):
-					default:
-					}
+					fail(fmt.Errorf("GET %s status %d", rd.path, rw.Code))
 					return
 				}
 				if e := rw.Header().Get("ETag"); e != "" {
@@ -358,54 +426,65 @@ func TestSyncRaceHammer(t *testing.T) {
 			}
 		}()
 	}
-	// Sync pollers: ride the token chain with short timeouts.
-	for i := 0; i < 3; i++ {
+	// Sync pollers; the last moves to the evicting server halfway.
+	pollers := []*syncPoller{
+		{srv: srv, ids: "table4,table1", timeout: "20ms"},
+		{srv: small, ids: "fig5,table8,table4", timeout: "0s"},
+		{srv: srv, ids: "table12,fig5", timeout: "5ms"},
+	}
+	for i, p := range pollers {
+		p.docs = map[string][]byte{}
+		move := i == len(pollers)-1
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			since := ""
 			for {
+				// half closes before stop, so the move happens even
+				// when the writer finishes first.
 				select {
-				case <-stop:
-					return
+				case <-half:
+					if move {
+						p.srv, p.resync, move = small, true, false
+					}
 				default:
 				}
-				rw := get(srv, "/v1/sync?ids=table4,table1&timeout=20ms&since="+since)
-				if rw.Code != 200 {
-					select {
-					case errs <- fmt.Sprintf("sync status %d: %.120s", rw.Code, rw.Body.String()):
-					default:
-					}
+				if stopped() {
 					return
 				}
-				var resp syncResponse
-				if err := json.Unmarshal(rw.Body.Bytes(), &resp); err != nil {
-					select {
-					case errs <- fmt.Sprintf("sync decode: %v", err):
-					default:
-					}
+				if _, err := p.poll(p.timeout); err != nil {
+					fail(err)
 					return
 				}
-				since = resp.Next
 			}
 		}()
 	}
 
-	time.Sleep(600 * time.Millisecond)
-	close(stop)
 	wg.Wait()
 	select {
-	case msg := <-errs:
-		t.Fatal(msg)
+	case err := <-errs:
+		t.Fatal(err)
 	default:
 	}
+	if small.readm.cacheEvictions.Value() == 0 {
+		t.Error("the small doc cache never evicted during the run")
+	}
 
-	// Quiesced: one more token round-trip must drain to empty.
+	// Quiesced: one more poll brings each poller to the current docs,
+	// and the one after it is empty.
 	store.Refresh()
-	resp := decodeSync(t, get(srv, "/v1/sync?ids=table4"))
-	final := decodeSync(t, get(srv, "/v1/sync?ids=table4&timeout=50ms&since="+resp.Next))
-	if len(final.Changed) != 0 {
-		t.Errorf("quiesced sync still reports %d changes", len(final.Changed))
+	for _, p := range pollers {
+		if _, err := p.poll("0s"); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range strings.Split(p.ids, ",") {
+			fresh := get(p.srv, "/v1/experiments/"+id).Body.Bytes()
+			if !bytes.Equal(p.docs[id], bytes.TrimSuffix(fresh, []byte("\n"))) {
+				t.Errorf("ids=%s: %s assembled from sync differs from a fresh GET", p.ids, id)
+			}
+		}
+		if n, err := p.poll("0s"); err != nil || n != 0 {
+			t.Errorf("ids=%s: quiesced sync reports %d changes (err %v)", p.ids, n, err)
+		}
 	}
 }
 
