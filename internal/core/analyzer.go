@@ -39,6 +39,9 @@ type Options struct {
 	// (default 500_000; censored traffic is ~1% so this is rarely hit).
 	// Tests lower it to reach the cap on a small corpus.
 	maxStoredCensoredURLs int
+	// maxTokens caps the allowed-token vocabulary (default
+	// maxTokenEntries). Tests lower it to reach the cap.
+	maxTokens int
 }
 
 // Dsample is a deterministic 1-in-25 sample, the paper's 4%; the
@@ -66,6 +69,9 @@ func (o *Options) defaults() {
 	}
 	if o.maxStoredCensoredURLs == 0 {
 		o.maxStoredCensoredURLs = 500_000
+	}
+	if o.maxTokens == 0 {
+		o.maxTokens = maxTokenEntries
 	}
 }
 

@@ -709,23 +709,26 @@ func TestFig6RCVPeak(t *testing.T) {
 // proxy's share of (total | censored) traffic — the stacked bands of
 // Fig 7, read straight from the per-slot counts a checkpoint carries.
 func (e *Engine) ProxyShareSeries(fromUnix, toUnix int64, censored bool) []([7]float64) {
-	m := mod[*proxiesMetric](e, "proxies", "ProxyShareSeries")
+	parts := layers[*proxiesMetric](e, "proxies", "ProxyShareSeries")
 	var out [][7]float64
 	for t := fromUnix - fromUnix%SlotSeconds; t < toUnix; t += SlotSeconds {
-		var row [7]float64
-		if ps := m.slots[t/SlotSeconds]; ps != nil {
-			src := &ps.total
-			if censored {
-				src = &ps.censored
-			}
-			var total uint64
-			for i := 0; i < logfmt.NumProxies; i++ {
-				total += src[i]
-			}
-			if total > 0 {
-				for i := 0; i < logfmt.NumProxies; i++ {
-					row[i] = float64(src[i]) / float64(total)
+		var src, row [7]float64
+		var total float64
+		for _, m := range parts {
+			if ps := m.slots[t/SlotSeconds]; ps != nil {
+				n := &ps.total
+				if censored {
+					n = &ps.censored
 				}
+				for i := range src {
+					src[i] += float64(n[i])
+					total += float64(n[i])
+				}
+			}
+		}
+		if total > 0 {
+			for i := range row {
+				row[i] = src[i] / total
 			}
 		}
 		out = append(out, row)

@@ -197,6 +197,16 @@ type Engine struct {
 	modules []Metric
 	byName  map[string]Metric
 
+	// base, when set, is a frozen engine this one's modules overlay: the
+	// engine's state is base ⊕ modules, field by field under each kind's
+	// merge. Writes go to the modules only. The base is shared with every
+	// clone taken since it was made and has no base of its own.
+	base *Engine
+	// shared, when set, holds this engine's own modules as the base its
+	// clones read (Clone of an engine without a base). The next write
+	// moves them to base and gives the engine fresh modules to write.
+	shared *Engine
+
 	// version counts state mutations: Observe, Merge and UnmarshalState
 	// bump it. It is a plain field because only the engine's single
 	// writer touches it; readers of a frozen engine only compare it.
@@ -230,13 +240,23 @@ type discoveryMemo struct {
 // names are an error.
 func NewEngine(opt Options, metrics ...string) (*Engine, error) {
 	opt.defaults()
+	e := &Engine{opt: opt}
+	e.cx.catDB = e.opt.Categories
+	e.cx.catCache = make(map[string]categorydb.Category)
+	if err := e.build(metrics); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// build gives e a fresh, empty instance of each named module (none
+// selects every module), in registry order.
+func (e *Engine) build(metrics []string) error {
 	want := map[string]bool{}
 	for _, name := range metrics {
 		want[name] = true
 	}
-	e := &Engine{opt: opt, byName: make(map[string]Metric)}
-	e.cx.catDB = e.opt.Categories
-	e.cx.catCache = make(map[string]categorydb.Category)
+	e.modules, e.byName = nil, make(map[string]Metric)
 	for _, d := range moduleRegistry {
 		if len(metrics) > 0 && !want[d.name] {
 			continue
@@ -252,9 +272,9 @@ func NewEngine(opt Options, metrics ...string) (*Engine, error) {
 			unknown = append(unknown, name)
 		}
 		sort.Strings(unknown)
-		return nil, fmt.Errorf("core: unknown metric modules %v (known: %v)", unknown, AllMetrics())
+		return fmt.Errorf("core: unknown metric modules %v (known: %v)", unknown, AllMetrics())
 	}
-	return e, nil
+	return nil
 }
 
 // Metrics returns the names of this engine's registered modules, in
@@ -269,6 +289,9 @@ func (e *Engine) Metrics() []string {
 
 // Observe folds one record into every registered module.
 func (e *Engine) Observe(rec *logfmt.Record) {
+	if e.shared != nil {
+		e.unshare()
+	}
 	e.version++
 	e.cx.reset(rec)
 	for _, m := range e.modules {
@@ -291,6 +314,18 @@ func (e *Engine) Merge(b *Engine) {
 // module alone. A module of e that b lacks panics, as in Merge. Options
 // must be equivalent.
 func (e *Engine) MergeProjected(b *Engine) {
+	if e.shared != nil {
+		e.unshare()
+	}
+	if b.base != nil {
+		e.mergeOwn(b.base)
+	}
+	e.mergeOwn(b)
+	e.layer()
+}
+
+// mergeOwn folds b's own modules into e's, leaving b's base out.
+func (e *Engine) mergeOwn(b *Engine) {
 	e.version++
 	for _, m := range e.modules {
 		o := b.byName[m.Name()]
@@ -308,7 +343,33 @@ func (e *Engine) MergeProjected(b *Engine) {
 // message naming the result that needed it. Result functions call it so
 // that asking a subset engine for a table it was not built for fails
 // loudly instead of returning silently-empty rows.
+//
+// On an engine over a base it returns a view: a module of the same kind
+// holding base ⊕ overlay, built for this one read (see view). Results
+// whose modules hold large maps read the two layers side by side through
+// layers instead.
 func mod[T Metric](e *Engine, name, result string) T {
+	m := own[T](e, name, result)
+	if e.base != nil {
+		return view(e, m).(T)
+	}
+	return m
+}
+
+// layers returns the named module's layers, base first: one for an
+// engine without a base, two for one over a base. Its state is their sum
+// under each field's merge.
+func layers[T Metric](e *Engine, name, result string) []T {
+	m := own[T](e, name, result)
+	if e.base != nil {
+		return []T{e.base.byName[name].(T), m}
+	}
+	return []T{m}
+}
+
+// own returns e's own instance of the named module, panicking as mod
+// describes when e lacks it.
+func own[T Metric](e *Engine, name, result string) T {
 	m, ok := e.byName[name].(T)
 	if !ok {
 		panic(fmt.Sprintf("core: %s needs metric module %q, which this engine was built without (have %v)", result, name, e.Metrics()))

@@ -34,6 +34,14 @@ type field interface {
 	decode(r *statecodec.Reader)
 }
 
+// viewer is a field kind that can read two instances of itself without
+// copying them: view sets the field, which is empty, to a read-only view
+// of base ⊕ own that shares their storage (see Engine's view). A kind
+// without it is viewed by merging both into the empty field.
+type viewer interface {
+	view(base, own field)
+}
+
 // declared is embedded by every module and holds its registry name and
 // its state declaration.
 type declared struct {
@@ -111,6 +119,9 @@ func (f counterField) init()                       { *f.p = stats.NewCounter() }
 func (f counterField) merge(src field)             { (*f.p).Merge(*src.(counterField).p) }
 func (f counterField) encode(w *statecodec.Writer) { encCounter(w, *f.p) }
 func (f counterField) decode(r *statecodec.Reader) { *f.p = decCounter(r) }
+func (f counterField) view(base, own field) {
+	*f.p = (*own.(counterField).p).Over(*base.(counterField).p)
+}
 
 // portCountsField is a count per TCP port.
 type portCountsField struct{ p *map[uint16]uint64 }

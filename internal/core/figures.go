@@ -125,7 +125,7 @@ type UserReport struct {
 
 // UserAnalysis computes the Duser-based per-user view.
 func (e *Engine) UserAnalysis() UserReport {
-	return mod[*usersMetric](e, "users", "UserAnalysis").report()
+	return userReport(layers[*usersMetric](e, "users", "UserAnalysis"))
 }
 
 func mean(xs []float64) float64 {
@@ -151,10 +151,10 @@ type SeriesPoint struct {
 // TimeSeries returns the censored/allowed series over [fromUnix, toUnix),
 // with empty slots materialized as zeros.
 func (e *Engine) TimeSeries(fromUnix, toUnix int64) []SeriesPoint {
-	m := mod[*timeseriesMetric](e, "timeseries", "TimeSeries")
+	parts := layers[*timeseriesMetric](e, "timeseries", "TimeSeries")
 	var out []SeriesPoint
 	for t := fromUnix - fromUnix%SlotSeconds; t < toUnix; t += SlotSeconds {
-		s := m.at(t / SlotSeconds)
+		s := tsAt(parts, t/SlotSeconds)
 		out = append(out, SeriesPoint{
 			Unix:     t,
 			Allowed:  s.allowed,
@@ -172,10 +172,10 @@ type RCVPoint struct {
 
 // RCV computes Fig 6 over [fromUnix, toUnix).
 func (e *Engine) RCV(fromUnix, toUnix int64) []RCVPoint {
-	m := mod[*timeseriesMetric](e, "timeseries", "RCV")
+	parts := layers[*timeseriesMetric](e, "timeseries", "RCV")
 	var out []RCVPoint
 	for t := fromUnix - fromUnix%SlotSeconds; t < toUnix; t += SlotSeconds {
-		s := m.at(t / SlotSeconds)
+		s := tsAt(parts, t/SlotSeconds)
 		cens := s.censored
 		total := cens + s.allowed
 		p := RCVPoint{Unix: t}
@@ -198,13 +198,13 @@ type ProxyLoad struct {
 
 // ProxyLoads returns per-proxy totals (SG-42..48 order).
 func (e *Engine) ProxyLoads() []ProxyLoad {
-	m := mod[*proxiesMetric](e, "proxies", "ProxyLoads")
+	parts := layers[*proxiesMetric](e, "proxies", "ProxyLoads")
 	out := make([]ProxyLoad, logfmt.NumProxies)
 	for i := range out {
-		out[i] = ProxyLoad{
-			SG:       logfmt.FirstProxy + i,
-			Total:    m.total[i],
-			Censored: m.censored[i],
+		out[i].SG = logfmt.FirstProxy + i
+		for _, m := range parts {
+			out[i].Total += m.total[i]
+			out[i].Censored += m.censored[i]
 		}
 	}
 	return out
@@ -227,19 +227,20 @@ type TorReport struct {
 
 // TorAnalysis returns the Tor summary (zero-valued without a consensus).
 func (e *Engine) TorAnalysis() TorReport {
-	m := mod[*torMetric](e, "tor", "TorAnalysis")
-	rep := TorReport{
-		Total: m.total, HTTP: m.http, Onion: m.onion,
-		Censored: m.censored, Errors: m.errors,
-		CensoredByProxy: m.censoredByProxy,
-	}
+	var rep TorReport
 	relays := map[uint32]struct{}{}
-	for ip := range m.censoredIPs {
-		relays[ip] = struct{}{}
-	}
-	for _, set := range m.allowedIPsByHour {
-		for ip := range set {
-			relays[ip] = struct{}{}
+	for _, m := range layers[*torMetric](e, "tor", "TorAnalysis") {
+		rep.Total += m.total
+		rep.HTTP += m.http
+		rep.Onion += m.onion
+		rep.Censored += m.censored
+		rep.Errors += m.errors
+		for i, n := range m.censoredByProxy {
+			rep.CensoredByProxy[i] += n
+		}
+		mergeSet(relays, m.censoredIPs)
+		for _, set := range m.allowedIPsByHour {
+			mergeSet(relays, set)
 		}
 	}
 	rep.Relays = len(relays)
@@ -255,11 +256,15 @@ type HourPoint struct {
 
 // TorHourly returns the per-hour Tor request series over [from, to).
 func (e *Engine) TorHourly(fromUnix, toUnix int64) []HourPoint {
-	m := mod[*torMetric](e, "tor", "TorHourly")
+	parts := layers[*torMetric](e, "tor", "TorHourly")
 	var out []HourPoint
 	for t := fromUnix - fromUnix%3600; t < toUnix; t += 3600 {
-		hour := t / 3600
-		out = append(out, HourPoint{Unix: t, Total: m.hourly[hour], Censored: m.censHourly[hour]})
+		p := HourPoint{Unix: t}
+		for _, m := range parts {
+			p.Total += m.hourly[t/3600]
+			p.Censored += m.censHourly[t/3600]
+		}
+		out = append(out, p)
 	}
 	return out
 }
@@ -281,25 +286,33 @@ type RFilterPoint struct {
 //
 // over [fromUnix, toUnix). Returns nil if no Tor relay was ever censored.
 func (e *Engine) RFilter(fromUnix, toUnix int64) []RFilterPoint {
-	m := mod[*torMetric](e, "tor", "RFilter")
-	if len(m.censoredIPs) == 0 {
+	parts := layers[*torMetric](e, "tor", "RFilter")
+	censored := eachUnion(parts, func(m *torMetric) map[uint32]struct{} { return m.censoredIPs }, nil)
+	if censored == 0 {
 		return nil
 	}
-	total := float64(len(m.censoredIPs))
+	total := float64(censored)
+	isCensored := func(ip uint32) bool {
+		for _, m := range parts {
+			if _, ok := m.censoredIPs[ip]; ok {
+				return true
+			}
+		}
+		return false
+	}
 	var out []RFilterPoint
 	for t := fromUnix - fromUnix%3600; t < toUnix; t += 3600 {
 		hour := t / 3600
-		allowed := m.allowedIPsByHour[hour]
 		inter := 0
-		for ip := range allowed {
-			if _, ok := m.censoredIPs[ip]; ok {
+		allowed := eachUnion(parts, func(m *torMetric) map[uint32]struct{} { return m.allowedIPsByHour[hour] }, func(ip uint32) {
+			if isCensored(ip) {
 				inter++
 			}
-		}
+		})
 		out = append(out, RFilterPoint{
 			Unix:        t,
 			RFilter:     1 - float64(inter)/total,
-			AllowedSeen: len(allowed) > 0,
+			AllowedSeen: allowed > 0,
 		})
 	}
 	return out
@@ -398,21 +411,24 @@ type BitTorrentReport struct {
 // blacklist to check titles against (pass the Table 10 discovery output
 // or the ground-truth list).
 func (e *Engine) BitTorrent(keywords []string) BitTorrentReport {
-	m := mod[*bittorrentMetric](e, "bittorrent", "BitTorrent")
-	rep := BitTorrentReport{
-		Announces: m.total,
-		Users:     len(m.peers),
-		Contents:  len(m.hashes),
-		Censored:  m.censored,
+	parts := layers[*bittorrentMetric](e, "bittorrent", "BitTorrent")
+	var rep BitTorrentReport
+	for _, m := range parts {
+		rep.Announces += m.total
+		rep.Censored += m.censored
 	}
-	rep.AllowedShare = frac(m.total-m.censored, m.total)
-	rep.TopTrackers = sharesOf(m.trackers, 5)
+	peers := func(m *bittorrentMetric) map[[20]byte]struct{} { return m.peers }
+	hashes := func(m *bittorrentMetric) map[[20]byte]struct{} { return m.hashes }
+	rep.Users = eachUnion(parts, peers, nil)
+	rep.Contents = eachUnion(parts, hashes, nil)
+	rep.AllowedShare = frac(rep.Announces-rep.Censored, rep.Announces)
+	rep.TopTrackers = sharesOf(layeredCounter(parts, func(m *bittorrentMetric) *stats.Counter { return m.trackers }), 5)
 	if e.opt.TitleDB != nil {
 		tools := []string{"ultrasurf", "hidemyass", "hide ip", "anonymous browser"}
-		for hash := range m.hashes {
+		eachUnion(parts, hashes, func(hash [20]byte) {
 			title, ok := e.opt.TitleDB.Resolve(hash)
 			if !ok {
-				continue
+				return
 			}
 			rep.Resolved++
 			if bittorrent.ContainsAnyKeyword(title, keywords) {
@@ -421,7 +437,7 @@ func (e *Engine) BitTorrent(keywords []string) BitTorrentReport {
 			if bittorrent.ContainsAnyKeyword(title, tools) {
 				rep.ToolTitles++
 			}
-		}
+		})
 		rep.ResolvedShare = frac(uint64(rep.Resolved), uint64(rep.Contents))
 	}
 	return rep

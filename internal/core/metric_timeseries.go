@@ -47,13 +47,18 @@ func newTimeseriesMetric(e *Engine) *timeseriesMetric {
 	return m
 }
 
-// at returns the bucket for id without creating it (zero value when the
-// slot was never observed) — the read-side accessor for figures.
-func (m *timeseriesMetric) at(id int64) tsSlot {
-	if s := m.slots[id]; s != nil {
-		return *s
+// tsAt returns the bucket for id over the module's layers without
+// creating it (zero when the slot was never observed) — the read-side
+// accessor for figures.
+func tsAt(parts []*timeseriesMetric, id int64) tsSlot {
+	var s tsSlot
+	for _, m := range parts {
+		if o := m.slots[id]; o != nil {
+			s.allowed += o.allowed
+			s.censored += o.censored
+		}
 	}
-	return tsSlot{}
+	return s
 }
 
 func (m *timeseriesMetric) Observe(rec *logfmt.Record) {

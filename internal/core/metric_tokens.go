@@ -11,17 +11,49 @@ import (
 
 // cappedCounter bounds a token vocabulary: once max distinct keys exist,
 // only already-seen keys keep counting. max <= 0 means unbounded. The
-// counter itself is left to the module's state declaration.
+// counter itself is left to the module's state declaration. In an engine
+// over a base, the keys that exist are the base's and the counter's:
+// fresh counts the counter's keys the base lacks.
 type cappedCounter struct {
 	counter *stats.Counter
 	max     int
+	base    *stats.Counter
+	fresh   int
 }
 
 func (c *cappedCounter) add(tok string) {
-	if c.max > 0 && c.counter.Len() >= c.max && c.counter.Count(tok) == 0 {
+	if c.max > 0 && c.len() >= c.max && c.count(tok) == 0 {
 		return
 	}
+	n := c.counter.Len()
 	c.counter.Add(tok)
+	if c.base != nil && c.counter.Len() > n && c.base.Count(tok) == 0 {
+		c.fresh++
+	}
+}
+
+// len is the number of distinct keys over both layers.
+func (c *cappedCounter) len() int {
+	if c.base == nil {
+		return c.counter.Len()
+	}
+	return c.base.Len() + c.fresh
+}
+
+// count is tok's count over both layers.
+func (c *cappedCounter) count(tok string) uint64 {
+	if c.base == nil {
+		return c.counter.Count(tok)
+	}
+	return c.counter.Count(tok) + c.base.Count(tok)
+}
+
+// over makes base the layer the counter admits over (nil for none).
+func (c *cappedCounter) over(base *stats.Counter) {
+	c.base, c.fresh = base, 0
+	if base != nil {
+		c.fresh = c.counter.Over(base).Len() - base.Len()
+	}
 }
 
 // tokensMetric accumulates the §5.4 keyword-discovery inputs: the
@@ -41,7 +73,7 @@ func newTokensMetric(e *Engine) *tokensMetric {
 	m := &tokensMetric{
 		cx:      &e.cx,
 		opt:     &e.opt,
-		allowed: &cappedCounter{max: maxTokenEntries},
+		allowed: &cappedCounter{max: e.opt.maxTokens},
 		proxied: &cappedCounter{},
 	}
 	m.declare("tokens",
@@ -69,8 +101,26 @@ func (m *tokensMetric) Observe(rec *logfmt.Record) {
 	}
 }
 
+// over makes base's allowed vocabulary the layer its cap admits over
+// (nil for none). The proxied vocabulary is not capped.
+func (m *tokensMetric) over(base *tokensMetric) {
+	if base == nil {
+		m.allowed.over(nil)
+		return
+	}
+	m.allowed.over(base.allowed.counter)
+}
+
 // censoredStoreField is the capped censored-URL store.
 type censoredStoreField struct{ m *tokensMetric }
+
+// view holds the base's entries, then the overlay's: the order a
+// compaction merges them in, so a URL index built over the view stays a
+// prefix of the compacted store.
+func (f censoredStoreField) view(base, own field) {
+	b, o := base.(censoredStoreField).m.censoredURLs, own.(censoredStoreField).m.censoredURLs
+	f.m.censoredURLs = append(slices.Clip(b), o...)
+}
 
 func (f censoredStoreField) init() { f.m.censoredURLs = nil }
 

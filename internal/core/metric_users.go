@@ -36,11 +36,13 @@ func (m *usersMetric) Observe(rec *logfmt.Record) {
 	}
 }
 
-// report computes the Fig 4 / §4 user view.
-func (m *usersMetric) report() UserReport {
+// userReport computes the Fig 4 / §4 user view over the module's
+// layers (see layers): a user's totals are the sum of its entries in
+// each.
+func userReport(parts []*usersMetric) UserReport {
 	rep := UserReport{CensoredPerUser: make([]uint64, 16)}
 	var actC, actO []float64
-	for _, us := range m.users {
+	add := func(us userStat) {
 		rep.TotalUsers++
 		if us.Censored > 0 {
 			rep.CensoredUsers++
@@ -52,6 +54,24 @@ func (m *usersMetric) report() UserReport {
 			actC = append(actC, float64(us.Total))
 		} else {
 			actO = append(actO, float64(us.Total))
+		}
+	}
+	top := parts[len(parts)-1].users
+	for k, us := range top {
+		u := *us
+		if len(parts) == 2 {
+			if b := parts[0].users[k]; b != nil {
+				u.Total += b.Total
+				u.Censored += b.Censored
+			}
+		}
+		add(u)
+	}
+	if len(parts) == 2 {
+		for k, us := range parts[0].users {
+			if top[k] == nil {
+				add(*us)
+			}
 		}
 	}
 	rep.ActivityCensored = stats.NewCDF(actC)

@@ -45,6 +45,9 @@ func (e *Engine) MarshalState() []byte {
 	w.Uvarint(uint64(len(e.modules)))
 	mw := statecodec.NewWriter()
 	for _, m := range e.modules {
+		if e.base != nil {
+			m = view(e, m)
+		}
 		mw.Reset()
 		mw.Byte(layoutExact)
 		for _, f := range m.state() {
@@ -67,6 +70,11 @@ func (e *Engine) MarshalState() []byte {
 // subset engine); a registered module with no section is an error — the
 // module would silently serve empty results otherwise.
 func (e *Engine) UnmarshalState(b []byte) error {
+	if e.shared != nil {
+		e.unshare()
+	}
+	e.base = nil // decoding replaces the whole state, base and overlay
+	e.layer()
 	e.version++ // a failed decode may still have replaced some modules
 	r := statecodec.NewReader(b)
 	if magic := r.Raw(len(engineStateMagic)); r.Err() != nil || string(magic) != engineStateMagic {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -82,7 +83,7 @@ type Table5Window struct {
 // [from, from+width), stepped across [from, to). The paper uses Aug 3,
 // 6:00–12:00 in 2-hour windows.
 func (e *Engine) Table5(fromUnix, toUnix, widthSec int64, k int) []Table5Window {
-	m := mod[*timeseriesMetric](e, "timeseries", "Table5")
+	parts := layers[*timeseriesMetric](e, "timeseries", "Table5")
 	var out []Table5Window
 	for start := fromUnix; start < toUnix; start += widthSec {
 		end := start + widthSec
@@ -91,8 +92,10 @@ func (e *Engine) Table5(fromUnix, toUnix, widthSec int64, k int) []Table5Window 
 			if hour*3600 < start {
 				continue
 			}
-			for dom, n := range m.censHourDomains[hour] {
-				counts.AddN(dom, n)
+			for _, m := range parts {
+				for dom, n := range m.censHourDomains[hour] {
+					counts.AddN(dom, n)
+				}
 			}
 		}
 		out = append(out, Table5Window{FromUnix: start, ToUnix: end, Top: sharesOf(counts, k)})
@@ -105,10 +108,14 @@ func (e *Engine) Table5(fromUnix, toUnix, widthSec int64, k int) []Table5Window 
 // ProxySimilarity returns the 7×7 cosine-similarity matrix of censored
 // domain profiles (Table 6), indexed by SG-42..48 order.
 func (e *Engine) ProxySimilarity() [][]float64 {
-	m := mod[*proxiesMetric](e, "proxies", "ProxySimilarity")
-	profiles := make([]map[string]uint64, len(m.censDomains))
-	for i := range m.censDomains {
-		profiles[i] = m.censDomains[i]
+	parts := layers[*proxiesMetric](e, "proxies", "ProxySimilarity")
+	profiles := make([]map[string]uint64, logfmt.NumProxies)
+	for i := range profiles {
+		profiles[i] = parts[0].censDomains[i]
+		if len(parts) == 2 && len(parts[1].censDomains[i]) > 0 {
+			profiles[i] = maps.Clone(profiles[i])
+			mergeCounts(profiles[i], parts[1].censDomains[i])
+		}
 	}
 	return stats.SimilarityMatrix(profiles)
 }
@@ -117,9 +124,15 @@ func (e *Engine) ProxySimilarity() [][]float64 {
 // stamps (§5.2: "none" on SG-43/48, "unavailable" elsewhere).
 func (e *Engine) ProxyCategoryLabels() [7]string {
 	var out [7]string
-	for i, m := range mod[*proxiesMetric](e, "proxies", "ProxyCategoryLabels").labels {
+	parts := layers[*proxiesMetric](e, "proxies", "ProxyCategoryLabels")
+	for i := range out {
+		labels := parts[0].labels[i]
+		if len(parts) == 2 {
+			labels = maps.Clone(labels)
+			mergeCounts(labels, parts[1].labels[i])
+		}
 		best, bestN := "", uint64(0)
-		for label, n := range m {
+		for label, n := range labels {
 			if n > bestN {
 				best, bestN = label, n
 			}
@@ -188,8 +201,8 @@ type Discovery struct {
 // index last covered the store (see urlIndex and Clone), plus the
 // rounds themselves.
 func (e *Engine) DiscoverFilters(minCount uint64) Discovery {
-	dm := mod[*domainsMetric](e, "domains", "DiscoverFilters")
-	tm := mod[*tokensMetric](e, "tokens", "DiscoverFilters")
+	own[*domainsMetric](e, "domains", "DiscoverFilters")
+	own[*tokensMetric](e, "tokens", "DiscoverFilters")
 	if minCount == 0 {
 		minCount = 3
 	}
@@ -197,6 +210,8 @@ func (e *Engine) DiscoverFilters(minCount uint64) Discovery {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.version != e.version || m.minCount != minCount {
+		dm := mod[*domainsMetric](e, "domains", "DiscoverFilters")
+		tm := mod[*tokensMetric](e, "tokens", "DiscoverFilters")
 		if m.idx == nil {
 			m.idx = new(urlIndex)
 		}

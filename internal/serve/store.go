@@ -118,6 +118,11 @@ type Snapshot struct {
 	// Timewin is the bucket layout (per-bucket record counts and the
 	// compacted tail span, aggregated across shards) at build time.
 	Timewin timewin.Meta
+
+	// overlay counts the records extend cuts replayed into An since its
+	// base was made (see core.Engine.Clone): 0 after a fold or a
+	// compaction.
+	overlay uint64
 }
 
 // Stats summarizes a Store for monitoring. IngestedBytes and
@@ -727,8 +732,12 @@ func (st *Store) Current() *Snapshot { return st.snap.Load() }
 // prefix of each shard's ingest stream: every batch enqueued before the
 // request is in it. When it can, the cut extends the published snapshot:
 // it clones that snapshot's engine and observes into the clone the
-// batches each shard applied since the last cut, so a cut costs what
-// arrived since the last one. Otherwise — the first cut, the first after
+// batches each shard applied since the last cut. The clone shares the
+// snapshot's frozen base and copies only its overlay, the records
+// replayed since that base was made (core.Engine.Clone), so a cut costs
+// what arrived since the last one plus that overlay; once the overlay
+// passes extendBudget records, the cut compacts it into a new base, at
+// the cost of one copy of the state. Otherwise — the first cut, the first after
 // a restore, or when a shard took more than its share of extendBudget
 // records since the last cut — it folds every shard's whole partition,
 // each on its shard's goroutine, all at once, so ingestion pauses on all
@@ -799,6 +808,7 @@ func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 		an = cur.An.Clone()
 	}
 	var replayed int64
+	var overlay uint64
 	for i := range cuts {
 		for _, b := range cuts[i].kept {
 			if extend {
@@ -810,7 +820,16 @@ func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 			st.batches.put(b)
 		}
 	}
-	if !extend {
+	if extend {
+		// The clone shares the published snapshot's base and copied its
+		// overlay. Past the budget, fold the overlay into a new base, so
+		// that no clone copies more than the budget's records and no read
+		// goes deeper than two layers.
+		if overlay = cur.overlay + uint64(replayed); overlay > extendBudget {
+			an.Compact()
+			overlay = 0
+		}
+	} else {
 		var err error
 		an, err = st.fold(cut, "snapshot.shard", st.cfg.Metrics, func(i int, _ *trace.Span, p *timewin.Partition, dst *core.Engine) error {
 			p.AllInto(dst)
@@ -839,13 +858,15 @@ func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 	if extend {
 		mode = "extend"
 	}
-	cut.SetAttrs(trace.Int("records", int64(records)), trace.Str("mode", mode), trace.Int("replayed", replayed))
+	cut.SetAttrs(trace.Int("records", int64(records)), trace.Str("mode", mode), trace.Int("replayed", replayed),
+		trace.Int("overlay", int64(overlay)))
 	snap := &Snapshot{
 		An:      an,
 		Seq:     st.seq.Add(1),
 		Records: records,
 		Built:   time.Now(),
 		Timewin: meta,
+		overlay: overlay,
 	}
 	st.snap.Store(snap)
 	st.changed.wake()

@@ -3,8 +3,10 @@ package stats
 import (
 	"cmp"
 	"hash/maphash"
+	"math"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // counterSeed keys every Counter's hash for the life of the process. Keys
@@ -54,6 +56,39 @@ type Counter struct {
 	// token vocabulary, is capped at 4M).
 	index []int32
 	n     uint64
+
+	// over, when set, makes the counter a read-only view of over.base ⊕
+	// its own entries (see Over).
+	over *overlay
+}
+
+// overlay is what a view adds to its own entries: the base, and where
+// each of its own keys falls in it, found on first use.
+type overlay struct {
+	base *Counter
+	once sync.Once
+	// hits pairs each own key the base holds with its position there,
+	// as position<<32 | own position, ascending and ended by a sentinel
+	// no position matches; fresh lists the own keys the base lacks.
+	hits  []uint64
+	fresh []int32
+}
+
+// placed returns the view's overlay with its own keys placed in the base.
+func (c *Counter) placed() *overlay {
+	o := c.over
+	o.once.Do(func() {
+		for i, key := range c.keys {
+			if j, _ := o.base.find(key, c.hashes[i]); j >= 0 {
+				o.hits = append(o.hits, uint64(j)<<32|uint64(i))
+			} else {
+				o.fresh = append(o.fresh, int32(i))
+			}
+		}
+		slices.Sort(o.hits)
+		o.hits = append(o.hits, math.MaxUint64)
+	})
+	return o
 }
 
 // NewCounter returns an empty counter.
@@ -79,6 +114,21 @@ func CounterOf(keys []string, counts []uint64) *Counter {
 	return c
 }
 
+// Over returns a read-only view of base ⊕ c: a counter whose Count,
+// Total, Len, Each and Top read both, a key's count being the sum of its
+// two. Building it copies nothing; the first Len, Each or Top places c's
+// keys in base, one probe each, and Count probes both. It shares both
+// counters' storage, so neither may change while the view is read, and
+// the view itself must never be written; any number of goroutines may
+// read it at once. Neither counter may be a view.
+func (c *Counter) Over(base *Counter) *Counter {
+	if base.over != nil || c.over != nil {
+		panic("stats: Over of a view")
+	}
+	return &Counter{keys: c.keys, hashes: c.hashes, counts: c.counts, index: c.index, n: c.n,
+		over: &overlay{base: base}}
+}
+
 // Add increments key by one.
 func (c *Counter) Add(key string) { c.AddN(key, 1) }
 
@@ -90,20 +140,51 @@ func (c *Counter) AddN(key string, n uint64) {
 
 // Count returns the exact count for key.
 func (c *Counter) Count(key string) uint64 {
-	if i, _ := c.find(key, hashKey(key)); i >= 0 {
-		return c.counts[i]
+	h := hashKey(key)
+	var n uint64
+	if i, _ := c.find(key, h); i >= 0 {
+		n = c.counts[i]
 	}
-	return 0
+	if c.over != nil {
+		b := c.over.base
+		if i, _ := b.find(key, h); i >= 0 {
+			n += b.counts[i]
+		}
+	}
+	return n
 }
 
 // Total returns the sum of all counts.
-func (c *Counter) Total() uint64 { return c.n }
+func (c *Counter) Total() uint64 {
+	if c.over != nil {
+		return c.over.base.n + c.n
+	}
+	return c.n
+}
 
-// Len returns the number of distinct keys.
-func (c *Counter) Len() int { return len(c.keys) }
+// Len returns the number of distinct keys. A view places its own keys
+// in the base on first use, one probe each.
+func (c *Counter) Len() int {
+	if c.over == nil {
+		return len(c.keys)
+	}
+	return len(c.over.base.keys) + len(c.placed().fresh)
+}
+
+// atMost reports whether the counter holds at most k keys. A view
+// places its keys only when the base's size alone cannot tell.
+func (c *Counter) atMost(k int) bool {
+	if c.over != nil && len(c.over.base.keys) > k {
+		return false
+	}
+	return c.Len() <= k
+}
 
 // Merge folds other into c.
 func (c *Counter) Merge(other *Counter) {
+	if other.over != nil {
+		c.Merge(other.over.base)
+	}
 	if len(c.keys) == 0 {
 		// Nothing to collide with, and the size is known: copy the table
 		// and index it once.
@@ -123,10 +204,29 @@ func (c *Counter) Merge(other *Counter) {
 	c.n += other.n
 }
 
-// Each calls fn for every (key, count) pair in unspecified order.
+// Each calls fn for every (key, count) pair in unspecified order. A view
+// walks its base once in position order, adding its own counts where
+// they fall (see placed): the base costs a compare per key, not a probe.
 func (c *Counter) Each(fn func(key string, count uint64)) {
-	for i, key := range c.keys {
-		fn(key, c.counts[i])
+	if c.over == nil {
+		for i, key := range c.keys {
+			fn(key, c.counts[i])
+		}
+		return
+	}
+	o := c.placed()
+	next, at := 0, o.hits[0]>>32
+	for i, key := range o.base.keys {
+		n := o.base.counts[i]
+		if uint64(i) == at {
+			n += c.counts[uint32(o.hits[next])]
+			next++
+			at = o.hits[next] >> 32
+		}
+		fn(key, n)
+	}
+	for _, i := range o.fresh {
+		fn(c.keys[i], c.counts[i])
 	}
 }
 
@@ -204,11 +304,9 @@ type Entry struct {
 // broken lexicographically so output is deterministic. k <= 0 returns
 // every key.
 func (c *Counter) Top(k int) []Entry {
-	if k <= 0 || k >= len(c.keys) || k > maxSelectK {
-		all := make([]Entry, len(c.keys))
-		for i, key := range c.keys {
-			all[i] = Entry{key, c.counts[i]}
-		}
+	if k <= 0 || k > maxSelectK || c.atMost(k) {
+		all := make([]Entry, 0, c.Len())
+		c.Each(func(key string, n uint64) { all = append(all, Entry{key, n}) })
 		SortEntries(all)
 		if k > 0 && k < len(all) {
 			all = all[:k]
@@ -218,16 +316,26 @@ func (c *Counter) Top(k int) []Entry {
 	// Keep the best k seen so far, sorted: all but a few entries lose to
 	// the current k-th on one integer compare and touch nothing else.
 	best := make([]Entry, 0, k)
-	for i, n := range c.counts {
+	keep := func(key string, n uint64) {
 		if len(best) == k {
-			if w := &best[k-1]; n < w.Count || n == w.Count && c.keys[i] > w.Key {
-				continue
+			if w := &best[k-1]; n < w.Count || n == w.Count && key > w.Key {
+				return
 			}
 			best = best[:k-1]
 		}
-		e := Entry{c.keys[i], n}
+		e := Entry{key, n}
 		at, _ := slices.BinarySearchFunc(best, e, compareEntries)
 		best = slices.Insert(best, at, e)
+	}
+	if c.over != nil {
+		c.Each(keep)
+		return best
+	}
+	for i, n := range c.counts {
+		if len(best) == k && n < best[k-1].Count {
+			continue
+		}
+		keep(c.keys[i], n)
 	}
 	return best
 }
