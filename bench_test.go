@@ -1,8 +1,7 @@
 package repro
 
 // Micro-benchmarks for working on one piece at a time: the ingest,
-// range-read, snapshot-cut and checkpoint paths the CI smoke keeps from
-// rotting, and the pairs the CI gates compare (trace overhead, doc-cache
+// range-read and checkpoint paths the CI smoke keeps from rotting, and the pairs the CI gates compare (trace overhead, doc-cache
 // speedup). The recorded performance ledger — end-to-end rows and one
 // probe per layer — is bench/ (`bash bench/run.sh`, BENCHMARK.json).
 //
@@ -304,64 +303,6 @@ func BenchmarkRangeFingerprint(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkSnapshotCut measures one snapshot cut of a loaded store
-// (hourly buckets, every module) on each of its two paths, against the
-// shard count. Each iteration first adds records and lets the shards
-// apply them, outside the timer, then cuts:
-//
-//   - extend: 1,200 records since the last cut, the ledger's refresh
-//     round. The cut clones the published snapshot's engine and replays
-//     the batches the shards kept into it, on the cutting goroutine, so
-//     its cost follows the records, not the shard count.
-//   - fold: 20,000 records since the last cut, past the store's extend
-//     budget (8,192 records over all shards), so the shards keep none
-//     and the cut folds every partition, all shards at once, each into
-//     its own engine, merged in shard order: shards=1 is the fold alone,
-//     more shards add merges and, given CPUs, overlap the folds.
-//
-// Run it with -cpu 1,2 to see both.
-func BenchmarkSnapshotCut(b *testing.B) {
-	f := fixture(b)
-	for _, arm := range []struct {
-		name  string
-		added int
-	}{{"extend", 1200}, {"fold", 20_000}} {
-		for _, shards := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/shards=%d", arm.name, shards), func(b *testing.B) {
-				st, err := serve.NewStore(serve.Config{Options: benchOpts(f), Shards: shards, Bucket: time.Hour, DisableObs: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer st.Close()
-				if _, err := st.Add(f.records); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := st.Refresh(); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					at := (i * arm.added) % (len(f.records) - arm.added)
-					if _, err := st.Add(f.records[at : at+arm.added]); err != nil {
-						b.Fatal(err)
-					}
-					// A range read is a shard op: it returns once every
-					// shard has applied what was added before it.
-					if _, _, err := st.Range(timewin.Window{From: 1, To: 2}); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					if _, err := st.Refresh(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkCheckpointRoundTrip measures the state codec on a full

@@ -140,6 +140,100 @@ func TestModuleLaws(t *testing.T) {
 			if !bytes.Equal(sub.MarshalState(), state) {
 				t.Error("MergeProjected from a full engine differs from sequential Observe")
 			}
+
+			layeredLaws(t, opt, recs, module)
 		})
+	}
+	// The token cap admits in observation order, over both layers of a
+	// clone: with a cap the stream crosses, a clone that observes the
+	// rest of the stream admits what one engine observing all of it does.
+	t.Run("tokens/capped", func(t *testing.T) {
+		capped := opt
+		capped.maxTokens = 200
+		seq := lawsEngine(t, capped, recs, "tokens")
+		head := lawsEngine(t, capped, recs[:2000], "tokens")
+		if n := mod[*tokensMetric](head, "tokens", "test").allowed.len(); n >= capped.maxTokens {
+			t.Fatalf("the head alone fills the cap (%d keys): the law would not cross it", n)
+		}
+		if n := mod[*tokensMetric](seq, "tokens", "test").allowed.len(); n != capped.maxTokens {
+			t.Fatalf("the stream leaves %d keys under a cap of %d: the law would hold vacuously", n, capped.maxTokens)
+		}
+		c := head.Clone()
+		for i := 2000; i < 4000; i++ {
+			c.Observe(&recs[i])
+		}
+		cc := c.Clone()
+		for i := 4000; i < len(recs); i++ {
+			cc.Observe(&recs[i])
+		}
+		sameModule(t, "a clone of a clone under the token cap", cc, seq, "tokens")
+	})
+}
+
+// layeredLaws holds one module to what an engine over a frozen base
+// (Clone) must give: whatever the layers, its state and renders are
+// those of one engine observing the same records.
+func layeredLaws(t *testing.T, opt Options, recs []logfmt.Record, module string) {
+	t.Helper()
+	upTo := func(n int) *Engine { return lawsEngine(t, opt, recs[:n], module) }
+	observe := func(e *Engine, from, to int) *Engine {
+		for i := from; i < to; i++ {
+			e.Observe(&recs[i])
+		}
+		return e
+	}
+
+	// Freeze, clone, observe B: equals observing A+B into one engine.
+	a := upTo(3000)
+	sameModule(t, "a clone that observed B", observe(a.Clone(), 3000, 5000), upTo(5000), module)
+
+	// Two clones of one base diverge independently, and the engine they
+	// were cloned from keeps its own state, then moves on alone.
+	c1, c2 := a.Clone(), a.Clone()
+	observe(c1, 3000, 4000)
+	observe(c2, 4000, 6000)
+	b := lawsEngine(t, opt, nil, module)
+	for i := 0; i < 3000; i++ {
+		b.Observe(&recs[i])
+	}
+	sameModule(t, "the source after two clones", a, upTo(3000), module)
+	observe(b, 4000, 6000)
+	sameModule(t, "the second of two clones", c2, b, module)
+	sameModule(t, "the first of two clones", c1, upTo(4000), module)
+	observe(a, 3000, 5000)
+	sameModule(t, "the source observing after its clones", a, upTo(5000), module)
+	sameModule(t, "the first clone after its source moved on", c1, upTo(4000), module)
+
+	// A clone of a clone reads the shared base through its own copy of
+	// the overlay; the middle clone keeps its state.
+	cc := c1.Clone()
+	observe(cc, 4000, 6000)
+	sameModule(t, "a clone of a clone", cc, upTo(6000), module)
+	sameModule(t, "a clone after its own clone observed", c1, upTo(4000), module)
+
+	// Compaction equals fold: the compacted engine, and its clones, are
+	// the engine that observed everything.
+	cc.Compact()
+	if cc.base != nil {
+		t.Error("a compacted engine still reads a base")
+	}
+	sameModule(t, "a compacted clone", cc, upTo(6000), module)
+	sameModule(t, "a clone of a compacted clone", observe(cc.Clone(), 6000, len(recs)), upTo(len(recs)), module)
+}
+
+// sameModule fails unless got holds want's state for module, byte for
+// byte, and renders every experiment that reads module alone the same.
+func sameModule(t *testing.T, what string, got, want *Engine, module string) {
+	t.Helper()
+	if !bytes.Equal(got.MarshalState(), want.MarshalState()) {
+		t.Errorf("%s: state differs from one engine's", what)
+		return
+	}
+	for _, id := range Experiments() {
+		if mods := experimentModules[id]; len(mods) == 1 && mods[0] == module {
+			if g, w := experimentRender[id](&Analyzer{got}), experimentRender[id](&Analyzer{want}); g != w {
+				t.Errorf("%s: %s renders differently:\n got  %.300s\n want %.300s", what, id, g, w)
+			}
+		}
 	}
 }

@@ -130,9 +130,25 @@ func (t *slotTable[S]) slot(id int64) *S {
 
 func (t *slotTable[S]) init() { t.slots, t.lastSlot = map[int64]*S{}, nil }
 
+// merge copies the slots t lacks whole, into one block allocated for
+// them, and adds the rest series by series. A clone copying an overlay
+// and a fold of hourly segments, whose slots never overlap, only copy.
 func (t *slotTable[S]) merge(src field) {
-	for id, o := range src.(*slotTable[S]).slots {
-		s := entry(t.slots, id)
+	from := src.(*slotTable[S]).slots
+	if len(t.slots) == 0 {
+		t.slots = make(map[int64]*S, len(from))
+	}
+	var fresh []S
+	for id, o := range from {
+		s := t.slots[id]
+		if s == nil {
+			if fresh == nil {
+				fresh = make([]S, 0, len(from))
+			}
+			fresh = append(fresh, *o)
+			t.slots[id] = &fresh[len(fresh)-1]
+			continue
+		}
 		for k := 0; k < t.n; k++ {
 			*t.series(s, k) += *t.series(o, k)
 		}

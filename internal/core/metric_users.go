@@ -89,15 +89,23 @@ type userTableField struct{ m *usersMetric }
 
 func (f userTableField) init() { f.m.users = map[string]*userStat{} }
 
+// merge copies the users m lacks into one block allocated for them.
 func (f userTableField) merge(src field) {
 	m, o := f.m, src.(userTableField).m
+	if len(m.users) == 0 {
+		m.users = make(map[string]*userStat, len(o.users))
+	}
+	var fresh []userStat
 	for k, v := range o.users {
 		if mine, ok := m.users[k]; ok {
 			mine.Total += v.Total
 			mine.Censored += v.Censored
 		} else {
-			cp := *v
-			m.users[k] = &cp
+			if fresh == nil {
+				fresh = make([]userStat, 0, len(o.users))
+			}
+			fresh = append(fresh, *v)
+			m.users[k] = &fresh[len(fresh)-1]
 		}
 	}
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
 	"testing"
@@ -533,5 +534,55 @@ func TestCounterTopLimits(t *testing.T) {
 	}
 	if got := len(c.Top(100)); got != 10 {
 		t.Errorf("Top(100) len = %d", got)
+	}
+}
+
+// A view reads base ⊕ own as the counter both merged into: every count,
+// the total, the size, the entries and every Top, for own keys the base
+// holds and keys it lacks, and for bases on either side of the index.
+// Merging a view folds both layers.
+func TestCounterOverMatchesMerge(t *testing.T) {
+	rng := NewRand(14)
+	for _, size := range []struct{ base, own int }{{0, 0}, {5, 3}, {0, 40}, {300, 0}, {300, 7}, {2000, 500}} {
+		base, own := NewCounter(), NewCounter()
+		for i := 0; i < size.base; i++ {
+			base.AddN(diffKey(rng.Intn(2*size.base+1)), uint64(1+rng.Intn(9)))
+		}
+		for i := 0; i < size.own; i++ {
+			own.AddN(diffKey(rng.Intn(3*size.base+size.own+1)), uint64(1+rng.Intn(9)))
+		}
+		want := NewCounter()
+		want.Merge(base)
+		want.Merge(own)
+		v := own.Over(base)
+		if v.Total() != want.Total() || v.Len() != want.Len() {
+			t.Fatalf("%+v: total %d, len %d; want %d, %d", size, v.Total(), v.Len(), want.Total(), want.Len())
+		}
+		got := map[string]uint64{}
+		v.Each(func(k string, n uint64) {
+			if _, dup := got[k]; dup {
+				t.Fatalf("%+v: Each yields %q twice", size, k)
+			}
+			got[k] = n
+		})
+		if len(got) != want.Len() {
+			t.Fatalf("%+v: Each yields %d keys, want %d", size, len(got), want.Len())
+		}
+		for id := 0; id < 4*size.base+size.own+2; id++ {
+			k := diffKey(id)
+			if v.Count(k) != want.Count(k) || got[k] != want.Count(k) {
+				t.Fatalf("%+v: %q counts %d (Each %d), want %d", size, k, v.Count(k), got[k], want.Count(k))
+			}
+		}
+		for _, k := range []int{0, 1, 3, 10, maxSelectK, maxSelectK + 1, want.Len(), want.Len() + 1} {
+			if g, w := v.Top(k), want.Top(k); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%+v: Top(%d) = %v, want %v", size, k, g, w)
+			}
+		}
+		folded := NewCounter()
+		folded.Merge(v)
+		if !reflect.DeepEqual(folded.Top(0), want.Top(0)) || folded.Total() != want.Total() {
+			t.Fatalf("%+v: merging a view differs from merging both layers", size)
+		}
 	}
 }
