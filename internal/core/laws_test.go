@@ -144,6 +144,27 @@ func TestModuleLaws(t *testing.T) {
 			layeredLaws(t, opt, recs, module)
 		})
 	}
+	// Every module at once, through every render, on the whole fixture
+	// (the laws' stream holds no censored Tor request): the results that
+	// read two layers side by side (unions, sums, per-hour lookups) see
+	// a base and an overlay that share keys and hours, since each holds
+	// every other record.
+	t.Run("all/layered", func(t *testing.T) {
+		a := lawsEngine(t, opt, nil)
+		for i := 0; i < len(f.records); i += 2 {
+			a.Observe(&f.records[i])
+		}
+		c := a.Clone()
+		for i := 1; i < len(f.records); i += 2 {
+			c.Observe(&f.records[i])
+		}
+		if !bytes.Equal(c.MarshalState(), f.analyzer.MarshalState()) {
+			t.Error("a clone that observed the other half of the corpus differs from one engine's state")
+		}
+		if got, want := renderEverything(&Analyzer{c}), renderEverything(f.analyzer); got != want {
+			t.Error("a clone that observed the other half of the corpus renders differently from one engine")
+		}
+	})
 	// The token cap admits in observation order, over both layers of a
 	// clone: with a cap the stream crosses, a clone that observes the
 	// rest of the stream admits what one engine observing all of it does.

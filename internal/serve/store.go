@@ -301,13 +301,15 @@ func (bp *batchPool) put(b *[]logfmt.Record) {
 }
 
 // extendBudget bounds the records a snapshot cut replays instead of
-// folding, over all shards; each shard keeps at most its share. The
-// replay runs record by record on the cutting goroutine, so its cost
-// follows the records since the last cut, plus one clone of the
-// published snapshot, while a fold's follows the whole state. On
-// BenchmarkSnapshotCut's 200,000-record store the two meet between
-// about 6,500 and 9,000 records (DESIGN §5), and on larger states the
-// fold only costs more.
+// folding, over all shards; each shard keeps at most its share. It also
+// bounds a published snapshot's overlay: past it the cut compacts the
+// overlay into a new base. The replay runs record by record on the
+// cutting goroutine, so an extend cut's cost follows the records since
+// the last cut, plus a clone that copies the overlay and, once per
+// budget, a compaction that copies the state, while a fold's follows
+// the whole state. On BenchmarkSnapshotCut's 200,000-record store the
+// two meet near 9,000 records, compactions included (DESIGN §5); on
+// larger states the fold only costs more.
 const extendBudget = 8 * pipeline.BatchSize
 
 // shardQueue is the per-shard batch buffer: enough to keep shards busy,
