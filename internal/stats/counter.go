@@ -305,8 +305,16 @@ type Entry struct {
 // every key.
 func (c *Counter) Top(k int) []Entry {
 	if k <= 0 || k > maxSelectK || c.atMost(k) {
-		all := make([]Entry, 0, c.Len())
-		c.Each(func(key string, n uint64) { all = append(all, Entry{key, n}) })
+		var all []Entry
+		if c.over != nil {
+			all = make([]Entry, 0, c.Len())
+			c.Each(func(key string, n uint64) { all = append(all, Entry{key, n}) })
+		} else {
+			all = make([]Entry, len(c.keys))
+			for i, key := range c.keys {
+				all[i] = Entry{key, c.counts[i]}
+			}
+		}
 		SortEntries(all)
 		if k > 0 && k < len(all) {
 			all = all[:k]
