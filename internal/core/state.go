@@ -37,7 +37,8 @@ const layoutExact = 1
 // encoding is deterministic: marshaling the same logical state (however
 // it was reached — one pass, parallel merge, or a decode) produces
 // identical bytes, which is what lets tests pin restore(checkpoint(S))
-// == S at the byte level.
+// == S at the byte level. An engine over a base (see Clone) writes base
+// ⊕ overlay, each module read through a view.
 func (e *Engine) MarshalState() []byte {
 	w := statecodec.NewWriter()
 	w.Raw([]byte(engineStateMagic))

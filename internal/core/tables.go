@@ -109,15 +109,11 @@ func (e *Engine) Table5(fromUnix, toUnix, widthSec int64, k int) []Table5Window 
 // domain profiles (Table 6), indexed by SG-42..48 order.
 func (e *Engine) ProxySimilarity() [][]float64 {
 	parts := layers[*proxiesMetric](e, "proxies", "ProxySimilarity")
-	profiles := make([]map[string]uint64, logfmt.NumProxies)
-	for i := range profiles {
-		profiles[i] = parts[0].censDomains[i]
-		if len(parts) == 2 && len(parts[1].censDomains[i]) > 0 {
-			profiles[i] = maps.Clone(profiles[i])
-			mergeCounts(profiles[i], parts[1].censDomains[i])
-		}
+	var own []map[string]uint64
+	if len(parts) == 2 {
+		own = parts[1].censDomains[:]
 	}
-	return stats.SimilarityMatrix(profiles)
+	return stats.SimilarityMatrix(parts[0].censDomains[:], own)
 }
 
 // ProxyCategoryLabels reports which default cs-categories label each proxy

@@ -63,7 +63,7 @@ func TestCDFMonotone(t *testing.T) {
 func TestCosineCountsMatchesDense(t *testing.T) {
 	a := map[string]uint64{"x": 3, "y": 4}
 	b := map[string]uint64{"y": 4, "z": 3}
-	got := CosineCounts(a, b)
+	got := CosineCounts(a, nil, b, nil)
 	want := 16.0 / 25 // the dense vectors (3, 4, 0) and (0, 4, 3): dot 16, both norms 5
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("sparse %v != dense %v", got, want)
@@ -79,7 +79,7 @@ func TestCosineCountsSymmetric(t *testing.T) {
 		for _, k := range kb {
 			b[string(rune('a'+k%16))]++
 		}
-		x, y := CosineCounts(a, b), CosineCounts(b, a)
+		x, y := CosineCounts(a, nil, b, nil), CosineCounts(b, nil, a, nil)
 		return math.Abs(x-y) < 1e-12 && x >= -1e-12 && x <= 1+1e-12
 	}, nil); err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestSimilarityMatrix(t *testing.T) {
 		{"a": 9, "b": 2},
 		{"z": 5},
 	}
-	m := SimilarityMatrix(profiles)
+	m := SimilarityMatrix(profiles, nil)
 	if m[0][0] != 1 || m[2][2] != 1 {
 		t.Error("diagonal not 1")
 	}
@@ -104,6 +104,36 @@ func TestSimilarityMatrix(t *testing.T) {
 	}
 	if m[0][1] < 0.9 {
 		t.Errorf("similar profiles similarity = %v", m[0][1])
+	}
+}
+
+// A profile split between a base and an overlay, any way, has the
+// similarity of the merged map, to the bit.
+func TestCosineCountsOverlayMatchesMerged(t *testing.T) {
+	if err := quick.Check(func(ka, kb []uint8, split uint8) bool {
+		a, ao, b, bo := map[string]uint64{}, map[string]uint64{}, map[string]uint64{}, map[string]uint64{}
+		ma, mb := map[string]uint64{}, map[string]uint64{}
+		for i, k := range ka {
+			key := string(rune('a' + k%16))
+			ma[key]++
+			if uint8(i)%4 < split%5 {
+				ao[key]++
+			} else {
+				a[key]++
+			}
+		}
+		for i, k := range kb {
+			key := string(rune('a' + k%16))
+			mb[key]++
+			if uint8(i)%3 == split%3 {
+				bo[key]++
+			} else {
+				b[key]++
+			}
+		}
+		return CosineCounts(a, ao, b, bo) == CosineCounts(ma, nil, mb, nil)
+	}, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
