@@ -259,10 +259,10 @@ func (e *Engine) TorHourly(fromUnix, toUnix int64) []HourPoint {
 	parts := layers[*torMetric](e, "tor", "TorHourly")
 	var out []HourPoint
 	for t := fromUnix - fromUnix%3600; t < toUnix; t += 3600 {
-		p := HourPoint{Unix: t}
+		hour, p := t/3600, HourPoint{Unix: t}
 		for _, m := range parts {
-			p.Total += m.hourly[t/3600]
-			p.Censored += m.censHourly[t/3600]
+			p.Total += m.hourly[hour]
+			p.Censored += m.censHourly[hour]
 		}
 		out = append(out, p)
 	}
@@ -422,7 +422,11 @@ func (e *Engine) BitTorrent(keywords []string) BitTorrentReport {
 	rep.Users = eachUnion(parts, peers, nil)
 	rep.Contents = eachUnion(parts, hashes, nil)
 	rep.AllowedShare = frac(rep.Announces-rep.Censored, rep.Announces)
-	rep.TopTrackers = sharesOf(layeredCounter(parts, func(m *bittorrentMetric) *stats.Counter { return m.trackers }), 5)
+	trackers := parts[0].trackers
+	if len(parts) == 2 {
+		trackers = parts[1].trackers.Over(trackers)
+	}
+	rep.TopTrackers = sharesOf(trackers, 5)
 	if e.opt.TitleDB != nil {
 		tools := []string{"ultrasurf", "hidemyass", "hide ip", "anonymous browser"}
 		eachUnion(parts, hashes, func(hash [20]byte) {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"syriafilter/internal/categorydb"
-	"syriafilter/internal/stats"
-)
+import "syriafilter/internal/categorydb"
 
 // Clone returns an independent copy of e: records observed by either
 // engine afterwards do not affect the other, which makes Clone the
@@ -165,15 +162,6 @@ func eachUnion[M any, K comparable](parts []M, set func(M) map[K]struct{}, fn fu
 		}
 	}
 	return n
-}
-
-// layeredCounter reads one counter field over a module's layers: the
-// counter itself, or a view of the overlay's over the base's.
-func layeredCounter[M any](parts []M, c func(M) *stats.Counter) *stats.Counter {
-	if len(parts) == 1 {
-		return c(parts[0])
-	}
-	return c(parts[1]).Over(c(parts[0]))
 }
 
 // newModule builds an empty instance of the named module for e.
