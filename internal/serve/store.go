@@ -739,11 +739,11 @@ func (st *Store) Current() *Snapshot { return st.snap.Load() }
 // replayed since that base was made (core.Engine.Clone), so a cut costs
 // what arrived since the last one plus that overlay; once the overlay
 // passes extendBudget records, the cut compacts it into a new base, at
-// the cost of one copy of the state. Otherwise — the first cut, the first after
-// a restore, or when a shard took more than its share of extendBudget
-// records since the last cut — it folds every shard's whole partition,
-// each on its shard's goroutine, all at once, so ingestion pauses on all
-// of them for the length of one shard's fold.
+// the cost of one copy of the state. Otherwise — the first cut, the
+// first after a restore, or when a shard took more than its share of
+// extendBudget records since the last cut — it folds every shard's
+// whole partition, each on its shard's goroutine, all at once, so
+// ingestion pauses on all of them for the length of one shard's fold.
 func (st *Store) Refresh() (*Snapshot, error) {
 	return st.RefreshCtx(context.Background())
 }

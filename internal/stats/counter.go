@@ -180,7 +180,7 @@ func (c *Counter) atMost(k int) bool {
 	return c.Len() <= k
 }
 
-// Merge folds other into c.
+// Merge folds other into c; a view folds both its layers.
 func (c *Counter) Merge(other *Counter) {
 	if other.over != nil {
 		c.Merge(other.over.base)
