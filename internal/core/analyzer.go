@@ -122,11 +122,6 @@ func (c *ClassCounts) merge(o *ClassCounts) {
 	}
 }
 
-type userStat struct {
-	Total    uint64
-	Censored uint64
-}
-
 type triple struct{ Censored, Allowed, Proxied uint64 }
 
 type pageStat struct {

@@ -197,3 +197,32 @@ func TestSampleDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// Table 6's default label is the most frequent one, the smaller label on
+// a tie: a proxy that stamped "none" and "unavailable" once each answers
+// "none" whichever it saw first and however its engine is layered.
+func TestProxyCategoryLabelTie(t *testing.T) {
+	rec := logfmt.Record{
+		Time: time.Date(2011, 8, 2, 9, 0, 0, 0, time.UTC).Unix(),
+		Host: "www.example.com", Port: 80, Path: "/x",
+		Filter: logfmt.Observed, Exception: logfmt.ExNone,
+	}
+	rec.SetProxy(43)
+	none, unavailable := rec, rec
+	none.Categories, unavailable.Categories = "none", "unavailable"
+	for i := 0; i < 200; i++ {
+		first, second := &none, &unavailable
+		if i%2 == 1 {
+			first, second = second, first
+		}
+		a := NewAnalyzer(Options{})
+		a.Observe(first)
+		if i%4 >= 2 {
+			a = a.Clone() // the second label lands in an overlay
+		}
+		a.Observe(second)
+		if got := a.ProxyCategoryLabels()[1]; got != "none" {
+			t.Fatalf("engine %d: SG-43's label = %q, want %q", i, got, "none")
+		}
+	}
+}

@@ -347,7 +347,7 @@ func (e *Engine) mergeOwn(b *Engine) {
 // On an engine over a base it returns a view: a module of the same kind
 // holding base ⊕ overlay, built for this one read (see view). Results
 // whose modules hold large maps read the two layers side by side through
-// layers instead.
+// layers instead, and a counter of such a module through layered.
 func mod[T Metric](e *Engine, name, result string) T {
 	m := own[T](e, name, result)
 	if e.base != nil {
@@ -365,6 +365,16 @@ func layers[T Metric](e *Engine, name, result string) []T {
 		return []T{e.base.byName[name].(T), m}
 	}
 	return []T{m}
+}
+
+// layered reads one counter field of a module across the module's
+// layers (see layers): the base's counter alone, or a view of the
+// overlay's over it.
+func layered[T Metric](parts []T, pick func(T) *stats.Counter) *stats.Counter {
+	if len(parts) == 1 {
+		return pick(parts[0])
+	}
+	return pick(parts[1]).Over(pick(parts[0]))
 }
 
 // own returns e's own instance of the named module, panicking as mod

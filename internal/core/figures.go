@@ -125,7 +125,7 @@ type UserReport struct {
 
 // UserAnalysis computes the Duser-based per-user view.
 func (e *Engine) UserAnalysis() UserReport {
-	return userReport(layers[*usersMetric](e, "users", "UserAnalysis"))
+	return userReport(mod[*usersMetric](e, "users", "UserAnalysis"))
 }
 
 func mean(xs []float64) float64 {
@@ -422,11 +422,7 @@ func (e *Engine) BitTorrent(keywords []string) BitTorrentReport {
 	rep.Users = eachUnion(parts, peers, nil)
 	rep.Contents = eachUnion(parts, hashes, nil)
 	rep.AllowedShare = frac(rep.Announces-rep.Censored, rep.Announces)
-	trackers := parts[0].trackers
-	if len(parts) == 2 {
-		trackers = parts[1].trackers.Over(trackers)
-	}
-	rep.TopTrackers = sharesOf(trackers, 5)
+	rep.TopTrackers = sharesOf(layered(parts, func(m *bittorrentMetric) *stats.Counter { return m.trackers }), 5)
 	if e.opt.TitleDB != nil {
 		tools := []string{"ultrasurf", "hidemyass", "hide ip", "anonymous browser"}
 		eachUnion(parts, hashes, func(hash [20]byte) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"syriafilter/internal/logfmt"
+	"syriafilter/internal/torsim"
 )
 
 var lawsSeed = flag.Int64("laws.seed", 0, "seed of TestModuleLaws' random splits and merge trees (0 = from the clock)")
@@ -16,12 +17,24 @@ var lawsSeed = flag.Int64("laws.seed", 0, "seed of TestModuleLaws' random splits
 // lawsStream is what the laws observe: the head of the fixture (every
 // user key sits in its first few thousand records, tokens and domains
 // everywhere) plus a thin slice of the rest, so every module ends up
-// holding state without the test costing a full corpus per engine.
+// holding state without the test costing a full corpus per engine. The
+// fixture's few censored Tor requests, none of which the head or the
+// slice holds, are spread over the head, so that the layered laws' base
+// and overlay each hold some.
 func lawsStream(f *fixture) []logfmt.Record {
 	const head = 6000
 	recs := slices.Clone(f.records[:head])
-	for i := head; i < len(f.records); i += 12 {
-		recs = append(recs, f.records[i])
+	var tor []logfmt.Record
+	for i := head; i < len(f.records); i++ {
+		rec := &f.records[i]
+		if (i-head)%12 == 0 {
+			recs = append(recs, *rec)
+		} else if rec.Class() == logfmt.ClassCensored && f.gen.Consensus().ClassifyRequest(rec.Host, rec.Port, rec.Path) != torsim.NotTor {
+			tor = append(tor, *rec)
+		}
+	}
+	for k, rec := range tor {
+		recs = slices.Insert(recs, (k+1)*head/(len(tor)+1)+k, rec)
 	}
 	return recs
 }
@@ -78,6 +91,9 @@ func TestModuleLaws(t *testing.T) {
 
 	opt := fixtureOptions(f)
 	full := lawsEngine(t, opt, recs)
+	if full.TorAnalysis().Censored == 0 {
+		t.Fatal("the stream holds no censored Tor request: the tor laws would not reach its censored relays")
+	}
 	for _, module := range AllMetrics() {
 		t.Run(module+"/exact", func(t *testing.T) {
 			seq := lawsEngine(t, opt, recs, module)
@@ -144,11 +160,10 @@ func TestModuleLaws(t *testing.T) {
 			layeredLaws(t, opt, recs, module)
 		})
 	}
-	// Every module at once, through every render, on the whole fixture
-	// (the laws' stream holds no censored Tor request): the results that
-	// read two layers side by side (unions, sums, per-hour lookups) see
-	// a base and an overlay that share keys and hours, since each holds
-	// every other record.
+	// Every module at once, through every render, on the whole fixture:
+	// the results that read two layers side by side (unions, sums,
+	// per-hour lookups) see a base and an overlay that share keys and
+	// hours, since each holds every other record.
 	t.Run("all/layered", func(t *testing.T) {
 		a := lawsEngine(t, opt, nil)
 		for i := 0; i < len(f.records); i += 2 {

@@ -5,6 +5,7 @@ import (
 
 	"syriafilter/internal/logfmt"
 	"syriafilter/internal/statecodec"
+	"syriafilter/internal/stats"
 )
 
 // proxiesMetric accumulates the per-proxy (SG-42..48) load, censored
@@ -20,8 +21,8 @@ type proxiesMetric struct {
 	total    [logfmt.NumProxies]uint64
 	censored [logfmt.NumProxies]uint64
 	slotTable[proxySlot]
-	censDomains [logfmt.NumProxies]map[string]uint64
-	labels      [logfmt.NumProxies]map[string]uint64 // default category label sightings
+	censDomains [logfmt.NumProxies]*stats.Counter
+	labels      [logfmt.NumProxies]*stats.Counter // default category label sightings
 	declared
 }
 
@@ -60,10 +61,10 @@ func (m *proxiesMetric) Observe(rec *logfmt.Record) {
 	if m.cx.censored {
 		m.censored[pi]++
 		ps.censored[pi]++
-		m.censDomains[pi][m.cx.Domain()]++
+		m.censDomains[pi].Add(m.cx.Domain())
 	}
 	if rec.Categories != "" && !strings.Contains(rec.Categories, "Blocked") {
-		m.labels[pi][rec.Categories]++
+		m.labels[pi].Add(rec.Categories)
 	}
 }
 
@@ -78,8 +79,8 @@ func (f proxyTableField) init() {
 	m.total, m.censored = [logfmt.NumProxies]uint64{}, [logfmt.NumProxies]uint64{}
 	m.slotTable.init()
 	for i := range m.censDomains {
-		m.censDomains[i] = map[string]uint64{}
-		m.labels[i] = map[string]uint64{}
+		m.censDomains[i] = stats.NewCounter()
+		m.labels[i] = stats.NewCounter()
 	}
 }
 
@@ -89,8 +90,8 @@ func (f proxyTableField) merge(src field) {
 	for i := range m.total {
 		m.total[i] += o.total[i]
 		m.censored[i] += o.censored[i]
-		mergeCounts(m.censDomains[i], o.censDomains[i])
-		mergeCounts(m.labels[i], o.labels[i])
+		m.censDomains[i].Merge(o.censDomains[i])
+		m.labels[i].Merge(o.labels[i])
 	}
 }
 
@@ -103,8 +104,8 @@ func (f proxyTableField) encode(w *statecodec.Writer) {
 		w.Uvarint(m.censored[i])
 		m.encSeries(w, ids, i)
 		m.encSeries(w, ids, logfmt.NumProxies+i)
-		encStrCounts(w, m.censDomains[i])
-		encStrCounts(w, m.labels[i])
+		encCounter(w, m.censDomains[i])
+		encCounter(w, m.labels[i])
 	}
 }
 
@@ -119,7 +120,7 @@ func (f proxyTableField) decode(r *statecodec.Reader) {
 		m.censored[i] = r.Uvarint()
 		m.decSeries(r, i)
 		m.decSeries(r, logfmt.NumProxies+i)
-		m.censDomains[i] = decStrCounts(r)
-		m.labels[i] = decStrCounts(r)
+		m.censDomains[i] = decCounter(r)
+		m.labels[i] = decCounter(r)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"syriafilter/internal/logfmt"
 	"syriafilter/internal/statecodec"
+	"syriafilter/internal/stats"
 )
 
 // timeseriesMetric accumulates the 5-minute allowed/censored series of
@@ -18,10 +19,10 @@ type timeseriesMetric struct {
 	cx *recordCtx
 	slotTable[tsSlot]
 	// censHourDomains maps hour -> censored domain -> count.
-	censHourDomains map[int64]map[string]uint64
+	censHourDomains map[int64]*stats.Counter
 
 	lastHourID int64
-	lastHour   map[string]uint64
+	lastHour   *stats.Counter
 	declared
 }
 
@@ -71,12 +72,12 @@ func (m *timeseriesMetric) Observe(rec *logfmt.Record) {
 		if hd == nil || m.lastHourID != hour {
 			hd = m.censHourDomains[hour]
 			if hd == nil {
-				hd = map[string]uint64{}
+				hd = stats.NewCounter()
 				m.censHourDomains[hour] = hd
 			}
 			m.lastHourID, m.lastHour = hour, hd
 		}
-		hd[m.cx.Domain()]++
+		hd.Add(m.cx.Domain())
 	case m.cx.allowed:
 		m.slot(m.cx.slot).allowed++
 	}
@@ -87,19 +88,25 @@ func (m *timeseriesMetric) Observe(rec *logfmt.Record) {
 type tsHourDomainsField struct{ m *timeseriesMetric }
 
 func (f tsHourDomainsField) init() {
-	f.m.censHourDomains, f.m.lastHour = map[int64]map[string]uint64{}, nil
+	f.m.censHourDomains, f.m.lastHour = map[int64]*stats.Counter{}, nil
 }
 
 func (f tsHourDomainsField) merge(src field) {
-	mergeHourly(f.m.censHourDomains, src.(tsHourDomainsField).m.censHourDomains, mergeCounts[string])
+	dst := f.m.censHourDomains
+	for hour, c := range src.(tsHourDomainsField).m.censHourDomains {
+		if dst[hour] == nil {
+			dst[hour] = stats.NewCounter()
+		}
+		dst[hour].Merge(c)
+	}
 }
 
 func (f tsHourDomainsField) encode(w *statecodec.Writer) {
-	encHourly(w, f.m.censHourDomains, encStrCounts)
+	encHourly(w, f.m.censHourDomains, encCounter)
 }
 
 func (f tsHourDomainsField) decode(r *statecodec.Reader) {
-	f.m.censHourDomains, f.m.lastHour = decHourly(r, decStrCounts), nil
+	f.m.censHourDomains, f.m.lastHour = decHourly(r, decCounter), nil
 }
 
 // slotTable is a map of per-slot structs S (5-minute buckets, each a few

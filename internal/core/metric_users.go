@@ -7,10 +7,11 @@ import (
 )
 
 // usersMetric accumulates per-user totals over the Duser window: Figure 4
-// and the §4 headline user numbers.
+// and the §4 headline user numbers. Every user seen is a key of total;
+// censored holds the users with a censored request.
 type usersMetric struct {
-	cx    *recordCtx
-	users map[string]*userStat
+	cx              *recordCtx
+	total, censored *stats.Counter
 	declared
 }
 
@@ -25,55 +26,27 @@ func (m *usersMetric) Observe(rec *logfmt.Record) {
 	if key == "" {
 		return
 	}
-	us := m.users[key]
-	if us == nil {
-		us = &userStat{}
-		m.users[key] = us
-	}
-	us.Total++
+	m.total.Add(key)
 	if m.cx.censored {
-		us.Censored++
+		m.censored.Add(key)
 	}
 }
 
-// userReport computes the Fig 4 / §4 user view over the module's
-// layers (see layers): a user's totals are the sum of its entries in
-// each.
-func userReport(parts []*usersMetric) UserReport {
+// userReport computes the Fig 4 / §4 user view.
+func userReport(m *usersMetric) UserReport {
 	rep := UserReport{CensoredPerUser: make([]uint64, 16)}
 	var actC, actO []float64
-	add := func(us userStat) {
+	m.total.Each(func(key string, total uint64) {
 		rep.TotalUsers++
-		if us.Censored > 0 {
+		if c := m.censored.Count(key); c > 0 {
 			rep.CensoredUsers++
-			bucket := int(us.Censored) - 1
-			if bucket >= len(rep.CensoredPerUser) {
-				bucket = len(rep.CensoredPerUser) - 1
-			}
+			bucket := min(int(c), len(rep.CensoredPerUser)) - 1
 			rep.CensoredPerUser[bucket]++
-			actC = append(actC, float64(us.Total))
+			actC = append(actC, float64(total))
 		} else {
-			actO = append(actO, float64(us.Total))
+			actO = append(actO, float64(total))
 		}
-	}
-	top := parts[len(parts)-1].users
-	for k, us := range top {
-		u := *us
-		if len(parts) == 2 {
-			if b := parts[0].users[k]; b != nil {
-				u.Total += b.Total
-				u.Censored += b.Censored
-			}
-		}
-		add(u)
-	}
-	if len(parts) == 2 {
-		for k, us := range parts[0].users {
-			if top[k] == nil {
-				add(*us)
-			}
-		}
-	}
+	})
 	rep.ActivityCensored = stats.NewCDF(actC)
 	rep.ActivityOthers = stats.NewCDF(actO)
 	rep.ShareActiveCensored = 1 - rep.ActivityCensored.P(100)
@@ -83,50 +56,51 @@ func userReport(parts []*usersMetric) UserReport {
 	return rep
 }
 
-// userTableField is the per-user table: total and censored requests per
-// user key.
+// userTableField is the per-user table: one entry per user key, in key
+// order, holding its total and censored requests.
 type userTableField struct{ m *usersMetric }
 
-func (f userTableField) init() { f.m.users = map[string]*userStat{} }
+func (f userTableField) init() { f.m.total, f.m.censored = stats.NewCounter(), stats.NewCounter() }
 
-// merge copies the users m lacks into one block allocated for them.
 func (f userTableField) merge(src field) {
 	m, o := f.m, src.(userTableField).m
-	if len(m.users) == 0 {
-		m.users = make(map[string]*userStat, len(o.users))
-	}
-	var fresh []userStat
-	for k, v := range o.users {
-		if mine, ok := m.users[k]; ok {
-			mine.Total += v.Total
-			mine.Censored += v.Censored
-		} else {
-			if fresh == nil {
-				fresh = make([]userStat, 0, len(o.users))
-			}
-			fresh = append(fresh, *v)
-			m.users[k] = &fresh[len(fresh)-1]
-		}
-	}
+	m.total.Merge(o.total)
+	m.censored.Merge(o.censored)
+}
+
+func (f userTableField) view(base, own field) {
+	b, o := base.(userTableField).m, own.(userTableField).m
+	f.m.total, f.m.censored = o.total.Over(b.total), o.censored.Over(b.censored)
 }
 
 func (f userTableField) encode(w *statecodec.Writer) {
 	m := f.m
-	w.Uvarint(uint64(len(m.users)))
-	for _, k := range sortedKeys(m.users) {
-		us := m.users[k]
-		w.StringRef(k)
-		w.Uvarint(us.Total)
-		w.Uvarint(us.Censored)
+	users := sortedEntries(m.total)
+	w.Uvarint(uint64(len(users)))
+	for _, u := range users {
+		w.StringRef(u.Key)
+		w.Uvarint(u.Count)
+		w.Uvarint(m.censored.Count(u.Key))
 	}
 }
 
+// decode refuses a repeated or out-of-order user key, as decCounter
+// does. An entry is at least three bytes.
 func (f userTableField) decode(r *statecodec.Reader) {
 	n := r.Count()
-	users := make(map[string]*userStat, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		k := r.StringRef()
-		users[k] = &userStat{Total: r.Uvarint(), Censored: r.Uvarint()}
+	size := min(n, r.Remaining()/3)
+	keys, totals := make([]string, 0, size), make([]uint64, 0, size)
+	var ckeys []string
+	var ccounts []uint64
+	for i := 0; i < n; i++ {
+		k, total, censored := r.StringRef(), r.Uvarint(), r.Uvarint()
+		if r.Err() != nil || !ascending(r, keys, k) {
+			break
+		}
+		keys, totals = append(keys, k), append(totals, total)
+		if censored > 0 {
+			ckeys, ccounts = append(ckeys, k), append(ccounts, censored)
+		}
 	}
-	f.m.users = users
+	f.m.total, f.m.censored = stats.CounterOf(keys, totals), stats.CounterOf(ckeys, ccounts)
 }

@@ -121,10 +121,10 @@ func (e *Engine) layer() {
 // view returns a read-only module of m's kind holding base ⊕ m, where m
 // is e's own instance and e has a base. Each field is read through its
 // kind's view when it has one, which shares both layers' storage (a
-// counter, the censored-URL store); any other field is built by merging
-// both layers into it, which costs that field's size. view is therefore
-// for modules whose non-counter fields are small; results over large
-// maps read the layers side by side (layers).
+// counter, the user table, the censored-URL store); any other field is
+// built by merging both layers into it, which costs that field's size.
+// view is therefore for modules whose non-counter fields are small;
+// results over large maps read the layers side by side (layers).
 func view(e *Engine, m Metric) Metric {
 	v := newModule(e, m.Name())
 	base := e.base.byName[m.Name()].state()

@@ -229,15 +229,6 @@ func decCounts[K comparable](r *statecodec.Reader, decKey func(*statecodec.Reade
 	return m
 }
 
-// encStrCounts / decStrCounts code a map[string]uint64 with interned keys.
-func encStrCounts(w *statecodec.Writer, m map[string]uint64) {
-	encCounts(w, m, (*statecodec.Writer).StringRef)
-}
-
-func decStrCounts(r *statecodec.Reader) map[string]uint64 {
-	return decCounts(r, (*statecodec.Reader).StringRef)
-}
-
 // encPort / decPort are the key codec of a per-port count map.
 func encPort(w *statecodec.Writer, port uint16) { w.Uvarint(uint64(port)) }
 
@@ -252,24 +243,25 @@ func decPort(r *statecodec.Reader) uint16 {
 // encCounter / decCounter code a stats.Counter (the total is recomputed
 // on decode: a Counter's total is the sum of its entries).
 func encCounter(w *statecodec.Writer, c *stats.Counter) {
-	type kv struct {
-		k string
-		v uint64
-	}
-	entries := make([]kv, 0, c.Len())
-	c.Each(func(k string, v uint64) { entries = append(entries, kv{k, v}) })
-	slices.SortFunc(entries, func(a, b kv) int { return strings.Compare(a.k, b.k) })
+	entries := sortedEntries(c)
 	w.Uvarint(uint64(len(entries)))
 	for _, e := range entries {
-		w.StringRef(e.k)
-		w.Uvarint(e.v)
+		w.StringRef(e.Key)
+		w.Uvarint(e.Count)
 	}
 }
 
+// sortedEntries returns c's entries in ascending key order.
+func sortedEntries(c *stats.Counter) []stats.Entry {
+	entries := make([]stats.Entry, 0, c.Len())
+	c.Each(func(k string, n uint64) { entries = append(entries, stats.Entry{Key: k, Count: n}) })
+	slices.SortFunc(entries, func(a, b stats.Entry) int { return strings.Compare(a.Key, b.Key) })
+	return entries
+}
+
 // decCounter builds the counter in one step from exact-size slices. Keys
-// must arrive strictly ascending, as encCounter writes them: a repeated
-// or out-of-order key is corruption, not a count to sum. An entry is at
-// least two bytes (a key reference and a count), which bounds what a
+// must arrive strictly ascending, as encCounter writes them. An entry is
+// at least two bytes (a key reference and a count), which bounds what a
 // lying count can make it allocate.
 func decCounter(r *statecodec.Reader) *stats.Counter {
 	n := r.Count()
@@ -278,17 +270,24 @@ func decCounter(r *statecodec.Reader) *stats.Counter {
 	counts := make([]uint64, 0, size)
 	for i := 0; i < n; i++ {
 		k, v := r.StringRef(), r.Uvarint()
-		if r.Err() != nil {
-			break
-		}
-		if i > 0 && k <= keys[i-1] {
-			r.Failf("core: counter key %q at entry %d does not follow %q", k, i, keys[i-1])
+		if r.Err() != nil || !ascending(r, keys, k) {
 			break
 		}
 		keys = append(keys, k)
 		counts = append(counts, v)
 	}
 	return stats.CounterOf(keys, counts)
+}
+
+// ascending reports whether key may follow the keys decoded so far,
+// failing r when it does not: a repeated or out-of-order key is
+// corruption, not a count to sum.
+func ascending(r *statecodec.Reader, keys []string, key string) bool {
+	if i := len(keys); i > 0 && key <= keys[i-1] {
+		r.Failf("core: counter key %q at entry %d does not follow %q", key, i, keys[i-1])
+		return false
+	}
+	return true
 }
 
 // encIPSet / decIPSet code a set of IPv4 addresses as sorted deltas.

@@ -234,28 +234,39 @@ func TestExactEngineRefusesSketchState(t *testing.T) {
 // stays usable.
 func TestEngineStateRefusesUnorderedCounterKeys(t *testing.T) {
 	f := corpus(t)
-	for _, keys := range [][2]string{
-		{"example.com", "example.com"},
-		{"example.org", "example.com"},
+	for _, tc := range []struct {
+		module  string
+		section func(keys []string) []byte
+		// held reads how much the module holds once the engine has
+		// observed again after the refusal.
+		held func(a *Analyzer) int
+	}{
+		{"domains", domainsSectionWithKeys, func(a *Analyzer) int { return a.Metric("domains").(*domainsMetric).allowed.Len() }},
+		{"users", usersSectionWithKeys, func(a *Analyzer) int { return a.Metric("users").(*usersMetric).total.Len() }},
 	} {
-		secs := splitState(t, f.analyzer.MarshalState())
-		for i := range secs {
-			if secs[i].name == "domains" {
-				secs[i].payload = domainsSectionWithKeys(keys[:])
+		for _, keys := range [][2]string{
+			{"example.com", "example.com"},
+			{"example.org", "example.com"},
+		} {
+			secs := splitState(t, f.analyzer.MarshalState())
+			for i := range secs {
+				if secs[i].name == tc.module {
+					secs[i].payload = tc.section(keys[:])
+				}
 			}
+			an := NewAnalyzer(fixtureOptions(f))
+			err := an.UnmarshalState(joinState(secs))
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("module %q", tc.module)) || !strings.Contains(err.Error(), "does not follow") {
+				t.Fatalf("%s keyed %q: err = %v, want an out-of-order refusal naming the module", tc.module, keys, err)
+			}
+			for i := range f.records[:5000] {
+				an.Observe(&f.records[i])
+			}
+			if tc.held(an) == 0 {
+				t.Errorf("the engine holds nothing in %s after the refusal", tc.module)
+			}
+			renderAllExperiments(an)
 		}
-		an := NewAnalyzer(fixtureOptions(f))
-		err := an.UnmarshalState(joinState(secs))
-		if err == nil || !strings.Contains(err.Error(), `module "domains"`) || !strings.Contains(err.Error(), "does not follow") {
-			t.Fatalf("domains counter keyed %q: err = %v, want an out-of-order refusal naming the module", keys, err)
-		}
-		for i := range f.records[:5000] {
-			an.Observe(&f.records[i])
-		}
-		if an.Metric("domains").(*domainsMetric).allowed.Len() == 0 {
-			t.Error("the engine counts no allowed domains after the refusal")
-		}
-		renderAllExperiments(an)
 	}
 }
 
@@ -271,6 +282,20 @@ func domainsSectionWithKeys(keys []string) []byte {
 		w.Uvarint(1)
 	}
 	for range len(newDomainsMetric(&Engine{}).state()) - 1 {
+		w.Uvarint(0)
+	}
+	return w.Bytes()
+}
+
+// usersSectionWithKeys is a users section holding keys in the given
+// order, one request each, none censored.
+func usersSectionWithKeys(keys []string) []byte {
+	w := statecodec.NewWriter()
+	w.Byte(layoutExact)
+	w.Uvarint(uint64(len(keys)))
+	for _, k := range keys {
+		w.StringRef(k)
+		w.Uvarint(1)
 		w.Uvarint(0)
 	}
 	return w.Bytes()

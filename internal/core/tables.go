@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -93,8 +92,8 @@ func (e *Engine) Table5(fromUnix, toUnix, widthSec int64, k int) []Table5Window 
 				continue
 			}
 			for _, m := range parts {
-				for dom, n := range m.censHourDomains[hour] {
-					counts.AddN(dom, n)
+				if c := m.censHourDomains[hour]; c != nil {
+					counts.Merge(c)
 				}
 			}
 		}
@@ -109,31 +108,25 @@ func (e *Engine) Table5(fromUnix, toUnix, widthSec int64, k int) []Table5Window 
 // domain profiles (Table 6), indexed by SG-42..48 order.
 func (e *Engine) ProxySimilarity() [][]float64 {
 	parts := layers[*proxiesMetric](e, "proxies", "ProxySimilarity")
-	var own []map[string]uint64
-	if len(parts) == 2 {
-		own = parts[1].censDomains[:]
+	profiles := make([]*stats.Counter, logfmt.NumProxies)
+	for i := range profiles {
+		profiles[i] = layered(parts, func(m *proxiesMetric) *stats.Counter { return m.censDomains[i] })
 	}
-	return stats.SimilarityMatrix(parts[0].censDomains[:], own)
+	return stats.SimilarityMatrix(profiles)
 }
 
 // ProxyCategoryLabels reports which default cs-categories label each proxy
-// stamps (§5.2: "none" on SG-43/48, "unavailable" elsewhere).
+// stamps (§5.2: "none" on SG-43/48, "unavailable" elsewhere): its most
+// frequent label, the smaller label on a tie, and "" for a proxy with
+// none.
 func (e *Engine) ProxyCategoryLabels() [7]string {
 	var out [7]string
 	parts := layers[*proxiesMetric](e, "proxies", "ProxyCategoryLabels")
 	for i := range out {
-		labels := parts[0].labels[i]
-		if len(parts) == 2 {
-			labels = maps.Clone(labels)
-			mergeCounts(labels, parts[1].labels[i])
+		top := layered(parts, func(m *proxiesMetric) *stats.Counter { return m.labels[i] }).Top(1)
+		if len(top) > 0 && top[0].Count > 0 {
+			out[i] = top[0].Key
 		}
-		best, bestN := "", uint64(0)
-		for label, n := range labels {
-			if n > bestN {
-				best, bestN = label, n
-			}
-		}
-		out[i] = best
 	}
 	return out
 }

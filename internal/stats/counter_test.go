@@ -127,42 +127,64 @@ func (d *counterDiff) rebuild(i int) {
 
 func (d *counterDiff) checkKey(i int, key string) {
 	d.t.Helper()
-	c, m := d.c[i], d.m[i]
-	if got, want := c.Count(key), m.m[key]; got != want {
-		d.t.Fatalf("counter %d: Count(%q) = %d, oracle %d", i, key, got, want)
-	}
-	if c.Len() != len(m.m) || c.Total() != m.n {
-		d.t.Fatalf("counter %d: Len=%d Total=%d, oracle %d %d", i, c.Len(), c.Total(), len(m.m), m.n)
-	}
+	checkKey(d.t, fmt.Sprintf("counter %d", i), d.c[i], d.m[i], key)
 }
 
 func (d *counterDiff) checkAll(i int) {
 	d.t.Helper()
-	c, m := d.c[i], d.m[i]
-	d.checkKey(i, "never-added")
-	seen := make(map[string]bool, c.Len())
-	c.Each(func(key string, n uint64) {
-		if seen[key] {
-			d.t.Fatalf("counter %d: Each yields %q twice", i, key)
-		}
-		seen[key] = true
-		if want, ok := m.m[key]; !ok || n != want {
-			d.t.Fatalf("counter %d: Each yields %q=%d, oracle %d (present %v)", i, key, n, want, ok)
-		}
-		if got := c.Count(key); got != n {
-			d.t.Fatalf("counter %d: Count(%q) = %d, Each said %d", i, key, got, n)
-		}
-	})
-	if len(seen) != len(m.m) {
-		d.t.Fatalf("counter %d: Each yields %d keys, oracle holds %d", i, len(seen), len(m.m))
-	}
-	d.checkTop(i, 0)
-	d.checkTop(i, 10)
+	checkAll(d.t, fmt.Sprintf("counter %d", i), d.c[i], d.m[i])
 }
 
 func (d *counterDiff) checkTop(i, k int) {
 	d.t.Helper()
 	sameEntries(d.t, fmt.Sprintf("counter %d: Top(%d)", i, k), d.c[i].Top(k), d.m[i].Top(k))
+}
+
+// checkView compares the view of counter own over counter base with the
+// merge of their oracles.
+func (d *counterDiff) checkView(own, base int) {
+	d.t.Helper()
+	m := newMapCounter()
+	m.Merge(d.m[base])
+	m.Merge(d.m[own])
+	checkAll(d.t, fmt.Sprintf("counter %d over %d", own, base), d.c[own].Over(d.c[base]), m)
+}
+
+// checkKey compares c's count of key, its Len and its Total with m's.
+func checkKey(t testing.TB, what string, c *Counter, m *mapCounter, key string) {
+	t.Helper()
+	if got, want := c.Count(key), m.m[key]; got != want {
+		t.Fatalf("%s: Count(%q) = %d, oracle %d", what, key, got, want)
+	}
+	if c.Len() != len(m.m) || c.Total() != m.n {
+		t.Fatalf("%s: Len=%d Total=%d, oracle %d %d", what, c.Len(), c.Total(), len(m.m), m.n)
+	}
+}
+
+// checkAll compares the whole of c with m: every entry Each yields, the
+// counts of those keys and of one c lacks, and Top.
+func checkAll(t testing.TB, what string, c *Counter, m *mapCounter) {
+	t.Helper()
+	checkKey(t, what, c, m, "never-added")
+	seen := make(map[string]bool, c.Len())
+	c.Each(func(key string, n uint64) {
+		if seen[key] {
+			t.Fatalf("%s: Each yields %q twice", what, key)
+		}
+		seen[key] = true
+		if want, ok := m.m[key]; !ok || n != want {
+			t.Fatalf("%s: Each yields %q=%d, oracle %d (present %v)", what, key, n, want, ok)
+		}
+		if got := c.Count(key); got != n {
+			t.Fatalf("%s: Count(%q) = %d, Each said %d", what, key, got, n)
+		}
+	})
+	if len(seen) != len(m.m) {
+		t.Fatalf("%s: Each yields %d keys, oracle holds %d", what, len(seen), len(m.m))
+	}
+	for _, k := range []int{0, 10} {
+		sameEntries(t, fmt.Sprintf("%s: Top(%d)", what, k), c.Top(k), m.Top(k))
+	}
 }
 
 // sameEntries fails the test at the first place got departs from want.
@@ -313,7 +335,8 @@ func TestCounterSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // FuzzCounterVsMap reads its input as an operation stream over three
-// counters: one opcode byte, then that operation's argument bytes.
+// counters: one opcode byte, then that operation's argument bytes. At
+// the end it reads every ordered pair of counters as a view (Over).
 func FuzzCounterVsMap(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 5, 1, 0, 5, 0, 0}) // "" twice, merge, self-merge
@@ -348,6 +371,12 @@ func FuzzCounterVsMap(f *testing.F) {
 			case 7:
 				d.checkKey(i, diffKey(next()))
 				d.checkTop(i, next()%(maxSelectK+8))
+			}
+		}
+		// Every ordered pair read as a view, a counter over itself too.
+		for i := 0; i < counters; i++ {
+			for j := 0; j < counters; j++ {
+				d.checkView(i, j)
 			}
 		}
 		for i := 0; i < counters; i++ {

@@ -60,10 +60,19 @@ func TestCDFMonotone(t *testing.T) {
 	}
 }
 
+// countsOf is a counter holding m's counts.
+func countsOf(m map[string]uint64) *Counter {
+	c := NewCounter()
+	for k, n := range m {
+		c.AddN(k, n)
+	}
+	return c
+}
+
 func TestCosineCountsMatchesDense(t *testing.T) {
-	a := map[string]uint64{"x": 3, "y": 4}
-	b := map[string]uint64{"y": 4, "z": 3}
-	got := CosineCounts(a, nil, b, nil)
+	a := countsOf(map[string]uint64{"x": 3, "y": 4})
+	b := countsOf(map[string]uint64{"y": 4, "z": 3})
+	got := CosineCounts(a, b)
 	want := 16.0 / 25 // the dense vectors (3, 4, 0) and (0, 4, 3): dot 16, both norms 5
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("sparse %v != dense %v", got, want)
@@ -72,14 +81,14 @@ func TestCosineCountsMatchesDense(t *testing.T) {
 
 func TestCosineCountsSymmetric(t *testing.T) {
 	if err := quick.Check(func(ka, kb []uint8) bool {
-		a, b := map[string]uint64{}, map[string]uint64{}
+		a, b := NewCounter(), NewCounter()
 		for _, k := range ka {
-			a[string(rune('a'+k%16))]++
+			a.Add(string(rune('a' + k%16)))
 		}
 		for _, k := range kb {
-			b[string(rune('a'+k%16))]++
+			b.Add(string(rune('a' + k%16)))
 		}
-		x, y := CosineCounts(a, nil, b, nil), CosineCounts(b, nil, a, nil)
+		x, y := CosineCounts(a, b), CosineCounts(b, a)
 		return math.Abs(x-y) < 1e-12 && x >= -1e-12 && x <= 1+1e-12
 	}, nil); err != nil {
 		t.Fatal(err)
@@ -87,12 +96,12 @@ func TestCosineCountsSymmetric(t *testing.T) {
 }
 
 func TestSimilarityMatrix(t *testing.T) {
-	profiles := []map[string]uint64{
-		{"a": 10, "b": 1},
-		{"a": 9, "b": 2},
-		{"z": 5},
+	profiles := []*Counter{
+		countsOf(map[string]uint64{"a": 10, "b": 1}),
+		countsOf(map[string]uint64{"a": 9, "b": 2}),
+		countsOf(map[string]uint64{"z": 5}),
 	}
-	m := SimilarityMatrix(profiles, nil)
+	m := SimilarityMatrix(profiles)
 	if m[0][0] != 1 || m[2][2] != 1 {
 		t.Error("diagonal not 1")
 	}
@@ -107,31 +116,31 @@ func TestSimilarityMatrix(t *testing.T) {
 	}
 }
 
-// A profile split between a base and an overlay, any way, has the
-// similarity of the merged map, to the bit.
+// A profile split between a base and an overlay, any way, and read
+// through a view has the similarity of the merged counter, to the bit.
 func TestCosineCountsOverlayMatchesMerged(t *testing.T) {
 	if err := quick.Check(func(ka, kb []uint8, split uint8) bool {
-		a, ao, b, bo := map[string]uint64{}, map[string]uint64{}, map[string]uint64{}, map[string]uint64{}
-		ma, mb := map[string]uint64{}, map[string]uint64{}
+		a, ao, b, bo := NewCounter(), NewCounter(), NewCounter(), NewCounter()
+		ma, mb := NewCounter(), NewCounter()
 		for i, k := range ka {
 			key := string(rune('a' + k%16))
-			ma[key]++
+			ma.Add(key)
 			if uint8(i)%4 < split%5 {
-				ao[key]++
+				ao.Add(key)
 			} else {
-				a[key]++
+				a.Add(key)
 			}
 		}
 		for i, k := range kb {
 			key := string(rune('a' + k%16))
-			mb[key]++
+			mb.Add(key)
 			if uint8(i)%3 == split%3 {
-				bo[key]++
+				bo.Add(key)
 			} else {
-				b[key]++
+				b.Add(key)
 			}
 		}
-		return CosineCounts(a, ao, b, bo) == CosineCounts(ma, nil, mb, nil)
+		return CosineCounts(ao.Over(a), bo.Over(b)) == CosineCounts(ma, mb)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
