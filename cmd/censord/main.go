@@ -363,7 +363,7 @@ func checkpointLoop(logger *slog.Logger, store *serve.Store, dir string, every t
 // spread across the worker pool, the store's shards parallelizing the
 // analysis side.
 func ingestFiles(logger *slog.Logger, store *serve.Store, paths []string) (uint64, error) {
-	added, malformed, err := store.IngestFiles(paths, 0)
+	added, malformed, err := store.IngestFiles(context.Background(), paths, 0)
 	if malformed > 0 {
 		logger.Warn("skipped malformed lines", "count", malformed)
 	}

@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -70,7 +71,7 @@ func goldenOverHTTP(t *testing.T, seed uint64, gen *synth.Generator, recs []logf
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if _, err := store.Add(recs); err != nil {
+	if _, err := store.AddCtx(context.Background(), recs); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Refresh(); err != nil {

@@ -286,16 +286,29 @@ func genericTitle(h uint64) string {
 	return b.String()
 }
 
-// ContainsAnyKeyword reports whether a resolved title contains any of the
-// given blacklisted keywords (case-insensitive). §7.3 checks the censored
-// keyword list against resolved titles and finds matches among *allowed*
-// announces — the point being that BitTorrent slips past URL filtering.
-func ContainsAnyKeyword(title string, keywords []string) bool {
-	lower := strings.ToLower(title)
+// ContainsAnyKeyword reports whether a resolved title, lowercased,
+// contains any of the given blacklisted keywords, as LowerKeywords
+// returns them: the match is case-insensitive, and a caller matching many
+// titles lowercases each title and the list once. §7.3 checks the
+// censored keyword list against resolved titles and finds matches among
+// *allowed* announces — the point being that BitTorrent slips past URL
+// filtering.
+func ContainsAnyKeyword(lowerTitle string, keywords []string) bool {
 	for _, k := range keywords {
-		if k != "" && strings.Contains(lower, strings.ToLower(k)) {
+		if strings.Contains(lowerTitle, k) {
 			return true
 		}
 	}
 	return false
+}
+
+// LowerKeywords returns keywords lowercased, without the empty ones.
+func LowerKeywords(keywords []string) []string {
+	out := make([]string, 0, len(keywords))
+	for _, k := range keywords {
+		if k != "" {
+			out = append(out, strings.ToLower(k))
+		}
+	}
+	return out
 }

@@ -164,14 +164,14 @@ func TestTitleDBSpecialTitlesAppear(t *testing.T) {
 }
 
 func TestContainsAnyKeyword(t *testing.T) {
-	kws := []string{"proxy", "ultrasurf", "israel"}
-	if !ContainsAnyKeyword("UltraSurf 10.17 censorship bypass", kws) {
+	kws := LowerKeywords([]string{"proxy", "UltraSurf", "", "israel"})
+	if !ContainsAnyKeyword(strings.ToLower("UltraSurf 10.17 censorship bypass"), kws) {
 		t.Error("UltraSurf title not matched")
 	}
 	if ContainsAnyKeyword("holiday photos album", kws) {
-		t.Error("benign title matched")
+		t.Error("benign title matched: an empty keyword was kept")
 	}
-	if ContainsAnyKeyword("anything", nil) {
+	if ContainsAnyKeyword("anything", LowerKeywords(nil)) {
 		t.Error("empty keyword list matched")
 	}
 }

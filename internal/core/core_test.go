@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -900,8 +901,12 @@ func TestBitTorrentAnalysis(t *testing.T) {
 	if rep.ResolvedShare < 0.7 || rep.ResolvedShare > 0.85 {
 		t.Errorf("resolved share = %v, paper: 0.774", rep.ResolvedShare)
 	}
-	if rep.ToolTitles == 0 {
-		t.Error("no anti-censorship tool titles found")
+	if rep.ToolTitles == 0 || rep.KeywordTitles == 0 {
+		t.Errorf("tool titles %d, keyword titles %d: want both found", rep.ToolTitles, rep.KeywordTitles)
+	}
+	// Keywords match titles case-insensitively, however they are cased.
+	if upper := f.analyzer.BitTorrent([]string{"PROXY", "HotspotShield", "", "Ultrareach", "ISRAEL", "UltraSurf"}); !reflect.DeepEqual(upper, rep) {
+		t.Errorf("upper-case keywords: %+v, lower-case: %+v", upper, rep)
 	}
 }
 

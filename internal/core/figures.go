@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"strings"
 
 	"syriafilter/internal/bittorrent"
 	"syriafilter/internal/logfmt"
@@ -424,12 +425,14 @@ func (e *Engine) BitTorrent(keywords []string) BitTorrentReport {
 	rep.AllowedShare = frac(rep.Announces-rep.Censored, rep.Announces)
 	rep.TopTrackers = sharesOf(layered(parts, func(m *bittorrentMetric) *stats.Counter { return m.trackers }), 5)
 	if e.opt.TitleDB != nil {
+		keywords := bittorrent.LowerKeywords(keywords)
 		tools := []string{"ultrasurf", "hidemyass", "hide ip", "anonymous browser"}
 		eachUnion(parts, hashes, func(hash [20]byte) {
 			title, ok := e.opt.TitleDB.Resolve(hash)
 			if !ok {
 				return
 			}
+			title = strings.ToLower(title)
 			rep.Resolved++
 			if bittorrent.ContainsAnyKeyword(title, keywords) {
 				rep.KeywordTitles++

@@ -97,14 +97,18 @@ func (f pageTableField) encode(w *statecodec.Writer) {
 func (f pageTableField) decode(r *statecodec.Reader) {
 	n := r.Count()
 	pages := make(map[string]*pageStat, n)
+	var prev string
 	for i := 0; i < n && r.Err() == nil; i++ {
 		k := r.StringRef()
-		pages[k] = &pageStat{
+		if !ascending(r, i, prev, k) {
+			break
+		}
+		pages[k], prev = &pageStat{
 			Censored:       r.Uvarint(),
 			Allowed:        r.Uvarint(),
 			Proxied:        r.Uvarint(),
 			CustomCategory: r.Bool(),
-		}
+		}, k
 	}
 	*f.p = pages
 }

@@ -100,12 +100,16 @@ func (f subnetTableField) encode(w *statecodec.Writer) {
 func (f subnetTableField) decode(r *statecodec.Reader) {
 	n := r.Count()
 	subnets := make(map[string]*subnetStat, n)
+	var prev string
 	for i := 0; i < n && r.Err() == nil; i++ {
 		k := r.StringRef()
-		subnets[k] = &subnetStat{
+		if !ascending(r, i, prev, k) {
+			break
+		}
+		subnets[k], prev = &subnetStat{
 			Censored: r.Uvarint(), Allowed: r.Uvarint(), Proxied: r.Uvarint(),
 			CensoredIPs: decIPSet(r), AllowedIPs: decIPSet(r), ProxIPs: decIPSet(r),
-		}
+		}, k
 	}
 	f.m.subnets = subnets
 }

@@ -196,8 +196,12 @@ func (t *slotTable[S]) encSeries(w *statecodec.Writer, ids []int64, k int) {
 // decSeries reads series k, creating the slots it names.
 func (t *slotTable[S]) decSeries(r *statecodec.Reader, k int) {
 	n := r.Count()
+	var prev int64
 	for i := 0; i < n && r.Err() == nil; i++ {
 		id := r.Varint()
-		*t.series(entry(t.slots, id), k) = r.Uvarint()
+		if !ascending(r, i, prev, id) {
+			break
+		}
+		*t.series(entry(t.slots, id), k), prev = r.Uvarint(), id
 	}
 }

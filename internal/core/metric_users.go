@@ -94,7 +94,7 @@ func (f userTableField) decode(r *statecodec.Reader) {
 	var ccounts []uint64
 	for i := 0; i < n; i++ {
 		k, total, censored := r.StringRef(), r.Uvarint(), r.Uvarint()
-		if r.Err() != nil || !ascending(r, keys, k) {
+		if r.Err() != nil || i > 0 && !ascending(r, i, keys[i-1], k) {
 			break
 		}
 		keys, totals = append(keys, k), append(totals, total)

@@ -70,13 +70,23 @@ func (e *Engine) MarshalState() []byte {
 // engine was not built with is skipped (a full checkpoint loads into a
 // subset engine); a registered module with no section is an error — the
 // module would silently serve empty results otherwise.
-func (e *Engine) UnmarshalState(b []byte) error {
+//
+// A refused stream leaves every module empty, as built: a section that
+// failed half way would otherwise keep what it decoded in place of what
+// the module's constructor sets up (the osn watchlist).
+func (e *Engine) UnmarshalState(b []byte) (err error) {
 	if e.shared != nil {
 		e.unshare()
 	}
 	e.base = nil // decoding replaces the whole state, base and overlay
 	e.layer()
-	e.version++ // a failed decode may still have replaced some modules
+	e.version++
+	defer func() {
+		if err != nil {
+			e.build(e.Metrics()) // names this engine was built with: cannot fail
+			e.layer()
+		}
+	}()
 	r := statecodec.NewReader(b)
 	if magic := r.Raw(len(engineStateMagic)); r.Err() != nil || string(magic) != engineStateMagic {
 		return fmt.Errorf("core: not an engine state stream (bad magic)")
@@ -219,12 +229,16 @@ func encCounts[K cmp.Ordered](w *statecodec.Writer, m map[K]uint64, encKey func(
 	}
 }
 
-func decCounts[K comparable](r *statecodec.Reader, decKey func(*statecodec.Reader) K) map[K]uint64 {
+func decCounts[K cmp.Ordered](r *statecodec.Reader, decKey func(*statecodec.Reader) K) map[K]uint64 {
 	n := r.Count()
 	m := make(map[K]uint64, n)
+	var prev K
 	for i := 0; i < n && r.Err() == nil; i++ {
 		k := decKey(r)
-		m[k] = r.Uvarint()
+		if !ascending(r, i, prev, k) {
+			break
+		}
+		m[k], prev = r.Uvarint(), k
 	}
 	return m
 }
@@ -270,7 +284,7 @@ func decCounter(r *statecodec.Reader) *stats.Counter {
 	counts := make([]uint64, 0, size)
 	for i := 0; i < n; i++ {
 		k, v := r.StringRef(), r.Uvarint()
-		if r.Err() != nil || !ascending(r, keys, k) {
+		if r.Err() != nil || i > 0 && !ascending(r, i, keys[i-1], k) {
 			break
 		}
 		keys = append(keys, k)
@@ -279,12 +293,13 @@ func decCounter(r *statecodec.Reader) *stats.Counter {
 	return stats.CounterOf(keys, counts)
 }
 
-// ascending reports whether key may follow the keys decoded so far,
-// failing r when it does not: a repeated or out-of-order key is
-// corruption, not a count to sum.
-func ascending(r *statecodec.Reader, keys []string, key string) bool {
-	if i := len(keys); i > 0 && key <= keys[i-1] {
-		r.Failf("core: counter key %q at entry %d does not follow %q", key, i, keys[i-1])
+// ascending reports whether key, entry i of a keyed table, may follow
+// prev, the key of entry i-1, failing r when it does not. Every keyed
+// encoder writes its keys sorted, so a repeated or out-of-order key is
+// corruption, not an entry to keep or a count to sum.
+func ascending[K cmp.Ordered](r *statecodec.Reader, i int, prev, key K) bool {
+	if i > 0 && key <= prev {
+		r.Failf("core: key %v at entry %d does not follow %v", key, i, prev)
 		return false
 	}
 	return true
@@ -327,9 +342,13 @@ func encHourly[V any](w *statecodec.Writer, m map[int64]V, enc func(*statecodec.
 func decHourly[V any](r *statecodec.Reader, dec func(*statecodec.Reader) V) map[int64]V {
 	n := r.Count()
 	m := make(map[int64]V, n)
+	var prev int64
 	for i := 0; i < n && r.Err() == nil; i++ {
 		hour := r.Varint()
-		m[hour] = dec(r)
+		if !ascending(r, i, prev, hour) {
+			break
+		}
+		m[hour], prev = dec(r), hour
 	}
 	return m
 }
@@ -377,9 +396,13 @@ func encTripleMap(w *statecodec.Writer, m map[string]*triple) {
 func decTripleMap(r *statecodec.Reader) map[string]*triple {
 	n := r.Count()
 	m := make(map[string]*triple, n)
+	var prev string
 	for i := 0; i < n && r.Err() == nil; i++ {
 		k := r.StringRef()
-		m[k] = &triple{Censored: r.Uvarint(), Allowed: r.Uvarint(), Proxied: r.Uvarint()}
+		if !ascending(r, i, prev, k) {
+			break
+		}
+		m[k], prev = &triple{Censored: r.Uvarint(), Allowed: r.Uvarint(), Proxied: r.Uvarint()}, k
 	}
 	return m
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -228,30 +229,81 @@ func TestExactEngineRefusesSketchState(t *testing.T) {
 	renderAllExperiments(an)
 }
 
-// Counter keys arrive strictly ascending, as encCounter writes them. A
+// Keys arrive strictly ascending, as every keyed encoder writes them. A
 // key that repeats, or arrives out of order, is corruption: the decode
-// fails naming the module instead of summing the entries, and the engine
-// stays usable.
+// fails naming the module instead of keeping one of the entries or
+// summing them, and the engine stays usable.
 func TestEngineStateRefusesUnorderedCounterKeys(t *testing.T) {
 	f := corpus(t)
+	num := func(k string) int64 {
+		n, err := strconv.ParseInt(k, 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	// held is the size of a module's section: what it observes grows it.
+	held := func(a *Analyzer, module string) int {
+		for _, s := range splitState(t, a.MarshalState()) {
+			if s.name == module {
+				return len(s.payload)
+			}
+		}
+		return 0
+	}
 	for _, tc := range []struct {
-		module  string
-		section func(keys []string) []byte
-		// held reads how much the module holds once the engine has
-		// observed again after the refusal.
-		held func(a *Analyzer) int
+		module string
+		// lead and trail are the empty fields around the keyed table; a
+		// key's entry is its key and values as entry writes them.
+		lead, trail int
+		entry       func(w *statecodec.Writer, key string)
 	}{
-		{"domains", domainsSectionWithKeys, func(a *Analyzer) int { return a.Metric("domains").(*domainsMetric).allowed.Len() }},
-		{"users", usersSectionWithKeys, func(a *Analyzer) int { return a.Metric("users").(*usersMetric).total.Len() }},
+		{"domains", 0, len(newDomainsMetric(&Engine{}).state()) - 1, func(w *statecodec.Writer, k string) { w.StringRef(k); w.Uvarint(1) }},
+		{"users", 0, 0, func(w *statecodec.Writer, k string) { w.StringRef(k); w.Uvarint(1); w.Uvarint(0) }},
+		{"osn", 0, 0, func(w *statecodec.Writer, k string) { w.StringRef(k); w.Uvarint(1); w.Uvarint(0); w.Uvarint(0) }},
+		{"facebook", 1, 1, func(w *statecodec.Writer, k string) {
+			w.StringRef(k)
+			w.Uvarint(1)
+			w.Uvarint(0)
+			w.Uvarint(0)
+			w.Bool(false)
+		}},
+		{"subnets", 0, 0, func(w *statecodec.Writer, k string) {
+			w.StringRef(k)
+			for range 6 { // three counts, three empty IP sets
+				w.Uvarint(0)
+			}
+		}},
+		{"ports", 0, 1, func(w *statecodec.Writer, k string) { w.Uvarint(uint64(num(k))); w.Uvarint(1) }},
+		// A 5-minute slot of the first series, then an hour of the
+		// censored-domain counters.
+		{"timeseries", 0, 2, func(w *statecodec.Writer, k string) { w.Varint(num(k)); w.Uvarint(1) }},
+		{"timeseries", 2, 0, func(w *statecodec.Writer, k string) {
+			w.Varint(num(k))
+			w.Uvarint(1)
+			w.StringRef("example.com")
+			w.Uvarint(1)
+		}},
 	} {
-		for _, keys := range [][2]string{
-			{"example.com", "example.com"},
-			{"example.org", "example.com"},
-		} {
+		// The keys read as names and as numbers alike: "8080" follows
+		// "80" both as a string and as a number.
+		for _, keys := range [][2]string{{"80", "80"}, {"8080", "80"}} {
+			w := statecodec.NewWriter()
+			w.Byte(layoutExact)
+			for range tc.lead {
+				w.Uvarint(0)
+			}
+			w.Uvarint(uint64(len(keys)))
+			for _, k := range keys {
+				tc.entry(w, k)
+			}
+			for range tc.trail {
+				w.Uvarint(0)
+			}
 			secs := splitState(t, f.analyzer.MarshalState())
 			for i := range secs {
 				if secs[i].name == tc.module {
-					secs[i].payload = tc.section(keys[:])
+					secs[i].payload = w.Bytes()
 				}
 			}
 			an := NewAnalyzer(fixtureOptions(f))
@@ -259,46 +311,16 @@ func TestEngineStateRefusesUnorderedCounterKeys(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("module %q", tc.module)) || !strings.Contains(err.Error(), "does not follow") {
 				t.Fatalf("%s keyed %q: err = %v, want an out-of-order refusal naming the module", tc.module, keys, err)
 			}
+			before := held(an, tc.module)
 			for i := range f.records[:5000] {
 				an.Observe(&f.records[i])
 			}
-			if tc.held(an) == 0 {
-				t.Errorf("the engine holds nothing in %s after the refusal", tc.module)
+			if held(an, tc.module) <= before {
+				t.Errorf("%s keyed %q: the module observes nothing after the refusal", tc.module, keys)
 			}
 			renderAllExperiments(an)
 		}
 	}
-}
-
-// domainsSectionWithKeys is a domains section whose first counter holds
-// keys in the given order, one count each, and whose other counters are
-// empty.
-func domainsSectionWithKeys(keys []string) []byte {
-	w := statecodec.NewWriter()
-	w.Byte(layoutExact)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.StringRef(k)
-		w.Uvarint(1)
-	}
-	for range len(newDomainsMetric(&Engine{}).state()) - 1 {
-		w.Uvarint(0)
-	}
-	return w.Bytes()
-}
-
-// usersSectionWithKeys is a users section holding keys in the given
-// order, one request each, none censored.
-func usersSectionWithKeys(keys []string) []byte {
-	w := statecodec.NewWriter()
-	w.Byte(layoutExact)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.StringRef(k)
-		w.Uvarint(1)
-		w.Uvarint(0)
-	}
-	return w.Bytes()
 }
 
 // Corrupted and truncated state must fail with an error — never panic,

@@ -12,6 +12,9 @@ import (
 	"syriafilter/internal/render"
 )
 
+// docCacheBytes sets the server's doc cache budget (0 disables it).
+func docCacheBytes(n int64) ServerOption { return func(s *Server) { s.cacheBytes = n } }
+
 // newTestServer builds a store over the first n fixture records, cuts a
 // snapshot, and wraps it in a Server with the given options.
 func newTestServer(t *testing.T, n int, opts ...ServerOption) (*Store, *Server) {
@@ -23,7 +26,7 @@ func newTestServer(t *testing.T, n int, opts ...ServerOption) (*Store, *Server) 
 	}
 	t.Cleanup(store.Close)
 	if n > 0 {
-		if _, err := store.Add(f.records[:n]); err != nil {
+		if _, err := store.add(f.records[:n], nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := store.Refresh(); err != nil {
@@ -63,7 +66,7 @@ func gunzip(t *testing.T, b []byte) []byte {
 // store), and the gzip variant decompresses to exactly the plain body.
 func TestDocCacheByteIdentity(t *testing.T) {
 	store, cached := newTestServer(t, 8000)
-	uncached := NewServer(store, corpus(t).gen, WithDocCacheBytes(0))
+	uncached := NewServer(store, corpus(t).gen, docCacheBytes(0))
 
 	for _, id := range render.Order() {
 		for _, format := range []string{"json", "text"} {
@@ -135,7 +138,7 @@ func TestETagRevalidation(t *testing.T) {
 		}
 	}
 
-	if _, err := store.Add(f.records[4000:8000]); err != nil {
+	if _, err := store.add(f.records[4000:8000], nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Refresh(); err != nil {
@@ -168,7 +171,7 @@ func TestRefreshSkipsWhenUnchanged(t *testing.T) {
 	if s2.Seq != s1.Seq {
 		t.Errorf("idle Refresh moved Seq %d -> %d", s1.Seq, s2.Seq)
 	}
-	if _, err := store.Add(corpus(t).records[2000:2100]); err != nil {
+	if _, err := store.add(corpus(t).records[2000:2100], nil); err != nil {
 		t.Fatal(err)
 	}
 	s3, err := store.Refresh()

@@ -117,11 +117,11 @@ func TestCheckpointMemoisedEqualsCold(t *testing.T) {
 			case r == 1 && next > 5000: // late records, from behind the horizon
 				late := f.records[rnd.Intn(200):][:3]
 				fed = append(fed, late...)
-				st.Add(late)
+				st.add(late, nil)
 			default:
 				n := min(1+rnd.Intn(1500), len(f.records)-next)
 				fed = append(fed, f.records[next:next+n]...)
-				st.Add(f.records[next : next+n])
+				st.add(f.records[next:next+n], nil)
 				next += n
 			}
 		}
@@ -131,7 +131,7 @@ func TestCheckpointMemoisedEqualsCold(t *testing.T) {
 		got := checkpointFiles(t, st)
 
 		cold := newMemoStore(t, cfg)
-		cold.Add(fed)
+		cold.add(fed, nil)
 		sameFiles(t, "memoised vs cold", got, checkpointFiles(t, cold))
 		if enc, reused := frameCounts(cold); reused != 0 || enc == 0 {
 			t.Errorf("cold store encoded %d and reused %d frames", enc, reused)
@@ -148,7 +148,7 @@ func TestCheckpointEncodesOnlyWhatChanged(t *testing.T) {
 	t.Run("exact", func(t *testing.T) {
 		const shards = 3
 		st := newMemoStore(t, Config{Options: f.opt, Shards: shards})
-		st.Add(f.records)
+		st.add(f.records, nil)
 		// frames is the number of (shard, hour) pairs holding records.
 		pairs := map[[2]int64]bool{}
 		for i := range f.records {
@@ -181,9 +181,9 @@ func TestCheckpointEncodesOnlyWhatChanged(t *testing.T) {
 				saw[shardKey(&f.records[i])%shards] = true
 			}
 		}
-		st.Add(touch)
+		st.add(touch, nil)
 		step("one hour touched", uint64(len(saw)))
-		st.Add(touch[:1])
+		st.add(touch[:1], nil)
 		step("one record", 1)
 		step("nothing new again", 0)
 		assertMemoEqualsCold(t, st)
@@ -202,7 +202,7 @@ func TestCheckpointRestoreCheckpoint(t *testing.T) {
 	t.Run("exact", func(t *testing.T) {
 		cfg := Config{Options: f.opt, Shards: 4, Retain: 96 * time.Hour}
 		orig := newMemoStore(t, cfg)
-		orig.Add(f.records)
+		orig.add(f.records, nil)
 		dir := t.TempDir()
 		info, err := orig.Checkpoint(dir)
 		if err != nil {
@@ -245,18 +245,18 @@ func TestCheckpointRestoreCheckpoint(t *testing.T) {
 			// hash%4 folds onto hash%2 exactly as the restore does, so a
 			// cold two-shard store holds the same engines.
 			cold := newMemoStore(t, two)
-			cold.Add(f.records)
+			cold.add(f.records, nil)
 			sameFiles(t, "resharded vs cold", got, checkpointFiles(t, cold))
 		})
 		t.Run("into a loaded store", func(t *testing.T) {
 			first := newMemoStore(t, cfg)
-			first.Add(f.records[:half])
+			first.add(f.records[:half], nil)
 			halfDir := t.TempDir()
 			if _, err := first.Checkpoint(halfDir); err != nil {
 				t.Fatal(err)
 			}
 			st := newMemoStore(t, cfg)
-			st.Add(f.records[half:])
+			st.add(f.records[half:], nil)
 			checkpointFiles(t, st) // cut a memo for the restore to invalidate
 			if _, err := st.Restore(halfDir); err != nil {
 				t.Fatal(err)
@@ -269,7 +269,7 @@ func TestCheckpointRestoreCheckpoint(t *testing.T) {
 
 	t.Run("full checkpoint into a module subset", func(t *testing.T) {
 		orig := newMemoStore(t, Config{Options: f.opt, Shards: 2})
-		orig.Add(f.records)
+		orig.add(f.records, nil)
 		dir := t.TempDir()
 		if _, err := orig.Checkpoint(dir); err != nil {
 			t.Fatal(err)
@@ -284,7 +284,7 @@ func TestCheckpointRestoreCheckpoint(t *testing.T) {
 			t.Errorf("subset store reused %d full-module frames (encoded %d)", reused, enc)
 		}
 		cold := newMemoStore(t, sub)
-		cold.Add(f.records)
+		cold.add(f.records, nil)
 		sameFiles(t, "subset vs cold", got, checkpointFiles(t, cold))
 	})
 }
@@ -295,7 +295,7 @@ func TestCheckpointRestoreCheckpoint(t *testing.T) {
 func TestIngestCompletesDuringCheckpointWrite(t *testing.T) {
 	f := corpus(t)
 	st := newMemoStore(t, Config{Options: f.opt, Shards: 3})
-	st.Add(f.records[:5000])
+	st.add(f.records[:5000], nil)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
@@ -317,7 +317,7 @@ func TestIngestCompletesDuringCheckpointWrite(t *testing.T) {
 
 	ingested := make(chan error, 1)
 	go func() {
-		if _, err := st.Add(f.records[5000:9000]); err != nil {
+		if _, err := st.add(f.records[5000:9000], nil); err != nil {
 			ingested <- err
 			return
 		}
@@ -366,7 +366,7 @@ func TestCheckpointUnderIngestHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i+250 <= 10000; i += 250 {
-			if _, err := st.Add(f.records[i : i+250]); err != nil {
+			if _, err := st.add(f.records[i:i+250], nil); err != nil {
 				t.Error(err)
 				return
 			}
@@ -393,7 +393,7 @@ func TestCheckpointUnderIngestHammer(t *testing.T) {
 	wg.Wait()
 	assertMemoEqualsCold(t, st)
 	cold := newMemoStore(t, Config{Options: f.opt, Shards: 3, Retain: 72 * time.Hour})
-	cold.Add(f.records[:10000])
+	cold.add(f.records[:10000], nil)
 	sameFiles(t, "hammered vs cold", checkpointFiles(t, st), checkpointFiles(t, cold))
 }
 
@@ -404,12 +404,12 @@ func TestCheckpointTraceAttrs(t *testing.T) {
 	f := corpus(t)
 	tr := trace.New(trace.Config{Slow: -1}) // keep every trace
 	st := newMemoStore(t, Config{Options: f.opt, Shards: 2, Tracer: tr})
-	st.Add(f.records[:4000])
+	st.add(f.records[:4000], nil)
 	dir := t.TempDir()
 	if _, err := st.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	st.Add(f.records[4000:4001])
+	st.add(f.records[4000:4001], nil)
 	info, err := st.Checkpoint(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func newCkptStore(t *testing.T, f *fixture, shards int) *Store {
 
 func fillStore(t *testing.T, store *Store, f *fixture) {
 	t.Helper()
-	got, err := store.Add(f.records)
+	got, err := store.add(f.records, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestCheckpointIncrementalIngest(t *testing.T) {
 	half := len(f.records) / 2
 
 	first := newCkptStore(t, f, 3)
-	first.Add(f.records[:half])
+	first.add(f.records[:half], nil)
 	if _, err := first.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestCheckpointIncrementalIngest(t *testing.T) {
 	if _, err := resumed.Restore(dir); err != nil {
 		t.Fatal(err)
 	}
-	resumed.Add(f.records[half:])
+	resumed.add(f.records[half:], nil)
 	if _, err := resumed.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestCloseAndCheckpointFlushes(t *testing.T) {
 	store := newCkptStore(t, f, 4)
 	// Many small batches so some are still queued when close begins.
 	for i := 0; i+100 <= len(f.records); i += 100 {
-		store.Add(f.records[i : i+100])
+		store.add(f.records[i:i+100], nil)
 	}
 	acked := uint64(len(f.records) / 100 * 100)
 	info, err := store.CloseAndCheckpoint(dir)
@@ -244,11 +244,11 @@ func TestRestoreClosedStore(t *testing.T) {
 	f := corpus(t)
 	dir := t.TempDir()
 	store := newCkptStore(t, f, 2)
-	store.Add(f.records[:1000])
+	store.add(f.records[:1000], nil)
 	if _, err := store.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	store.Add(f.records[1000:2000])
+	store.add(f.records[1000:2000], nil)
 	if _, err := store.CloseAndCheckpoint(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestRestoreCorruptCheckpoint(t *testing.T) {
 			t.Errorf("%s: Restore succeeded on a damaged checkpoint", name)
 		}
 		// Cold boot fallback: the store still works.
-		if got, err := store.Add(f.records[:100]); err != nil || got != 100 {
+		if got, err := store.add(f.records[:100], nil); err != nil || got != 100 {
 			t.Errorf("%s: store unusable after failed restore (added %d, err %v)", name, got, err)
 		}
 		if _, err := store.Refresh(); err != nil {
@@ -330,12 +330,12 @@ func TestCheckpointGenerations(t *testing.T) {
 
 	store := newCkptStore(t, f, 2)
 	defer store.Close()
-	store.Add(f.records[:1000])
+	store.add(f.records[:1000], nil)
 	first, err := store.Checkpoint(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Add(f.records[1000:2000])
+	store.add(f.records[1000:2000], nil)
 	second, err := store.Checkpoint(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +348,7 @@ func TestCheckpointGenerations(t *testing.T) {
 		t.Errorf("previous generation %s not retained for fallback: %v", first.Generation, err)
 	}
 	// ...but only the newest keepGens survive the next checkpoint.
-	store.Add(f.records[2000:3000])
+	store.add(f.records[2000:3000], nil)
 	third, err := store.Checkpoint(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +392,7 @@ func TestStatsCheckpointFields(t *testing.T) {
 	if got := store.Stats().CheckpointAgeS; got != -1 {
 		t.Errorf("checkpoint_age_s before any checkpoint = %d, want -1", got)
 	}
-	store.Add(f.records[:500])
+	store.add(f.records[:500], nil)
 	info, err := store.Checkpoint(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,7 @@ func BenchmarkSnapshotCut(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer st.Close()
-				if _, err := st.Add(c.loaded); err != nil {
+				if _, err := st.add(c.loaded, nil); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := st.Refresh(); err != nil {
@@ -65,7 +65,7 @@ func BenchmarkSnapshotCut(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					at := (i * arm.added) % (len(c.rounds) - arm.added)
-					if _, err := st.Add(c.rounds[at : at+arm.added]); err != nil {
+					if _, err := st.add(c.rounds[at:at+arm.added], nil); err != nil {
 						b.Fatal(err)
 					}
 					// A range read is a shard op: it returns once every

@@ -27,11 +27,11 @@ func discoveryRuns(e *core.Engine) int64 {
 func TestDiscoveryComputedOncePerSnapshot(t *testing.T) {
 	f := corpus(t)
 	half := len(f.records) / 2
-	store, srv := newTestServer(t, half, WithDocCacheBytes(0))
+	store, srv := newTestServer(t, half, docCacheBytes(0))
 
 	for _, upTo := range []int{half, len(f.records)} {
 		if upTo > half {
-			if _, err := store.Add(f.records[half:]); err != nil {
+			if _, err := store.add(f.records[half:], nil); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := store.Refresh(); err != nil {

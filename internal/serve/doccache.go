@@ -5,12 +5,11 @@ import (
 	"sync"
 )
 
-// DefaultDocCacheBytes is the rendered-doc cache budget when the
-// embedder sets none (WithDocCacheBytes overrides, 0 disables); censord
-// always runs with it. Sized
-// for every experiment in both formats across a few generations plus a
-// working set of range windows — tens of MB against render costs in
-// the milliseconds.
+// DefaultDocCacheBytes is the rendered-doc cache budget censord runs
+// with (Server.cacheBytes; 0 disables the cache). Sized for every
+// experiment in both formats across a few generations plus a working set
+// of range windows — tens of MB against render costs in the
+// milliseconds.
 const DefaultDocCacheBytes int64 = 64 << 20
 
 // docKey identifies one cached response variant at one generation (see

@@ -53,7 +53,7 @@ func TestExtendedCutEqualsFold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := st.Add(pool[:300]); err != nil {
+		if _, err := st.add(pool[:300], nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := st.CloseAndCheckpoint(small); err != nil {
@@ -75,7 +75,7 @@ func TestExtendedCutEqualsFold(t *testing.T) {
 			modes := map[string]int{}
 			add := func(recs []logfmt.Record) {
 				t.Helper()
-				if n, err := st.Add(recs); err != nil || n != uint64(len(recs)) {
+				if n, err := st.add(recs, nil); err != nil || n != uint64(len(recs)) {
 					t.Fatalf("seed %d: Add(%d) = %d, %v", seed, len(recs), n, err)
 				}
 			}

@@ -68,7 +68,7 @@ func goldenCut(t *testing.T, f *fixture, dir string) {
 	defer store.Close()
 	first, second := goldenBatches(f)
 	for _, batch := range [][]logfmt.Record{first, second} {
-		if _, err := store.Add(batch); err != nil {
+		if _, err := store.add(batch, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := store.Checkpoint(dir); err != nil {

@@ -72,7 +72,7 @@ func TestAddShedsOnStalledShard(t *testing.T) {
 	}()
 
 	start := time.Now()
-	added, err := store.Add(toStalled[:10])
+	added, err := store.add(toStalled[:10], nil)
 	if waited := time.Since(start); waited > 5*time.Second {
 		t.Errorf("Add blocked %v on a stalled shard, want ~the 100ms deadline", waited)
 	}
@@ -84,7 +84,7 @@ func TestAddShedsOnStalledShard(t *testing.T) {
 	}
 
 	// The healthy shard is untouched by the stall.
-	healthyAdded, err := store.Add(toHealthy[:10])
+	healthyAdded, err := store.add(toHealthy[:10], nil)
 	if err != nil || healthyAdded != 10 {
 		t.Errorf("Add to healthy shard: added=%d err=%v, want 10, nil", healthyAdded, err)
 	}
@@ -232,7 +232,7 @@ func TestGateServingWhileNotReady(t *testing.T) {
 	fillStore(t, store, f)
 	// Records after the last cut: any cut a gated route let through would
 	// move Seq.
-	if _, err := store.Add(f.records[:100]); err != nil {
+	if _, err := store.add(f.records[:100], nil); err != nil {
 		t.Fatal(err)
 	}
 	seq, ingested := store.Current().Seq, store.Stats().Ingested
@@ -315,14 +315,14 @@ func TestRestoreGenerationFallback(t *testing.T) {
 	// 2000 (cumulative) — both retained by the keep window.
 	template := t.TempDir()
 	store := newCkptStore(t, f, 2)
-	if _, err := store.Add(f.records[:1000]); err != nil {
+	if _, err := store.add(f.records[:1000], nil); err != nil {
 		t.Fatal(err)
 	}
 	genA, err := store.Checkpoint(template)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Add(f.records[1000:2000]); err != nil {
+	if _, err := store.add(f.records[1000:2000], nil); err != nil {
 		t.Fatal(err)
 	}
 	genB, err := store.Checkpoint(template)
@@ -463,7 +463,7 @@ func TestRestoreGenerationFallback(t *testing.T) {
 			// The store works after any outcome, and a fresh checkpoint
 			// continues the on-disk sequence instead of colliding with
 			// the surviving generation dirs.
-			if _, err := st.Add(f.records[2000:2100]); err != nil {
+			if _, err := st.add(f.records[2000:2100], nil); err != nil {
 				t.Fatal(err)
 			}
 			next, err := st.Checkpoint(dir)
@@ -589,7 +589,7 @@ func twoGenerations(t *testing.T, f *fixture) (dir string, genA, genB Checkpoint
 	store := newCkptStore(t, f, 2)
 	defer store.Close()
 	for i, gen := range []*CheckpointInfo{&genA, &genB} {
-		if _, err := store.Add(f.records[i*1000 : (i+1)*1000]); err != nil {
+		if _, err := store.add(f.records[i*1000:(i+1)*1000], nil); err != nil {
 			t.Fatal(err)
 		}
 		info, err := store.Checkpoint(dir)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -59,7 +60,7 @@ func TestIngestFilesBlocksMatchesBatchRun(t *testing.T) {
 	}
 	defer store.Close()
 
-	added, malformed, err := store.IngestFiles([]string{plain, gz}, 3)
+	added, malformed, err := store.IngestFiles(context.Background(), []string{plain, gz}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestIngestFilesBlocksMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	added, malformed, err := store.IngestFiles([]string{path}, 2)
+	added, malformed, err := store.IngestFiles(context.Background(), []string{path}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestIngestBatchEdgesMatchBatchRun(t *testing.T) {
 				for k, body := range bodies {
 					var added uint64
 					if workers == 0 {
-						added, err = store.Add(body)
+						added, err = store.add(body, nil)
 					} else {
 						data := encodeCSV(t, body, false)
 						added, _, err = store.IngestBlocks(logfmt.NewBlockReader(bytes.NewReader(data)), workers)
@@ -267,7 +268,7 @@ func TestIngestBatchRecycleHammer(t *testing.T) {
 				if p.body != nil {
 					added, _, err = store.IngestBlocks(logfmt.NewBlockReader(bytes.NewReader(p.body)), 2)
 				} else {
-					added, err = store.Add(p.recs)
+					added, err = store.add(p.recs, nil)
 				}
 				if err != nil || added != uint64(len(p.recs)) {
 					t.Errorf("ingest: added %d of %d, err %v", added, len(p.recs), err)

@@ -201,7 +201,7 @@ func TestMetricsMonotoneAcrossRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store1.Add(f.records[:4000])
+	store1.add(f.records[:4000], nil)
 	if _, err := store1.CloseAndCheckpoint(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestMetricsMonotoneAcrossRestore(t *testing.T) {
 	if _, err := store2.Restore(dir); err != nil {
 		t.Fatal(err)
 	}
-	store2.Add(f.records[4000:5000])
+	store2.add(f.records[4000:5000], nil)
 	srv := httptest.NewServer(NewServer(store2, f.gen))
 	defer srv.Close()
 
@@ -326,7 +326,7 @@ func TestDisableObs(t *testing.T) {
 		t.Fatal("DisableObs store has a registry")
 	}
 
-	store.Add(f.records[:1000])
+	store.add(f.records[:1000], nil)
 	if _, err := store.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func TestStageMetricsAtTheirCallSites(t *testing.T) {
 	// The snapshot.cut span says which path a cut took: the first cut
 	// folded every segment, and one after 100 new records extends it by
 	// replaying them.
-	if _, err := store.Add(f.records[:100]); err != nil {
+	if _, err := store.add(f.records[:100], nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Refresh(); err != nil {

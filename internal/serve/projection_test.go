@@ -50,11 +50,11 @@ func TestRangeProjectionByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(store.Close)
-	if _, err := store.Add(f.records); err != nil {
+	if _, err := store.add(f.records, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Caching off: every request takes the projected merge.
-	srv := NewServer(store, f.gen, WithDocCacheBytes(0))
+	srv := NewServer(store, f.gen, docCacheBytes(0))
 
 	for _, w := range windows {
 		// The reference engines carry every module.
@@ -124,7 +124,7 @@ func TestUnknownIDAndMissingModuleStatuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(store.Close)
-	if _, err := store.Add(f.records[:2000]); err != nil {
+	if _, err := store.add(f.records[:2000], nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Refresh(); err != nil {
@@ -238,7 +238,7 @@ func TestRangeFingerprintTracksWindowContent(t *testing.T) {
 		for next < len(f.records) && f.records[next].Time < until {
 			next++
 		}
-		if _, err := store.Add(f.records[start:next]); err != nil {
+		if _, err := store.add(f.records[start:next], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +263,7 @@ func TestRangeFingerprintTracksWindowContent(t *testing.T) {
 	// One record inside the window moves it.
 	inside := f.records[0]
 	inside.Time = win.From + 100
-	if _, err := store.Add([]logfmt.Record{inside}); err != nil {
+	if _, err := store.add([]logfmt.Record{inside}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if fp(store, win) == winFP || bytes.Equal(content(store, win), winContent) {
@@ -305,7 +305,7 @@ func TestRangeFingerprintTracksWindowContent(t *testing.T) {
 	liveFP := fp(store, live)
 	late := f.records[len(f.records)-1]
 	for _, st := range []*Store{store, restored} {
-		if _, err := st.Add([]logfmt.Record{late}); err != nil {
+		if _, err := st.add([]logfmt.Record{late}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -387,7 +387,7 @@ func TestCutAndRangeFanOutUnderIngest(t *testing.T) {
 		}()
 	}
 	for i := 0; i < len(recs); i += 64 {
-		if _, err := store.Add(recs[i:min(i+64, len(recs))]); err != nil {
+		if _, err := store.add(recs[i:min(i+64, len(recs))], nil); err != nil {
 			t.Fatal(err)
 		}
 	}

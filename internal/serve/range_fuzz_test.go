@@ -40,7 +40,7 @@ func FuzzRangeSeriesBounds(f *testing.F) {
 			Filter: logfmt.Observed, Method: "GET", Scheme: "http", Port: 80, Path: "/"}
 		recs[i].SetProxy(logfmt.FirstProxy + i%logfmt.NumProxies)
 	}
-	if _, err := store.Add(recs); err != nil {
+	if _, err := store.add(recs, nil); err != nil {
 		f.Fatal(err)
 	}
 	if _, err := store.Refresh(); err != nil {

@@ -36,7 +36,7 @@ func rangeStore(t *testing.T, f *fixture, retain time.Duration) *Store {
 		if end > len(f.records) {
 			end = len(f.records)
 		}
-		store.Add(f.records[i:end])
+		store.add(f.records[i:end], nil)
 	}
 	return store
 }

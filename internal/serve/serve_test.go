@@ -60,7 +60,7 @@ func corpus(t *testing.T) *fixture {
 }
 
 // encodeCSV renders records in the on-the-wire log format.
-func encodeCSV(t *testing.T, recs []logfmt.Record, gz bool) []byte {
+func encodeCSV(t testing.TB, recs []logfmt.Record, gz bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	var w *logfmt.Writer
@@ -229,7 +229,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 				if n > len(part) {
 					n = len(part)
 				}
-				store.Add(part[:n])
+				store.add(part[:n], nil)
 				part = part[n:]
 			}
 		}(part)
@@ -311,13 +311,13 @@ func TestStoreClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Add(f.records[:1000])
+	store.add(f.records[:1000], nil)
 	if _, err := store.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 	store.Close()
 	store.Close() // idempotent
-	if n, err := store.Add(f.records[:100]); err == nil || n != 0 {
+	if n, err := store.add(f.records[:100], nil); err == nil || n != 0 {
 		t.Errorf("Add after Close accepted %d records (err %v)", n, err)
 	}
 	if snap := store.Current(); snap.Records != 1000 {

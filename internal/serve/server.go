@@ -113,12 +113,6 @@ func WithCheckpoint(fn func(ctx context.Context) (CheckpointInfo, error)) Server
 	return func(s *Server) { s.ckptFn = fn }
 }
 
-// WithDocCacheBytes caps the rendered-doc cache (default
-// DefaultDocCacheBytes; <= 0 disables caching — every request renders
-// fresh, though ETags and 304s still work because they derive from the
-// generation, not the cache).
-func WithDocCacheBytes(n int64) ServerOption { return func(s *Server) { s.cacheBytes = n } }
-
 // NewServer wires the routes. gen is the optional ground-truth world;
 // without it the generator-requiring experiments (probing, groundtruth)
 // answer 422.

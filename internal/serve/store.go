@@ -7,16 +7,16 @@
 // owns one timewin.Partition — a ring of per-time-bucket core engines
 // plus a frozen all-time tail — and drains a channel of record batches,
 // so ingestion is lock-free and never blocks queries. Records reach the
-// shards through one routine (ingestAcc), for Add and the block ingest
-// paths alike: each is copied once, into its shard's batch, and batches
-// come from a store-owned free list — the send hands one to the shard
-// goroutine, which puts it back once applied. Everything else
+// shards through one routine (ingestAcc), for AddCtx and the block
+// ingest paths alike: each is copied once, into its shard's batch, and
+// batches come from a store-owned free list — the send hands one to the
+// shard goroutine, which puts it back once applied. Everything else
 // that touches a partition is a control op the shard runs between its
 // batches, so engines are never touched concurrently. Control ops reach
 // the shards one way, through each: under the closed-store gate, one op
 // per shard, all running at once, each writing its own slot. The one
-// exception is RangeSeriesCtx' window pass, which walks the shards one at a
-// time because they share its per-window engines.
+// exception is RangeSeriesCtx' window pass, which walks the shards one
+// at a time because they share its per-window engines.
 //
 // Every whole-store view is cut by fold, built on each: an engine per
 // shard, filled at once and merged in shard order. A snapshot is
@@ -76,7 +76,7 @@ type Config struct {
 	// bucket by more than this are compacted into the frozen all-time
 	// tail, bounding live memory. 0 keeps every bucket live.
 	Retain time.Duration
-	// AddTimeout bounds how long Add may block on a full shard queue
+	// AddTimeout bounds how long AddCtx may block on a full shard queue
 	// before shedding the rest of the call with ErrOverloaded (the HTTP
 	// ingest path maps it to 429 + Retry-After). One stalled shard then
 	// costs at most one deadline per ingest call instead of hanging
@@ -127,7 +127,7 @@ type Snapshot struct {
 
 // Stats summarizes a Store for monitoring. IngestedBytes and
 // IngestMBPerS only cover the block ingest paths (IngestBlocks,
-// IngestFiles, POST /v1/ingest); records delivered through Add have no
+// IngestFiles, POST /v1/ingest); records delivered through AddCtx have no
 // byte representation to count. IngestMBPerS is a windowed rate — bytes
 // over the last ~10 seconds — so it reads the daemon's current load, not
 // a lifetime average diluted by idle time.
@@ -313,17 +313,17 @@ func (bp *batchPool) put(b *[]logfmt.Record) {
 const extendBudget = 8 * pipeline.BatchSize
 
 // shardQueue is the per-shard batch buffer: enough to keep shards busy,
-// small enough that Add exerts backpressure instead of buffering
+// small enough that AddCtx exerts backpressure instead of buffering
 // unboundedly.
 const shardQueue = 8
 
-// DefaultAddTimeout is how long Add blocks on a full shard queue before
+// DefaultAddTimeout is how long AddCtx blocks on a full shard queue before
 // shedding (Config.AddTimeout = 0). Generous: healthy shards drain a
 // batch in microseconds, so reaching it means a shard is genuinely
 // stalled, not briefly busy.
 const DefaultAddTimeout = 10 * time.Second
 
-// ErrOverloaded reports an Add that shed load: a shard queue stayed
+// ErrOverloaded reports an AddCtx that shed load: a shard queue stayed
 // full past the configured deadline. Some batches of the call may have
 // been enqueued (the returned count says how many records); the rest
 // were dropped. Callers should back off and retry.
@@ -474,9 +474,9 @@ func shardKey(rec *logfmt.Record) uint64 {
 	return stats.Hash64(rec.ClientIP) ^ stats.Hash64(rec.Host)
 }
 
-// Add routes records to their shards, in pipeline.BatchSize batches per
-// shard, and blocks until every batch is enqueued — backpressure under
-// overload, bounded by the configured AddTimeout: if a shard queue
+// AddCtx routes records to their shards, in pipeline.BatchSize batches
+// per shard, and blocks until every batch is enqueued — backpressure
+// under overload, bounded by the configured AddTimeout: if a shard queue
 // stays full past the deadline the call sheds the remaining batches and
 // returns ErrOverloaded, so one stalled shard cannot hang every ingest
 // path forever. The deadline covers the whole call, not each shard.
@@ -487,14 +487,10 @@ func shardKey(rec *logfmt.Record) uint64 {
 // not an input-order prefix: records batch by shard hash, and the
 // accepted batches are whichever enqueued before the stalled one —
 // callers must treat a shed batch as indivisible (see handleIngest).
-func (st *Store) Add(recs []logfmt.Record) (uint64, error) {
-	return st.add(recs, nil)
-}
-
-// AddCtx is Add carried inside a traced request: when ctx holds a span
-// the enqueue wait, the shed decision and each per-shard apply become
-// child spans of it (the apply span covers queue wait plus fold, with a
-// "dequeued" event separating them).
+//
+// When ctx holds a span the enqueue wait, the shed decision and each
+// per-shard apply become child spans of it (the apply span covers queue
+// wait plus fold, with a "dequeued" event separating them).
 func (st *Store) AddCtx(ctx context.Context, recs []logfmt.Record) (uint64, error) {
 	return st.add(recs, trace.FromContext(ctx))
 }
@@ -509,21 +505,21 @@ func (st *Store) add(recs []logfmt.Record, sp *trace.Span) (uint64, error) {
 }
 
 // ingestAcc is the one routine records reach their shards through, for
-// Add and the block ingest path alike (one accumulator per Add call, one
-// per parse worker). It keeps one pending batch per shard, taken from
-// the store's free list; route copies each record into the batch of the
-// shard its hash picks — the only copy a record makes on its way in —
-// and a batch that reaches pipeline.BatchSize is sent whole, while
-// flush sends the partial ones. The channel send passes ownership: the
-// shard goroutine applies the batch, clears it and puts it back on the
-// free list, and the sender never touches it again. So on a warm store
-// routing allocates nothing per record. Pending memory is bounded at
-// shards × BatchSize records per accumulator. Copied records own their
-// field strings (ParseBlock never aliases the block buffer), so they
-// outlive the block.
+// AddCtx and the block ingest path alike (one accumulator per AddCtx
+// call, one per parse worker). It keeps one pending batch per shard,
+// taken from the store's free list; route copies each record into the
+// batch of the shard its hash picks — the only copy a record makes on
+// its way in — and a batch that reaches pipeline.BatchSize is sent
+// whole, while flush sends the partial ones. The channel send passes
+// ownership: the shard goroutine applies the batch, clears it and puts
+// it back on the free list, and the sender never touches it again. So
+// on a warm store routing allocates nothing per record. Pending memory
+// is bounded at shards × BatchSize records per accumulator. Copied
+// records own their field strings (ParseBlock never aliases the block
+// buffer), so they outlive the block.
 //
 // A send that finds its queue full waits against the deadline of its
-// scope, armed lazily on the first such wait: an Add call is one scope;
+// scope, armed lazily on the first such wait: an AddCtx call is one scope;
 // on the block path every full batch is one and the final flush is
 // another. The first send past its deadline sheds: the error sticks, and
 // that batch, every other pending one and every later record are
@@ -670,14 +666,10 @@ func (st *Store) IngestBlocksCtx(ctx context.Context, br *logfmt.BlockReader, wo
 }
 
 // IngestFiles block-ingests every path (gzip-transparent): one block
-// reader goroutine per file, all feeding the shared parse pool.
-func (st *Store) IngestFiles(paths []string, workers int) (added, malformed uint64, err error) {
-	return st.IngestFilesCtx(context.Background(), paths, workers)
-}
-
-// IngestFilesCtx is IngestFiles under a traced context (see
-// IngestBlocksCtx).
-func (st *Store) IngestFilesCtx(ctx context.Context, paths []string, workers int) (added, malformed uint64, err error) {
+// reader goroutine per file, all feeding the shared parse pool. When ctx
+// holds a span the pipeline and each shard enqueue/apply become child
+// spans of it (see IngestBlocksCtx).
+func (st *Store) IngestFiles(ctx context.Context, paths []string, workers int) (added, malformed uint64, err error) {
 	srcs, closer, err := pipeline.OpenBlockFiles(paths)
 	if err != nil {
 		return 0, 0, err
@@ -1282,7 +1274,7 @@ func (st *Store) Stats() Stats {
 // Tracer returns the store's tracer (nil when tracing is disabled).
 func (st *Store) Tracer() *trace.Tracer { return st.tracer }
 
-// Close stops the background builder and the shard goroutines. Add
+// Close stops the background builder and the shard goroutines. AddCtx
 // becomes a no-op; the last published snapshot keeps serving.
 func (st *Store) Close() { st.shutdown(nil) }
 
@@ -1314,7 +1306,7 @@ func (st *Store) shutdown(final func()) {
 	close(st.stop)
 	st.mu.Unlock()
 	// Between here and closing the channels only ops sent by final can
-	// enter the shards: Add and the public op paths check closed, and
+	// enter the shards: AddCtx and the public op paths check closed, and
 	// any send that won the race against closed=true completed while we
 	// held the write lock.
 	if final != nil {

@@ -1,0 +1,204 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"net/http/httptest"
+	"runtime"
+	"testing"
+	"time"
+
+	"syriafilter/internal/logfmt"
+	"syriafilter/internal/obs/trace"
+	"syriafilter/internal/timewin"
+)
+
+// The benchmarks below are the in-package twins of the ledger's store
+// and handler rows, each named after its row, on the 200 k corpus of
+// BenchmarkSnapshotCut.
+
+// ingestData is the loaded part of the 200 k corpus as one log file.
+func ingestData(b *testing.B) (*cutFixture, []byte) {
+	c := cutCorpus(b, 200_000)
+	return c, encodeCSV(b, c.loaded, false)
+}
+
+// BenchmarkIngestBlocks measures Store.IngestBlocks of the corpus into a
+// warm store (every key already folded, the batch free list filled), the
+// twin of serve.store.ingest_blocks: MB/s of log bytes, and time,
+// allocations and bytes per record.
+func BenchmarkIngestBlocks(b *testing.B) {
+	c, data := ingestData(b)
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			st, err := NewStore(Config{Options: c.opt, Shards: shards})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			// A no-op range read queues behind the batches, so the clock
+			// stops when the shards have applied them.
+			ingest := func() {
+				added, _, err := st.IngestBlocks(logfmt.NewBlockReader(bytes.NewReader(data)), 0)
+				if err != nil || added != uint64(len(c.loaded)) {
+					b.Fatalf("added %d of %d: %v", added, len(c.loaded), err)
+				}
+				if _, _, err := st.Range(timewin.Window{From: 1, To: 2}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ingest()
+			b.SetBytes(int64(len(data)))
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ingest()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			recs := float64(b.N * len(c.loaded))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/recs, "ns/rec")
+			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/recs, "allocs/rec")
+			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/recs, "B/rec")
+		})
+	}
+}
+
+// BenchmarkIngestOverhead measures what instrumentation costs block
+// ingest into a fresh 4-shard store: bare has neither metrics
+// (Config.DisableObs) nor a tracer, obs is the default store, and traced
+// adds a tracer and ingests under a live root span, the shape of a POST
+// /v1/ingest, so the pipeline, enqueue and per-shard apply spans run for
+// real. Tracing is always on in production: CI gates traced allocs/op
+// within 1 % of obs (scripts/bench_gate.sh trace).
+func BenchmarkIngestOverhead(b *testing.B) {
+	c, data := ingestData(b)
+	run := func(disableObs bool, tr *trace.Tracer) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st, err := NewStore(Config{Options: c.opt, Shards: 4, DisableObs: disableObs, Tracer: tr})
+				if err != nil {
+					b.Fatal(err)
+				}
+				root := tr.Root("bench.ingest")
+				b.StartTimer()
+				added, _, err := st.IngestBlocksCtx(trace.NewContext(context.Background(), root), logfmt.NewBlockReader(bytes.NewReader(data)), 0)
+				b.StopTimer()
+				if err != nil || added != uint64(len(c.loaded)) {
+					b.Fatalf("added %d of %d: %v", added, len(c.loaded), err)
+				}
+				root.End()
+				st.Close()
+				b.StartTimer()
+			}
+		}
+	}
+	b.Run("bare", run(true, nil))
+	b.Run("obs", run(false, nil))
+	b.Run("traced", run(false, trace.New(trace.Config{Slow: trace.DefaultSlow})))
+}
+
+// BenchmarkCheckpoint measures one Store.Checkpoint of a loaded store
+// (hourly buckets, 2 shards, fsyncs included), the twin of
+// serve.store.checkpoint, by how much changed since the previous one:
+// dirty=all re-adds the whole corpus first, so every bucket of every
+// shard re-encodes, what a cold store or the first checkpoint after
+// ingest pays; dirty=one adds one record, so one bucket of one shard
+// does, the steady state of a live time-ordered stream; dirty=none adds
+// nothing, the memo's floor (table and file write). SetBytes is the
+// checkpoint's size on disk, so MB/s is the rate it is written at.
+func BenchmarkCheckpoint(b *testing.B) {
+	c := cutCorpus(b, 200_000)
+	for _, dirty := range []struct {
+		name string
+		recs []logfmt.Record
+	}{{"all", c.loaded}, {"one", c.loaded[:1]}, {"none", nil}} {
+		b.Run("dirty="+dirty.name, func(b *testing.B) {
+			st, err := NewStore(Config{Options: c.opt, Shards: 2, Bucket: time.Hour, DisableObs: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			if _, err := st.add(c.loaded, nil); err != nil {
+				b.Fatal(err)
+			}
+			dir := b.TempDir()
+			if _, err := st.Checkpoint(dir); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if _, err := st.add(dirty.recs, nil); err != nil {
+					b.Fatal(err)
+				}
+				// The shard queues are FIFO: drain the adds, and collect
+				// their garbage, before the clock starts, so it times the
+				// checkpoint alone.
+				if _, err := st.Refresh(); err != nil {
+					b.Fatal(err)
+				}
+				runtime.GC()
+				b.StartTimer()
+				info, err := st.Checkpoint(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(info.Bytes)
+			}
+		})
+	}
+}
+
+// BenchmarkHandler measures GET /v1/tables/4 on a loaded store, the twin
+// of serve.handler.{cold,hit}: cold renders every request (a server
+// without the doc cache), hit serves the cached bytes, and etag-304
+// revalidates with If-None-Match, no render and no body. CI gates hit
+// B/op at a fifth of cold's (scripts/bench_gate.sh doccache); byte
+// identity between the paths is pinned by TestDocCacheByteIdentity.
+func BenchmarkHandler(b *testing.B) {
+	c := cutCorpus(b, 200_000)
+	st, err := NewStore(Config{Options: c.opt, Shards: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.add(c.loaded, nil); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := st.Refresh(); err != nil {
+		b.Fatal(err)
+	}
+	const path = "/v1/tables/4"
+	run := func(srv *Server, inm string, want int) func(b *testing.B) {
+		return func(b *testing.B) {
+			req := httptest.NewRequest("GET", path, nil)
+			if inm != "" {
+				req.Header.Set("If-None-Match", inm)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rw := httptest.NewRecorder()
+				srv.ServeHTTP(rw, req)
+				if rw.Code != want {
+					b.Fatalf("status %d, want %d: %.200s", rw.Code, want, rw.Body.String())
+				}
+			}
+		}
+	}
+	b.Run("cold", run(NewServer(st, nil, docCacheBytes(0)), "", 200))
+	srv := NewServer(st, nil)
+	warm := httptest.NewRecorder()
+	srv.ServeHTTP(warm, httptest.NewRequest("GET", path, nil))
+	if warm.Code != 200 || warm.Header().Get("ETag") == "" {
+		b.Fatalf("warmup: status %d, etag %q", warm.Code, warm.Header().Get("ETag"))
+	}
+	b.Run("hit", run(srv, "", 200))
+	b.Run("etag-304", run(srv, warm.Header().Get("ETag"), 304))
+}

@@ -83,7 +83,7 @@ func TestSyncLongPollWakeup(t *testing.T) {
 	}()
 	// Once the poll is parked, change the data and cut.
 	waitParked(t, srv, 1)
-	if _, err := store.Add(f.records[4000:8000]); err != nil {
+	if _, err := store.add(f.records[4000:8000], nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Refresh(); err != nil {
@@ -133,7 +133,7 @@ func TestSyncIncremental(t *testing.T) {
 	store, srv := newTestServer(t, 4000)
 	first := decodeSync(t, get(srv, "/v1/sync?ids=table4,table1"))
 
-	if _, err := store.Add(f.records[4000:4200]); err != nil {
+	if _, err := store.add(f.records[4000:4200], nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Refresh(); err != nil {
@@ -215,7 +215,7 @@ func TestSyncDrainWakeup(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer store.Close()
-			if _, err := store.Add(f.records[:1000]); err != nil {
+			if _, err := store.add(f.records[:1000], nil); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := store.Refresh(); err != nil {
@@ -351,7 +351,7 @@ func TestSyncRaceHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if _, err := store.Add(f.records[:2000]); err != nil {
+	if _, err := store.add(f.records[:2000], nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Refresh(); err != nil {
@@ -359,7 +359,7 @@ func TestSyncRaceHammer(t *testing.T) {
 	}
 	srv := NewServer(store, f.gen)
 	// A few KB holds one generation of fig5 but not the working set.
-	small := NewServer(store, f.gen, WithDocCacheBytes(4<<10))
+	small := NewServer(store, f.gen, docCacheBytes(4<<10))
 
 	half, stop := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
@@ -373,7 +373,7 @@ func TestSyncRaceHammer(t *testing.T) {
 		feed := func(recs []logfmt.Record) {
 			for len(recs) > 0 {
 				n := min(256, len(recs))
-				store.Add(recs[:n])
+				store.add(recs[:n], nil)
 				recs = recs[n:]
 				store.Refresh()
 			}

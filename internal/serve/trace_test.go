@@ -50,7 +50,7 @@ func TestRangeTraceAttributesInjectedStall(t *testing.T) {
 			time.Sleep(stall)
 		}
 	}
-	store.Add(f.records[:4096])
+	store.add(f.records[:4096], nil)
 	if _, err := store.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestTracesEndpointDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	store.Add(f.records[:512])
+	store.add(f.records[:512], nil)
 	if _, err := store.Refresh(); err != nil {
 		t.Fatal(err)
 	}

@@ -162,7 +162,7 @@ func (w *watcher) poll(now time.Time) {
 			continue
 		}
 		pollSpan()
-		added, malformed, err := w.st.IngestFilesCtx(pollCtx, []string{path}, 0)
+		added, malformed, err := w.st.IngestFiles(pollCtx, []string{path}, 0)
 		if err != nil {
 			psp.Fail(err)
 			if added == 0 {

@@ -67,7 +67,7 @@ func TestReadPathWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(store.Close)
-	if _, err := store.Add(f.records[:6000]); err != nil {
+	if _, err := store.add(f.records[:6000], nil); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := store.Refresh()
@@ -83,7 +83,7 @@ func TestReadPathWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(subset.Close)
-	if _, err := subset.Add(f.records[:2000]); err != nil {
+	if _, err := subset.add(f.records[:2000], nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := subset.Refresh(); err != nil {

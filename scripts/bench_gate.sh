@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# CI's benchmark gates over the root micro-benchmarks (bench_test.go).
-# Each gate reads work that the runner's speed cannot move — allocations
-# or bytes per op — as the median of 5 runs of `go test`, one arm after
-# the other inside each run, so the arms interleave. The matching time
-# ratio is printed beside it for the log, never gated: on a shared
-# 2-vCPU runner it swings by ±10 % from one run to the next.
+# CI's benchmark gates over internal/serve's store and handler
+# benchmarks (store_bench_test.go). Each gate reads work that the
+# runner's speed cannot move — allocations or bytes per op — as the
+# median of 5 runs of `go test`, one arm after the other inside each
+# run, so the arms interleave. The matching time ratio is printed beside
+# it for the log, never gated: on a shared 2-vCPU runner it swings by
+# ±10 % from one run to the next.
 #
-#   scripts/bench_gate.sh trace      # traced allocs/op <= 1.01 x disabled
+#   scripts/bench_gate.sh trace      # traced allocs/op <= 1.01 x obs
 #   scripts/bench_gate.sh doccache   # doc-cache hit B/op <= cold B/op / 5
 #
 # Exits 1 when the gate fails or a benchmark printed nothing.
@@ -16,14 +17,14 @@ cd "$(dirname "$0")/.."
 case "${1:-}" in
 trace)
 	# Tracing is always on in production, so what it adds to block
-	# ingest is gated: one extra span per record would add ~200 k
+	# ingest is gated: one extra span per record would add ~180 k
 	# allocs/op to the traced arm.
-	pattern='BenchmarkTraceOverhead' benchtime=10x arm=traced base=disabled unit=allocs/op max=1.01
+	pattern='BenchmarkIngestOverhead/(obs|traced)$' benchtime=10x arm=traced base=obs unit=allocs/op max=1.01
 	;;
 doccache)
 	# A cache hit must do a fraction of the cold render's work; a hit
 	# arm that rendered anyway would allocate what cold does.
-	pattern='BenchmarkDocCache/(cold|hit)$' benchtime=20x arm=hit base=cold unit=B/op max=0.2
+	pattern='BenchmarkHandler/(cold|hit)$' benchtime=20x arm=hit base=cold unit=B/op max=0.2
 	;;
 *)
 	echo "usage: $0 trace|doccache" >&2
@@ -33,7 +34,7 @@ esac
 
 out=""
 for _ in 1 2 3 4 5; do
-	out+="$(go test -run '^$' -bench "$pattern" -benchtime "$benchtime" .)"$'\n'
+	out+="$(go test -run '^$' -bench "$pattern" -benchtime "$benchtime" ./internal/serve)"$'\n'
 done
 echo "$out"
 echo "$out" | awk -v arm="$arm" -v base="$base" -v unit="$unit" -v max="$max" '
