@@ -2,6 +2,8 @@ package serve
 
 import (
 	"container/list"
+	"net/http"
+	"strconv"
 	"sync"
 )
 
@@ -25,14 +27,21 @@ type docKey struct {
 
 // docEntry is one cached response: the exact bytes a fresh render
 // would produce (the byte-identity invariant TestDocCacheByteIdentity
-// pins) and the response headers that describe them (X-Range-*). It
-// holds nothing else, so put's byte charge covers all it keeps alive.
+// pins) and the response headers that describe them (X-Range-*, one
+// value each, and Content-Length). It holds nothing else, so put's byte
+// charge covers all it keeps alive.
 type docEntry struct {
 	body    []byte
-	headers [][2]string
+	headers http.Header // canonical keys
+	length  []string    // the Content-Length value, formatted once
 
 	key  docKey
 	size int64
+}
+
+// newDocEntry is the entry for body, described by headers (nil: none).
+func newDocEntry(body []byte, headers http.Header) *docEntry {
+	return &docEntry{body: body, headers: headers, length: []string{strconv.Itoa(len(body))}}
 }
 
 // docCacheOverhead approximates the per-entry bookkeeping (map slot,
@@ -87,8 +96,8 @@ func (c *docCache) put(k docKey, e *docEntry) {
 	}
 	e.key = k
 	e.size = int64(len(e.body)+len(k.id)+len(k.window)+len(k.format)) + docCacheOverhead
-	for _, h := range e.headers {
-		e.size += int64(len(h[0]) + len(h[1]))
+	for k, vs := range e.headers {
+		e.size += int64(len(k) + len(vs[0]))
 	}
 	if e.size > c.max {
 		return

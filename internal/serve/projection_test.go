@@ -314,10 +314,12 @@ func TestRangeFingerprintTracksWindowContent(t *testing.T) {
 	}
 }
 
-// Snapshot cuts and range reads fan out over the shards while ingest
-// runs on all of them. Whatever the interleaving, a snapshot is a prefix
-// of every shard's stream: its Records is the sum of the prefix lengths
-// and its docs equal a serial fold of exactly those prefixes.
+// Snapshot cuts, range reads and range series fan out over the shards
+// while ingest runs on all of them. Whatever the interleaving, a range
+// engine, and every window of a series, holds exactly the records its
+// coverage reports; and a snapshot is a prefix of every shard's stream:
+// its Records is the sum of the prefix lengths and its docs equal a
+// serial fold of exactly those prefixes.
 func TestCutAndRangeFanOutUnderIngest(t *testing.T) {
 	f := corpus(t)
 	const shards = 4
@@ -386,6 +388,28 @@ func TestCutAndRangeFanOutUnderIngest(t *testing.T) {
 			}
 		}()
 	}
+	wg.Add(1)
+	go func() { // the series reader: one window per shard's hour
+		defer wg.Done()
+		for {
+			wins, err := store.RangeSeries(timewin.Window{}, 3600)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, rw := range wins {
+				if got := rw.An.Dataset(core.DFull).Total; got != rw.Coverage.Records {
+					t.Errorf("series window %s holds %d records, coverage says %d", rw.Window, got, rw.Coverage.Records)
+					return
+				}
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
 	for i := 0; i < len(recs); i += 64 {
 		if _, err := store.add(recs[i:min(i+64, len(recs))], nil); err != nil {
 			t.Fatal(err)

@@ -194,6 +194,63 @@ func TestRangeSubWindowMatchesFilteredBatch(t *testing.T) {
 	}
 }
 
+// A series merges every shard at once into one shared engine per
+// window, in whatever order the shards reach it. That must not show:
+// at every shard count, each window of a day-step series renders every
+// experiment byte for byte as a single-window Store.Range over that
+// window does, and covers the same buckets and records.
+func TestRangeSeriesMatchesWindowReads(t *testing.T) {
+	f := corpus(t)
+	day := func(d int) int64 { return time.Date(2011, 8, d, 0, 0, 0, 0, time.UTC).Unix() }
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			store, err := NewStore(Config{Options: f.opt, Shards: shards, Bucket: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(store.Close)
+			for i := 0; i < len(f.records); i += 512 {
+				if _, err := store.add(f.records[i:min(i+512, len(f.records))], nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wins, err := store.RangeSeries(timewin.Window{From: day(1), To: day(7)}, 24*3600)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(wins) != 6 {
+				t.Fatalf("series has %d windows, want 6", len(wins))
+			}
+			for _, rw := range wins {
+				an, cov, err := store.Range(rw.Window)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cov.Records == 0 {
+					t.Fatalf("window %s covers no records; the fixture does not reach it", rw.Window)
+				}
+				if rw.Coverage != cov {
+					t.Errorf("window %s: series coverage %+v, single read %+v", rw.Window, rw.Coverage, cov)
+				}
+				for _, id := range render.Order() {
+					got, err := render.Render(id, render.Context{An: rw.An, Gen: f.gen})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := render.Render(id, render.Context{An: an, Gen: f.gen})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if gb, wb := encodeDoc(t, got, "json"), encodeDoc(t, want, "json"); !bytes.Equal(gb, wb) {
+						t.Errorf("window %s: %s differs from the single-window read\n got: %.300s\nwant: %.300s",
+							rw.Window, id, gb, wb)
+					}
+				}
+			}
+		})
+	}
+}
+
 // An unaligned `to` widens to the bucket edge; invalid steps and
 // unknown ids fail cleanly.
 func TestRangeSeriesEndpoint(t *testing.T) {

@@ -9,8 +9,11 @@ import (
 	"hash/fnv"
 	"net/http"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"syriafilter/internal/core"
@@ -54,7 +57,9 @@ func negotiate(w http.ResponseWriter, r *http.Request, format string) (v variant
 // Deliberately simple: a "gzip" token anywhere in Accept-Encoding that
 // is not explicitly disabled with q=0.
 func acceptsGzip(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
+	for rest, more := r.Header.Get("Accept-Encoding"), true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
 		enc, q, hasQ := strings.Cut(strings.TrimSpace(part), ";")
 		if strings.TrimSpace(enc) != "gzip" {
 			continue
@@ -116,11 +121,16 @@ func bootNonce() string {
 // its key: equal ETags are equal bodies, within one process life (see
 // Server.boot).
 func (s *Server) etagFor(k docKey) string {
-	parts := []string{s.boot, strconv.FormatUint(k.gen, 36), k.id, k.window, k.format}
-	if k.gzip {
-		parts = append(parts, "gz")
+	b := make([]byte, 0, 96) // on the stack: the string is the one allocation
+	b = append(append(b, '"'), s.boot...)
+	b = strconv.AppendUint(append(b, '.'), k.gen, 36)
+	for _, part := range []string{k.id, k.window, k.format} {
+		b = append(append(b, '.'), part...)
 	}
-	return `"` + strings.Join(parts, ".") + `"`
+	if k.gzip {
+		b = append(b, ".gz"...)
+	}
+	return string(append(b, '"'))
 }
 
 // etagMatch implements If-None-Match: a comma-separated list of
@@ -142,15 +152,27 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
+// Header values a read sends whatever it reads, shared by every response
+// so that setting one allocates nothing. Their slices are full (len ==
+// cap), net/http copies a header map before writing it, and nothing here
+// edits a value in place, so no response can change another's.
+var (
+	varyHeader = []string{"Accept-Encoding"}
+	gzipHeader = []string{"gzip"}
+	jsonHeader = []string{"application/json"}
+	textHeader = []string{"text/plain; charset=utf-8"}
+)
+
 // answer writes the response to a read: a body-less 304 when etag ("":
 // no validator) matches the request's If-None-Match, reported by
 // returning true; otherwise the entry body fetches, in v's encoding and
 // content type. body runs only when the validator misses, and writes
 // its own error when it returns ok=false.
 func answer(w http.ResponseWriter, r *http.Request, v variant, etag string, body func() (e *docEntry, ok bool)) (notModified bool) {
-	w.Header().Set("Vary", "Accept-Encoding")
+	h := w.Header()
+	h["Vary"] = varyHeader
 	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		w.Header().Set("ETag", etag)
+		h.Set("ETag", etag)
 		w.WriteHeader(http.StatusNotModified)
 		return true
 	}
@@ -159,20 +181,20 @@ func answer(w http.ResponseWriter, r *http.Request, v variant, etag string, body
 		return false
 	}
 	if etag != "" {
-		w.Header().Set("ETag", etag)
+		h.Set("ETag", etag)
 	}
-	for _, kv := range e.headers {
-		w.Header().Set(kv[0], kv[1])
+	for k, vs := range e.headers {
+		h[k] = vs
 	}
 	if v.gzip {
-		w.Header().Set("Content-Encoding", "gzip")
+		h["Content-Encoding"] = gzipHeader
 	}
 	if v.format == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		h["Content-Type"] = textHeader
 	} else {
-		w.Header().Set("Content-Type", "application/json")
+		h["Content-Type"] = jsonHeader
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(e.body)))
+	h["Content-Length"] = e.length
 	w.Write(e.body)
 	return false
 }
@@ -211,7 +233,7 @@ func (s *Server) generation(ctx context.Context, src *source) (gen uint64, ok bo
 // snapshot's), or one such merge per step-sized sub-window — and only
 // the last keeps the render.Series around its docs.
 func (s *Server) build(ctx context.Context, src *source, format string) (*docEntry, int, error) {
-	e := &docEntry{}
+	var headers http.Header
 	wins := []RangeWindow{{}}
 	var err error
 	switch {
@@ -222,13 +244,13 @@ func (s *Server) build(ctx context.Context, src *source, format string) (*docEnt
 	default:
 		var cov timewin.Coverage
 		wins[0].An, cov, err = s.store.RangeCtx(ctx, src.win, src.mods...)
-		e.headers = [][2]string{
-			{"X-Range-From", fmt.Sprint(cov.FromUnix)},
-			{"X-Range-To", fmt.Sprint(cov.ToUnix)},
-			{"X-Range-Records", fmt.Sprint(cov.Records)},
+		headers = http.Header{
+			"X-Range-From":    {fmt.Sprint(cov.FromUnix)},
+			"X-Range-To":      {fmt.Sprint(cov.ToUnix)},
+			"X-Range-Records": {fmt.Sprint(cov.Records)},
 			// Bucket *merges* summed across shards — the query's cost, not the
 			// distinct-bucket layout (/v1/stats reports that).
-			{"X-Range-Buckets", fmt.Sprint(cov.Buckets)},
+			"X-Range-Buckets": {fmt.Sprint(cov.Buckets)},
 		}
 	}
 	if err != nil {
@@ -245,32 +267,66 @@ func (s *Server) build(ctx context.Context, src *source, format string) (*docEnt
 	}
 	rsp := trace.FromContext(ctx).Child("render")
 	defer rsp.End()
-	rsp.SetAttrs(trace.Int("windows", int64(len(wins))))
-	series := &render.Series{ID: src.id, Kind: render.Kind(src.id), Title: render.Title(src.id), StepSeconds: src.step}
-	for _, rw := range wins {
+	// Each doc lands in its window's slot, so the body is the one a serial
+	// loop would build and the error is the first in window order.
+	series := &render.Series{ID: src.id, Kind: render.Kind(src.id), Title: render.Title(src.id), StepSeconds: src.step,
+		Windows: make([]render.SeriesWindow, len(wins))}
+	errs := make([]error, len(wins))
+	workers := parallel(len(wins), func(j int) {
+		rw := &wins[j]
 		doc, err := render.Render(src.id, render.Context{An: rw.An, Gen: s.gen})
+		series.Windows[j] = render.SeriesWindow{FromUnix: rw.Window.From, ToUnix: rw.Window.To, Records: rw.Coverage.Records, Doc: doc}
+		errs[j] = err
+	})
+	rsp.SetAttrs(trace.Int("windows", int64(len(wins))), trace.Int("workers", int64(workers)))
+	for _, err := range errs {
 		if err != nil {
 			rsp.Fail(err)
 			return nil, http.StatusUnprocessableEntity, err
 		}
-		series.Windows = append(series.Windows, render.SeriesWindow{
-			FromUnix: rw.Window.From,
-			ToUnix:   rw.Window.To,
-			Records:  rw.Coverage.Records,
-			Doc:      doc,
-		})
 	}
 	var body interface{ Text() string } = series
 	if src.step == 0 {
 		body = series.Windows[0].Doc
 	}
+	var out []byte
 	if format == "text" {
-		e.body = []byte(body.Text())
-	} else if e.body, err = render.EncodeJSON(body); err != nil {
+		out = []byte(body.Text())
+	} else if out, err = render.EncodeJSON(body); err != nil {
 		rsp.Fail(err)
 		return nil, http.StatusInternalServerError, err
 	}
-	return e, 0, nil
+	return newDocEntry(out, headers), 0, nil
+}
+
+// parallel calls fn(0) … fn(n-1) on up to GOMAXPROCS goroutines, the
+// caller's among them, and returns once every call has, with how many
+// goroutines ran; a single call runs on the caller alone.
+func parallel(n int, fn func(i int)) (workers int) {
+	workers = min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := range n {
+			fn(i)
+		}
+		return workers
+	}
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range workers - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return workers
 }
 
 // through is the one cache-through: the entry stored under k, or else
@@ -301,7 +357,7 @@ func (s *Server) through(ctx context.Context, src *source, k docKey, cacheable b
 		if err != nil {
 			return nil, status, err
 		}
-		e = &docEntry{body: gzipBytes(plain.body), headers: plain.headers}
+		e = newDocEntry(gzipBytes(plain.body), plain.headers)
 	} else if e, status, err = s.build(ctx, src, k.format); err != nil {
 		return nil, status, err
 	}
@@ -328,8 +384,8 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, format stri
 	}
 	if src.snap != nil {
 		// Which snapshot answers is known without the body: said on a 304 too.
-		w.Header().Set("X-Snapshot-Seq", fmt.Sprint(src.snap.Seq))
-		w.Header().Set("X-Snapshot-Records", fmt.Sprint(src.snap.Records))
+		h := w.Header()
+		h["X-Snapshot-Seq"], h["X-Snapshot-Records"] = src.snap.seqHeader, src.snap.recordsHeader
 	}
 	gen, cacheable := s.generation(r.Context(), src)
 	k := docKey{gen: gen, id: src.id, window: src.window, format: v.format, gzip: v.gzip}

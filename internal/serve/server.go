@@ -259,7 +259,7 @@ func (s *Server) buildIndex() {
 		// loudly rather than panicking the constructor.
 		return
 	}
-	s.index = [2]*docEntry{{body: body}, {body: gzipBytes(body)}}
+	s.index = [2]*docEntry{newDocEntry(body, nil), newDocEntry(gzipBytes(body), nil)}
 	h := fnv.New64a()
 	h.Write(body)
 	// Content-derived, deliberately without the boot nonce: identical

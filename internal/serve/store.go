@@ -14,9 +14,7 @@
 // that touches a partition is a control op the shard runs between its
 // batches, so engines are never touched concurrently. Control ops reach
 // the shards one way, through each: under the closed-store gate, one op
-// per shard, all running at once, each writing its own slot. The one
-// exception is RangeSeriesCtx' window pass, which walks the shards one
-// at a time because they share its per-window engines.
+// per shard, all running at once, each writing its own slot.
 //
 // Every whole-store view is cut by fold, built on each: an engine per
 // shard, filled at once and merged in shard order. A snapshot is
@@ -25,9 +23,9 @@
 // extended by the batches the shards applied since, or, when some shard
 // could not keep them, the fold of everything. A range query
 // (Store.Range) folds only the buckets a time window covers and the
-// metric modules the caller names; Store.RangeSeriesCtx walks the shards
-// into one engine per sub-window. Checkpoints cut one file per shard,
-// and a restore absorbs them back in one fan-out.
+// metric modules the caller names; Store.RangeSeriesCtx merges every
+// shard at once into one shared engine per sub-window. Checkpoints cut
+// one file per shard, and a restore absorbs them back in one fan-out.
 package serve
 
 import (
@@ -41,6 +39,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,6 +122,17 @@ type Snapshot struct {
 	// base was made (see core.Engine.Clone): 0 after a fold or a
 	// compaction.
 	overlay uint64
+	// seqHeader and recordsHeader are Seq and Records as the
+	// X-Snapshot-* header values every read of this snapshot sends,
+	// formatted once at publication (see stamped).
+	seqHeader, recordsHeader []string
+}
+
+// stamped formats snap's header values and returns it, for publication.
+func (snap *Snapshot) stamped() *Snapshot {
+	snap.seqHeader = []string{strconv.FormatUint(snap.Seq, 10)}
+	snap.recordsHeader = []string{strconv.FormatUint(snap.Records, 10)}
+	return snap
 }
 
 // Stats summarizes a Store for monitoring. IngestedBytes and
@@ -439,10 +449,10 @@ func NewStore(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	st.modules = empty.Metrics()
-	st.snap.Store(&Snapshot{An: empty, Built: time.Now(), Timewin: timewin.Meta{
+	st.snap.Store((&Snapshot{An: empty, Built: time.Now(), Timewin: timewin.Meta{
 		BucketSeconds: st.bucketSecs,
 		RetainBuckets: int(retainBuckets),
-	}})
+	}}).stamped())
 	if st.reg != nil {
 		st.registerObsFuncs(st.reg)
 		obs.RegisterRuntime(st.reg)
@@ -862,7 +872,7 @@ func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 		Timewin: meta,
 		overlay: overlay,
 	}
-	st.snap.Store(snap)
+	st.snap.Store(snap.stamped())
 	st.changed.wake()
 	st.obsm.snapshots.Inc()
 	st.obsm.snapshotSeconds.Observe(time.Since(t0).Seconds())
@@ -942,14 +952,14 @@ func (st *Store) enqueue(i int, sp *trace.Span, name string, op shardFn, errp *e
 	return done
 }
 
-// each is the one way a control op reaches the shards (bar RangeSeriesCtx'
-// window pass): it enqueues op on every shard and only then waits for
-// all of them, so the shards run their ops at once and the wall-clock
-// cost is the slowest shard's. Each op observes its shard after every
-// batch enqueued before it, and writes only to its own per-shard slot
-// (index by the shard argument); the caller combines the slots in shard
-// order once each returns, so the result does not depend on how the ops
-// interleaved. The error is the first op's in shard order.
+// each is the one way a control op reaches the shards: it enqueues op on
+// every shard and only then waits for all of them, so the shards run
+// their ops at once and the wall-clock cost is the slowest shard's. Each
+// op observes its shard after every batch enqueued before it, and writes
+// only to its own per-shard slot (index by the shard argument); the
+// caller combines the slots in shard order once each returns, so the
+// result does not depend on how the ops interleaved. The error is the
+// first op's in shard order.
 //
 // each takes the closed-store gate for the fan-out, and on a closed
 // store runs nothing and returns ErrClosed — the one place a control op
@@ -1088,11 +1098,15 @@ const maxSeriesWindows = 1024
 // fails with *timewin.RetentionError. modules projects the read as in
 // RangeCtx.
 //
-// Per-shard merges span like RangeCtx (one "range.shard" child per shard
-// covers all that shard's sub-window merges). Unlike RangeCtx the shards
-// are walked one at a time into one shared set of per-window engines:
-// fanning out would need shards × windows transient engines, unbounded
-// at maxSeriesWindows.
+// The window pass fans out through each like RangeCtx (one "range.shard"
+// child per shard covers all that shard's sub-window merges), but every
+// shard merges into the one shared set of per-window engines, so a
+// series holds len(windows) transient engines, never shards × windows.
+// Shard i starts at window i·len(windows)/shards and wraps around, so
+// the shards mostly reach different engines, and a per-window lock keeps
+// two out of the same one. Merge order does not change an engine's state
+// (core's TestModuleLaws), so the interleaving does not show; each
+// shard's coverage lands in its own slot, combined in shard order.
 func (st *Store) RangeSeriesCtx(ctx context.Context, w timewin.Window, step int64, modules ...string) ([]RangeWindow, error) {
 	if step <= 0 || step%st.bucketSecs != 0 {
 		return nil, fmt.Errorf("serve: step must be a positive multiple of the bucket width (%ds)", st.bucketSecs)
@@ -1170,33 +1184,34 @@ func (st *Store) RangeSeriesCtx(ctx context.Context, w timewin.Window, step int6
 		wins = append(wins, RangeWindow{Window: timewin.Window{From: s, To: e}, An: an})
 		s = e
 	}
-	// The window pass is the one shard walk that does not go through
-	// each: the shards share the per-window engines, so they take turns.
-	if err := st.begin(); err != nil {
+	locks := make([]sync.Mutex, len(wins))
+	covs := make([][]timewin.Coverage, len(st.shards))
+	if err := st.each(false, trace.FromContext(ctx), "range.shard", func(i int, ssp *trace.Span, p *timewin.Partition) error {
+		if st.rangeStall != nil {
+			st.rangeStall(i)
+		}
+		covs[i] = make([]timewin.Coverage, len(wins))
+		var buckets, records int64
+		for k, first := 0, i*len(wins)/len(st.shards); k < len(wins); k++ {
+			j := (first + k) % len(wins)
+			locks[j].Lock()
+			c, err := st.rangeInto(p, wins[j].An.Engine, wins[j].Window)
+			locks[j].Unlock()
+			if err != nil {
+				return err
+			}
+			buckets += int64(c.Buckets)
+			records += int64(c.Records)
+			covs[i][j] = c
+		}
+		ssp.SetAttrs(trace.Int("buckets", buckets), trace.Int("records", records))
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	defer st.mu.RUnlock()
-	sp := trace.FromContext(ctx)
-	for i := range st.shards {
-		<-st.enqueue(i, sp, "range.shard", func(shard int, ssp *trace.Span, p *timewin.Partition) error {
-			if st.rangeStall != nil {
-				st.rangeStall(shard)
-			}
-			var buckets, records int64
-			for j := range wins {
-				c, err := st.rangeInto(p, wins[j].An.Engine, wins[j].Window)
-				if err != nil {
-					return err
-				}
-				buckets += int64(c.Buckets)
-				records += int64(c.Records)
-				wins[j].Coverage.Extend(c)
-			}
-			ssp.SetAttrs(trace.Int("buckets", buckets), trace.Int("records", records))
-			return nil
-		}, &err)
-		if err != nil {
-			return nil, err
+	for _, cov := range covs {
+		for j, c := range cov {
+			wins[j].Coverage.Extend(c)
 		}
 	}
 	return wins, nil

@@ -9,14 +9,15 @@ import (
 	"testing"
 	"time"
 
+	"syriafilter/internal/core"
 	"syriafilter/internal/logfmt"
 	"syriafilter/internal/obs/trace"
 	"syriafilter/internal/timewin"
 )
 
-// The benchmarks below are the in-package twins of the ledger's store
-// and handler rows, each named after its row, on the 200 k corpus of
-// BenchmarkSnapshotCut.
+// The benchmarks below are the in-package twins of the ledger's store,
+// handler and range rows, each named after its row, on the 200 k corpus
+// of BenchmarkSnapshotCut (RangeSeries: its 1 M corpus).
 
 // ingestData is the loaded part of the 200 k corpus as one log file.
 func ingestData(b *testing.B) (*cutFixture, []byte) {
@@ -201,4 +202,56 @@ func BenchmarkHandler(b *testing.B) {
 	}
 	b.Run("hit", run(srv, "", 200))
 	b.Run("etag-304", run(srv, warm.Header().Get("ETag"), 304))
+}
+
+// BenchmarkRangeSeries measures the window pass of a day-step series on a
+// loaded store (hourly buckets, every module, the 1 M corpus of
+// BenchmarkSnapshotCut): six daily windows, 2011-08-01 to 08-07 as the
+// ledger's range sweep asks for them, projected onto the modules table4
+// or table8 reads. It is the twin of serve.range.merge_mean_s and reports
+// ns per bucket merged, a bucket counting once for each shard that holds
+// it. Every shard merges into the one shared engine per window at once,
+// so run it with -cpu 1,2 to see both sides of the fan-out.
+func BenchmarkRangeSeries(b *testing.B) {
+	from := time.Date(2011, 8, 1, 0, 0, 0, 0, time.UTC).Unix()
+	w := timewin.Window{From: from, To: from + 6*86400}
+	for _, shards := range []int{1, 2} {
+		var st *Store
+		for _, id := range []string{"table4", "table8"} {
+			b.Run(fmt.Sprintf("%s/shards=%d", id, shards), func(b *testing.B) {
+				mods, err := core.ModulesFor(id)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st == nil {
+					c := cutCorpus(b, 1_000_000)
+					if st, err = NewStore(Config{Options: c.opt, Shards: shards, Bucket: time.Hour, DisableObs: true}); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := st.add(c.loaded, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				buckets := 0
+				for i := 0; i < b.N; i++ {
+					wins, err := st.RangeSeries(w, 86400, mods...)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, rw := range wins {
+						buckets += rw.Coverage.Buckets
+					}
+				}
+				if buckets == 0 {
+					b.Fatal("the series merged no bucket")
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(buckets), "ns/bucket")
+			})
+		}
+		if st != nil {
+			st.Close()
+		}
+	}
 }

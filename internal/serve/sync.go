@@ -201,7 +201,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		// depends on the client's since token.
 		body = gzipBytes(body)
 	}
-	answer(w, r, v, "", func() (*docEntry, bool) { return &docEntry{body: body}, true })
+	answer(w, r, v, "", func() (*docEntry, bool) { return newDocEntry(body, nil), true })
 }
 
 // waitSync parks the request until the published snapshot moves past
