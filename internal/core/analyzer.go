@@ -42,6 +42,9 @@ type Options struct {
 	// maxTokens caps the allowed-token vocabulary (default
 	// maxTokenEntries). Tests lower it to reach the cap.
 	maxTokens int
+	// urlIDs, when set, is the §5.4 URL id table every engine built from
+	// these Options interns into (see ShareURLIDs).
+	urlIDs *urlIDs
 }
 
 // Dsample is a deterministic 1-in-25 sample, the paper's 4%; the

@@ -13,6 +13,13 @@ import "testing"
 //     1,200 more records observed — the extend cut's shape, a refresh
 //     round's 256 KB body — so the clone extends the index it took over
 //     by the URLs those records stored.
+//   - window: a range window's shape — an empty engine folded from the
+//     same records' hourly segments, whose URL indexes are current and
+//     share one table — so discovery runs over their joined indexes.
+//     The join is a copy made by the fold, which BenchmarkRangeSeries
+//     (internal/serve) times with the rest of a range read's merge.
+//
+// Each arm also reports ns/url: its time per stored censored URL.
 func BenchmarkDiscoverFilters(b *testing.B) {
 	f := corpus(b)
 	const base, round = 200_000, 1_200
@@ -24,6 +31,9 @@ func BenchmarkDiscoverFilters(b *testing.B) {
 		src.Observe(&f.records[i])
 	}
 	more := f.records[base : base+round]
+	perURL := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*storedLen(src)), "ns/url")
+	}
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -32,6 +42,7 @@ func BenchmarkDiscoverFilters(b *testing.B) {
 			b.StartTimer()
 			e.DiscoverFilters(0)
 		}
+		perURL(b)
 	})
 	b.Run("carried", func(b *testing.B) {
 		b.ReportAllocs()
@@ -46,5 +57,21 @@ func BenchmarkDiscoverFilters(b *testing.B) {
 			b.StartTimer()
 			e.DiscoverFilters(0)
 		}
+		perURL(b)
+	})
+	b.Run("window", func(b *testing.B) {
+		opt := ShareURLIDs(src.opt)
+		segs := newSegmentSet(b, opt, f.records[:base]).timeOrder(span{})
+		discoveryEngine(b, opt).MergeIndexed(segs...)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			e := discoveryEngine(b, opt)
+			e.MergeProjected(segs...)
+			b.StartTimer()
+			e.DiscoverFilters(0)
+		}
+		perURL(b)
 	})
 }

@@ -219,19 +219,27 @@ type Engine struct {
 // differing version or minCount makes it stale. The effective minCount
 // is never 0, so the zero memo matches no call. mu is the only part of
 // an Engine reached by concurrent readers: it serialises them so that
-// one computes and the rest reuse. idx is the URL index the last
-// computation brought up to date; it has one owner at a time, which
-// extends it only under its own mu, and Clone moves it to the clone.
+// one computes and the rest reuse.
+//
+// idx is the engine's URL index: the one the last computation brought
+// up to date, or the one merges put together from their sources'
+// (MergeProjected). It has one owner at a time, which extends it only
+// under its own mu; Clone moves it to the clone. exact records that idx
+// held exactly the engine's store, in store order, at engine version
+// exactAt: while the version has not moved since, a computation skips
+// the prefix check, and a merge may append a source's index to it.
 type discoveryMemo struct {
 	mu       sync.Mutex
 	version  uint64
 	minCount uint64
 	d        Discovery
 	idx      *urlIndex
+	exact    bool
+	exactAt  uint64
 
-	// Read by tests only: computations performed, those that kept a
-	// non-empty index and extended it, and those that found the index
-	// was no prefix of the store and started it over.
+	// Read by tests only: computations performed, and the index
+	// refreshes that kept a non-empty index and extended it, or found
+	// it was no prefix of the store and started it over.
 	runs, extended, rebuilt int
 }
 
@@ -308,19 +316,41 @@ func (e *Engine) Merge(b *Engine) {
 	e.MergeProjected(b)
 }
 
-// MergeProjected folds into e the modules e carries, taken by name from
-// b, which may carry more: the cost is that of e's modules only, so a
-// reader that needs one module of a full engine builds e with that
-// module alone. A module of e that b lacks panics, as in Merge. Options
-// must be equivalent.
-func (e *Engine) MergeProjected(b *Engine) {
+// MergeProjected folds into e, one after the other, the modules e
+// carries, taken by name from each source, which may carry more: the
+// cost is that of e's modules only, so a reader that needs one module of
+// a full engine builds e with that module alone. A module of e that a
+// source lacks panics, as in Merge. Options must be equivalent.
+//
+// e's censored-URL store is sized for every source at once, and e's
+// §5.4 URL index is carried through: while it holds exactly e's store,
+// the index of each source that holds exactly its own is appended to it
+// as the store appends the source's URLs, when both intern into one
+// table (ShareURLIDs). A source without such an index ends the carry,
+// and e's next DiscoverFilters indexes the rest.
+func (e *Engine) MergeProjected(srcs ...*Engine) { e.merge(srcs, false) }
+
+// MergeIndexed is MergeProjected for a read that will ask e for §5.4 (a
+// range window): when e carries tokens, each source first brings its own
+// URL index up to date with its store, indexing only the URLs it stored
+// since it last did, so that e's index is the sources' end to end and
+// e's DiscoverFilters costs its rounds alone. It writes the sources'
+// indexes, so no other goroutine may merge or observe them meanwhile.
+func (e *Engine) MergeIndexed(srcs ...*Engine) { e.merge(srcs, true) }
+
+func (e *Engine) merge(srcs []*Engine, index bool) {
 	if e.shared != nil {
 		e.unshare()
 	}
-	if b.base != nil {
-		e.mergeOwn(b.base)
+	j := e.startJoin(srcs, index)
+	for _, b := range srcs {
+		if b.base != nil {
+			e.mergeOwn(b.base)
+		}
+		e.mergeOwn(b)
+		j.add(e, b)
 	}
-	e.mergeOwn(b)
+	j.end(e)
 	e.layer()
 }
 

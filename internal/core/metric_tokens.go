@@ -126,12 +126,8 @@ func (f censoredStoreField) init() { f.m.censoredURLs = nil }
 
 func (f censoredStoreField) merge(src field) {
 	m, o := f.m, src.(censoredStoreField).m
-	// A cut or a range read lands here once per folded segment, a few
-	// hundred times in a row: double the store when it fills, where
-	// append's 1.25x steps would copy it several times over.
-	if free := cap(m.censoredURLs) - len(m.censoredURLs); free < len(o.censoredURLs) {
-		m.censoredURLs = slices.Grow(m.censoredURLs, max(len(o.censoredURLs), len(m.censoredURLs)))
-	}
+	// A cut or a range read folds a few hundred segments in a row; the
+	// engine sized the store for all of them first (MergeProjected).
 	m.censoredURLs = append(m.censoredURLs, o.censoredURLs...)
 	if len(m.censoredURLs) > m.opt.maxStoredCensoredURLs {
 		m.censoredURLs = keepSmallestCensored(m.censoredURLs, m.opt.maxStoredCensoredURLs)

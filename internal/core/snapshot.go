@@ -56,6 +56,7 @@ func (e *Engine) Clone() *Engine {
 	// starts without an index rather than wait. e keeps its remembered
 	// result.
 	if e.disc.mu.TryLock() {
+		n.disc.exact, n.disc.exactAt = e.exact(), n.version
 		n.disc.idx, e.disc.idx = e.disc.idx, nil
 		e.disc.mu.Unlock()
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sort"
 	"strings"
 
@@ -187,8 +186,8 @@ type Discovery struct {
 // serve.Snapshot — wait on a single computation. The returned slices are
 // therefore shared between callers and must be treated as read-only.
 // Recomputing costs the stored URLs that arrived since the engine's URL
-// index last covered the store (see urlIndex and Clone), plus the
-// rounds themselves.
+// index last covered the store (see urlIndex, Clone and MergeIndexed),
+// plus the rounds themselves.
 func (e *Engine) DiscoverFilters(minCount uint64) Discovery {
 	own[*domainsMetric](e, "domains", "DiscoverFilters")
 	own[*tokensMetric](e, "tokens", "DiscoverFilters")
@@ -201,19 +200,9 @@ func (e *Engine) DiscoverFilters(minCount uint64) Discovery {
 	if m.version != e.version || m.minCount != minCount {
 		dm := mod[*domainsMetric](e, "domains", "DiscoverFilters")
 		tm := mod[*tokensMetric](e, "tokens", "DiscoverFilters")
-		if m.idx == nil {
-			m.idx = new(urlIndex)
-		}
-		kept, rebuilt := m.idx.extend(tm.censoredSet())
-		m.d = discoverFilters(dm, tm, minCount, m.idx)
+		m.d = discoverFilters(dm, tm, minCount, e.refreshIndex(tm))
 		m.version, m.minCount = e.version, minCount
 		m.runs++
-		if kept > 0 {
-			m.extended++
-		}
-		if rebuilt {
-			m.rebuilt++
-		}
 	}
 	return m.d
 }
@@ -222,159 +211,10 @@ func (e *Engine) DiscoverFilters(minCount uint64) Discovery {
 // yielding candidates stops after this many rounds.
 const maxKeywords = 64
 
-// urlIndex is the part of §5.4 that depends on each stored censored URL
-// alone: its lowered form and that form's bigrams, its registered
-// domain, host and TLD, whether its host is an IP literal, and its
-// deduplicated tokens with their (token, registered domain) pairs, each
-// interned to a dense id. It is
-// built once, brought up to date by indexing only the URLs stored since
-// (extend), and moved into a clone by Engine.Clone, so a snapshot that
-// extends the previous one tokenises only the URLs its records added.
-// What does change between engine states — which TLDs are blocked,
-// which tokens the allowed vocabulary vetoes, every count — is evaluated
-// by each computation and never written into the index.
-type urlIndex struct {
-	// urls holds one entry per stored URL the index covers, in store
-	// order.
-	urls []indexedURL
-
-	toks, doms, hosts, tlds interner
-	pairs                   map[uint64]int32 // tok<<32 | dom -> pair id
-
-	// tokArena holds every URL's token ids back to back, and pairArena
-	// the matching pair ids at the same positions.
-	tokArena, pairArena []int32
-}
-
-// indexedURL is what the index derives from one stored URL.
-type indexedURL struct {
-	key            censoredURL
-	lower          string  // strings.ToLower(URL): what a keyword is matched against
-	grams          bigrams // of lower
-	dom, host, tld int32
-	ip             bool  // IP-literal host: the IP analysis owns it, never residue
-	off, end       int32 // tokArena[off:end]
-}
-
-// bigrams is a 128-bit signature of the adjacent byte pairs of a
-// string: each pair sets one bit. If s contains t, every bit of t's
-// signature is set in s's.
-type bigrams [2]uint64
-
-func bigramsOf(s string) bigrams {
-	var g bigrams
-	for i := 1; i < len(s); i++ {
-		bit := (uint32(s[i-1])<<8 | uint32(s[i])) * 0x9e3779b1 >> 25
-		g[bit>>6] |= 1 << (bit & 63)
-	}
-	return g
-}
-
-// covers reports whether every bit of h is set in g.
-func (g bigrams) covers(h bigrams) bool {
-	return g[0]&h[0] == h[0] && g[1]&h[1] == h[1]
-}
-
-// interner maps strings to dense ids in first-seen order.
-type interner struct {
-	ids  map[string]int32
-	keys []string
-}
-
-// id returns k's id.
-func (in *interner) id(k string) int32 {
-	if id, ok := in.ids[k]; ok {
-		return id
-	}
-	if in.ids == nil {
-		in.ids = make(map[string]int32)
-	}
-	id := int32(len(in.keys))
-	in.ids[k] = id
-	in.keys = append(in.keys, k)
-	return id
-}
-
-// extend brings the index up to stored, which must be the store as
-// censoredSet returns it. Its entries are kept when they are a prefix of
-// stored, URL by URL, and only the suffix is indexed; otherwise —
-// after compaction past the cap, UnmarshalState or any reordering — the
-// index starts over. It reports how many entries it kept and whether it
-// started over.
-func (x *urlIndex) extend(stored []censoredURL) (kept int, rebuilt bool) {
-	if !x.prefixOf(stored) {
-		*x = urlIndex{}
-		rebuilt = true
-	}
-	kept = len(x.urls)
-	if x.pairs == nil {
-		x.pairs = make(map[uint64]int32)
-	}
-	// Size urls for the suffix at once and grow the arenas by doubling:
-	// append's 1.25x steps would copy a cold build's slices several times
-	// over, garbage that showed in censorlyzer's peak RSS.
-	x.urls = slices.Grow(x.urls, len(stored)-kept)
-	var u *indexedURL
-	tally := func(tok string) {
-		t := x.toks.id(tok)
-		if slices.Contains(x.tokArena[u.off:], t) {
-			return
-		}
-		key := uint64(t)<<32 | uint64(u.dom)
-		p, ok := x.pairs[key]
-		if !ok {
-			p = int32(len(x.pairs))
-			x.pairs[key] = p
-		}
-		if len(x.tokArena) == cap(x.tokArena) {
-			x.tokArena = slices.Grow(x.tokArena, max(len(x.tokArena), 256))
-			x.pairArena = slices.Grow(x.pairArena, max(len(x.pairArena), 256))
-		}
-		x.tokArena = append(x.tokArena, t)
-		x.pairArena = append(x.pairArena, p)
-	}
-	for _, cu := range stored[kept:] {
-		lower := strings.ToLower(cu.URL)
-		x.urls = append(x.urls, indexedURL{
-			key:   cu,
-			lower: lower,
-			grams: bigramsOf(lower),
-			dom:   x.doms.id(cu.Domain),
-			host:  x.hosts.id(cu.Host),
-			tld:   x.tlds.id(urlx.TLD(cu.Host)),
-			ip:    urlx.IsIPv4(cu.Host),
-			off:   int32(len(x.tokArena)),
-		})
-		u = &x.urls[len(x.urls)-1]
-		if !u.ip {
-			// Tokens are cut from the stored URL's segments, not from
-			// lower: ToLower maps some non-ASCII sequences to ASCII
-			// letters, which would invent tokens.
-			rec := logfmt.Record{Host: cu.Host, Path: pathOf(cu.URL, cu.Host), Query: queryOf(cu.URL)}
-			tokenizeRecord(&rec, tally)
-		}
-		u.end = int32(len(x.tokArena))
-	}
-	return kept, rebuilt
-}
-
-// prefixOf reports whether the index's entries are the first entries of
-// stored. The strings of a URL a clone merged in share their bytes with
-// the source's, so the comparison is mostly pointer checks.
-func (x *urlIndex) prefixOf(stored []censoredURL) bool {
-	if len(x.urls) > len(stored) {
-		return false
-	}
-	for i := range x.urls {
-		if stored[i] != x.urls[i].key {
-			return false
-		}
-	}
-	return true
-}
-
 // discoverFilters computes §5.4 over the stored URLs x indexes, which the
-// caller has brought up to date with the store.
+// caller has brought up to date with the store. It reads x's ids
+// renumbered to the ones x touches (localIDs), so its tallies and rounds
+// cost what the indexed URLs hold, however large x's table is.
 func discoverFilters(dm *domainsMetric, tm *tokensMetric, minCount uint64, x *urlIndex) Discovery {
 	const minSpread = 3
 	var d Discovery
@@ -402,23 +242,24 @@ func discoverFilters(dm *domainsMetric, tm *tokensMetric, minCount uint64, x *ur
 	// then maintained: removing a URL subtracts it from each of its
 	// tokens. Every quantity is a function of the residue as a multiset,
 	// so the stored URLs are read in whatever order they are held.
-	blocked := make([]bool, len(x.tlds.keys))
-	for i, tld := range x.tlds.keys {
+	l := x.local()
+	blocked := make([]bool, len(l.tlds))
+	for i, tld := range l.tlds {
 		blocked[i] = blockedTLDs[tld]
 	}
-	toks := x.toks.keys
+	toks := l.toks
 	count := make([]uint64, len(toks)) // residue URLs carrying the token
 	spread := make([]int, len(toks))   // distinct registered domains among them
-	refs := make([]uint64, len(x.pairs))
+	refs := make([]uint64, l.pairs)
 	residue := make([]int32, 0, len(x.urls))
 	for id := range x.urls {
 		u := &x.urls[id]
-		if u.ip || blocked[u.tld] {
+		if u.ip || blocked[l.tld[id]] {
 			continue
 		}
 		residue = append(residue, int32(id))
 		for j := u.off; j < u.end; j++ {
-			t, p := x.tokArena[j], x.pairArena[j]
+			t, p := l.tok[j], l.pair[j]
 			count[t]++
 			if refs[p] == 0 {
 				spread[t]++
@@ -463,7 +304,7 @@ func discoverFilters(dm *domainsMetric, tm *tokensMetric, minCount uint64, x *ur
 				continue
 			}
 			for j := u.off; j < u.end; j++ {
-				t, p := x.tokArena[j], x.pairArena[j]
+				t, p := l.tok[j], l.pair[j]
 				count[t]--
 				if refs[p]--; refs[p] == 0 {
 					spread[t]--
@@ -477,16 +318,15 @@ func discoverFilters(dm *domainsMetric, tm *tokensMetric, minCount uint64, x *ur
 	// domains, then single hosts (messenger.live.com-style entries whose
 	// registered domain still has allowed traffic). Counts come from the
 	// residue so keyword-explained requests are not re-attributed.
-	domCounts := make([]uint64, len(x.doms.keys))
-	hostCounts := make([]uint64, len(x.hosts.keys))
+	domCounts := make([]uint64, len(l.doms))
+	hostCounts := make([]uint64, len(l.hosts))
 	for _, id := range residue {
-		u := &x.urls[id]
-		domCounts[u.dom]++
-		hostCounts[u.host]++
+		domCounts[l.dom[id]]++
+		hostCounts[l.host[id]]++
 	}
 	suspected := make(map[string]bool)
 	for i, n := range domCounts {
-		dom := x.doms.keys[i]
+		dom := l.doms[i]
 		if n < minCount || dm.allowed.Count(dom) != 0 {
 			continue
 		}
@@ -498,7 +338,7 @@ func discoverFilters(dm *domainsMetric, tm *tokensMetric, minCount uint64, x *ur
 		})
 	}
 	for i, n := range hostCounts {
-		host := x.hosts.keys[i]
+		host := l.hosts[i]
 		if n < minCount || suspected[urlx.RegisteredDomain(host)] {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -73,10 +74,28 @@ func (w *statusWriter) Flush() {
 // reqSeq numbers requests within this process; combined with the boot
 // nanotime it yields process-unique request ids without coordination.
 var (
-	reqSeq  atomic.Uint64
-	bootID  = uint64(time.Now().UnixNano()) & 0xffffff
-	reqIDFn = func() string { return fmt.Sprintf("%06x-%08x", bootID, reqSeq.Add(1)) }
+	reqSeq atomic.Uint64
+	bootID = uint64(time.Now().UnixNano()) & 0xffffff
 )
+
+// newReqID formats the next request id as fmt's "%06x-%08x" would, in
+// a buffer on the stack: the string is its one allocation.
+func newReqID() string {
+	var b [40]byte
+	id := appendHex(b[:0], bootID, 6)
+	id = append(id, '-')
+	return string(appendHex(id, reqSeq.Add(1), 8))
+}
+
+// appendHex appends v in lowercase hex, zero-padded to width digits.
+func appendHex(dst []byte, v uint64, width int) []byte {
+	var b [16]byte
+	digits := strconv.AppendUint(b[:0], v, 16)
+	for i := len(digits); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
+}
 
 // Middleware wraps next with the route's metrics, a root trace span
 // when tr is non-nil and, when logger is non-nil, a structured access
@@ -99,7 +118,7 @@ func Middleware(m *HTTPMetrics, logger *slog.Logger, tr *trace.Tracer, next http
 
 		reqID := r.Header.Get("X-Request-ID")
 		if reqID == "" {
-			reqID = reqIDFn()
+			reqID = newReqID()
 		}
 		w.Header().Set("X-Request-ID", reqID)
 

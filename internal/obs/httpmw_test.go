@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -156,5 +157,21 @@ func TestMiddlewareNilLogger(t *testing.T) {
 	h.ServeHTTP(httptest.NewRecorder(), req)
 	if m.byClass[2].Value() != 1 {
 		t.Errorf("2xx counter = %d, want 1", m.byClass[2].Value())
+	}
+}
+
+// A request id keeps fmt's "%06x-%08x" shape: each part zero-padded to
+// its width, and wider when the number needs it.
+func TestRequestIDShape(t *testing.T) {
+	for _, v := range []uint64{0, 0xa, 0xabc, 0xffffff, 0x1000000, 1<<40 + 7, 1<<64 - 1} {
+		for _, width := range []int{6, 8} {
+			if got, want := string(appendHex(nil, v, width)), fmt.Sprintf("%0*x", width, v); got != want {
+				t.Errorf("appendHex(%#x, %d) = %q, want %q", v, width, got, want)
+			}
+		}
+	}
+	seq := reqSeq.Load()
+	if got, want := newReqID(), fmt.Sprintf("%06x-%08x", bootID, seq+1); got != want {
+		t.Errorf("newReqID() = %q, want %q", got, want)
 	}
 }

@@ -372,8 +372,10 @@ func (s *Server) through(ctx context.Context, src *source, k docKey, cacheable b
 // serveCached is the read path end to end, for every read that has a
 // generation to cache under: admit src.id, negotiate the variant, and
 // answer with src's body at the generation it reads now. A matching
-// validator is the cheapest hit there is and is counted as one.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, format string, src *source) {
+// validator is the cheapest hit there is and is counted as one. src is
+// taken by value and copied to the heap by a miss only, so that a hit
+// allocates no source.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, format string, src source) {
 	var ok bool
 	if src.mods, ok = s.admit(w, src.id); !ok {
 		return
@@ -387,14 +389,15 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, format stri
 		h := w.Header()
 		h["X-Snapshot-Seq"], h["X-Snapshot-Records"] = src.snap.seqHeader, src.snap.recordsHeader
 	}
-	gen, cacheable := s.generation(r.Context(), src)
+	gen, cacheable := s.generation(r.Context(), &src)
 	k := docKey{gen: gen, id: src.id, window: src.window, format: v.format, gzip: v.gzip}
 	etag := ""
 	if cacheable {
 		etag = s.etagFor(k)
 	}
 	if answer(w, r, v, etag, func() (*docEntry, bool) {
-		e, status, err := s.through(r.Context(), src, k, cacheable)
+		miss := src
+		e, status, err := s.through(r.Context(), &miss, k, cacheable)
 		if err != nil {
 			writeError(w, status, "%v", err)
 			return nil, false

@@ -301,9 +301,15 @@ func (s *Server) handleDoc(kind, prefix string) http.HandlerFunc {
 				return
 			}
 		}
-		q := r.URL.Query()
+		// Most doc reads carry no query: read none rather than parse an
+		// empty one into a map.
+		var fresh, format string
+		if r.URL.RawQuery != "" {
+			q := r.URL.Query()
+			fresh, format = q.Get("fresh"), q.Get("format")
+		}
 		snap := s.store.Current()
-		if q.Get("fresh") == "1" {
+		if fresh == "1" {
 			if s.gateServing(w) {
 				return
 			}
@@ -313,7 +319,7 @@ func (s *Server) handleDoc(kind, prefix string) http.HandlerFunc {
 				return
 			}
 		}
-		s.serveCached(w, r, q.Get("format"), &source{id: id, snap: snap})
+		s.serveCached(w, r, format, source{id: id, snap: snap})
 	}
 }
 
@@ -355,7 +361,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.serveCached(w, r, q.Get("format"), &source{id: r.PathValue("id"), win: win, step: step,
+	s.serveCached(w, r, q.Get("format"), source{id: r.PathValue("id"), win: win, step: step,
 		window: fmt.Sprintf("%d:%d:%d", win.From, win.To, step)})
 }
 

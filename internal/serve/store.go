@@ -403,6 +403,10 @@ func NewStore(cfg Config) (*Store, error) {
 	if cfg.Bucket <= 0 {
 		cfg.Bucket = time.Hour
 	}
+	// Every engine of the store — hourly segments, cuts, range windows,
+	// restored partitions — interns §5.4 URL keys into one table, so a
+	// range window's URL index is its segments' indexes joined.
+	cfg.Options = core.ShareURLIDs(cfg.Options)
 	addTimeout := cfg.AddTimeout
 	switch {
 	case addTimeout == 0:

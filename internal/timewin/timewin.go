@@ -547,9 +547,13 @@ const (
 // Options and carry a subset of its modules: only dst's modules are
 // folded (core.Engine.MergeProjected). This is the all-time snapshot
 // primitive: its result is merge-equivalent to a batch run over the same
-// records.
+// records. It carries the §5.4 URL indexes that range reads left on the
+// segments but builds none, so a boot, a restore or a fold cut does no
+// index work here.
 func (p *Partition) AllInto(dst *core.Engine) {
-	p.each(func(s *segment) { dst.MergeProjected(s.eng) })
+	engs := make([]*core.Engine, 0, len(p.live)+1)
+	p.each(func(s *segment) { engs = append(engs, s.eng) })
+	dst.MergeProjected(engs...)
 }
 
 // RangeInto merges every bucket overlapping w into dst and reports what
@@ -560,10 +564,16 @@ func (p *Partition) AllInto(dst *core.Engine) {
 // fully covers its span; a window that begins inside the tail returns
 // *RetentionError before anything is merged, so dst is untouched on
 // error.
+//
+// When dst carries tokens, each merged segment first indexes the
+// censored URLs it stored since its last range read
+// (core.Engine.MergeIndexed), so dst's §5.4 discovery joins the
+// segments' indexes instead of tokenising their URLs.
 func (p *Partition) RangeInto(dst *core.Engine, w Window) (Coverage, error) {
 	var cov Coverage
+	var engs []*core.Engine
 	horizon, ok := p.window(w, func(s *segment, from, to int64) {
-		dst.MergeProjected(s.eng)
+		engs = append(engs, s.eng)
 		c := Coverage{FromUnix: from, ToUnix: to, Records: s.records, Tail: s == p.tail}
 		if !c.Tail {
 			c.Buckets = 1
@@ -573,5 +583,6 @@ func (p *Partition) RangeInto(dst *core.Engine, w Window) (Coverage, error) {
 	if !ok {
 		return cov, &RetentionError{HorizonUnix: horizon}
 	}
+	dst.MergeIndexed(engs...)
 	return cov, nil
 }
