@@ -39,16 +39,18 @@ type urlIndex struct {
 	// tokArena holds every URL's token ids back to back, and pairArena
 	// the matching pair ids at the same positions.
 	tokArena, pairArena []int32
+	// dom, host and tld hold each URL's registered-domain, host and TLD
+	// ids, in urls' order.
+	dom, host, tld []int32
 }
 
 // indexedURL is what the index derives from one stored URL.
 type indexedURL struct {
-	key            censoredURL
-	lower          string  // strings.ToLower(URL): what a keyword is matched against
-	grams          bigrams // of lower
-	dom, host, tld int32
-	ip             bool  // IP-literal host: the IP analysis owns it, never residue
-	off, end       int32 // tokArena[off:end]
+	key      censoredURL
+	lower    string  // strings.ToLower(URL): what a keyword is matched against
+	grams    bigrams // of lower
+	ip       bool    // IP-literal host: the IP analysis owns it, never residue
+	off, end int32   // tokArena[off:end]
 }
 
 // urlIDs is the table URL indexes intern into: tokens, registered
@@ -138,16 +140,18 @@ func (x *urlIndex) extend(stored []censoredURL) {
 	// slices several times over, garbage that showed in censorlyzer's
 	// peak RSS, and a fixed floor would idle in every small segment's
 	// index.
-	x.urls = slices.Grow(x.urls, len(stored)-kept)
-	x.tokArena = reserve(x.tokArena, 4*(len(stored)-kept))
-	x.pairArena = reserve(x.pairArena, 4*(len(stored)-kept))
+	n := len(stored) - kept
+	x.urls = slices.Grow(x.urls, n)
+	x.dom, x.host, x.tld = slices.Grow(x.dom, n), slices.Grow(x.host, n), slices.Grow(x.tld, n)
+	x.tokArena = reserve(x.tokArena, 4*n)
+	x.pairArena = reserve(x.pairArena, 4*n)
 	var u *indexedURL
 	tally := func(tok string) {
 		t := ids.toks.id(tok)
 		if slices.Contains(x.tokArena[u.off:], t) {
 			return
 		}
-		key := uint64(t)<<32 | uint64(u.dom)
+		key := uint64(t)<<32 | uint64(x.dom[len(x.dom)-1])
 		p, ok := ids.pairs[key]
 		if !ok {
 			p = int32(len(ids.pairs))
@@ -160,13 +164,13 @@ func (x *urlIndex) extend(stored []censoredURL) {
 	}
 	for _, cu := range stored[kept:] {
 		lower := strings.ToLower(cu.URL)
+		x.dom = append(x.dom, ids.doms.id(cu.Domain))
+		x.host = append(x.host, ids.hosts.id(cu.Host))
+		x.tld = append(x.tld, ids.tlds.id(urlx.TLD(cu.Host)))
 		x.urls = append(x.urls, indexedURL{
 			key:   cu,
 			lower: lower,
 			grams: bigramsOf(lower),
-			dom:   ids.doms.id(cu.Domain),
-			host:  ids.hosts.id(cu.Host),
-			tld:   ids.tlds.id(urlx.TLD(cu.Host)),
 			ip:    urlx.IsIPv4(cu.Host),
 			off:   int32(len(x.tokArena)),
 		})
@@ -202,6 +206,7 @@ func (x *urlIndex) join(o *urlIndex) {
 	off := int32(len(x.tokArena))
 	x.tokArena = append(x.tokArena, o.tokArena...)
 	x.pairArena = append(x.pairArena, o.pairArena...)
+	x.dom, x.host, x.tld = append(x.dom, o.dom...), append(x.host, o.host...), append(x.tld, o.tld...)
 	n := len(x.urls)
 	x.urls = append(x.urls, o.urls...)
 	for i := range x.urls[n:] {
@@ -220,7 +225,7 @@ func (x *urlIndex) join(o *urlIndex) {
 // and visits is what the index touches, not the whole table.
 type localIDs struct {
 	tok, pair               []int32 // per arena position; read-only
-	dom, host, tld          []int32 // per URL
+	dom, host, tld          []int32 // per URL; read-only
 	toks, doms, hosts, tlds []string
 	pairs                   int
 }
@@ -231,16 +236,7 @@ func (x *urlIndex) local() localIDs {
 	toks, doms, hosts, tlds := ids.toks.keys, ids.doms.keys, ids.hosts.keys, ids.tlds.keys
 	pairs := len(ids.pairs)
 	ids.mu.Unlock()
-	l := localIDs{
-		tok: x.tokArena, pair: x.pairArena,
-		dom:  make([]int32, len(x.urls)),
-		host: make([]int32, len(x.urls)),
-		tld:  make([]int32, len(x.urls)),
-	}
-	for i := range x.urls {
-		u := &x.urls[i]
-		l.dom[i], l.host[i], l.tld[i] = u.dom, u.host, u.tld
-	}
+	l := localIDs{tok: x.tokArena, pair: x.pairArena, dom: x.dom, host: x.host, tld: x.tld}
 	if len(x.tokArena) >= max(len(toks), pairs) && len(x.urls) >= max(len(doms), len(hosts), len(tlds)) {
 		l.toks, l.doms, l.hosts, l.tlds, l.pairs = toks, doms, hosts, tlds, pairs
 		return l
@@ -253,6 +249,7 @@ func (x *urlIndex) local() localIDs {
 	}
 	defer ids.scratch.Put(seen)
 	l.tok, l.pair = slices.Clone(x.tokArena), slices.Clone(x.pairArena)
+	l.dom, l.host, l.tld = slices.Clone(x.dom), slices.Clone(x.host), slices.Clone(x.tld)
 	l.toks = keysOf(toks, renumber(l.tok, *seen))
 	l.pairs = len(renumber(l.pair, *seen))
 	l.doms = keysOf(doms, renumber(l.dom, *seen))
@@ -400,6 +397,7 @@ func (e *Engine) startJoin(srcs []*Engine, index bool) joining {
 	if urls > 0 {
 		x := e.disc.idx
 		x.urls = reserve(x.urls, urls)
+		x.dom, x.host, x.tld = reserve(x.dom, urls), reserve(x.host, urls), reserve(x.tld, urls)
 		x.tokArena = reserve(x.tokArena, toks)
 		x.pairArena = reserve(x.pairArena, toks)
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"syriafilter/internal/core"
 	"syriafilter/internal/logfmt"
 	"syriafilter/internal/obs/trace"
 	"syriafilter/internal/pipeline"
@@ -124,10 +123,7 @@ func TestExtendedCutEqualsFold(t *testing.T) {
 					if out := st.batches.out.Load(); out != 0 {
 						t.Fatalf("seed %d step %d: %d batches not back on the free list after the cut", seed, step, out)
 					}
-					cold, err := st.fold(nil, "", st.cfg.Metrics, func(_ int, _ *trace.Span, p *timewin.Partition, dst *core.Engine) error {
-						p.AllInto(dst)
-						return nil
-					})
+					cold, _, err := st.Range(timewin.Window{})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -8,6 +8,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,9 +19,13 @@ import (
 	"syriafilter/internal/timewin"
 )
 
-// RangeSeries is RangeSeriesCtx outside a traced request.
+// RangeSeries is a series read outside a traced request. Unlike read,
+// it refuses step 0, which would read w as one window.
 func (st *Store) RangeSeries(w timewin.Window, step int64, modules ...string) ([]RangeWindow, error) {
-	return st.RangeSeriesCtx(context.Background(), w, step, modules...)
+	if step <= 0 {
+		return nil, st.errStep()
+	}
+	return st.read(context.Background(), w, step, modules...)
 }
 
 // rangeStore boots a bucketed store over the shared fixture corpus,
@@ -194,17 +200,29 @@ func TestRangeSubWindowMatchesFilteredBatch(t *testing.T) {
 	}
 }
 
-// A series merges every shard at once into one shared engine per
-// window, in whatever order the shards reach it. That must not show:
-// at every shard count, each window of a day-step series renders every
-// experiment byte for byte as a single-window Store.Range over that
-// window does, and covers the same buckets and records.
+// A series merges every shard at once into its windows' engines, in
+// whatever order the shards reach them: one shared engine per window
+// when there are at least as many windows as shards, ⌈shards ÷ windows⌉
+// when there are fewer. That must not show: at every shard count, each
+// window of a day-step series renders every experiment byte for byte as
+// a single-window Store.Range over that window does, and covers the
+// same buckets and records.
 func TestRangeSeriesMatchesWindowReads(t *testing.T) {
 	f := corpus(t)
 	day := func(d int) int64 { return time.Date(2011, 8, d, 0, 0, 0, 0, time.UTC).Unix() }
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			store, err := NewStore(Config{Options: f.opt, Shards: shards, Bucket: time.Hour})
+	for _, tc := range []struct {
+		name         string
+		shards, days int
+	}{
+		{"shards=1", 1, 6},
+		{"shards=2", 2, 6},
+		{"shards=4", 4, 6},
+		// Fewer windows than shards: two engines per window.
+		{"shards=4,windows=2", 4, 2},
+		{"shards=4,windows=3", 4, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := NewStore(Config{Options: f.opt, Shards: tc.shards, Bucket: time.Hour})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,12 +232,12 @@ func TestRangeSeriesMatchesWindowReads(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			wins, err := store.RangeSeries(timewin.Window{From: day(1), To: day(7)}, 24*3600)
+			wins, err := store.RangeSeries(timewin.Window{From: day(1), To: day(1 + tc.days)}, 24*3600)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(wins) != 6 {
-				t.Fatalf("series has %d windows, want 6", len(wins))
+			if len(wins) != tc.days {
+				t.Fatalf("series has %d windows, want %d", len(wins), tc.days)
 			}
 			for _, rw := range wins {
 				an, cov, err := store.Range(rw.Window)
@@ -305,6 +323,26 @@ func TestRangeSeriesEndpoint(t *testing.T) {
 		if resp.StatusCode != status {
 			t.Errorf("%s: status %d, want %d", path, resp.StatusCode, status)
 		}
+	}
+}
+
+// An explicit step that is not positive is refused like any other step
+// off the bucket grid, never read as a one-window series, and refused
+// before any shard merges.
+func TestRangeNonPositiveStep(t *testing.T) {
+	f := corpus(t)
+	store := rangeStore(t, f, 0)
+	var merges atomic.Int64
+	store.rangeStall = func(int) { merges.Add(1) }
+	srv := NewServer(store, f.gen)
+	for _, step := range []string{"0", "-3600", "-1h"} {
+		rw := get(srv, "/v1/range/table1?from=2011-08-01&to=2011-08-03&step="+step)
+		if body := rw.Body.String(); rw.Code != http.StatusBadRequest || !strings.Contains(body, "step must be a positive multiple of the bucket width") {
+			t.Errorf("step=%s: status %d body %.200s; want 400 naming the step", step, rw.Code, body)
+		}
+	}
+	if n := merges.Load(); n != 0 {
+		t.Errorf("refused steps ran %d shard merges", n)
 	}
 }
 

@@ -210,7 +210,7 @@ type source struct {
 
 	mods   []string // the modules id reads (admit fills it in), all a range merge folds
 	win    timewin.Window
-	step   int64  // > 0: a series, one doc per step-sized sub-window
+	step   int64  // > 0: a series, one doc per step-sized sub-window; 0: one doc
 	window string // the cache key's "from:to:step"
 }
 
@@ -228,22 +228,19 @@ func (s *Server) generation(ctx context.Context, src *source) (gen uint64, ok bo
 
 // build produces src's plain body in format, with the headers that
 // describe it; on failure, the status to answer with. Every body is
-// rendered from a run of engines — the snapshot's, the merge of the
-// buckets a window covers (over the whole corpus, byte-identical to the
-// snapshot's), or one such merge per step-sized sub-window — and only
-// the last keeps the render.Series around its docs.
+// rendered from a run of engines — the snapshot's, or a range read's:
+// the merge of the buckets a window covers (over the whole corpus,
+// byte-identical to the snapshot's), or one such merge per step-sized
+// sub-window — and only the last keeps the render.Series around its
+// docs.
 func (s *Server) build(ctx context.Context, src *source, format string) (*docEntry, int, error) {
 	var headers http.Header
-	wins := []RangeWindow{{}}
+	var wins []RangeWindow
 	var err error
-	switch {
-	case src.snap != nil:
-		wins[0].An = src.snap.An
-	case src.step > 0:
-		wins, err = s.store.RangeSeriesCtx(ctx, src.win, src.step, src.mods...)
-	default:
-		var cov timewin.Coverage
-		wins[0].An, cov, err = s.store.RangeCtx(ctx, src.win, src.mods...)
+	if src.snap != nil {
+		wins = []RangeWindow{{An: src.snap.An}}
+	} else if wins, err = s.store.read(ctx, src.win, src.step, src.mods...); err == nil && src.step == 0 {
+		cov := wins[0].Coverage
 		headers = http.Header{
 			"X-Range-From":    {fmt.Sprint(cov.FromUnix)},
 			"X-Range-To":      {fmt.Sprint(cov.ToUnix)},

@@ -356,7 +356,10 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	}
 	var step int64
 	if stepStr := q.Get("step"); stepStr != "" {
-		if step, err = timewin.ParseStep(stepStr); err != nil {
+		if step, err = timewin.ParseStep(stepStr); err == nil && step <= 0 {
+			err = s.store.errStep()
+		}
+		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}

@@ -16,16 +16,16 @@
 // the shards one way, through each: under the closed-store gate, one op
 // per shard, all running at once, each writing its own slot.
 //
-// Every whole-store view is cut by fold, built on each: an engine per
-// shard, filled at once and merged in shard order. A snapshot is
-// atomically swapped into place, so queries read a consistent
-// point-in-time engine and never take a lock; it is the last snapshot
-// extended by the batches the shards applied since, or, when some shard
-// could not keep them, the fold of everything. A range query
-// (Store.Range) folds only the buckets a time window covers and the
-// metric modules the caller names; Store.RangeSeriesCtx merges every
-// shard at once into one shared engine per sub-window. Checkpoints cut
-// one file per shard, and a restore absorbs them back in one fan-out.
+// Every view merged out of the shards' engines is filled by one pass
+// built on each, fill, over a list of windows. A snapshot is atomically
+// swapped into place, so queries read a consistent point-in-time engine
+// and never take a lock; it is the last snapshot extended by the
+// batches the shards applied since, or, when some shard could not keep
+// them, the fold of everything: one window of every segment. A range
+// read (Store.Range, read) fills one window with the buckets it covers,
+// or a step-sized series of them, projected onto the metric modules the
+// caller names. Checkpoints cut one file per shard, and a restore
+// absorbs them back in one fan-out.
 package serve
 
 import (
@@ -366,8 +366,9 @@ type Store struct {
 	tracer    *trace.Tracer // nil = tracing disabled
 	restoring atomic.Bool   // a checkpoint restore is in flight
 
-	// rangeStall, when non-nil, runs inside every range shard op before
-	// the merge — a test hook for injecting per-shard latency so trace
+	// rangeStall, when non-nil, runs once inside every shard op of fill
+	// (each shard's part of a range read or of a fold cut) before its
+	// merges — a test hook for injecting per-shard latency so trace
 	// attribution can be pinned without depending on real load.
 	rangeStall func(shard int)
 	// ckptWriteStall, when non-nil, runs before each checkpoint shard
@@ -838,16 +839,17 @@ func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 			overlay = 0
 		}
 	} else {
-		var err error
-		an, err = st.fold(cut, "snapshot.shard", st.cfg.Metrics, func(i int, _ *trace.Span, p *timewin.Partition, dst *core.Engine) error {
+		all := []RangeWindow{{}}
+		err := st.fill(cut, "snapshot.shard", all, st.cfg.Metrics, func(i int, p *timewin.Partition, dst *core.Engine, _ timewin.Window) (timewin.Coverage, error) {
 			p.AllInto(dst)
 			c := &cuts[i]
 			c.records, c.meta = st.shards[i].layout(p)
 			// The fold holds every batch applied so far: keep afresh.
 			st.shards[i].drop()
 			st.shards[i].keeping = true
-			return nil
+			return timewin.Coverage{Buckets: len(c.meta.Buckets), Records: c.records}, nil
 		})
+		an = all[0].An
 		if errors.Is(err, ErrClosed) {
 			return st.Current(), nil
 		}
@@ -993,32 +995,6 @@ func (st *Store) each(held bool, sp *trace.Span, name string, op shardFn) error 
 	return nil
 }
 
-// fold is the read every whole-store view is cut by: one empty analyzer
-// per shard over the given modules (nil = every module), filled by op on
-// every shard at once through each, and the per-shard analyzers merged
-// into the first in shard order — so one shard means one engine and no
-// extra merge.
-func (st *Store) fold(sp *trace.Span, name string, modules []string,
-	op func(shard int, sp *trace.Span, p *timewin.Partition, dst *core.Engine) error) (*core.Analyzer, error) {
-	parts := make([]*core.Analyzer, len(st.shards))
-	for i := range parts {
-		an, err := core.NewAnalyzerFor(st.cfg.Options, modules...)
-		if err != nil {
-			return nil, err
-		}
-		parts[i] = an
-	}
-	if err := st.each(false, sp, name, func(i int, ssp *trace.Span, p *timewin.Partition) error {
-		return op(i, ssp, p, parts[i].Engine)
-	}); err != nil {
-		return nil, err
-	}
-	for _, an := range parts[1:] {
-		parts[0].Merge(an)
-	}
-	return parts[0], nil
-}
-
 // projection resolves the module set a range read folds: the named
 // modules, each of which the store must carry (ErrNoModule otherwise —
 // a projected fold of an absent module would panic on the shard
@@ -1045,42 +1021,15 @@ func (st *Store) projection(modules []string) ([]string, error) {
 // for, only the named metric modules (derive them with core.ModulesFor
 // from the experiments to render). None means the store's whole set.
 func (st *Store) Range(w timewin.Window, modules ...string) (*core.Analyzer, timewin.Coverage, error) {
-	return st.RangeCtx(context.Background(), w, modules...)
-}
-
-// RangeCtx is Range inside a traced request: each shard's bucket merge
-// becomes a "range.shard" child span carrying the shard index and the
-// buckets/records it merged, so a slow range query's trace shows which
-// shard (and which stage — queue wait vs merge) ate the time.
-func (st *Store) RangeCtx(ctx context.Context, w timewin.Window, modules ...string) (*core.Analyzer, timewin.Coverage, error) {
-	mods, err := st.projection(modules)
+	wins, err := st.read(context.Background(), w, 0, modules...)
 	if err != nil {
 		return nil, timewin.Coverage{}, err
 	}
-	covs := make([]timewin.Coverage, len(st.shards))
-	an, err := st.fold(trace.FromContext(ctx), "range.shard", mods, func(i int, ssp *trace.Span, p *timewin.Partition, dst *core.Engine) error {
-		if st.rangeStall != nil {
-			st.rangeStall(i)
-		}
-		c, err := st.rangeInto(p, dst, w)
-		if err != nil {
-			return err
-		}
-		covs[i] = c
-		ssp.SetAttrs(trace.Int("buckets", int64(c.Buckets)), trace.Int("records", int64(c.Records)))
-		return nil
-	})
-	if err != nil {
-		return nil, timewin.Coverage{}, err
-	}
-	var cov timewin.Coverage
-	for _, c := range covs {
-		cov.Extend(c)
-	}
-	return an, cov, nil
+	return wins[0].An, wins[0].Coverage, nil
 }
 
-// RangeWindow is one sub-window of a RangeSeriesCtx result.
+// RangeWindow is one window of a range read: its bounds, what it
+// covered, and the analyzer its buckets merged into.
 type RangeWindow struct {
 	Window   timewin.Window
 	Coverage timewin.Coverage
@@ -1091,39 +1040,55 @@ type RangeWindow struct {
 // transient engine per sub-window plus a merge per covered bucket.
 const maxSeriesWindows = 1024
 
-// RangeSeriesCtx splits [w.From, w.To) into step-sized sub-windows and
-// merges each one's buckets into its own transient analyzer, in a
-// single pass over the shards. step must be a positive multiple of the
-// bucket width so sub-windows align with bucket edges (an explicit From
-// is aligned down, an explicit To aligned up). Open bounds default to
-// the live ring: an open From starts at the oldest bucket live in
-// *every* shard (the compacted tail cannot be split into sub-windows),
-// an open To ends after the newest. An explicit From inside the tail
-// fails with *timewin.RetentionError. modules projects the read as in
-// RangeCtx.
-//
-// The window pass fans out through each like RangeCtx (one "range.shard"
-// child per shard covers all that shard's sub-window merges), but every
-// shard merges into the one shared set of per-window engines, so a
-// series holds len(windows) transient engines, never shards × windows.
-// Shard i starts at window i·len(windows)/shards and wraps around, so
-// the shards mostly reach different engines, and a per-window lock keeps
-// two out of the same one. Merge order does not change an engine's state
-// (core's TestModuleLaws), so the interleaving does not show; each
-// shard's coverage lands in its own slot, combined in shard order.
-func (st *Store) RangeSeriesCtx(ctx context.Context, w timewin.Window, step int64, modules ...string) ([]RangeWindow, error) {
-	if step <= 0 || step%st.bucketSecs != 0 {
-		return nil, fmt.Errorf("serve: step must be a positive multiple of the bucket width (%ds)", st.bucketSecs)
+// read is every range read, traced under ctx: with step 0 the one
+// window w as given, otherwise w split into step-sized sub-windows (see
+// windows). It fills one analyzer per window in a single pass over the
+// shards, each shard's part a "range.shard" child span carrying the
+// buckets and records it merged. modules projects the read as in Range.
+func (st *Store) read(ctx context.Context, w timewin.Window, step int64, modules ...string) ([]RangeWindow, error) {
+	if step < 0 || step%st.bucketSecs != 0 {
+		return nil, st.errStep()
 	}
 	mods, err := st.projection(modules)
 	if err != nil {
 		return nil, err
 	}
-	// The bucket layout across shards (the snapshot's Timewin field is
-	// the same thing frozen at build time) bounds the open sides.
+	wins := []RangeWindow{{Window: w}}
+	if step > 0 {
+		if wins, err = st.windows(w, step); err != nil || len(wins) == 0 {
+			return nil, err
+		}
+	}
+	err = st.fill(trace.FromContext(ctx), "range.shard", wins, mods,
+		func(_ int, p *timewin.Partition, dst *core.Engine, w timewin.Window) (timewin.Coverage, error) {
+			return st.rangeInto(p, dst, w)
+		})
+	if err != nil {
+		return nil, err
+	}
+	return wins, nil
+}
+
+// errStep refuses a series step that does not cut at bucket edges.
+func (st *Store) errStep() error {
+	return fmt.Errorf("serve: step must be a positive multiple of the bucket width (%ds)", st.bucketSecs)
+}
+
+// windows splits [w.From, w.To) into step-sized sub-windows, step a
+// positive multiple of the bucket width, so sub-windows align with
+// bucket edges (an explicit From is aligned down, an explicit To aligned
+// up). Open bounds default to the live ring: an open From starts at the
+// oldest bucket live in *every* shard (the compacted tail cannot be
+// split into sub-windows), an open To ends after the newest. An explicit
+// From inside the tail fails with *timewin.RetentionError when the
+// windows are filled. An empty store has no windows.
+func (st *Store) windows(w timewin.Window, step int64) ([]RangeWindow, error) {
+	// The bucket layout across shards bounds the open sides: each
+	// shard's as its cuts cache it (shard.layout), formatted again only
+	// after its record count moved.
 	metas := make([]timewin.Meta, len(st.shards))
 	if err := st.each(false, nil, "", func(i int, _ *trace.Span, p *timewin.Partition) error {
-		metas[i] = p.Meta()
+		_, metas[i] = st.shards[i].layout(p)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -1181,44 +1146,76 @@ func (st *Store) RangeSeriesCtx(ctx context.Context, w timewin.Window, step int6
 		if uint64(to-s) > uint64(step) {
 			e = s + step
 		}
-		an, err := core.NewAnalyzerFor(st.cfg.Options, mods...)
-		if err != nil {
-			return nil, err
-		}
-		wins = append(wins, RangeWindow{Window: timewin.Window{From: s, To: e}, An: an})
+		wins = append(wins, RangeWindow{Window: timewin.Window{From: s, To: e}})
 		s = e
 	}
-	locks := make([]sync.Mutex, len(wins))
-	covs := make([][]timewin.Coverage, len(st.shards))
-	if err := st.each(false, trace.FromContext(ctx), "range.shard", func(i int, ssp *trace.Span, p *timewin.Partition) error {
+	return wins, nil
+}
+
+// fill is the one pass that merges the shards' engines into new ones,
+// for a fold cut and every range read alike: it gives each of wins (at
+// least one) an analyzer over modules (nil = every module), filled on
+// every shard at once through each: op merges what shard's partition p
+// holds over w into dst and reports what that covered. Each shard's
+// span (named name) carries the buckets and records it covered.
+//
+// Each window has k = ⌈shards ÷ windows⌉ engines, its slots. Shard i
+// starts at window i·windows/shards and wraps around, merging into slot
+// i mod k of each under that engine's lock; then each window's slots
+// merge in slot order and its coverage combines in shard order. So one
+// window (a fold cut, a single-window read) has an uncontended engine
+// per shard, merged in shard order, and a series of at least as many
+// windows as shards one shared engine per window, never shards ×
+// windows. Merge order does not change an engine's state (core's
+// TestModuleLaws), so the interleaving does not show.
+func (st *Store) fill(sp *trace.Span, name string, wins []RangeWindow, modules []string,
+	op func(shard int, p *timewin.Partition, dst *core.Engine, w timewin.Window) (timewin.Coverage, error)) error {
+	nw := len(wins)
+	k := (len(st.shards) + nw - 1) / nw
+	slots := make([]*core.Analyzer, nw*k)
+	for e := range slots {
+		an, err := core.NewAnalyzerFor(st.cfg.Options, modules...)
+		if err != nil {
+			return err
+		}
+		slots[e] = an
+	}
+	locks := make([]sync.Mutex, len(slots))
+	covs := make([]timewin.Coverage, len(st.shards)*nw)
+	if err := st.each(false, sp, name, func(i int, ssp *trace.Span, p *timewin.Partition) error {
 		if st.rangeStall != nil {
 			st.rangeStall(i)
 		}
-		covs[i] = make([]timewin.Coverage, len(wins))
 		var buckets, records int64
-		for k, first := 0, i*len(wins)/len(st.shards); k < len(wins); k++ {
-			j := (first + k) % len(wins)
-			locks[j].Lock()
-			c, err := st.rangeInto(p, wins[j].An.Engine, wins[j].Window)
-			locks[j].Unlock()
+		for n, first := 0, i*nw/len(st.shards); n < nw; n++ {
+			j := (first + n) % nw
+			e := j*k + i%k
+			locks[e].Lock()
+			c, err := op(i, p, slots[e].Engine, wins[j].Window)
+			locks[e].Unlock()
 			if err != nil {
 				return err
 			}
 			buckets += int64(c.Buckets)
 			records += int64(c.Records)
-			covs[i][j] = c
+			covs[i*nw+j] = c
 		}
 		ssp.SetAttrs(trace.Int("buckets", buckets), trace.Int("records", records))
 		return nil
 	}); err != nil {
-		return nil, err
+		return err
 	}
-	for _, cov := range covs {
-		for j, c := range cov {
-			wins[j].Coverage.Extend(c)
+	for j := range wins {
+		an := slots[j*k]
+		for _, o := range slots[j*k+1 : (j+1)*k] {
+			an.Merge(o)
+		}
+		wins[j].An = an
+		for i := range st.shards {
+			wins[j].Coverage.Extend(covs[i*nw+j])
 		}
 	}
-	return wins, nil
+	return nil
 }
 
 // rangeFingerprint hashes the live content of a window into a cache
