@@ -139,10 +139,12 @@ func (x *urlIndex) extend(stored []censoredURL) {
 	// reserve's steps. append's 1.25x steps would copy a cold build's
 	// slices several times over, garbage that showed in censorlyzer's
 	// peak RSS, and a fixed floor would idle in every small segment's
-	// index.
+	// index. reserve, not slices.Grow, so that whether a carried
+	// extension copies the arrays does not hang on the size-class slack
+	// a cold build happened to leave.
 	n := len(stored) - kept
-	x.urls = slices.Grow(x.urls, n)
-	x.dom, x.host, x.tld = slices.Grow(x.dom, n), slices.Grow(x.host, n), slices.Grow(x.tld, n)
+	x.urls = reserve(x.urls, n)
+	x.dom, x.host, x.tld = reserve(x.dom, n), reserve(x.host, n), reserve(x.tld, n)
 	x.tokArena = reserve(x.tokArena, 4*n)
 	x.pairArena = reserve(x.pairArena, 4*n)
 	var u *indexedURL

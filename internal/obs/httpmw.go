@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -50,6 +51,11 @@ type statusWriter struct {
 	status int
 	bytes  int64
 }
+
+// statusWriters recycles Middleware's statusWriters: each is reset as it
+// is taken, and again, dropping the ResponseWriter, once the handler
+// returned and its status and size were read.
+var statusWriters = sync.Pool{New: func() any { return new(statusWriter) }}
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.status = code
@@ -138,11 +144,14 @@ func Middleware(m *HTTPMetrics, logger *slog.Logger, tr *trace.Tracer, next http
 			r = r.WithContext(trace.NewContext(r.Context(), sp))
 		}
 
-		sw := &statusWriter{ResponseWriter: w}
+		sw := statusWriters.Get().(*statusWriter)
+		*sw = statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)
+		status, bytes := sw.status, sw.bytes
+		*sw = statusWriter{}
+		statusWriters.Put(sw)
 
 		elapsed := time.Since(start)
-		status := sw.status
 		if status == 0 {
 			status = http.StatusOK
 		}
@@ -154,7 +163,7 @@ func Middleware(m *HTTPMetrics, logger *slog.Logger, tr *trace.Tracer, next http
 		m.latency.Observe(elapsed.Seconds())
 
 		if sp != nil {
-			sp.SetAttrs(trace.Int("status", int64(status)), trace.Int("bytes", sw.bytes))
+			sp.SetAttrs(trace.Int("status", int64(status)), trace.Int("bytes", bytes))
 			if status >= 500 {
 				sp.Fail(fmt.Errorf("http %d", status))
 			}
@@ -168,7 +177,7 @@ func Middleware(m *HTTPMetrics, logger *slog.Logger, tr *trace.Tracer, next http
 				slog.String("route", m.route),
 				slog.String("path", r.URL.Path),
 				slog.Int("status", status),
-				slog.Int64("bytes", sw.bytes),
+				slog.Int64("bytes", bytes),
 				slog.Duration("dur", elapsed),
 				slog.String("remote", r.RemoteAddr),
 			)

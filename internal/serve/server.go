@@ -288,12 +288,21 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 // handleDoc serves one experiment against the current (or, with
 // ?fresh=1, a just-rebuilt) snapshot. kind restricts the route to
 // tables or figures, whose ids may then be given bare ("4" for
-// "table4"); "" accepts any experiment.
+// "table4"), resolved through a table built here rather than by
+// concatenating on every request; "" accepts any experiment.
 func (s *Server) handleDoc(kind, prefix string) http.HandlerFunc {
+	bare := map[string]string{}
+	for _, id := range render.Order() {
+		if render.Kind(id) == kind && strings.HasPrefix(id, prefix) {
+			bare[id[len(prefix):]] = id
+		}
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		if kind != "" {
-			if !strings.HasPrefix(id, prefix) {
+			if full, ok := bare[id]; ok {
+				id = full
+			} else if !strings.HasPrefix(id, prefix) {
 				id = prefix + id
 			}
 			if render.Kind(id) != kind {

@@ -1157,7 +1157,9 @@ func (st *Store) windows(w timewin.Window, step int64) ([]RangeWindow, error) {
 // least one) an analyzer over modules (nil = every module), filled on
 // every shard at once through each: op merges what shard's partition p
 // holds over w into dst and reports what that covered. Each shard's
-// span (named name) carries the buckets and records it covered.
+// span (named name) carries the buckets and records it covered, the
+// days it merged from a rollup and the late records it replayed into
+// them first (timewin.Partition.Rollups; a fold cut merges none).
 //
 // Each window has k = ⌈shards ÷ windows⌉ engines, its slots. Shard i
 // starts at window i·windows/shards and wraps around, merging into slot
@@ -1187,6 +1189,7 @@ func (st *Store) fill(sp *trace.Span, name string, wins []RangeWindow, modules [
 			st.rangeStall(i)
 		}
 		var buckets, records int64
+		days, replayed := p.Rollups()
 		for n, first := 0, i*nw/len(st.shards); n < nw; n++ {
 			j := (first + n) % nw
 			e := j*k + i%k
@@ -1200,7 +1203,9 @@ func (st *Store) fill(sp *trace.Span, name string, wins []RangeWindow, modules [
 			records += int64(c.Records)
 			covs[i*nw+j] = c
 		}
-		ssp.SetAttrs(trace.Int("buckets", buckets), trace.Int("records", records))
+		d, r := p.Rollups()
+		ssp.SetAttrs(trace.Int("buckets", buckets), trace.Int("records", records),
+			trace.Int("rollups", int64(d-days)), trace.Int("replayed", int64(r-replayed)))
 		return nil
 	}); err != nil {
 		return err

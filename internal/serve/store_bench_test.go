@@ -255,3 +255,69 @@ func BenchmarkRangeSeries(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRangeSweep is the in-package twin of the ledger's
+// range_sweep_s on its full workload: a 2-shard store of the 1 M corpus
+// (hourly buckets, every module) behind a Server, and per iteration one
+// refresh round — about 1,300 records taken at a stride across the whole
+// capture, so they land in every day, then a cut — followed by the 16
+// GETs of the sweep: table1, table4, fig5 and table8 over a 6 h, a 1 d
+// and a 3 d window and over six days at step=24h. Only the GETs are
+// timed: ms/sweep is their time, ms/round the round's add and cut.
+func BenchmarkRangeSweep(b *testing.B) {
+	c := cutCorpus(b, 1_000_000)
+	st, err := NewStore(Config{Options: c.opt, Shards: 2, Bucket: time.Hour, DisableObs: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.add(c.loaded, nil); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := st.Refresh(); err != nil {
+		b.Fatal(err)
+	}
+	srv := NewServer(st, nil)
+	var queries []string
+	for _, id := range []string{"table1", "table4", "fig5", "table8"} {
+		for _, w := range []string{
+			"from=2011-08-02T00:00&to=2011-08-02T06:00",
+			"from=2011-08-02&to=2011-08-03",
+			"from=2011-08-02&to=2011-08-05",
+			"from=2011-08-01&to=2011-08-07&step=24h",
+		} {
+			queries = append(queries, "/v1/range/"+id+"?"+w)
+		}
+	}
+	const round = 1_300
+	stride := len(c.rounds) / round
+	var recs []logfmt.Record
+	var rounds time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		t0 := time.Now()
+		recs = recs[:0]
+		for j := i % stride; j < len(c.rounds); j += stride {
+			recs = append(recs, c.rounds[j])
+		}
+		if _, err := st.add(recs, nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := st.Refresh(); err != nil {
+			b.Fatal(err)
+		}
+		rounds += time.Since(t0)
+		b.StartTimer()
+		for _, q := range queries {
+			rw := httptest.NewRecorder()
+			srv.ServeHTTP(rw, httptest.NewRequest("GET", q, nil))
+			if rw.Code != 200 {
+				b.Fatalf("GET %s: status %d: %.200s", q, rw.Code, rw.Body.String())
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/sweep")
+	b.ReportMetric(float64(rounds.Nanoseconds())/1e6/float64(b.N), "ms/round")
+}

@@ -195,6 +195,7 @@ func (p *Partition) Absorb(other *Partition) error {
 // moves a record count, which is what retires the frame cut at the old
 // one.
 func (p *Partition) absorb(ss segments) {
+	p.rollups = nil
 	if ss.tail != nil {
 		if p.tail == nil {
 			p.tail = ss.tail

@@ -22,6 +22,14 @@
 // batch run. A range that begins inside the compacted tail cannot be
 // answered exactly and returns *RetentionError.
 //
+// A whole sealed UTC day — every bucket of it older than the newest and
+// above the tail — is merged from its day rollup, one engine holding the
+// merge of its buckets, built by the first read that covers the day.
+// Late records for a rolled-up day are queued beside it and replayed by
+// the next read that uses it, so ingest does no rollup work; compaction,
+// a restore or a full queue drops it. Rollups are never encoded, and
+// coverage and fingerprints still count buckets (see rollup.go).
+//
 // A Partition is not safe for concurrent use; internal/serve gives each
 // of its shard goroutines one Partition and serializes queries through
 // the shard's message channel.
@@ -29,6 +37,7 @@ package timewin
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -303,6 +312,13 @@ type Partition struct {
 	layout string       // core.StateLayout of what this partition's engines encode to
 
 	onCompact func(buckets int, seconds float64)
+
+	// Day rollups (rollup.go): dayBuckets is the buckets in a UTC day, 0
+	// when the width does not divide one, which turns rollups off;
+	// rollups holds them by day; served and replayed count their use.
+	dayBuckets       int64
+	rollups          map[int64]*rollup
+	served, replayed uint64
 }
 
 // New builds an empty partition. The engine construction also validates
@@ -327,6 +343,10 @@ func New(cfg Config) (*Partition, error) {
 	if err != nil {
 		return nil, err
 	}
+	var dayBuckets int64
+	if daySecs%secs == 0 {
+		dayBuckets = daySecs / secs
+	}
 	return &Partition{
 		opt:           cfg.Options,
 		metrics:       cfg.Metrics,
@@ -335,6 +355,7 @@ func New(cfg Config) (*Partition, error) {
 		spare:         spare,
 		layout:        layout,
 		onCompact:     cfg.OnCompact,
+		dayBuckets:    dayBuckets,
 	}, nil
 }
 
@@ -377,6 +398,10 @@ func (p *Partition) Observe(rec *logfmt.Record) {
 	s.eng.Observe(rec)
 	s.records++
 	s.lo = min(s.lo, idx) // only the tail can be widened
+	// Only a day older than the newest bucket's can have a rollup.
+	if len(p.rollups) > 0 && s != p.tail && idx < p.live[len(p.live)-1].lo {
+		p.queue(idx, rec)
+	}
 }
 
 // seek finds the segment that answers for bucket index idx: the tail at
@@ -439,6 +464,7 @@ func (p *Partition) compact() {
 		p.tail.merge(b)
 		p.live = p.live[1:]
 	}
+	p.dropCompacted()
 	if p.onCompact != nil {
 		p.onCompact(merged, time.Since(t0).Seconds())
 	}
@@ -565,6 +591,10 @@ func (p *Partition) AllInto(dst *core.Engine) {
 // *RetentionError before anything is merged, so dst is untouched on
 // error.
 //
+// A whole sealed day that w covers is merged from its rollup (see
+// rollup.go), which holds what its buckets do; the coverage still counts
+// the buckets.
+//
 // When dst carries tokens, each merged segment first indexes the
 // censored URLs it stored since its last range read
 // (core.Engine.MergeIndexed), so dst's §5.4 discovery joins the
@@ -572,13 +602,24 @@ func (p *Partition) AllInto(dst *core.Engine) {
 func (p *Partition) RangeInto(dst *core.Engine, w Window) (Coverage, error) {
 	var cov Coverage
 	var engs []*core.Engine
+	day, r := int64(math.MinInt64), (*rollup)(nil) // the day last visited, and its rollup
 	horizon, ok := p.window(w, func(s *segment, from, to int64) {
-		engs = append(engs, s.eng)
 		c := Coverage{FromUnix: from, ToUnix: to, Records: s.records, Tail: s == p.tail}
 		if !c.Tail {
 			c.Buckets = 1
 		}
 		cov.Extend(c)
+		if p.dayBuckets > 0 && !c.Tail {
+			if d := p.dayOf(s.lo); d != day {
+				if day, r = d, p.rolled(d, w); r != nil {
+					engs = append(engs, r.eng)
+				}
+			}
+			if r != nil {
+				return
+			}
+		}
+		engs = append(engs, s.eng)
 	})
 	if !ok {
 		return cov, &RetentionError{HorizonUnix: horizon}
