@@ -22,7 +22,7 @@ import (
 //     so its ns/op should not follow the records.
 //   - clone+replay: the clone, then 1,200 more records observed into it:
 //     the whole in-memory cost of an extend cut. ns/rec is the replay's
-//     share per record, against the category cache the clone took over.
+//     share per record, on the clone's own empty host-category cache.
 //
 // Each size's corpus is generated and folded once, outside the timer.
 func BenchmarkEngineClone(b *testing.B) {
@@ -81,11 +81,6 @@ func BenchmarkEngineClone(b *testing.B) {
 					n.Observe(&more[j])
 				}
 				replay += time.Since(t0)
-				// The next iteration's clone takes the cache this one
-				// warmed, as the next cut's would.
-				b.StopTimer()
-				published.cx.catCache = n.cx.catCache
-				b.StartTimer()
 			}
 			b.ReportMetric(float64(replay.Nanoseconds())/float64(b.N*len(more)), "ns/rec")
 		})

@@ -1,7 +1,5 @@
 package core
 
-import "syriafilter/internal/categorydb"
-
 // Clone returns an independent copy of e: records observed by either
 // engine afterwards do not affect the other, which makes Clone the
 // copy-on-swap snapshot primitive behind internal/serve's live store.
@@ -17,10 +15,9 @@ import "syriafilter/internal/categorydb"
 // it is cloned. Compact folds a grown overlay back into one state.
 //
 // The clone also takes over e's §5.4 URL index, so its first
-// DiscoverFilters indexes only the URLs it stores after the copy, and
-// e's host-category cache, so its first records classify against a warm
-// cache. Both move rather than being shared, since their owner extends
-// them: a published engine never observes again.
+// DiscoverFilters indexes only the URLs it stores after the copy. The
+// index moves rather than being shared, since its owner extends it: a
+// published engine never observes again.
 //
 // The shared Options databases (category DB, Tor consensus, title DB)
 // are reference-shared — they are immutable after construction.
@@ -49,7 +46,6 @@ func (e *Engine) Clone() *Engine {
 		n.base = e.shared
 	}
 	n.layer()
-	n.cx.catCache, e.cx.catCache = e.cx.catCache, make(map[string]categorydb.Category)
 	// The clone's store starts as e's, base then overlay, so the URL
 	// index e's discovery left behind is a prefix of it: hand it over.
 	// A reader computing e's discovery holds the lock; the clone then

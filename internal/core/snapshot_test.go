@@ -78,8 +78,8 @@ func TestCloneSubset(t *testing.T) {
 
 // Readers render a published engine while the next cut clones it and
 // replays into the clone — the live store's shape: the clone shares the
-// published engine's base and copies its overlay, takes its URL index
-// and category cache, and every few cuts compacts. Each reader checks
+// published engine's base and copies its overlay, takes its URL index,
+// and every few cuts compacts. Each reader checks
 // every render against the one taken before the engine was published.
 // Run under -race, this is the check that Clone and Compact only read
 // what they share.
@@ -139,39 +139,5 @@ func TestCloneWhileReadersRender(t *testing.T) {
 	}
 	if renderEverything(cur.Load().an) != renderEverything(want) {
 		t.Error("the last published engine differs from one engine observing the same records")
-	}
-}
-
-// A clone takes over its source's host-category cache, as it does the
-// URL index: the round a cut replays classifies against a warm cache,
-// and the source, which a published snapshot never writes again, keeps
-// an empty one.
-func TestCloneTakesCategoryCache(t *testing.T) {
-	f := corpus(t)
-	e := NewAnalyzer(fixtureOptions(f))
-	for i := range f.records[:2000] {
-		e.Observe(&f.records[i])
-	}
-	warm := len(e.cx.catCache)
-	if warm == 0 {
-		t.Fatal("observing left the category cache empty")
-	}
-	c := e.Clone()
-	if got := len(c.cx.catCache); got != warm {
-		t.Errorf("clone's cache holds %d hosts, want the source's %d", got, warm)
-	}
-	if got := len(e.cx.catCache); got != 0 {
-		t.Errorf("source kept %d cached hosts after the clone took them", got)
-	}
-	// The source still observes correctly on a cold cache.
-	for i := range f.records[2000:3000] {
-		e.Observe(&f.records[2000+i])
-	}
-	want := NewAnalyzer(fixtureOptions(f))
-	for i := range f.records[:3000] {
-		want.Observe(&f.records[i])
-	}
-	if renderEverything(e) != renderEverything(want) {
-		t.Error("the source observed differently after its cache moved to a clone")
 	}
 }

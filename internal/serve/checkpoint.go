@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -219,16 +221,11 @@ const shardFileSuffix = ".ckpt"
 
 func shardFileName(i int) string { return fmt.Sprintf("shard-%04d%s", i, shardFileSuffix) }
 
-// writeShardFile writes one shard's header and already-encoded frames,
-// syncing before close so the later directory rename publishes durable
-// bytes. Returns the file's size.
+// writeShardFile writes one shard's header and already-encoded frames.
+// Returns the file's size.
 func (st *Store) writeShardFile(path string, idx int, records uint64, frames *timewin.Frames) (int64, error) {
 	if st.ckptWriteStall != nil {
 		st.ckptWriteStall(idx)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
 	}
 	hw := statecodec.NewWriter()
 	hw.Raw([]byte(shardStateMagic))
@@ -237,10 +234,43 @@ func (st *Store) writeShardFile(path string, idx int, records uint64, frames *ti
 	hw.Uvarint(uint64(len(st.shards)))
 	hw.Uvarint(records)
 	hw.Checksum()
+	if err := writeFile(path, bytes.NewReader(hw.Bytes()), frames); err != nil {
+		return 0, err
+	}
+	return int64(hw.Len()) + frames.Size(), nil
+}
+
+func writeManifest(dir string, m *manifest) error {
+	b, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return err
+	}
+	tmp := filepath.Join(dir, manifestName+".tmp")
+	if err := writeFile(tmp, bytes.NewReader(append(b, '\n'))); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
+		return err
+	}
+	// Make the swap durable before old generations are pruned: a power
+	// loss must never leave a manifest pointing at a pruned generation.
+	return syncDir(dir)
+}
+
+// writeFile creates path and writes parts to it in order, then flushes,
+// fsyncs and closes it, so that a later rename publishes durable bytes.
+// On any error the file is removed.
+func writeFile(path string, parts ...io.WriterTo) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
 	// Frames are a few KB each: batch them into fewer writes.
 	bw := bufio.NewWriterSize(f, 256<<10)
-	if _, err = bw.Write(hw.Bytes()); err == nil {
-		_, err = frames.WriteTo(bw)
+	for _, p := range parts {
+		if err == nil {
+			_, err = p.WriteTo(bw)
+		}
 	}
 	if ferr := bw.Flush(); err == nil {
 		err = ferr
@@ -253,38 +283,8 @@ func (st *Store) writeShardFile(path string, idx int, records uint64, frames *ti
 	}
 	if err != nil {
 		os.Remove(path)
-		return 0, err
 	}
-	return int64(hw.Len()) + frames.Size(), nil
-}
-
-func writeManifest(dir string, m *manifest) error {
-	b, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(append(b, '\n'))
-	if serr := f.Sync(); err == nil {
-		err = serr
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return err
-	}
-	// Make the swap durable before old generations are pruned: a power
-	// loss must never leave a manifest pointing at a pruned generation.
-	return syncDir(dir)
+	return err
 }
 
 // syncDir fsyncs a directory so renames and entries inside it survive
@@ -373,12 +373,13 @@ func scanGenerations(dir string) ([]genEntry, uint64) {
 
 // Restore folds the newest restorable checkpoint generation in dir
 // into the store. It walks the generation directories newest to
-// oldest: each candidate is read and fully decoded into staging
-// partitions first — any corruption, truncation or config mismatch
-// fails that generation, leaving the store exactly as it was — and
-// only a generation that decodes completely is absorbed into the live
-// shards (on the shard goroutines, like any other op). A skipped
-// generation is logged and counted in
+// oldest: each candidate is read and fully decoded into staged segments
+// first — any corruption, truncation or config mismatch fails that
+// generation, leaving the store exactly as it was — and only a
+// generation that decodes completely is absorbed, each live shard
+// absorbing its files in one op on its own goroutine. The absorb cannot
+// fail, so a generation that decodes is absorbed whole, or not at all
+// when the store is closed. A skipped generation is logged and counted in
 // censord_checkpoint_restore_fallbacks_total, so a daemon that came
 // back up one generation behind is visible, not silent; it does not
 // count toward the generations later checkpoints keep. The manifest
@@ -448,10 +449,14 @@ func (st *Store) Restore(dir string) (CheckpointInfo, error) {
 	for _, g := range gens {
 		gsp := sp.Child("restore.generation")
 		gsp.SetAttrs(trace.Str("generation", g.name))
-		records, info, err, absorbErr := st.loadGeneration(dir, g, m, gsp)
+		records, info, err := st.loadGeneration(dir, g, m, gsp)
+		gsp.Fail(err)
+		gsp.End()
+		if errors.Is(err, ErrClosed) {
+			spErr = fmt.Errorf("serve: restore %s: %w", g.name, err)
+			return CheckpointInfo{}, spErr
+		}
 		if err != nil {
-			gsp.Fail(err)
-			gsp.End()
 			st.obsm.restoreFallbacks.Inc()
 			st.logger.Warn("checkpoint generation unusable, falling back to previous",
 				"generation", g.name, "err", err)
@@ -462,12 +467,6 @@ func (st *Store) Restore(dir string) (CheckpointInfo, error) {
 				firstErr = fmt.Errorf("generation %s: %w", g.name, err)
 			}
 			continue
-		}
-		gsp.Fail(absorbErr)
-		gsp.End()
-		if absorbErr != nil {
-			spErr = fmt.Errorf("serve: restore %s: %w", g.name, absorbErr)
-			return CheckpointInfo{}, spErr
 		}
 		st.ingested.Add(records)
 		st.lastCkpt.Store(&info)
@@ -481,11 +480,10 @@ func (st *Store) Restore(dir string) (CheckpointInfo, error) {
 
 // loadGeneration decodes generation g and, if every file of it decodes,
 // absorbs it into the live shards, timing the two steps on gsp as
-// decode_s and absorb_s. err is a decode failure, after which the store
-// is as it was and the walk may fall back; absorbErr ends the walk — it is
-// ErrClosed on a closed store, or a failed absorb, after which the store
-// may hold part of this generation and an older one absorbed on top would
-// corrupt it.
+// decode_s and absorb_s. ErrClosed means the generation decoded but the
+// store is closed, so nothing was absorbed; any other error is a decode
+// failure, after which the store is as it was and the walk may fall
+// back.
 //
 // The collector is paused for both steps (see pauseGC): most of what
 // they allocate is state the store keeps, so a cycle would only re-mark
@@ -494,31 +492,29 @@ func (st *Store) Restore(dir string) (CheckpointInfo, error) {
 // would keep the garbage and raise peak memory. Collection is back on
 // before the call returns, so a failed attempt's garbage can go before
 // the next generation is read.
-func (st *Store) loadGeneration(dir string, g genEntry, m *manifest, gsp *trace.Span) (records uint64, info CheckpointInfo, err, absorbErr error) {
+func (st *Store) loadGeneration(dir string, g genEntry, m *manifest, gsp *trace.Span) (records uint64, info CheckpointInfo, err error) {
 	defer pauseGC()()
 	t0 := time.Now()
 	staged, records, info, err := st.decodeGeneration(dir, g, m)
 	gsp.SetAttrs(trace.Float("decode_s", time.Since(t0).Seconds()))
 	if err != nil {
-		return 0, info, err, nil
+		return 0, info, err
 	}
 	// Shard i absorbs staged files i, i+n, … in ascending order, the
 	// per-shard order of a file-at-a-time fold. Absorbed records are no
 	// batch a cut could replay: the shard drops what it kept, so the next
-	// cut folds.
+	// cut folds. each runs the op on every shard or, closed, on none.
 	t1 := time.Now()
 	n := len(st.shards)
-	absorbErr = st.each(false, nil, "", func(i int, _ *trace.Span, p *timewin.Partition) error {
+	err = st.each(false, nil, "", func(i int, _ *trace.Span, p *timewin.Partition) error {
 		st.shards[i].drop()
 		for j := i; j < len(staged); j += n {
-			if err := p.Absorb(staged[j]); err != nil {
-				return err
-			}
+			p.Absorb(staged[j])
 		}
 		return nil
 	})
 	gsp.SetAttrs(trace.Float("absorb_s", time.Since(t1).Seconds()))
-	return records, info, nil, absorbErr
+	return records, info, err
 }
 
 // gcPause counts the restores under way in the process; the collector is
@@ -551,12 +547,12 @@ func pauseGC() (resume func()) {
 }
 
 // decodeGeneration reads and decodes one generation directory completely
-// into staging partitions, one per shard file, touching no live shard:
+// into staged segments, one set per shard file, touching no live shard:
 // any corruption, truncation or config mismatch fails it. The shard
 // count is taken from the directory itself (every complete generation is
 // self-describing), so fallback generations restore even when the
 // manifest that described them is gone. records is what the files hold.
-func (st *Store) decodeGeneration(dir string, g genEntry, m *manifest) (staged []*timewin.Partition, records uint64, info CheckpointInfo, err error) {
+func (st *Store) decodeGeneration(dir string, g genEntry, m *manifest) (staged []timewin.Staged, records uint64, info CheckpointInfo, err error) {
 	genDir := filepath.Join(dir, g.name)
 	entries, err := os.ReadDir(genDir)
 	if err != nil {
@@ -576,34 +572,24 @@ func (st *Store) decodeGeneration(dir string, g genEntry, m *manifest) (staged [
 		return nil, 0, info, fmt.Errorf("no shard files in %s", g.name)
 	}
 
-	// Stage one empty partition per shard file, then decode every frame
-	// of every file on one worker pool: nothing is staged unless all of
-	// it decodes.
-	staged = make([]*timewin.Partition, shards)
+	// Read every file, then decode every frame of every file on one
+	// worker pool: nothing is staged unless all of it decodes.
 	streams := make([][]byte, shards)
 	counts := make([]uint64, shards)
-	for i := range staged {
+	for i := range streams {
 		streams[i], counts[i], err = readShardFile(filepath.Join(genDir, shardFileName(i)), i, shards)
 		if err != nil {
 			return nil, 0, info, fmt.Errorf("shard file %d: %w", i, err)
 		}
-		staged[i], err = timewin.New(timewin.Config{
-			Options: st.cfg.Options,
-			Metrics: st.cfg.Metrics,
-			Bucket:  st.cfg.Bucket,
-			Retain:  st.cfg.Retain,
-		})
-		if err != nil {
-			return nil, 0, info, err
-		}
 	}
-	if err := timewin.UnmarshalFramesAll(staged, streams, runtime.GOMAXPROCS(0)); err != nil {
+	staged, err = timewin.DecodeFrames(st.partCfg, streams, runtime.GOMAXPROCS(0))
+	if err != nil {
 		return nil, 0, info, fmt.Errorf("shard files: %w", err)
 	}
 	// The header's count and the table's are the same number written
 	// twice; a file that disagrees with itself is damaged, not trusted.
-	for i, p := range staged {
-		if got := p.Records(); got != counts[i] {
+	for i := range staged {
+		if got := staged[i].Records(); got != counts[i] {
 			return nil, 0, info, fmt.Errorf("shard file %d: header counts %d records, its table %d", i, counts[i], got)
 		}
 		records += counts[i]

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -416,5 +418,58 @@ func TestStatsCheckpointFields(t *testing.T) {
 		if !strings.Contains(body, field) {
 			t.Errorf("/v1/stats missing %s: %s", field, body)
 		}
+	}
+}
+
+// POST /v1/checkpoint in process: 501 without WithCheckpoint, 200 with
+// the CheckpointInfo a real checkpoint wrote, 503 with Retry-After when
+// the store is closed, and 500 naming any other failure.
+func TestCheckpointEndpoint(t *testing.T) {
+	f := corpus(t)
+	store := newCkptStore(t, f, 2)
+	defer store.Close()
+	fillStore(t, store, f)
+	closed := newCkptStore(t, f, 2)
+	closed.Close()
+	dir := t.TempDir()
+	notDir := filepath.Join(dir, "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	post := func(opts ...ServerOption) *httptest.ResponseRecorder {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		NewServer(store, f.gen, opts...).ServeHTTP(rec, httptest.NewRequest("POST", "/v1/checkpoint", nil))
+		return rec
+	}
+	into := func(st *Store, dir string) ServerOption {
+		return WithCheckpoint(func(ctx context.Context) (CheckpointInfo, error) { return st.CheckpointCtx(ctx, dir) })
+	}
+
+	if rec := post(); rec.Code != http.StatusNotImplemented {
+		t.Errorf("without WithCheckpoint: status %d, want 501", rec.Code)
+	}
+
+	rec := post(into(store, dir))
+	var got CheckpointInfo
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("checkpoint: status %d body %s (%v), want 200", rec.Code, rec.Body, err)
+	}
+	m, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != m.CheckpointInfo || got.Records != uint64(len(f.records)) {
+		t.Errorf("answered %+v, the manifest holds %+v over %d records", got, m.CheckpointInfo, len(f.records))
+	}
+
+	rec = post(into(closed, t.TempDir()))
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Errorf("closed store: status %d, Retry-After %q, want 503 with one", rec.Code, rec.Header().Get("Retry-After"))
+	}
+
+	rec = post(into(store, notDir))
+	if body := rec.Body.String(); rec.Code != http.StatusInternalServerError || !strings.Contains(body, "not a directory") {
+		t.Errorf("checkpoint under a file: status %d body %s, want 500 naming the error", rec.Code, body)
 	}
 }

@@ -574,11 +574,8 @@ func writeOneRecordShard(t *testing.T, f *fixture, path, module string, edit fun
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := timewin.New(timewin.Config{Options: f.opt, Bucket: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return timewin.UnmarshalFramesAll([]*timewin.Partition{p}, [][]byte{stream}, 1)
+	_, err = timewin.DecodeFrames(timewin.Config{Options: f.opt, Bucket: time.Hour}, [][]byte{stream}, 1)
+	return err
 }
 
 // twoGenerations checkpoints a 2-shard store twice into a fresh dir: gen

@@ -208,11 +208,6 @@ type shard struct {
 	keptRecs int
 	keeping  bool
 	keepCap  int // records: this shard's share of extendBudget
-	// cutMeta is the partition's bucket layout as a cut last read it, at
-	// cutRecords records: a cut reads the layout again only when the
-	// count moved, so an idle refresh tick allocates none.
-	cutMeta    timewin.Meta
-	cutRecords uint64
 }
 
 func (s *shard) loop(p *timewin.Partition, wg *sync.WaitGroup) {
@@ -264,15 +259,6 @@ func (s *shard) drop() {
 		s.free.put(b)
 	}
 	s.kept, s.keptRecs, s.keeping = nil, 0, false
-}
-
-// layout returns p's record count and bucket layout for a cut. Only
-// Observe and Absorb change the layout, and both move the count.
-func (s *shard) layout(p *timewin.Partition) (uint64, timewin.Meta) {
-	if n := p.Records(); n != s.cutRecords || s.cutMeta.BucketSeconds == 0 {
-		s.cutRecords, s.cutMeta = n, p.Meta()
-	}
-	return s.cutRecords, s.cutMeta
 }
 
 // handOver starts a cut on the shard goroutine: it returns the batches
@@ -343,7 +329,8 @@ var ErrOverloaded = errors.New("serve: store overloaded (shard queue full past d
 // concurrency design.
 type Store struct {
 	cfg        Config
-	modules    []string // the metric modules every shard engine carries
+	partCfg    timewin.Config // every shard partition's, and what restore decodes for
+	modules    []string       // the metric modules every shard engine carries
 	bucketSecs int64
 	addTimeout time.Duration // 0 = never shed
 	logger     *slog.Logger
@@ -426,15 +413,16 @@ func NewStore(cfg Config) (*Store, error) {
 		st.reg = obs.NewRegistry()
 		st.obsm = newStoreMetrics(st.reg)
 	}
+	st.partCfg = timewin.Config{
+		Options:   cfg.Options,
+		Metrics:   cfg.Metrics,
+		Bucket:    cfg.Bucket,
+		Retain:    cfg.Retain,
+		OnCompact: st.onCompact,
+	}
 	var retainBuckets int64
 	for i := 0; i < cfg.Shards; i++ {
-		p, err := timewin.New(timewin.Config{
-			Options:   cfg.Options,
-			Metrics:   cfg.Metrics,
-			Bucket:    cfg.Bucket,
-			Retain:    cfg.Retain,
-			OnCompact: st.onCompact,
-		})
+		p, err := timewin.New(st.partCfg)
 		if err != nil {
 			for _, sh := range st.shards {
 				close(sh.msgs)
@@ -787,7 +775,7 @@ func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 	if cur.Seq > 0 {
 		if st.each(false, nil, "", func(i int, _ *trace.Span, p *timewin.Partition) error {
 			c := &cuts[i]
-			c.records, c.meta = st.shards[i].layout(p)
+			c.records, c.meta = p.Records(), p.Meta()
 			c.kept, c.whole = st.shards[i].handOver()
 			return nil
 		}) != nil {
@@ -843,7 +831,7 @@ func (st *Store) RefreshCtx(ctx context.Context) (*Snapshot, error) {
 		err := st.fill(cut, "snapshot.shard", all, st.cfg.Metrics, func(i int, p *timewin.Partition, dst *core.Engine, _ timewin.Window) (timewin.Coverage, error) {
 			p.AllInto(dst)
 			c := &cuts[i]
-			c.records, c.meta = st.shards[i].layout(p)
+			c.records, c.meta = p.Records(), p.Meta()
 			// The fold holds every batch applied so far: keep afresh.
 			st.shards[i].drop()
 			st.shards[i].keeping = true
@@ -1083,12 +1071,10 @@ func (st *Store) errStep() error {
 // From inside the tail fails with *timewin.RetentionError when the
 // windows are filled. An empty store has no windows.
 func (st *Store) windows(w timewin.Window, step int64) ([]RangeWindow, error) {
-	// The bucket layout across shards bounds the open sides: each
-	// shard's as its cuts cache it (shard.layout), formatted again only
-	// after its record count moved.
+	// The bucket layout across shards bounds the open sides.
 	metas := make([]timewin.Meta, len(st.shards))
 	if err := st.each(false, nil, "", func(i int, _ *trace.Span, p *timewin.Partition) error {
-		_, metas[i] = st.shards[i].layout(p)
+		metas[i] = p.Meta()
 		return nil
 	}); err != nil {
 		return nil, err

@@ -157,6 +157,52 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 }
 
+// BenchmarkRestore measures one Store.Restore of BenchmarkCheckpoint's
+// store (200 k records, hourly buckets, 2 shards), checkpointed once,
+// into a fresh store: the twin of serve.store.restore. shards=2 gives
+// each shard one file; shards=3 is a shard-count change, files going
+// round-robin to shards. Building and closing the fresh store are not
+// timed.
+func BenchmarkRestore(b *testing.B) {
+	c := cutCorpus(b, 200_000)
+	cfg := Config{Options: c.opt, Shards: 2, Bucket: time.Hour, DisableObs: true}
+	src, err := NewStore(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := src.add(c.loaded, nil); err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	_, err = src.Checkpoint(dir)
+	src.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, shards := range []int{2, 3} {
+		cfg.Shards = shards
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st, err := NewStore(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				runtime.GC()
+				b.StartTimer()
+				_, err = st.Restore(dir)
+				b.StopTimer()
+				st.Close()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}
+
 // BenchmarkHandler measures GET /v1/tables/4 on a loaded store, the twin
 // of serve.handler.{cold,hit}: cold renders every request (a server
 // without the doc cache), hit serves the cached bytes, and etag-304

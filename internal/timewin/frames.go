@@ -24,7 +24,7 @@ import (
 // A remembered frame is valid exactly while its owner's record count
 // equals the count the frame was cut at. Counts only grow, and nothing
 // changes an engine without moving its owner's count: Observe adds one,
-// absorb adds the merged bucket's (decode refuses a bucket or tail of
+// Absorb adds the merged bucket's (decode refuses a bucket or tail of
 // zero records), compaction and a late record add to the tail's, and a
 // bucket that leaves the ring for the tail takes its frame with it. It
 // is the invariant Fingerprint documents and the range cache trusts.
@@ -229,10 +229,10 @@ func (u *unpacker) unpack(fr []byte) ([]byte, error) {
 // frame: every count and every frame length is checked against the bytes
 // that are really there. Each staged segment holds its frame as its memo
 // and has no engine yet; order lists them as their frames lie in b.
-func (p *Partition) readFrames(b []byte) (ss segments, order []*segment, err error) {
+func (sh *shape) readFrames(b []byte) (ss segments, order []*segment, err error) {
 	r := statecodec.NewReader(b)
 	var lens []int
-	ss, err = p.readTable(r, framesTable, func(s *segment) error {
+	ss, err = sh.readTable(r, framesTable, func(s *segment) error {
 		order = append(order, s)
 		lens = append(lens, r.Count())
 		return nil
@@ -262,44 +262,60 @@ func (p *Partition) readFrames(b []byte) (ss segments, order []*segment, err err
 }
 
 // decodeFrame inflates a staged segment's frame and decodes it into a
-// fresh engine of the partition's configuration. The frame stays as the
-// segment's memo only when its layout is the partition's own — exactly
-// its modules — because only then is it what encoding the decoded engine
+// fresh engine of the shape's configuration. The frame stays as the
+// segment's memo only when its layout is the shape's own — exactly its
+// modules — because only then is it what encoding the decoded engine
 // would produce: a full checkpoint loaded into a module-subset partition
 // must not re-emit sections it no longer maintains.
-func (p *Partition) decodeFrame(s *segment, u *unpacker) error {
+func (sh *shape) decodeFrame(s *segment, u *unpacker) error {
 	raw, err := u.unpack(s.memo.data)
 	if err != nil {
 		return err
 	}
-	if s.eng, err = p.decodeEngine(raw); err != nil {
+	if s.eng, err = sh.decodeEngine(raw); err != nil {
 		return err
 	}
-	if layout, err := core.StateLayout(raw); err != nil || layout != p.layout {
+	if layout, err := core.StateLayout(raw); err != nil || layout != sh.layout {
 		s.memo = frame{}
 	}
 	return nil
 }
 
-// UnmarshalFramesAll folds streams[i] into parts[i] for every i, all or
-// nothing: every frame of every stream is decoded first — spread over
-// one pool of workers goroutines, whatever stream it came from — and
-// only when all of them decoded is anything applied. The error names the
-// first failing stream. A retained stream is referenced by the memos it
-// seeds; the caller must not modify it afterwards.
-func UnmarshalFramesAll(parts []*Partition, streams [][]byte, workers int) error {
+// Staged is one decoded frames stream that no partition holds yet.
+type Staged struct {
+	segments
+}
+
+// Records returns the records the stream holds.
+func (s *Staged) Records() (n uint64) {
+	s.each(func(seg *segment) { n += seg.records })
+	return n
+}
+
+// DecodeFrames decodes streams, each written by CheckpointFrames, for
+// partitions of cfg's engines and bucket width, all or nothing: every
+// frame of every stream is decoded on one pool of workers goroutines,
+// whatever stream it came from, and any failure returns no stream, with
+// an error naming the first failing one. A stream is referenced by the
+// frame memos it seeds (see decodeFrame); the caller must not modify it
+// afterwards.
+func DecodeFrames(cfg Config, streams [][]byte, workers int) ([]Staged, error) {
+	sh, _, err := newShape(cfg)
+	if err != nil {
+		return nil, err
+	}
 	type task struct {
 		stream, frame int
 		s             *segment
 	}
-	staged := make([]segments, len(streams))
+	staged := make([]Staged, len(streams))
 	var tasks []task
 	for i, b := range streams {
-		ss, order, err := parts[i].readFrames(b)
+		ss, order, err := sh.readFrames(b)
 		if err != nil {
-			return fmt.Errorf("stream %d: %w", i, err)
+			return nil, fmt.Errorf("stream %d: %w", i, err)
 		}
-		staged[i] = ss
+		staged[i] = Staged{ss}
 		for k, s := range order {
 			tasks = append(tasks, task{i, k, s})
 		}
@@ -319,7 +335,7 @@ func UnmarshalFramesAll(parts []*Partition, streams [][]byte, workers int) error
 				if i >= len(tasks) {
 					return
 				}
-				if errs[i] = parts[tasks[i].stream].decodeFrame(tasks[i].s, &u); errs[i] != nil {
+				if errs[i] = sh.decodeFrame(tasks[i].s, &u); errs[i] != nil {
 					failed.Store(true)
 				}
 			}
@@ -328,11 +344,8 @@ func UnmarshalFramesAll(parts []*Partition, streams [][]byte, workers int) error
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("stream %d: frame %d: %w", tasks[i].stream, tasks[i].frame, err)
+			return nil, fmt.Errorf("stream %d: frame %d: %w", tasks[i].stream, tasks[i].frame, err)
 		}
 	}
-	for i, ss := range staged {
-		parts[i].absorb(ss)
-	}
-	return nil
+	return staged, nil
 }

@@ -20,7 +20,13 @@ import (
 // merge into, keep the frame they were read from as their memo, so a
 // restored partition's next checkpoint re-encodes nothing.
 func (p *Partition) UnmarshalFrames(b []byte) error {
-	return UnmarshalFramesAll([]*Partition{p}, [][]byte{b}, runtime.GOMAXPROCS(0))
+	cfg := Config{Options: p.opt, Metrics: p.metrics, Bucket: time.Duration(p.bucketSecs) * time.Second}
+	staged, err := DecodeFrames(cfg, [][]byte{b}, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return err
+	}
+	p.Absorb(staged[0])
+	return nil
 }
 
 func newFramesPartition(t testing.TB, retain time.Duration, metrics ...string) *Partition {
@@ -258,9 +264,7 @@ func TestFramesRestoreMergesReencode(t *testing.T) {
 		rec := a[0]
 		src.Observe(&rec) // src's first bucket moved on from its frame
 		dst := newFramesPartition(t, 0)
-		if err := dst.Absorb(src); err != nil {
-			t.Fatal(err)
-		}
+		dst.Absorb(Staged{src.segments})
 		fs, got := frameStream(t, dst)
 		if fs.Encoded != 1 {
 			t.Errorf("absorbed partition encoded %d frames, want the 1 that changed", fs.Encoded)

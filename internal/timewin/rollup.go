@@ -92,7 +92,9 @@ func (p *Partition) rolled(d int64, w Window) *rollup {
 		}
 		r.records += uint64(len(r.late))
 		p.replayed += uint64(len(r.late))
-		r.late = nil
+		// Keep the array for the next late records, pinning no strings.
+		clear(r.late)
+		r.late = r.late[:0]
 	}
 	if r == nil || r.records != records {
 		engs := make([]*core.Engine, len(buckets))

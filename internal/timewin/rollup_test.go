@@ -158,12 +158,8 @@ func TestDayRollupsMatchHours(t *testing.T) {
 	a, b := build(time.Hour, 0)
 	corpus(a, b)
 	observe([]*Partition{a, b}, at(0, 2)+30, at(3, 5)+30)
-	if err := p.Absorb(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Absorb(b); err != nil {
-		t.Fatal(err)
-	}
+	p.Absorb(Staged{a.segments})
+	q.Absorb(Staged{b.segments})
 	if p.rollups != nil {
 		t.Error("Absorb kept the rollups")
 	}

@@ -67,9 +67,7 @@ func TestOutOfOrderArrivalsEqualTimeOrder(t *testing.T) {
 				if p.tail.hi >= other.tail.hi || p.live[0].lo > other.tail.hi {
 					t.Fatalf("tail [%d,%d] does not overlap the ring starting at %d", other.tail.lo, other.tail.hi, p.live[0].lo)
 				}
-				if err := p.Absorb(other); err != nil {
-					t.Fatal(err)
-				}
+				p.Absorb(Staged{other.segments})
 			},
 			want: spread(10),
 		},

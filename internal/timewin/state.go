@@ -66,9 +66,9 @@ func (p *Partition) writeTable(w *statecodec.Writer, k tableKind, payload func(*
 }
 
 // readTable parses and validates a table of kind k into staged segments,
-// calling payload to read each segment's; p is only read. The caller
-// checks what follows the table.
-func (p *Partition) readTable(r *statecodec.Reader, k tableKind, payload func(*segment) error) (segments, error) {
+// calling payload to read each segment's. The caller checks what follows
+// the table.
+func (sh *shape) readTable(r *statecodec.Reader, k tableKind, payload func(*segment) error) (segments, error) {
 	var ss segments
 	if magic := r.Raw(len(k.magic)); r.Err() != nil || string(magic) != k.magic {
 		return ss, fmt.Errorf("timewin: not a partition %s stream (bad magic)", k.name)
@@ -76,8 +76,8 @@ func (p *Partition) readTable(r *statecodec.Reader, k tableKind, payload func(*s
 	if v := r.Byte(); r.Err() == nil && v != k.version {
 		return ss, fmt.Errorf("timewin: partition %s version %d unsupported (max %d)", k.name, v, k.version)
 	}
-	if secs := r.Uvarint(); r.Err() == nil && secs != uint64(p.bucketSecs) {
-		return ss, fmt.Errorf("timewin: checkpoint bucket width %ds does not match configured %ds; rebuild state on the new grid (cold boot) or restore with the original -bucket", secs, p.bucketSecs)
+	if secs := r.Uvarint(); r.Err() == nil && secs != uint64(sh.bucketSecs) {
+		return ss, fmt.Errorf("timewin: checkpoint bucket width %ds does not match configured %ds; rebuild state on the new grid (cold boot) or restore with the original -bucket", secs, sh.bucketSecs)
 	}
 	r.Uvarint() // stored retention horizon, informative only
 	read := func(s *segment) error {
@@ -150,17 +150,16 @@ func (p *Partition) UnmarshalState(b []byte) error {
 	if r.Remaining() != 0 {
 		return fmt.Errorf("timewin: %d trailing bytes after partition state", r.Remaining())
 	}
-	p.absorb(ss)
+	p.Absorb(Staged{ss})
 	return nil
 }
 
 // decodeEngine decodes one engine state into a fresh engine of the
-// partition's configuration. It reads p only, so the frame workers may
-// call it concurrently.
-func (p *Partition) decodeEngine(blob []byte) (*core.Engine, error) {
-	eng, err := core.NewEngine(p.opt, p.metrics...)
+// shape's configuration.
+func (sh *shape) decodeEngine(blob []byte) (*core.Engine, error) {
+	eng, err := core.NewEngine(sh.opt, sh.metrics...)
 	if err != nil {
-		// Unreachable: New validated the module names.
+		// Unreachable: newShape validated the module names.
 		panic("timewin: " + err.Error())
 	}
 	if err := eng.UnmarshalState(blob); err != nil {
@@ -169,33 +168,23 @@ func (p *Partition) decodeEngine(blob []byte) (*core.Engine, error) {
 	return eng, nil
 }
 
-// Absorb folds every bucket and the tail of other into p, consuming
-// other (its engines are installed directly where p has no competing
-// state; other must not be used afterwards). Both partitions must share
-// the bucket width. This is the restore primitive internal/serve uses
-// to fold staged checkpoint shards into live shard partitions, also
-// covering shard-count changes (several checkpoint files can be
-// absorbed into one shard).
-func (p *Partition) Absorb(other *Partition) error {
-	if other.bucketSecs != p.bucketSecs {
-		return fmt.Errorf("timewin: absorbing partition with bucket width %ds into %ds", other.bucketSecs, p.bucketSecs)
-	}
-	p.absorb(other.segments)
-	return nil
-}
-
-// absorb applies staged segments to p. The tail folds first (so its span
-// is known before buckets are placed) and swallows the live buckets it
-// now covers — either side's tail may overlap the other's ring. Each
-// bucket then goes where seek says a record of its index would: into the
-// tail at or below the horizon, rather than resurrecting a compacted
-// index, into the live bucket of its index, or into the ring as a new
-// one, where p's own retention policy applies. A segment installed
-// directly — nothing of p's to merge into — keeps its memo; every merge
-// moves a record count, which is what retires the frame cut at the old
-// one.
-func (p *Partition) absorb(ss segments) {
+// Absorb folds ss, decoded by DecodeFrames for p's configuration, into p
+// with UnmarshalState's semantics, consuming ss. Decoding made every
+// check, so it cannot fail. It is the restore primitive of
+// internal/serve, where several files may go into one shard.
+//
+// The tail folds first (so its span is known before buckets are placed)
+// and swallows the live buckets it now covers — either side's tail may
+// overlap the other's ring. Each bucket then goes where seek says a
+// record of its index would: into the tail at or below the horizon,
+// rather than resurrecting a compacted index, into the live bucket of
+// its index, or into the ring as a new one, where p's own retention
+// policy applies. A segment installed directly — nothing of p's to merge
+// into — keeps its memo; every merge moves a record count, which is what
+// retires the frame cut at the old one.
+func (p *Partition) Absorb(ss Staged) {
 	p.rollups = nil
+	ss.each(func(s *segment) { p.records += s.records })
 	if ss.tail != nil {
 		if p.tail == nil {
 			p.tail = ss.tail

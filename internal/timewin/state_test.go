@@ -151,9 +151,7 @@ func TestPartitionAbsorb(t *testing.T) {
 	fillPartition(a, 0, times[:len(times)/2])
 	b := newPartition(t, time.Hour, 36*time.Hour)
 	fillPartition(b, len(times)/2, times[len(times)/2:])
-	if err := b.Absorb(a); err != nil {
-		t.Fatal(err)
-	}
+	b.Absorb(Staged{a.segments})
 
 	all := newPartition(t, time.Hour, 36*time.Hour)
 	fillPartition(all, 0, times)
@@ -164,14 +162,57 @@ func TestPartitionAbsorb(t *testing.T) {
 		t.Error("Absorb differs from single-partition ingest")
 	}
 
-	// Mismatched grids are rejected.
+	// Mismatched grids are rejected: decoding checks the width.
 	c, err := New(Config{Metrics: testMetrics, Bucket: 30 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Absorb(c); err == nil {
-		t.Error("absorbing a 30m grid into a 1h grid should fail")
+	_, stream := frameStream(t, c)
+	if err := b.UnmarshalFrames(stream); err == nil || !strings.Contains(err.Error(), "bucket width") {
+		t.Errorf("absorbing a 30m grid into a 1h grid should fail on its width: %v", err)
 	}
+}
+
+// The partition keeps its record total itself: after Observe,
+// compaction, Absorb and a frames restore, Records is the sum of its
+// segments' counts, and so is what its cached Meta lists.
+func TestRecordsIsSegmentSum(t *testing.T) {
+	check := func(step string, p *Partition, want int) {
+		t.Helper()
+		var segs uint64
+		p.each(func(s *segment) { segs += s.records })
+		m := p.Meta()
+		listed := m.TailRecords
+		for _, b := range m.Buckets {
+			listed += b.Records
+		}
+		if got := p.Records(); got != uint64(want) || segs != got || listed != got {
+			t.Errorf("%s: Records %d, segments hold %d, Meta lists %d, want %d", step, got, segs, listed, want)
+		}
+	}
+	times := stateCorpus()
+	half := len(times) / 2
+	a := newPartition(t, time.Hour, 36*time.Hour)
+	fillPartition(a, 0, times[:half])
+	if a.tail == nil {
+		t.Fatal("no compacted tail: the corpus does not reach the horizon")
+	}
+	check("Observe and compaction", a, half)
+	b := newPartition(t, time.Hour, 36*time.Hour)
+	fillPartition(b, half, times[half:])
+	check("Observe", b, len(times)-half)
+	b.Absorb(Staged{a.segments})
+	check("absorb", b, len(times))
+	fillPartition(b, 0, times[:1]) // a late record, into the tail
+	n := len(times) + 1
+	check("a late record", b, n)
+	_, stream := frameStream(t, b)
+	c := restoreInto(t, 36*time.Hour, stream)
+	check("frames restore", c, n)
+	if err := c.UnmarshalFrames(stream); err != nil {
+		t.Fatal(err)
+	}
+	check("frames restore into a loaded partition", c, 2*n)
 }
 
 // Corrupt, truncated, or grid-mismatched state must fail without

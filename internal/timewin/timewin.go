@@ -282,7 +282,7 @@ func (s *segment) merge(o *segment) {
 // segments is a partition's content in time order: the tail, when there
 // is one, then the live buckets by ascending index — in a partition, all
 // above the tail. It is also what a decoded state is staged as before
-// absorb applies it.
+// Absorb applies it.
 type segments struct {
 	tail *segment
 	live []*segment
@@ -298,18 +298,49 @@ func (ss *segments) each(visit func(*segment)) {
 	}
 }
 
+// shape is what decoding a partition's state needs of its configuration,
+// layout being the core.StateLayout its engines encode to. Decoding only
+// reads it, so the frame workers share one.
+type shape struct {
+	opt        core.Options
+	metrics    []string
+	bucketSecs int64
+	layout     string
+}
+
+// newShape validates cfg's width and modules and returns its shape, with
+// the empty engine it built to learn the layout.
+func newShape(cfg Config) (shape, *core.Engine, error) {
+	secs := int64(cfg.Bucket / time.Second)
+	if secs < 1 {
+		return shape{}, nil, fmt.Errorf("timewin: bucket width %v is below one second", cfg.Bucket)
+	}
+	eng, err := core.NewEngine(cfg.Options, cfg.Metrics...)
+	if err != nil {
+		return shape{}, nil, err
+	}
+	layout, err := core.StateLayout(eng.MarshalState())
+	if err != nil {
+		return shape{}, nil, err
+	}
+	return shape{opt: cfg.Options, metrics: cfg.Metrics, bucketSecs: secs, layout: layout}, eng, nil
+}
+
 // Partition is the time-partitioned store: a ring of live bucket engines
 // plus the frozen tail. See the package comment for semantics.
 type Partition struct {
-	opt           core.Options
-	metrics       []string
-	bucketSecs    int64
+	shape
 	retainBuckets int64
 
 	segments
+	records uint64 // the segments' total: compaction only moves records
 
-	spare  *core.Engine // validated engine from New, consumed by the first bucket
-	layout string       // core.StateLayout of what this partition's engines encode to
+	spare *core.Engine // validated engine from New, consumed by the first bucket
+
+	// meta is Meta's result at metaRecords records: only Observe and
+	// Absorb change the layout, and both move the total.
+	meta        Meta
+	metaRecords uint64
 
 	onCompact func(buckets int, seconds float64)
 
@@ -324,36 +355,25 @@ type Partition struct {
 // New builds an empty partition. The engine construction also validates
 // Metrics, so later bucket creation cannot fail.
 func New(cfg Config) (*Partition, error) {
-	secs := int64(cfg.Bucket / time.Second)
-	if secs < 1 {
-		return nil, fmt.Errorf("timewin: bucket width %v is below one second", cfg.Bucket)
+	sh, spare, err := newShape(cfg)
+	if err != nil {
+		return nil, err
 	}
-	var retain int64
+	secs, retain := sh.bucketSecs, int64(0)
 	if cfg.Retain > 0 {
 		retain = (int64(cfg.Retain/time.Second) + secs - 1) / secs
 		if retain < 1 {
 			retain = 1
 		}
 	}
-	spare, err := core.NewEngine(cfg.Options, cfg.Metrics...)
-	if err != nil {
-		return nil, err
-	}
-	layout, err := core.StateLayout(spare.MarshalState())
-	if err != nil {
-		return nil, err
-	}
 	var dayBuckets int64
 	if daySecs%secs == 0 {
 		dayBuckets = daySecs / secs
 	}
 	return &Partition{
-		opt:           cfg.Options,
-		metrics:       cfg.Metrics,
-		bucketSecs:    secs,
+		shape:         sh,
 		retainBuckets: retain,
 		spare:         spare,
-		layout:        layout,
 		onCompact:     cfg.OnCompact,
 		dayBuckets:    dayBuckets,
 	}, nil
@@ -397,6 +417,7 @@ func (p *Partition) Observe(rec *logfmt.Record) {
 	}
 	s.eng.Observe(rec)
 	s.records++
+	p.records++
 	s.lo = min(s.lo, idx) // only the tail can be widened
 	// Only a day older than the newest bucket's can have a rollup.
 	if len(p.rollups) > 0 && s != p.tail && idx < p.live[len(p.live)-1].lo {
@@ -474,18 +495,20 @@ func (p *Partition) compact() {
 func (p *Partition) Buckets() int { return len(p.live) }
 
 // Records returns the total records folded (tail plus live buckets).
-func (p *Partition) Records() (n uint64) {
-	p.each(func(s *segment) { n += s.records })
-	return n
-}
+func (p *Partition) Records() uint64 { return p.records }
 
 // span is the time range [from, to) a segment answers for.
 func (p *Partition) span(s *segment) (from, to int64) {
 	return s.lo * p.bucketSecs, (s.hi + 1) * p.bucketSecs
 }
 
-// Meta snapshots the partition's bucket layout.
+// Meta snapshots the partition's bucket layout. It is built again only
+// once the record total has moved, so calls in between share one Meta:
+// the caller must not modify it.
 func (p *Partition) Meta() Meta {
+	if p.meta.BucketSeconds != 0 && p.metaRecords == p.records {
+		return p.meta
+	}
 	m := Meta{BucketSeconds: p.bucketSecs, RetainBuckets: int(p.retainBuckets)}
 	p.each(func(s *segment) {
 		from, to := p.span(s)
@@ -499,6 +522,7 @@ func (p *Partition) Meta() Meta {
 			Records:   s.records,
 		})
 	})
+	p.meta, p.metaRecords = m, p.records
 	return m
 }
 
