@@ -209,7 +209,7 @@ func TestIndexCached(t *testing.T) {
 // cache-served range bodies equal fresh merges.
 func TestRangeCacheByteIdentity(t *testing.T) {
 	store, srv := newTestServer(t, 6000)
-	meta := store.Current().Timewin
+	meta := store.current().Timewin
 	if len(meta.Buckets) == 0 {
 		t.Skip("fixture produced no live buckets")
 	}

@@ -332,7 +332,7 @@ func TestIngestCompletesDuringCheckpointWrite(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("ingest and cut did not complete while a checkpoint file write was held open")
 	}
-	if got := st.Current().Records; got != 9000 {
+	if got := st.current().Records; got != 9000 {
 		t.Errorf("snapshot cut during the held write holds %d records, want 9000", got)
 	}
 	select {
@@ -385,7 +385,7 @@ func TestCheckpointUnderIngestHammer(t *testing.T) {
 		if _, err := restored.Refresh(); err != nil {
 			t.Fatal(err)
 		}
-		if got := restored.Current().Records; got != info.Records {
+		if got := restored.current().Records; got != info.Records {
 			t.Fatalf("checkpoint %d restored to %d records, reported %d", i, got, info.Records)
 		}
 		restored.Close()

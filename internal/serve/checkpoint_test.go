@@ -226,7 +226,7 @@ func TestCloseAndCheckpointFlushes(t *testing.T) {
 	if _, err := restored.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if got := restored.Current().Records; got != acked {
+	if got := restored.current().Records; got != acked {
 		t.Errorf("snapshot after restore has %d records, want %d", got, acked)
 	}
 
@@ -305,7 +305,7 @@ func TestRestoreCorruptCheckpoint(t *testing.T) {
 		if _, err := store.Refresh(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		if got := store.Current().Records; got != 100 {
+		if got := store.current().Records; got != 100 {
 			t.Errorf("%s: store holds %d records after failed restore + cold ingest, want 100", name, got)
 		}
 	}

@@ -14,9 +14,10 @@ import (
 )
 
 // BenchmarkSnapshotCut measures one snapshot cut of a loaded store
-// (hourly buckets, every module) on each of its two paths: the in-package
-// twin of the ledger's serve.store.refresh. Each iteration first adds
-// records and lets the shards apply them, outside the timer, then cuts:
+// (hourly buckets, every module) on each of its two paths, the in-package
+// twin of the ledger's serve.store.refresh, and one that finds nothing
+// new. Each iteration of the two paths first adds records and lets the
+// shards apply them, outside the timer, then cuts:
 //
 //   - extend: 1,200 records since the last cut, the ledger's refresh
 //     round. The cut clones the published snapshot's engine — sharing
@@ -26,11 +27,17 @@ import (
 //     Every extendBudget records the cut also compacts the overlay into
 //     a new base, a merge of the whole state; the mean includes it.
 //     ns/rec is the cut's time per record replayed.
+//
 //   - fold: 20,000 records since the last cut, past the store's extend
 //     budget, so the shards keep none and the cut folds every partition,
 //     all shards at once, each into its own engine, merged in shard
 //     order: shards=1 is the fold alone, more shards add merges and,
 //     given CPUs, overlap the folds.
+//
+//   - noop: nothing since the last cut, the twin of
+//     serve.store.refresh_noop. The cut is one op round in which every
+//     shard reports an unchanged record count, and it returns the
+//     published snapshot, Seq unchanged.
 //
 // records= is the size of the loaded corpus; the 1,000,000-record arm
 // is the ledger's full workload. Run it with -cpu 1,2 to see both sides
@@ -81,6 +88,34 @@ func BenchmarkSnapshotCut(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*arm.added), "ns/rec")
 			})
 		}
+	}
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("noop/records=200000/shards=%d", shards), func(b *testing.B) {
+			c := cutCorpus(b, 200_000)
+			st, err := NewStore(Config{Options: c.opt, Shards: shards, Bucket: time.Hour, DisableObs: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			if _, err := st.add(c.loaded, nil); err != nil {
+				b.Fatal(err)
+			}
+			published, err := st.Refresh()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				snap, err := st.Refresh()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if snap != published || snap.Seq != published.Seq {
+					b.Fatalf("a cut with nothing new returned seq %d, not the published %d", snap.Seq, published.Seq)
+				}
+			}
+		})
 	}
 }
 

@@ -41,7 +41,7 @@ func TestDiscoveryComputedOncePerSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		snap := store.Current()
+		snap := store.current()
 		if got := discoveryRuns(snap.An.Engine); got != 0 {
 			t.Fatalf("fresh snapshot %d already computed discovery %d times", snap.Seq, got)
 		}
@@ -161,7 +161,7 @@ func TestRangeDiscoveryUnderIngest(t *testing.T) {
 		return true
 	})
 	loop(&reads[1], func() bool { // the series reader
-		wins, err := store.RangeSeries(timewin.Window{}, 86400, mods...)
+		wins, err := store.rangeSeries(timewin.Window{}, 86400, mods...)
 		if err != nil {
 			t.Error(err)
 			return false

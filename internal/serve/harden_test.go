@@ -235,7 +235,7 @@ func TestGateServingWhileNotReady(t *testing.T) {
 	if _, err := store.add(f.records[:100], nil); err != nil {
 		t.Fatal(err)
 	}
-	seq, ingested := store.Current().Seq, store.Stats().Ingested
+	seq, ingested := store.current().Seq, store.Stats().Ingested
 
 	ready := NewReadiness("draining")
 	srv := httptest.NewServer(NewServer(store, f.gen,
@@ -273,7 +273,7 @@ func TestGateServingWhileNotReady(t *testing.T) {
 		if !strings.Contains(string(body), "draining") {
 			t.Errorf("%s %s while draining: body %s does not name the state", g.method, g.path, body)
 		}
-		if got := store.Current().Seq; got != seq {
+		if got := store.current().Seq; got != seq {
 			t.Errorf("%s %s while draining: snapshot seq %d → %d, want no cut", g.method, g.path, seq, got)
 		}
 		if got := store.Stats().Ingested; got != ingested {

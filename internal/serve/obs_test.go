@@ -16,6 +16,7 @@ import (
 
 	"syriafilter/internal/logfmt"
 	"syriafilter/internal/obs/trace"
+	"syriafilter/internal/pipeline"
 	"syriafilter/internal/timewin"
 )
 
@@ -322,7 +323,7 @@ func TestDisableObs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if store.Registry() != nil {
+	if store.reg != nil {
 		t.Fatal("DisableObs store has a registry")
 	}
 
@@ -362,7 +363,7 @@ func TestDisableObs(t *testing.T) {
 // The range-merge and ingest-stage instruments are taken where the
 // store runs the stage. A Range observes one merge per shard that
 // covered something into range_merge_seconds and counts, in buckets,
-// the sum of what they covered; a RangeSeries one merge per shard per
+// the sum of what they covered; a rangeSeries one merge per shard per
 // covered window; an empty window neither. A traced block ingest
 // observes one read and one parse per block and sums both onto its
 // pipeline.blocks span. A snapshot cut names its path on its span.
@@ -378,7 +379,7 @@ func TestStageMetricsAtTheirCallSites(t *testing.T) {
 	body := encodeCSV(t, f.records[:6000], false)
 	ctx := trace.NewContext(context.Background(), tr.Root("test.ingest"))
 	reads0, parses0 := store.obsm.readSeconds.Count(), store.obsm.parseSeconds.Count()
-	if _, _, err := store.IngestBlocksCtx(ctx, logfmt.NewBlockReaderSize(bytes.NewReader(body), 64<<10), 2); err != nil {
+	if _, _, err := store.ingestBlockSources([]*pipeline.BlockSource{{R: logfmt.NewBlockReaderSize(bytes.NewReader(body), 64<<10)}}, 2, trace.FromContext(ctx)); err != nil {
 		t.Fatal(err)
 	}
 	trace.FromContext(ctx).End()
@@ -457,7 +458,7 @@ func TestStageMetricsAtTheirCallSites(t *testing.T) {
 			n1-n0, b1-b0, covering, cov.Buckets)
 	}
 
-	wins, err := store.RangeSeries(w, 2*hour)
+	wins, err := store.rangeSeries(w, 2*hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,14 +472,14 @@ func TestStageMetricsAtTheirCallSites(t *testing.T) {
 		}
 	}
 	if n2-n1 != want {
-		t.Errorf("RangeSeries over %d windows moved merges by %d, want %d (one per shard per covered window)", len(wins), n2-n1, want)
+		t.Errorf("rangeSeries over %d windows moved merges by %d, want %d (one per shard per covered window)", len(wins), n2-n1, want)
 	}
 
 	empty := timewin.Window{From: from + 10*365*24*hour, To: from + 10*365*24*hour + 6*hour}
 	if _, _, err := store.Range(empty); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.RangeSeries(empty, 2*hour); err != nil {
+	if _, err := store.rangeSeries(empty, 2*hour); err != nil {
 		t.Fatal(err)
 	}
 	if n3, b3 := merges(); n3 != n2 || b3 != b2 {

@@ -120,9 +120,9 @@ func (st *Store) onCompact(buckets int, seconds float64) {
 		trace.Int("buckets", int64(buckets)))
 }
 
-// rangeInto is every range read's per-shard merge, measured where it
-// runs: one that covered something counts in the range-merge metrics.
-func (st *Store) rangeInto(p *timewin.Partition, dst *core.Engine, w timewin.Window) (timewin.Coverage, error) {
+// rangeInto is fill's op for every range read, measured where it runs:
+// one that covered something counts in the range-merge metrics.
+func (st *Store) rangeInto(_ int, p *timewin.Partition, dst *core.Engine, w timewin.Window) (timewin.Coverage, error) {
 	t0 := time.Now()
 	c, err := p.RangeInto(dst, w)
 	if c.Buckets > 0 || c.Tail {
@@ -152,11 +152,11 @@ func (st *Store) registerObsFuncs(r *obs.Registry) {
 	}
 
 	r.GaugeFunc("censord_snapshot_seq", "Sequence number of the published snapshot.",
-		func() float64 { return float64(st.Current().Seq) })
+		func() float64 { return float64(st.current().Seq) })
 
 	r.GaugeFunc("censord_timewin_live_buckets",
 		"Distinct live time buckets across shards, at the published snapshot.",
-		func() float64 { return float64(len(st.Current().Timewin.Buckets)) })
+		func() float64 { return float64(len(st.current().Timewin.Buckets)) })
 
 	r.GaugeFunc("censord_checkpoint_generation",
 		"Generation sequence of the last written or restored checkpoint "+

@@ -59,9 +59,9 @@ func TestRangeProjectionByteIdentity(t *testing.T) {
 	for _, w := range windows {
 		// The reference engines carry every module.
 		var full *core.Analyzer
-		var series []RangeWindow
+		var series []rangeWindow
 		if w.step > 0 {
-			series, err = store.RangeSeries(w.win, w.step)
+			series, err = store.rangeSeries(w.win, w.step)
 		} else {
 			full, _, err = store.Range(w.win)
 		}
@@ -198,8 +198,8 @@ func TestUnknownIDAndMissingModuleStatuses(t *testing.T) {
 	if _, _, err := store.Range(timewin.Window{}, "domains"); err == nil || !strings.Contains(err.Error(), "domains") {
 		t.Errorf("Range projected onto an absent module: err = %v", err)
 	}
-	if _, err := store.RangeSeries(timewin.Window{}, 3600, "domains"); err == nil {
-		t.Error("RangeSeries projected onto an absent module succeeded")
+	if _, err := store.rangeSeries(timewin.Window{}, 3600, "domains"); err == nil {
+		t.Error("rangeSeries projected onto an absent module succeeded")
 	}
 }
 
@@ -392,7 +392,7 @@ func TestCutAndRangeFanOutUnderIngest(t *testing.T) {
 	go func() { // the series reader: one window per shard's hour
 		defer wg.Done()
 		for {
-			wins, err := store.RangeSeries(timewin.Window{}, 3600)
+			wins, err := store.rangeSeries(timewin.Window{}, 3600)
 			if err != nil {
 				t.Error(err)
 				return

@@ -10,7 +10,7 @@ import (
 )
 
 // from, to and step of a series query are the caller's: whatever they
-// are, RangeSeries answers with an error or with at most maxSeriesWindows
+// are, rangeSeries answers with an error or with at most maxSeriesWindows
 // windows that tile the aligned span in step-sized pieces — inside a
 // second, because it holds the store lock while it works.
 func FuzzRangeSeriesBounds(f *testing.F) {
@@ -48,17 +48,17 @@ func FuzzRangeSeriesBounds(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, from, to, step int64) {
-		var wins []RangeWindow
+		var wins []rangeWindow
 		var err error
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			wins, err = store.RangeSeries(timewin.Window{From: from, To: to}, step)
+			wins, err = store.rangeSeries(timewin.Window{From: from, To: to}, step)
 		}()
 		select {
 		case <-done:
 		case <-time.After(time.Second):
-			t.Fatalf("RangeSeries(from=%d, to=%d, step=%d) still running after 1s", from, to, step)
+			t.Fatalf("rangeSeries(from=%d, to=%d, step=%d) still running after 1s", from, to, step)
 		}
 		if err != nil {
 			return

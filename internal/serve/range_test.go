@@ -19,9 +19,9 @@ import (
 	"syriafilter/internal/timewin"
 )
 
-// RangeSeries is a series read outside a traced request. Unlike read,
+// rangeSeries is a series read outside a traced request. Unlike read,
 // it refuses step 0, which would read w as one window.
-func (st *Store) RangeSeries(w timewin.Window, step int64, modules ...string) ([]RangeWindow, error) {
+func (st *Store) rangeSeries(w timewin.Window, step int64, modules ...string) ([]rangeWindow, error) {
 	if step <= 0 {
 		return nil, st.errStep()
 	}
@@ -232,7 +232,7 @@ func TestRangeSeriesMatchesWindowReads(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			wins, err := store.RangeSeries(timewin.Window{From: day(1), To: day(1 + tc.days)}, 24*3600)
+			wins, err := store.rangeSeries(timewin.Window{From: day(1), To: day(1 + tc.days)}, 24*3600)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -280,7 +280,7 @@ func TestRangeSeriesEndpoint(t *testing.T) {
 	// An unaligned explicit `to` is widened to the bucket edge, so the
 	// last window's reported bounds cover every record its Doc merged.
 	aug1 := time.Date(2011, 8, 1, 0, 0, 0, 0, time.UTC).Unix()
-	wins, err := store.RangeSeries(timewin.Window{From: aug1, To: aug1 + 24*3600 + 1800}, 24*3600)
+	wins, err := store.rangeSeries(timewin.Window{From: aug1, To: aug1 + 24*3600 + 1800}, 24*3600)
 	if err != nil {
 		t.Fatal(err)
 	}

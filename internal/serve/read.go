@@ -235,10 +235,10 @@ func (s *Server) generation(ctx context.Context, src *source) (gen uint64, ok bo
 // docs.
 func (s *Server) build(ctx context.Context, src *source, format string) (*docEntry, int, error) {
 	var headers http.Header
-	var wins []RangeWindow
+	var wins []rangeWindow
 	var err error
 	if src.snap != nil {
-		wins = []RangeWindow{{An: src.snap.An}}
+		wins = []rangeWindow{{An: src.snap.An}}
 	} else if wins, err = s.store.read(ctx, src.win, src.step, src.mods...); err == nil && src.step == 0 {
 		cov := wins[0].Coverage
 		headers = http.Header{

@@ -320,7 +320,7 @@ func TestStoreClose(t *testing.T) {
 	if n, err := store.add(f.records[:100], nil); err == nil || n != 0 {
 		t.Errorf("Add after Close accepted %d records (err %v)", n, err)
 	}
-	if snap := store.Current(); snap.Records != 1000 {
+	if snap := store.current(); snap.Records != 1000 {
 		t.Errorf("snapshot after Close has %d records, want 1000", snap.Records)
 	}
 	if _, err := store.Refresh(); err != nil {

@@ -19,6 +19,8 @@ import (
 	"syriafilter/internal/core"
 	"syriafilter/internal/logfmt"
 	"syriafilter/internal/obs"
+	"syriafilter/internal/obs/trace"
+	"syriafilter/internal/pipeline"
 	"syriafilter/internal/render"
 	"syriafilter/internal/synth"
 	"syriafilter/internal/timewin"
@@ -124,7 +126,7 @@ func NewServer(store *Store, gen *synth.Generator, opts ...ServerOption) *Server
 		opt(s)
 	}
 	s.tracker.docs = map[string]*docTrack{}
-	reg := store.Registry()
+	reg := store.reg
 	if reg != nil {
 		s.readm = newReadMetrics(reg)
 	}
@@ -135,7 +137,7 @@ func NewServer(store *Store, gen *synth.Generator, opts ...ServerOption) *Server
 			s.mux.Handle(pattern, h)
 			return
 		}
-		s.mux.Handle(pattern, obs.Middleware(obs.NewHTTPMetrics(reg, route), s.logger, store.Tracer(), h))
+		s.mux.Handle(pattern, obs.Middleware(obs.NewHTTPMetrics(reg, route), s.logger, store.tracer, h))
 	}
 	handle("GET /healthz", "/healthz", s.handleHealth)
 	handle("GET /readyz", "/readyz", s.handleReady)
@@ -191,7 +193,7 @@ func retryLater(w http.ResponseWriter) http.ResponseWriter {
 // process can serve HTTP at all, even mid-restore. Readiness — is this
 // instance safe to route traffic to — is /readyz's question.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	snap := s.store.Current()
+	snap := s.store.current()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":           "ok",
 		"uptime_seconds":   int64(time.Since(s.start).Seconds()),
@@ -207,7 +209,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // restore, whatever the wired Readiness reports during boot and drain.
 func (s *Server) servingState() string {
 	state := s.ready.State() // nil-safe: no signal wired reads "ok"
-	if state == "ok" && s.store.Restoring() {
+	if state == "ok" && s.store.restoring.Load() {
 		state = "restoring"
 	}
 	return state
@@ -227,7 +229,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves the Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.store.Registry().WritePrometheus(w)
+	s.store.reg.WritePrometheus(w)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -317,13 +319,13 @@ func (s *Server) handleDoc(kind, prefix string) http.HandlerFunc {
 			q := r.URL.Query()
 			fresh, format = q.Get("fresh"), q.Get("format")
 		}
-		snap := s.store.Current()
+		snap := s.store.current()
 		if fresh == "1" {
 			if s.gateServing(w) {
 				return
 			}
 			var err error
-			if snap, err = s.store.RefreshCtx(r.Context()); err != nil {
+			if snap, err = s.store.refresh(r.Context()); err != nil {
 				writeError(w, http.StatusInternalServerError, "snapshot: %v", err)
 				return
 			}
@@ -423,7 +425,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		defer zr.Close()
 		body = zr
 	}
-	added, malformed, err := s.store.IngestBlocksCtx(r.Context(), logfmt.NewBlockReader(body), 0)
+	added, malformed, err := s.store.ingestBlockSources([]*pipeline.BlockSource{{R: logfmt.NewBlockReader(body)}}, 0, trace.FromContext(r.Context()))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		switch {
@@ -443,7 +445,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := map[string]any{"added": added, "malformed": malformed}
 	if refresh {
-		snap, err := s.store.RefreshCtx(r.Context())
+		snap, err := s.store.refresh(r.Context())
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "snapshot: %v", err)
 			return
@@ -458,7 +460,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.gateServing(w) {
 		return
 	}
-	snap, err := s.store.RefreshCtx(r.Context())
+	snap, err := s.store.refresh(r.Context())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "snapshot: %v", err)
 		return
@@ -515,7 +517,7 @@ type traceSummary struct {
 // states produce are themselves traced (status >= 500 marks the trace
 // errored, which pins it in the ring).
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	tr := s.store.Tracer()
+	tr := s.store.tracer
 	if tr == nil {
 		writeError(w, http.StatusNotFound, "tracing disabled (store has no tracer)")
 		return
@@ -551,7 +553,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace serves one retained trace as a nested span tree.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	tr := s.store.Tracer()
+	tr := s.store.tracer
 	if tr == nil {
 		writeError(w, http.StatusNotFound, "tracing disabled (store has no tracer)")
 		return

@@ -12,6 +12,7 @@ import (
 	"syriafilter/internal/core"
 	"syriafilter/internal/logfmt"
 	"syriafilter/internal/obs/trace"
+	"syriafilter/internal/pipeline"
 	"syriafilter/internal/timewin"
 )
 
@@ -49,20 +50,59 @@ func BenchmarkIngestBlocks(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			ingest()
 			b.SetBytes(int64(len(data)))
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ingest()
+			perRecord(b, len(c.loaded), ingest)
+		})
+	}
+}
+
+// perRecord runs ingest once to warm the store, then b.N times on the
+// clock, and reports time, allocations and bytes per record, recs being
+// the records one ingest adds.
+func perRecord(b *testing.B, recs int, ingest func()) {
+	ingest()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ingest()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	n := float64(b.N * recs)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/rec")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/n, "allocs/rec")
+	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/n, "B/rec")
+}
+
+// BenchmarkStoreAdd measures Store.AddCtx of the corpus's parsed
+// records, in pipeline.BatchSize slices, into a warm store: the twin of
+// serve.store.add, and BenchmarkIngestBlocks without the read and parse.
+// The ledger's probe adds into a fresh store; a warm one keeps engine
+// growth out of the number, as in BenchmarkIngestBlocks. It reports
+// time, allocations and bytes per record; the clock stops when the
+// shards have applied the records.
+func BenchmarkStoreAdd(b *testing.B) {
+	c := cutCorpus(b, 200_000)
+	ctx := context.Background()
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			st, err := NewStore(Config{Options: c.opt, Shards: shards})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			runtime.ReadMemStats(&m1)
-			recs := float64(b.N * len(c.loaded))
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/recs, "ns/rec")
-			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/recs, "allocs/rec")
-			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/recs, "B/rec")
+			defer st.Close()
+			add := func() {
+				for lo := 0; lo < len(c.loaded); lo += pipeline.BatchSize {
+					if _, err := st.AddCtx(ctx, c.loaded[lo:min(lo+pipeline.BatchSize, len(c.loaded))]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, _, err := st.Range(timewin.Window{From: 1, To: 2}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perRecord(b, len(c.loaded), add)
 		})
 	}
 }
@@ -88,7 +128,7 @@ func BenchmarkIngestOverhead(b *testing.B) {
 				}
 				root := tr.Root("bench.ingest")
 				b.StartTimer()
-				added, _, err := st.IngestBlocksCtx(trace.NewContext(context.Background(), root), logfmt.NewBlockReader(bytes.NewReader(data)), 0)
+				added, _, err := st.ingestBlockSources([]*pipeline.BlockSource{{R: logfmt.NewBlockReader(bytes.NewReader(data))}}, 0, root)
 				b.StopTimer()
 				if err != nil || added != uint64(len(c.loaded)) {
 					b.Fatalf("added %d of %d: %v", added, len(c.loaded), err)
@@ -282,7 +322,7 @@ func BenchmarkRangeSeries(b *testing.B) {
 				b.ResetTimer()
 				buckets := 0
 				for i := 0; i < b.N; i++ {
-					wins, err := st.RangeSeries(w, 86400, mods...)
+					wins, err := st.rangeSeries(w, 86400, mods...)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -309,7 +349,8 @@ func BenchmarkRangeSeries(b *testing.B) {
 // capture, so they land in every day, then a cut — followed by the 16
 // GETs of the sweep: table1, table4, fig5 and table8 over a 6 h, a 1 d
 // and a 3 d window and over six days at step=24h. Only the GETs are
-// timed: ms/sweep is their time, ms/round the round's add and cut.
+// timed: ms/sweep is their time, ms/round the round's add and cut, and
+// MB/round what the round allocates (B/op counts the sweep's only).
 func BenchmarkRangeSweep(b *testing.B) {
 	c := cutCorpus(b, 1_000_000)
 	st, err := NewStore(Config{Options: c.opt, Shards: 2, Bucket: time.Hour, DisableObs: true})
@@ -339,10 +380,14 @@ func BenchmarkRangeSweep(b *testing.B) {
 	stride := len(c.rounds) / round
 	var recs []logfmt.Record
 	var rounds time.Duration
+	var ms runtime.MemStats
+	var roundBytes uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		alloc0 := ms.TotalAlloc
 		t0 := time.Now()
 		recs = recs[:0]
 		for j := i % stride; j < len(c.rounds); j += stride {
@@ -355,6 +400,8 @@ func BenchmarkRangeSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 		rounds += time.Since(t0)
+		runtime.ReadMemStats(&ms)
+		roundBytes += ms.TotalAlloc - alloc0
 		b.StartTimer()
 		for _, q := range queries {
 			rw := httptest.NewRecorder()
@@ -366,4 +413,5 @@ func BenchmarkRangeSweep(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/sweep")
 	b.ReportMetric(float64(rounds.Nanoseconds())/1e6/float64(b.N), "ms/round")
+	b.ReportMetric(float64(roundBytes)/1e6/float64(b.N), "MB/round")
 }

@@ -58,7 +58,7 @@ func (s *Server) changes(ctx context.Context, ids []string, since uint64) (*Snap
 	t := &s.tracker
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	snap := s.store.Current()
+	snap := s.store.current()
 	changed := []syncChange{}
 	for _, id := range ids {
 		dt := t.docs[id]
@@ -170,7 +170,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	// A token from beyond the current generation (another process life,
 	// or a client-made number) cannot be positioned in this history:
 	// resync from scratch rather than parking forever.
-	if cur := s.store.Current(); since > cur.Seq {
+	if cur := s.store.current(); since > cur.Seq {
 		since = 0
 	}
 
@@ -209,7 +209,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 // means no sync response should be written: a terminal 429/503 already
 // was, or the client disconnected.
 func (s *Server) waitSync(w http.ResponseWriter, r *http.Request, since uint64, timeout time.Duration) (timedOut, ok bool) {
-	if s.store.Current().Seq > since || timeout <= 0 {
+	if s.store.current().Seq > since || timeout <= 0 {
 		return false, true
 	}
 	if n := s.syncWaiting.Add(1); n > int64(s.syncMaxParked) {
@@ -230,9 +230,9 @@ func (s *Server) waitSync(w http.ResponseWriter, r *http.Request, since uint64, 
 	defer timer.Stop()
 	for {
 		// Broadcasts: fetch both before checking what they announce.
-		ch := s.store.ChangeSignal()
+		ch := s.store.changed.wait()
 		rch := s.ready.Changed()
-		if s.store.Current().Seq > since {
+		if s.store.current().Seq > since {
 			sp.SetAttrs(trace.Int("woken", 1))
 			return false, true
 		}
@@ -249,7 +249,7 @@ func (s *Server) waitSync(w http.ResponseWriter, r *http.Request, since uint64, 
 		case <-rch:
 		case <-timer.C:
 			return true, true
-		case <-s.store.Done():
+		case <-s.store.stop:
 			writeError(retryLater(w), http.StatusServiceUnavailable, "%v", ErrClosed)
 			return false, false
 		case <-r.Context().Done():

@@ -71,7 +71,7 @@ func waitParked(t *testing.T, srv *Server, n int64) {
 func TestSyncLongPollWakeup(t *testing.T) {
 	f := corpus(t)
 	store, srv := newTestServer(t, 4000)
-	token := fmt.Sprint(store.Current().Seq)
+	token := fmt.Sprint(store.current().Seq)
 
 	done := make(chan syncResponse, 1)
 	start := time.Now()
@@ -109,7 +109,7 @@ func TestSyncLongPollWakeup(t *testing.T) {
 // with the same token.
 func TestSyncTimeout(t *testing.T) {
 	store, srv := newTestServer(t, 2000)
-	token := fmt.Sprint(store.Current().Seq)
+	token := fmt.Sprint(store.current().Seq)
 	start := time.Now()
 	resp := decodeSync(t, get(srv, "/v1/sync?ids=table4&timeout=150ms&since="+token))
 	if elapsed := time.Since(start); elapsed < 100*time.Millisecond {
@@ -118,8 +118,8 @@ func TestSyncTimeout(t *testing.T) {
 	if !resp.TimedOut || len(resp.Changed) != 0 {
 		t.Errorf("timed_out=%v changed=%d, want empty timeout response", resp.TimedOut, len(resp.Changed))
 	}
-	if resp.Seq != store.Current().Seq {
-		t.Errorf("timeout response seq %d, want current %d", resp.Seq, store.Current().Seq)
+	if resp.Seq != store.current().Seq {
+		t.Errorf("timeout response seq %d, want current %d", resp.Seq, store.current().Seq)
 	}
 }
 
@@ -223,7 +223,7 @@ func TestSyncDrainWakeup(t *testing.T) {
 			}
 			ready := NewReadiness("ok")
 			srv := NewServer(store, f.gen, WithReadiness(ready))
-			token := fmt.Sprint(store.Current().Seq)
+			token := fmt.Sprint(store.current().Seq)
 
 			done := make(chan *httptest.ResponseRecorder, 1)
 			go func() { done <- get(srv, "/v1/sync?ids=table4&timeout=30s&since="+token) }()
@@ -250,7 +250,7 @@ func TestSyncDrainWakeup(t *testing.T) {
 func TestSyncParkedShed(t *testing.T) {
 	store, srv := newTestServer(t, 2000)
 	srv.syncMaxParked = 0
-	token := fmt.Sprint(store.Current().Seq)
+	token := fmt.Sprint(store.current().Seq)
 	rw := get(srv, "/v1/sync?ids=table4&timeout=10s&since="+token)
 	if rw.Code != 429 {
 		t.Fatalf("park over the bound answered %d, want 429", rw.Code)

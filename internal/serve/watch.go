@@ -203,7 +203,7 @@ func (w *watcher) poll(now time.Time) {
 		}
 	}
 	if ingested {
-		if _, err := w.st.RefreshCtx(pollCtx); err != nil {
+		if _, err := w.st.refresh(pollCtx); err != nil {
 			psp.Fail(err)
 			w.st.logger.Warn("watch snapshot failed", "err", err)
 		}

@@ -27,9 +27,9 @@ import (
 //
 // A rollup is dropped when compaction reaches its day, when the partition
 // absorbs restored state, and when its queue passes maxLate: a read that
-// covers the day again then builds it afresh. Rollups are never encoded —
-// checkpoints, AllInto and Coverage see buckets only — so they change
-// what a read costs, never what it returns.
+// covers the day again then builds it afresh. Rollups are never encoded,
+// and checkpoints, AllInto and a Coverage's span see buckets only, so
+// they change what a read costs (Coverage.Rollups), never what it returns.
 
 // maxLate bounds a rollup's queue of late records, and so the memory a
 // queue holds between reads (a record is 328 bytes plus its strings).
@@ -70,10 +70,10 @@ func (p *Partition) sealed(d int64) bool {
 }
 
 // rolled returns the rollup a read of w merges for day d, built or
-// brought up to date, or nil when the read merges the day's buckets
-// instead: w does not cover the day, the day is not sealed, or fewer
-// than two of its buckets are live. Rollups are on.
-func (p *Partition) rolled(d int64, w Window) *rollup {
+// brought up to date and counted in cov, or nil when the read merges the
+// day's buckets instead: w does not cover the day, the day is not
+// sealed, or fewer than two of its buckets are live. Rollups are on.
+func (p *Partition) rolled(d int64, w Window, cov *Coverage) *rollup {
 	if !w.Covers(d*daySecs, (d+1)*daySecs) || !p.sealed(d) {
 		return nil
 	}
@@ -91,7 +91,7 @@ func (p *Partition) rolled(d int64, w Window) *rollup {
 			r.eng.Observe(&r.late[i])
 		}
 		r.records += uint64(len(r.late))
-		p.replayed += uint64(len(r.late))
+		cov.Replayed += uint64(len(r.late))
 		// Keep the array for the next late records, pinning no strings.
 		clear(r.late)
 		r.late = r.late[:0]
@@ -108,7 +108,7 @@ func (p *Partition) rolled(d int64, w Window) *rollup {
 		}
 		p.rollups[d] = r
 	}
-	p.served++
+	cov.Rollups++
 	return r
 }
 
@@ -136,8 +136,3 @@ func (p *Partition) dropCompacted() {
 		}
 	}
 }
-
-// Rollups reports the range reads' use of day rollups since p was
-// built: the days a read merged from a rollup, and the late records
-// those reads replayed into rollups first.
-func (p *Partition) Rollups() (days, replayed uint64) { return p.served, p.replayed }

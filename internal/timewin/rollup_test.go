@@ -79,7 +79,10 @@ func TestDayRollupsMatchHours(t *testing.T) {
 		}
 		return e
 	}
-	check := func(step string, p, q *Partition, last int) {
+	// check returns the rollups p's reads merged and the late records they
+	// replayed, as their coverages report them; apart from those two, the
+	// coverages equal the reference's.
+	check := func(step string, p, q *Partition, last int) (rollups int, replayed uint64) {
 		t.Helper()
 		for _, w := range windows(last) {
 			got, want := engine(), engine()
@@ -88,27 +91,30 @@ func TestDayRollupsMatchHours(t *testing.T) {
 			if (gerr == nil) != (werr == nil) {
 				t.Fatalf("%s: window %s: err %v, reference err %v", step, w, gerr, werr)
 			}
-			if gc != wc {
+			if wc.Rollups != 0 || wc.Replayed != 0 {
+				t.Fatalf("%s: window %s: the reference partition merged rollups: %+v", step, w, wc)
+			}
+			rollups, replayed = rollups+gc.Rollups, replayed+gc.Replayed
+			if gc.Rollups, gc.Replayed = 0, 0; gc != wc {
 				t.Errorf("%s: window %s: coverage %+v, reference %+v", step, w, gc, wc)
 			}
 			if !bytes.Equal(got.MarshalState(), want.MarshalState()) {
 				t.Errorf("%s: window %s: state differs from the buckets' merge", step, w)
 			}
 		}
+		return rollups, replayed
 	}
-	served := func(p *Partition) uint64 { d, _ := p.Rollups(); return d }
 
 	p, q := build(time.Hour, 0)
 	both := []*Partition{p, q}
 	corpus(both...)
-	check("built", p, q, days)
-	if served(p) == 0 {
+	if d, _ := check("built", p, q, days); d == 0 {
 		t.Fatal("no day was read from a rollup")
 	}
 	if len(p.rollups) != days-1 {
 		t.Errorf("%d rollups, want %d: every day but the newest is sealed", len(p.rollups), days-1)
 	}
-	if d, _ := q.Rollups(); d != 0 || q.rollups != nil {
+	if q.rollups != nil {
 		t.Fatal("the reference partition built rollups")
 	}
 
@@ -123,16 +129,14 @@ func TestDayRollupsMatchHours(t *testing.T) {
 	}
 	rollups := maps.Clone(p.rollups)
 	observe(both, at(1, 3)+7, at(2, 23)+59)
-	check("late record into a rolled-up hour", p, q, days)
-	if _, r := p.Rollups(); r != 2 {
+	if _, r := check("late record into a rolled-up hour", p, q, days); r != 2 {
 		t.Errorf("replayed %d late records, want 2", r)
 	}
 	kept("late record into a rolled-up hour", rollups)
 
 	observe(both, at(3, 5)+1)
-	check("late record opening an hour of a sealed day", p, q, days)
-	if _, r := p.Rollups(); r != 3 {
-		t.Errorf("replayed %d late records, want 3", r)
+	if _, r := check("late record opening an hour of a sealed day", p, q, days); r != 1 {
+		t.Errorf("replayed %d late records, want 1", r)
 	}
 	kept("late record opening an hour of a sealed day", rollups)
 
@@ -187,8 +191,93 @@ func TestDayRollupsMatchHours(t *testing.T) {
 	if p.dayBuckets != 0 {
 		t.Fatalf("a 7h width has %d buckets a day, want rollups off", p.dayBuckets)
 	}
-	check("a width that does not divide a day", p, q, days)
-	if served(p) != 0 || p.rollups != nil {
+	if d, _ := check("a width that does not divide a day", p, q, days); d != 0 || p.rollups != nil {
 		t.Error("rollups on a width that does not divide a day")
+	}
+}
+
+// A read's coverage reports its rollup use: Extend sums it, a window
+// that covers no whole sealed day merges no rollup, a day-step read
+// merges one for each covered sealed day with at least two live
+// buckets, and Replayed is the records observed since the previous read
+// into days that had a rollup.
+func TestCoverageReportsRollups(t *testing.T) {
+	c := Coverage{FromUnix: 0, ToUnix: 3600, Buckets: 2, Records: 5, Rollups: 1, Replayed: 3}
+	c.Extend(Coverage{FromUnix: 3600, ToUnix: 7200, Buckets: 1, Records: 2, Rollups: 2, Replayed: 4})
+	if c.Rollups != 3 || c.Replayed != 7 {
+		t.Errorf("Extend: %d rollups and %d replayed, want 3 and 7", c.Rollups, c.Replayed)
+	}
+
+	p, err := New(Config{Metrics: testMetrics, Bucket: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	day := func(d int) int64 { return base + int64(d)*86400 }
+	n := 0
+	observe := func(ts ...int64) {
+		for _, tm := range ts {
+			r := mkRec(tm, fmt.Sprintf("site-%d.example.com", n%3), n%2 == 0)
+			n++
+			p.Observe(&r)
+		}
+	}
+	read := func(w Window) Coverage {
+		t.Helper()
+		e, err := core.NewEngine(core.Options{}, testMetrics...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := p.RangeInto(e, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	series := func() (rollups int, replayed uint64) {
+		for d := 0; d < 4; d++ {
+			c := read(Window{From: day(d), To: day(d + 1)})
+			rollups, replayed = rollups+c.Rollups, replayed+c.Replayed
+		}
+		return rollups, replayed
+	}
+	// Day 0 has 24 live buckets, day 1 one, day 2 three; day 3, the
+	// newest, is not sealed.
+	for h := int64(0); h < 24; h++ {
+		observe(day(0) + h*3600)
+	}
+	observe(day(1) + 7200)
+	observe(day(2), day(2)+3600, day(2)+7200)
+	observe(day(3), day(3)+3600)
+
+	for _, w := range []Window{
+		{From: day(0) + 3600, To: day(1)},     // part of day 0
+		{From: day(1), To: day(2)},            // a sealed day of one bucket
+		{From: day(3), To: day(4)},            // the newest day
+		{From: day(0) + 1800, To: day(2) + 1}, // day 1 whole, day 0 not
+	} {
+		if c := read(w); c.Rollups != 0 || c.Replayed != 0 {
+			t.Errorf("window %s: %d rollups, %d replayed; want none", w, c.Rollups, c.Replayed)
+		}
+	}
+	if r, l := series(); r != 2 || l != 0 {
+		t.Errorf("first day-step read: %d rollups, %d replayed; want 2 (days 0 and 2) and 0", r, l)
+	}
+	if c := read(Window{}); c.Rollups != 2 || c.Replayed != 0 {
+		t.Errorf("all-time read: %d rollups, %d replayed; want 2 and 0", c.Rollups, c.Replayed)
+	}
+
+	// Three late records for day 0 and one opening an hour of day 2 join
+	// their rollups' queues; one opening a second hour of day 1, which has
+	// no rollup, and one for day 3 do not. A read that merges no rollup
+	// leaves the queues for the next read that does.
+	observe(day(0)+60, day(0)+5*3600, day(0)+23*3600+1, day(2)+5*3600, day(1)+3600, day(3)+60)
+	if c := read(Window{From: day(0) + 3600, To: day(0) + 7200}); c.Rollups != 0 || c.Replayed != 0 {
+		t.Errorf("read inside day 0: %d rollups, %d replayed; want none", c.Rollups, c.Replayed)
+	}
+	if r, l := series(); r != 3 || l != 4 {
+		t.Errorf("day-step read after late records: %d rollups, %d replayed; want 3 (day 1 built) and 4", r, l)
+	}
+	if r, l := series(); r != 3 || l != 0 {
+		t.Errorf("day-step read with nothing new: %d rollups, %d replayed; want 3 and 0", r, l)
 	}
 }

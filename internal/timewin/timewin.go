@@ -231,13 +231,16 @@ func MergeMeta(dst *Meta, src Meta) {
 // widened to bucket edges (and to the tail span when the tail was
 // merged). Buckets counts bucket *merges* — a cost measure — so an
 // aggregate over N shards counts each time bucket up to N times (the
-// distinct-bucket layout lives in Meta).
+// distinct-bucket layout lives in Meta). Rollups counts the days merged
+// from a day rollup, Replayed the late records replayed into one first.
 type Coverage struct {
 	FromUnix int64  `json:"from_unix"`
 	ToUnix   int64  `json:"to_unix"`
 	Buckets  int    `json:"buckets"`
 	Records  uint64 `json:"records"`
 	Tail     bool   `json:"tail"`
+	Rollups  int    `json:"rollups"`
+	Replayed uint64 `json:"replayed"`
 }
 
 // Extend unions o into c (used to aggregate per-shard coverages).
@@ -257,6 +260,8 @@ func (c *Coverage) Extend(o Coverage) {
 	}
 	c.Buckets += o.Buckets
 	c.Records += o.Records
+	c.Rollups += o.Rollups
+	c.Replayed += o.Replayed
 	c.Tail = c.Tail || o.Tail
 }
 
@@ -346,10 +351,9 @@ type Partition struct {
 
 	// Day rollups (rollup.go): dayBuckets is the buckets in a UTC day, 0
 	// when the width does not divide one, which turns rollups off;
-	// rollups holds them by day; served and replayed count their use.
-	dayBuckets       int64
-	rollups          map[int64]*rollup
-	served, replayed uint64
+	// rollups holds them by day.
+	dayBuckets int64
+	rollups    map[int64]*rollup
 }
 
 // New builds an empty partition. The engine construction also validates
@@ -616,8 +620,8 @@ func (p *Partition) AllInto(dst *core.Engine) {
 // error.
 //
 // A whole sealed day that w covers is merged from its rollup (see
-// rollup.go), which holds what its buckets do; the coverage still counts
-// the buckets.
+// rollup.go), which holds what its buckets do; the coverage counts the
+// buckets, and the rollup and its replayed records in Rollups/Replayed.
 //
 // When dst carries tokens, each merged segment first indexes the
 // censored URLs it stored since its last range read
@@ -635,7 +639,7 @@ func (p *Partition) RangeInto(dst *core.Engine, w Window) (Coverage, error) {
 		cov.Extend(c)
 		if p.dayBuckets > 0 && !c.Tail {
 			if d := p.dayOf(s.lo); d != day {
-				if day, r = d, p.rolled(d, w); r != nil {
+				if day, r = d, p.rolled(d, w, &cov); r != nil {
 					engs = append(engs, r.eng)
 				}
 			}
